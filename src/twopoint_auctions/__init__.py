@@ -8,10 +8,10 @@ incentive audits, and an independent exact-LP certifier.
 from .core import (
     AuctionSpec,
     CapExceeded,
+    FiniteValueDistribution,
     HierarchyScheme,
     InvalidSpec,
     Rational,
-    TYPES,
     allocate_hierarchy,
     class_probabilities,
     classify_profile,
@@ -46,7 +46,6 @@ from .audit import (
     check_ir,
     expected_revenue,
     qu_statistics,
-    transfer_equation_check,
 )
 from .oracle import (
     build_bic_lp,

@@ -9,21 +9,21 @@ profile) and both sides of the failed inequality.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .core import (
-    AuctionSpec,
     Profile,
-    TYPES,
+    Type,
+    buyer_types,
     cheap_items,
     classify_profile,
-    class_probabilities,
     enumerate_profiles,
+    insert,
     profile_probability,
     rat_str,
+    type_label,
 )
 from .mechanisms import Mechanism
 
@@ -31,8 +31,8 @@ from .mechanisms import Mechanism
 @dataclass(frozen=True)
 class Violation:
     buyer: int
-    true_type: str
-    reported_type: Optional[str]
+    true_type: Type
+    reported_type: Optional[Type]
     others: object  # opponent profile tuple, or "averaged" for interim checks
     lhs: Fraction
     rhs: Fraction
@@ -40,9 +40,15 @@ class Violation:
     def to_json(self) -> dict:
         return {
             "buyer": self.buyer,
-            "true_type": self.true_type,
-            "reported_type": self.reported_type,
-            "others": list(self.others) if isinstance(self.others, tuple) else self.others,
+            "true_type": type_label(self.true_type),
+            "reported_type": (
+                None if self.reported_type is None else type_label(self.reported_type)
+            ),
+            "others": (
+                [type_label(t) for t in self.others]
+                if isinstance(self.others, tuple)
+                else self.others
+            ),
             "lhs": rat_str(self.lhs),
             "rhs": rat_str(self.rhs),
         }
@@ -66,39 +72,25 @@ class AuditReport:
 
 def expected_revenue(mech: Mechanism) -> Fraction:
     """Sum over profiles of Pr{t} * total derived payment at t."""
+    n = mech.n
     total = Fraction(0)
-    for profile, prob in enumerate_profiles(mech.spec):
-        total += prob * sum(mech.payment(i, profile) for i in range(mech.spec.n))
+    for profile, prob in enumerate_profiles(n, mech.dist):
+        total += prob * sum(mech.payment(i, profile) for i in range(n))
     return total
 
 
-def _others_profiles(n: int):
-    return itertools.product(TYPES, repeat=n - 1)
-
-
-def _insert(others: Sequence[str], i: int, t: str) -> Profile:
-    return tuple(others[:i]) + (t,) + tuple(others[i:])
-
-
-def _others_probability(spec: AuctionSpec, others: Sequence[str]) -> Fraction:
-    return profile_probability(spec, others) if others else Fraction(1)
-
-
-def interim_utility(mech: Mechanism, i: int, t_i: str) -> Fraction:
-    spec = mech.spec
+def interim_utility(mech: Mechanism, i: int, t_i: Type) -> Fraction:
     return sum(
-        _others_probability(spec, others) * mech.u(i, _insert(others, i, t_i))
-        for others in _others_profiles(spec.n)
+        w * mech.u(i, insert(others, i, t_i))
+        for others, w in enumerate_profiles(mech.n - 1, mech.dist)
     )
 
 
-def interim_allocation(mech: Mechanism, i: int, t_i: str) -> tuple[Fraction, Fraction]:
-    spec = mech.spec
+def interim_allocation(mech: Mechanism, i: int, t_i: Type) -> tuple[Fraction, Fraction]:
     q1 = Fraction(0)
     q2 = Fraction(0)
-    for others in _others_profiles(spec.n):
-        w = _others_probability(spec, others)
-        a1, a2 = mech.q(i, _insert(others, i, t_i))
+    for others, w in enumerate_profiles(mech.n - 1, mech.dist):
+        a1, a2 = mech.q(i, insert(others, i, t_i))
         q1 += w * a1
         q2 += w * a2
     return (q1, q2)
@@ -106,10 +98,11 @@ def interim_allocation(mech: Mechanism, i: int, t_i: str) -> tuple[Fraction, Fra
 
 def check_ir(mech: Mechanism) -> AuditReport:
     """u_i(t) >= 0 for every buyer and profile."""
+    n = mech.n
     violations = []
     count = 0
-    for profile, _ in enumerate_profiles(mech.spec):
-        for i in range(mech.spec.n):
+    for profile, _ in enumerate_profiles(n, mech.dist):
+        for i in range(n):
             count += 1
             u = mech.u(i, profile)
             if u < 0:
@@ -124,27 +117,25 @@ def check_dic(mech: Mechanism) -> AuditReport:
     """u_i(t_i,t_-i) >= u_i(t'_i,t_-i) + (t_i - t'_i).q_i(t'_i,t_-i),
     over all buyers, ordered pairs of distinct types, and opponent profiles.
     """
-    spec = mech.spec
+    n, values = mech.n, mech.dist.values
+    types = buyer_types(mech.dist)
+    others_space = [others for others, _ in enumerate_profiles(n - 1, mech.dist)]
     violations = []
     count = 0
-    for i in range(spec.n):
-        for t_true in TYPES:
-            val_true = spec.type_values(t_true)
-            for t_rep in TYPES:
+    for i in range(n):
+        for t_true in types:
+            for t_rep in types:
                 if t_rep == t_true:
                     continue
-                val_rep = spec.type_values(t_rep)
-                for others in _others_profiles(spec.n):
+                d1 = values[t_true[0]] - values[t_rep[0]]
+                d2 = values[t_true[1]] - values[t_rep[1]]
+                for others in others_space:
                     count += 1
-                    truthful = _insert(others, i, t_true)
-                    deviated = _insert(others, i, t_rep)
+                    truthful = insert(others, i, t_true)
+                    deviated = insert(others, i, t_rep)
                     q1, q2 = mech.q(i, deviated)
                     lhs = mech.u(i, truthful)
-                    rhs = (
-                        mech.u(i, deviated)
-                        + (val_true[0] - val_rep[0]) * q1
-                        + (val_true[1] - val_rep[1]) * q2
-                    )
+                    rhs = mech.u(i, deviated) + d1 * q1 + d2 * q2
                     if lhs < rhs:
                         violations.append(
                             Violation(i, t_true, t_rep, others, lhs, rhs)
@@ -156,8 +147,8 @@ def check_bir(mech: Mechanism) -> AuditReport:
     """Interim utility of truthful participation is nonnegative."""
     violations = []
     count = 0
-    for i in range(mech.spec.n):
-        for t_i in TYPES:
+    for i in range(mech.n):
+        for t_i in buyer_types(mech.dist):
             count += 1
             u_bar = interim_utility(mech, i, t_i)
             if u_bar < 0:
@@ -170,24 +161,23 @@ def check_bir(mech: Mechanism) -> AuditReport:
 def check_bic(mech: Mechanism) -> AuditReport:
     """ubar_i(t_i) - ubar_i(t'_i) >= (t_i - t'_i).qbar_i(t'_i) over all
     buyers and ordered pairs of distinct types."""
-    spec = mech.spec
+    values = mech.dist.values
+    types = buyer_types(mech.dist)
     violations = []
     count = 0
-    for i in range(spec.n):
-        u_bar = {t: interim_utility(mech, i, t) for t in TYPES}
-        q_bar = {t: interim_allocation(mech, i, t) for t in TYPES}
-        for t_true in TYPES:
-            val_true = spec.type_values(t_true)
-            for t_rep in TYPES:
+    for i in range(mech.n):
+        u_bar = {t: interim_utility(mech, i, t) for t in types}
+        q_bar = {t: interim_allocation(mech, i, t) for t in types}
+        for t_true in types:
+            for t_rep in types:
                 if t_rep == t_true:
                     continue
-                val_rep = spec.type_values(t_rep)
                 count += 1
                 lhs = u_bar[t_true]
                 rhs = (
                     u_bar[t_rep]
-                    + (val_true[0] - val_rep[0]) * q_bar[t_rep][0]
-                    + (val_true[1] - val_rep[1]) * q_bar[t_rep][1]
+                    + (values[t_true[0]] - values[t_rep[0]]) * q_bar[t_rep][0]
+                    + (values[t_true[1]] - values[t_rep[1]]) * q_bar[t_rep][1]
                 )
                 if lhs < rhs:
                     violations.append(
@@ -196,52 +186,28 @@ def check_bic(mech: Mechanism) -> AuditReport:
     return AuditReport("BIC", not violations, tuple(violations), count)
 
 
-def transfer_equation_check(mech: Mechanism) -> bool:
-    """Misreport utility derived from (q, s) satisfies
-    u_i(t_i <- t'_i, t_-i) = u_i(t'_i, t_-i) + (t_i - t'_i).q_i(t'_i, t_-i),
-    exactly, for all indices.  An identity of definitions; checked anyway.
-    """
-    spec = mech.spec
-    for i in range(spec.n):
-        for t_true in TYPES:
-            val_true = spec.type_values(t_true)
-            for t_rep in TYPES:
-                val_rep = spec.type_values(t_rep)
-                for others in _others_profiles(spec.n):
-                    deviated = _insert(others, i, t_rep)
-                    q1, q2 = mech.q(i, deviated)
-                    s = mech.payment(i, deviated)
-                    misreport_u = val_true[0] * q1 + val_true[1] * q2 - s
-                    expected = (
-                        mech.u(i, deviated)
-                        + (val_true[0] - val_rep[0]) * q1
-                        + (val_true[1] - val_rep[1]) * q2
-                    )
-                    if misreport_u != expected:
-                        return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Class mass statistics
 # ---------------------------------------------------------------------------
 
 
 def _bump(profile: Profile, i: int, item: int) -> Profile:
-    t = profile[i]
-    t2 = ("b" + t[1]) if item == 0 else (t[0] + "b")
+    """Raise buyer i's value for `item` to atom 1 (the high value b)."""
+    x1, x2 = profile[i]
+    t2 = (1, x2) if item == 0 else (x1, 1)
     return profile[:i] + (t2,) + profile[i + 1 :]
 
 
-def class_sets(n: int) -> dict:
-    """The five profile families whose masses drive the revenue accounting.
+def class_sets(profiles) -> dict:
+    """The five profile families, among the given profiles, whose masses
+    drive the revenue accounting.
 
     S0: the all-low profile.  S1/S2: one cheap item with one / several
     active buyers.  S1': profiles with exactly one high value per item.
     S2': S2 profiles with one entry of the cheap column raised to b.
     """
     s0, s1, s2 = set(), set(), set()
-    for profile in itertools.product(TYPES, repeat=n):
+    for profile in profiles:
         label = classify_profile(profile).label
         if label == "S0":
             s0.add(profile)
@@ -249,39 +215,34 @@ def class_sets(n: int) -> dict:
             s1.add(profile)
         elif label == "S2":
             s2.add(profile)
-    s1p = set()
-    for i in range(n):
-        for j in range(n):
-            profile = tuple("aa" for _ in range(n))
-            profile = _bump(profile, i, 0)
-            profile = _bump(profile, j, 1)
-            s1p.add(profile)
+    (all_low,) = s0
+    n = len(all_low)
+    s1p = {_bump(_bump(all_low, i, 0), j, 1) for i in range(n) for j in range(n)}
     s2p = set()
     for profile in s2:
-        cheap = cheap_items(profile)
-        item = 0 if cheap[0] else 1
+        item = 0 if cheap_items(profile)[0] else 1
         for i in range(n):
             s2p.add(_bump(profile, i, item))
     # The raised families are disjoint and contain no cheap items.
-    assert not (s1p & s2p)
-    for profile in s1p | s2p:
-        assert cheap_items(profile) == (False, False)
+    if s1p & s2p:
+        raise RuntimeError("the raised families S1' and S2' overlap")
+    if any(cheap_items(profile) != (False, False) for profile in s1p | s2p):
+        raise RuntimeError("a raised-family profile has a cheap item")
     return {"S0": s0, "S1": s1, "S2": s2, "S1_prime": s1p, "S2_prime": s2p}
 
 
 def qu_statistics(mech: Mechanism) -> dict:
     """Exact Q(S) (cheap-item allocation mass) and U(S) (utility mass) for
     the five class families."""
-    spec = mech.spec
-    sets = class_sets(spec.n)
+    sets = class_sets(mech.profiles())
     stats = {}
     for name, profiles in sets.items():
         q_mass = Fraction(0)
         u_mass = Fraction(0)
         for profile in profiles:
-            prob = profile_probability(spec, profile)
+            prob = profile_probability(mech.dist, profile)
             cheap = cheap_items(profile)
-            for i in range(spec.n):
+            for i in range(mech.n):
                 q1, q2 = mech.q(i, profile)
                 if cheap[0]:
                     q_mass += prob * q1
@@ -290,43 +251,3 @@ def qu_statistics(mech: Mechanism) -> dict:
                 u_mass += prob * mech.u(i, profile)
         stats[name] = (q_mass, u_mass)
     return stats
-
-
-def total_utility_mass(mech: Mechanism) -> Fraction:
-    spec = mech.spec
-    return sum(
-        prob * sum(mech.u(i, profile) for i in range(spec.n))
-        for profile, prob in enumerate_profiles(spec)
-    )
-
-
-def total_cheap_allocation_mass(mech: Mechanism) -> Fraction:
-    spec = mech.spec
-    total = Fraction(0)
-    for profile, prob in enumerate_profiles(spec):
-        cheap = cheap_items(profile)
-        for i in range(spec.n):
-            q1, q2 = mech.q(i, profile)
-            if cheap[0]:
-                total += prob * q1
-            if cheap[1]:
-                total += prob * q2
-    return total
-
-
-def dic_case_family(others: Sequence[str]) -> str:
-    """Tag an opponent profile by the structure that drives the truthfulness
-    analysis: A all-low; B/C one column all-low with high values only in the
-    other; D high values in both columns but no (b,b) opponent; E some (b,b)
-    opponent."""
-    if any(t == "bb" for t in others):
-        return "E"
-    col1_low = all(t[0] == "a" for t in others)
-    col2_low = all(t[1] == "a" for t in others)
-    if col1_low and col2_low:
-        return "A"
-    if col1_low:
-        return "B"
-    if col2_low:
-        return "C"
-    return "D"

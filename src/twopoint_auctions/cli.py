@@ -26,6 +26,7 @@ from .core import (
     rat,
     rat_allow_decimal,
     rat_str,
+    type_label,
 )
 from .continuous import ContinuousSpec, corollary_probe, lp_over_grid
 from .formulas import revenue_report, sweep_high_value
@@ -61,10 +62,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _pretty_type(t: str) -> str:
-    return f"({t[0]},{t[1]})"
-
-
 def _emit(text: str, out_path):
     if out_path:
         with open(out_path, "w") as fh:
@@ -80,9 +77,22 @@ def _spec_args(sub):
     sub.add_argument("--b", required=True)
 
 
-def _parse_spec(args) -> AuctionSpec:
+def _rat(args, text: str, flag: str) -> Fraction:
+    """Parse one rational argument; arithmetic failures name the flag."""
     conv = rat_allow_decimal if args.allow_decimal else rat
-    return AuctionSpec(args.n, conv(args.p), conv(args.a), conv(args.b))
+    try:
+        return conv(text)
+    except ArithmeticError:
+        raise ValueError(f"{flag} is not a finite rational: {text!r}") from None
+
+
+def _parse_spec(args) -> AuctionSpec:
+    return AuctionSpec(
+        args.n,
+        _rat(args, args.p, "--p"),
+        _rat(args, args.a, "--a"),
+        _rat(args, args.b, "--b"),
+    )
 
 
 def _frac_cells(x: Fraction):
@@ -144,31 +154,12 @@ def cmd_formulas(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _violation_lines(report, limit: int = 8) -> list[str]:
-    lines = []
-    for v in report.violations[:limit]:
-        others = (
-            "averaged"
-            if v.others == "averaged"
-            else "[" + " ".join(_pretty_type(t) for t in v.others) + "]"
-        )
-        reported = _pretty_type(v.reported_type) if v.reported_type else "-"
-        lines.append(
-            f"  {report.condition} violation: buyer {v.buyer + 1} "
-            f"true {_pretty_type(v.true_type)} report {reported} "
-            f"others {others} lhs {rat_str(v.lhs)} < rhs {rat_str(v.rhs)}"
-        )
-    if len(report.violations) > limit:
-        lines.append(f"  ... {len(report.violations) - limit} more")
-    return lines
-
-
 def _witness_line(report) -> str:
     v = report.violations[0]
-    others = " ".join(_pretty_type(t) for t in v.others)
+    others = " ".join(type_label(t, pretty=True) for t in v.others)
     return (
-        f"buyer {v.buyer + 1} true {_pretty_type(v.true_type)} "
-        f"report {_pretty_type(v.reported_type)} others [{others}] "
+        f"buyer {v.buyer + 1} true {type_label(v.true_type, pretty=True)} "
+        f"report {type_label(v.reported_type, pretty=True)} others [{others}] "
         f"lhs {rat_str(v.lhs)} < rhs {rat_str(v.rhs)}"
     )
 
@@ -260,9 +251,10 @@ def cmd_certify(args) -> int:
     if args.grid:
         specs = certification_grid()
     else:
-        for name in ("n", "p", "a", "b"):
-            if getattr(args, name) is None:
-                raise SystemExit(EXIT_USAGE)
+        missing = [f"--{name}" for name in ("n", "p", "a", "b")
+                   if getattr(args, name) is None]
+        if missing:
+            raise ValueError(f"certify needs --grid or a full spec; missing {' '.join(missing)}")
         specs = [_parse_spec(args)]
     reports = []
     for spec in specs:
@@ -296,9 +288,9 @@ SWEEP_HEADER = [
 
 
 def cmd_sweep(args) -> int:
-    conv = rat_allow_decimal if args.allow_decimal else rat
     rows = sweep_high_value(
-        args.n, conv(args.p), conv(args.a), conv(args.b_min), conv(args.b_max),
+        args.n, _rat(args, args.p, "--p"), _rat(args, args.a, "--a"),
+        _rat(args, args.b_min, "--b-min"), _rat(args, args.b_max, "--b-max"),
         args.steps,
     )
     buf = io.StringIO()
@@ -329,9 +321,8 @@ CONTINUOUS_HEADER = [
 
 
 def cmd_continuous(args) -> int:
-    conv = rat_allow_decimal if args.allow_decimal else rat
-    a_values = [conv(x) for x in args.a_list.split(",")]
-    lam = conv(args.lam)
+    a_values = [_rat(args, x, "--a-list") for x in args.a_list.split(",")]
+    lam = _rat(args, args.lam, "--lambda")
     rows = corollary_probe(a_values, args.grid_m, lam=lam)
     impls = ("dic", "bic") if args.impl == "both" else (args.impl,)
     buf = io.StringIO()
@@ -354,6 +345,14 @@ def cmd_continuous(args) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
+
+
+def _env_cap():
+    raw = os.environ.get(CAP_ENV_VAR, "0")
+    try:
+        return int(raw) or None
+    except ValueError:
+        raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
 def build_parser() -> _Parser:
@@ -388,8 +387,7 @@ def build_parser() -> _Parser:
     p_cert.add_argument("--symmetrize", choices=("auto", "on", "off"), default="auto")
     p_cert.add_argument("--lp-export", help="path prefix for textual LP export")
     p_cert.add_argument(
-        "--cap", type=int,
-        default=int(os.environ.get(CAP_ENV_VAR, 0)) or None,
+        "--cap", type=int, default=_env_cap(),
         help="profile-count cap override for the LP oracle",
     )
     p_cert.add_argument("--format", choices=("text", "json"), default="text")
@@ -420,9 +418,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
@@ -432,6 +429,9 @@ def main(argv=None) -> int:
         return EXIT_CAP
     except (InvalidSpec, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
 
 

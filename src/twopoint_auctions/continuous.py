@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import AuctionSpec, CapExceeded, InvalidSpec, rat
+from .core import AuctionSpec, CapExceeded, FiniteValueDistribution, InvalidSpec, rat
 from .formulas import revenue_bic, revenue_dic
-from .oracle import FiniteValueDistribution, build_auction_lp, solve_auction_lp
+from .oracle import build_auction_lp, solve_auction_lp
 
 #: Per-interval grid ceiling; the LP grows with the 4th power of 2*grid_m.
 DEFAULT_GRID_CAP = 3

@@ -4,23 +4,23 @@ Every number in the computational path is a fractions.Fraction: values,
 probabilities, allocations, utilities, revenues.  Floats appear only in
 rendered output, never in computation.
 
-A buyer type is a 2-character string over {'a','b'}: character j says
-whether the buyer's value for item j is the low value a or the high
-value b.  A profile is a tuple of n such strings, buyer 0 first.
+Every buyer-item value is drawn from one finite marginal, a
+`FiniteValueDistribution`.  A buyer type is the index pair (x1, x2) into its
+atoms: the buyer values item j at `values[x_j]`.  A profile is a tuple of n
+types, buyer 0 first.  The two-point family is the case of two atoms, a
+(index 0) and b (index 1); the letters appear only in rendered output.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Rational = Fraction
-
-#: Per-buyer types in canonical (lexicographic) order: (a,a) < (a,b) < (b,a) < (b,b).
-TYPES = ("aa", "ab", "ba", "bb")
 
 #: Default ceiling on the number of profiles handled exhaustively.
 DEFAULT_PROFILE_CAP = 4 ** 10
@@ -73,19 +73,36 @@ def decimal_str(x: Fraction, digits: int = 12) -> str:
 
 
 @dataclass(frozen=True)
-class AuctionSpec:
-    """A two-item instance: n buyers, values a < b, low value drawn w.p. p.
+class FiniteValueDistribution:
+    """One marginal shared by every buyer-item cell: atoms and their masses."""
 
-    All 2n buyer-item values are IID.  n >= 2 unless the instance is marked
-    exploratory (the single-buyer case carries no formula claims and is
-    accepted only by the LP oracle).
+    values: tuple
+    probs: tuple
+
+    def __post_init__(self):
+        if len(self.values) != len(self.probs):
+            raise ValueError("values and probs must align")
+        if sum(self.probs, Fraction(0)) != 1:
+            raise ValueError("atom masses must sum to 1")
+        if any(p <= 0 for p in self.probs):
+            raise ValueError("atom masses must be positive")
+        if list(self.values) != sorted(set(self.values)):
+            raise ValueError("atoms must be strictly increasing")
+
+
+@dataclass(frozen=True)
+class AuctionSpec:
+    """A two-item instance: n >= 2 buyers, values a < b, low value drawn w.p. p.
+
+    All 2n buyer-item values are IID draws from `dist`, the two-atom
+    marginal (a w.p. p, b w.p. 1-p).
     """
 
     n: int
     p: Fraction
     a: Fraction
     b: Fraction
-    exploratory: bool = field(default=False, compare=False)
+    dist: FiniteValueDistribution = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "p", rat(self.p))
@@ -93,20 +110,16 @@ class AuctionSpec:
         object.__setattr__(self, "b", rat(self.b))
         if not isinstance(self.n, int) or self.n < 1:
             raise InvalidSpec("n must be a positive integer")
-        if self.n < 2 and not self.exploratory:
-            raise InvalidSpec("n must be at least 2 (use an exploratory spec for n=1)")
+        if self.n < 2:
+            raise InvalidSpec("n must be at least 2")
         if not (0 < self.p < 1):
             raise InvalidSpec("p must lie in (0,1)")
         if self.a < 0:
             raise InvalidSpec("a must be nonnegative")
         if not (self.a < self.b):
             raise InvalidSpec("b must exceed a")
-
-    def value(self, c: str) -> Fraction:
-        return self.a if c == "a" else self.b
-
-    def type_values(self, t: str) -> tuple[Fraction, Fraction]:
-        return (self.value(t[0]), self.value(t[1]))
+        dist = FiniteValueDistribution((self.a, self.b), (self.p, 1 - self.p))
+        object.__setattr__(self, "dist", dist)
 
     def to_json(self) -> dict:
         return {
@@ -117,37 +130,60 @@ class AuctionSpec:
         }
 
 
-def exploratory_spec(n, p, a, b) -> AuctionSpec:
-    """Spec accepting n=1; only the LP oracle consumes these."""
-    return AuctionSpec(n, p, a, b, exploratory=True)
+Type = tuple  # (x1, x2): atom indices of the values for items 1 and 2
+Profile = tuple  # tuple of n types, buyer 0 first
 
 
-Profile = tuple  # tuple of n type strings
+def buyer_types(dist: FiniteValueDistribution) -> list[Type]:
+    """Every type in lexicographic order; for two atoms
+    (a,a) < (a,b) < (b,a) < (b,b)."""
+    return list(itertools.product(range(len(dist.values)), repeat=2))
 
 
-def profile_probability(spec: AuctionSpec, profile: Sequence[str]) -> Fraction:
-    """p^(#a entries) * (1-p)^(#b entries), by independence of all 2n draws."""
-    low = sum(t.count("a") for t in profile)
-    return spec.p ** low * (1 - spec.p) ** (2 * len(profile) - low)
+def profile_probability(dist: FiniteValueDistribution, profile: Sequence[Type]) -> Fraction:
+    """prod_x probs[x] ** (number of cells at atom x), by independence of
+    all 2n draws; 1 for the empty profile."""
+    counts = [0] * len(dist.probs)
+    for x1, x2 in profile:
+        counts[x1] += 1
+        counts[x2] += 1
+    out = Fraction(1)
+    for prob, count in zip(dist.probs, counts):
+        out *= prob ** count
+    return out
 
 
 def enumerate_profiles(
-    spec: AuctionSpec, cap: int = DEFAULT_PROFILE_CAP
+    n: int, dist: FiniteValueDistribution, cap: int = DEFAULT_PROFILE_CAP
 ) -> list[tuple[Profile, Fraction]]:
-    """All 4^n profiles in lexicographic order, each with its exact probability.
-
-    Buyer 0 varies slowest; per buyer, types follow the TYPES order.
+    """All (k^2)^n profiles in lexicographic order, each with its exact
+    probability.  Buyer 0 varies slowest; per buyer, types follow
+    `buyer_types`.
     """
-    count = 4 ** spec.n
+    types = buyer_types(dist)
+    count = len(types) ** n
     if count > cap:
         raise CapExceeded(
-            f"instance too large for exhaustive mode: 4^{spec.n} = {count} profiles "
-            f"exceeds the cap of {cap}"
+            f"instance too large for exhaustive mode: {len(types)}^{n} = {count} "
+            f"profiles exceeds the cap of {cap}"
         )
     return [
-        (t, profile_probability(spec, t))
-        for t in itertools.product(TYPES, repeat=spec.n)
+        (t, profile_probability(dist, t))
+        for t in itertools.product(types, repeat=n)
     ]
+
+
+def insert(others: Sequence[Type], i: int, t: Type) -> Profile:
+    """The profile in which buyer i has type t and the others keep their order."""
+    return tuple(others[:i]) + (t,) + tuple(others[i:])
+
+
+@functools.lru_cache(maxsize=None)
+def type_label(t: Type, pretty: bool = False) -> str:
+    """Letter rendering of a type for JSON and CLI text: atom x is the x-th
+    letter, so two-point types read 'aa'..'bb', or '(a,b)' when pretty."""
+    letters = [chr(ord("a") + x) for x in t]
+    return "(" + ",".join(letters) + ")" if pretty else "".join(letters)
 
 
 # ---------------------------------------------------------------------------
@@ -157,43 +193,30 @@ def enumerate_profiles(
 
 @dataclass(frozen=True)
 class HierarchyScheme:
-    """Ranked levels of buyer types; an item goes to the minimum-rank buyers.
+    """A ranking of buyer types; an item goes to the minimum-rank buyers.
 
-    Each level may contain several types (the built-in mechanisms only ever
-    use singleton levels).  Types absent from every level have infinite rank
-    and never receive the item.
+    `levels` lists one type per rank, highest priority first.  Types absent
+    from the ranking have infinite rank and never receive the item.
     """
 
     levels: tuple
+    _rank: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        levels = tuple(
-            (level,) if isinstance(level, str) else tuple(level)
-            for level in self.levels
-        )
-        object.__setattr__(self, "levels", levels)
-        seen = set()
-        for level in levels:
-            for t in level:
-                if t not in TYPES:
-                    raise ValueError(f"unknown buyer type {t!r}")
-                if t in seen:
-                    raise ValueError(f"type {t!r} appears in two levels")
-                seen.add(t)
+        rank = {}
+        for d, t in enumerate(self.levels):
+            if t in rank:
+                raise ValueError(f"type {t!r} appears in two levels")
+            rank[t] = d
+        object.__setattr__(self, "_rank", rank)
 
-    def rank(self, t: str):
+    def rank(self, t: Type):
         """0-based rank of a type, or None for unlisted (infinite-rank) types."""
-        for d, level in enumerate(self.levels):
-            if t in level:
-                return d
-        return None
-
-    def to_json(self) -> list:
-        return [list(level) for level in self.levels]
+        return self._rank.get(t)
 
 
 def allocate_hierarchy(
-    scheme: HierarchyScheme, profile: Sequence[str]
+    scheme: HierarchyScheme, profile: Sequence[Type]
 ) -> tuple[Fraction, ...]:
     """Per-buyer shares of one item: split equally among minimum-rank buyers."""
     ranks = [scheme.rank(t) for t in profile]
@@ -217,7 +240,8 @@ class ProfileClass:
 
     label is one of "S0" (the all-low profile), "S1" (one cheap item, one
     active buyer), "S2" (one cheap item, two or more active buyers), or
-    "other".  active_buyers lists the 0-based buyers whose type is not (a,a).
+    "other".  active_buyers lists the 0-based buyers whose type is not the
+    all-low (0,0).
     """
 
     label: str
@@ -225,20 +249,20 @@ class ProfileClass:
     active_buyers: tuple[int, ...]
 
 
-def cheap_items(profile: Sequence[str]) -> tuple[bool, bool]:
-    """Item j is cheap iff every buyer values it at the low value."""
+def cheap_items(profile: Sequence[Type]) -> tuple[bool, bool]:
+    """Item j is cheap iff every buyer values it at the lowest atom."""
     return (
-        all(t[0] == "a" for t in profile),
-        all(t[1] == "a" for t in profile),
+        all(t[0] == 0 for t in profile),
+        all(t[1] == 0 for t in profile),
     )
 
 
-def active_buyers(profile: Sequence[str]) -> tuple[int, ...]:
-    """Buyers whose type is not the all-low (a,a)."""
-    return tuple(i for i, t in enumerate(profile) if t != "aa")
+def active_buyers(profile: Sequence[Type]) -> tuple[int, ...]:
+    """Buyers whose type is not the all-low (0,0)."""
+    return tuple(i for i, t in enumerate(profile) if t != (0, 0))
 
 
-def classify_profile(profile: Sequence[str]) -> ProfileClass:
+def classify_profile(profile: Sequence[Type]) -> ProfileClass:
     cheap = cheap_items(profile)
     active = active_buyers(profile)
     if cheap[0] and cheap[1]:
@@ -260,24 +284,3 @@ def class_probabilities(spec: AuctionSpec) -> tuple[Fraction, Fraction, Fraction
     p1 = 2 * n * p ** (2 * n - 1) * (1 - p)
     p2 = 2 * p ** n * (1 - p ** n - n * p ** (n - 1) * (1 - p))
     return (p0, p1, p2)
-
-
-# ---------------------------------------------------------------------------
-# Canonical JSON forms
-# ---------------------------------------------------------------------------
-
-
-def profile_to_json(profile: Sequence[str]) -> list[str]:
-    return list(profile)
-
-
-def profile_from_json(data: Iterable[str]) -> Profile:
-    profile = tuple(data)
-    for t in profile:
-        if t not in TYPES:
-            raise ValueError(f"unknown buyer type {t!r}")
-    return profile
-
-
-def scheme_from_json(data: Iterable) -> HierarchyScheme:
-    return HierarchyScheme(tuple(tuple(level) for level in data))

@@ -136,7 +136,8 @@ def revenue_report(spec: AuctionSpec) -> RevenueReport:
         flags=indicator_flags(spec),
         breakpoints=breakpoints(spec),
     )
-    assert report.r_bic >= report.r_dic >= report.srev >= report.s_b
+    if not (report.r_bic >= report.r_dic >= report.srev >= report.s_b):
+        raise RuntimeError(f"revenue ordering r_B >= r_D >= SREV >= s_b fails at {spec}")
     return report
 
 

@@ -1,7 +1,8 @@
 """Construction of the revenue-optimal mechanisms as explicit tables.
 
 A mechanism is stored as the pair (allocation table, utility table) over all
-4^n profiles; payments are always derived as s_i(t) = q_i(t).t_i - u_i(t).
+profiles of its finite type model; payments are always derived as
+s_i(t) = q_i(t).t_i - u_i(t).
 
 The dominant-strategy-optimal mechanism allocates each item through a
 ranked hierarchy of buyer types, with the ranking tightening as b grows
@@ -15,37 +16,46 @@ exactly where it stops being dominant-strategy incentive compatible.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .core import (
     AuctionSpec,
+    FiniteValueDistribution,
     HierarchyScheme,
-    InvalidSpec,
     Profile,
-    TYPES,
+    Type,
+    active_buyers,
     allocate_hierarchy,
     cheap_items,
     enumerate_profiles,
     profile_probability,
     rat_str,
+    type_label,
 )
 from .formulas import breakpoints, indicator_flags
 
 LABEL_DIC = "dic-optimal"
 LABEL_BIC = "bic-optimal"
 
+# The two-point types, named by their letters.
+AA, AB, BA, BB = (0, 0), (0, 1), (1, 0), (1, 1)
+
 
 @dataclass(frozen=True)
 class Mechanism:
-    """Full allocation and utility tables over all profiles of a spec."""
+    """Full allocation and utility tables over all profiles of n buyers
+    whose values are drawn from `dist`."""
 
-    spec: AuctionSpec
+    dist: FiniteValueDistribution
     label: str
     allocation: Mapping  # profile -> tuple over buyers of (q_item1, q_item2)
     utility: Mapping  # profile -> tuple over buyers of Fraction
+
+    @property
+    def n(self) -> int:
+        return len(next(iter(self.allocation)))
 
     def q(self, i: int, profile: Profile) -> tuple[Fraction, Fraction]:
         return self.allocation[profile][i]
@@ -54,9 +64,10 @@ class Mechanism:
         return self.utility[profile][i]
 
     def payment(self, i: int, profile: Profile) -> Fraction:
-        q1, q2 = self.q(i, profile)
-        v1, v2 = self.spec.type_values(profile[i])
-        return q1 * v1 + q2 * v2 - self.u(i, profile)
+        q1, q2 = self.allocation[profile][i]
+        x1, x2 = profile[i]
+        values = self.dist.values
+        return q1 * values[x1] + q2 * values[x2] - self.utility[profile][i]
 
     def profiles(self):
         return self.allocation.keys()
@@ -81,18 +92,14 @@ def case_hierarchies(case: int) -> tuple[HierarchyScheme, HierarchyScheme]:
     item 2 is the mirror image.  Higher intervals truncate the ranking.
     """
     depth = {1: 4, 2: 3, 3: 2, 4: 2}[case]
-    h1 = HierarchyScheme(("bb", "ba", "ab", "aa")[:depth])
-    h2 = HierarchyScheme(("bb", "ab", "ba", "aa")[:depth])
+    h1 = HierarchyScheme((BB, BA, AB, AA)[:depth])
+    h2 = HierarchyScheme((BB, AB, BA, AA)[:depth])
     return h1, h2
 
 
-def _is_one_cheap(others: Sequence[str]) -> bool:
+def _is_one_cheap(others: Sequence[Type]) -> bool:
     cheap = cheap_items(others)
     return cheap[0] != cheap[1]
-
-
-def _count_active(others: Sequence[str]) -> int:
-    return sum(1 for t in others if t != "aa")
 
 
 def _utility_table(spec: AuctionSpec, bic_exception: bool):
@@ -109,20 +116,20 @@ def _utility_table(spec: AuctionSpec, bic_exception: bool):
     n, a, b = spec.n, spec.a, spec.b
     f = indicator_flags(spec)
     table = {}
-    for profile, _ in enumerate_profiles(spec):
+    for profile, _ in enumerate_profiles(n, spec.dist):
         us = []
         for i in range(n):
             others = profile[:i] + profile[i + 1 :]
             t_i = profile[i]
-            if all(t == "aa" for t in others):
-                if t_i in ("ab", "ba"):
+            if all(t == AA for t in others):
+                if t_i in (AB, BA):
                     u = (b - a) * Fraction(f.alpha, n)
-                elif t_i == "bb":
+                elif t_i == BB:
                     u = (b - a) * (Fraction(f.alpha, n) + f.beta)
                 else:
                     u = Fraction(0)
-            elif t_i == "bb" and _is_one_cheap(others):
-                k = 1 + _count_active(others)
+            elif t_i == BB and _is_one_cheap(others):
+                k = 1 + len(active_buyers(others))
                 if bic_exception:
                     u = (b - a) * Fraction(f.beta, 2 * k)
                 else:
@@ -136,7 +143,7 @@ def _utility_table(spec: AuctionSpec, bic_exception: bool):
 
 def _hierarchy_allocation(spec, h1, h2):
     table = {}
-    for profile, _ in enumerate_profiles(spec):
+    for profile, _ in enumerate_profiles(spec.n, spec.dist):
         shares1 = allocate_hierarchy(h1, profile)
         shares2 = allocate_hierarchy(h2, profile)
         table[profile] = tuple(zip(shares1, shares2))
@@ -145,8 +152,6 @@ def _hierarchy_allocation(spec, h1, h2):
 
 def build_dic_mechanism(spec: AuctionSpec) -> Mechanism:
     """The dominant-strategy-optimal mechanism for the spec."""
-    if spec.n < 2:
-        raise InvalidSpec("mechanism construction needs at least 2 buyers")
     case = interval_case(spec)
     h1, h2 = case_hierarchies(case)
     allocation = _hierarchy_allocation(spec, h1, h2)
@@ -157,14 +162,14 @@ def build_dic_mechanism(spec: AuctionSpec) -> Mechanism:
         one = Fraction(1)
         zero = Fraction(0)
         for profile in list(allocation):
-            active = [i for i, t in enumerate(profile) if t != "aa"]
+            active = active_buyers(profile)
             if len(active) <= 1:
                 allocation[profile] = tuple(
                     (one, one) if i in active else (zero, zero)
                     for i in range(spec.n)
                 )
     return Mechanism(
-        spec=spec,
+        dist=spec.dist,
         label=LABEL_DIC,
         allocation=allocation,
         utility=_utility_table(spec, bic_exception=False),
@@ -179,15 +184,13 @@ def build_bic_mechanism(spec: AuctionSpec) -> Mechanism:
     raised-utility exception for (b,b) buyers; from v3 on it coincides with
     the dominant-strategy mechanism.
     """
-    if spec.n < 2:
-        raise InvalidSpec("mechanism construction needs at least 2 buyers")
     case = interval_case(spec)
     if case == 4:
         dic = build_dic_mechanism(spec)
-        return Mechanism(spec, LABEL_BIC, dic.allocation, dic.utility)
+        return Mechanism(spec.dist, LABEL_BIC, dic.allocation, dic.utility)
     h1, h2 = case_hierarchies(1 if case == 1 else 2)
     return Mechanism(
-        spec=spec,
+        dist=spec.dist,
         label=LABEL_BIC,
         allocation=_hierarchy_allocation(spec, h1, h2),
         utility=_utility_table(spec, bic_exception=True),
@@ -197,34 +200,29 @@ def build_bic_mechanism(spec: AuctionSpec) -> Mechanism:
 def payments(mech: Mechanism) -> dict:
     """Derived payment table: profile -> tuple over buyers."""
     return {
-        profile: tuple(mech.payment(i, profile) for i in range(mech.spec.n))
+        profile: tuple(mech.payment(i, profile) for i in range(mech.n))
         for profile in mech.profiles()
     }
 
 
-def tables_equal(m1: Mechanism, m2: Mechanism) -> bool:
-    """Same allocation and utility tables (labels may differ)."""
-    return dict(m1.allocation) == dict(m2.allocation) and dict(m1.utility) == dict(
-        m2.utility
-    )
-
-
 def mechanism_to_json(mech: Mechanism) -> dict:
-    """Canonical JSON export: profiles in enumeration order, rationals as
-    'num/den' strings, payments included."""
-    spec = mech.spec
+    """Canonical JSON export of a two-point mechanism: profiles in table
+    (enumeration) order, types as letters, rationals as 'num/den' strings,
+    payments included."""
+    n, dist = mech.n, mech.dist
+    (p, _), (a, b) = dist.probs, dist.values
     pays = payments(mech)
     rows = []
-    for profile in itertools.product(TYPES, repeat=spec.n):
+    for profile in mech.profiles():
         rows.append(
             {
-                "profile": list(profile),
-                "probability": rat_str(profile_probability(spec, profile)),
+                "profile": [type_label(t) for t in profile],
+                "probability": rat_str(profile_probability(dist, profile)),
                 "allocation": [
-                    [rat_str(q) for q in mech.q(i, profile)] for i in range(spec.n)
+                    [rat_str(q) for q in mech.q(i, profile)] for i in range(n)
                 ],
-                "utility": [rat_str(mech.u(i, profile)) for i in range(spec.n)],
-                "payment": [rat_str(pays[profile][i]) for i in range(spec.n)],
+                "utility": [rat_str(mech.u(i, profile)) for i in range(n)],
+                "payment": [rat_str(pays[profile][i]) for i in range(n)],
             }
         )
-    return {"spec": spec.to_json(), "label": mech.label, "profiles": rows}
+    return {"spec": AuctionSpec(n, p, a, b).to_json(), "label": mech.label, "profiles": rows}

@@ -26,61 +26,22 @@ from typing import Sequence
 from .core import (
     AuctionSpec,
     CapExceeded,
-    InvalidSpec,
+    FiniteValueDistribution,
+    buyer_types,
+    enumerate_profiles,
+    insert,
     rat_str,
 )
 from .formulas import revenue_bic, revenue_dic
 from .mechanisms import Mechanism
-from .simplex import Constraint, LinearProgram, LPSolution, make_constraint, solve
+from .simplex import LinearProgram, LPSolution, make_constraint, solve
 
 #: LP-oracle ceiling: exhaustive programs are kept desk-scale.
 DEFAULT_LP_PROFILE_CAP = 4 ** 4
 
-
-@dataclass(frozen=True)
-class FiniteValueDistribution:
-    """One marginal shared by every buyer-item cell: atoms and their masses."""
-
-    values: tuple
-    probs: tuple
-
-    def __post_init__(self):
-        if len(self.values) != len(self.probs):
-            raise ValueError("values and probs must align")
-        if sum(self.probs, Fraction(0)) != 1:
-            raise ValueError("atom masses must sum to 1")
-        if any(p <= 0 for p in self.probs):
-            raise ValueError("atom masses must be positive")
-        if list(self.values) != sorted(set(self.values)):
-            raise ValueError("atoms must be strictly increasing")
-
-
-def two_point_distribution(spec: AuctionSpec) -> FiniteValueDistribution:
-    return FiniteValueDistribution((spec.a, spec.b), (spec.p, 1 - spec.p))
-
-
-def _types(dist):
-    k = len(dist.values)
-    return list(itertools.product(range(k), range(k)))
-
-
-def _type_prob(dist, t) -> Fraction:
-    return dist.probs[t[0]] * dist.probs[t[1]]
-
-
-def _type_values(dist, t):
-    return (dist.values[t[0]], dist.values[t[1]])
-
-
-def _profiles(dist, n):
-    return list(itertools.product(_types(dist), repeat=n))
-
-
-def _profile_prob(dist, profile) -> Fraction:
-    out = Fraction(1)
-    for t in profile:
-        out *= _type_prob(dist, t)
-    return out
+#: Programs with more per-profile truthfulness rows than this generate the
+#: non-local ones lazily.
+LAZY_THRESHOLD = 1500
 
 
 def build_auction_lp(
@@ -99,14 +60,15 @@ def build_auction_lp(
     """
     if regime not in ("dic", "bic"):
         raise ValueError("regime must be 'dic' or 'bic'")
-    types = _types(dist)
+    types = buyer_types(dist)
     n_profiles = len(types) ** n
     if n_profiles > max_profiles:
         raise CapExceeded(
             f"instance too large for exhaustive mode: {n_profiles} profiles "
             f"exceeds the LP cap of {max_profiles}"
         )
-    profiles = _profiles(dist, n)
+    weighted = enumerate_profiles(n, dist, max_profiles)
+    profiles = [t for t, _ in weighted]
 
     q_vars = [
         ("q", i, j, t) for t in profiles for i in range(n) for j in range(2)
@@ -115,12 +77,10 @@ def build_auction_lp(
     variables = q_vars + u_vars
 
     objective = {}
-    for t in profiles:
-        prob = _profile_prob(dist, t)
+    for t, prob in weighted:
         for i in range(n):
-            vals = _type_values(dist, t[i])
             for j in range(2):
-                objective[("q", i, j, t)] = prob * vals[j]
+                objective[("q", i, j, t)] = prob * dist.values[t[i][j]]
             objective[("u", i, t)] = -prob
     constraints = []
     for t in profiles:
@@ -134,10 +94,7 @@ def build_auction_lp(
                 )
             )
 
-    others_space = list(itertools.product(types, repeat=n - 1))
-
-    def insert(others, i, t_i):
-        return tuple(others[:i]) + (t_i,) + tuple(others[i:])
+    others_space = enumerate_profiles(n - 1, dist)
 
     if regime == "dic":
         for t in profiles:
@@ -147,12 +104,10 @@ def build_auction_lp(
                 )
         for i in range(n):
             for t_true in types:
-                v_true = _type_values(dist, t_true)
                 for t_rep in types:
                     if t_rep == t_true:
                         continue
-                    v_rep = _type_values(dist, t_rep)
-                    dv = (v_true[0] - v_rep[0], v_true[1] - v_rep[1])
+                    dv = [dist.values[x] - dist.values[y] for x, y in zip(t_true, t_rep)]
                     # One-step misreports along a single coordinate tend to
                     # be the binding rows; tag them so lazy solving can keep
                     # them in the model from the start.
@@ -160,7 +115,7 @@ def build_auction_lp(
                         (abs(t_true[0] - t_rep[0]), abs(t_true[1] - t_rep[1]))
                     ) == [0, 1]
                     tag = "dic_local" if adjacent else "dic"
-                    for others in others_space:
+                    for others, _ in others_space:
                         truthful = insert(others, i, t_true)
                         deviated = insert(others, i, t_rep)
                         coeffs = {
@@ -174,24 +129,18 @@ def build_auction_lp(
                             make_constraint(coeffs, ">=", 0, tag=tag)
                         )
     else:
-        others_prob = {o: _profile_prob(dist, o) if o else Fraction(1)
-                       for o in others_space}
         for i in range(n):
             for t_i in types:
-                coeffs = {
-                    ("u", i, insert(o, i, t_i)): w for o, w in others_prob.items()
-                }
+                coeffs = {("u", i, insert(o, i, t_i)): w for o, w in others_space}
                 constraints.append(make_constraint(coeffs, ">=", 0, tag="bir"))
         for i in range(n):
             for t_true in types:
-                v_true = _type_values(dist, t_true)
                 for t_rep in types:
                     if t_rep == t_true:
                         continue
-                    v_rep = _type_values(dist, t_rep)
-                    dv = (v_true[0] - v_rep[0], v_true[1] - v_rep[1])
+                    dv = [dist.values[x] - dist.values[y] for x, y in zip(t_true, t_rep)]
                     coeffs = {}
-                    for o, w in others_prob.items():
+                    for o, w in others_space:
                         truthful = insert(o, i, t_true)
                         deviated = insert(o, i, t_rep)
                         coeffs[("u", i, truthful)] = (
@@ -216,11 +165,11 @@ def build_auction_lp(
 
 
 def build_dic_lp(spec: AuctionSpec, max_profiles: int = DEFAULT_LP_PROFILE_CAP):
-    return build_auction_lp(spec.n, two_point_distribution(spec), "dic", max_profiles)
+    return build_auction_lp(spec.n, spec.dist, "dic", max_profiles)
 
 
 def build_bic_lp(spec: AuctionSpec, max_profiles: int = DEFAULT_LP_PROFILE_CAP):
-    return build_auction_lp(spec.n, two_point_distribution(spec), "bic", max_profiles)
+    return build_auction_lp(spec.n, spec.dist, "bic", max_profiles)
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +250,7 @@ def dic_row_count(lp: LinearProgram) -> int:
 
 
 def solve_auction_lp(
-    lp: LinearProgram,
-    n: int,
-    symmetrize: bool = False,
-    rule: str = "auto",
-    lazy_threshold: int = 1500,
+    lp: LinearProgram, n: int, symmetrize: bool = False
 ) -> LPSolution:
     """Solve an auction LP, optionally through the symmetry reduction.
 
@@ -313,13 +258,13 @@ def solve_auction_lp(
     misreport rows stay seeded).  The returned assignment always covers the
     full variable set and is verified against every original row.
     """
-    lazy = ("dic",) if dic_row_count(lp) > lazy_threshold else ()
+    lazy = ("dic",) if dic_row_count(lp) > LAZY_THRESHOLD else ()
     if not symmetrize:
-        return solve(lp, rule=rule, lazy_tags=lazy)
+        return solve(lp, lazy_tags=lazy)
     rep = symmetry_representatives(lp, n)
     reduced = symmetrize_lp(lp, rep)
-    lazy = ("dic",) if dic_row_count(reduced) > lazy_threshold else ()
-    sol = solve(reduced, rule=rule, lazy_tags=lazy)
+    lazy = ("dic",) if dic_row_count(reduced) > LAZY_THRESHOLD else ()
+    sol = solve(reduced, lazy_tags=lazy)
     if sol.status != "optimal":
         return sol
     assignment = expand_assignment(lp, rep, sol.assignment)
@@ -335,22 +280,19 @@ def solve_auction_lp(
 # ---------------------------------------------------------------------------
 
 
-_CHAR = {0: "a", 1: "b"}
-
-
-def extract_mechanism(spec: AuctionSpec, assignment: dict, label: str = "custom") -> Mechanism:
-    """Turn a two-point LP assignment back into explicit mechanism tables."""
-    n = spec.n
-    allocation = {}
-    utility = {}
-    for t in itertools.product(itertools.product((0, 1), repeat=2), repeat=n):
-        profile = tuple(_CHAR[k1] + _CHAR[k2] for k1, k2 in t)
-        allocation[profile] = tuple(
-            (assignment[("q", i, 0, t)], assignment[("q", i, 1, t)])
-            for i in range(n)
-        )
-        utility[profile] = tuple(assignment[("u", i, t)] for i in range(n))
-    return Mechanism(spec=spec, label=label, allocation=allocation, utility=utility)
+def extract_mechanism(
+    dist: FiniteValueDistribution, assignment: dict, label: str = "custom"
+) -> Mechanism:
+    """Turn an auction-LP assignment back into explicit mechanism tables,
+    keyed by the program's own profiles in its variable order."""
+    profiles = list(dict.fromkeys(v[-1] for v in assignment))
+    n = len(profiles[0])
+    allocation = {
+        t: tuple((assignment[("q", i, 0, t)], assignment[("q", i, 1, t)]) for i in range(n))
+        for t in profiles
+    }
+    utility = {t: tuple(assignment[("u", i, t)] for i in range(n)) for t in profiles}
+    return Mechanism(dist, label, allocation, utility)
 
 
 @dataclass(frozen=True)
@@ -389,8 +331,6 @@ def certify_main_theorem(
     symmetrize=None picks the reduction automatically (n >= 3); at n = 2 the
     unreduced brute-force program is small enough to solve directly.
     """
-    if spec.n < 2:
-        raise InvalidSpec("certification needs n >= 2; the formulas make no claim at n=1")
     if symmetrize is None:
         symmetrize = spec.n >= 3
     sol_d = solve_auction_lp(

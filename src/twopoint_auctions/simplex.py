@@ -146,11 +146,11 @@ class _Tableau:
 #: to Bland for good.  Bland is the anti-cycling guarantee; the largest-
 #: coefficient rule is much faster on these programs, so the fallback is a
 #: safety net rather than the common path.
-DEFAULT_STALL_LIMIT = 50_000
+STALL_LIMIT = 50_000
 
 
 def _simplex_loop(tab: _Tableau, basis: list, obj_row: int, ncols: int,
-                  allowed, rule: str, stall_limit: int = DEFAULT_STALL_LIMIT):
+                  allowed, rule: str):
     """Run pivots until the objective row has no positive reduced cost.
 
     `allowed(j)` filters columns permitted to enter.  Returns
@@ -204,19 +204,19 @@ def _simplex_loop(tab: _Tableau, basis: list, obj_row: int, ncols: int,
         pivots += 1
         if not use_bland and rule == "auto":
             stall = stall + 1 if degenerate else 0
-            if stall > stall_limit:
+            if stall > STALL_LIMIT:
                 use_bland = True
 
 
-def solve(lp: LinearProgram, rule: str = "auto", lazy_tags: Sequence[str] = (),
-          check: bool = True, stall_limit: int = DEFAULT_STALL_LIMIT) -> LPSolution:
+def solve(lp: LinearProgram, rule: str = "auto",
+          lazy_tags: Sequence[str] = ()) -> LPSolution:
     """Exact simplex.  With `lazy_tags`, rows carrying those tags start out
     of the model and are added in rounds whenever the relaxation's optimum
     violates them; the returned solution satisfies every row exactly."""
     lp.validate()
     if not lazy_tags:
-        sol = _solve_dense(lp, rule, stall_limit)
-        if check and sol.status == "optimal":
+        sol = _solve_dense(lp, rule)
+        if sol.status == "optimal":
             _certify(lp, sol)
         return sol
 
@@ -231,7 +231,7 @@ def solve(lp: LinearProgram, rule: str = "auto", lazy_tags: Sequence[str] = (),
             constraints=active,
             nonneg=set(lp.nonneg),
         )
-        sol = _solve_dense(sub, rule, stall_limit)
+        sol = _solve_dense(sub, rule)
         total_pivots += sol.pivots
         if sol.status == "unbounded" and pool:
             # the withheld rows may bound the ray; fold them all in
@@ -242,8 +242,7 @@ def solve(lp: LinearProgram, rule: str = "auto", lazy_tags: Sequence[str] = (),
         violated = [c for c in pool if _violated(c, sol.assignment)]
         if not violated:
             sol = LPSolution(sol.status, sol.optimum, sol.assignment, total_pivots)
-            if check:
-                _certify(lp, sol)
+            _certify(lp, sol)
             return sol
         keep = {id(c) for c in violated}
         pool = [c for c in pool if id(c) not in keep]
@@ -268,8 +267,7 @@ def _certify(lp: LinearProgram, sol: LPSolution):
         raise SimplexError("certificate failure: objective mismatch")
 
 
-def _solve_dense(lp: LinearProgram, rule: str,
-                 stall_limit: int = DEFAULT_STALL_LIMIT) -> LPSolution:
+def _solve_dense(lp: LinearProgram, rule: str) -> LPSolution:
     rows, nonneg = _presolve_nonneg(lp)
 
     # Column layout: one column per nonneg variable, two (x+ and x-) per
@@ -333,7 +331,7 @@ def _solve_dense(lp: LinearProgram, rule: str,
         tab = _Tableau(wide)
         total_cols = ncols + nart
         status, p = _simplex_loop(
-            tab, basis, m + 1, total_cols, lambda j: j < ncols, rule, stall_limit
+            tab, basis, m + 1, total_cols, lambda j: j < ncols, rule
         )
         pivots += p
         if status != "optimal":
@@ -362,8 +360,7 @@ def _solve_dense(lp: LinearProgram, rule: str,
         tab.T = np.delete(tab.T, list(range(ncols, ncols + nart)), axis=1)
         tab.T = tab.T[:-1, :]
 
-    status, p = _simplex_loop(tab, basis, m, ncols, lambda j: True, rule,
-                              stall_limit)
+    status, p = _simplex_loop(tab, basis, m, ncols, lambda j: True, rule)
     pivots += p
     if status == "unbounded":
         return LPSolution("unbounded", None, {}, pivots)

@@ -43,6 +43,8 @@ from twopoint_auctions.continuous import (
 )
 from twopoint_auctions.oracle import build_bic_lp, build_dic_lp, solve_auction_lp
 
+from test_core import AA, AB, BA, BB
+
 EXAMPLE = AuctionSpec(2, F(1, 2), 1, 2)
 GRID = certification_grid()  # n in {2,3} x 5 p's x a in {0,1} x interval sweep of b
 
@@ -113,10 +115,10 @@ class TestCriterion5:
                 passing += 1
             else:
                 assert not rep.passed
-                others = ("ab",) + ("aa",) * (spec.n - 2)
+                others = (AB,) + (AA,) * (spec.n - 2)
                 assert any(
                     (v.buyer, v.true_type, v.reported_type, v.others)
-                    == (0, "bb", "ab", others)
+                    == (0, BB, AB, others)
                     for v in rep.violations
                 )
                 failing += 1
@@ -130,7 +132,7 @@ class TestCriterion6:
             p, a, b = spec.p, spec.a, spec.b
             p0, p1, p2 = class_probabilities(spec)
             mass = {"S0": F(0), "S1": F(0), "S2": F(0)}
-            for profile, prob in enumerate_profiles(spec):
+            for profile, prob in enumerate_profiles(spec.n, spec.dist):
                 label = classify_profile(profile).label
                 if label in mass:
                     mass[label] += prob
@@ -215,19 +217,19 @@ class TestCriterion8:
 
 class TestCriterion9:
     def test_interim_facts_for_bic_mechanism(self):
-        order = {"aa": (0, 0), "ab": (0, 1), "ba": (1, 0), "bb": (1, 1)}
+        types = (AA, AB, BA, BB)
         for spec in GRID:
             mech = build_bic_mechanism(spec)
-            q = {t: interim_allocation(mech, 0, t) for t in order}
-            u = {t: interim_utility(mech, 0, t) for t in order}
-            for t1, k1 in order.items():
-                for t2, k2 in order.items():
-                    if k1[0] >= k2[0] and k1[1] >= k2[1]:
+            q = {t: interim_allocation(mech, 0, t) for t in types}
+            u = {t: interim_utility(mech, 0, t) for t in types}
+            for t1 in types:
+                for t2 in types:
+                    if t1[0] >= t2[0] and t1[1] >= t2[1]:
                         assert q[t1][0] >= q[t2][0] and q[t1][1] >= q[t2][1]
             d = spec.b - spec.a
-            assert u["ab"] - u["aa"] == d * q["aa"][1]
-            assert u["bb"] - u["ab"] == d * q["ab"][0]
-            assert q["ab"][0] <= q["ab"][1]
-            assert q["ba"][0] >= q["ba"][1]
+            assert u[AB] - u[AA] == d * q[AA][1]
+            assert u[BB] - u[AB] == d * q[AB][0]
+            assert q[AB][0] <= q[AB][1]
+            assert q[BA][0] >= q[BA][1]
         report(9, f"interim monotonicity, envelope equalities and cross-item "
                   f"comparisons hold exactly on all {len(GRID)} grid specs")

@@ -5,9 +5,8 @@ import pytest
 
 from twopoint_auctions.core import (
     AuctionSpec,
-    TYPES,
-    class_probabilities,
     enumerate_profiles,
+    insert,
 )
 from twopoint_auctions.formulas import breakpoints, indicator_flags
 from twopoint_auctions.mechanisms import (
@@ -21,25 +20,23 @@ from twopoint_auctions.audit import (
     check_dic,
     check_ir,
     class_sets,
-    dic_case_family,
     expected_revenue,
     interim_allocation,
     interim_utility,
     qu_statistics,
-    total_utility_mass,
-    transfer_equation_check,
 )
 
-from test_mechanisms import grid_specs
+from test_core import AA, AB, BA, BB, TYPES
+from test_mechanisms import grid_specs, profiles_of, total_utility_mass
 
 EXAMPLE = AuctionSpec(2, F(1, 2), 1, 2)
 
 
 def zero_mechanism(spec):
     zero = (F(0), F(0))
-    profiles = [t for t, _ in enumerate_profiles(spec)]
+    profiles = profiles_of(spec)
     return Mechanism(
-        spec=spec,
+        dist=spec.dist,
         label="custom",
         allocation={t: tuple(zero for _ in range(spec.n)) for t in profiles},
         utility={t: tuple(F(0) for _ in range(spec.n)) for t in profiles},
@@ -51,7 +48,55 @@ def with_utility(mech, profile, buyer, value):
     us = list(utility[profile])
     us[buyer] = value
     utility[profile] = tuple(us)
-    return Mechanism(mech.spec, "custom", mech.allocation, utility)
+    return Mechanism(mech.dist, "custom", mech.allocation, utility)
+
+
+def type_values(mech, t):
+    return (mech.dist.values[t[0]], mech.dist.values[t[1]])
+
+
+def transfer_equation_check(mech):
+    """Misreport utility derived from (q, s) satisfies
+    u_i(t_i <- t'_i, t_-i) = u_i(t'_i, t_-i) + (t_i - t'_i).q_i(t'_i, t_-i),
+    exactly, for all indices.  An identity of definitions; checked anyway.
+    """
+    others_space = [o for o, _ in enumerate_profiles(mech.n - 1, mech.dist)]
+    for i in range(mech.n):
+        for t_true in TYPES:
+            val_true = type_values(mech, t_true)
+            for t_rep in TYPES:
+                val_rep = type_values(mech, t_rep)
+                for others in others_space:
+                    deviated = insert(others, i, t_rep)
+                    q1, q2 = mech.q(i, deviated)
+                    s = mech.payment(i, deviated)
+                    misreport_u = val_true[0] * q1 + val_true[1] * q2 - s
+                    expected = (
+                        mech.u(i, deviated)
+                        + (val_true[0] - val_rep[0]) * q1
+                        + (val_true[1] - val_rep[1]) * q2
+                    )
+                    if misreport_u != expected:
+                        return False
+    return True
+
+
+def dic_case_family(others):
+    """Tag an opponent profile by the structure that drives the truthfulness
+    analysis: A all-low; B/C one column all-low with high values only in the
+    other; D high values in both columns but no (b,b) opponent; E some (b,b)
+    opponent."""
+    if any(t == BB for t in others):
+        return "E"
+    col1_low = all(t[0] == 0 for t in others)
+    col2_low = all(t[1] == 0 for t in others)
+    if col1_low and col2_low:
+        return "A"
+    if col1_low:
+        return "B"
+    if col2_low:
+        return "C"
+    return "D"
 
 
 class TestExpectedRevenue:
@@ -70,12 +115,12 @@ class TestIR:
         assert check_ir(build_bic_mechanism(spec)).passed
 
     def test_planted_defect(self):
-        bad = with_utility(build_dic_mechanism(EXAMPLE), ("ab", "ba"), 0, F(-1))
+        bad = with_utility(build_dic_mechanism(EXAMPLE), (AB, BA), 0, F(-1))
         report = check_ir(bad)
         assert not report.passed
         assert len(report.violations) == 1
         v = report.violations[0]
-        assert (v.buyer, v.true_type, v.others) == (0, "ab", ("ba",))
+        assert (v.buyer, v.true_type, v.others) == (0, AB, (BA,))
         assert (v.lhs, v.rhs) == (F(-1), F(0))
 
     def test_constraint_count(self):
@@ -107,12 +152,12 @@ class TestDIC:
             assert report.passed
             return
         assert not report.passed
-        others = ("ab",) + ("aa",) * (spec.n - 2)
+        others = (AB,) + (AA,) * (spec.n - 2)
         witness = [
             v
             for v in report.violations
             if (v.buyer, v.true_type, v.reported_type, v.others)
-            == (0, "bb", "ab", others)
+            == (0, BB, AB, others)
         ]
         assert len(witness) == 1
         v = witness[0]
@@ -145,11 +190,11 @@ class TestBICandBIR:
         mech = build_bic_mechanism(EXAMPLE)
         bad = mech
         for others in TYPES:
-            bad = with_utility(bad, ("aa", others), 0, F(-5))
+            bad = with_utility(bad, (AA, others), 0, F(-5))
         rep = check_bir(bad)
         assert not rep.passed
         assert rep.violations[0].others == "averaged"
-        assert rep.violations[0].true_type == "aa"
+        assert rep.violations[0].true_type == AA
 
     def test_planted_bb_bonus_fails_reported_pairs(self):
         # lifting the (b,b) row uniformly makes misreporting *to* (b,b)
@@ -157,21 +202,21 @@ class TestBICandBIR:
         mech = build_bic_mechanism(EXAMPLE)
         bad = mech
         for others in TYPES:
-            profile = ("bb", others)
+            profile = (BB, others)
             bad = with_utility(bad, profile, 0, bad.u(0, profile) + 100)
         rep = check_bic(bad)
         assert not rep.passed
         assert {(v.true_type, v.reported_type) for v in rep.violations} == {
-            ("aa", "bb"),
-            ("ab", "bb"),
-            ("ba", "bb"),
+            (AA, BB),
+            (AB, BB),
+            (BA, BB),
         }
 
     def test_payments_are_rederived_from_tables(self):
         # the audit consumes (q, u) only; shifting u changes the derived
         # payment, which expected_revenue must reflect
         mech = build_bic_mechanism(EXAMPLE)
-        shifted = with_utility(mech, ("bb", "aa"), 0, mech.u(0, ("bb", "aa")) + 1)
+        shifted = with_utility(mech, (BB, AA), 0, mech.u(0, (BB, AA)) + 1)
         assert expected_revenue(shifted) == expected_revenue(mech) - F(1, 16)
 
 
@@ -187,11 +232,11 @@ class TestTransferEquation:
         for i in range(2):
             for t_true in TYPES:
                 for t_rep in TYPES:
-                    vt = mech.spec.type_values(t_true)
-                    vr = mech.spec.type_values(t_rep)
+                    vt = type_values(mech, t_true)
+                    vr = type_values(mech, t_rep)
                     q = interim_allocation(mech, i, t_rep)
                     misreport = sum(
-                        (F(1, 4) if o in ("ab", "ba") else F(1, 4))
+                        F(1, 4)
                         * (
                             vt[0] * mech.q(i, (t_rep, o) if i == 0 else (o, t_rep))[0]
                             + vt[1] * mech.q(i, (t_rep, o) if i == 0 else (o, t_rep))[1]
@@ -207,7 +252,7 @@ class TestTransferEquation:
 
 class TestClassSets:
     def test_sizes(self):
-        sets = class_sets(3)
+        sets = class_sets(profiles_of(AuctionSpec(3, F(1, 2), 1, 2)))
         assert len(sets["S0"]) == 1
         assert len(sets["S1"]) == 6
         assert len(sets["S1_prime"]) == 9
@@ -245,9 +290,8 @@ class TestInterimFacts:
     @pytest.mark.parametrize("spec", grid_specs(), ids=str)
     def test_interim_allocation_monotone(self, spec):
         mech = build_bic_mechanism(spec)
-        order = {"aa": (0, 0), "ab": (0, 1), "ba": (1, 0), "bb": (1, 1)}
         for t1, t2 in itertools.product(TYPES, repeat=2):
-            if all(x >= y for x, y in zip(order[t1], order[t2])):
+            if all(x >= y for x, y in zip(t1, t2)):
                 assert self._geq(
                     interim_allocation(mech, 0, t1), interim_allocation(mech, 0, t2)
                 )
@@ -257,16 +301,16 @@ class TestInterimFacts:
         mech = build_bic_mechanism(spec)
         d = spec.b - spec.a
         u = {t: interim_utility(mech, 0, t) for t in TYPES}
-        q_aa = interim_allocation(mech, 0, "aa")
-        q_ab = interim_allocation(mech, 0, "ab")
-        assert u["ab"] - u["aa"] == d * q_aa[1]
-        assert u["bb"] - u["ab"] == d * q_ab[0]
+        q_aa = interim_allocation(mech, 0, AA)
+        q_ab = interim_allocation(mech, 0, AB)
+        assert u[AB] - u[AA] == d * q_aa[1]
+        assert u[BB] - u[AB] == d * q_ab[0]
 
     @pytest.mark.parametrize("spec", grid_specs(), ids=str)
     def test_cross_item_interim_comparisons(self, spec):
         mech = build_bic_mechanism(spec)
-        q_ab = interim_allocation(mech, 0, "ab")
-        q_ba = interim_allocation(mech, 0, "ba")
+        q_ab = interim_allocation(mech, 0, AB)
+        q_ba = interim_allocation(mech, 0, BA)
         assert q_ab[0] <= q_ab[1]
         assert q_ba[0] >= q_ba[1]
 
@@ -277,8 +321,8 @@ class TestCaseFamilies:
         for others in itertools.product(TYPES, repeat=2):
             seen.setdefault(dic_case_family(others), []).append(others)
         assert set(seen) == {"A", "B", "C", "D", "E"}
-        assert seen["A"] == [("aa", "aa")]
-        assert ("ab", "ba") in seen["D"]
+        assert seen["A"] == [(AA, AA)]
+        assert (AB, BA) in seen["D"]
 
     def test_no_middle_family_at_n2(self):
         families = {dic_case_family((t,)) for t in TYPES}
@@ -305,3 +349,4 @@ class TestReportSerialization:
         v = doc["violations"][0]
         assert set(v) == {"buyer", "true_type", "reported_type", "others", "lhs", "rhs"}
         assert v["lhs"] == "1/4"
+        assert (v["true_type"], v["reported_type"], v["others"]) == ("bb", "ab", ["ab"])

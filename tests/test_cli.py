@@ -1,10 +1,15 @@
 import csv
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import twopoint_auctions
 from twopoint_auctions.cli import main
 
 EXAMPLE_ARGS = ["--n", "2", "--p", "1/2", "--a", "1", "--b", "2"]
@@ -241,3 +246,112 @@ class TestContinuous:
         code, _, err = run(capsys, "continuous", "--a-list", "10", "--grid-m", "9")
         assert code == 4
         assert "too large" in err
+
+
+class TestFailClosed:
+    """Bad input ends with exit 1 and one error line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "env,argv,named",
+        [
+            pytest.param({"TWOPOINT_AUCTIONS_CAP": "abc"}, ["formulas", *EXAMPLE_ARGS],
+                         "TWOPOINT_AUCTIONS_CAP", id="cap-env-not-integer"),
+            pytest.param({}, ["formulas", "--n", "2", "--p", "1/2", "--a", "1", "--b", "1/0"],
+                         "--b", id="zero-denominator"),
+            pytest.param({}, ["formulas", *EXAMPLE_ARGS, "--out", "{missing}/out.txt"],
+                         "out.txt", id="unwritable-out"),
+            pytest.param({}, ["certify", "--p", "1/2"], "--n", id="incomplete-certify-spec"),
+        ],
+    )
+    def test_exit_one_with_one_error_line(self, tmp_path, env, argv, named):
+        argv = [x.format(missing=tmp_path / "missing") for x in argv]
+        src = os.path.dirname(os.path.dirname(twopoint_auctions.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "twopoint_auctions", *argv],
+            env={**os.environ, **env, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120,
+        )
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert len(errors) == 1 and named in errors[0]
+
+
+FLAGSHIP_MECHANISMS = {
+    f"mechanism-{impl}-n{n}-b{b.replace('/', '_')}-{fmt}": [
+        "mechanism", "--n", n, "--p", "1/2", "--a", "1", "--b", b,
+        "--impl", impl, "--check", "--format", fmt,
+    ]
+    # one b in each of the intervals (1,v1), [v1,v2), [v2,v3), [v3,oo)
+    for n in ("2", "3") for impl in ("dic", "bic")
+    for b in ("3/2", "7/4", "5/2", "4") for fmt in ("text", "json")
+}
+GOLDEN_ARGV = {
+    "formulas-text": ["formulas", *EXAMPLE_ARGS],
+    "formulas-json": ["formulas", *EXAMPLE_ARGS, "--format", "json"],
+    "certify-text": ["certify", *EXAMPLE_ARGS],
+    "certify-json": ["certify", *EXAMPLE_ARGS, "--format", "json"],
+    "sweep": ["sweep", "--n", "2", "--p", "1/2", "--a", "1", "--b-min", "101/100",
+              "--b-max", "4"],
+    **FLAGSHIP_MECHANISMS,
+}
+# (exit code, sha256 of stdout or of the exported file)
+GOLDEN = {
+    "formulas-text": (0, "d4056d98c9476dd3fa9d57248fb1270120374e66dab65cb344dfea0cdf7909b0"),
+    "formulas-json": (0, "e4bc240a1829218006507c1a27774d3b5ca0c95bf29dfe5bcc8d297b66985727"),
+    "certify-text": (0, "25309e435e319722c1c407798393424944a4312d9de9835f8d1ab57032c02c15"),
+    "certify-json": (0, "a293bffa196b81f8f2f0426e4a2849f28d482c66a6bb35980d475e9f93fff7e6"),
+    "sweep": (0, "51e0965a0e1d29035aca05abaf75c596c4af37d9c9bcc65dd955579cbe2b9468"),
+    "mechanism-dic-n2-b3_2-text": (0, "581dd2a172a022458bd1748952001ac44a0665764d2c0ca72dea56859518632f"),
+    "mechanism-dic-n2-b3_2-json": (0, "821dd824db6aa3044e3c0962baada366f85ac795dce3c0a2a70aa082d72af01f"),
+    "mechanism-dic-n2-b7_4-text": (0, "3a109fbf8fc06b73f88c77baa633524d34f0b1860384a68b4b09d62afa574018"),
+    "mechanism-dic-n2-b7_4-json": (0, "ee956521a18949987ad52a0241ee82af66a050dbdfd9edabf2c47ad2f2a332f9"),
+    "mechanism-dic-n2-b5_2-text": (0, "8c03d0ee98888d41fcb96496839fed4523ef9a53d8ee85ff42bb99cc46037245"),
+    "mechanism-dic-n2-b5_2-json": (0, "36e6652000870afdf94d779fa85bf97931741fa5bb79c1e65dcd479eed905a86"),
+    "mechanism-dic-n2-b4-text": (0, "8488c91c88140de9f48e3caa9b7b8dd352435d0a87668a1d1f89b03663419a64"),
+    "mechanism-dic-n2-b4-json": (0, "5922e3c9eed238fcaddb19e6a24b26f483606c4f182819940fdddbbb8edbf8c2"),
+    "mechanism-bic-n2-b3_2-text": (0, "976e88a01dfb5f40414d851992cd64c70bc4859363fcff7214f136b68e863397"),
+    "mechanism-bic-n2-b3_2-json": (0, "64de0c1d149acde2c98f883c53e8a5aee943e8e9cdbd4be2a12c8a0f0b2d7e37"),
+    "mechanism-bic-n2-b7_4-text": (0, "3214204073fddf3efc1f19cc83c603e8d845dfcbf4ac6332b129a5d63e518fb0"),
+    "mechanism-bic-n2-b7_4-json": (0, "978e0a3cb0cf83ecaffa6c276bb0500bd9f4e9f32233418fcecdc6f38dffb187"),
+    "mechanism-bic-n2-b5_2-text": (0, "5b7add874c1d4ed6217006d3dd19e109f6b19d74a6eca984784be25ed26d0f11"),
+    "mechanism-bic-n2-b5_2-json": (0, "39c71c8ebcdf0c3d0c09a45853818426b2e8dabe6ca013b42ea0cbb75b8814f7"),
+    "mechanism-bic-n2-b4-text": (0, "566ff85680bbe3a1588688ec1e6b85963b63aa09650fd2b4139949e0da415e60"),
+    "mechanism-bic-n2-b4-json": (0, "36ea4f71a7e5fe4a24323badbee7ae569184836f06bd2d0c91ebe83f19d742b5"),
+    "mechanism-dic-n3-b3_2-text": (0, "3fbee741a01fc054804cda3411172ccbe42c009407112b1b932096a5b4251430"),
+    "mechanism-dic-n3-b3_2-json": (0, "f82a3c0241f721c7da2d2f574c3d5758fb112516356386e927d327db441263be"),
+    "mechanism-dic-n3-b7_4-text": (0, "9e17875e5ee467f8022f4f7bd9c1f67d3eb7ac85a553607d3e10ed5f9d91773d"),
+    "mechanism-dic-n3-b7_4-json": (0, "ef89c26d784e20553a1448e761f188e5c63f48ab4698261a4903a29330e3c352"),
+    "mechanism-dic-n3-b5_2-text": (0, "41b34b0d84ade3e5e7653b2cac7b779d193aaabe264e7bf25a3d86a98341a9ee"),
+    "mechanism-dic-n3-b5_2-json": (0, "3aab1c93e14af72602aaa29539e611749796302f9c4d1c66d67007a7ed8514de"),
+    "mechanism-dic-n3-b4-text": (0, "38aff2b7175eac7468cdcf293a3dec46e11d27d8ad52642d267cdf6ae6dbe1b1"),
+    "mechanism-dic-n3-b4-json": (0, "f40c20e66b6202d994ecdeae774ed70335668b9c87c7f00d1670112ab8552587"),
+    "mechanism-bic-n3-b3_2-text": (0, "bfed7d17385ef132c4b9dece200152448e03c1f9d0230159f8dcb6b6f50ed01a"),
+    "mechanism-bic-n3-b3_2-json": (0, "ca3f94e80d2cffcabc0fcf39339cf96a2ea53078da5bf4060e90f554b1da7d6f"),
+    "mechanism-bic-n3-b7_4-text": (0, "6d87157e02794d266a3da0c2b085cb4f376812782d0118cba4851e192a5e7f19"),
+    "mechanism-bic-n3-b7_4-json": (0, "0857d437d1a3845215280fe4b9bab0dc34f31c4499475b326e43003a99acfdef"),
+    "mechanism-bic-n3-b5_2-text": (0, "2e7a74fad9760d88a025b3164aac99f4b04243567ffbbc6b3cbc7fbea8e6ab06"),
+    "mechanism-bic-n3-b5_2-json": (0, "f225f4fe184ae1a477e597bb29a4144819037482a36da2412c6debdc1b2bf19d"),
+    "mechanism-bic-n3-b4-text": (0, "81088a61600ca8c6daa2eea474d47fa8507ae3ecf91cbbec4534dc0689069481"),
+    "mechanism-bic-n3-b4-json": (0, "be884b02a3546bff949270b666e8c5564d94092e8b465adec69fa8006764fe49"),
+    "lp-export-dic": (0, "f1554b2653b9b71ac22e97f3c523306a55e76e9aa96f48189ed8672e5713b318"),
+    "lp-export-bic": (0, "5ca0ace267785bf53ca7d08b4c7d0c47aab66e373d03ab551d1f42e1bdd7da9f"),
+}
+
+
+class TestByteGoldens:
+    """Every byte of these outputs is pinned: the type encoding behind them
+    may change, what the CLI prints may not."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_ARGV))
+    def test_stdout(self, capsys, name):
+        code, out, _ = run(capsys, *GOLDEN_ARGV[name])
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[name]
+
+    def test_lp_export(self, capsys, tmp_path):
+        prefix = str(tmp_path / "flagship")
+        code, _, _ = run(capsys, "certify", *EXAMPLE_ARGS, "--lp-export", prefix)
+        for ext in ("dic", "bic"):
+            with open(f"{prefix}.{ext}.lp", "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            assert (code, digest) == GOLDEN[f"lp-export-{ext}"]

@@ -8,23 +8,26 @@ from hypothesis import strategies as st
 from twopoint_auctions.core import (
     AuctionSpec,
     CapExceeded,
+    FiniteValueDistribution,
     HierarchyScheme,
     InvalidSpec,
-    TYPES,
     allocate_hierarchy,
+    buyer_types,
     cheap_items,
     class_probabilities,
     classify_profile,
     enumerate_profiles,
-    exploratory_spec,
-    profile_from_json,
+    insert,
     profile_probability,
-    profile_to_json,
     rat,
     rat_str,
     decimal_str,
-    scheme_from_json,
+    type_label,
 )
+
+# The two-point types, named by their letter rendering.
+AA, AB, BA, BB = (0, 0), (0, 1), (1, 0), (1, 1)
+TYPES = (AA, AB, BA, BB)
 
 probabilities = st.fractions(min_value=F(1, 20), max_value=F(19, 20), max_denominator=20)
 
@@ -62,7 +65,8 @@ class TestAuctionSpec:
     def test_valid(self):
         spec = AuctionSpec(2, "1/2", 1, 2)
         assert spec.p == F(1, 2)
-        assert spec.type_values("ab") == (F(1), F(2))
+        assert spec.dist == FiniteValueDistribution((F(1), F(2)), (F(1, 2), F(1, 2)))
+        assert buyer_types(spec.dist) == list(TYPES)
 
     @pytest.mark.parametrize(
         "n,p,a,b",
@@ -78,10 +82,6 @@ class TestAuctionSpec:
         with pytest.raises(InvalidSpec):
             AuctionSpec(n, p, a, b)
 
-    def test_exploratory_allows_single_buyer(self):
-        spec = exploratory_spec(1, "1/2", 1, 2)
-        assert spec.n == 1
-
     def test_zero_low_value_allowed(self):
         AuctionSpec(2, "1/2", 0, 1)
 
@@ -89,56 +89,74 @@ class TestAuctionSpec:
 class TestEnumeration:
     def test_uniform_two_point(self):
         spec = AuctionSpec(2, F(1, 2), 1, 2)
-        pairs = enumerate_profiles(spec)
+        pairs = enumerate_profiles(2, spec.dist)
         assert len(pairs) == 16
         assert all(prob == F(1, 16) for _, prob in pairs)
 
     def test_lowest_profile_probability(self):
         spec = AuctionSpec(2, F(1, 3), 1, 2)
-        assert profile_probability(spec, ("aa", "aa")) == F(1, 3) ** 4
+        assert profile_probability(spec.dist, (AA, AA)) == F(1, 3) ** 4
+
+    def test_empty_profile_has_probability_one(self):
+        spec = AuctionSpec(2, F(1, 3), 1, 2)
+        assert profile_probability(spec.dist, ()) == 1
+        assert enumerate_profiles(0, spec.dist) == [((), 1)]
+
+    def test_probability_counts_atoms(self):
+        dist = FiniteValueDistribution((1, 2, 3), (F(1, 2), F(1, 3), F(1, 6)))
+        assert profile_probability(dist, ((0, 2), (1, 1))) == F(1, 2) * F(1, 6) * F(1, 3) ** 2
 
     def test_order_is_lexicographic(self):
         spec = AuctionSpec(2, F(1, 2), 1, 2)
-        profiles = [t for t, _ in enumerate_profiles(spec)]
-        assert profiles[0] == ("aa", "aa")
-        assert profiles[1] == ("aa", "ab")
-        assert profiles[4] == ("ab", "aa")
-        assert profiles[-1] == ("bb", "bb")
+        profiles = [t for t, _ in enumerate_profiles(2, spec.dist)]
+        assert profiles[0] == (AA, AA)
+        assert profiles[1] == (AA, AB)
+        assert profiles[4] == (AB, AA)
+        assert profiles[-1] == (BB, BB)
         assert profiles == sorted(profiles)
+        # index pairs sort like their letter renderings
+        labels = [[type_label(t) for t in profile] for profile in profiles]
+        assert labels == sorted(labels)
 
     @given(spec_strategy())
     @settings(max_examples=40, deadline=None)
     def test_probabilities_sum_to_one(self, spec):
-        assert sum(prob for _, prob in enumerate_profiles(spec)) == 1
+        assert sum(prob for _, prob in enumerate_profiles(spec.n, spec.dist)) == 1
 
     def test_cap(self):
         spec = AuctionSpec(4, F(1, 2), 1, 2)
         with pytest.raises(CapExceeded, match="too large for exhaustive"):
-            enumerate_profiles(spec, cap=100)
+            enumerate_profiles(4, spec.dist, cap=100)
         with pytest.raises(CapExceeded):
-            enumerate_profiles(AuctionSpec(11, F(1, 2), 1, 2))
+            enumerate_profiles(11, spec.dist)
+
+    def test_insert(self):
+        assert insert((AB, BA), 1, BB) == (AB, BB, BA)
+        assert insert((), 0, AA) == (AA,)
+
+
+class TestTypeLabel:
+    def test_letters_and_pretty_form(self):
+        assert [type_label(t) for t in TYPES] == ["aa", "ab", "ba", "bb"]
+        assert type_label(AB, pretty=True) == "(a,b)"
 
 
 class TestHierarchy:
     def test_unique_minimum_gets_all(self):
-        h = HierarchyScheme(("bb", "ba", "ab", "aa"))
-        assert allocate_hierarchy(h, ("ba", "bb")) == (F(0), F(1))
+        h = HierarchyScheme((BB, BA, AB, AA))
+        assert allocate_hierarchy(h, (BA, BB)) == (F(0), F(1))
 
     def test_tie_splits_uniformly(self):
-        h = HierarchyScheme(("bb", "ab", "ba", "aa"))
-        assert allocate_hierarchy(h, ("ab", "ab")) == (F(1, 2), F(1, 2))
+        h = HierarchyScheme((BB, AB, BA, AA))
+        assert allocate_hierarchy(h, (AB, AB)) == (F(1, 2), F(1, 2))
 
     def test_unlisted_types_get_nothing(self):
-        h = HierarchyScheme(("bb", "ba"))
-        assert allocate_hierarchy(h, ("ab", "ab")) == (F(0), F(0))
-
-    def test_multi_type_level(self):
-        h = HierarchyScheme((("bb",), ("ba", "ab")))
-        assert allocate_hierarchy(h, ("ba", "ab", "aa")) == (F(1, 2), F(1, 2), F(0))
+        h = HierarchyScheme((BB, BA))
+        assert allocate_hierarchy(h, (AB, AB)) == (F(0), F(0))
 
     def test_duplicate_type_rejected(self):
         with pytest.raises(ValueError, match="two levels"):
-            HierarchyScheme(("bb", "bb"))
+            HierarchyScheme((BB, BB))
 
     @given(
         st.lists(st.permutations(TYPES), min_size=1, max_size=1),
@@ -155,26 +173,26 @@ class TestHierarchy:
 
 class TestClassification:
     def test_lowest_profile(self):
-        c = classify_profile(("aa", "aa", "aa"))
+        c = classify_profile((AA, AA, AA))
         assert c.label == "S0"
         assert c.cheap_items == (True, True)
         assert c.active_buyers == ()
 
     def test_single_active(self):
-        c = classify_profile(("ba", "aa"))
+        c = classify_profile((BA, AA))
         assert c.label == "S1"
         assert c.cheap_items == (False, True)
         assert c.active_buyers == (0,)
 
     def test_two_active(self):
-        c = classify_profile(("ab", "ab"))
+        c = classify_profile((AB, AB))
         assert c.label == "S2"
         assert c.cheap_items == (True, False)
         assert c.active_buyers == (0, 1)
 
     def test_other(self):
-        assert classify_profile(("ab", "ba")).label == "other"
-        assert classify_profile(("bb", "bb")).label == "other"
+        assert classify_profile((AB, BA)).label == "other"
+        assert classify_profile((BB, BB)).label == "other"
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_partition_and_counts(self, n):
@@ -190,7 +208,7 @@ class TestClassification:
             c = classify_profile(profile)
             if c.label in ("S1", "S2"):
                 non_cheap = 0 if not c.cheap_items[0] else 1
-                highs = sum(t[non_cheap] == "b" for t in profile)
+                highs = sum(t[non_cheap] == 1 for t in profile)
                 assert highs == len(c.active_buyers)
 
 
@@ -215,7 +233,7 @@ class TestClassProbabilities:
     def test_matches_enumeration(self, n, p):
         spec = AuctionSpec(n, p, 1, 2)
         masses = {"S0": F(0), "S1": F(0), "S2": F(0)}
-        for profile, prob in enumerate_profiles(spec):
+        for profile, prob in enumerate_profiles(n, spec.dist):
             label = classify_profile(profile).label
             if label in masses:
                 masses[label] += prob
@@ -226,17 +244,3 @@ class TestClassProbabilities:
     def test_class_mass_nonnegative(self, spec):
         p0, p1, p2 = class_probabilities(spec)
         assert p0 > 0 and p1 > 0 and p2 >= 0
-
-
-class TestJson:
-    def test_profile_round_trip(self):
-        profile = ("ab", "bb", "aa")
-        assert profile_from_json(profile_to_json(profile)) == profile
-
-    def test_profile_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            profile_from_json(["ab", "cc"])
-
-    def test_scheme_round_trip(self):
-        h = HierarchyScheme(("bb", ("ba", "ab")))
-        assert scheme_from_json(h.to_json()) == h

@@ -27,8 +27,8 @@ def posted_price_bundle_revenue(spec, price):
     """Independent oracle: enumerate profiles; the bundle sells to anyone
     whose two-item sum meets the price (at most one unit is sold)."""
     revenue = F(0)
-    for profile, prob in enumerate_profiles(spec):
-        sums = [sum(spec.type_values(t)) for t in profile]
+    for profile, prob in enumerate_profiles(spec.n, spec.dist):
+        sums = [spec.dist.values[x1] + spec.dist.values[x2] for x1, x2 in profile]
         if max(sums) >= price:
             revenue += prob * price
     return revenue
@@ -314,3 +314,15 @@ class TestSweep:
         rows = sweep_high_value(2, F(1, 2), 0, 1, 2, steps=3)
         assert not any(r.is_breakpoint for r in rows)
         assert len(rows) == 3
+
+
+class TestInvariantErrors:
+    def test_revenue_ordering_violation_raises(self, monkeypatch):
+        # a real error, not an assert, so it survives python -O
+        from twopoint_auctions import formulas
+
+        monkeypatch.setattr(
+            formulas, "separate_revenue", lambda spec: revenue_dic(spec) + 1
+        )
+        with pytest.raises(RuntimeError, match="revenue ordering"):
+            revenue_report(EXAMPLE)

@@ -5,12 +5,9 @@ import pytest
 
 from twopoint_auctions.core import (
     AuctionSpec,
-    InvalidSpec,
-    TYPES,
     cheap_items,
     class_probabilities,
     enumerate_profiles,
-    exploratory_spec,
 )
 from twopoint_auctions.formulas import (
     breakpoints,
@@ -26,16 +23,47 @@ from twopoint_auctions.mechanisms import (
     interval_case,
     mechanism_to_json,
     payments,
-    tables_equal,
 )
 from twopoint_auctions.audit import (
     expected_revenue,
     qu_statistics,
-    total_cheap_allocation_mass,
-    total_utility_mass,
 )
 
+from test_core import AA, AB, BA, BB
+
 EXAMPLE = AuctionSpec(2, F(1, 2), 1, 2)
+EXAMPLE_LOW = AuctionSpec(2, F(1, 2), 1, F(3, 2))
+
+
+def profiles_of(spec):
+    return [t for t, _ in enumerate_profiles(spec.n, spec.dist)]
+
+
+def tables_equal(m1, m2):
+    """Same allocation and utility tables (labels may differ)."""
+    return dict(m1.allocation) == dict(m2.allocation) and dict(m1.utility) == dict(
+        m2.utility
+    )
+
+
+def total_utility_mass(mech):
+    return sum(
+        prob * sum(mech.u(i, profile) for i in range(mech.n))
+        for profile, prob in enumerate_profiles(mech.n, mech.dist)
+    )
+
+
+def total_cheap_allocation_mass(mech):
+    total = F(0)
+    for profile, prob in enumerate_profiles(mech.n, mech.dist):
+        cheap = cheap_items(profile)
+        for i in range(mech.n):
+            q1, q2 = mech.q(i, profile)
+            if cheap[0]:
+                total += prob * q1
+            if cheap[1]:
+                total += prob * q2
+    return total
 
 
 def grid_specs(ns=(2, 3)):
@@ -78,36 +106,36 @@ class TestDicMechanism:
     def test_case3_bundle_sale(self):
         mech = build_dic_mechanism(EXAMPLE)
         # single active buyer: both items as a bundle at price a+b
-        assert mech.q(0, ("bb", "aa")) == (1, 1)
-        assert mech.u(0, ("bb", "aa")) == 1  # b - a, since beta=1, alpha=0
-        assert mech.payment(0, ("bb", "aa")) == 3
-        assert mech.q(0, ("ab", "aa")) == (1, 1)
-        assert mech.payment(0, ("ab", "aa")) == 3
-        assert mech.q(1, ("ab", "aa")) == (0, 0)
+        assert mech.q(0, (BB, AA)) == (1, 1)
+        assert mech.u(0, (BB, AA)) == 1  # b - a, since beta=1, alpha=0
+        assert mech.payment(0, (BB, AA)) == 3
+        assert mech.q(0, (AB, AA)) == (1, 1)
+        assert mech.payment(0, (AB, AA)) == 3
+        assert mech.q(1, (AB, AA)) == (0, 0)
         # the all-low profile sells nothing in the bundle case
-        assert mech.q(0, ("aa", "aa")) == (0, 0)
-        assert mech.payment(0, ("aa", "aa")) == 0
+        assert mech.q(0, (AA, AA)) == (0, 0)
+        assert mech.payment(0, (AA, AA)) == 0
 
     def test_case3_high_buyer_pays_full_bundle(self):
         # gamma = 0 at b=2, so a (b,b) buyer facing a 1-cheap opponent keeps
         # zero utility and pays 2b
         mech = build_dic_mechanism(EXAMPLE)
-        assert mech.q(0, ("bb", "ab")) == (1, 1)
-        assert mech.u(0, ("bb", "ab")) == 0
-        assert mech.payment(0, ("bb", "ab")) == 4
+        assert mech.q(0, (BB, AB)) == (1, 1)
+        assert mech.u(0, (BB, AB)) == 0
+        assert mech.payment(0, (BB, AB)) == 4
 
     def test_case4_unique_top_buyer(self):
         spec = AuctionSpec(2, F(1, 2), 1, 5)  # b >= v3 = 3
         mech = build_dic_mechanism(spec)
-        for others in ("aa", "ab", "ba"):
-            assert mech.q(0, ("bb", others)) == (1, 1)
-            assert mech.u(0, ("bb", others)) == 0
-            assert mech.payment(0, ("bb", others)) == 10
+        for others in (AA, AB, BA):
+            assert mech.q(0, (BB, others)) == (1, 1)
+            assert mech.u(0, (BB, others)) == 0
+            assert mech.payment(0, (BB, others)) == 10
 
     def test_case1_all_low_profile_splits_everything(self):
         spec = AuctionSpec(3, F(1, 2), 1, F(11, 10))  # b < v1 = 5/3
         mech = build_dic_mechanism(spec)
-        t = ("aa", "aa", "aa")
+        t = (AA, AA, AA)
         for i in range(3):
             assert mech.q(i, t) == (F(1, 3), F(1, 3))
             assert mech.u(i, t) == 0
@@ -116,27 +144,23 @@ class TestDicMechanism:
     def test_case1_single_mid_buyer_utility(self):
         spec = AuctionSpec(2, F(1, 2), 1, F(3, 2))
         mech = build_dic_mechanism(spec)
-        assert mech.u(0, ("ba", "aa")) == F(1, 2) * F(1, 2)  # (b-a) * alpha/n
-        assert mech.q(0, ("ba", "aa")) == (1, 1)
-
-    def test_needs_two_buyers(self):
-        with pytest.raises(InvalidSpec):
-            build_dic_mechanism(exploratory_spec(1, F(1, 2), 1, 2))
+        assert mech.u(0, (BA, AA)) == F(1, 2) * F(1, 2)  # (b-a) * alpha/n
+        assert mech.q(0, (BA, AA)) == (1, 1)
 
 
 class TestBicMechanism:
     def test_situation_a_half_bundles(self):
         mech = build_bic_mechanism(EXAMPLE)
-        t = ("ab", "ab")
+        t = (AB, AB)
         for i in range(2):
             assert mech.q(i, t) == (F(1, 2), F(1, 2))
             assert mech.payment(i, t) == F(3, 2)  # (1+b)/2
 
     def test_situation_b_discounted_bundle(self):
         mech = build_bic_mechanism(EXAMPLE)
-        assert mech.q(0, ("bb", "ab")) == (1, 1)
-        assert mech.u(0, ("bb", "ab")) == F(1, 4)
-        assert mech.payment(0, ("bb", "ab")) == F(15, 4)  # 2b - (b-1)/4
+        assert mech.q(0, (BB, AB)) == (1, 1)
+        assert mech.u(0, (BB, AB)) == F(1, 4)
+        assert mech.payment(0, (BB, AB)) == F(15, 4)  # 2b - (b-1)/4
 
     def test_above_v3_identical_to_dic(self):
         spec = AuctionSpec(2, F(1, 2), 1, 4)
@@ -146,11 +170,11 @@ class TestBicMechanism:
         assert not tables_equal(build_bic_mechanism(EXAMPLE), build_dic_mechanism(EXAMPLE))
 
     def test_exception_only_lifts_bb_versus_one_cheap(self):
-        md = build_dic_mechanism(AuctionSpec(2, F(1, 2), 1, F(3, 2)))
-        mb = build_bic_mechanism(AuctionSpec(2, F(1, 2), 1, F(3, 2)))
-        for profile, _ in enumerate_profiles(md.spec):
+        md = build_dic_mechanism(EXAMPLE_LOW)
+        mb = build_bic_mechanism(EXAMPLE_LOW)
+        for profile in profiles_of(EXAMPLE_LOW):
             for i in range(2):
-                if profile[i] == "bb" and profile[1 - i] in ("ab", "ba"):
+                if profile[i] == BB and profile[1 - i] in (AB, BA):
                     continue
                 assert md.u(i, profile) == mb.u(i, profile)
 
@@ -159,15 +183,15 @@ class TestPayments:
     def test_full_allocation_zero_utility(self):
         spec = AuctionSpec(2, F(1, 2), 1, 5)
         mech = build_dic_mechanism(spec)
-        assert payments(mech)[("bb", "aa")][0] == 10
+        assert payments(mech)[(BB, AA)][0] == 10
 
     def test_no_allocation_zero_utility(self):
         mech = build_dic_mechanism(EXAMPLE)
-        assert payments(mech)[("aa", "aa")] == (0, 0)
+        assert payments(mech)[(AA, AA)] == (0, 0)
 
     def test_situation_a_price(self):
         mech = build_bic_mechanism(EXAMPLE)
-        assert payments(mech)[("ab", "ab")] == (F(3, 2), F(3, 2))
+        assert payments(mech)[(AB, AB)] == (F(3, 2), F(3, 2))
 
 
 class TestRevenueEquality:
@@ -185,7 +209,7 @@ class TestStructuralInvariants:
     def test_supply(self, builder):
         for spec in grid_specs(ns=(2, 3)):
             mech = builder(spec)
-            for profile, _ in enumerate_profiles(spec):
+            for profile in profiles_of(spec):
                 for j in range(2):
                     total = sum(mech.q(i, profile)[j] for i in range(spec.n))
                     assert 0 <= total <= 1
@@ -194,7 +218,7 @@ class TestStructuralInvariants:
     def test_buyer_permutation_symmetry(self, builder):
         spec = AuctionSpec(3, F(1, 2), 1, 2)
         mech = builder(spec)
-        for profile, _ in enumerate_profiles(spec):
+        for profile in profiles_of(spec):
             for perm in itertools.permutations(range(3)):
                 permuted = tuple(profile[perm.index(i)] for i in range(3))
                 for i in range(3):
@@ -205,7 +229,7 @@ class TestStructuralInvariants:
     def test_item_swap_symmetry(self, builder):
         for spec in grid_specs(ns=(2,)):
             mech = builder(spec)
-            for profile, _ in enumerate_profiles(spec):
+            for profile in profiles_of(spec):
                 swapped = tuple(t[::-1] for t in profile)
                 for i in range(spec.n):
                     q = mech.q(i, profile)
@@ -219,7 +243,7 @@ def u_support_profiles(n):
     one-cheap family."""
     from twopoint_auctions.audit import class_sets
 
-    sets = class_sets(n)
+    sets = class_sets(profiles_of(AuctionSpec(n, F(1, 2), 1, 2)))
     return sets["S1"] | sets["S1_prime"] | sets["S2_prime"]
 
 
@@ -228,7 +252,7 @@ class TestClassAccounting:
     def test_utility_vanishes_off_support(self, spec):
         allowed = u_support_profiles(spec.n)
         for mech in (build_dic_mechanism(spec), build_bic_mechanism(spec)):
-            for profile, _ in enumerate_profiles(spec):
+            for profile in profiles_of(spec):
                 if profile not in allowed:
                     assert all(mech.u(i, profile) == 0 for i in range(spec.n))
 
@@ -242,7 +266,7 @@ class TestClassAccounting:
         mb = build_bic_mechanism(spec)
         from twopoint_auctions.core import classify_profile
 
-        for profile, _ in enumerate_profiles(spec):
+        for profile in profiles_of(spec):
             label = classify_profile(profile).label
             cheap = cheap_items(profile)
             for mech, s2_flag in ((md, f.gamma), (mb, f.beta)):

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from twopoint_auctions.core import AuctionSpec, CapExceeded, InvalidSpec, exploratory_spec
+from twopoint_auctions.core import AuctionSpec, CapExceeded, FiniteValueDistribution
 from twopoint_auctions.formulas import breakpoints, price_b_revenue, revenue_bic, revenue_dic
 from twopoint_auctions.mechanisms import build_bic_mechanism, build_dic_mechanism
 from twopoint_auctions.audit import (
@@ -25,7 +25,6 @@ from twopoint_auctions.oracle import (
     solve_auction_lp,
     symmetry_representatives,
     symmetrize_lp,
-    two_point_distribution,
     _apply_to_var,
 )
 from twopoint_auctions.simplex import solve
@@ -100,14 +99,14 @@ class TestOptima:
 class TestMechanismExtraction:
     def test_dic_solution_passes_dic_audit(self):
         sol = solve_auction_lp(build_dic_lp(EXAMPLE), 2)
-        mech = extract_mechanism(EXAMPLE, sol.assignment, label="custom")
+        mech = extract_mechanism(EXAMPLE.dist, sol.assignment, label="custom")
         assert check_ir(mech).passed
         assert check_dic(mech).passed
         assert expected_revenue(mech) == sol.optimum
 
     def test_bic_solution_passes_bic_audit(self):
         sol = solve_auction_lp(build_bic_lp(EXAMPLE), 2)
-        mech = extract_mechanism(EXAMPLE, sol.assignment, label="custom")
+        mech = extract_mechanism(EXAMPLE.dist, sol.assignment, label="custom")
         assert check_bir(mech).passed
         assert check_bic(mech).passed
         assert expected_revenue(mech) == sol.optimum
@@ -115,10 +114,30 @@ class TestMechanismExtraction:
     def test_symmetrized_solution_passes_audits(self):
         spec = AuctionSpec(3, F(1, 2), 1, 2)
         sol = solve_auction_lp(build_dic_lp(spec), 3, symmetrize=True)
-        mech = extract_mechanism(spec, sol.assignment)
+        mech = extract_mechanism(spec.dist, sol.assignment)
         assert check_ir(mech).passed
         assert check_dic(mech).passed
         assert expected_revenue(mech) == sol.optimum
+
+    def test_three_atom_solutions_pass_their_audits(self):
+        # The audits read values and probabilities from the distribution, so
+        # they check LP mechanisms over any finite marginal.  The Bayesian
+        # optimum beats the dominant-strategy one, so its mechanism must
+        # break IR or DIC somewhere.
+        dist = FiniteValueDistribution((F(1), F(2), F(3)), (F(1, 3),) * 3)
+        sol_d = solve_auction_lp(build_auction_lp(2, dist, "dic"), 2, symmetrize=True)
+        sol_b = solve_auction_lp(build_auction_lp(2, dist, "bic"), 2, symmetrize=True)
+        assert (sol_d.optimum, sol_b.optimum) == (F(109, 27), F(110, 27))
+        mech_d = extract_mechanism(dist, sol_d.assignment)
+        assert mech_d.n == 2 and len(mech_d.profiles()) == 81
+        assert check_ir(mech_d).passed
+        assert check_dic(mech_d).passed
+        assert expected_revenue(mech_d) == F(109, 27)
+        mech_b = extract_mechanism(dist, sol_b.assignment)
+        assert check_bir(mech_b).passed
+        assert check_bic(mech_b).passed
+        assert expected_revenue(mech_b) == F(110, 27)
+        assert not (check_ir(mech_b).passed and check_dic(mech_b).passed)
 
 
 class TestSymmetryReduction:
@@ -204,19 +223,15 @@ class TestCertification:
         # oracle value equals the closed form computed independently
         assert report.lp_dic == revenue_dic(AuctionSpec(3, F(1, 2), 1, 2))
 
-    def test_rejects_single_buyer(self):
-        with pytest.raises(InvalidSpec):
-            certify_main_theorem(exploratory_spec(1, F(1, 2), 1, 2))
-
     def test_four_buyers_single_shot(self):
         report = certify_main_theorem(AuctionSpec(4, F(1, 2), 1, 2))
         assert report.all_equal
         assert report.lp_dic == F(241, 64) and report.lp_bic == F(975, 256)
 
-    def test_exploratory_single_buyer_lp_solves(self):
-        spec = exploratory_spec(1, F(1, 2), 1, 2)
-        lp_d = solve_auction_lp(build_dic_lp(spec), 1).optimum
-        lp_b = solve_auction_lp(build_bic_lp(spec), 1).optimum
+    def test_single_buyer_lp_solves(self):
+        dist = EXAMPLE.dist
+        lp_d = solve_auction_lp(build_auction_lp(1, dist, "dic"), 1).optimum
+        lp_b = solve_auction_lp(build_auction_lp(1, dist, "bic"), 1).optimum
         assert lp_b >= lp_d > 0
 
 
