@@ -22,8 +22,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, choices=(2, 3), default=None,
                         help="restrict the grid to one buyer count")
-    parser.add_argument("--unreduced", action="store_true",
-                        help="solve the full programs without symmetry reduction")
     parser.add_argument("--out", help="also write the reports as JSON")
     args = parser.parse_args()
 
@@ -32,9 +30,7 @@ def main() -> int:
     reports = []
     t0 = time.perf_counter()
     for spec in specs:
-        rep = certify_main_theorem(
-            spec, symmetrize=False if args.unreduced else True
-        )
+        rep = certify_main_theorem(spec)
         reports.append(rep)
         print(_certify_line(rep))
     elapsed = time.perf_counter() - t0

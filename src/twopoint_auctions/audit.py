@@ -79,21 +79,25 @@ def expected_revenue(mech: Mechanism) -> Fraction:
     return total
 
 
+def _interim(mech: Mechanism, opponents: list, i: int, t_i: Type):
+    """Buyer i's interim utility and allocation at type t_i, averaged over
+    the weighted opponent profiles `opponents`."""
+    u = q1 = q2 = Fraction(0)
+    for others, w in opponents:
+        profile = insert(others, i, t_i)
+        a1, a2 = mech.q(i, profile)
+        u += w * mech.u(i, profile)
+        q1 += w * a1
+        q2 += w * a2
+    return u, (q1, q2)
+
+
 def interim_utility(mech: Mechanism, i: int, t_i: Type) -> Fraction:
-    return sum(
-        w * mech.u(i, insert(others, i, t_i))
-        for others, w in enumerate_profiles(mech.n - 1, mech.dist)
-    )
+    return _interim(mech, enumerate_profiles(mech.n - 1, mech.dist), i, t_i)[0]
 
 
 def interim_allocation(mech: Mechanism, i: int, t_i: Type) -> tuple[Fraction, Fraction]:
-    q1 = Fraction(0)
-    q2 = Fraction(0)
-    for others, w in enumerate_profiles(mech.n - 1, mech.dist):
-        a1, a2 = mech.q(i, insert(others, i, t_i))
-        q1 += w * a1
-        q2 += w * a2
-    return (q1, q2)
+    return _interim(mech, enumerate_profiles(mech.n - 1, mech.dist), i, t_i)[1]
 
 
 def check_ir(mech: Mechanism) -> AuditReport:
@@ -145,12 +149,13 @@ def check_dic(mech: Mechanism) -> AuditReport:
 
 def check_bir(mech: Mechanism) -> AuditReport:
     """Interim utility of truthful participation is nonnegative."""
+    opponents = enumerate_profiles(mech.n - 1, mech.dist)
     violations = []
     count = 0
     for i in range(mech.n):
         for t_i in buyer_types(mech.dist):
             count += 1
-            u_bar = interim_utility(mech, i, t_i)
+            u_bar = _interim(mech, opponents, i, t_i)[0]
             if u_bar < 0:
                 violations.append(
                     Violation(i, t_i, None, "averaged", u_bar, Fraction(0))
@@ -163,21 +168,22 @@ def check_bic(mech: Mechanism) -> AuditReport:
     buyers and ordered pairs of distinct types."""
     values = mech.dist.values
     types = buyer_types(mech.dist)
+    opponents = enumerate_profiles(mech.n - 1, mech.dist)
     violations = []
     count = 0
     for i in range(mech.n):
-        u_bar = {t: interim_utility(mech, i, t) for t in types}
-        q_bar = {t: interim_allocation(mech, i, t) for t in types}
+        interim = {t: _interim(mech, opponents, i, t) for t in types}
         for t_true in types:
             for t_rep in types:
                 if t_rep == t_true:
                     continue
                 count += 1
-                lhs = u_bar[t_true]
+                lhs = interim[t_true][0]
+                u_rep, (q1, q2) = interim[t_rep]
                 rhs = (
-                    u_bar[t_rep]
-                    + (values[t_true[0]] - values[t_rep[0]]) * q_bar[t_rep][0]
-                    + (values[t_true[1]] - values[t_rep[1]]) * q_bar[t_rep][1]
+                    u_rep
+                    + (values[t_true[0]] - values[t_rep[0]]) * q1
+                    + (values[t_true[1]] - values[t_rep[1]]) * q2
                 )
                 if lhs < rhs:
                     violations.append(

@@ -78,12 +78,14 @@ def _spec_args(sub):
 
 
 def _rat(args, text: str, flag: str) -> Fraction:
-    """Parse one rational argument; arithmetic failures name the flag."""
+    """Parse one rational argument; every parse failure names the flag."""
     conv = rat_allow_decimal if args.allow_decimal else rat
     try:
         return conv(text)
     except ArithmeticError:
         raise ValueError(f"{flag} is not a finite rational: {text!r}") from None
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 def _parse_spec(args) -> AuctionSpec:
@@ -246,7 +248,6 @@ def _certify_line(report) -> str:
 
 
 def cmd_certify(args) -> int:
-    symmetrize = {"auto": None, "on": True, "off": False}[args.symmetrize]
     cap = args.cap if args.cap else DEFAULT_LP_PROFILE_CAP
     if args.grid:
         specs = certification_grid()
@@ -263,7 +264,7 @@ def cmd_certify(args) -> int:
                   args.lp_export + ".dic.lp")
             _emit(lp_to_text(build_bic_lp(spec, cap), "bayesian program"),
                   args.lp_export + ".bic.lp")
-        reports.append(certify_main_theorem(spec, symmetrize=symmetrize, max_profiles=cap))
+        reports.append(certify_main_theorem(spec, max_profiles=cap))
     if args.format == "json":
         _emit(json.dumps([r.to_json() for r in reports], indent=2) + "\n", args.out)
     else:
@@ -384,7 +385,6 @@ def build_parser() -> _Parser:
     p_cert.add_argument("--a")
     p_cert.add_argument("--b")
     p_cert.add_argument("--grid", action="store_true", help="run the built-in grid")
-    p_cert.add_argument("--symmetrize", choices=("auto", "on", "off"), default="auto")
     p_cert.add_argument("--lp-export", help="path prefix for textual LP export")
     p_cert.add_argument(
         "--cap", type=int, default=_env_cap(),
@@ -420,6 +420,9 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.out:
+            # An unwritable --out fails here, before any work starts.
+            open(args.out, "a").close()
         return args.func(args)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else EXIT_USAGE

@@ -69,7 +69,6 @@ def lp_over_grid(
     cspec: ContinuousSpec,
     impl: str,
     grid_cap: int = DEFAULT_GRID_CAP,
-    symmetrize: bool = True,
 ) -> Fraction:
     """Exact LP optimum of the discretized instance, impl in {'dic','bic'}."""
     if cspec.grid_m > grid_cap:
@@ -80,7 +79,7 @@ def lp_over_grid(
     dist = discretize(cspec)
     n_profiles = (2 * cspec.grid_m) ** (2 * cspec.n)
     lp = build_auction_lp(cspec.n, dist, impl, max_profiles=n_profiles)
-    sol = solve_auction_lp(lp, cspec.n, symmetrize=symmetrize)
+    sol = solve_auction_lp(lp)
     if sol.status != "optimal":
         raise RuntimeError("discretized auction LP must be feasible and bounded")
     return sol.optimum
@@ -124,12 +123,12 @@ def corollary_probe(
     discretized value only approximates those, so the flag is indicative.
     """
     lam = rat(lam)
+    cspecs = [ContinuousSpec(2, rat(a), lam, grid_m) for a in a_values]
     reference = AuctionSpec(2, Fraction(1, 2), 1, lam)
     ref_d = revenue_dic(reference)
     ref_b = revenue_bic(reference)
     rows = []
-    for a in a_values:
-        cspec = ContinuousSpec(2, rat(a), lam, grid_m)
+    for cspec in cspecs:
         lp_d = lp_over_grid(cspec, "dic", grid_cap=grid_cap)
         lp_b = lp_over_grid(cspec, "bic", grid_cap=grid_cap)
         if lam == 2:

@@ -9,16 +9,16 @@ with the formula module is then an exact rational equality test.
 Builders work over any finite per-item value distribution shared by all
 buyers and both items; the two-point family is the special case with two
 atoms.  Because the distribution is exchangeable across buyers and items,
-every program here is invariant under the buyer/item symmetry group, and an
-optional reduction averages variables over that group before solving.  The
-reduction is itself validated: reduced and unreduced optima are asserted
-equal (exactly) in the test suite, and every expanded solution is
-re-verified against the full constraint set.
+every program here is invariant under the buyer/item symmetry group, and
+averaging any optimum over that group gives a symmetric one (Daskalakis &
+Weinberg, EC 2012).  Every program is therefore solved with one variable
+per orbit.  The reduction is itself validated: the test suite asserts its
+optima equal (exactly) those of the full program solved directly, and every
+expanded solution is re-verified against the full constraint set.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -177,32 +177,30 @@ def build_bic_lp(spec: AuctionSpec, max_profiles: int = DEFAULT_LP_PROFILE_CAP):
 # ---------------------------------------------------------------------------
 
 
-def _apply_to_profile(perm, swap, profile):
-    out = [None] * len(profile)
-    for i, t in enumerate(profile):
-        out[perm[i]] = (t[1], t[0]) if swap else t
-    return tuple(out)
+def _canonical(t, i, swap):
+    """Buyer i's type first and the others' sorted behind it, with the two
+    items swapped if asked."""
+    if swap:
+        t = tuple((x2, x1) for x1, x2 in t)
+    return (t[i],) + tuple(sorted(t[:i] + t[i + 1 :]))
 
 
-def _apply_to_var(perm, swap, var):
-    if var[0] == "q":
-        _, i, j, t = var
-        return ("q", perm[i], 1 - j if swap else j, _apply_to_profile(perm, swap, t))
-    _, i, t = var
-    return ("u", perm[i], _apply_to_profile(perm, swap, t))
+def symmetry_representatives(lp: LinearProgram) -> dict:
+    """Map each variable to the least member of its orbit under reorderings
+    of the buyers and the item swap.
 
-
-def symmetry_representatives(lp: LinearProgram, n: int) -> dict:
-    """Map each variable to the least member of its orbit under buyer
-    permutations and the item swap."""
-    group = [
-        (perm, swap)
-        for perm in itertools.permutations(range(n))
-        for swap in (False, True)
-    ]
+    The least image moves the variable's buyer to 0 and sorts the other
+    buyers' types; an allocation variable takes the swap that makes its item
+    0, a utility variable whichever swap gives the smaller profile.
+    """
     rep = {}
     for v in lp.variables:
-        rep[v] = min(_apply_to_var(perm, swap, v) for perm, swap in group)
+        if v[0] == "q":
+            _, i, j, t = v
+            rep[v] = ("q", 0, 0, _canonical(t, i, j == 1))
+        else:
+            _, i, t = v
+            rep[v] = ("u", 0, min(_canonical(t, i, False), _canonical(t, i, True)))
     return rep
 
 
@@ -249,19 +247,14 @@ def dic_row_count(lp: LinearProgram) -> int:
     return lp.n_constraints("dic") + lp.n_constraints("dic_local")
 
 
-def solve_auction_lp(
-    lp: LinearProgram, n: int, symmetrize: bool = False
-) -> LPSolution:
-    """Solve an auction LP, optionally through the symmetry reduction.
+def solve_auction_lp(lp: LinearProgram) -> LPSolution:
+    """Solve an auction LP through the symmetry reduction.
 
     Large per-profile truthfulness families are generated lazily (one-step
-    misreport rows stay seeded).  The returned assignment always covers the
-    full variable set and is verified against every original row.
+    misreport rows stay seeded).  The returned assignment covers the full
+    variable set and is verified against every original row.
     """
-    lazy = ("dic",) if dic_row_count(lp) > LAZY_THRESHOLD else ()
-    if not symmetrize:
-        return solve(lp, lazy_tags=lazy)
-    rep = symmetry_representatives(lp, n)
+    rep = symmetry_representatives(lp)
     reduced = symmetrize_lp(lp, rep)
     lazy = ("dic",) if dic_row_count(reduced) > LAZY_THRESHOLD else ()
     sol = solve(reduced, lazy_tags=lazy)
@@ -322,23 +315,11 @@ class CertificationReport:
 
 
 def certify_main_theorem(
-    spec: AuctionSpec,
-    symmetrize: bool | None = None,
-    max_profiles: int = DEFAULT_LP_PROFILE_CAP,
+    spec: AuctionSpec, max_profiles: int = DEFAULT_LP_PROFILE_CAP
 ) -> CertificationReport:
-    """Exact equality test between the LP optima and the closed forms.
-
-    symmetrize=None picks the reduction automatically (n >= 3); at n = 2 the
-    unreduced brute-force program is small enough to solve directly.
-    """
-    if symmetrize is None:
-        symmetrize = spec.n >= 3
-    sol_d = solve_auction_lp(
-        build_dic_lp(spec, max_profiles), spec.n, symmetrize=symmetrize
-    )
-    sol_b = solve_auction_lp(
-        build_bic_lp(spec, max_profiles), spec.n, symmetrize=symmetrize
-    )
+    """Exact equality test between the LP optima and the closed forms."""
+    sol_d = solve_auction_lp(build_dic_lp(spec, max_profiles))
+    sol_b = solve_auction_lp(build_bic_lp(spec, max_profiles))
     if sol_d.status != "optimal" or sol_b.status != "optimal":
         raise RuntimeError("auction LPs must be feasible and bounded")
     r_d = revenue_dic(spec)

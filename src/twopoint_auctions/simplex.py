@@ -214,12 +214,6 @@ def solve(lp: LinearProgram, rule: str = "auto",
     of the model and are added in rounds whenever the relaxation's optimum
     violates them; the returned solution satisfies every row exactly."""
     lp.validate()
-    if not lazy_tags:
-        sol = _solve_dense(lp, rule)
-        if sol.status == "optimal":
-            _certify(lp, sol)
-        return sol
-
     lazy_tags = set(lazy_tags)
     active = [c for c in lp.constraints if c.tag not in lazy_tags]
     pool = [c for c in lp.constraints if c.tag in lazy_tags]

@@ -78,7 +78,7 @@ class TestCriterion3:
         t0 = time.perf_counter()
         mismatches = []
         for spec in GRID:
-            rep = certify_main_theorem(spec, symmetrize=True)
+            rep = certify_main_theorem(spec)
             if not rep.all_equal:
                 mismatches.append(rep)
         elapsed = time.perf_counter() - t0
@@ -202,8 +202,8 @@ class TestCriterion8:
         # collapse consistency at grid_m=1 against the two-point oracle
         for a in (F(10), F(20), F(40)):
             two = collapsed_two_point_spec(ContinuousSpec(2, a, 2, 1))
-            assert values[(1, a)][0] == solve_auction_lp(build_dic_lp(two), 2).optimum
-            assert values[(1, a)][1] == solve_auction_lp(build_bic_lp(two), 2).optimum
+            assert values[(1, a)][0] == solve_auction_lp(build_dic_lp(two)).optimum
+            assert values[(1, a)][1] == solve_auction_lp(build_bic_lp(two)).optimum
         # scaled convergence toward the normalized two-point optimum
         for grid_m in (1, 2):
             near = abs(values[(grid_m, F(40))][0] / 40 - F(25, 8))

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -8,6 +9,8 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twopoint_auctions
 from twopoint_auctions.cli import main
@@ -147,7 +150,7 @@ class TestCertify:
     def test_mismatch_exit_code(self, capsys, monkeypatch):
         from twopoint_auctions import cli, oracle
 
-        def broken(spec, symmetrize=None, max_profiles=None):
+        def broken(spec, max_profiles=None):
             rep = oracle.certify_main_theorem(spec)
             return oracle.CertificationReport(
                 spec=rep.spec, lp_dic=rep.lp_dic, r_dic=rep.r_dic + 1,
@@ -261,6 +264,13 @@ class TestFailClosed:
             pytest.param({}, ["formulas", *EXAMPLE_ARGS, "--out", "{missing}/out.txt"],
                          "out.txt", id="unwritable-out"),
             pytest.param({}, ["certify", "--p", "1/2"], "--n", id="incomplete-certify-spec"),
+            pytest.param({}, ["formulas", "--n", "2", "--p", "x", "--a", "1", "--b", "2"],
+                         "--p", id="non-rational-literal"),
+            pytest.param({}, ["continuous", "--a-list", ""], "--a-list", id="empty-a-list"),
+            pytest.param({}, ["continuous", "--a-list", "10,,20"], "--a-list",
+                         id="empty-a-list-entry"),
+            pytest.param({}, ["continuous", "--a-list", "10", "--lambda", "1"], "lam",
+                         id="lambda-not-above-one"),
         ],
     )
     def test_exit_one_with_one_error_line(self, tmp_path, env, argv, named):
@@ -275,6 +285,79 @@ class TestFailClosed:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert len(errors) == 1 and named in errors[0]
+
+    def test_unwritable_out_fails_before_the_work(self, capsys, monkeypatch, tmp_path):
+        from twopoint_auctions import cli
+
+        calls = []
+
+        def builder(spec):
+            calls.append(spec)
+            raise RuntimeError("the mechanism was built")
+
+        monkeypatch.setattr(cli, "build_bic_mechanism", builder)
+        code, _, err = run(capsys, "mechanism", "--n", "6", "--p", "1/2", "--a", "1",
+                           "--b", "5/2", "--impl", "bic", "--check",
+                           "--out", str(tmp_path / "missing" / "m.json"))
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert code == 1
+        assert len(errors) == 1 and errors[0].startswith("error: cannot write ")
+        assert calls == []
+
+
+# The argv fuzz grammar: per flag, a pool of good values and a pool of bad
+# ones (OMIT leaves the flag out).  Each run corrupts a few flags and draws
+# the rest from the good pools, so valid runs are common too.  Buyer counts
+# stay at 3 or below and grid sizes at 1 or below so every run is cheap;
+# --grid, --out and --lp-export are never drawn.
+OMIT = None
+BAD = ["x", "", "1/0", "-1", "0", "1.5", "1e5", OMIT]
+N = (["2", "3"], ["1", "0", "-1", "x", "", "1.5", "1e5", OMIT])
+P = (["1/4", "1/2", "2/3"], BAD)
+A = (["0", "1"], BAD)
+B = (["3/2", "2", "5/2", "4"], BAD)
+FORMAT = (["text", "json"], ["x", OMIT])
+FUZZ_FLAGS = {
+    "formulas": {"--n": N, "--p": P, "--a": A, "--b": B, "--format": FORMAT},
+    "mechanism": {"--n": N, "--p": P, "--a": A, "--b": B,
+                  "--impl": (["dic", "bic"], ["x", OMIT]),
+                  "--check": ([True, False], [True]), "--format": FORMAT},
+    "certify": {"--n": N, "--p": P, "--a": A, "--b": B,
+                "--cap": (["256", OMIT], ["16", "1", "0", "-1", "x"]), "--format": FORMAT},
+    "sweep": {"--n": N, "--p": P, "--a": A, "--b-min": (["3/2"], BAD),
+              "--b-max": (["4"], BAD), "--steps": (["2", "5", OMIT], ["1", "0", "-1", "x"])},
+    "continuous": {"--a-list": (["10", "10,20"], ["10,,20", *BAD]),
+                   "--lambda": (["2", "3", OMIT], ["1", *BAD]),
+                   "--grid-m": (["1", OMIT], ["0", "-1", "x", ""]),
+                   "--impl": (["dic", "bic", "both", OMIT], ["x"])},
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    argv = ["--allow-decimal"] if draw(st.booleans()) else []
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    argv.append(command)
+    flags = FUZZ_FLAGS[command]
+    corrupt = draw(st.sets(st.sampled_from(sorted(flags)), max_size=2))
+    for flag, (good, bad) in flags.items():
+        value = draw(st.sampled_from(bad if flag in corrupt else good))
+        if value is True:
+            argv.append(flag)
+        elif isinstance(value, str):
+            argv += [flag, value]
+    return argv
+
+
+class TestArgvFuzz:
+    @given(fuzz_argv())
+    @settings(max_examples=100, deadline=None)
+    def test_exit_code_and_one_error_line(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in range(5)
+        assert sum(line.startswith("error:") for line in err.getvalue().splitlines()) <= 1
 
 
 FLAGSHIP_MECHANISMS = {

@@ -64,7 +64,7 @@ class TestCollapseConsistency:
         two = collapsed_two_point_spec(cspec)
         for impl, build in (("dic", build_dic_lp), ("bic", build_bic_lp)):
             grid_value = lp_over_grid(cspec, impl)
-            oracle_value = solve_auction_lp(build(two), 2).optimum
+            oracle_value = solve_auction_lp(build(two)).optimum
             assert grid_value == oracle_value
 
     def test_collapsed_values_match_formulas(self):

@@ -25,11 +25,37 @@ from twopoint_auctions.oracle import (
     solve_auction_lp,
     symmetry_representatives,
     symmetrize_lp,
-    _apply_to_var,
 )
+from twopoint_auctions.continuous import ContinuousSpec, discretize
 from twopoint_auctions.simplex import solve
 
 EXAMPLE = AuctionSpec(2, F(1, 2), 1, 2)
+THREE_ATOMS = FiniteValueDistribution((F(1), F(2), F(3)), (F(1, 3),) * 3)
+
+
+def _apply_to_profile(perm, swap, profile):
+    out = [None] * len(profile)
+    for i, t in enumerate(profile):
+        out[perm[i]] = (t[1], t[0]) if swap else t
+    return tuple(out)
+
+
+def _apply_to_var(perm, swap, var):
+    """Reference group action: buyer i moves to perm[i], and the items
+    swap if asked."""
+    if var[0] == "q":
+        _, i, j, t = var
+        return ("q", perm[i], 1 - j if swap else j, _apply_to_profile(perm, swap, t))
+    _, i, t = var
+    return ("u", perm[i], _apply_to_profile(perm, swap, t))
+
+
+def _group(n):
+    return [
+        (perm, swap)
+        for perm in itertools.permutations(range(n))
+        for swap in (False, True)
+    ]
 
 
 class TestProgramShapes:
@@ -58,31 +84,31 @@ class TestProgramShapes:
 
 class TestOptima:
     def test_example_dic(self):
-        sol = solve_auction_lp(build_dic_lp(EXAMPLE), 2)
+        sol = solve_auction_lp(build_dic_lp(EXAMPLE))
         assert sol.status == "optimal"
         assert sol.optimum == F(25, 8)
 
     def test_example_bic(self):
-        sol = solve_auction_lp(build_bic_lp(EXAMPLE), 2)
+        sol = solve_auction_lp(build_bic_lp(EXAMPLE))
         assert sol.optimum == F(51, 16)
 
     def test_low_b(self):
         spec = AuctionSpec(2, F(1, 2), 1, F(3, 2))
-        assert solve_auction_lp(build_dic_lp(spec), 2).optimum == F(81, 32)
-        assert solve_auction_lp(build_bic_lp(spec), 2).optimum == F(41, 16)
+        assert solve_auction_lp(build_dic_lp(spec)).optimum == F(81, 32)
+        assert solve_auction_lp(build_bic_lp(spec)).optimum == F(41, 16)
 
     def test_above_v3_collapses_to_price_b(self):
         spec = AuctionSpec(2, F(1, 2), 1, 4)
-        assert solve_auction_lp(build_dic_lp(spec), 2).optimum == price_b_revenue(spec)
-        assert solve_auction_lp(build_bic_lp(spec), 2).optimum == price_b_revenue(spec)
+        assert solve_auction_lp(build_dic_lp(spec)).optimum == price_b_revenue(spec)
+        assert solve_auction_lp(build_bic_lp(spec)).optimum == price_b_revenue(spec)
 
     @pytest.mark.parametrize(
         "b", [F(5, 4), F(5, 3), F(7, 4), F(2), F(5, 2), F(3), F(4)]
     )
     def test_bayesian_dominates_and_strictness(self, b):
         spec = AuctionSpec(2, F(1, 2), 1, b)
-        lp_d = solve_auction_lp(build_dic_lp(spec), 2).optimum
-        lp_b = solve_auction_lp(build_bic_lp(spec), 2).optimum
+        lp_d = solve_auction_lp(build_dic_lp(spec)).optimum
+        lp_b = solve_auction_lp(build_bic_lp(spec)).optimum
         assert lp_b >= lp_d
         assert (lp_b > lp_d) == (b < breakpoints(spec).v3)
 
@@ -90,22 +116,22 @@ class TestOptima:
         # achievability: constructed revenue never exceeds the optimum and
         # matches it exactly
         for spec in (EXAMPLE, AuctionSpec(2, F(1, 3), 1, F(3, 2))):
-            lp_d = solve_auction_lp(build_dic_lp(spec), 2).optimum
-            lp_b = solve_auction_lp(build_bic_lp(spec), 2).optimum
+            lp_d = solve_auction_lp(build_dic_lp(spec)).optimum
+            lp_b = solve_auction_lp(build_bic_lp(spec)).optimum
             assert expected_revenue(build_dic_mechanism(spec)) == lp_d
             assert expected_revenue(build_bic_mechanism(spec)) == lp_b
 
 
 class TestMechanismExtraction:
     def test_dic_solution_passes_dic_audit(self):
-        sol = solve_auction_lp(build_dic_lp(EXAMPLE), 2)
+        sol = solve_auction_lp(build_dic_lp(EXAMPLE))
         mech = extract_mechanism(EXAMPLE.dist, sol.assignment, label="custom")
         assert check_ir(mech).passed
         assert check_dic(mech).passed
         assert expected_revenue(mech) == sol.optimum
 
     def test_bic_solution_passes_bic_audit(self):
-        sol = solve_auction_lp(build_bic_lp(EXAMPLE), 2)
+        sol = solve_auction_lp(build_bic_lp(EXAMPLE))
         mech = extract_mechanism(EXAMPLE.dist, sol.assignment, label="custom")
         assert check_bir(mech).passed
         assert check_bic(mech).passed
@@ -113,7 +139,7 @@ class TestMechanismExtraction:
 
     def test_symmetrized_solution_passes_audits(self):
         spec = AuctionSpec(3, F(1, 2), 1, 2)
-        sol = solve_auction_lp(build_dic_lp(spec), 3, symmetrize=True)
+        sol = solve_auction_lp(build_dic_lp(spec))
         mech = extract_mechanism(spec.dist, sol.assignment)
         assert check_ir(mech).passed
         assert check_dic(mech).passed
@@ -124,9 +150,9 @@ class TestMechanismExtraction:
         # they check LP mechanisms over any finite marginal.  The Bayesian
         # optimum beats the dominant-strategy one, so its mechanism must
         # break IR or DIC somewhere.
-        dist = FiniteValueDistribution((F(1), F(2), F(3)), (F(1, 3),) * 3)
-        sol_d = solve_auction_lp(build_auction_lp(2, dist, "dic"), 2, symmetrize=True)
-        sol_b = solve_auction_lp(build_auction_lp(2, dist, "bic"), 2, symmetrize=True)
+        dist = THREE_ATOMS
+        sol_d = solve_auction_lp(build_auction_lp(2, dist, "dic"))
+        sol_b = solve_auction_lp(build_auction_lp(2, dist, "bic"))
         assert (sol_d.optimum, sol_b.optimum) == (F(109, 27), F(110, 27))
         mech_d = extract_mechanism(dist, sol_d.assignment)
         assert mech_d.n == 2 and len(mech_d.profiles()) == 81
@@ -146,31 +172,50 @@ class TestSymmetryReduction:
         rows = {
             (tuple(sorted(c.coeffs)), c.rel, c.rhs) for c in lp.constraints
         }
-        for perm in itertools.permutations(range(2)):
-            for swap in (False, True):
-                mapped = {
-                    (
-                        tuple(
-                            sorted(
-                                (_apply_to_var(perm, swap, v), coef)
-                                for v, coef in c.coeffs
-                            )
-                        ),
-                        c.rel,
-                        c.rhs,
-                    )
-                    for c in lp.constraints
-                }
-                assert mapped == rows
+        for perm, swap in _group(2):
+            mapped = {
+                (
+                    tuple(
+                        sorted(
+                            (_apply_to_var(perm, swap, v), coef)
+                            for v, coef in c.coeffs
+                        )
+                    ),
+                    c.rel,
+                    c.rhs,
+                )
+                for c in lp.constraints
+            }
+            assert mapped == rows
 
     def test_objective_is_group_invariant(self):
         lp = build_bic_lp(EXAMPLE)
-        for perm in itertools.permutations(range(2)):
-            for swap in (False, True):
-                mapped = {
-                    _apply_to_var(perm, swap, v): c for v, c in lp.objective.items()
-                }
-                assert mapped == lp.objective
+        for perm, swap in _group(2):
+            mapped = {
+                _apply_to_var(perm, swap, v): c for v, c in lp.objective.items()
+            }
+            assert mapped == lp.objective
+
+    @pytest.mark.parametrize(
+        "n,dist",
+        [
+            (1, EXAMPLE.dist),
+            (2, EXAMPLE.dist),
+            (3, EXAMPLE.dist),
+            (2, THREE_ATOMS),
+            (2, discretize(ContinuousSpec(2, 10, 2, 2))),
+        ],
+        ids=["n1", "n2", "n3", "three-atoms", "grid-m2"],
+    )
+    def test_representatives_are_group_minima(self, n, dist):
+        # Both regimes declare the same variables; the Bayesian one builds
+        # faster.
+        lp = build_auction_lp(n, dist, "bic")
+        group = _group(n)
+        assert symmetry_representatives(lp) == {
+            v: min(_apply_to_var(perm, swap, v) for perm, swap in group)
+            for v in lp.variables
+        }
 
     @pytest.mark.parametrize(
         "spec",
@@ -187,23 +232,17 @@ class TestSymmetryReduction:
     def test_reduction_preserves_optimum_exactly(self, spec):
         for build in (build_dic_lp, build_bic_lp):
             lp = build(spec)
-            full = solve_auction_lp(lp, spec.n, symmetrize=False)
-            reduced = solve_auction_lp(lp, spec.n, symmetrize=True)
-            assert full.optimum == reduced.optimum
+            assert solve_auction_lp(lp).optimum == solve(lp).optimum
 
     @pytest.mark.slow
     def test_reduction_preserves_optimum_at_n3(self):
-        spec = AuctionSpec(3, F(1, 2), 1, 2)
-        lp = build_dic_lp(spec)
-        assert (
-            solve_auction_lp(lp, 3, symmetrize=False).optimum
-            == solve_auction_lp(lp, 3, symmetrize=True).optimum
-        )
+        lp = build_dic_lp(AuctionSpec(3, F(1, 2), 1, 2))
+        assert solve_auction_lp(lp).optimum == solve(lp).optimum
 
     def test_reduction_shrinks_model(self):
         spec = AuctionSpec(3, F(1, 2), 1, 2)
         lp = build_dic_lp(spec)
-        reduced = symmetrize_lp(lp, symmetry_representatives(lp, 3))
+        reduced = symmetrize_lp(lp, symmetry_representatives(lp))
         assert len(reduced.variables) < len(lp.variables) / 6
         assert len(reduced.constraints) < len(lp.constraints) / 6
 
@@ -230,8 +269,8 @@ class TestCertification:
 
     def test_single_buyer_lp_solves(self):
         dist = EXAMPLE.dist
-        lp_d = solve_auction_lp(build_auction_lp(1, dist, "dic"), 1).optimum
-        lp_b = solve_auction_lp(build_auction_lp(1, dist, "bic"), 1).optimum
+        lp_d = solve_auction_lp(build_auction_lp(1, dist, "dic")).optimum
+        lp_b = solve_auction_lp(build_auction_lp(1, dist, "bic")).optimum
         assert lp_b >= lp_d > 0
 
 
