@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .core import AuctionSpec, CapExceeded, FiniteValueDistribution, InvalidSpec, rat
 from .formulas import revenue_bic, revenue_dic
-from .oracle import build_auction_lp, solve_auction_lp
+from .oracle import solve_auction_lp
 
 #: Per-interval grid ceiling; the LP grows with the 4th power of 2*grid_m.
 DEFAULT_GRID_CAP = 3
@@ -65,24 +65,15 @@ def discretize(cspec: ContinuousSpec) -> FiniteValueDistribution:
     return FiniteValueDistribution(tuple(atoms), tuple(w for _ in atoms))
 
 
-def lp_over_grid(
-    cspec: ContinuousSpec,
-    impl: str,
-    grid_cap: int = DEFAULT_GRID_CAP,
-) -> Fraction:
+def lp_over_grid(cspec: ContinuousSpec, impl: str) -> Fraction:
     """Exact LP optimum of the discretized instance, impl in {'dic','bic'}."""
-    if cspec.grid_m > grid_cap:
+    if cspec.grid_m > DEFAULT_GRID_CAP:
         raise CapExceeded(
             f"instance too large for exhaustive mode: grid_m={cspec.grid_m} "
-            f"exceeds the cap of {grid_cap}"
+            f"exceeds the cap of {DEFAULT_GRID_CAP}"
         )
-    dist = discretize(cspec)
     n_profiles = (2 * cspec.grid_m) ** (2 * cspec.n)
-    lp = build_auction_lp(cspec.n, dist, impl, max_profiles=n_profiles)
-    sol = solve_auction_lp(lp)
-    if sol.status != "optimal":
-        raise RuntimeError("discretized auction LP must be feasible and bounded")
-    return sol.optimum
+    return solve_auction_lp(cspec.n, discretize(cspec), impl, max_profiles=n_profiles).optimum
 
 
 def collapsed_two_point_spec(cspec: ContinuousSpec) -> AuctionSpec:
@@ -113,7 +104,6 @@ def corollary_probe(
     a_values: Sequence,
     grid_m: int,
     lam=Fraction(2),
-    grid_cap: int = DEFAULT_GRID_CAP,
 ) -> list[ProbeRow]:
     """Discretized optima across a list of scales.
 
@@ -129,8 +119,8 @@ def corollary_probe(
     ref_b = revenue_bic(reference)
     rows = []
     for cspec in cspecs:
-        lp_d = lp_over_grid(cspec, "dic", grid_cap=grid_cap)
-        lp_b = lp_over_grid(cspec, "bic", grid_cap=grid_cap)
+        lp_d = lp_over_grid(cspec, "dic")
+        lp_b = lp_over_grid(cspec, "bic")
         if lam == 2:
             band_d = ref_d * cspec.a <= lp_d < ref_d * cspec.a + BAND_SLACK_DIC
             band_b = ref_b * cspec.a <= lp_b < ref_b * cspec.a + BAND_SLACK_BIC

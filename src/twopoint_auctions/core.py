@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import sys
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -53,9 +54,17 @@ def rat(x) -> Fraction:
 
 
 def rat_allow_decimal(x) -> Fraction:
-    """Like `rat` but also accepts finite decimal strings (parsed exactly)."""
+    """Like `rat` but also accepts finite decimal strings (parsed exactly);
+    one whose digits-over-a-power-of-ten form would exceed Python's integer
+    string limit (`sys.get_int_max_str_digits()`) is refused unconverted."""
     if isinstance(x, str) and ("." in x or "e" in x.lower()):
-        return Fraction(Decimal(x.strip()))
+        d = Decimal(x.strip())
+        limit = sys.get_int_max_str_digits()
+        if limit and d.is_finite():
+            _, digits, exp = d.as_tuple()
+            if len(digits) + max(exp, 0) > limit or 1 - exp > limit:
+                raise ValueError(f"decimal input exceeds {limit} digits: {x!r}")
+        return Fraction(d)
     return rat(x)
 
 

@@ -11,10 +11,11 @@ buyers and both items; the two-point family is the special case with two
 atoms.  Because the distribution is exchangeable across buyers and items,
 every program here is invariant under the buyer/item symmetry group, and
 averaging any optimum over that group gives a symmetric one (Daskalakis &
-Weinberg, EC 2012).  Every program is therefore solved with one variable
-per orbit.  The reduction is itself validated: the test suite asserts its
-optima equal (exactly) those of the full program solved directly, and every
-expanded solution is re-verified against the full constraint set.
+Weinberg, EC 2012).  The solver is therefore given the symmetric program,
+one variable per orbit, built directly; the full program is built only for
+`--lp-export` and as the tests' reference.  Every optimum is expanded into
+explicit mechanism tables and audited as a mechanism: supply, the regime's
+participation and truthfulness audits, and its expected revenue.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from . import audit
 from .core import (
     AuctionSpec,
     CapExceeded,
@@ -44,6 +46,144 @@ DEFAULT_LP_PROFILE_CAP = 4 ** 4
 LAZY_THRESHOLD = 1500
 
 
+def _canonical(t, i, swap):
+    """Buyer i's type first and the others' sorted behind it, with the two
+    items swapped if asked."""
+    if swap:
+        t = tuple((x2, x1) for x1, x2 in t)
+    return (t[i],) + tuple(sorted(t[:i] + t[i + 1 :]))
+
+
+def representative(v):
+    """The least member of a variable's orbit under reorderings of the
+    buyers and the item swap.
+
+    The least image moves the variable's buyer to 0 and sorts the other
+    buyers' types; an allocation variable takes the swap that makes its item
+    0, a utility variable whichever swap gives the smaller profile.
+    """
+    if v[0] == "q":
+        _, i, j, t = v
+        return ("q", 0, 0, _canonical(t, i, j == 1))
+    _, i, t = v
+    return ("u", 0, min(_canonical(t, i, False), _canonical(t, i, True)))
+
+
+def _full_variables(n: int, profiles) -> tuple[list, list]:
+    q_vars = [("q", i, j, t) for t in profiles for i in range(n) for j in range(2)]
+    u_vars = [("u", i, t) for t in profiles for i in range(n)]
+    return q_vars, u_vars
+
+
+def _truthfulness_terms(dist, i, t_true, t_rep, others) -> list:
+    """Buyer i's truthfulness row against one opponent profile:
+    u_i(t_true) - u_i(t_rep) - (t_true - t_rep).q_i(t_rep) >= 0."""
+    truthful = insert(others, i, t_true)
+    deviated = insert(others, i, t_rep)
+    terms = [(("u", i, truthful), Fraction(1)), (("u", i, deviated), Fraction(-1))]
+    for j in range(2):
+        dv = dist.values[t_true[j]] - dist.values[t_rep[j]]
+        if dv != 0:
+            terms.append((("q", i, j, deviated), -dv))
+    return terms
+
+
+def _build(
+    n: int,
+    dist: FiniteValueDistribution,
+    regime: str,
+    max_profiles: int,
+    symmetric: bool,
+) -> LinearProgram:
+    """The revenue-maximization LP, full or buyer/item-symmetric.
+
+    Every variable is read through a column map, the identity or
+    `representative`, and each row is accumulated under the mapped columns;
+    identical rows are kept once, in order of first appearance.
+    """
+    if regime not in ("dic", "bic"):
+        raise ValueError("regime must be 'dic' or 'bic'")
+    types = buyer_types(dist)
+    n_profiles = len(types) ** n
+    if n_profiles > max_profiles:
+        raise CapExceeded(
+            f"instance too large for exhaustive mode: {n_profiles} profiles "
+            f"exceeds the LP cap of {max_profiles}"
+        )
+    weighted = enumerate_profiles(n, dist, max_profiles)
+    profiles = [t for t, _ in weighted]
+    q_vars, u_vars = _full_variables(n, profiles)
+    col = ({v: representative(v) for v in q_vars + u_vars}.__getitem__
+           if symmetric else (lambda v: v))
+
+    objective = {}
+    for t, prob in weighted:
+        for i in range(n):
+            for j in range(2):
+                r = col(("q", i, j, t))
+                c = prob * dist.values[t[i][j]]
+                objective[r] = objective[r] + c if r in objective else c
+            r = col(("u", i, t))
+            objective[r] = objective[r] - prob if r in objective else -prob
+
+    rows = {}
+
+    def add(terms, rel, rhs, tag):
+        coeffs = {}
+        for v, c in terms:
+            r = col(v)
+            coeffs[r] = coeffs[r] + c if r in coeffs else c
+        key = (tuple(sorted(coeffs.items())), rel, rhs)
+        if key not in rows:
+            rows[key] = make_constraint(coeffs, rel, rhs, tag)
+
+    for t in profiles:
+        for j in range(2):
+            add([(("q", i, j, t), Fraction(1)) for i in range(n)], "<=", 1, "supply")
+
+    # In the symmetric program every buyer's truthfulness and participation
+    # rows repeat buyer 0's, and opponent profiles that reorder each other
+    # give the same truthfulness row, first met at the sorted one.
+    buyers = range(1) if symmetric else range(n)
+    others_space = enumerate_profiles(n - 1, dist)
+    pairs = [(t_true, t_rep) for t_true in types for t_rep in types if t_rep != t_true]
+    if regime == "dic":
+        for t in profiles:
+            for i in range(n):
+                add([(("u", i, t), Fraction(1))], ">=", 0, "ir")
+        opponents = [o for o, _ in others_space if not symmetric or list(o) == sorted(o)]
+        for i in buyers:
+            for t_true, t_rep in pairs:
+                # One-step misreports along a single coordinate tend to be
+                # the binding rows; tag them so lazy solving can keep them
+                # in the model from the start.
+                adjacent = sorted(
+                    (abs(t_true[0] - t_rep[0]), abs(t_true[1] - t_rep[1]))
+                ) == [0, 1]
+                tag = "dic_local" if adjacent else "dic"
+                for others in opponents:
+                    add(_truthfulness_terms(dist, i, t_true, t_rep, others), ">=", 0, tag)
+    else:
+        # Interim rows: the opponent-weighted sums of the per-profile ones.
+        for i in buyers:
+            for t_i in types:
+                add([(("u", i, insert(o, i, t_i)), w) for o, w in others_space],
+                    ">=", 0, "bir")
+        for i in buyers:
+            for t_true, t_rep in pairs:
+                add([(v, w * c) for o, w in others_space
+                     for v, c in _truthfulness_terms(dist, i, t_true, t_rep, o)],
+                    ">=", 0, "bic")
+
+    lp = LinearProgram(
+        variables=list(dict.fromkeys(map(col, q_vars + u_vars))),
+        objective=objective,
+        constraints=list(rows.values()),
+        nonneg={col(v) for v in q_vars},
+    )
+    return lp.validate()
+
+
 def build_auction_lp(
     n: int,
     dist: FiniteValueDistribution,
@@ -58,110 +198,7 @@ def build_auction_lp(
     every profile; then either per-profile participation ('ir') and
     truthfulness ('dic') rows, or their interim counterparts ('bir', 'bic').
     """
-    if regime not in ("dic", "bic"):
-        raise ValueError("regime must be 'dic' or 'bic'")
-    types = buyer_types(dist)
-    n_profiles = len(types) ** n
-    if n_profiles > max_profiles:
-        raise CapExceeded(
-            f"instance too large for exhaustive mode: {n_profiles} profiles "
-            f"exceeds the LP cap of {max_profiles}"
-        )
-    weighted = enumerate_profiles(n, dist, max_profiles)
-    profiles = [t for t, _ in weighted]
-
-    q_vars = [
-        ("q", i, j, t) for t in profiles for i in range(n) for j in range(2)
-    ]
-    u_vars = [("u", i, t) for t in profiles for i in range(n)]
-    variables = q_vars + u_vars
-
-    objective = {}
-    for t, prob in weighted:
-        for i in range(n):
-            for j in range(2):
-                objective[("q", i, j, t)] = prob * dist.values[t[i][j]]
-            objective[("u", i, t)] = -prob
-    constraints = []
-    for t in profiles:
-        for j in range(2):
-            constraints.append(
-                make_constraint(
-                    {("q", i, j, t): Fraction(1) for i in range(n)},
-                    "<=",
-                    1,
-                    tag="supply",
-                )
-            )
-
-    others_space = enumerate_profiles(n - 1, dist)
-
-    if regime == "dic":
-        for t in profiles:
-            for i in range(n):
-                constraints.append(
-                    make_constraint({("u", i, t): Fraction(1)}, ">=", 0, tag="ir")
-                )
-        for i in range(n):
-            for t_true in types:
-                for t_rep in types:
-                    if t_rep == t_true:
-                        continue
-                    dv = [dist.values[x] - dist.values[y] for x, y in zip(t_true, t_rep)]
-                    # One-step misreports along a single coordinate tend to
-                    # be the binding rows; tag them so lazy solving can keep
-                    # them in the model from the start.
-                    adjacent = sorted(
-                        (abs(t_true[0] - t_rep[0]), abs(t_true[1] - t_rep[1]))
-                    ) == [0, 1]
-                    tag = "dic_local" if adjacent else "dic"
-                    for others, _ in others_space:
-                        truthful = insert(others, i, t_true)
-                        deviated = insert(others, i, t_rep)
-                        coeffs = {
-                            ("u", i, truthful): Fraction(1),
-                            ("u", i, deviated): Fraction(-1),
-                        }
-                        for j in range(2):
-                            if dv[j] != 0:
-                                coeffs[("q", i, j, deviated)] = -dv[j]
-                        constraints.append(
-                            make_constraint(coeffs, ">=", 0, tag=tag)
-                        )
-    else:
-        for i in range(n):
-            for t_i in types:
-                coeffs = {("u", i, insert(o, i, t_i)): w for o, w in others_space}
-                constraints.append(make_constraint(coeffs, ">=", 0, tag="bir"))
-        for i in range(n):
-            for t_true in types:
-                for t_rep in types:
-                    if t_rep == t_true:
-                        continue
-                    dv = [dist.values[x] - dist.values[y] for x, y in zip(t_true, t_rep)]
-                    coeffs = {}
-                    for o, w in others_space:
-                        truthful = insert(o, i, t_true)
-                        deviated = insert(o, i, t_rep)
-                        coeffs[("u", i, truthful)] = (
-                            coeffs.get(("u", i, truthful), Fraction(0)) + w
-                        )
-                        coeffs[("u", i, deviated)] = (
-                            coeffs.get(("u", i, deviated), Fraction(0)) - w
-                        )
-                        for j in range(2):
-                            if dv[j] != 0:
-                                key = ("q", i, j, deviated)
-                                coeffs[key] = coeffs.get(key, Fraction(0)) - w * dv[j]
-                    constraints.append(make_constraint(coeffs, ">=", 0, tag="bic"))
-
-    lp = LinearProgram(
-        variables=variables,
-        objective=objective,
-        constraints=constraints,
-        nonneg=set(q_vars),
-    )
-    return lp.validate()
+    return _build(n, dist, regime, max_profiles, symmetric=False)
 
 
 def build_dic_lp(spec: AuctionSpec, max_profiles: int = DEFAULT_LP_PROFILE_CAP):
@@ -172,100 +209,34 @@ def build_bic_lp(spec: AuctionSpec, max_profiles: int = DEFAULT_LP_PROFILE_CAP):
     return build_auction_lp(spec.n, spec.dist, "bic", max_profiles)
 
 
-# ---------------------------------------------------------------------------
-# Buyer/item symmetry reduction
-# ---------------------------------------------------------------------------
-
-
-def _canonical(t, i, swap):
-    """Buyer i's type first and the others' sorted behind it, with the two
-    items swapped if asked."""
-    if swap:
-        t = tuple((x2, x1) for x1, x2 in t)
-    return (t[i],) + tuple(sorted(t[:i] + t[i + 1 :]))
-
-
-def symmetry_representatives(lp: LinearProgram) -> dict:
-    """Map each variable to the least member of its orbit under reorderings
-    of the buyers and the item swap.
-
-    The least image moves the variable's buyer to 0 and sorts the other
-    buyers' types; an allocation variable takes the swap that makes its item
-    0, a utility variable whichever swap gives the smaller profile.
-    """
-    rep = {}
-    for v in lp.variables:
-        if v[0] == "q":
-            _, i, j, t = v
-            rep[v] = ("q", 0, 0, _canonical(t, i, j == 1))
-        else:
-            _, i, t = v
-            rep[v] = ("u", 0, min(_canonical(t, i, False), _canonical(t, i, True)))
-    return rep
-
-
-def symmetrize_lp(lp: LinearProgram, rep: dict) -> LinearProgram:
-    """Restrict the LP to the symmetric subspace (all orbit members equal).
-
-    For an exchangeable distribution the optimum is unchanged: averaging any
-    feasible point over the group stays feasible and preserves the
-    objective.  The test suite asserts the exact agreement rather than
-    assuming it.
-    """
-    variables = []
-    seen = set()
-    for v in lp.variables:
-        r = rep[v]
-        if r not in seen:
-            seen.add(r)
-            variables.append(r)
-    objective = {}
-    for v, c in lp.objective.items():
-        r = rep[v]
-        objective[r] = objective.get(r, Fraction(0)) + c
-    constraints = []
-    row_keys = set()
-    for cons in lp.constraints:
-        coeffs = {}
-        for v, c in cons.coeffs:
-            r = rep[v]
-            coeffs[r] = coeffs.get(r, Fraction(0)) + c
-        key = (tuple(sorted(coeffs.items())), cons.rel, cons.rhs)
-        if key in row_keys:
-            continue
-        row_keys.add(key)
-        constraints.append(make_constraint(coeffs, cons.rel, cons.rhs, cons.tag))
-    nonneg = {rep[v] for v in lp.nonneg}
-    return LinearProgram(variables, objective, constraints, nonneg).validate()
-
-
-def expand_assignment(lp: LinearProgram, rep: dict, assignment: dict) -> dict:
-    return {v: assignment[rep[v]] for v in lp.variables}
-
-
 def dic_row_count(lp: LinearProgram) -> int:
     return lp.n_constraints("dic") + lp.n_constraints("dic_local")
 
 
-def solve_auction_lp(lp: LinearProgram) -> LPSolution:
-    """Solve an auction LP through the symmetry reduction.
+def solve_auction_lp(
+    n: int,
+    dist: FiniteValueDistribution,
+    regime: str,
+    max_profiles: int = DEFAULT_LP_PROFILE_CAP,
+) -> LPSolution:
+    """Solve the auction LP through its symmetric program and certify the
+    optimum as a mechanism.
 
     Large per-profile truthfulness families are generated lazily (one-step
-    misreport rows stay seeded).  The returned assignment covers the full
-    variable set and is verified against every original row.
+    misreport rows stay seeded).  An auction LP is feasible and bounded, so
+    any other status raises.  The returned assignment covers the full
+    variable set; its mechanism has passed `certify_optimum`.
     """
-    rep = symmetry_representatives(lp)
-    reduced = symmetrize_lp(lp, rep)
-    lazy = ("dic",) if dic_row_count(reduced) > LAZY_THRESHOLD else ()
-    sol = solve(reduced, lazy_tags=lazy)
+    lp = _build(n, dist, regime, max_profiles, symmetric=True)
+    lazy = ("dic",) if dic_row_count(lp) > LAZY_THRESHOLD else ()
+    sol = solve(lp, lazy_tags=lazy)
     if sol.status != "optimal":
-        return sol
-    assignment = expand_assignment(lp, rep, sol.assignment)
-    full = LPSolution(sol.status, sol.optimum, assignment, sol.pivots)
-    from .simplex import _certify  # full-model feasibility certificate
-
-    _certify(lp, full)
-    return full
+        raise RuntimeError(f"certificate failure: the auction LP is {sol.status}")
+    profiles = [t for t, _ in enumerate_profiles(n, dist, max_profiles)]
+    q_vars, u_vars = _full_variables(n, profiles)
+    assignment = {v: sol.assignment[representative(v)] for v in q_vars + u_vars}
+    certify_optimum(extract_mechanism(dist, assignment), regime, sol.optimum)
+    return LPSolution(sol.status, sol.optimum, assignment, sol.pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +257,37 @@ def extract_mechanism(
     }
     utility = {t: tuple(assignment[("u", i, t)] for i in range(n)) for t in profiles}
     return Mechanism(dist, label, allocation, utility)
+
+
+def certify_optimum(mech: Mechanism, regime: str, optimum: Fraction) -> None:
+    """Check an LP optimum as a mechanism; raise on any failure.
+
+    Every share is nonnegative and no item is given out more than once at
+    any profile; the regime's audits (IR and DIC, or BIR and BIC) pass; and
+    the mechanism's expected revenue is the optimum.
+    """
+    for t in mech.profiles():
+        shares = mech.allocation[t]
+        if any(q < 0 for q_i in shares for q in q_i):
+            raise RuntimeError(f"certificate failure: negative allocation at {t}")
+        for j in range(2):
+            if sum(q_i[j] for q_i in shares) > 1:
+                raise RuntimeError(f"certificate failure: item {j + 1} over-allocated at {t}")
+    checks = (audit.check_ir, audit.check_dic) if regime == "dic" else (
+        audit.check_bir, audit.check_bic)
+    for check in checks:
+        report = check(mech)
+        if not report.passed:
+            raise RuntimeError(
+                f"certificate failure: {report.condition} fails "
+                f"({len(report.violations)} violations)"
+            )
+    revenue = audit.expected_revenue(mech)
+    if revenue != optimum:
+        raise RuntimeError(
+            f"certificate failure: expected revenue {rat_str(revenue)} "
+            f"differs from the LP optimum {rat_str(optimum)}"
+        )
 
 
 @dataclass(frozen=True)
@@ -318,10 +320,8 @@ def certify_main_theorem(
     spec: AuctionSpec, max_profiles: int = DEFAULT_LP_PROFILE_CAP
 ) -> CertificationReport:
     """Exact equality test between the LP optima and the closed forms."""
-    sol_d = solve_auction_lp(build_dic_lp(spec, max_profiles))
-    sol_b = solve_auction_lp(build_bic_lp(spec, max_profiles))
-    if sol_d.status != "optimal" or sol_b.status != "optimal":
-        raise RuntimeError("auction LPs must be feasible and bounded")
+    sol_d = solve_auction_lp(spec.n, spec.dist, "dic", max_profiles)
+    sol_b = solve_auction_lp(spec.n, spec.dist, "bic", max_profiles)
     r_d = revenue_dic(spec)
     r_b = revenue_bic(spec)
     return CertificationReport(

@@ -4,8 +4,8 @@ A dense tableau simplex over exact arithmetic.  The tableau is kept as a
 numpy object array of Python integers with one shared denominator
 (fraction-free Gauss-Jordan pivoting), so the hot loop is big-int
 multiply/subtract/exact-divide instead of Fraction arithmetic.  Bland's rule
-guarantees termination; the default rule runs largest-coefficient pivoting
-and falls back to Bland permanently once it stalls on degenerate pivots.
+guarantees termination; the solver pivots on the largest coefficient and
+falls back to Bland permanently once it stalls on degenerate pivots.
 
 Solutions are certified: the assignment is re-substituted into every
 constraint and into the objective with Fraction arithmetic before it is
@@ -149,8 +149,7 @@ class _Tableau:
 STALL_LIMIT = 50_000
 
 
-def _simplex_loop(tab: _Tableau, basis: list, obj_row: int, ncols: int,
-                  allowed, rule: str):
+def _simplex_loop(tab: _Tableau, basis: list, obj_row: int, ncols: int, allowed):
     """Run pivots until the objective row has no positive reduced cost.
 
     `allowed(j)` filters columns permitted to enter.  Returns
@@ -159,7 +158,7 @@ def _simplex_loop(tab: _Tableau, basis: list, obj_row: int, ncols: int,
     T = tab.T
     m = len(basis)
     pivots = 0
-    use_bland = rule == "bland"
+    use_bland = False
     stall = 0
     while True:
         candidates = [
@@ -202,14 +201,11 @@ def _simplex_loop(tab: _Tableau, basis: list, obj_row: int, ncols: int,
         tab.pivot(r, s)
         basis[r] = s
         pivots += 1
-        if not use_bland and rule == "auto":
-            stall = stall + 1 if degenerate else 0
-            if stall > STALL_LIMIT:
-                use_bland = True
+        stall = stall + 1 if degenerate else 0
+        use_bland = use_bland or stall > STALL_LIMIT
 
 
-def solve(lp: LinearProgram, rule: str = "auto",
-          lazy_tags: Sequence[str] = ()) -> LPSolution:
+def solve(lp: LinearProgram, lazy_tags: Sequence[str] = ()) -> LPSolution:
     """Exact simplex.  With `lazy_tags`, rows carrying those tags start out
     of the model and are added in rounds whenever the relaxation's optimum
     violates them; the returned solution satisfies every row exactly."""
@@ -225,7 +221,7 @@ def solve(lp: LinearProgram, rule: str = "auto",
             constraints=active,
             nonneg=set(lp.nonneg),
         )
-        sol = _solve_dense(sub, rule)
+        sol = _solve_dense(sub)
         total_pivots += sol.pivots
         if sol.status == "unbounded" and pool:
             # the withheld rows may bound the ray; fold them all in
@@ -261,7 +257,7 @@ def _certify(lp: LinearProgram, sol: LPSolution):
         raise SimplexError("certificate failure: objective mismatch")
 
 
-def _solve_dense(lp: LinearProgram, rule: str) -> LPSolution:
+def _solve_dense(lp: LinearProgram) -> LPSolution:
     rows, nonneg = _presolve_nonneg(lp)
 
     # Column layout: one column per nonneg variable, two (x+ and x-) per
@@ -324,9 +320,7 @@ def _solve_dense(lp: LinearProgram, rule: str) -> LPSolution:
             wide[m + 1, ncols + k] = 0
         tab = _Tableau(wide)
         total_cols = ncols + nart
-        status, p = _simplex_loop(
-            tab, basis, m + 1, total_cols, lambda j: j < ncols, rule
-        )
+        status, p = _simplex_loop(tab, basis, m + 1, total_cols, lambda j: j < ncols)
         pivots += p
         if status != "optimal":
             raise SimplexError("phase one cannot be unbounded")
@@ -354,7 +348,7 @@ def _solve_dense(lp: LinearProgram, rule: str) -> LPSolution:
         tab.T = np.delete(tab.T, list(range(ncols, ncols + nart)), axis=1)
         tab.T = tab.T[:-1, :]
 
-    status, p = _simplex_loop(tab, basis, m, ncols, lambda j: True, rule)
+    status, p = _simplex_loop(tab, basis, m, ncols, lambda j: True)
     pivots += p
     if status == "unbounded":
         return LPSolution("unbounded", None, {}, pivots)

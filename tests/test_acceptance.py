@@ -41,7 +41,7 @@ from twopoint_auctions.continuous import (
     collapsed_two_point_spec,
     lp_over_grid,
 )
-from twopoint_auctions.oracle import build_bic_lp, build_dic_lp, solve_auction_lp
+from twopoint_auctions.oracle import solve_auction_lp
 
 from test_core import AA, AB, BA, BB
 
@@ -202,8 +202,8 @@ class TestCriterion8:
         # collapse consistency at grid_m=1 against the two-point oracle
         for a in (F(10), F(20), F(40)):
             two = collapsed_two_point_spec(ContinuousSpec(2, a, 2, 1))
-            assert values[(1, a)][0] == solve_auction_lp(build_dic_lp(two)).optimum
-            assert values[(1, a)][1] == solve_auction_lp(build_bic_lp(two)).optimum
+            assert values[(1, a)][0] == solve_auction_lp(two.n, two.dist, "dic").optimum
+            assert values[(1, a)][1] == solve_auction_lp(two.n, two.dist, "bic").optimum
         # scaled convergence toward the normalized two-point optimum
         for grid_m in (1, 2):
             near = abs(values[(grid_m, F(40))][0] / 40 - F(25, 8))

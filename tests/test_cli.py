@@ -271,6 +271,9 @@ class TestFailClosed:
                          id="empty-a-list-entry"),
             pytest.param({}, ["continuous", "--a-list", "10", "--lambda", "1"], "lam",
                          id="lambda-not-above-one"),
+            pytest.param({}, ["--allow-decimal", "formulas", "--n", "2", "--p", "1/2",
+                              "--a", "1", "--b", "1e9999999"],
+                         "--b", id="decimal-exponent-too-large"),
         ],
     )
     def test_exit_one_with_one_error_line(self, tmp_path, env, argv, named):

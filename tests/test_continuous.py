@@ -4,6 +4,7 @@ import pytest
 
 from twopoint_auctions.core import AuctionSpec, CapExceeded, InvalidSpec
 from twopoint_auctions.continuous import (
+    DEFAULT_GRID_CAP,
     ContinuousSpec,
     collapsed_two_point_spec,
     corollary_probe,
@@ -11,7 +12,7 @@ from twopoint_auctions.continuous import (
     lp_over_grid,
 )
 from twopoint_auctions.formulas import revenue_bic, revenue_dic
-from twopoint_auctions.oracle import build_dic_lp, build_bic_lp, solve_auction_lp
+from twopoint_auctions.oracle import solve_auction_lp
 
 
 class TestSpecValidation:
@@ -62,9 +63,9 @@ class TestCollapseConsistency:
     def test_single_atom_grid_equals_two_point_oracle(self, a):
         cspec = ContinuousSpec(2, a, 2, 1)
         two = collapsed_two_point_spec(cspec)
-        for impl, build in (("dic", build_dic_lp), ("bic", build_bic_lp)):
+        for impl in ("dic", "bic"):
             grid_value = lp_over_grid(cspec, impl)
-            oracle_value = solve_auction_lp(build(two)).optimum
+            oracle_value = solve_auction_lp(two.n, two.dist, impl).optimum
             assert grid_value == oracle_value
 
     def test_collapsed_values_match_formulas(self):
@@ -79,7 +80,7 @@ class TestCollapseConsistency:
 class TestCap:
     def test_grid_cap(self):
         with pytest.raises(CapExceeded):
-            lp_over_grid(ContinuousSpec(2, 10, 2, 3), "dic", grid_cap=2)
+            lp_over_grid(ContinuousSpec(2, 10, 2, DEFAULT_GRID_CAP + 1), "dic")
 
 
 class TestProbe:

@@ -1,10 +1,13 @@
+import ast
 import itertools
+import pathlib
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import twopoint_auctions
 from twopoint_auctions.core import (
     AuctionSpec,
     CapExceeded,
@@ -20,6 +23,7 @@ from twopoint_auctions.core import (
     insert,
     profile_probability,
     rat,
+    rat_allow_decimal,
     rat_str,
     decimal_str,
     type_label,
@@ -51,6 +55,19 @@ class TestRationalPlumbing:
     def test_rat_rejects_decimals(self):
         with pytest.raises(ValueError):
             rat("0.5")
+
+    def test_decimals_are_exact_when_allowed(self):
+        assert rat_allow_decimal("0.5") == F(1, 2)
+        assert rat_allow_decimal("1.25e-3") == F(1, 800)
+        assert rat_allow_decimal("1e4299").numerator == 10 ** 4299
+
+    def test_decimal_beyond_the_digit_limit_is_rejected(self):
+        # Python refuses integer strings beyond sys.get_int_max_str_digits()
+        # (4,300 by default); a decimal exponent must not get round that.
+        with pytest.raises(ValueError, match="exceeds"):
+            rat_allow_decimal("1e5000")
+        with pytest.raises(ValueError, match="exceeds"):
+            rat_allow_decimal("1e-5000")
 
     def test_rat_str_always_carries_denominator(self):
         assert rat_str(F(3)) == "3/1"
@@ -244,3 +261,17 @@ class TestClassProbabilities:
     def test_class_mass_nonnegative(self, spec):
         p0, p1, p2 = class_probabilities(spec)
         assert p0 > 0 and p1 > 0 and p2 >= 0
+
+
+class TestSource:
+    def test_no_assert_statements(self):
+        # Invariants raise real errors: `python -O` strips assert statements.
+        sources = sorted(pathlib.Path(twopoint_auctions.__file__).parent.glob("*.py"))
+        assert sources
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sources
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Assert)
+        ]
+        assert found == []

@@ -5,7 +5,7 @@ import pytest
 
 from twopoint_auctions.core import AuctionSpec, CapExceeded, FiniteValueDistribution
 from twopoint_auctions.formulas import breakpoints, price_b_revenue, revenue_bic, revenue_dic
-from twopoint_auctions.mechanisms import build_bic_mechanism, build_dic_mechanism
+from twopoint_auctions.mechanisms import Mechanism, build_bic_mechanism, build_dic_mechanism
 from twopoint_auctions.audit import (
     check_bic,
     check_bir,
@@ -13,21 +13,22 @@ from twopoint_auctions.audit import (
     check_ir,
     expected_revenue,
 )
+from twopoint_auctions import oracle
 from twopoint_auctions.oracle import (
     build_auction_lp,
     build_bic_lp,
     build_dic_lp,
     certification_grid,
     certify_main_theorem,
+    certify_optimum,
     dic_row_count,
     extract_mechanism,
     grid_b_values,
+    representative,
     solve_auction_lp,
-    symmetry_representatives,
-    symmetrize_lp,
 )
 from twopoint_auctions.continuous import ContinuousSpec, discretize
-from twopoint_auctions.simplex import solve
+from twopoint_auctions.simplex import LinearProgram, make_constraint, solve
 
 EXAMPLE = AuctionSpec(2, F(1, 2), 1, 2)
 THREE_ATOMS = FiniteValueDistribution((F(1), F(2), F(3)), (F(1, 3),) * 3)
@@ -58,6 +59,44 @@ def _group(n):
     ]
 
 
+def _reduce(lp):
+    """Reference reduction of a full program: map every variable to its
+    representative, sum the objective and each row under the map, and keep
+    identical rows once, in order of first appearance."""
+    variables = list(dict.fromkeys(representative(v) for v in lp.variables))
+    objective = {}
+    for v, c in lp.objective.items():
+        r = representative(v)
+        objective[r] = objective.get(r, F(0)) + c
+    constraints = []
+    row_keys = set()
+    for cons in lp.constraints:
+        coeffs = {}
+        for v, c in cons.coeffs:
+            r = representative(v)
+            coeffs[r] = coeffs.get(r, F(0)) + c
+        key = (tuple(sorted(coeffs.items())), cons.rel, cons.rhs)
+        if key in row_keys:
+            continue
+        row_keys.add(key)
+        constraints.append(make_constraint(coeffs, cons.rel, cons.rhs, cons.tag))
+    nonneg = {representative(v) for v in lp.nonneg}
+    return LinearProgram(variables, objective, constraints, nonneg).validate()
+
+
+SYMMETRY_CASES = pytest.mark.parametrize(
+    "n,dist",
+    [
+        (1, EXAMPLE.dist),
+        (2, EXAMPLE.dist),
+        (3, EXAMPLE.dist),
+        (2, THREE_ATOMS),
+        (2, discretize(ContinuousSpec(2, 10, 2, 2))),
+    ],
+    ids=["n1", "n2", "n3", "three-atoms", "grid-m2"],
+)
+
+
 class TestProgramShapes:
     def test_dic_counts_at_n2(self):
         lp = build_dic_lp(EXAMPLE)
@@ -84,31 +123,31 @@ class TestProgramShapes:
 
 class TestOptima:
     def test_example_dic(self):
-        sol = solve_auction_lp(build_dic_lp(EXAMPLE))
+        sol = solve_auction_lp(EXAMPLE.n, EXAMPLE.dist, "dic")
         assert sol.status == "optimal"
         assert sol.optimum == F(25, 8)
 
     def test_example_bic(self):
-        sol = solve_auction_lp(build_bic_lp(EXAMPLE))
+        sol = solve_auction_lp(EXAMPLE.n, EXAMPLE.dist, "bic")
         assert sol.optimum == F(51, 16)
 
     def test_low_b(self):
         spec = AuctionSpec(2, F(1, 2), 1, F(3, 2))
-        assert solve_auction_lp(build_dic_lp(spec)).optimum == F(81, 32)
-        assert solve_auction_lp(build_bic_lp(spec)).optimum == F(41, 16)
+        assert solve_auction_lp(spec.n, spec.dist, "dic").optimum == F(81, 32)
+        assert solve_auction_lp(spec.n, spec.dist, "bic").optimum == F(41, 16)
 
     def test_above_v3_collapses_to_price_b(self):
         spec = AuctionSpec(2, F(1, 2), 1, 4)
-        assert solve_auction_lp(build_dic_lp(spec)).optimum == price_b_revenue(spec)
-        assert solve_auction_lp(build_bic_lp(spec)).optimum == price_b_revenue(spec)
+        assert solve_auction_lp(spec.n, spec.dist, "dic").optimum == price_b_revenue(spec)
+        assert solve_auction_lp(spec.n, spec.dist, "bic").optimum == price_b_revenue(spec)
 
     @pytest.mark.parametrize(
         "b", [F(5, 4), F(5, 3), F(7, 4), F(2), F(5, 2), F(3), F(4)]
     )
     def test_bayesian_dominates_and_strictness(self, b):
         spec = AuctionSpec(2, F(1, 2), 1, b)
-        lp_d = solve_auction_lp(build_dic_lp(spec)).optimum
-        lp_b = solve_auction_lp(build_bic_lp(spec)).optimum
+        lp_d = solve_auction_lp(spec.n, spec.dist, "dic").optimum
+        lp_b = solve_auction_lp(spec.n, spec.dist, "bic").optimum
         assert lp_b >= lp_d
         assert (lp_b > lp_d) == (b < breakpoints(spec).v3)
 
@@ -116,22 +155,22 @@ class TestOptima:
         # achievability: constructed revenue never exceeds the optimum and
         # matches it exactly
         for spec in (EXAMPLE, AuctionSpec(2, F(1, 3), 1, F(3, 2))):
-            lp_d = solve_auction_lp(build_dic_lp(spec)).optimum
-            lp_b = solve_auction_lp(build_bic_lp(spec)).optimum
+            lp_d = solve_auction_lp(spec.n, spec.dist, "dic").optimum
+            lp_b = solve_auction_lp(spec.n, spec.dist, "bic").optimum
             assert expected_revenue(build_dic_mechanism(spec)) == lp_d
             assert expected_revenue(build_bic_mechanism(spec)) == lp_b
 
 
 class TestMechanismExtraction:
     def test_dic_solution_passes_dic_audit(self):
-        sol = solve_auction_lp(build_dic_lp(EXAMPLE))
+        sol = solve_auction_lp(EXAMPLE.n, EXAMPLE.dist, "dic")
         mech = extract_mechanism(EXAMPLE.dist, sol.assignment, label="custom")
         assert check_ir(mech).passed
         assert check_dic(mech).passed
         assert expected_revenue(mech) == sol.optimum
 
     def test_bic_solution_passes_bic_audit(self):
-        sol = solve_auction_lp(build_bic_lp(EXAMPLE))
+        sol = solve_auction_lp(EXAMPLE.n, EXAMPLE.dist, "bic")
         mech = extract_mechanism(EXAMPLE.dist, sol.assignment, label="custom")
         assert check_bir(mech).passed
         assert check_bic(mech).passed
@@ -139,7 +178,7 @@ class TestMechanismExtraction:
 
     def test_symmetrized_solution_passes_audits(self):
         spec = AuctionSpec(3, F(1, 2), 1, 2)
-        sol = solve_auction_lp(build_dic_lp(spec))
+        sol = solve_auction_lp(spec.n, spec.dist, "dic")
         mech = extract_mechanism(spec.dist, sol.assignment)
         assert check_ir(mech).passed
         assert check_dic(mech).passed
@@ -151,8 +190,8 @@ class TestMechanismExtraction:
         # optimum beats the dominant-strategy one, so its mechanism must
         # break IR or DIC somewhere.
         dist = THREE_ATOMS
-        sol_d = solve_auction_lp(build_auction_lp(2, dist, "dic"))
-        sol_b = solve_auction_lp(build_auction_lp(2, dist, "bic"))
+        sol_d = solve_auction_lp(2, dist, "dic")
+        sol_b = solve_auction_lp(2, dist, "bic")
         assert (sol_d.optimum, sol_b.optimum) == (F(109, 27), F(110, 27))
         mech_d = extract_mechanism(dist, sol_d.assignment)
         assert mech_d.n == 2 and len(mech_d.profiles()) == 81
@@ -196,26 +235,28 @@ class TestSymmetryReduction:
             }
             assert mapped == lp.objective
 
-    @pytest.mark.parametrize(
-        "n,dist",
-        [
-            (1, EXAMPLE.dist),
-            (2, EXAMPLE.dist),
-            (3, EXAMPLE.dist),
-            (2, THREE_ATOMS),
-            (2, discretize(ContinuousSpec(2, 10, 2, 2))),
-        ],
-        ids=["n1", "n2", "n3", "three-atoms", "grid-m2"],
-    )
+    @SYMMETRY_CASES
     def test_representatives_are_group_minima(self, n, dist):
         # Both regimes declare the same variables; the Bayesian one builds
         # faster.
         lp = build_auction_lp(n, dist, "bic")
         group = _group(n)
-        assert symmetry_representatives(lp) == {
-            v: min(_apply_to_var(perm, swap, v) for perm, swap in group)
-            for v in lp.variables
-        }
+        for v in lp.variables:
+            assert representative(v) == min(
+                _apply_to_var(perm, swap, v) for perm, swap in group
+            )
+
+    @SYMMETRY_CASES
+    @pytest.mark.parametrize("regime", ["dic", "bic"])
+    def test_symmetric_program_is_the_reduced_full_program(self, n, dist, regime):
+        cap = len(dist.values) ** (2 * n)
+        full = build_auction_lp(n, dist, regime, cap)
+        reduced = _reduce(full)
+        sym = oracle._build(n, dist, regime, cap, symmetric=True)
+        assert sym.variables == reduced.variables
+        assert list(sym.objective.items()) == list(reduced.objective.items())
+        assert sym.constraints == reduced.constraints
+        assert sym.nonneg == reduced.nonneg
 
     @pytest.mark.parametrize(
         "spec",
@@ -230,21 +271,61 @@ class TestSymmetryReduction:
         ids=str,
     )
     def test_reduction_preserves_optimum_exactly(self, spec):
-        for build in (build_dic_lp, build_bic_lp):
-            lp = build(spec)
-            assert solve_auction_lp(lp).optimum == solve(lp).optimum
+        for regime in ("dic", "bic"):
+            lp = build_auction_lp(spec.n, spec.dist, regime)
+            assert solve_auction_lp(spec.n, spec.dist, regime).optimum == solve(lp).optimum
 
     @pytest.mark.slow
     def test_reduction_preserves_optimum_at_n3(self):
-        lp = build_dic_lp(AuctionSpec(3, F(1, 2), 1, 2))
-        assert solve_auction_lp(lp).optimum == solve(lp).optimum
+        spec = AuctionSpec(3, F(1, 2), 1, 2)
+        lp = build_dic_lp(spec)
+        assert solve_auction_lp(spec.n, spec.dist, "dic").optimum == solve(lp).optimum
 
     def test_reduction_shrinks_model(self):
         spec = AuctionSpec(3, F(1, 2), 1, 2)
         lp = build_dic_lp(spec)
-        reduced = symmetrize_lp(lp, symmetry_representatives(lp))
+        reduced = oracle._build(spec.n, spec.dist, "dic", 4 ** 3, symmetric=True)
         assert len(reduced.variables) < len(lp.variables) / 6
         assert len(reduced.constraints) < len(lp.constraints) / 6
+
+
+class TestOptimumCertificate:
+    def test_program_without_truthfulness_rows_is_refused(self, monkeypatch):
+        # A program built without the truthfulness rows has a larger optimum;
+        # the audits catch it before any comparison with the closed form.
+        build = oracle._build
+
+        def without_dic_rows(*args, **kwargs):
+            lp = build(*args, **kwargs)
+            lp.constraints = [c for c in lp.constraints if not c.tag.startswith("dic")]
+            return lp
+
+        monkeypatch.setattr(oracle, "_build", without_dic_rows)
+        with pytest.raises(RuntimeError, match="certificate failure: DIC"):
+            certify_main_theorem(EXAMPLE)
+
+    def _mechanism(self, change):
+        sol = solve_auction_lp(EXAMPLE.n, EXAMPLE.dist, "dic")
+        mech = extract_mechanism(EXAMPLE.dist, sol.assignment)
+        t = next(iter(mech.profiles()))
+        allocation = dict(mech.allocation)
+        allocation[t] = change(allocation[t])
+        return Mechanism(mech.dist, mech.label, allocation, mech.utility), sol.optimum
+
+    def test_over_allocation_is_refused(self):
+        mech, optimum = self._mechanism(lambda shares: ((F(1), F(0)),) * len(shares))
+        with pytest.raises(RuntimeError, match="certificate failure: item 1 over-allocated"):
+            certify_optimum(mech, "dic", optimum)
+
+    def test_negative_share_is_refused(self):
+        mech, optimum = self._mechanism(lambda shares: ((F(-1, 2), F(0)),) + shares[1:])
+        with pytest.raises(RuntimeError, match="certificate failure: negative allocation"):
+            certify_optimum(mech, "dic", optimum)
+
+    def test_revenue_must_equal_the_optimum(self):
+        mech, optimum = self._mechanism(lambda shares: shares)
+        with pytest.raises(RuntimeError, match="certificate failure: expected revenue"):
+            certify_optimum(mech, "dic", optimum + 1)
 
 
 class TestCertification:
@@ -269,8 +350,8 @@ class TestCertification:
 
     def test_single_buyer_lp_solves(self):
         dist = EXAMPLE.dist
-        lp_d = solve_auction_lp(build_auction_lp(1, dist, "dic")).optimum
-        lp_b = solve_auction_lp(build_auction_lp(1, dist, "bic")).optimum
+        lp_d = solve_auction_lp(1, dist, "dic").optimum
+        lp_b = solve_auction_lp(1, dist, "bic").optimum
         assert lp_b >= lp_d > 0
 
 
