@@ -3,7 +3,10 @@
 Subcommands: formulas, mechanism, certify, sweep, continuous.  All numeric
 arguments are exact rationals ("1/2", "2"); decimal strings are rejected
 unless --allow-decimal is given (they are then parsed exactly).  Exit codes:
-0 success, 1 usage, 2 audit failure, 3 oracle mismatch, 4 cap exceeded.
+0 success, 1 usage, 2 audit failure, 3 oracle mismatch, 4 cap exceeded,
+5 certificate failure (an exact internal check failed, such as an LP
+optimum's primal/dual certificate, its mechanism's audits or an invariant
+of the closed forms: a defect in the program, not in the input).
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ EXIT_USAGE = 1
 EXIT_AUDIT = 2
 EXIT_MISMATCH = 3
 EXIT_CAP = 4
+EXIT_CERTIFICATE = 5
 
 CAP_ENV_VAR = "TWOPOINT_AUCTIONS_CAP"
 
@@ -436,6 +440,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:  # simplex.SimplexError included
+        detail = str(exc).removeprefix("certificate failure: ")
+        print(f"error: certificate failure: {detail}", file=sys.stderr)
+        return EXIT_CERTIFICATE
 
 
 if __name__ == "__main__":

@@ -1,15 +1,19 @@
 """Exact rational linear programming.
 
-A dense tableau simplex over exact arithmetic.  The tableau is kept as a
-numpy object array of Python integers with one shared denominator
-(fraction-free Gauss-Jordan pivoting), so the hot loop is big-int
-multiply/subtract/exact-divide instead of Fraction arithmetic.  Bland's rule
-guarantees termination; the solver pivots on the largest coefficient and
-falls back to Bland permanently once it stalls on degenerate pivots.
+A primal simplex over a sparse exact tableau.  Each row, the objective row
+included, is a dict of its nonzero integer entries over its own positive
+denominator, divided by their common gcd after every update, so a pivot
+touches only the rows with a nonzero in the entering column and the entries
+stay narrow.  The solver pivots on the largest reduced cost and falls back
+to Bland's rule, the anti-cycling guarantee, once it stalls on degenerate
+pivots; an infeasible origin is handled by a phase one over artificials.
 
-Solutions are certified: the assignment is re-substituted into every
-constraint and into the objective with Fraction arithmetic before it is
-returned.
+Solutions are certified with Fraction arithmetic before they are returned,
+against every constraint of the program, lazy rows included: the primal is
+substituted into every constraint and the objective, and the dual read off
+the final objective row must be sign-correct, dual-feasible and attain the
+same objective (Applegate, Cook, Dash & Espinoza, "Exact solutions to linear
+programming problems", Oper. Res. Lett. 2007).
 """
 
 from __future__ import annotations
@@ -18,8 +22,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .core import decimal_str, rat_str
 
@@ -83,6 +85,9 @@ class LPSolution:
     optimum: Fraction | None
     assignment: dict
     pivots: int = 0
+    #: One multiplier per constraint of the program solved, in its order;
+    #: empty when the solution carries no dual.
+    duals: tuple = ()
 
 
 class SimplexError(RuntimeError):
@@ -98,48 +103,71 @@ def _lcm(nums: Iterable[int]) -> int:
 
 def _presolve_nonneg(lp: LinearProgram):
     """Split off single-variable rows of the form c*x >= 0 (c > 0) or
-    c*x <= 0 (c < 0): they are exactly variable nonnegativity."""
+    c*x <= 0 (c < 0): they are exactly variable nonnegativity.  Returns the
+    indices of the rows kept, those of the rows split off, and the
+    nonnegative variables."""
     nonneg = set(lp.nonneg)
-    rows = []
-    for c in lp.constraints:
+    kept, split = [], []
+    for k, c in enumerate(lp.constraints):
         if len(c.coeffs) == 1 and c.rhs == 0:
             (v, coef), = c.coeffs
             if (c.rel == ">=" and coef > 0) or (c.rel == "<=" and coef < 0):
                 nonneg.add(v)
+                split.append(k)
                 continue
-        rows.append(c)
-    return rows, nonneg
+        kept.append(k)
+    return kept, split, nonneg
+
+
+#: Key of the right-hand side in a tableau row; every other key is a column.
+RHS = -1
 
 
 class _Tableau:
-    """Integer tableau with a shared (signed) denominator."""
+    """Sparse exact tableau.
 
-    def __init__(self, matrix, denom=1):
-        self.T = matrix  # object ndarray, last column = rhs
-        self.d = denom
+    Row i is a dict {column: int} of its nonzero entries, the right-hand
+    side under `RHS`, over its own positive denominator `dens[i]`; each
+    update divides a row by the gcd of its entries and denominator.
+    """
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.dens = [1] * len(rows)
 
     def pivot(self, r: int, s: int):
-        T = self.T
-        piv = T[r, s]
+        """Make column s the unit column of row r: rescale row r and update
+        only the rows with a nonzero in column s."""
+        rows, dens = self.rows, self.dens
+        piv = rows[r].get(s, 0)
         if piv == 0:
             raise SimplexError("zero pivot")
-        row_r = T[r].copy()
-        col_s = T[:, s].copy()
-        T *= piv
-        T -= np.outer(col_s, row_r)
-        T //= self.d
-        T[r] = row_r
-        self.d = piv
+        sign = 1 if piv > 0 else -1
+        rows[r], dens[r] = _reduced({j: sign * x for j, x in rows[r].items()}, abs(piv))
+        row, den = rows[r], dens[r]
+        for i, other in enumerate(rows):
+            a = other.get(s)
+            if a is None or i == r:
+                continue
+            # other - (a / dens[i]) * row, over the denominator dens[i] * den
+            new = {j: x * den for j, x in other.items()}
+            for j, x in row.items():
+                y = new.get(j, 0) - a * x
+                if y:
+                    new[j] = y
+                else:
+                    del new[j]
+            rows[i], dens[i] = _reduced(new, dens[i] * den)
 
     def value(self, r: int, c: int) -> Fraction:
-        return Fraction(int(self.T[r, c]), int(self.d))
+        return Fraction(self.rows[r].get(c, 0), self.dens[r])
 
-    def sign(self, r: int, c: int) -> int:
-        x = self.T[r, c]
-        if x == 0:
-            return 0
-        pos = (x > 0) == (self.d > 0)
-        return 1 if pos else -1
+
+def _reduced(row: dict, den: int):
+    g = math.gcd(den, *row.values())
+    if g == 1:
+        return row, den
+    return {j: x // g for j, x in row.items()}, den // g
 
 
 #: Consecutive degenerate pivots tolerated before the pivot rule falls back
@@ -149,55 +177,47 @@ class _Tableau:
 STALL_LIMIT = 50_000
 
 
-def _simplex_loop(tab: _Tableau, basis: list, obj_row: int, ncols: int, allowed):
-    """Run pivots until the objective row has no positive reduced cost.
-
-    `allowed(j)` filters columns permitted to enter.  Returns
-    ("optimal", pivots) or ("unbounded", pivots).
-    """
-    T = tab.T
+def _simplex_loop(tab: _Tableau, basis: list, obj_row: int, ncols: int):
+    """Run pivots until the objective row has no positive reduced cost in
+    the columns below `ncols`.  Returns ("optimal", pivots) or
+    ("unbounded", pivots)."""
+    rows = tab.rows
     m = len(basis)
     pivots = 0
     use_bland = False
     stall = 0
     while True:
+        # The objective row's entries share one denominator, so the largest
+        # numerator is the largest reduced cost; ties go to the smallest column.
         candidates = [
-            j for j in range(ncols)
-            if allowed(j) and tab.sign(obj_row, j) > 0
+            (-x, j) for j, x in rows[obj_row].items() if x > 0 and 0 <= j < ncols
         ]
         if not candidates:
             return ("optimal", pivots)
         if use_bland:
-            s = min(candidates)
+            s = min(j for _, j in candidates)
         else:
-            # Largest scaled reduced cost; deterministic smallest-index ties.
-            best = None
-            s = candidates[0]
-            for j in candidates:
-                key = abs(T[obj_row, j])
-                if best is None or key > best:
-                    best, s = key, j
-        # Ratio test: smallest rhs/col over rows with positive column entry;
-        # ties resolved toward the smallest leaving basis index (Bland).
+            s = min(candidates)[1]
+        # Ratio test: smallest rhs/col over rows with positive column entry
+        # (each row's denominator cancels); ties resolved toward the
+        # smallest leaving basis index (Bland).
         r = None
-        best_num = best_den = None
+        best_num = best_col = None
         for i in range(m):
-            if tab.sign(i, s) <= 0:
+            col = rows[i].get(s, 0)
+            if col <= 0:
                 continue
-            num, den = T[i, -1], T[i, s]
+            num = rows[i].get(RHS, 0)
             if r is None:
-                r, best_num, best_den = i, num, den
+                r, best_num, best_col = i, num, col
                 continue
-            # num/den < best_num/best_den via cross-multiplication; the two
-            # denominators share the tableau sign so den*best_den > 0 and
-            # the inequality direction is preserved.
-            lhs = num * best_den
-            rhs = best_num * den
+            lhs = num * best_col
+            rhs = best_num * col
             if lhs < rhs or (lhs == rhs and basis[i] < basis[r]):
-                r, best_num, best_den = i, num, den
+                r, best_num, best_col = i, num, col
         if r is None:
             return ("unbounded", pivots)
-        degenerate = T[r, -1] == 0
+        degenerate = best_num == 0
         tab.pivot(r, s)
         basis[r] = s
         pivots += 1
@@ -208,20 +228,21 @@ def _simplex_loop(tab: _Tableau, basis: list, obj_row: int, ncols: int, allowed)
 def solve(lp: LinearProgram, lazy_tags: Sequence[str] = ()) -> LPSolution:
     """Exact simplex.  With `lazy_tags`, rows carrying those tags start out
     of the model and are added in rounds whenever the relaxation's optimum
-    violates them; the returned solution satisfies every row exactly."""
+    violates them; the returned solution satisfies every row exactly, and
+    its duals (zero on rows never added) prove it optimal."""
     lp.validate()
     lazy_tags = set(lazy_tags)
-    active = [c for c in lp.constraints if c.tag not in lazy_tags]
-    pool = [c for c in lp.constraints if c.tag in lazy_tags]
+    active = [k for k, c in enumerate(lp.constraints) if c.tag not in lazy_tags]
+    pool = [k for k, c in enumerate(lp.constraints) if c.tag in lazy_tags]
     total_pivots = 0
     while True:
         sub = LinearProgram(
             variables=list(lp.variables),
             objective=dict(lp.objective),
-            constraints=active,
+            constraints=[lp.constraints[k] for k in active],
             nonneg=set(lp.nonneg),
         )
-        sol = _solve_dense(sub)
+        sol = _solve_once(sub)
         total_pivots += sol.pivots
         if sol.status == "unbounded" and pool:
             # the withheld rows may bound the ray; fold them all in
@@ -229,13 +250,16 @@ def solve(lp: LinearProgram, lazy_tags: Sequence[str] = ()) -> LPSolution:
             continue
         if sol.status != "optimal":
             return LPSolution(sol.status, None, {}, total_pivots)
-        violated = [c for c in pool if _violated(c, sol.assignment)]
+        violated = [k for k in pool if _violated(lp.constraints[k], sol.assignment)]
         if not violated:
-            sol = LPSolution(sol.status, sol.optimum, sol.assignment, total_pivots)
+            duals = [Fraction(0)] * len(lp.constraints)
+            for k, y in zip(active, sol.duals):
+                duals[k] = y
+            sol = LPSolution(sol.status, sol.optimum, sol.assignment, total_pivots, tuple(duals))
             _certify(lp, sol)
             return sol
-        keep = {id(c) for c in violated}
-        pool = [c for c in pool if id(c) not in keep]
+        added = set(violated)
+        pool = [k for k in pool if k not in added]
         active = active + violated
 
 
@@ -245,6 +269,10 @@ def _violated(c: Constraint, assignment) -> bool:
 
 
 def _certify(lp: LinearProgram, sol: LPSolution):
+    """Check an optimum exactly against the whole program: the primal is
+    feasible and attains the optimum, and the duals are sign-correct,
+    dual-feasible (Aᵀy = c on free variables, Aᵀy ≥ c on nonnegative ones)
+    and attain it too, b·y = c·x."""
     x = sol.assignment
     for v in lp.nonneg:
         if x[v] < 0:
@@ -255,10 +283,27 @@ def _certify(lp: LinearProgram, sol: LPSolution):
     obj = sum(coef * x[v] for v, coef in lp.objective.items())
     if obj != sol.optimum:
         raise SimplexError("certificate failure: objective mismatch")
+    if len(sol.duals) != len(lp.constraints):
+        raise SimplexError("certificate failure: no dual for every constraint")
+    aty = dict.fromkeys(lp.variables, Fraction(0))
+    by = Fraction(0)
+    for c, y in zip(lp.constraints, sol.duals):
+        if (y < 0) if c.rel == "<=" else (y > 0):
+            raise SimplexError("certificate failure: dual of the wrong sign")
+        if y:
+            by += y * c.rhs
+            for v, coef in c.coeffs:
+                aty[v] += y * coef
+    for v in lp.variables:
+        cv = lp.objective.get(v, 0)
+        if (aty[v] < cv) if v in lp.nonneg else (aty[v] != cv):
+            raise SimplexError(f"certificate failure: dual infeasible at {v!r}")
+    if by != sol.optimum:
+        raise SimplexError("certificate failure: dual objective mismatch")
 
 
-def _solve_dense(lp: LinearProgram) -> LPSolution:
-    rows, nonneg = _presolve_nonneg(lp)
+def _solve_once(lp: LinearProgram) -> LPSolution:
+    kept, split, nonneg = _presolve_nonneg(lp)
 
     # Column layout: one column per nonneg variable, two (x+ and x-) per
     # free variable, then slacks, then any phase-one artificials.
@@ -270,85 +315,78 @@ def _solve_dense(lp: LinearProgram) -> LPSolution:
         if v not in nonneg:
             columns.append((v, -1))
     nstruct = len(columns)
-    m = len(rows)
+    m = len(kept)
+    ncols = nstruct + m
 
-    # Integer data: every row (and the objective) is scaled by its own
-    # positive lcm of denominators; row scaling changes no variable values.
-    data = np.zeros((m + 1, nstruct + m + 1), dtype=object)
-    neg_rhs_rows = []
-    for i, c in enumerate(rows):
-        sgn = 1 if c.rel == "<=" else -1
-        scale = _lcm(
-            [coef.denominator for _, coef in c.coeffs] + [c.rhs.denominator]
-        )
+    # Integer data: every row is turned into a <= row and scaled by its own
+    # lcm of denominators (`scales` keeps the signed factor, for the duals);
+    # row scaling changes no variable values.
+    rows, scales, neg_rhs_rows = [], [], []
+    for i, k in enumerate(kept):
+        c = lp.constraints[k]
+        scale = _lcm([coef.denominator for _, coef in c.coeffs] + [c.rhs.denominator])
+        if c.rel == ">=":
+            scale = -scale
+        row = {}
         for v, coef in c.coeffs:
-            data[i, col_of[v]] = int(sgn * coef * scale)
-        data[i, nstruct + i] = 1  # slack
-        data[i, -1] = int(sgn * c.rhs * scale)
-        if data[i, -1] < 0:
+            # int(coef * scale) without a Fraction: scale is a multiple of
+            # every denominator in the row
+            row[col_of[v]] = coef.numerator * (scale // coef.denominator)
+            if v not in nonneg:
+                row[col_of[v] + 1] = -row[col_of[v]]
+        row[nstruct + i] = 1  # slack
+        row[RHS] = int(c.rhs * scale)
+        if row[RHS] < 0:
             neg_rhs_rows.append(i)
-    # second pass for free-variable negative columns
-    for j, (v, part) in enumerate(columns):
-        if part == -1:
-            data[:, j] = -data[:, j - 1]
+        rows.append({j: x for j, x in row.items() if x})
+        scales.append(scale)
     obj_scale = _lcm([coef.denominator for coef in lp.objective.values()] or [1])
+    obj = {}
     for v, coef in lp.objective.items():
-        j = col_of[v]
-        data[m, j] = int(coef * obj_scale)
+        obj[col_of[v]] = int(coef * obj_scale)
         if v not in nonneg:
-            data[m, j + 1] = -int(coef * obj_scale)
+            obj[col_of[v] + 1] = -obj[col_of[v]]
+    rows.append({j: x for j, x in obj.items() if x})
 
     basis = [nstruct + i for i in range(m)]
-    tab = _Tableau(data)
-    ncols = nstruct + m
+    tab = _Tableau(rows)
     pivots = 0
 
     if neg_rhs_rows:
         # Phase one: negate infeasible equality rows (slack coefficient
         # becomes -1), give each an artificial unit column, and minimize the
         # artificials' sum.
-        nart = len(neg_rhs_rows)
-        wide = np.zeros((m + 2, ncols + nart + 1), dtype=object)
-        wide[: m + 1, :ncols] = data[:, :ncols]
-        wide[: m + 1, -1] = data[:, -1]
+        phase = {}
         for k, i in enumerate(neg_rhs_rows):
-            wide[i, :] = -wide[i, :]
-            wide[i, ncols + k] = 1
+            rows[i] = {j: -x for j, x in rows[i].items()}
+            for j, x in rows[i].items():
+                phase[j] = phase.get(j, 0) + x
+            rows[i][ncols + k] = 1
             basis[i] = ncols + k
-            wide[m + 1, :] += wide[i, :]
-        for k in range(nart):
-            wide[m + 1, ncols + k] = 0
-        tab = _Tableau(wide)
-        total_cols = ncols + nart
-        status, p = _simplex_loop(tab, basis, m + 1, total_cols, lambda j: j < ncols)
+        rows.append({j: x for j, x in phase.items() if x})
+        tab.dens.append(1)
+        status, p = _simplex_loop(tab, basis, m + 1, ncols)
         pivots += p
         if status != "optimal":
             raise SimplexError("phase one cannot be unbounded")
-        if tab.value(m + 1, -1) != 0:
+        if tab.value(m + 1, RHS) != 0:
             return LPSolution("infeasible", None, {}, pivots)
-        # Drive basic artificials out (degenerate pivots; zero rows are
-        # redundant and dropped together with their artificial).
-        drop_rows = []
+        # Drive basic artificials out with degenerate pivots.  The slack
+        # columns give every row a nonzero below `ncols`.
         for i in range(m):
             if basis[i] >= ncols:
-                entry = next(
-                    (j for j in range(ncols) if tab.T[i, j] != 0), None
-                )
+                entry = min((j for j in rows[i] if 0 <= j < ncols), default=None)
                 if entry is None:
-                    drop_rows.append(i)
-                else:
-                    tab.pivot(i, entry)
-                    basis[i] = entry
-                    pivots += 1
-        if drop_rows:
-            keep = [i for i in range(m) if i not in set(drop_rows)]
-            tab.T = tab.T[keep + [m, m + 1], :]
-            basis = [basis[i] for i in keep]
-            m = len(basis)
-        tab.T = np.delete(tab.T, list(range(ncols, ncols + nart)), axis=1)
-        tab.T = tab.T[:-1, :]
+                    raise SimplexError("zero row after phase one")
+                tab.pivot(i, entry)
+                basis[i] = entry
+                pivots += 1
+        rows.pop()
+        tab.dens.pop()
+        for i, row in enumerate(rows):
+            rows[i] = {j: x for j, x in row.items() if j < ncols}
 
-    status, p = _simplex_loop(tab, basis, m, ncols, lambda j: True)
+    status, p = _simplex_loop(tab, basis, m, ncols)
     pivots += p
     if status == "unbounded":
         return LPSolution("unbounded", None, {}, pivots)
@@ -356,15 +394,31 @@ def _solve_dense(lp: LinearProgram) -> LPSolution:
     values = {}
     for i, var_col in enumerate(basis):
         if var_col < nstruct:
-            v, part = columns[var_col]
-            values[(v, part)] = tab.value(i, -1)
+            values[columns[var_col]] = tab.value(i, RHS)
     assignment = {}
     for v in lp.variables:
         assignment[v] = values.get((v, 1), Fraction(0)) - values.get(
             (v, -1), Fraction(0)
         )
     optimum = sum(coef * assignment[v] for v, coef in lp.objective.items())
-    return LPSolution("optimal", optimum, assignment, pivots)
+
+    # Duals from the final objective row: a slack's reduced cost is minus
+    # its row's multiplier; undo the row's signed scale and the objective's.
+    # A split-off sign row takes its variable's reduced cost over its own
+    # coefficient, which makes Aᵀy = c hold on a free variable that the
+    # presolve made nonnegative.
+    reduced = rows[m]
+    d_obj = tab.dens[m] * obj_scale
+    duals = [Fraction(0)] * len(lp.constraints)
+    for i, k in enumerate(kept):
+        duals[k] = Fraction(-reduced.get(nstruct + i, 0) * scales[i], d_obj)
+    seen = set()
+    for k in split:
+        (v, coef), = lp.constraints[k].coeffs
+        if v not in seen:
+            seen.add(v)
+            duals[k] = Fraction(reduced.get(col_of[v], 0), d_obj) / coef
+    return LPSolution("optimal", optimum, assignment, pivots, tuple(duals))
 
 
 # ---------------------------------------------------------------------------

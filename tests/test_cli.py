@@ -308,6 +308,27 @@ class TestFailClosed:
         assert calls == []
 
 
+class TestCertificateFailure:
+    def test_exit_five_with_one_error_line(self, capsys, monkeypatch):
+        # A builder that drops the truthfulness rows yields a mechanism the
+        # DIC audit refuses: a defect in the program, reported as such.
+        from twopoint_auctions import oracle
+
+        build = oracle._build
+
+        def without_dic_rows(*args, **kwargs):
+            lp = build(*args, **kwargs)
+            lp.constraints = [c for c in lp.constraints if not c.tag.startswith("dic")]
+            return lp
+
+        monkeypatch.setattr(oracle, "_build", without_dic_rows)
+        code, out, err = run(capsys, "certify", *EXAMPLE_ARGS)
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert code == 5
+        assert errors == ["error: certificate failure: DIC fails (18 violations)"]
+        assert "Traceback" not in err and out == ""
+
+
 # The argv fuzz grammar: per flag, a pool of good values and a pool of bad
 # ones (OMIT leaves the flag out).  Each run corrupts a few flags and draws
 # the rest from the good pools, so valid runs are common too.  Buyer counts

@@ -1,6 +1,9 @@
 import ast
 import itertools
+import os
 import pathlib
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -275,3 +278,16 @@ class TestSource:
             if isinstance(node, ast.Assert)
         ]
         assert found == []
+
+    def test_cli_import_leaves_numpy_out(self):
+        # The package needs no numpy; importing it would cost start-up time
+        # and memory on every run.
+        src = pathlib.Path(twopoint_auctions.__file__).parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, twopoint_auctions.cli; print('numpy' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

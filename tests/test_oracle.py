@@ -355,6 +355,37 @@ class TestCertification:
         assert lp_b >= lp_d > 0
 
 
+# (optimum, pivots) of the symmetric solve, pinned when the solver kept one
+# dense tableau over a shared denominator: a change of pivot rule, tie-break
+# or tableau arithmetic shows here first.
+PINNED_PIVOTS = [
+    (2, F(1, 2), 1, 2, "dic", F(25, 8), 12),
+    (2, F(1, 2), 1, 2, "bic", F(51, 16), 13),
+    (2, F(1, 4), 0, 1, "dic", F(15, 8), 7),
+    (2, F(2, 3), 1, F(14, 5), "dic", F(1352, 405), 14),
+    (3, F(1, 4), 1, F(31, 30), "dic", F(42243, 20480), 51),
+    (3, F(3, 4), 1, F(23, 14), "dic", F(74201, 28672), 116),
+    (3, F(1, 2), 1, F(11, 4), "bic", F(1239, 256), 23),
+    (3, F(1, 3), 0, 1, "bic", F(52, 27), 19),
+]
+
+
+class TestPivotSequence:
+    @pytest.mark.parametrize("n,p,a,b,regime,optimum,pivots", PINNED_PIVOTS)
+    def test_grid_programs(self, n, p, a, b, regime, optimum, pivots):
+        sol = solve_auction_lp(n, AuctionSpec(n, p, a, b).dist, regime)
+        assert (sol.optimum, sol.pivots) == (optimum, pivots)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "regime,optimum,pivots", [("dic", F(16305, 512), 1171), ("bic", F(2079, 64), 188)]
+    )
+    def test_continuous_cell(self, regime, optimum, pivots):
+        dist = discretize(ContinuousSpec(2, 10, 2, 2))
+        sol = solve_auction_lp(2, dist, regime, max_profiles=4 ** 4)
+        assert (sol.optimum, sol.pivots) == (optimum, pivots)
+
+
 class TestGrid:
     def test_grid_b_values_structure(self):
         bs = grid_b_values(2, F(1, 2), F(1))

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -14,6 +15,18 @@ from twopoint_auctions.simplex import (
     make_constraint,
     solve,
 )
+
+
+def two_variable_lp():
+    return LinearProgram(
+        ["x", "y"],
+        {"x": F(2), "y": F(3)},
+        [
+            make_constraint({"x": F(1), "y": F(1)}, "<=", F(4)),
+            make_constraint({"x": F(1), "y": F(3)}, "<=", F(6)),
+        ],
+        {"x", "y"},
+    )
 
 
 def lp1d(c, rows, nonneg=True):
@@ -57,16 +70,7 @@ class TestBasics:
         assert sol.assignment["x"] == F(-7, 3)
 
     def test_two_variables_exact(self):
-        lp = LinearProgram(
-            ["x", "y"],
-            {"x": F(2), "y": F(3)},
-            [
-                make_constraint({"x": F(1), "y": F(1)}, "<=", F(4)),
-                make_constraint({"x": F(1), "y": F(3)}, "<=", F(6)),
-            ],
-            {"x", "y"},
-        )
-        sol = solve(lp)
+        sol = solve(two_variable_lp())
         assert sol.optimum == 9  # at the vertex x=3, y=1
         assert (sol.assignment["x"], sol.assignment["y"]) == (3, 1)
 
@@ -125,6 +129,48 @@ class TestCertificate:
         lp = lp1d(1, [(1, "<=", 1)])
         with pytest.raises(SimplexError):
             _certify(lp, LPSolution("optimal", F(2), {"x": F(2)}))
+
+    def test_tampered_dual_rejected(self):
+        from twopoint_auctions.simplex import _certify
+
+        lp = two_variable_lp()
+        sol = solve(lp)
+        for duals in [(F(3), F(1, 2)), (F(3, 2), F(0)), (F(-3, 2), F(1, 2))]:
+            with pytest.raises(SimplexError, match="certificate failure"):
+                _certify(lp, dataclasses.replace(sol, duals=duals))
+
+    def test_missing_dual_rejected(self):
+        from twopoint_auctions.simplex import _certify
+
+        lp = two_variable_lp()
+        sol = solve(lp)
+        with pytest.raises(SimplexError, match="no dual"):
+            _certify(lp, dataclasses.replace(sol, duals=()))
+
+
+class TestDuals:
+    def test_two_variables(self):
+        # 2 = y1 + y2 and 3 = y1 + 3*y2 at the vertex x=3, y=1; b.y = 9
+        assert solve(two_variable_lp()).duals == (F(3, 2), F(1, 2))
+
+    def test_lower_bound_row_has_nonpositive_dual(self):
+        assert solve(lp1d(-1, [(1, ">=", 5)])).duals == (F(-1),)
+
+    def test_free_variable(self):
+        sol = solve(lp1d(-1, [(1, ">=", F(-7, 3)), (1, "<=", 4)], nonneg=False))
+        assert sol.duals == (F(-1), F(0))
+
+    def test_split_off_sign_row_carries_the_reduced_cost(self):
+        # 2x >= 0 makes the free x nonnegative inside the solver; its dual
+        # -1/2 restores A'y = c for the free variable.
+        sol = solve(lp1d(-1, [(2, ">=", 0), (1, "<=", 3)], nonneg=False))
+        assert sol.optimum == 0 and sol.duals == (F(-1, 2), F(0))
+
+    def test_rows_never_added_get_zero(self):
+        rows = [make_constraint({"x": F(1)}, "<=", F(k), tag="lazy") for k in (5, 7)]
+        lp = LinearProgram(["x"], {"x": F(1)}, rows + [make_constraint({"x": F(1)}, "<=", 3)],
+                           {"x"})
+        assert solve(lp, lazy_tags=("lazy",)).duals == (F(0), F(0), F(1))
 
 
 def random_lp(rng, nvars, nrows):
