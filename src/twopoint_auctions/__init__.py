@@ -12,7 +12,7 @@ from .core import (
     HierarchyScheme,
     InvalidSpec,
     Rational,
-    allocate_hierarchy,
+    hierarchy_winners,
     class_probabilities,
     classify_profile,
     enumerate_profiles,

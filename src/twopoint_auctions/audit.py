@@ -2,9 +2,11 @@
 
 A mechanism is the pair (allocation, utility); payments are rederived here
 before any check, so inconsistent (q, u, s) triples cannot arise.  Every
-constraint is evaluated as an exact Fraction comparison and every violation
-is reported with its replay key (buyer, true type, reported type, opponent
-profile) and both sides of the failed inequality.
+constraint is an exact comparison, made between integers: both sides are
+multiplied by the mechanism's denominator, the lcm of the value
+denominators and, for interim sums, the profile-weight scale.  Every
+violation is reported with its replay key (buyer, true type, reported type,
+opponent profile) and both sides of the failed inequality as Fractions.
 """
 
 from __future__ import annotations
@@ -19,13 +21,13 @@ from .core import (
     buyer_types,
     cheap_items,
     classify_profile,
-    enumerate_profiles,
-    insert,
-    profile_probability,
+    opponent_positions,
+    profile_table,
     rat_str,
+    scaled,
     type_label,
 )
-from .mechanisms import Mechanism
+from .mechanisms import Mechanism, payment_row
 
 
 @dataclass(frozen=True)
@@ -72,124 +74,111 @@ class AuditReport:
 
 def expected_revenue(mech: Mechanism) -> Fraction:
     """Sum over profiles of Pr{t} * total derived payment at t."""
-    n = mech.n
-    total = Fraction(0)
-    for profile, prob in enumerate_profiles(n, mech.dist):
-        total += prob * sum(mech.payment(i, profile) for i in range(n))
-    return total
-
-
-def _interim(mech: Mechanism, opponents: list, i: int, t_i: Type):
-    """Buyer i's interim utility and allocation at type t_i, averaged over
-    the weighted opponent profiles `opponents`."""
-    u = q1 = q2 = Fraction(0)
-    for others, w in opponents:
-        profile = insert(others, i, t_i)
-        a1, a2 = mech.q(i, profile)
-        u += w * mech.u(i, profile)
-        q1 += w * a1
-        q2 += w * a2
-    return u, (q1, q2)
-
-
-def interim_utility(mech: Mechanism, i: int, t_i: Type) -> Fraction:
-    return _interim(mech, enumerate_profiles(mech.n - 1, mech.dist), i, t_i)[0]
-
-
-def interim_allocation(mech: Mechanism, i: int, t_i: Type) -> tuple[Fraction, Fraction]:
-    return _interim(mech, enumerate_profiles(mech.n - 1, mech.dist), i, t_i)[1]
+    table = profile_table(mech.n, mech.dist)
+    vals, vden = scaled(mech.dist.values)
+    profiles, arows, urows = mech.rows()
+    total = sum(
+        w * sum(payment_row(vals, vden, shares, utils, t))
+        for t, w, shares, utils in zip(profiles, table.weights, arows, urows)
+    )
+    return Fraction(total, table.scale * mech.den * vden)
 
 
 def check_ir(mech: Mechanism) -> AuditReport:
     """u_i(t) >= 0 for every buyer and profile."""
-    n = mech.n
+    profiles, _, urows = mech.rows()
     violations = []
-    count = 0
-    for profile, _ in enumerate_profiles(n, mech.dist):
-        for i in range(n):
-            count += 1
-            u = mech.u(i, profile)
+    for profile, us in zip(profiles, urows):
+        if min(us) >= 0:
+            continue
+        for i, u in enumerate(us):
             if u < 0:
                 others = profile[:i] + profile[i + 1 :]
                 violations.append(
-                    Violation(i, profile[i], None, others, u, Fraction(0))
+                    Violation(i, profile[i], None, others, Fraction(u, mech.den), Fraction(0))
                 )
-    return AuditReport("IR", not violations, tuple(violations), count)
+    return AuditReport("IR", not violations, tuple(violations), len(profiles) * mech.n)
+
+
+def _type_pairs(dist):
+    """Ordered pairs of distinct types with their type indices and the
+    value differences t_true - t_rep as integers over `vden`."""
+    types = buyer_types(dist)
+    vals, vden = scaled(dist.values)
+    pairs = [
+        (a, t_true, c, t_rep,
+         vals[t_true[0]] - vals[t_rep[0]], vals[t_true[1]] - vals[t_rep[1]])
+        for a, t_true in enumerate(types)
+        for c, t_rep in enumerate(types)
+        if c != a
+    ]
+    return types, pairs, vden
 
 
 def check_dic(mech: Mechanism) -> AuditReport:
     """u_i(t_i,t_-i) >= u_i(t'_i,t_-i) + (t_i - t'_i).q_i(t'_i,t_-i),
     over all buyers, ordered pairs of distinct types, and opponent profiles.
     """
-    n, values = mech.n, mech.dist.values
-    types = buyer_types(mech.dist)
-    others_space = [others for others, _ in enumerate_profiles(n - 1, mech.dist)]
+    n = mech.n
+    types, pairs, vden = _type_pairs(mech.dist)
+    others_space = profile_table(n - 1, mech.dist).profiles
+    _, arows, urows = mech.rows()
+    scale = mech.den * vden
     violations = []
-    count = 0
     for i in range(n):
-        for t_true in types:
-            for t_rep in types:
-                if t_rep == t_true:
-                    continue
-                d1 = values[t_true[0]] - values[t_rep[0]]
-                d2 = values[t_true[1]] - values[t_rep[1]]
-                for others in others_space:
-                    count += 1
-                    truthful = insert(others, i, t_true)
-                    deviated = insert(others, i, t_rep)
-                    q1, q2 = mech.q(i, deviated)
-                    lhs = mech.u(i, truthful)
-                    rhs = mech.u(i, deviated) + d1 * q1 + d2 * q2
-                    if lhs < rhs:
-                        violations.append(
-                            Violation(i, t_true, t_rep, others, lhs, rhs)
-                        )
+        # both sides times den * vden
+        u = [r[i] * vden for r in urows]
+        q1 = [r[i][0] for r in arows]
+        q2 = [r[i][1] for r in arows]
+        positions, step = opponent_positions(n, len(types), i)
+        for a, t_true, c, t_rep, d1, d2 in pairs:
+            lhs_at = [u[pos + a * step] for pos in positions]
+            for o, pos in enumerate(positions):
+                k = pos + c * step
+                lhs = lhs_at[o]
+                rhs = u[k] + d1 * q1[k] + d2 * q2[k]
+                if lhs < rhs:
+                    violations.append(Violation(
+                        i, t_true, t_rep, others_space[o],
+                        Fraction(lhs, scale), Fraction(rhs, scale),
+                    ))
+    count = n * len(pairs) * len(others_space)
     return AuditReport("DIC", not violations, tuple(violations), count)
 
 
 def check_bir(mech: Mechanism) -> AuditReport:
     """Interim utility of truthful participation is nonnegative."""
-    opponents = enumerate_profiles(mech.n - 1, mech.dist)
+    interim = mech.interim
     violations = []
-    count = 0
-    for i in range(mech.n):
-        for t_i in buyer_types(mech.dist):
-            count += 1
-            u_bar = _interim(mech, opponents, i, t_i)[0]
-            if u_bar < 0:
-                violations.append(
-                    Violation(i, t_i, None, "averaged", u_bar, Fraction(0))
-                )
+    for i, u_i in enumerate(interim.utility):
+        for t_i, u in u_i.items():
+            if u < 0:
+                violations.append(Violation(
+                    i, t_i, None, "averaged", Fraction(u, interim.scale), Fraction(0)
+                ))
+    count = mech.n * len(buyer_types(mech.dist))
     return AuditReport("BIR", not violations, tuple(violations), count)
 
 
 def check_bic(mech: Mechanism) -> AuditReport:
     """ubar_i(t_i) - ubar_i(t'_i) >= (t_i - t'_i).qbar_i(t'_i) over all
     buyers and ordered pairs of distinct types."""
-    values = mech.dist.values
-    types = buyer_types(mech.dist)
-    opponents = enumerate_profiles(mech.n - 1, mech.dist)
+    interim = mech.interim
+    _, pairs, vden = _type_pairs(mech.dist)
+    scale = interim.scale * vden
     violations = []
-    count = 0
     for i in range(mech.n):
-        interim = {t: _interim(mech, opponents, i, t) for t in types}
-        for t_true in types:
-            for t_rep in types:
-                if t_rep == t_true:
-                    continue
-                count += 1
-                lhs = interim[t_true][0]
-                u_rep, (q1, q2) = interim[t_rep]
-                rhs = (
-                    u_rep
-                    + (values[t_true[0]] - values[t_rep[0]]) * q1
-                    + (values[t_true[1]] - values[t_rep[1]]) * q2
-                )
-                if lhs < rhs:
-                    violations.append(
-                        Violation(i, t_true, t_rep, "averaged", lhs, rhs)
-                    )
-    return AuditReport("BIC", not violations, tuple(violations), count)
+        u_i, q_i = interim.utility[i], interim.allocation[i]
+        for _, t_true, _, t_rep, d1, d2 in pairs:
+            # both sides times the interim scale and vden
+            lhs = u_i[t_true] * vden
+            q1, q2 = q_i[t_rep]
+            rhs = u_i[t_rep] * vden + d1 * q1 + d2 * q2
+            if lhs < rhs:
+                violations.append(Violation(
+                    i, t_true, t_rep, "averaged", Fraction(lhs, scale), Fraction(rhs, scale)
+                ))
+    return AuditReport("BIC", not violations, tuple(violations), mech.n * len(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -240,20 +229,21 @@ def class_sets(profiles) -> dict:
 def qu_statistics(mech: Mechanism) -> dict:
     """Exact Q(S) (cheap-item allocation mass) and U(S) (utility mass) for
     the five class families."""
+    table = profile_table(mech.n, mech.dist)
+    weight = dict(zip(table.profiles, table.weights))
     sets = class_sets(mech.profiles())
+    scale = table.scale * mech.den
     stats = {}
     for name, profiles in sets.items():
-        q_mass = Fraction(0)
-        u_mass = Fraction(0)
+        q_mass = u_mass = 0
         for profile in profiles:
-            prob = profile_probability(mech.dist, profile)
+            w = weight[profile]
             cheap = cheap_items(profile)
-            for i in range(mech.n):
-                q1, q2 = mech.q(i, profile)
+            for (q1, q2), u in zip(mech.allocation[profile], mech.utility[profile]):
                 if cheap[0]:
-                    q_mass += prob * q1
+                    q_mass += w * q1
                 if cheap[1]:
-                    q_mass += prob * q2
-                u_mass += prob * mech.u(i, profile)
-        stats[name] = (q_mass, u_mass)
+                    q_mass += w * q2
+                u_mass += w * u
+        stats[name] = (Fraction(q_mass, scale), Fraction(u_mass, scale))
     return stats

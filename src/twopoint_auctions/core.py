@@ -1,8 +1,11 @@
 """Exact domain model for n-buyer, two-item auctions with two-point IID values.
 
-Every number in the computational path is a fractions.Fraction: values,
-probabilities, allocations, utilities, revenues.  Floats appear only in
-rendered output, never in computation.
+Every number in the computational path is exact: values, probabilities,
+allocations, utilities and revenues are rationals, never floats; floats
+appear only in rendered output.  Rationals cross the API and the output as
+fractions.Fraction.  Loops that visit every profile work in integers over
+one stated denominator instead (`scaled`, `profile_table`) and build a
+Fraction only for a value that leaves them.
 
 Every buyer-item value is drawn from one finite marginal, a
 `FiniteValueDistribution`.  A buyer type is the index pair (x1, x2) into its
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import sys
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
@@ -149,17 +153,57 @@ def buyer_types(dist: FiniteValueDistribution) -> list[Type]:
     return list(itertools.product(range(len(dist.values)), repeat=2))
 
 
-def profile_probability(dist: FiniteValueDistribution, profile: Sequence[Type]) -> Fraction:
-    """prod_x probs[x] ** (number of cells at atom x), by independence of
-    all 2n draws; 1 for the empty profile."""
-    counts = [0] * len(dist.probs)
-    for x1, x2 in profile:
-        counts[x1] += 1
-        counts[x2] += 1
-    out = Fraction(1)
-    for prob, count in zip(dist.probs, counts):
-        out *= prob ** count
-    return out
+def scaled(xs: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """The rationals xs as integers over one denominator: (numerators,
+    the lcm of the denominators)."""
+    den = math.lcm(*(x.denominator for x in xs))
+    return tuple(x.numerator * (den // x.denominator) for x in xs), den
+
+
+@dataclass(frozen=True)
+class ProfileTable:
+    """Every profile of n buyers, in `enumerate_profiles` order, and its
+    probability as the integer `weights[k]` over `scale`.
+
+    A profile's position, written in base T = k^2 for k atoms, lists its
+    buyers' type indices (x1 * k + x2), buyer 0 most significant, so buyer
+    i's type moves the position in steps of T^(n-1-i).
+    """
+
+    profiles: tuple
+    weights: tuple
+    scale: int
+
+
+def profile_table(
+    n: int, dist: FiniteValueDistribution, cap: int = DEFAULT_PROFILE_CAP
+) -> ProfileTable:
+    """The profiles and their probabilities, over the scale
+    lcm(prob denominators)^(2n).  The tables of the last few (n, dist)
+    pairs are kept for the next caller."""
+    n_types = len(dist.values) ** 2
+    count = n_types ** n
+    if count > cap:
+        raise CapExceeded(
+            f"instance too large for exhaustive mode: {n_types}^{n} = {count} "
+            f"profiles exceeds the cap of {cap}"
+        )
+    return _profile_table(n, dist)
+
+
+@functools.lru_cache(maxsize=4)
+def _profile_table(n: int, dist: FiniteValueDistribution) -> ProfileTable:
+    # A profile's weight is the product of its buyers' type weights, by
+    # independence of all 2n draws.
+    types = buyer_types(dist)
+    probs, den = scaled(dist.probs)
+    type_weights = [probs[x1] * probs[x2] for x1, x2 in types]
+    weights = [1]
+    for _ in range(n):
+        weights = [w * v for w in weights for v in type_weights]
+    return ProfileTable(
+        tuple(itertools.product(types, repeat=n)), tuple(weights), den ** (2 * n)
+    )
 
 
 def enumerate_profiles(
@@ -169,17 +213,21 @@ def enumerate_profiles(
     probability.  Buyer 0 varies slowest; per buyer, types follow
     `buyer_types`.
     """
-    types = buyer_types(dist)
-    count = len(types) ** n
-    if count > cap:
-        raise CapExceeded(
-            f"instance too large for exhaustive mode: {len(types)}^{n} = {count} "
-            f"profiles exceeds the cap of {cap}"
-        )
+    table = profile_table(n, dist, cap)
     return [
-        (t, profile_probability(dist, t))
-        for t in itertools.product(types, repeat=n)
+        (t, Fraction(w, table.scale)) for t, w in zip(table.profiles, table.weights)
     ]
+
+
+def opponent_positions(n: int, n_types: int, i: int) -> tuple[list[int], int]:
+    """Where buyer i's opponents sit in a profile table of n buyers.
+
+    Returns, for each opponent profile in `enumerate_profiles(n - 1)` order,
+    the position of the profile in which buyer i has type index 0, and the
+    step by which each further type index of buyer i moves that position.
+    """
+    step = n_types ** (n - 1 - i)
+    return [o // step * step * n_types + o % step for o in range(n_types ** (n - 1))], step
 
 
 def insert(others: Sequence[Type], i: int, t: Type) -> Profile:
@@ -224,18 +272,15 @@ class HierarchyScheme:
         return self._rank.get(t)
 
 
-def allocate_hierarchy(
-    scheme: HierarchyScheme, profile: Sequence[Type]
-) -> tuple[Fraction, ...]:
-    """Per-buyer shares of one item: split equally among minimum-rank buyers."""
+def hierarchy_winners(scheme: HierarchyScheme, profile: Sequence[Type]) -> list[int]:
+    """The buyers of minimum rank, who split the item equally; none when no
+    buyer's type is ranked."""
     ranks = [scheme.rank(t) for t in profile]
     finite = [r for r in ranks if r is not None]
     if not finite:
-        return tuple(Fraction(0) for _ in profile)
+        return []
     best = min(finite)
-    winners = [i for i, r in enumerate(ranks) if r == best]
-    share = Fraction(1, len(winners))
-    return tuple(share if i in winners else Fraction(0) for i in range(len(profile)))
+    return [i for i, r in enumerate(ranks) if r == best]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Construction of the revenue-optimal mechanisms as explicit tables.
 
 A mechanism is stored as the pair (allocation table, utility table) over all
-profiles of its finite type model; payments are always derived as
-s_i(t) = q_i(t).t_i - u_i(t).
+profiles of its finite type model, as integers over one common denominator;
+payments are always derived as s_i(t) = q_i(t).t_i - u_i(t).
 
 The dominant-strategy-optimal mechanism allocates each item through a
 ranked hierarchy of buyer types, with the ranking tightening as b grows
@@ -16,6 +16,8 @@ exactly where it stops being dominant-strategy incentive compatible.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -27,11 +29,13 @@ from .core import (
     Profile,
     Type,
     active_buyers,
-    allocate_hierarchy,
+    buyer_types,
     cheap_items,
-    enumerate_profiles,
-    profile_probability,
+    hierarchy_winners,
+    opponent_positions,
+    profile_table,
     rat_str,
+    scaled,
     type_label,
 )
 from .formulas import breakpoints, indicator_flags
@@ -43,34 +47,129 @@ LABEL_BIC = "bic-optimal"
 AA, AB, BA, BB = (0, 0), (0, 1), (1, 0), (1, 1)
 
 
+def _numerator(x, den: int) -> int:
+    """x * den for a rational (or int) x whose denominator divides den."""
+    return x.numerator * (den // x.denominator)
+
+
+def payment_row(vals, vden, shares, utils, profile) -> tuple[int, ...]:
+    """Every buyer's payment q_i.t_i - u_i over den * vden, from the share
+    and utility numerators over den and the values as integers over vden."""
+    return tuple(
+        q1 * vals[x1] + q2 * vals[x2] - u * vden
+        for (q1, q2), u, (x1, x2) in zip(shares, utils, profile)
+    )
+
+
+@dataclass(frozen=True)
+class InterimTable:
+    """Each buyer's interim utility and allocation at each of its types,
+    averaged over the opponents' profiles, as integers over `scale`:
+    ubar_i(t) = utility[i][t] / scale, qbar_ij(t) = allocation[i][t][j] / scale.
+    """
+
+    scale: int
+    utility: tuple  # per buyer: {type: numerator}
+    allocation: tuple  # per buyer: {type: (item 1 numerator, item 2 numerator)}
+
+    def u(self, i: int, t: Type) -> Fraction:
+        return Fraction(self.utility[i][t], self.scale)
+
+    def q(self, i: int, t: Type) -> tuple[Fraction, Fraction]:
+        q1, q2 = self.allocation[i][t]
+        return Fraction(q1, self.scale), Fraction(q2, self.scale)
+
+
 @dataclass(frozen=True)
 class Mechanism:
     """Full allocation and utility tables over all profiles of n buyers
-    whose values are drawn from `dist`."""
+    whose values are drawn from `dist`, as integers over the one positive
+    denominator `den`: buyer i's share of item j at profile t is
+    allocation[t][i][j] / den and its utility utility[t][i] / den.
+    """
 
     dist: FiniteValueDistribution
     label: str
-    allocation: Mapping  # profile -> tuple over buyers of (q_item1, q_item2)
-    utility: Mapping  # profile -> tuple over buyers of Fraction
+    allocation: Mapping  # profile -> tuple over buyers of (q_item1, q_item2) numerators
+    utility: Mapping  # profile -> tuple over buyers of utility numerators
+    den: int
+
+    @classmethod
+    def from_rationals(
+        cls, dist: FiniteValueDistribution, label: str, allocation: Mapping,
+        utility: Mapping,
+    ) -> "Mechanism":
+        """The mechanism with the given tables of rationals, stored over the
+        lcm of their denominators."""
+        den = math.lcm(
+            *(q.denominator for shares in allocation.values() for q_i in shares for q in q_i),
+            *(u.denominator for us in utility.values() for u in us),
+        )
+        return cls(
+            dist,
+            label,
+            {t: tuple((_numerator(q1, den), _numerator(q2, den)) for q1, q2 in shares)
+             for t, shares in allocation.items()},
+            {t: tuple(_numerator(u, den) for u in us) for t, us in utility.items()},
+            den,
+        )
 
     @property
     def n(self) -> int:
         return len(next(iter(self.allocation)))
 
     def q(self, i: int, profile: Profile) -> tuple[Fraction, Fraction]:
-        return self.allocation[profile][i]
+        q1, q2 = self.allocation[profile][i]
+        return Fraction(q1, self.den), Fraction(q2, self.den)
 
     def u(self, i: int, profile: Profile) -> Fraction:
-        return self.utility[profile][i]
+        return Fraction(self.utility[profile][i], self.den)
 
     def payment(self, i: int, profile: Profile) -> Fraction:
-        q1, q2 = self.allocation[profile][i]
-        x1, x2 = profile[i]
-        values = self.dist.values
-        return q1 * values[x1] + q2 * values[x2] - self.utility[profile][i]
+        vals, vden = scaled(self.dist.values)
+        row = payment_row(
+            vals, vden, self.allocation[profile], self.utility[profile], profile
+        )
+        return Fraction(row[i], self.den * vden)
 
     def profiles(self):
         return self.allocation.keys()
+
+    def rows(self) -> tuple[tuple, list, list]:
+        """The profiles in `profile_table` order with their allocation and
+        utility rows."""
+        profiles = profile_table(self.n, self.dist).profiles
+        return (
+            profiles,
+            [self.allocation[t] for t in profiles],
+            [self.utility[t] for t in profiles],
+        )
+
+    @functools.cached_property
+    def interim(self) -> InterimTable:
+        """The interim table, built once per mechanism: each buyer's
+        utility and allocation at each type, weighted by the probability of
+        every opponent profile."""
+        n, types = self.n, buyer_types(self.dist)
+        opponents = profile_table(n - 1, self.dist)
+        _, arows, urows = self.rows()
+        utility, allocation = [], []
+        for i in range(n):
+            positions, step = opponent_positions(n, len(types), i)
+            u_i, q_i = {}, {}
+            for c, t in enumerate(types):
+                u = q1 = q2 = 0
+                for pos, w in zip(positions, opponents.weights):
+                    k = pos + c * step
+                    a1, a2 = arows[k][i]
+                    u += w * urows[k][i]
+                    q1 += w * a1
+                    q2 += w * a2
+                u_i[t] = u
+                q_i[t] = (q1, q2)
+            utility.append(u_i)
+            allocation.append(q_i)
+        return InterimTable(opponents.scale * self.den, tuple(utility), tuple(allocation))
 
 
 def interval_case(spec: AuctionSpec) -> int:
@@ -102,8 +201,15 @@ def _is_one_cheap(others: Sequence[Type]) -> bool:
     return cheap[0] != cheap[1]
 
 
-def _utility_table(spec: AuctionSpec, bic_exception: bool):
-    """Utility of each buyer at each profile.
+def _common_den(spec: AuctionSpec) -> int:
+    """A denominator for every share and utility of the closed-form
+    mechanisms: shares are 1/k and utilities (b-a) times alpha/n, beta,
+    gamma/k or beta/(2k), for k <= n."""
+    return 2 * math.lcm(*range(1, spec.n + 1)) * (spec.b - spec.a).denominator
+
+
+def _utility_table(spec: AuctionSpec, bic_exception: bool, den: int):
+    """Utility of each buyer at each profile, as numerators over den.
 
     Base rule (flags alpha, beta, gamma evaluated at the spec):
       (b-a) * alpha/n                 for a one-high type against all-low
@@ -113,40 +219,50 @@ def _utility_table(spec: AuctionSpec, bic_exception: bool):
     With bic_exception, the third branch becomes
       (b-a) * beta / (2*(1+|active|)).
     """
-    n, a, b = spec.n, spec.a, spec.b
+    n, d = spec.n, spec.b - spec.a
     f = indicator_flags(spec)
+    one_high = _numerator(d * Fraction(f.alpha, n), den)
+    both_high = _numerator(d * (Fraction(f.alpha, n) + f.beta), den)
+    # by k = 1 + |active opponents|
+    one_cheap = [
+        _numerator(d * (Fraction(f.beta, 2 * k) if bic_exception else Fraction(f.gamma, k)), den)
+        for k in range(1, n + 1)
+    ]
     table = {}
-    for profile, _ in enumerate_profiles(n, spec.dist):
+    for profile in profile_table(n, spec.dist).profiles:
         us = []
         for i in range(n):
             others = profile[:i] + profile[i + 1 :]
             t_i = profile[i]
             if all(t == AA for t in others):
                 if t_i in (AB, BA):
-                    u = (b - a) * Fraction(f.alpha, n)
+                    u = one_high
                 elif t_i == BB:
-                    u = (b - a) * (Fraction(f.alpha, n) + f.beta)
+                    u = both_high
                 else:
-                    u = Fraction(0)
+                    u = 0
             elif t_i == BB and _is_one_cheap(others):
-                k = 1 + len(active_buyers(others))
-                if bic_exception:
-                    u = (b - a) * Fraction(f.beta, 2 * k)
-                else:
-                    u = (b - a) * Fraction(f.gamma, k)
+                u = one_cheap[len(active_buyers(others))]
             else:
-                u = Fraction(0)
+                u = 0
             us.append(u)
         table[profile] = tuple(us)
     return table
 
 
-def _hierarchy_allocation(spec, h1, h2):
+def _hierarchy_allocation(spec, h1, h2, den: int):
+    """Each item split equally among its hierarchy's minimum-rank buyers,
+    as numerators over den."""
+    n = spec.n
     table = {}
-    for profile, _ in enumerate_profiles(spec.n, spec.dist):
-        shares1 = allocate_hierarchy(h1, profile)
-        shares2 = allocate_hierarchy(h2, profile)
-        table[profile] = tuple(zip(shares1, shares2))
+    for profile in profile_table(n, spec.dist).profiles:
+        w1 = hierarchy_winners(h1, profile)
+        w2 = hierarchy_winners(h2, profile)
+        s1 = den // len(w1) if w1 else 0
+        s2 = den // len(w2) if w2 else 0
+        table[profile] = tuple(
+            (s1 if i in w1 else 0, s2 if i in w2 else 0) for i in range(n)
+        )
     return table
 
 
@@ -154,25 +270,24 @@ def build_dic_mechanism(spec: AuctionSpec) -> Mechanism:
     """The dominant-strategy-optimal mechanism for the spec."""
     case = interval_case(spec)
     h1, h2 = case_hierarchies(case)
-    allocation = _hierarchy_allocation(spec, h1, h2)
+    den = _common_den(spec)
+    allocation = _hierarchy_allocation(spec, h1, h2, den)
     if case == 3:
         # Bundle override: a buyer facing an all-low remainder is offered both
         # items at price a+b; only non-(a,a) types buy.  At the all-low
         # profile nobody buys and nothing is allocated.
-        one = Fraction(1)
-        zero = Fraction(0)
         for profile in list(allocation):
             active = active_buyers(profile)
             if len(active) <= 1:
                 allocation[profile] = tuple(
-                    (one, one) if i in active else (zero, zero)
-                    for i in range(spec.n)
+                    (den, den) if i in active else (0, 0) for i in range(spec.n)
                 )
     return Mechanism(
         dist=spec.dist,
         label=LABEL_DIC,
         allocation=allocation,
-        utility=_utility_table(spec, bic_exception=False),
+        utility=_utility_table(spec, False, den),
+        den=den,
     )
 
 
@@ -187,21 +302,28 @@ def build_bic_mechanism(spec: AuctionSpec) -> Mechanism:
     case = interval_case(spec)
     if case == 4:
         dic = build_dic_mechanism(spec)
-        return Mechanism(spec.dist, LABEL_BIC, dic.allocation, dic.utility)
+        return Mechanism(spec.dist, LABEL_BIC, dic.allocation, dic.utility, dic.den)
     h1, h2 = case_hierarchies(1 if case == 1 else 2)
+    den = _common_den(spec)
     return Mechanism(
         dist=spec.dist,
         label=LABEL_BIC,
-        allocation=_hierarchy_allocation(spec, h1, h2),
-        utility=_utility_table(spec, bic_exception=True),
+        allocation=_hierarchy_allocation(spec, h1, h2, den),
+        utility=_utility_table(spec, True, den),
+        den=den,
     )
 
 
 def payments(mech: Mechanism) -> dict:
     """Derived payment table: profile -> tuple over buyers."""
+    vals, vden = scaled(mech.dist.values)
+    scale = mech.den * vden
     return {
-        profile: tuple(mech.payment(i, profile) for i in range(mech.n))
-        for profile in mech.profiles()
+        t: tuple(
+            Fraction(s, scale)
+            for s in payment_row(vals, vden, shares, mech.utility[t], t)
+        )
+        for t, shares in mech.allocation.items()
     }
 
 
@@ -211,18 +333,29 @@ def mechanism_to_json(mech: Mechanism) -> dict:
     payments included."""
     n, dist = mech.n, mech.dist
     (p, _), (a, b) = dist.probs, dist.values
-    pays = payments(mech)
+    table = profile_table(n, dist)
+    weight = dict(zip(table.profiles, table.weights))
+    vals, vden = scaled(dist.values)
+
+    # Each distinct numerator is reduced and printed once.
+    def formatter(den):
+        return functools.cache(lambda x: rat_str(Fraction(x, den)))
+
+    prob_str = formatter(table.scale)
+    entry_str = formatter(mech.den)
+    pay_str = formatter(mech.den * vden)
     rows = []
-    for profile in mech.profiles():
+    for profile, shares in mech.allocation.items():
+        utils = mech.utility[profile]
         rows.append(
             {
                 "profile": [type_label(t) for t in profile],
-                "probability": rat_str(profile_probability(dist, profile)),
-                "allocation": [
-                    [rat_str(q) for q in mech.q(i, profile)] for i in range(n)
+                "probability": prob_str(weight[profile]),
+                "allocation": [[entry_str(q1), entry_str(q2)] for q1, q2 in shares],
+                "utility": [entry_str(u) for u in utils],
+                "payment": [
+                    pay_str(s) for s in payment_row(vals, vden, shares, utils, profile)
                 ],
-                "utility": [rat_str(mech.u(i, profile)) for i in range(n)],
-                "payment": [rat_str(pays[profile][i]) for i in range(n)],
             }
         )
     return {"spec": AuctionSpec(n, p, a, b).to_json(), "label": mech.label, "profiles": rows}

@@ -32,6 +32,7 @@ from .core import (
     buyer_types,
     enumerate_profiles,
     insert,
+    profile_table,
     rat_str,
 )
 from .formulas import revenue_bic, revenue_dic
@@ -232,8 +233,7 @@ def solve_auction_lp(
     sol = solve(lp, lazy_tags=lazy)
     if sol.status != "optimal":
         raise RuntimeError(f"certificate failure: the auction LP is {sol.status}")
-    profiles = [t for t, _ in enumerate_profiles(n, dist, max_profiles)]
-    q_vars, u_vars = _full_variables(n, profiles)
+    q_vars, u_vars = _full_variables(n, profile_table(n, dist, max_profiles).profiles)
     assignment = {v: sol.assignment[representative(v)] for v in q_vars + u_vars}
     certify_optimum(extract_mechanism(dist, assignment), regime, sol.optimum)
     return LPSolution(sol.status, sol.optimum, assignment, sol.pivots)
@@ -256,7 +256,7 @@ def extract_mechanism(
         for t in profiles
     }
     utility = {t: tuple(assignment[("u", i, t)] for i in range(n)) for t in profiles}
-    return Mechanism(dist, label, allocation, utility)
+    return Mechanism.from_rationals(dist, label, allocation, utility)
 
 
 def certify_optimum(mech: Mechanism, regime: str, optimum: Fraction) -> None:
@@ -266,12 +266,12 @@ def certify_optimum(mech: Mechanism, regime: str, optimum: Fraction) -> None:
     any profile; the regime's audits (IR and DIC, or BIR and BIC) pass; and
     the mechanism's expected revenue is the optimum.
     """
-    for t in mech.profiles():
-        shares = mech.allocation[t]
+    den = mech.den
+    for t, shares in mech.allocation.items():
         if any(q < 0 for q_i in shares for q in q_i):
             raise RuntimeError(f"certificate failure: negative allocation at {t}")
         for j in range(2):
-            if sum(q_i[j] for q_i in shares) > 1:
+            if sum(q_i[j] for q_i in shares) > den:
                 raise RuntimeError(f"certificate failure: item {j + 1} over-allocated at {t}")
     checks = (audit.check_ir, audit.check_dic) if regime == "dic" else (
         audit.check_bir, audit.check_bic)

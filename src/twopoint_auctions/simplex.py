@@ -8,12 +8,15 @@ stay narrow.  The solver pivots on the largest reduced cost and falls back
 to Bland's rule, the anti-cycling guarantee, once it stalls on degenerate
 pivots; an infeasible origin is handled by a phase one over artificials.
 
-Solutions are certified with Fraction arithmetic before they are returned,
-against every constraint of the program, lazy rows included: the primal is
-substituted into every constraint and the objective, and the dual read off
-the final objective row must be sign-correct, dual-feasible and attain the
-same objective (Applegate, Cook, Dash & Espinoza, "Exact solutions to linear
-programming problems", Oper. Res. Lett. 2007).
+Solutions are certified exactly before they are returned, against every
+constraint of the program, lazy rows included: the primal is substituted
+into every constraint and the objective, and the dual read off the final
+objective row must be sign-correct, dual-feasible and attain the same
+objective (Applegate, Cook, Dash & Espinoza, "Exact solutions to linear
+programming problems", Oper. Res. Lett. 2007).  The certificate compares
+integers: each row over its own lcm scale, the primal and the scaled
+duals each over one common denominator.  The program's data and the
+solution are Fractions at the API.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .core import decimal_str, rat_str
+from .core import decimal_str, rat_str, scaled
 
 
 @dataclass(frozen=True)
@@ -94,11 +97,12 @@ class SimplexError(RuntimeError):
     pass
 
 
-def _lcm(nums: Iterable[int]) -> int:
-    out = 1
-    for x in nums:
-        out = out * x // math.gcd(out, x)
-    return out
+def _scaled_row(c: Constraint) -> tuple[int, list, int]:
+    """A row times its scale, the lcm of its denominators: (scale,
+    [(variable, integer coefficient)], integer right-hand side)."""
+    scale = math.lcm(c.rhs.denominator, *(coef.denominator for _, coef in c.coeffs))
+    coeffs = [(v, coef.numerator * (scale // coef.denominator)) for v, coef in c.coeffs]
+    return scale, coeffs, c.rhs.numerator * (scale // c.rhs.denominator)
 
 
 def _presolve_nonneg(lp: LinearProgram):
@@ -272,33 +276,48 @@ def _certify(lp: LinearProgram, sol: LPSolution):
     """Check an optimum exactly against the whole program: the primal is
     feasible and attains the optimum, and the duals are sign-correct,
     dual-feasible (Aᵀy = c on free variables, Aᵀy ≥ c on nonnegative ones)
-    and attain it too, b·y = c·x."""
-    x = sol.assignment
+    and attain it too, b·y = c·x.
+
+    The checks compare integers: each row is taken times its own scale
+    (`_scaled_row`), the objective and the primal each over the lcm of
+    their denominators (C and X), and each multiplier divided by its row's
+    scale over the lcm Z of the quotients' denominators.
+    """
+    nums, X = scaled(list(sol.assignment.values()))
+    x = dict(zip(sol.assignment, nums))
+    opt = sol.optimum
     for v in lp.nonneg:
         if x[v] < 0:
             raise SimplexError(f"certificate failure: {v!r} negative")
-    for c in lp.constraints:
-        if _violated(c, x):
+    rows = [_scaled_row(c) for c in lp.constraints]
+    for c, (_, coeffs, rhs) in zip(lp.constraints, rows):
+        total = sum(a * x[v] for v, a in coeffs)  # over scale * X
+        if (total > rhs * X) if c.rel == "<=" else (total < rhs * X):
             raise SimplexError("certificate failure: constraint violated")
-    obj = sum(coef * x[v] for v, coef in lp.objective.items())
-    if obj != sol.optimum:
+    c_nums, C = scaled(list(lp.objective.values()))
+    cx = sum(a * x[v] for v, a in zip(lp.objective, c_nums))  # over C * X
+    if cx * opt.denominator != opt.numerator * C * X:
         raise SimplexError("certificate failure: objective mismatch")
     if len(sol.duals) != len(lp.constraints):
         raise SimplexError("certificate failure: no dual for every constraint")
-    aty = dict.fromkeys(lp.variables, Fraction(0))
-    by = Fraction(0)
     for c, y in zip(lp.constraints, sol.duals):
         if (y < 0) if c.rel == "<=" else (y > 0):
             raise SimplexError("certificate failure: dual of the wrong sign")
-        if y:
-            by += y * c.rhs
-            for v, coef in c.coeffs:
-                aty[v] += y * coef
+    # y * coef = (y / scale) * (coef * scale), row by row
+    z, Z = scaled([Fraction(y, scale) for y, (scale, _, _) in zip(sol.duals, rows)])
+    aty = dict.fromkeys(lp.variables, 0)  # over Z
+    by = 0
+    for zk, (_, coeffs, rhs) in zip(z, rows):
+        if zk:
+            by += zk * rhs
+            for v, a in coeffs:
+                aty[v] += zk * a
     for v in lp.variables:
         cv = lp.objective.get(v, 0)
-        if (aty[v] < cv) if v in lp.nonneg else (aty[v] != cv):
+        lhs, rhs = aty[v] * cv.denominator, cv.numerator * Z
+        if (lhs < rhs) if v in lp.nonneg else (lhs != rhs):
             raise SimplexError(f"certificate failure: dual infeasible at {v!r}")
-    if by != sol.optimum:
+    if by * opt.denominator != opt.numerator * Z:
         raise SimplexError("certificate failure: dual objective mismatch")
 
 
@@ -324,23 +343,20 @@ def _solve_once(lp: LinearProgram) -> LPSolution:
     rows, scales, neg_rhs_rows = [], [], []
     for i, k in enumerate(kept):
         c = lp.constraints[k]
-        scale = _lcm([coef.denominator for _, coef in c.coeffs] + [c.rhs.denominator])
-        if c.rel == ">=":
-            scale = -scale
+        scale, coeffs, rhs = _scaled_row(c)
+        sign = -1 if c.rel == ">=" else 1
         row = {}
-        for v, coef in c.coeffs:
-            # int(coef * scale) without a Fraction: scale is a multiple of
-            # every denominator in the row
-            row[col_of[v]] = coef.numerator * (scale // coef.denominator)
+        for v, a in coeffs:
+            row[col_of[v]] = sign * a
             if v not in nonneg:
-                row[col_of[v] + 1] = -row[col_of[v]]
+                row[col_of[v] + 1] = -sign * a
         row[nstruct + i] = 1  # slack
-        row[RHS] = int(c.rhs * scale)
+        row[RHS] = sign * rhs
         if row[RHS] < 0:
             neg_rhs_rows.append(i)
         rows.append({j: x for j, x in row.items() if x})
-        scales.append(scale)
-    obj_scale = _lcm([coef.denominator for coef in lp.objective.values()] or [1])
+        scales.append(sign * scale)
+    obj_scale = math.lcm(*(coef.denominator for coef in lp.objective.values()))
     obj = {}
     for v, coef in lp.objective.items():
         obj[col_of[v]] = int(coef * obj_scale)

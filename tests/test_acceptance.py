@@ -31,8 +31,6 @@ from twopoint_auctions.audit import (
     check_dic,
     check_ir,
     expected_revenue,
-    interim_allocation,
-    interim_utility,
     qu_statistics,
 )
 from twopoint_auctions.oracle import certification_grid, certify_main_theorem
@@ -220,8 +218,8 @@ class TestCriterion9:
         types = (AA, AB, BA, BB)
         for spec in GRID:
             mech = build_bic_mechanism(spec)
-            q = {t: interim_allocation(mech, 0, t) for t in types}
-            u = {t: interim_utility(mech, 0, t) for t in types}
+            q = {t: mech.interim.q(0, t) for t in types}
+            u = {t: mech.interim.u(0, t) for t in types}
             for t1 in types:
                 for t2 in types:
                     if t1[0] >= t2[0] and t1[1] >= t2[1]:

@@ -1,10 +1,15 @@
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from twopoint_auctions.continuous import ContinuousSpec, discretize
 from twopoint_auctions.core import (
     AuctionSpec,
+    FiniteValueDistribution,
+    buyer_types,
+    cheap_items,
     enumerate_profiles,
     insert,
 )
@@ -15,16 +20,17 @@ from twopoint_auctions.mechanisms import (
     build_dic_mechanism,
 )
 from twopoint_auctions.audit import (
+    AuditReport,
+    Violation,
     check_bic,
     check_bir,
     check_dic,
     check_ir,
     class_sets,
     expected_revenue,
-    interim_allocation,
-    interim_utility,
     qu_statistics,
 )
+from twopoint_auctions.oracle import extract_mechanism, solve_auction_lp
 
 from test_core import AA, AB, BA, BB, TYPES
 from test_mechanisms import grid_specs, profiles_of, total_utility_mass
@@ -33,22 +39,25 @@ EXAMPLE = AuctionSpec(2, F(1, 2), 1, 2)
 
 
 def zero_mechanism(spec):
-    zero = (F(0), F(0))
+    zero = (0, 0)
     profiles = profiles_of(spec)
     return Mechanism(
         dist=spec.dist,
         label="custom",
         allocation={t: tuple(zero for _ in range(spec.n)) for t in profiles},
-        utility={t: tuple(F(0) for _ in range(spec.n)) for t in profiles},
+        utility={t: tuple(0 for _ in range(spec.n)) for t in profiles},
+        den=1,
     )
 
 
 def with_utility(mech, profile, buyer, value):
-    utility = dict(mech.utility)
+    """The mechanism with one utility entry replaced by the rational value."""
+    utility = {t: tuple(mech.u(i, t) for i in range(mech.n)) for t in mech.profiles()}
+    allocation = {t: tuple(mech.q(i, t) for i in range(mech.n)) for t in mech.profiles()}
     us = list(utility[profile])
     us[buyer] = value
     utility[profile] = tuple(us)
-    return Mechanism(mech.dist, "custom", mech.allocation, utility)
+    return Mechanism.from_rationals(mech.dist, "custom", allocation, utility)
 
 
 def type_values(mech, t):
@@ -234,7 +243,7 @@ class TestTransferEquation:
                 for t_rep in TYPES:
                     vt = type_values(mech, t_true)
                     vr = type_values(mech, t_rep)
-                    q = interim_allocation(mech, i, t_rep)
+                    q = mech.interim.q(i, t_rep)
                     misreport = sum(
                         F(1, 4)
                         * (
@@ -244,7 +253,7 @@ class TestTransferEquation:
                         )
                         for o in TYPES
                     )
-                    expected = interim_utility(mech, i, t_rep) + (
+                    expected = mech.interim.u(i, t_rep) + (
                         (vt[0] - vr[0]) * q[0] + (vt[1] - vr[1]) * q[1]
                     )
                     assert misreport == expected
@@ -292,25 +301,23 @@ class TestInterimFacts:
         mech = build_bic_mechanism(spec)
         for t1, t2 in itertools.product(TYPES, repeat=2):
             if all(x >= y for x, y in zip(t1, t2)):
-                assert self._geq(
-                    interim_allocation(mech, 0, t1), interim_allocation(mech, 0, t2)
-                )
+                assert self._geq(mech.interim.q(0, t1), mech.interim.q(0, t2))
 
     @pytest.mark.parametrize("spec", grid_specs(), ids=str)
     def test_envelope_equalities(self, spec):
         mech = build_bic_mechanism(spec)
         d = spec.b - spec.a
-        u = {t: interim_utility(mech, 0, t) for t in TYPES}
-        q_aa = interim_allocation(mech, 0, AA)
-        q_ab = interim_allocation(mech, 0, AB)
+        u = {t: mech.interim.u(0, t) for t in TYPES}
+        q_aa = mech.interim.q(0, AA)
+        q_ab = mech.interim.q(0, AB)
         assert u[AB] - u[AA] == d * q_aa[1]
         assert u[BB] - u[AB] == d * q_ab[0]
 
     @pytest.mark.parametrize("spec", grid_specs(), ids=str)
     def test_cross_item_interim_comparisons(self, spec):
         mech = build_bic_mechanism(spec)
-        q_ab = interim_allocation(mech, 0, AB)
-        q_ba = interim_allocation(mech, 0, BA)
+        q_ab = mech.interim.q(0, AB)
+        q_ba = mech.interim.q(0, BA)
         assert q_ab[0] <= q_ab[1]
         assert q_ba[0] >= q_ba[1]
 
@@ -350,3 +357,233 @@ class TestReportSerialization:
         assert set(v) == {"buyer", "true_type", "reported_type", "others", "lhs", "rhs"}
         assert v["lhs"] == "1/4"
         assert (v["true_type"], v["reported_type"], v["others"]) == ("bb", "ab", ["ab"])
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against the Fraction audits
+# ---------------------------------------------------------------------------
+#
+# The audits below are the Fraction versions that the integer audits
+# replaced, kept as the reference: every product and sum is a Fraction
+# operation, read through the mechanism's rational accessors.
+
+
+def ref_profile_probability(dist, profile):
+    counts = [0] * len(dist.probs)
+    for x1, x2 in profile:
+        counts[x1] += 1
+        counts[x2] += 1
+    out = F(1)
+    for prob, count in zip(dist.probs, counts):
+        out *= prob ** count
+    return out
+
+
+def ref_enumerate_profiles(n, dist):
+    profiles = itertools.product(buyer_types(dist), repeat=n)
+    return [(t, ref_profile_probability(dist, t)) for t in profiles]
+
+
+def ref_payment(mech, i, profile):
+    q1, q2 = mech.q(i, profile)
+    x1, x2 = profile[i]
+    return q1 * mech.dist.values[x1] + q2 * mech.dist.values[x2] - mech.u(i, profile)
+
+
+def ref_expected_revenue(mech):
+    total = F(0)
+    for profile, prob in ref_enumerate_profiles(mech.n, mech.dist):
+        total += prob * sum(ref_payment(mech, i, profile) for i in range(mech.n))
+    return total
+
+
+def ref_interim(mech, opponents, i, t_i):
+    u = q1 = q2 = F(0)
+    for others, w in opponents:
+        profile = insert(others, i, t_i)
+        a1, a2 = mech.q(i, profile)
+        u += w * mech.u(i, profile)
+        q1 += w * a1
+        q2 += w * a2
+    return u, (q1, q2)
+
+
+def ref_check_ir(mech):
+    violations = []
+    count = 0
+    for profile, _ in ref_enumerate_profiles(mech.n, mech.dist):
+        for i in range(mech.n):
+            count += 1
+            u = mech.u(i, profile)
+            if u < 0:
+                others = profile[:i] + profile[i + 1 :]
+                violations.append(Violation(i, profile[i], None, others, u, F(0)))
+    return AuditReport("IR", not violations, tuple(violations), count)
+
+
+def ref_check_dic(mech):
+    n, values = mech.n, mech.dist.values
+    types = buyer_types(mech.dist)
+    others_space = [others for others, _ in ref_enumerate_profiles(n - 1, mech.dist)]
+    violations = []
+    count = 0
+    for i in range(n):
+        for t_true in types:
+            for t_rep in types:
+                if t_rep == t_true:
+                    continue
+                d1 = values[t_true[0]] - values[t_rep[0]]
+                d2 = values[t_true[1]] - values[t_rep[1]]
+                for others in others_space:
+                    count += 1
+                    truthful = insert(others, i, t_true)
+                    deviated = insert(others, i, t_rep)
+                    q1, q2 = mech.q(i, deviated)
+                    lhs = mech.u(i, truthful)
+                    rhs = mech.u(i, deviated) + d1 * q1 + d2 * q2
+                    if lhs < rhs:
+                        violations.append(Violation(i, t_true, t_rep, others, lhs, rhs))
+    return AuditReport("DIC", not violations, tuple(violations), count)
+
+
+def ref_check_bir(mech):
+    opponents = ref_enumerate_profiles(mech.n - 1, mech.dist)
+    violations = []
+    count = 0
+    for i in range(mech.n):
+        for t_i in buyer_types(mech.dist):
+            count += 1
+            u_bar = ref_interim(mech, opponents, i, t_i)[0]
+            if u_bar < 0:
+                violations.append(Violation(i, t_i, None, "averaged", u_bar, F(0)))
+    return AuditReport("BIR", not violations, tuple(violations), count)
+
+
+def ref_check_bic(mech):
+    values = mech.dist.values
+    types = buyer_types(mech.dist)
+    opponents = ref_enumerate_profiles(mech.n - 1, mech.dist)
+    violations = []
+    count = 0
+    for i in range(mech.n):
+        interim = {t: ref_interim(mech, opponents, i, t) for t in types}
+        for t_true in types:
+            for t_rep in types:
+                if t_rep == t_true:
+                    continue
+                count += 1
+                lhs = interim[t_true][0]
+                u_rep, (q1, q2) = interim[t_rep]
+                rhs = (
+                    u_rep
+                    + (values[t_true[0]] - values[t_rep[0]]) * q1
+                    + (values[t_true[1]] - values[t_rep[1]]) * q2
+                )
+                if lhs < rhs:
+                    violations.append(Violation(i, t_true, t_rep, "averaged", lhs, rhs))
+    return AuditReport("BIC", not violations, tuple(violations), count)
+
+
+def ref_qu_statistics(mech):
+    probs = dict(ref_enumerate_profiles(mech.n, mech.dist))
+    stats = {}
+    for name, profiles in class_sets(mech.profiles()).items():
+        q_mass = u_mass = F(0)
+        for profile in profiles:
+            prob = probs[profile]
+            cheap = cheap_items(profile)
+            for i in range(mech.n):
+                q1, q2 = mech.q(i, profile)
+                if cheap[0]:
+                    q_mass += prob * q1
+                if cheap[1]:
+                    q_mass += prob * q2
+                u_mass += prob * mech.u(i, profile)
+        stats[name] = (q_mass, u_mass)
+    return stats
+
+
+# A three-atom marginal with non-integer values and unequal masses, and the
+# two-atom grid_m=1 discretization of a continuous cell (values 21/2, 41/2).
+THREE_ATOMS = FiniteValueDistribution((F(1, 2), F(4, 3), F(5, 2)), (F(1, 2), F(1, 3), F(1, 6)))
+DISCRETIZED = discretize(ContinuousSpec(2, 10, 2, 1))
+
+
+def random_mechanism(dist, n, seed):
+    """Shares and utilities drawn from small rationals, some negative and
+    some over-allocating: many violations of every kind, in a fixed order."""
+    rng = random.Random(seed)
+    shares = [F(0), F(1, 3), F(1, 2), F(2, 3), F(1)]
+    profiles = [t for t, _ in enumerate_profiles(n, dist)]
+    allocation = {
+        t: tuple((rng.choice(shares), rng.choice(shares)) for _ in range(n))
+        for t in profiles
+    }
+    utility = {
+        t: tuple(F(rng.randint(-2, 12), rng.choice((1, 2, 3, 5, 7))) for _ in range(n))
+        for t in profiles
+    }
+    return Mechanism.from_rationals(dist, "custom", allocation, utility)
+
+
+def differential_cases():
+    cases = []
+    for spec in (
+        AuctionSpec(2, F(1, 3), 1, F(5, 4)),
+        AuctionSpec(2, F(1, 2), 1, 2),
+        AuctionSpec(3, F(2, 3), F(1, 2), F(7, 3)),
+        AuctionSpec(3, F(1, 2), 1, F(7, 4)),
+        AuctionSpec(3, F(1, 4), 0, 2),
+    ):
+        for build in (build_dic_mechanism, build_bic_mechanism):
+            mech = build(spec)
+            cases.append((f"{build.__name__}-{spec}", mech))
+            # planted defects: a negative utility, and a lifted (b,b) row
+            bad = with_utility(mech, (AB,) * spec.n, 0, F(-1, 3))
+            cases.append((f"{build.__name__}-negative-{spec}", bad))
+            top = (BB,) + (AA,) * (spec.n - 1)
+            cases.append((f"{build.__name__}-lifted-{spec}",
+                          with_utility(bad, top, 0, mech.u(0, top) + F(7, 5))))
+    for dist_name, dist in (("three-atoms", THREE_ATOMS), ("discretized", DISCRETIZED)):
+        for n in (2, 3):
+            cases.append((f"random-{dist_name}-n{n}", random_mechanism(dist, n, seed=n)))
+        for regime in ("dic", "bic"):
+            sol = solve_auction_lp(2, dist, regime, max_profiles=len(dist.values) ** 4)
+            cases.append((f"optimum-{regime}-{dist_name}",
+                          extract_mechanism(dist, sol.assignment)))
+    return cases
+
+
+DIFFERENTIAL_CASES = differential_cases()
+
+
+class TestAgainstFractionReference:
+    @pytest.mark.parametrize("name, mech", DIFFERENTIAL_CASES,
+                             ids=[name for name, _ in DIFFERENTIAL_CASES])
+    def test_reports_match(self, name, mech):
+        for check, ref in ((check_ir, ref_check_ir), (check_dic, ref_check_dic),
+                           (check_bir, ref_check_bir), (check_bic, ref_check_bic)):
+            assert check(mech) == ref(mech)
+        assert expected_revenue(mech) == ref_expected_revenue(mech)
+
+    @pytest.mark.parametrize("name, mech", DIFFERENTIAL_CASES,
+                             ids=[name for name, _ in DIFFERENTIAL_CASES])
+    def test_interim_table_matches(self, name, mech):
+        opponents = ref_enumerate_profiles(mech.n - 1, mech.dist)
+        for i in range(mech.n):
+            for t in buyer_types(mech.dist):
+                u, q = ref_interim(mech, opponents, i, t)
+                assert (mech.interim.u(i, t), mech.interim.q(i, t)) == (u, q)
+
+    def test_cases_cover_every_violation_kind(self):
+        reports = [check(mech) for _, mech in DIFFERENTIAL_CASES
+                   for check in (check_ir, check_dic, check_bir, check_bic)]
+        failed = {r.condition for r in reports if not r.passed}
+        assert failed == {"IR", "DIC", "BIR", "BIC"}
+
+    @pytest.mark.parametrize("spec", [AuctionSpec(2, F(1, 3), 1, F(5, 4)),
+                                      AuctionSpec(3, F(2, 3), F(1, 2), F(7, 3))], ids=str)
+    def test_qu_statistics_match(self, spec):
+        for build in (build_dic_mechanism, build_bic_mechanism):
+            mech = build(spec)
+            assert qu_statistics(mech) == ref_qu_statistics(mech)

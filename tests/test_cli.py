@@ -401,6 +401,11 @@ GOLDEN_ARGV = {
     "sweep": ["sweep", "--n", "2", "--p", "1/2", "--a", "1", "--b-min", "101/100",
               "--b-max", "4"],
     **FLAGSHIP_MECHANISMS,
+    # n=4 pins the table and audit arithmetic above the flagship sizes
+    **{f"mechanism-{impl}-n4-b7_4-json": [
+        "mechanism", "--n", "4", "--p", "1/2", "--a", "1", "--b", "7/4",
+        "--impl", impl, "--check", "--format", "json",
+    ] for impl in ("dic", "bic")},
 }
 # (exit code, sha256 of stdout or of the exported file)
 GOLDEN = {
@@ -441,6 +446,8 @@ GOLDEN = {
     "mechanism-bic-n3-b5_2-json": (0, "f225f4fe184ae1a477e597bb29a4144819037482a36da2412c6debdc1b2bf19d"),
     "mechanism-bic-n3-b4-text": (0, "81088a61600ca8c6daa2eea474d47fa8507ae3ecf91cbbec4534dc0689069481"),
     "mechanism-bic-n3-b4-json": (0, "be884b02a3546bff949270b666e8c5564d94092e8b465adec69fa8006764fe49"),
+    "mechanism-dic-n4-b7_4-json": (0, "8e9fcd7d050b8d43899df093b1294d9b3b4f2d6bb6de1cbce0de934b53dc9526"),
+    "mechanism-bic-n4-b7_4-json": (0, "5d5db29750f462c139e12a8edbaf69a864022a64392be8a0f425978199f89d1f"),
     "lp-export-dic": (0, "f1554b2653b9b71ac22e97f3c523306a55e76e9aa96f48189ed8672e5713b318"),
     "lp-export-bic": (0, "5ca0ace267785bf53ca7d08b4c7d0c47aab66e373d03ab551d1f42e1bdd7da9f"),
 }

@@ -17,14 +17,15 @@ from twopoint_auctions.core import (
     FiniteValueDistribution,
     HierarchyScheme,
     InvalidSpec,
-    allocate_hierarchy,
     buyer_types,
     cheap_items,
     class_probabilities,
     classify_profile,
     enumerate_profiles,
+    hierarchy_winners,
     insert,
-    profile_probability,
+    opponent_positions,
+    profile_table,
     rat,
     rat_allow_decimal,
     rat_str,
@@ -115,16 +116,25 @@ class TestEnumeration:
 
     def test_lowest_profile_probability(self):
         spec = AuctionSpec(2, F(1, 3), 1, 2)
-        assert profile_probability(spec.dist, (AA, AA)) == F(1, 3) ** 4
+        assert enumerate_profiles(2, spec.dist)[0] == ((AA, AA), F(1, 3) ** 4)
 
     def test_empty_profile_has_probability_one(self):
         spec = AuctionSpec(2, F(1, 3), 1, 2)
-        assert profile_probability(spec.dist, ()) == 1
         assert enumerate_profiles(0, spec.dist) == [((), 1)]
 
     def test_probability_counts_atoms(self):
         dist = FiniteValueDistribution((1, 2, 3), (F(1, 2), F(1, 3), F(1, 6)))
-        assert profile_probability(dist, ((0, 2), (1, 1))) == F(1, 2) * F(1, 6) * F(1, 3) ** 2
+        probs = dict(enumerate_profiles(2, dist))
+        assert probs[((0, 2), (1, 1))] == F(1, 2) * F(1, 6) * F(1, 3) ** 2
+
+    def test_weights_over_one_scale(self):
+        # lcm(2, 3, 6)^(2n) = 6^4 at n = 2; the (0,2),(1,1) profile has
+        # atom counts 1, 2, 1, so weight 3 * 2^2 * 1
+        dist = FiniteValueDistribution((1, 2, 3), (F(1, 2), F(1, 3), F(1, 6)))
+        table = profile_table(2, dist)
+        assert table.scale == 6 ** 4
+        assert table.weights[table.profiles.index(((0, 2), (1, 1)))] == 12
+        assert sum(table.weights) == table.scale
 
     def test_order_is_lexicographic(self):
         spec = AuctionSpec(2, F(1, 2), 1, 2)
@@ -150,6 +160,18 @@ class TestEnumeration:
         with pytest.raises(CapExceeded):
             enumerate_profiles(11, spec.dist)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_opponent_positions(self, n):
+        dist = FiniteValueDistribution((1, 2, 3), (F(1, 2), F(1, 3), F(1, 6)))
+        types = buyer_types(dist)
+        profiles = profile_table(n, dist).profiles
+        opponents = profile_table(n - 1, dist).profiles
+        for i in range(n):
+            positions, step = opponent_positions(n, len(types), i)
+            for others, pos in zip(opponents, positions, strict=True):
+                for c, t in enumerate(types):
+                    assert profiles[pos + c * step] == insert(others, i, t)
+
     def test_insert(self):
         assert insert((AB, BA), 1, BB) == (AB, BB, BA)
         assert insert((), 0, AA) == (AA,)
@@ -164,15 +186,16 @@ class TestTypeLabel:
 class TestHierarchy:
     def test_unique_minimum_gets_all(self):
         h = HierarchyScheme((BB, BA, AB, AA))
-        assert allocate_hierarchy(h, (BA, BB)) == (F(0), F(1))
+        assert hierarchy_winners(h, (BA, BB)) == [1]
 
     def test_tie_splits_uniformly(self):
+        # every tied buyer wins, and the builders split the item among them
         h = HierarchyScheme((BB, AB, BA, AA))
-        assert allocate_hierarchy(h, (AB, AB)) == (F(1, 2), F(1, 2))
+        assert hierarchy_winners(h, (AB, AB)) == [0, 1]
 
     def test_unlisted_types_get_nothing(self):
         h = HierarchyScheme((BB, BA))
-        assert allocate_hierarchy(h, (AB, AB)) == (F(0), F(0))
+        assert hierarchy_winners(h, (AB, AB)) == []
 
     def test_duplicate_type_rejected(self):
         with pytest.raises(ValueError, match="two levels"):
@@ -184,11 +207,13 @@ class TestHierarchy:
     )
     @settings(max_examples=50, deadline=None)
     def test_supply_invariant(self, order, profile):
-        depth = len(order[0])
-        h = HierarchyScheme(tuple(order[0][:depth]))
-        shares = allocate_hierarchy(h, tuple(profile))
-        assert sum(shares) in (0, 1)
-        assert all(0 <= s <= 1 for s in shares)
+        # a full ranking always has winners: exactly the least-rank buyers
+        h = HierarchyScheme(tuple(order[0]))
+        ranks = [h.rank(t) for t in profile]
+        best = min(ranks)
+        assert hierarchy_winners(h, tuple(profile)) == [
+            i for i, r in enumerate(ranks) if r == best
+        ]
 
 
 class TestClassification:

@@ -41,8 +41,10 @@ def profiles_of(spec):
 
 def tables_equal(m1, m2):
     """Same allocation and utility tables (labels may differ)."""
-    return dict(m1.allocation) == dict(m2.allocation) and dict(m1.utility) == dict(
-        m2.utility
+    return m1.profiles() == m2.profiles() and all(
+        m1.q(i, t) == m2.q(i, t) and m1.u(i, t) == m2.u(i, t)
+        for t in m1.profiles()
+        for i in range(m1.n)
     )
 
 

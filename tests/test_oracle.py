@@ -307,10 +307,11 @@ class TestOptimumCertificate:
     def _mechanism(self, change):
         sol = solve_auction_lp(EXAMPLE.n, EXAMPLE.dist, "dic")
         mech = extract_mechanism(EXAMPLE.dist, sol.assignment)
+        allocation = {t: tuple(mech.q(i, t) for i in range(mech.n)) for t in mech.profiles()}
+        utility = {t: tuple(mech.u(i, t) for i in range(mech.n)) for t in mech.profiles()}
         t = next(iter(mech.profiles()))
-        allocation = dict(mech.allocation)
         allocation[t] = change(allocation[t])
-        return Mechanism(mech.dist, mech.label, allocation, mech.utility), sol.optimum
+        return Mechanism.from_rationals(mech.dist, mech.label, allocation, utility), sol.optimum
 
     def test_over_allocation_is_refused(self):
         mech, optimum = self._mechanism(lambda shares: ((F(1), F(0)),) * len(shares))
