@@ -15,7 +15,6 @@ from .core import (
     hierarchy_winners,
     class_probabilities,
     classify_profile,
-    enumerate_profiles,
     rat,
     rat_str,
 )

@@ -252,7 +252,9 @@ def _certify_line(report) -> str:
 
 
 def cmd_certify(args) -> int:
-    cap = args.cap if args.cap else DEFAULT_LP_PROFILE_CAP
+    if args.cap is not None and args.cap <= 0:
+        raise ValueError(f"--cap must be a positive integer, got {args.cap}")
+    cap = args.cap or DEFAULT_LP_PROFILE_CAP
     if args.grid:
         specs = certification_grid()
     else:
@@ -353,11 +355,18 @@ def cmd_continuous(args) -> int:
 
 
 def _env_cap():
-    raw = os.environ.get(CAP_ENV_VAR, "0")
+    """The --cap default: the environment's positive integer, or None when
+    the variable is unset."""
+    raw = os.environ.get(CAP_ENV_VAR)
+    if raw is None:
+        return None
     try:
-        return int(raw) or None
+        cap = int(raw)
     except ValueError:
         raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
+    if cap <= 0:
+        raise ValueError(f"--cap must be a positive integer, got {cap} from {CAP_ENV_VAR}")
+    return cap
 
 
 def build_parser() -> _Parser:

@@ -162,7 +162,8 @@ def scaled(xs: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
 
 @dataclass(frozen=True)
 class ProfileTable:
-    """Every profile of n buyers, in `enumerate_profiles` order, and its
+    """Every profile of n buyers in lexicographic order, buyer 0 varying
+    slowest and each buyer's types in `buyer_types` order, and its
     probability as the integer `weights[k]` over `scale`.
 
     A profile's position, written in base T = k^2 for k atoms, lists its
@@ -206,33 +207,15 @@ def _profile_table(n: int, dist: FiniteValueDistribution) -> ProfileTable:
     )
 
 
-def enumerate_profiles(
-    n: int, dist: FiniteValueDistribution, cap: int = DEFAULT_PROFILE_CAP
-) -> list[tuple[Profile, Fraction]]:
-    """All (k^2)^n profiles in lexicographic order, each with its exact
-    probability.  Buyer 0 varies slowest; per buyer, types follow
-    `buyer_types`.
-    """
-    table = profile_table(n, dist, cap)
-    return [
-        (t, Fraction(w, table.scale)) for t, w in zip(table.profiles, table.weights)
-    ]
-
-
 def opponent_positions(n: int, n_types: int, i: int) -> tuple[list[int], int]:
     """Where buyer i's opponents sit in a profile table of n buyers.
 
-    Returns, for each opponent profile in `enumerate_profiles(n - 1)` order,
+    Returns, for each opponent profile in `profile_table(n - 1)` order,
     the position of the profile in which buyer i has type index 0, and the
     step by which each further type index of buyer i moves that position.
     """
     step = n_types ** (n - 1 - i)
     return [o // step * step * n_types + o % step for o in range(n_types ** (n - 1))], step
-
-
-def insert(others: Sequence[Type], i: int, t: Type) -> Profile:
-    """The profile in which buyer i has type t and the others keep their order."""
-    return tuple(others[:i]) + (t,) + tuple(others[i:])
 
 
 @functools.lru_cache(maxsize=None)

@@ -16,10 +16,18 @@ one variable per orbit, built directly; the full program is built only for
 `--lp-export` and as the tests' reference.  Every optimum is expanded into
 explicit mechanism tables and audited as a mechanism: supply, the regime's
 participation and truthfulness audits, and its expected revenue.
+
+The builder works in integers: every row and the objective are summed and
+deduplicated over one scale per program, and a `Fraction` is made only for
+each coefficient that enters the `LinearProgram`, the solver's boundary.
+The variables and their orbit columns depend only on n and the number of
+atoms, so one column map per (n, atoms) serves every build and expansion.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -30,14 +38,14 @@ from .core import (
     CapExceeded,
     FiniteValueDistribution,
     buyer_types,
-    enumerate_profiles,
-    insert,
+    opponent_positions,
     profile_table,
     rat_str,
+    scaled,
 )
 from .formulas import revenue_bic, revenue_dic
 from .mechanisms import Mechanism
-from .simplex import LinearProgram, LPSolution, make_constraint, solve
+from .simplex import Constraint, LinearProgram, LPSolution, solve
 
 #: LP-oracle ceiling: exhaustive programs are kept desk-scale.
 DEFAULT_LP_PROFILE_CAP = 4 ** 4
@@ -70,23 +78,35 @@ def representative(v):
     return ("u", 0, min(_canonical(t, i, False), _canonical(t, i, True)))
 
 
-def _full_variables(n: int, profiles) -> tuple[list, list]:
-    q_vars = [("q", i, j, t) for t in profiles for i in range(n) for j in range(2)]
-    u_vars = [("u", i, t) for t in profiles for i in range(n)]
-    return q_vars, u_vars
+@dataclass(frozen=True)
+class _Columns:
+    """The full program's variables for n buyers over k atoms, and the
+    symmetric program's column of each.
+
+    `full` lists q[i,j,t] (profile, buyer, item order) and then u[i,t]
+    (profile, buyer order), so q[i,j] at profile position `pos` is entry
+    2(n pos + i) + j and u[i] is entry 2nP + n pos + i for P profiles.
+    `orbit[k]` is the index in `reps` of `full[k]`'s representative;
+    `reps` lists the representatives in order of first appearance.
+    """
+
+    full: tuple
+    orbit: tuple
+    reps: tuple
 
 
-def _truthfulness_terms(dist, i, t_true, t_rep, others) -> list:
-    """Buyer i's truthfulness row against one opponent profile:
-    u_i(t_true) - u_i(t_rep) - (t_true - t_rep).q_i(t_rep) >= 0."""
-    truthful = insert(others, i, t_true)
-    deviated = insert(others, i, t_rep)
-    terms = [(("u", i, truthful), Fraction(1)), (("u", i, deviated), Fraction(-1))]
-    for j in range(2):
-        dv = dist.values[t_true[j]] - dist.values[t_rep[j]]
-        if dv != 0:
-            terms.append((("q", i, j, deviated), -dv))
-    return terms
+@functools.lru_cache(maxsize=4)
+def _columns(n: int, n_atoms: int) -> _Columns:
+    # Types are index pairs, so the variables and their orbits depend only
+    # on n and the number of atoms; `representative` runs once per full
+    # variable per (n, atoms).
+    types = itertools.product(range(n_atoms), repeat=2)
+    profiles = list(itertools.product(types, repeat=n))
+    full = [("q", i, j, t) for t in profiles for i in range(n) for j in range(2)]
+    full += [("u", i, t) for t in profiles for i in range(n)]
+    index = {}
+    orbit = tuple(index.setdefault(representative(v), len(index)) for v in full)
+    return _Columns(tuple(full), orbit, tuple(index))
 
 
 def _build(
@@ -100,87 +120,134 @@ def _build(
 
     Every variable is read through a column map, the identity or
     `representative`, and each row is accumulated under the mapped columns;
-    identical rows are kept once, in order of first appearance.
+    identical rows are kept once, in order of first appearance.  Rows and
+    the objective are accumulated in integers over one scale per program:
+    L = lcm(value denominators) for the dominant-strategy rows, L times the
+    profile weight scale W for the Bayesian rows and for the objective.  A
+    row is keyed by its integer coefficients, zero sums included, so rows
+    of different families that are equal as rationals meet; a `Fraction` is
+    made only for each coefficient of a row that is kept.
     """
     if regime not in ("dic", "bic"):
         raise ValueError("regime must be 'dic' or 'bic'")
     types = buyer_types(dist)
-    n_profiles = len(types) ** n
+    n_types = len(types)
+    n_profiles = n_types ** n
     if n_profiles > max_profiles:
         raise CapExceeded(
             f"instance too large for exhaustive mode: {n_profiles} profiles "
             f"exceeds the LP cap of {max_profiles}"
         )
-    weighted = enumerate_profiles(n, dist, max_profiles)
-    profiles = [t for t, _ in weighted]
-    q_vars, u_vars = _full_variables(n, profiles)
-    col = ({v: representative(v) for v in q_vars + u_vars}.__getitem__
-           if symmetric else (lambda v: v))
+    table = profile_table(n, dist, max_profiles)
+    cols = _columns(n, len(dist.values))
+    col, names = (cols.orbit, cols.reps) if symmetric else (range(len(cols.full)), cols.full)
+    values, lcm_v = scaled(dist.values)
+    u0 = 2 * n * n_profiles  # entry of u[0] at profile 0
 
     objective = {}
-    for t, prob in weighted:
+    for pos, (t, w) in enumerate(zip(table.profiles, table.weights)):
         for i in range(n):
+            k = 2 * (n * pos + i)
             for j in range(2):
-                r = col(("q", i, j, t))
-                c = prob * dist.values[t[i][j]]
-                objective[r] = objective[r] + c if r in objective else c
-            r = col(("u", i, t))
-            objective[r] = objective[r] - prob if r in objective else -prob
+                r = col[k + j]
+                objective[r] = objective.get(r, 0) + w * values[t[i][j]]
+            r = col[u0 + n * pos + i]
+            objective[r] = objective.get(r, 0) - w * lcm_v
+    obj_scale = lcm_v * table.scale
 
+    scale = lcm_v if regime == "dic" else obj_scale
     rows = {}
 
-    def add(terms, rel, rhs, tag):
-        coeffs = {}
-        for v, c in terms:
-            r = col(v)
-            coeffs[r] = coeffs[r] + c if r in coeffs else c
+    def add(coeffs, rel, rhs, tag):
         key = (tuple(sorted(coeffs.items())), rel, rhs)
         if key not in rows:
-            rows[key] = make_constraint(coeffs, rel, rhs, tag)
+            rows[key] = Constraint(
+                tuple((names[r], Fraction(c, scale)) for r, c in coeffs.items() if c),
+                rel, Fraction(rhs), tag,
+            )
 
-    for t in profiles:
+    for pos in range(n_profiles):
         for j in range(2):
-            add([(("q", i, j, t), Fraction(1)) for i in range(n)], "<=", 1, "supply")
+            coeffs = {}
+            for i in range(n):
+                r = col[2 * (n * pos + i) + j]
+                coeffs[r] = coeffs.get(r, 0) + scale
+            add(coeffs, "<=", 1, "supply")
 
     # In the symmetric program every buyer's truthfulness and participation
     # rows repeat buyer 0's, and opponent profiles that reorder each other
-    # give the same truthfulness row, first met at the sorted one.
+    # give the same truthfulness row, first met at the sorted one.  Profile
+    # positions come from `opponent_positions`: buyer i of type index x
+    # against opponents at base position p sits at p + x * step.
     buyers = range(1) if symmetric else range(n)
-    others_space = enumerate_profiles(n - 1, dist)
-    pairs = [(t_true, t_rep) for t_true in types for t_rep in types if t_rep != t_true]
+    pairs = [
+        (x, y, [values[t[0]] - values[s[0]], values[t[1]] - values[s[1]]])
+        for x, t in enumerate(types) for y, s in enumerate(types) if y != x
+    ]
+
+    def truthfulness(coeffs, i, x, y, dv, base, step, w):
+        """Add w times buyer i's truthfulness row (type x misreporting y
+        against the opponents at `base`), over the program scale:
+        u_i(x) - u_i(y) - (x - y).q_i(y) >= 0."""
+        true, dev = base + x * step, base + y * step
+        r = col[u0 + n * true + i]
+        coeffs[r] = coeffs.get(r, 0) + w * lcm_v
+        r = col[u0 + n * dev + i]
+        coeffs[r] = coeffs.get(r, 0) - w * lcm_v
+        for j in range(2):
+            if dv[j]:
+                r = col[2 * (n * dev + i) + j]
+                coeffs[r] = coeffs.get(r, 0) - w * dv[j]
+
     if regime == "dic":
-        for t in profiles:
+        for pos in range(n_profiles):
             for i in range(n):
-                add([(("u", i, t), Fraction(1))], ">=", 0, "ir")
-        opponents = [o for o, _ in others_space if not symmetric or list(o) == sorted(o)]
+                add({col[u0 + n * pos + i]: scale}, ">=", 0, "ir")
+        others = profile_table(n - 1, dist).profiles
         for i in buyers:
-            for t_true, t_rep in pairs:
+            positions, step = opponent_positions(n, n_types, i)
+            opponents = [p for p, o in zip(positions, others)
+                         if not symmetric or list(o) == sorted(o)]
+            for x, y, dv in pairs:
                 # One-step misreports along a single coordinate tend to be
                 # the binding rows; tag them so lazy solving can keep them
                 # in the model from the start.
                 adjacent = sorted(
-                    (abs(t_true[0] - t_rep[0]), abs(t_true[1] - t_rep[1]))
+                    (abs(types[x][0] - types[y][0]), abs(types[x][1] - types[y][1]))
                 ) == [0, 1]
                 tag = "dic_local" if adjacent else "dic"
-                for others in opponents:
-                    add(_truthfulness_terms(dist, i, t_true, t_rep, others), ">=", 0, tag)
+                for base in opponents:
+                    coeffs = {}
+                    truthfulness(coeffs, i, x, y, dv, base, step, 1)
+                    add(coeffs, ">=", 0, tag)
     else:
         # Interim rows: the opponent-weighted sums of the per-profile ones.
+        # An opponent weight over W(n-1) is on the program scale times
+        # g = W(n) / W(n-1).
+        others = profile_table(n - 1, dist)
+        g = table.scale // others.scale
+        weights = [w * g for w in others.weights]
         for i in buyers:
-            for t_i in types:
-                add([(("u", i, insert(o, i, t_i)), w) for o, w in others_space],
-                    ">=", 0, "bir")
+            positions, step = opponent_positions(n, n_types, i)
+            for x in range(n_types):
+                coeffs = {}
+                for base, w in zip(positions, weights):
+                    r = col[u0 + n * (base + x * step) + i]
+                    coeffs[r] = coeffs.get(r, 0) + w * lcm_v
+                add(coeffs, ">=", 0, "bir")
         for i in buyers:
-            for t_true, t_rep in pairs:
-                add([(v, w * c) for o, w in others_space
-                     for v, c in _truthfulness_terms(dist, i, t_true, t_rep, o)],
-                    ">=", 0, "bic")
+            positions, step = opponent_positions(n, n_types, i)
+            for x, y, dv in pairs:
+                coeffs = {}
+                for base, w in zip(positions, weights):
+                    truthfulness(coeffs, i, x, y, dv, base, step, w)
+                add(coeffs, ">=", 0, "bic")
 
     lp = LinearProgram(
-        variables=list(dict.fromkeys(map(col, q_vars + u_vars))),
-        objective=objective,
+        variables=list(names),
+        objective={names[r]: Fraction(c, obj_scale) for r, c in objective.items()},
         constraints=list(rows.values()),
-        nonneg={col(v) for v in q_vars},
+        nonneg={names[r] for r in col[:u0]},
     )
     return lp.validate()
 
@@ -233,8 +300,9 @@ def solve_auction_lp(
     sol = solve(lp, lazy_tags=lazy)
     if sol.status != "optimal":
         raise RuntimeError(f"certificate failure: the auction LP is {sol.status}")
-    q_vars, u_vars = _full_variables(n, profile_table(n, dist, max_profiles).profiles)
-    assignment = {v: sol.assignment[representative(v)] for v in q_vars + u_vars}
+    cols = _columns(n, len(dist.values))
+    values = [sol.assignment[v] for v in cols.reps]
+    assignment = dict(zip(cols.full, map(values.__getitem__, cols.orbit)))
     certify_optimum(extract_mechanism(dist, assignment), regime, sol.optimum)
     return LPSolution(sol.status, sol.optimum, assignment, sol.pivots)
 

@@ -14,7 +14,7 @@ from fractions import Fraction as F
 import pytest
 
 from twopoint_auctions.cli import main as cli_main
-from twopoint_auctions.core import AuctionSpec, class_probabilities, classify_profile, enumerate_profiles
+from twopoint_auctions.core import AuctionSpec, class_probabilities, classify_profile
 from twopoint_auctions.formulas import (
     breakpoints,
     grand_bundle_revenue,
@@ -41,6 +41,7 @@ from twopoint_auctions.continuous import (
 )
 from twopoint_auctions.oracle import solve_auction_lp
 
+from helpers import enumerate_profiles
 from test_core import AA, AB, BA, BB
 
 EXAMPLE = AuctionSpec(2, F(1, 2), 1, 2)

@@ -10,8 +10,6 @@ from twopoint_auctions.core import (
     FiniteValueDistribution,
     buyer_types,
     cheap_items,
-    enumerate_profiles,
-    insert,
 )
 from twopoint_auctions.formulas import breakpoints, indicator_flags
 from twopoint_auctions.mechanisms import (
@@ -32,6 +30,7 @@ from twopoint_auctions.audit import (
 )
 from twopoint_auctions.oracle import extract_mechanism, solve_auction_lp
 
+from helpers import enumerate_profiles, insert
 from test_core import AA, AB, BA, BB, TYPES
 from test_mechanisms import grid_specs, profiles_of, total_utility_mass
 

@@ -264,6 +264,13 @@ class TestFailClosed:
             pytest.param({}, ["formulas", *EXAMPLE_ARGS, "--out", "{missing}/out.txt"],
                          "out.txt", id="unwritable-out"),
             pytest.param({}, ["certify", "--p", "1/2"], "--n", id="incomplete-certify-spec"),
+            pytest.param({}, ["certify", *EXAMPLE_ARGS, "--cap", "0"],
+                         "--cap must be a positive integer, got 0", id="cap-zero"),
+            pytest.param({}, ["certify", *EXAMPLE_ARGS, "--cap", "-1"],
+                         "--cap must be a positive integer, got -1", id="cap-negative"),
+            pytest.param({"TWOPOINT_AUCTIONS_CAP": "-3"}, ["certify", *EXAMPLE_ARGS],
+                         "--cap must be a positive integer, got -3 from TWOPOINT_AUCTIONS_CAP",
+                         id="cap-env-negative"),
             pytest.param({}, ["formulas", "--n", "2", "--p", "x", "--a", "1", "--b", "2"],
                          "--p", id="non-rational-literal"),
             pytest.param({}, ["continuous", "--a-list", ""], "--a-list", id="empty-a-list"),

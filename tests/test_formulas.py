@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twopoint_auctions.core import AuctionSpec, class_probabilities, enumerate_profiles
+from twopoint_auctions.core import AuctionSpec, class_probabilities
 from twopoint_auctions.formulas import (
     breakpoints,
     grand_bundle_revenue,
@@ -18,6 +18,7 @@ from twopoint_auctions.formulas import (
     sweep_high_value,
 )
 
+from helpers import enumerate_profiles
 from test_core import probabilities, spec_strategy
 
 EXAMPLE = AuctionSpec(2, F(1, 2), 1, 2)

@@ -7,7 +7,6 @@ from twopoint_auctions.core import (
     AuctionSpec,
     cheap_items,
     class_probabilities,
-    enumerate_profiles,
 )
 from twopoint_auctions.formulas import (
     breakpoints,
@@ -29,6 +28,7 @@ from twopoint_auctions.audit import (
     qu_statistics,
 )
 
+from helpers import enumerate_profiles
 from test_core import AA, AB, BA, BB
 
 EXAMPLE = AuctionSpec(2, F(1, 2), 1, 2)

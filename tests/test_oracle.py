@@ -3,7 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from twopoint_auctions.core import AuctionSpec, CapExceeded, FiniteValueDistribution
+from twopoint_auctions.core import (
+    AuctionSpec,
+    CapExceeded,
+    FiniteValueDistribution,
+    buyer_types,
+)
 from twopoint_auctions.formulas import breakpoints, price_b_revenue, revenue_bic, revenue_dic
 from twopoint_auctions.mechanisms import Mechanism, build_bic_mechanism, build_dic_mechanism
 from twopoint_auctions.audit import (
@@ -29,6 +34,8 @@ from twopoint_auctions.oracle import (
 )
 from twopoint_auctions.continuous import ContinuousSpec, discretize
 from twopoint_auctions.simplex import LinearProgram, make_constraint, solve
+
+from helpers import enumerate_profiles, insert
 
 EXAMPLE = AuctionSpec(2, F(1, 2), 1, 2)
 THREE_ATOMS = FiniteValueDistribution((F(1), F(2), F(3)), (F(1, 3),) * 3)
@@ -84,17 +91,15 @@ def _reduce(lp):
     return LinearProgram(variables, objective, constraints, nonneg).validate()
 
 
-SYMMETRY_CASES = pytest.mark.parametrize(
-    "n,dist",
-    [
-        (1, EXAMPLE.dist),
-        (2, EXAMPLE.dist),
-        (3, EXAMPLE.dist),
-        (2, THREE_ATOMS),
-        (2, discretize(ContinuousSpec(2, 10, 2, 2))),
-    ],
-    ids=["n1", "n2", "n3", "three-atoms", "grid-m2"],
-)
+SYMMETRY_PARAMS = [
+    pytest.param(1, EXAMPLE.dist, id="n1"),
+    pytest.param(2, EXAMPLE.dist, id="n2"),
+    pytest.param(3, EXAMPLE.dist, id="n3"),
+    pytest.param(2, THREE_ATOMS, id="three-atoms"),
+    pytest.param(2, discretize(ContinuousSpec(2, 10, 2, 2)), id="grid-m2"),
+]
+
+SYMMETRY_CASES = pytest.mark.parametrize("n,dist", SYMMETRY_PARAMS)
 
 
 class TestProgramShapes:
@@ -405,3 +410,151 @@ class TestGrid:
         specs = certification_grid()
         assert len(specs) == 2 * 5 * (15 + 3)
         assert len({(s.n, s.p, s.a, s.b) for s in specs}) == len(specs)
+
+
+# ---------------------------------------------------------------------------
+# The integer builder against the Fraction one it replaced
+# ---------------------------------------------------------------------------
+
+
+def _ref_full_variables(n, profiles):
+    q_vars = [("q", i, j, t) for t in profiles for i in range(n) for j in range(2)]
+    u_vars = [("u", i, t) for t in profiles for i in range(n)]
+    return q_vars, u_vars
+
+
+def _ref_truthfulness_terms(dist, i, t_true, t_rep, others):
+    truthful = insert(others, i, t_true)
+    deviated = insert(others, i, t_rep)
+    terms = [(("u", i, truthful), F(1)), (("u", i, deviated), F(-1))]
+    for j in range(2):
+        dv = dist.values[t_true[j]] - dist.values[t_rep[j]]
+        if dv != 0:
+            terms.append((("q", i, j, deviated), -dv))
+    return terms
+
+
+def _ref_build(n, dist, regime, max_profiles, symmetric):
+    """Reference builder: every coefficient summed as a Fraction, every
+    variable mapped through `representative` on the spot, and rows keyed by
+    their Fraction coefficients, zero sums included."""
+    types = buyer_types(dist)
+    weighted = enumerate_profiles(n, dist, max_profiles)
+    profiles = [t for t, _ in weighted]
+    q_vars, u_vars = _ref_full_variables(n, profiles)
+    col = ({v: representative(v) for v in q_vars + u_vars}.__getitem__
+           if symmetric else (lambda v: v))
+
+    objective = {}
+    for t, prob in weighted:
+        for i in range(n):
+            for j in range(2):
+                r = col(("q", i, j, t))
+                c = prob * dist.values[t[i][j]]
+                objective[r] = objective[r] + c if r in objective else c
+            r = col(("u", i, t))
+            objective[r] = objective[r] - prob if r in objective else -prob
+
+    rows = {}
+
+    def add(terms, rel, rhs, tag):
+        coeffs = {}
+        for v, c in terms:
+            r = col(v)
+            coeffs[r] = coeffs[r] + c if r in coeffs else c
+        key = (tuple(sorted(coeffs.items())), rel, rhs)
+        if key not in rows:
+            rows[key] = make_constraint(coeffs, rel, rhs, tag)
+
+    for t in profiles:
+        for j in range(2):
+            add([(("q", i, j, t), F(1)) for i in range(n)], "<=", 1, "supply")
+
+    buyers = range(1) if symmetric else range(n)
+    others_space = enumerate_profiles(n - 1, dist)
+    pairs = [(t_true, t_rep) for t_true in types for t_rep in types if t_rep != t_true]
+    if regime == "dic":
+        for t in profiles:
+            for i in range(n):
+                add([(("u", i, t), F(1))], ">=", 0, "ir")
+        opponents = [o for o, _ in others_space if not symmetric or list(o) == sorted(o)]
+        for i in buyers:
+            for t_true, t_rep in pairs:
+                adjacent = sorted(
+                    (abs(t_true[0] - t_rep[0]), abs(t_true[1] - t_rep[1]))
+                ) == [0, 1]
+                tag = "dic_local" if adjacent else "dic"
+                for others in opponents:
+                    add(_ref_truthfulness_terms(dist, i, t_true, t_rep, others), ">=", 0, tag)
+    else:
+        for i in buyers:
+            for t_i in types:
+                add([(("u", i, insert(o, i, t_i)), w) for o, w in others_space],
+                    ">=", 0, "bir")
+        for i in buyers:
+            for t_true, t_rep in pairs:
+                add([(v, w * c) for o, w in others_space
+                     for v, c in _ref_truthfulness_terms(dist, i, t_true, t_rep, o)],
+                    ">=", 0, "bic")
+
+    return LinearProgram(
+        variables=list(dict.fromkeys(map(col, q_vars + u_vars))),
+        objective=objective,
+        constraints=list(rows.values()),
+        nonneg={col(v) for v in q_vars},
+    ).validate()
+
+
+# Equally spaced atoms: opposite one-step misreports on the two items cancel
+# a symmetric truthfulness row's q coefficients, so rows are told apart by
+# their zero entries.
+SPACED_ATOMS = FiniteValueDistribution((F(0), F(1), F(2)), (F(1, 2), F(1, 3), F(1, 6)))
+
+BUILDER_CASES = SYMMETRY_PARAMS + [
+    pytest.param(n, AuctionSpec(n, p, a, b).dist, id=f"grid-{n}-{p}-{a}-{b}")
+    for n, p, a, b, *_ in PINNED_PIVOTS
+] + [
+    pytest.param(2, SPACED_ATOMS, id="spaced-n2"),
+    pytest.param(3, SPACED_ATOMS, id="spaced-n3", marks=pytest.mark.slow),
+]
+
+
+class TestAgainstFractionBuilder:
+    @pytest.mark.parametrize("n,dist", BUILDER_CASES)
+    @pytest.mark.parametrize("regime", ["dic", "bic"])
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "full"])
+    def test_identical_program(self, n, dist, regime, symmetric):
+        cap = len(dist.values) ** (2 * n)
+        lp = oracle._build(n, dist, regime, cap, symmetric)
+        ref = _ref_build(n, dist, regime, cap, symmetric)
+        assert lp.variables == ref.variables
+        assert list(lp.objective.items()) == list(ref.objective.items())
+        assert all(type(c) is F for c in lp.objective.values())
+        assert len(lp.constraints) == len(ref.constraints)
+        for row, ref_row in zip(lp.constraints, ref.constraints):
+            assert row.coeffs == ref_row.coeffs
+            assert all(type(c) is F for _, c in row.coeffs)
+            assert (row.rel, row.rhs, row.tag) == (ref_row.rel, ref_row.rhs, ref_row.tag)
+        assert lp.nonneg == ref.nonneg
+
+
+class TestColumnMap:
+    def test_representative_runs_once_per_full_variable(self, monkeypatch):
+        # The column map is built once per (n, atoms) and read by both
+        # builds and both expansions to the full assignment.
+        calls = []
+
+        def counted(v):
+            calls.append(v)
+            return representative(v)
+
+        monkeypatch.setattr(oracle, "representative", counted)
+        oracle._columns.cache_clear()
+        try:
+            for regime in ("dic", "bic"):
+                solve_auction_lp(EXAMPLE.n, EXAMPLE.dist, regime)
+        finally:
+            oracle._columns.cache_clear()
+        # two q variables and one u variable per buyer per profile
+        n_full = 3 * EXAMPLE.n * 4 ** EXAMPLE.n
+        assert 0 < len(calls) <= n_full
