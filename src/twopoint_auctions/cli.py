@@ -25,6 +25,7 @@ from .core import (
     CapExceeded,
     DEFAULT_PROFILE_CAP,
     InvalidSpec,
+    check_profile_cap,
     decimal_str,
     rat,
     rat_allow_decimal,
@@ -173,8 +174,8 @@ def _witness_line(report) -> str:
 def cmd_mechanism(args) -> int:
     spec = _parse_spec(args)
     builder = build_dic_mechanism if args.impl == "dic" else build_bic_mechanism
+    check_profile_cap(spec.n, spec.dist)
     mech = builder(spec)
-    doc = mechanism_to_json(mech)
 
     status = EXIT_OK
     checks = {}
@@ -225,9 +226,7 @@ def cmd_mechanism(args) -> int:
             status = EXIT_AUDIT
 
     if args.format == "json":
-        if checks:
-            doc["checks"] = checks
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+        _emit(mechanism_to_json(mech, checks) + "\n", args.out)
     else:
         header = [f"mechanism: {mech.label} at n={spec.n} p={rat_str(spec.p)} "
                   f"a={rat_str(spec.a)} b={rat_str(spec.b)}"]

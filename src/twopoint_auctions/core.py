@@ -27,8 +27,11 @@ from typing import Sequence
 
 Rational = Fraction
 
-#: Default ceiling on the number of profiles handled exhaustively.
-DEFAULT_PROFILE_CAP = 4 ** 10
+#: Default ceiling on the number of profiles handled exhaustively: n=8
+#: buyers of two-point types.  Memory grows about fourfold per buyer; a
+#: checked n=8 mechanism written as JSON peaks near 270 MB, so n=10 would
+#: need several GB.
+DEFAULT_PROFILE_CAP = 4 ** 8
 
 
 class CapExceeded(ValueError):
@@ -176,12 +179,10 @@ class ProfileTable:
     scale: int
 
 
-def profile_table(
+def check_profile_cap(
     n: int, dist: FiniteValueDistribution, cap: int = DEFAULT_PROFILE_CAP
-) -> ProfileTable:
-    """The profiles and their probabilities, over the scale
-    lcm(prob denominators)^(2n).  The tables of the last few (n, dist)
-    pairs are kept for the next caller."""
+) -> None:
+    """Refuse, with CapExceeded, n buyers whose profiles outnumber the cap."""
     n_types = len(dist.values) ** 2
     count = n_types ** n
     if count > cap:
@@ -189,6 +190,15 @@ def profile_table(
             f"instance too large for exhaustive mode: {n_types}^{n} = {count} "
             f"profiles exceeds the cap of {cap}"
         )
+
+
+def profile_table(
+    n: int, dist: FiniteValueDistribution, cap: int = DEFAULT_PROFILE_CAP
+) -> ProfileTable:
+    """The profiles and their probabilities, over the scale
+    lcm(prob denominators)^(2n).  The tables of the last few (n, dist)
+    pairs are kept for the next caller."""
+    check_profile_cap(n, dist, cap)
     return _profile_table(n, dist)
 
 

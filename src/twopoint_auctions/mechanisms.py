@@ -17,9 +17,11 @@ exactly where it stops being dominant-strategy incentive compatible.
 from __future__ import annotations
 
 import functools
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as quote
 from typing import Mapping, Sequence
 
 from .core import (
@@ -327,35 +329,67 @@ def payments(mech: Mechanism) -> dict:
     }
 
 
-def mechanism_to_json(mech: Mechanism) -> dict:
+# The indent-2 text of one profile row, two levels into the document.
+_ROW = (
+    "    {\n"
+    '      "profile": [\n        %s\n      ],\n'
+    '      "probability": %s,\n'
+    '      "allocation": [\n        %s\n      ],\n'
+    '      "utility": [\n        %s\n      ],\n'
+    '      "payment": [\n        %s\n      ]\n'
+    "    }"
+)
+_PAIR = "[\n          %s,\n          %s\n        ]"
+_ITEM_SEP = ",\n        "
+
+
+def _nested(value) -> str:
+    """The indent-2 text of a value one level into the document.  The
+    encoder escapes every newline inside a string, so each one it writes is
+    layout and takes the extra indent."""
+    return json.dumps(value, indent=2).replace("\n", "\n  ")
+
+
+def mechanism_to_json(mech: Mechanism, checks=None) -> str:
     """Canonical JSON export of a two-point mechanism: profiles in table
     (enumeration) order, types as letters, rationals as 'num/den' strings,
-    payments included."""
+    payments included, then `checks` when given.
+
+    The text is exactly `json.dumps(doc, indent=2)` of the document
+    {"spec", "label", "profiles", "checks"}, written row by row from the
+    integer tables: each distinct numerator, allocation pair and type is
+    quoted once, and no per-row dict or list is built."""
     n, dist = mech.n, mech.dist
     (p, _), (a, b) = dist.probs, dist.values
     table = profile_table(n, dist)
-    weight = dict(zip(table.profiles, table.weights))
     vals, vden = scaled(dist.values)
 
-    # Each distinct numerator is reduced and printed once.
     def formatter(den):
-        return functools.cache(lambda x: rat_str(Fraction(x, den)))
+        return functools.cache(lambda x: quote(rat_str(Fraction(x, den))))
 
     prob_str = formatter(table.scale)
     entry_str = formatter(mech.den)
     pay_str = formatter(mech.den * vden)
-    rows = []
-    for profile, shares in mech.allocation.items():
-        utils = mech.utility[profile]
-        rows.append(
-            {
-                "profile": [type_label(t) for t in profile],
-                "probability": prob_str(weight[profile]),
-                "allocation": [[entry_str(q1), entry_str(q2)] for q1, q2 in shares],
-                "utility": [entry_str(u) for u in utils],
-                "payment": [
-                    pay_str(s) for s in payment_row(vals, vden, shares, utils, profile)
-                ],
-            }
+    pair_str = functools.cache(lambda q: _PAIR % (entry_str(q[0]), entry_str(q[1])))
+    type_str = functools.cache(lambda t: quote(type_label(t)))
+    join = _ITEM_SEP.join
+    profiles, arows, urows = mech.rows()
+    rows = [
+        _ROW % (
+            join(map(type_str, profile)),
+            prob_str(w),
+            join(map(pair_str, shares)),
+            join(map(entry_str, utils)),
+            join(map(pay_str, payment_row(vals, vden, shares, utils, profile))),
         )
-    return {"spec": AuctionSpec(n, p, a, b).to_json(), "label": mech.label, "profiles": rows}
+        for profile, w, shares, utils in zip(profiles, table.weights, arows, urows)
+    ]
+    parts = [
+        '{\n  "spec": ', _nested(AuctionSpec(n, p, a, b).to_json()),
+        ',\n  "label": ', quote(mech.label),
+        ',\n  "profiles": [\n', ",\n".join(rows), "\n  ]",
+    ]
+    if checks:
+        parts += [',\n  "checks": ', _nested(checks)]
+    parts.append("\n}")
+    return "".join(parts)

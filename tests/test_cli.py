@@ -109,6 +109,23 @@ class TestMechanism:
         assert code == 0 and out == ""
         assert json.loads(path.read_text())["label"] == "dic-optimal"
 
+    @pytest.mark.parametrize("fmt,renders", [("text", 0), ("json", 1)])
+    def test_json_rendered_only_when_printed(self, capsys, monkeypatch, fmt, renders):
+        from twopoint_auctions import cli
+
+        calls = []
+        render = cli.mechanism_to_json
+
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return render(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "mechanism_to_json", wrapper)
+        code, _, _ = run(capsys, "mechanism", *EXAMPLE_ARGS, "--impl", "bic",
+                         "--check", "--format", fmt)
+        assert code == 0
+        assert len(calls) == renders
+
 
 class TestCertify:
     def test_single_spec(self, capsys):
@@ -252,7 +269,8 @@ class TestContinuous:
 
 
 class TestFailClosed:
-    """Bad input ends with exit 1 and one error line, never a traceback."""
+    """Bad input ends with one error line, never a traceback: exit 1, or
+    exit 4 for an instance over a cap, before any work starts."""
 
     @pytest.mark.parametrize(
         "env,argv,named",
@@ -312,6 +330,27 @@ class TestFailClosed:
         errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert code == 1
         assert len(errors) == 1 and errors[0].startswith("error: cannot write ")
+        assert calls == []
+
+
+    @pytest.mark.parametrize("n", ["9", "10"])
+    def test_mechanism_over_the_table_cap_exits_four_unbuilt(self, capsys, monkeypatch, n):
+        from twopoint_auctions import cli
+
+        calls = []
+
+        def builder(spec):
+            calls.append(spec)
+            raise RuntimeError("the mechanism was built")
+
+        monkeypatch.setattr(cli, "build_dic_mechanism", builder)
+        monkeypatch.setattr(cli, "build_bic_mechanism", builder)
+        code, out, err = run(capsys, "mechanism", "--n", n, "--p", "1/2", "--a", "1",
+                             "--b", "5/2", "--impl", "bic", "--check")
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert code == 4 and out == ""
+        assert len(errors) == 1
+        assert errors[0].startswith("error: instance too large for exhaustive mode")
         assert calls == []
 
 
@@ -400,6 +439,10 @@ FLAGSHIP_MECHANISMS = {
     for n in ("2", "3") for impl in ("dic", "bic")
     for b in ("3/2", "7/4", "5/2", "4") for fmt in ("text", "json")
 }
+MECHANISM_P2_3 = [
+    "mechanism", "--n", "3", "--p", "2/3", "--a", "3/2", "--b", "5/2",
+    "--impl", "bic", "--check", "--format", "json",
+]
 GOLDEN_ARGV = {
     "formulas-text": ["formulas", *EXAMPLE_ARGS],
     "formulas-json": ["formulas", *EXAMPLE_ARGS, "--format", "json"],
@@ -413,6 +456,13 @@ GOLDEN_ARGV = {
         "mechanism", "--n", "4", "--p", "1/2", "--a", "1", "--b", "7/4",
         "--impl", impl, "--check", "--format", "json",
     ] for impl in ("dic", "bic")},
+    # no --check, so the document has no "checks" key
+    "mechanism-dic-n3-b7_4-json-unchecked": [
+        "mechanism", "--n", "3", "--p", "1/2", "--a", "1", "--b", "7/4",
+        "--impl", "dic", "--format", "json",
+    ],
+    # probabilities and payments that are not dyadic
+    "mechanism-bic-n3-p2_3-a3_2-b5_2-json": MECHANISM_P2_3,
 }
 # (exit code, sha256 of stdout or of the exported file)
 GOLDEN = {
@@ -455,6 +505,9 @@ GOLDEN = {
     "mechanism-bic-n3-b4-json": (0, "be884b02a3546bff949270b666e8c5564d94092e8b465adec69fa8006764fe49"),
     "mechanism-dic-n4-b7_4-json": (0, "8e9fcd7d050b8d43899df093b1294d9b3b4f2d6bb6de1cbce0de934b53dc9526"),
     "mechanism-bic-n4-b7_4-json": (0, "5d5db29750f462c139e12a8edbaf69a864022a64392be8a0f425978199f89d1f"),
+    "mechanism-dic-n3-b7_4-json-unchecked": (0, "09d26fbfad123541976b0ebf468ca20b02eea89d54379f51cdc711fce06224b2"),
+    "mechanism-bic-n3-p2_3-a3_2-b5_2-json": (0, "604dff48975b37137f442015fc04d45d1a5eac005ba96dd446b8bd228c373a8f"),
+    "mechanism-out-file": (0, "604dff48975b37137f442015fc04d45d1a5eac005ba96dd446b8bd228c373a8f"),
     "lp-export-dic": (0, "f1554b2653b9b71ac22e97f3c523306a55e76e9aa96f48189ed8672e5713b318"),
     "lp-export-bic": (0, "5ca0ace267785bf53ca7d08b4c7d0c47aab66e373d03ab551d1f42e1bdd7da9f"),
 }
@@ -468,6 +521,13 @@ class TestByteGoldens:
     def test_stdout(self, capsys, name):
         code, out, _ = run(capsys, *GOLDEN_ARGV[name])
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[name]
+
+    def test_mechanism_out_file(self, capsys, tmp_path):
+        path = tmp_path / "mech.json"
+        code, out, _ = run(capsys, *MECHANISM_P2_3, "--out", str(path))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert out == ""
+        assert (code, digest) == GOLDEN["mechanism-out-file"]
 
     def test_lp_export(self, capsys, tmp_path):
         prefix = str(tmp_path / "flagship")

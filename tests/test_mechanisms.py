@@ -1,4 +1,7 @@
+import functools
 import itertools
+import json
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +19,7 @@ from twopoint_auctions.formulas import (
     revenue_dic,
 )
 from twopoint_auctions.mechanisms import (
+    Mechanism,
     build_bic_mechanism,
     build_dic_mechanism,
     case_hierarchies,
@@ -24,11 +28,16 @@ from twopoint_auctions.mechanisms import (
     payments,
 )
 from twopoint_auctions.audit import (
+    check_bic,
+    check_bir,
+    check_dic,
+    check_ir,
     expected_revenue,
     qu_statistics,
 )
+from twopoint_auctions.oracle import extract_mechanism, solve_auction_lp
 
-from helpers import enumerate_profiles
+from helpers import enumerate_profiles, mechanism_doc
 from test_core import AA, AB, BA, BB
 
 EXAMPLE = AuctionSpec(2, F(1, 2), 1, 2)
@@ -332,15 +341,84 @@ class TestClassAccounting:
 class TestJsonExport:
     def test_export_shape_and_determinism(self):
         mech = build_bic_mechanism(EXAMPLE)
-        doc = mechanism_to_json(mech)
+        doc = json.loads(mechanism_to_json(mech))
         assert doc["label"] == "bic-optimal"
         assert len(doc["profiles"]) == 16
         assert doc["profiles"][0]["profile"] == ["aa", "aa"]
-        assert doc == mechanism_to_json(build_bic_mechanism(EXAMPLE))
+        assert doc == json.loads(mechanism_to_json(build_bic_mechanism(EXAMPLE)))
 
     def test_export_payment_matches_tables(self):
         mech = build_bic_mechanism(EXAMPLE)
-        doc = mechanism_to_json(mech)
+        doc = json.loads(mechanism_to_json(mech))
         row = next(r for r in doc["profiles"] if r["profile"] == ["bb", "ab"])
         assert row["payment"][0] == "15/4"
         assert row["utility"][0] == "1/4"
+
+
+def random_mechanism(seed):
+    """A mechanism with seeded random tables: shares in [0,1] with zeros,
+    utilities of either sign, on a random two-point spec."""
+    rng = random.Random(seed)
+    n = rng.choice((2, 3))
+    spec = AuctionSpec(n, F(rng.randint(1, 5), 6), F(rng.randint(0, 3), rng.randint(1, 4)),
+                       F(rng.randint(13, 30), 3))
+
+    def entry(lo):
+        return rng.choice((F(0), F(rng.randint(lo, 7), rng.randint(1, 9))))
+
+    allocation, utility = {}, {}
+    for t in profiles_of(spec):
+        allocation[t] = tuple((entry(0) / 7, entry(0) / 7) for _ in range(n))
+        utility[t] = tuple(entry(-7) for _ in range(n))
+    return Mechanism.from_rationals(spec.dist, "random\n\u00e9", allocation, utility)
+
+
+@functools.cache
+def check_variants():
+    """None, no checks, a passing report, and reports with violations: the
+    BIC mechanism's full check suite with its DIC_informational violations
+    and an IR report whose violations carry no reported type."""
+    bic = build_bic_mechanism(EXAMPLE)
+    passing = {"IR": check_ir(bic).to_json(), "BIC": check_bic(bic).to_json(),
+               "BIR": check_bir(bic).to_json(),
+               "revenue": {"expected_revenue": "51/16", "r_B": "51/16", "equal": True}}
+    violating = {**passing, "DIC_informational": check_dic(bic).to_json(),
+                 "IR": check_ir(random_mechanism(0)).to_json(), "note": "two\nlines"}
+    assert violating["DIC_informational"]["violations"]
+    assert violating["IR"]["violations"]
+    return (None, {}, passing, violating)
+
+
+N4_SPECS = [AuctionSpec(4, p, 1, b) for p in (F(1, 2), F(2, 3))
+            for b in (F(11, 10), F(7, 4), F(5, 2), F(9))]
+
+
+class TestJsonRenderer:
+    """The written text is exactly `json.dumps(..., indent=2)` of the
+    reference document built as dicts and lists."""
+
+    @staticmethod
+    def assert_renders(mech):
+        for checks in check_variants():
+            assert mechanism_to_json(mech, checks) == json.dumps(
+                mechanism_doc(mech, checks), indent=2
+            )
+
+    @pytest.mark.parametrize("spec", grid_specs() + N4_SPECS, ids=str)
+    def test_closed_forms(self, spec):
+        self.assert_renders(build_dic_mechanism(spec))
+        self.assert_renders(build_bic_mechanism(spec))
+
+    @pytest.mark.parametrize("regime", ["dic", "bic"])
+    @pytest.mark.parametrize("spec", [EXAMPLE, AuctionSpec(2, F(2, 3), F(3, 2), F(5, 2)),
+                                      AuctionSpec(3, F(1, 2), 1, F(7, 4))], ids=str)
+    def test_lp_optima(self, spec, regime):
+        sol = solve_auction_lp(spec.n, spec.dist, regime)
+        self.assert_renders(extract_mechanism(spec.dist, sol.assignment))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_tables(self, seed):
+        mech = random_mechanism(seed)
+        assert any(u < 0 for us in mech.utility.values() for u in us)
+        assert any(q == 0 for qs in mech.allocation.values() for q_i in qs for q in q_i)
+        self.assert_renders(mech)
