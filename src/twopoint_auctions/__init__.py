@@ -12,7 +12,6 @@ from .core import (
     HierarchyScheme,
     InvalidSpec,
     Rational,
-    hierarchy_winners,
     class_probabilities,
     classify_profile,
     rat,

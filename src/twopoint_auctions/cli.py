@@ -67,12 +67,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _emit(text: str, out_path):
+def _emit(text: str, out_path, end: str = "\n"):
+    """Write text and then `end` to out_path, or to stdout.  The ending is a
+    write of its own, so a large text is never copied to append it."""
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
+            fh.write(end)
     else:
         sys.stdout.write(text)
+        sys.stdout.write(end)
 
 
 def _spec_args(sub):
@@ -133,7 +137,7 @@ def cmd_formulas(args) -> int:
                 "v3": rat_str(rep.breakpoints.v3),
             },
         }
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+        _emit(json.dumps(doc, indent=2), args.out)
         return EXIT_OK
     lines = [
         f"spec: n={spec.n} p={rat_str(spec.p)} a={rat_str(spec.a)} b={rat_str(spec.b)}",
@@ -152,7 +156,7 @@ def cmd_formulas(args) -> int:
             decimal_str(rep.breakpoints.v3),
         ),
     ]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit("\n".join(lines), args.out)
     return EXIT_OK
 
 
@@ -226,11 +230,11 @@ def cmd_mechanism(args) -> int:
             status = EXIT_AUDIT
 
     if args.format == "json":
-        _emit(mechanism_to_json(mech, checks) + "\n", args.out)
+        _emit(mechanism_to_json(mech, checks), args.out)
     else:
         header = [f"mechanism: {mech.label} at n={spec.n} p={rat_str(spec.p)} "
                   f"a={rat_str(spec.a)} b={rat_str(spec.b)}"]
-        _emit("\n".join(header + lines) + "\n", args.out)
+        _emit("\n".join(header + lines), args.out)
     return status
 
 
@@ -266,17 +270,17 @@ def cmd_certify(args) -> int:
     for spec in specs:
         if args.lp_export:
             _emit(lp_to_text(build_dic_lp(spec, cap), "dominant-strategy program"),
-                  args.lp_export + ".dic.lp")
+                  args.lp_export + ".dic.lp", end="")
             _emit(lp_to_text(build_bic_lp(spec, cap), "bayesian program"),
-                  args.lp_export + ".bic.lp")
+                  args.lp_export + ".bic.lp", end="")
         reports.append(certify_main_theorem(spec, max_profiles=cap))
     if args.format == "json":
-        _emit(json.dumps([r.to_json() for r in reports], indent=2) + "\n", args.out)
+        _emit(json.dumps([r.to_json() for r in reports], indent=2), args.out)
     else:
         lines = [_certify_line(r) for r in reports]
         ok = sum(1 for r in reports if r.all_equal)
         lines.append(f"certified {ok}/{len(reports)} specs")
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit("\n".join(lines), args.out)
     return EXIT_OK if all(r.all_equal for r in reports) else EXIT_MISMATCH
 
 
@@ -311,7 +315,7 @@ def cmd_sweep(args) -> int:
             + [row.flags.alpha, row.flags.beta, row.flags.gamma,
                int(row.is_breakpoint)]
         )
-    _emit(buf.getvalue(), args.out)
+    _emit(buf.getvalue(), args.out, end="")
     return EXIT_OK
 
 
@@ -344,7 +348,7 @@ def cmd_continuous(args) -> int:
                  str(opt.numerator), str(opt.denominator), decimal_str(opt),
                  decimal_str(ratio), "" if band is None else int(band)]
             )
-    _emit(buf.getvalue(), args.out)
+    _emit(buf.getvalue(), args.out, end="")
     return EXIT_OK
 
 

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as quote
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .core import (
     AuctionSpec,
@@ -30,10 +30,7 @@ from .core import (
     HierarchyScheme,
     Profile,
     Type,
-    active_buyers,
     buyer_types,
-    cheap_items,
-    hierarchy_winners,
     opponent_positions,
     profile_table,
     rat_str,
@@ -198,11 +195,6 @@ def case_hierarchies(case: int) -> tuple[HierarchyScheme, HierarchyScheme]:
     return h1, h2
 
 
-def _is_one_cheap(others: Sequence[Type]) -> bool:
-    cheap = cheap_items(others)
-    return cheap[0] != cheap[1]
-
-
 def _common_den(spec: AuctionSpec) -> int:
     """A denominator for every share and utility of the closed-form
     mechanisms: shares are 1/k and utilities (b-a) times alpha/n, beta,
@@ -210,87 +202,84 @@ def _common_den(spec: AuctionSpec) -> int:
     return 2 * math.lcm(*range(1, spec.n + 1)) * (spec.b - spec.a).denominator
 
 
-def _utility_table(spec: AuctionSpec, bic_exception: bool, den: int):
-    """Utility of each buyer at each profile, as numerators over den.
+def _closed_form(
+    spec: AuctionSpec, label: str, hierarchy_case: int, bundle: bool, raise_bb: bool
+) -> Mechanism:
+    """The closed-form mechanism as tables over den.
 
-    Base rule (flags alpha, beta, gamma evaluated at the spec):
+    The mechanism is symmetric, so a buyer's share pair and utility depend
+    only on its own type and on how many opponents hold each type.  Both are
+    computed once per class of profiles with the same type counts, C(n+3, 3)
+    classes for 4^n profiles, and every row of a class reuses them.
+
+    Allocation: each item goes to the buyers of the first type of its
+    hierarchy (`case_hierarchies(hierarchy_case)`) that anyone holds, split
+    equally.  With `bundle`, a lone active (non-(a,a)) buyer instead gets both
+    items, and at the all-low profile nothing is allocated.
+
+    Utility (flags alpha, beta, gamma evaluated at the spec):
       (b-a) * alpha/n                 for a one-high type against all-low
       (b-a) * (alpha/n + beta)        for (b,b) against all-low
       (b-a) * gamma / (1+|active|)    for (b,b) against a 1-cheap remainder
       0                               otherwise.
-    With bic_exception, the third branch becomes
+    With `raise_bb`, the third branch becomes
       (b-a) * beta / (2*(1+|active|)).
     """
     n, d = spec.n, spec.b - spec.a
+    den = _common_den(spec)
     f = indicator_flags(spec)
     one_high = _numerator(d * Fraction(f.alpha, n), den)
     both_high = _numerator(d * (Fraction(f.alpha, n) + f.beta), den)
     # by k = 1 + |active opponents|
     one_cheap = [
-        _numerator(d * (Fraction(f.beta, 2 * k) if bic_exception else Fraction(f.gamma, k)), den)
+        _numerator(d * (Fraction(f.beta, 2 * k) if raise_bb else Fraction(f.gamma, k)), den)
         for k in range(1, n + 1)
     ]
-    table = {}
-    for profile in profile_table(n, spec.dist).profiles:
-        us = []
-        for i in range(n):
-            others = profile[:i] + profile[i + 1 :]
-            t_i = profile[i]
-            if all(t == AA for t in others):
-                if t_i in (AB, BA):
-                    u = one_high
-                elif t_i == BB:
-                    u = both_high
-                else:
-                    u = 0
-            elif t_i == BB and _is_one_cheap(others):
-                u = one_cheap[len(active_buyers(others))]
+    h1, h2 = case_hierarchies(hierarchy_case)
+    types = buyer_types(spec.dist)
+
+    @functools.cache
+    def entry(key: tuple) -> tuple[dict, dict]:
+        """Share pair and utility numerator of each type present at a
+        profile whose type counts are `key`."""
+        count = dict(zip(types, key))
+        present = [t for t in types if count[t]]
+        if bundle and count[AA] >= n - 1:
+            shares = {t: (0, 0) if t == AA else (den, den) for t in present}
+        else:
+            winners = [next((t for t in h.levels if count[t]), None) for h in (h1, h2)]
+            shares = {
+                t: tuple(den // count[t] if t == w else 0 for w in winners)
+                for t in present
+            }
+        us = {}
+        for t in present:
+            # The opponents' type counts; item 1 (2) is cheap for them when
+            # none of them values it at b.
+            aa, ab, ba, bb = (c - (s == t) for s, c in zip(types, key))
+            if aa == n - 1:
+                us[t] = both_high if t == BB else 0 if t == AA else one_high
+            elif t == BB and (ba + bb == 0) != (ab + bb == 0):
+                us[t] = one_cheap[n - 1 - aa]
             else:
-                u = 0
-            us.append(u)
-        table[profile] = tuple(us)
-    return table
+                us[t] = 0
+        return shares, us
 
-
-def _hierarchy_allocation(spec, h1, h2, den: int):
-    """Each item split equally among its hierarchy's minimum-rank buyers,
-    as numerators over den."""
-    n = spec.n
-    table = {}
+    allocation, utility = {}, {}
     for profile in profile_table(n, spec.dist).profiles:
-        w1 = hierarchy_winners(h1, profile)
-        w2 = hierarchy_winners(h2, profile)
-        s1 = den // len(w1) if w1 else 0
-        s2 = den // len(w2) if w2 else 0
-        table[profile] = tuple(
-            (s1 if i in w1 else 0, s2 if i in w2 else 0) for i in range(n)
-        )
-    return table
+        shares, us = entry(tuple(map(profile.count, types)))
+        allocation[profile] = tuple(map(shares.__getitem__, profile))
+        utility[profile] = tuple(map(us.__getitem__, profile))
+    return Mechanism(spec.dist, label, allocation, utility, den)
 
 
 def build_dic_mechanism(spec: AuctionSpec) -> Mechanism:
-    """The dominant-strategy-optimal mechanism for the spec."""
+    """The dominant-strategy-optimal mechanism for the spec.
+
+    On [v2,v3) a buyer facing an all-low remainder is offered both items as
+    a bundle at price a+b; only non-(a,a) types buy."""
     case = interval_case(spec)
-    h1, h2 = case_hierarchies(case)
-    den = _common_den(spec)
-    allocation = _hierarchy_allocation(spec, h1, h2, den)
-    if case == 3:
-        # Bundle override: a buyer facing an all-low remainder is offered both
-        # items at price a+b; only non-(a,a) types buy.  At the all-low
-        # profile nobody buys and nothing is allocated.
-        for profile in list(allocation):
-            active = active_buyers(profile)
-            if len(active) <= 1:
-                allocation[profile] = tuple(
-                    (den, den) if i in active else (0, 0) for i in range(spec.n)
-                )
-    return Mechanism(
-        dist=spec.dist,
-        label=LABEL_DIC,
-        allocation=allocation,
-        utility=_utility_table(spec, False, den),
-        den=den,
-    )
+    return _closed_form(spec, LABEL_DIC, case, bundle=case == 3, raise_bb=False)
 
 
 def build_bic_mechanism(spec: AuctionSpec) -> Mechanism:
@@ -303,17 +292,8 @@ def build_bic_mechanism(spec: AuctionSpec) -> Mechanism:
     """
     case = interval_case(spec)
     if case == 4:
-        dic = build_dic_mechanism(spec)
-        return Mechanism(spec.dist, LABEL_BIC, dic.allocation, dic.utility, dic.den)
-    h1, h2 = case_hierarchies(1 if case == 1 else 2)
-    den = _common_den(spec)
-    return Mechanism(
-        dist=spec.dist,
-        label=LABEL_BIC,
-        allocation=_hierarchy_allocation(spec, h1, h2, den),
-        utility=_utility_table(spec, True, den),
-        den=den,
-    )
+        return _closed_form(spec, LABEL_BIC, 4, bundle=False, raise_bb=False)
+    return _closed_form(spec, LABEL_BIC, 1 if case == 1 else 2, bundle=False, raise_bb=True)
 
 
 def payments(mech: Mechanism) -> dict:
@@ -373,22 +353,25 @@ def mechanism_to_json(mech: Mechanism, checks=None) -> str:
     pair_str = functools.cache(lambda q: _PAIR % (entry_str(q[0]), entry_str(q[1])))
     type_str = functools.cache(lambda t: quote(type_label(t)))
     join = _ITEM_SEP.join
+    parts = [
+        '{\n  "spec": ', _nested(AuctionSpec(n, p, a, b).to_json()),
+        ',\n  "label": ', quote(mech.label),
+        ',\n  "profiles": [\n',
+    ]
+    # The rows and their separators go straight into `parts`, so the one
+    # join below is the only copy of the text.
+    sep = ""
     profiles, arows, urows = mech.rows()
-    rows = [
-        _ROW % (
+    for profile, w, shares, utils in zip(profiles, table.weights, arows, urows):
+        parts += (sep, _ROW % (
             join(map(type_str, profile)),
             prob_str(w),
             join(map(pair_str, shares)),
             join(map(entry_str, utils)),
             join(map(pay_str, payment_row(vals, vden, shares, utils, profile))),
-        )
-        for profile, w, shares, utils in zip(profiles, table.weights, arows, urows)
-    ]
-    parts = [
-        '{\n  "spec": ', _nested(AuctionSpec(n, p, a, b).to_json()),
-        ',\n  "label": ', quote(mech.label),
-        ',\n  "profiles": [\n', ",\n".join(rows), "\n  ]",
-    ]
+        ))
+        sep = ",\n"
+    parts.append("\n  ]")
     if checks:
         parts += [',\n  "checks": ', _nested(checks)]
     parts.append("\n}")

@@ -6,12 +6,25 @@ from fractions import Fraction
 from twopoint_auctions.core import (
     DEFAULT_PROFILE_CAP,
     AuctionSpec,
+    active_buyers,
+    cheap_items,
     profile_table,
     rat_str,
     scaled,
     type_label,
 )
-from twopoint_auctions.mechanisms import payment_row
+from twopoint_auctions.formulas import indicator_flags
+from twopoint_auctions.mechanisms import (
+    LABEL_BIC,
+    LABEL_DIC,
+    Mechanism,
+    _common_den,
+    case_hierarchies,
+    interval_case,
+    payment_row,
+)
+
+AA, AB, BA, BB = (0, 0), (0, 1), (1, 0), (1, 1)
 
 
 def enumerate_profiles(n, dist, cap=DEFAULT_PROFILE_CAP):
@@ -63,3 +76,89 @@ def mechanism_doc(mech, checks=None):
     if checks:
         doc["checks"] = checks
     return doc
+
+
+def hierarchy_winners(scheme, profile):
+    """The buyers of minimum rank in the scheme, who split the item
+    equally; none when no buyer's type is ranked."""
+    ranks = [scheme.levels.index(t) if t in scheme.levels else None for t in profile]
+    finite = [r for r in ranks if r is not None]
+    if not finite:
+        return []
+    best = min(finite)
+    return [i for i, r in enumerate(ranks) if r == best]
+
+
+def _reference_tables(spec, hierarchy_case, bundle, raise_bb):
+    """The closed-form allocation and utility tables, built buyer by buyer
+    and profile by profile from the paper's rules: the reference for the
+    count-keyed builders in `mechanisms`."""
+    n, d = spec.n, spec.b - spec.a
+    den = _common_den(spec)
+
+    def num(x):
+        x = Fraction(x) * den
+        if x.denominator != 1:
+            raise ValueError(f"{x / den} is not a multiple of 1/{den}")
+        return x.numerator
+
+    f = indicator_flags(spec)
+    one_high = num(d * Fraction(f.alpha, n))
+    both_high = num(d * (Fraction(f.alpha, n) + f.beta))
+    # by k = 1 + |active opponents|
+    one_cheap = [
+        num(d * (Fraction(f.beta, 2 * k) if raise_bb else Fraction(f.gamma, k)))
+        for k in range(1, n + 1)
+    ]
+    h1, h2 = case_hierarchies(hierarchy_case)
+    allocation, utility = {}, {}
+    for profile in profile_table(n, spec.dist).profiles:
+        active = active_buyers(profile)
+        if bundle and len(active) <= 1:
+            # A lone active buyer takes both items as a bundle.
+            shares = tuple((den, den) if i in active else (0, 0) for i in range(n))
+        else:
+            w1 = hierarchy_winners(h1, profile)
+            w2 = hierarchy_winners(h2, profile)
+            shares = tuple(
+                (den // len(w1) if i in w1 else 0, den // len(w2) if i in w2 else 0)
+                for i in range(n)
+            )
+        us = []
+        for i, t_i in enumerate(profile):
+            others = profile[:i] + profile[i + 1:]
+            cheap = cheap_items(others)
+            if all(t == AA for t in others):
+                if t_i in (AB, BA):
+                    u = one_high
+                elif t_i == BB:
+                    u = both_high
+                else:
+                    u = 0
+            elif t_i == BB and cheap[0] != cheap[1]:
+                u = one_cheap[len(active_buyers(others))]
+            else:
+                u = 0
+            us.append(u)
+        allocation[profile] = shares
+        utility[profile] = tuple(us)
+    return allocation, utility, den
+
+
+def reference_dic_mechanism(spec):
+    """`build_dic_mechanism`, built profile by profile."""
+    case = interval_case(spec)
+    allocation, utility, den = _reference_tables(spec, case, case == 3, False)
+    return Mechanism(spec.dist, LABEL_DIC, allocation, utility, den)
+
+
+def reference_bic_mechanism(spec):
+    """`build_bic_mechanism`, built profile by profile."""
+    case = interval_case(spec)
+    if case == 4:
+        allocation, utility, den = _reference_tables(spec, 4, False, False)
+    else:
+        allocation, utility, den = _reference_tables(
+            spec, 1 if case == 1 else 2, False, True
+        )
+    return Mechanism(spec.dist, LABEL_BIC, allocation, utility, den)

@@ -463,6 +463,16 @@ GOLDEN_ARGV = {
     ],
     # probabilities and payments that are not dyadic
     "mechanism-bic-n3-p2_3-a3_2-b5_2-json": MECHANISM_P2_3,
+    # the case-3 bundle (v2 = 2 <= b < v3 = 3) above the flagship sizes
+    "mechanism-dic-n5-b5_2-json": [
+        "mechanism", "--n", "5", "--p", "1/2", "--a", "1", "--b", "5/2",
+        "--impl", "dic", "--check", "--format", "json",
+    ],
+    # the case-1 widest hierarchy and the BIC raise (b < v1 = 13/5)
+    "mechanism-bic-n5-p2_3-b11_10-json": [
+        "mechanism", "--n", "5", "--p", "2/3", "--a", "1", "--b", "11/10",
+        "--impl", "bic", "--check", "--format", "json",
+    ],
 }
 # (exit code, sha256 of stdout or of the exported file)
 GOLDEN = {
@@ -507,6 +517,8 @@ GOLDEN = {
     "mechanism-bic-n4-b7_4-json": (0, "5d5db29750f462c139e12a8edbaf69a864022a64392be8a0f425978199f89d1f"),
     "mechanism-dic-n3-b7_4-json-unchecked": (0, "09d26fbfad123541976b0ebf468ca20b02eea89d54379f51cdc711fce06224b2"),
     "mechanism-bic-n3-p2_3-a3_2-b5_2-json": (0, "604dff48975b37137f442015fc04d45d1a5eac005ba96dd446b8bd228c373a8f"),
+    "mechanism-dic-n5-b5_2-json": (0, "82e6e1b8ea820b3e852ab5c0000bd0cf3bebd03113c7f547a6d2e4571a872db9"),
+    "mechanism-bic-n5-p2_3-b11_10-json": (0, "3c0fc86144835393f10a073ccd26ba51ce389b0dcb66c436b74d76185262981a"),
     "mechanism-out-file": (0, "604dff48975b37137f442015fc04d45d1a5eac005ba96dd446b8bd228c373a8f"),
     "lp-export-dic": (0, "f1554b2653b9b71ac22e97f3c523306a55e76e9aa96f48189ed8672e5713b318"),
     "lp-export-bic": (0, "5ca0ace267785bf53ca7d08b4c7d0c47aab66e373d03ab551d1f42e1bdd7da9f"),

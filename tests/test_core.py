@@ -21,7 +21,6 @@ from twopoint_auctions.core import (
     cheap_items,
     class_probabilities,
     classify_profile,
-    hierarchy_winners,
     opponent_positions,
     profile_table,
     rat,
@@ -31,7 +30,7 @@ from twopoint_auctions.core import (
     type_label,
 )
 
-from helpers import enumerate_profiles, insert
+from helpers import enumerate_profiles, hierarchy_winners, insert
 
 # The two-point types, named by their letter rendering.
 AA, AB, BA, BB = (0, 0), (0, 1), (1, 0), (1, 1)
@@ -210,7 +209,7 @@ class TestHierarchy:
     def test_supply_invariant(self, order, profile):
         # a full ranking always has winners: exactly the least-rank buyers
         h = HierarchyScheme(tuple(order[0]))
-        ranks = [h.rank(t) for t in profile]
+        ranks = [h.levels.index(t) for t in profile]
         best = min(ranks)
         assert hierarchy_winners(h, tuple(profile)) == [
             i for i, r in enumerate(ranks) if r == best

@@ -37,7 +37,12 @@ from twopoint_auctions.audit import (
 )
 from twopoint_auctions.oracle import extract_mechanism, solve_auction_lp
 
-from helpers import enumerate_profiles, mechanism_doc
+from helpers import (
+    enumerate_profiles,
+    mechanism_doc,
+    reference_bic_mechanism,
+    reference_dic_mechanism,
+)
 from test_core import AA, AB, BA, BB
 
 EXAMPLE = AuctionSpec(2, F(1, 2), 1, 2)
@@ -227,25 +232,67 @@ class TestStructuralInvariants:
 
     @pytest.mark.parametrize("builder", [build_dic_mechanism, build_bic_mechanism])
     def test_buyer_permutation_symmetry(self, builder):
-        spec = AuctionSpec(3, F(1, 2), 1, 2)
-        mech = builder(spec)
-        for profile in profiles_of(spec):
-            for perm in itertools.permutations(range(3)):
-                permuted = tuple(profile[perm.index(i)] for i in range(3))
-                for i in range(3):
-                    assert mech.q(i, profile) == mech.q(perm[i], permuted)
-                    assert mech.u(i, profile) == mech.u(perm[i], permuted)
+        # Permuting the buyers of a profile permutes its rows the same way:
+        # the premise of building the tables once per type-count class.
+        for spec in grid_specs(ns=(2, 3, 4)):
+            mech = builder(spec)
+            perms = list(itertools.permutations(range(spec.n)))
+            for profile in profiles_of(spec):
+                shares, utils = mech.allocation[profile], mech.utility[profile]
+                for perm in perms:
+                    # buyer perm[i] of `permuted` holds buyer i's type
+                    inverse = [perm.index(i) for i in range(spec.n)]
+                    permuted = tuple(profile[k] for k in inverse)
+                    assert mech.allocation[permuted] == tuple(shares[k] for k in inverse)
+                    assert mech.utility[permuted] == tuple(utils[k] for k in inverse)
 
     @pytest.mark.parametrize("builder", [build_dic_mechanism, build_bic_mechanism])
     def test_item_swap_symmetry(self, builder):
-        for spec in grid_specs(ns=(2,)):
+        # Swapping the items in every type swaps q1 and q2 and keeps u.
+        for spec in grid_specs(ns=(2, 3, 4)):
             mech = builder(spec)
             for profile in profiles_of(spec):
                 swapped = tuple(t[::-1] for t in profile)
-                for i in range(spec.n):
-                    q = mech.q(i, profile)
-                    assert mech.q(i, swapped) == (q[1], q[0])
-                    assert mech.u(i, swapped) == mech.u(i, profile)
+                assert mech.allocation[swapped] == tuple(
+                    (q2, q1) for q1, q2 in mech.allocation[profile]
+                )
+                assert mech.utility[swapped] == mech.utility[profile]
+
+
+def reference_specs(n):
+    """Specs at n buyers for p in {1/3, 1/2, 2/3}: for a = 1, b inside each
+    of the four intervals and exactly at v1, v2 and v3; for a = 0, where
+    every b > 0 lies in the top interval, two values of b."""
+    specs = []
+    for p in (F(1, 3), F(1, 2), F(2, 3)):
+        specs += [AuctionSpec(n, p, 0, b) for b in (F(1, 2), F(2))]
+        v = breakpoints(AuctionSpec(n, p, 1, 2))
+        bs = [(1 + v.v1) / 2, v.v1, (v.v1 + v.v2) / 2, v.v2, (v.v2 + v.v3) / 2, v.v3,
+              v.v3 + 1]
+        specs += [AuctionSpec(n, p, 1, b) for b in bs]
+    return specs
+
+
+class TestAgainstReferenceBuilders:
+    """The count-keyed builders equal the per-profile reference builders
+    (`helpers.reference_*_mechanism`) table for table."""
+
+    @pytest.mark.parametrize(
+        "n", [2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)]
+    )
+    def test_dic(self, n):
+        for spec in reference_specs(n):
+            assert build_dic_mechanism(spec) == reference_dic_mechanism(spec), spec
+
+    @pytest.mark.parametrize(
+        "n", [2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)]
+    )
+    def test_bic(self, n):
+        for spec in reference_specs(n):
+            assert build_bic_mechanism(spec) == reference_bic_mechanism(spec), spec
+
+    def test_every_interval_is_covered(self):
+        assert {interval_case(spec) for spec in reference_specs(2)} == {1, 2, 3, 4}
 
 
 def u_support_profiles(n):
