@@ -2,9 +2,12 @@
 
 A primal simplex over a sparse exact tableau.  Each row, the objective row
 included, is a dict of its nonzero integer entries over its own positive
-denominator, divided by their common gcd after every update, so a pivot
-touches only the rows with a nonzero in the entering column and the entries
-stay narrow.  The solver pivots on the largest reduced cost and falls back
+denominator, divided by their common gcd after every update, so the entries
+stay narrow.  A pivot touches only the rows with a nonzero in the entering
+column, which the ratio test has already collected, and rewrites only the
+pivot row's support in each of them; it rescales a whole row only when the
+pivot row's denominator does not divide that row's multiplier, its entry
+in the entering column.  The solver pivots on the largest reduced cost and falls back
 to Bland's rule, the anti-cycling guarantee, once it stalls on degenerate
 pivots; an infeasible origin is handled by a phase one over artificials.
 
@@ -132,36 +135,51 @@ class _Tableau:
 
     Row i is a dict {column: int} of its nonzero entries, the right-hand
     side under `RHS`, over its own positive denominator `dens[i]`; each
-    update divides a row by the gcd of its entries and denominator.
+    update divides a row by the gcd of its entries and denominator, so a
+    row's form is unique.  A pivot changes a row holding the entering
+    column in place, on the pivot row's support alone, and copies the whole
+    row only to rescale it, when the pivot row's denominator does not
+    divide the row's entry in that column.
     """
 
     def __init__(self, rows):
         self.rows = rows
         self.dens = [1] * len(rows)
 
-    def pivot(self, r: int, s: int):
+    def pivot(self, r: int, s: int, holders: Sequence[int] | None = None):
         """Make column s the unit column of row r: rescale row r and update
-        only the rows with a nonzero in column s."""
+        only the rows with a nonzero in column s, which `holders` lists
+        when the caller has already scanned for them.
+
+        Row i loses (a / dens[i]) * row r, a = row i's entry in column s.
+        With g0 = gcd(a, den) the difference is over dens[i] * (den // g0):
+        row i is rescaled by den // g0 only when that is not 1, and
+        otherwise changes in place on row r's support alone."""
         rows, dens = self.rows, self.dens
         piv = rows[r].get(s, 0)
         if piv == 0:
             raise SimplexError("zero pivot")
-        sign = 1 if piv > 0 else -1
-        rows[r], dens[r] = _reduced({j: sign * x for j, x in rows[r].items()}, abs(piv))
-        row, den = rows[r], dens[r]
-        for i, other in enumerate(rows):
-            a = other.get(s)
-            if a is None or i == r:
+        row = rows[r] if piv > 0 else {j: -x for j, x in rows[r].items()}
+        row, den = _reduced(row, abs(piv))
+        rows[r], dens[r] = row, den
+        if holders is None:
+            holders = [i for i, other in enumerate(rows) if s in other]
+        for i in holders:
+            if i == r:
                 continue
-            # other - (a / dens[i]) * row, over the denominator dens[i] * den
-            new = {j: x * den for j, x in other.items()}
+            other = rows[i]
+            a = other[s]
+            g0 = math.gcd(a, den)
+            mult, a = den // g0, a // g0
+            if mult != 1:
+                other = {j: x * mult for j, x in other.items()}
             for j, x in row.items():
-                y = new.get(j, 0) - a * x
+                y = other.get(j, 0) - a * x
                 if y:
-                    new[j] = y
+                    other[j] = y
                 else:
-                    del new[j]
-            rows[i], dens[i] = _reduced(new, dens[i] * den)
+                    del other[j]
+            rows[i], dens[i] = _reduced(other, dens[i] * mult)
 
     def value(self, r: int, c: int) -> Fraction:
         return Fraction(self.rows[r].get(c, 0), self.dens[r])
@@ -204,12 +222,14 @@ def _simplex_loop(tab: _Tableau, basis: list, obj_row: int, ncols: int):
             s = min(candidates)[1]
         # Ratio test: smallest rhs/col over rows with positive column entry
         # (each row's denominator cancels); ties resolved toward the
-        # smallest leaving basis index (Bland).
+        # smallest leaving basis index (Bland).  The rows holding column s,
+        # objective rows included, are the ones the pivot updates.
+        holders = [i for i, row in enumerate(rows) if s in row]
         r = None
         best_num = best_col = None
-        for i in range(m):
-            col = rows[i].get(s, 0)
-            if col <= 0:
+        for i in holders:
+            col = rows[i][s]
+            if col <= 0 or i >= m:
                 continue
             num = rows[i].get(RHS, 0)
             if r is None:
@@ -222,7 +242,7 @@ def _simplex_loop(tab: _Tableau, basis: list, obj_row: int, ncols: int):
         if r is None:
             return ("unbounded", pivots)
         degenerate = best_num == 0
-        tab.pivot(r, s)
+        tab.pivot(r, s, holders)
         basis[r] = s
         pivots += 1
         stall = stall + 1 if degenerate else 0
@@ -238,6 +258,7 @@ def solve(lp: LinearProgram, lazy_tags: Sequence[str] = ()) -> LPSolution:
     lazy_tags = set(lazy_tags)
     active = [k for k, c in enumerate(lp.constraints) if c.tag not in lazy_tags]
     pool = [k for k, c in enumerate(lp.constraints) if c.tag in lazy_tags]
+    pool_rows = {k: _scaled_row(lp.constraints[k]) for k in pool}
     total_pivots = 0
     while True:
         sub = LinearProgram(
@@ -254,7 +275,10 @@ def solve(lp: LinearProgram, lazy_tags: Sequence[str] = ()) -> LPSolution:
             continue
         if sol.status != "optimal":
             return LPSolution(sol.status, None, {}, total_pivots)
-        violated = [k for k in pool if _violated(lp.constraints[k], sol.assignment)]
+        x, X = _integer_primal(sol.assignment)
+        violated = [
+            k for k in pool if _violated(lp.constraints[k].rel, pool_rows[k], x, X)
+        ]
         if not violated:
             duals = [Fraction(0)] * len(lp.constraints)
             for k, y in zip(active, sol.duals):
@@ -267,9 +291,17 @@ def solve(lp: LinearProgram, lazy_tags: Sequence[str] = ()) -> LPSolution:
         active = active + violated
 
 
-def _violated(c: Constraint, assignment) -> bool:
-    total = sum(coef * assignment[v] for v, coef in c.coeffs)
-    return total > c.rhs if c.rel == "<=" else total < c.rhs
+def _integer_primal(assignment) -> tuple[dict, int]:
+    """The primal as integers over one denominator: ({variable: numerator}, X)."""
+    nums, X = scaled(list(assignment.values()))
+    return dict(zip(assignment, nums)), X
+
+
+def _violated(rel: str, row, x: dict, X: int) -> bool:
+    """Whether a `_scaled_row` fails at the integer primal x over X."""
+    _, coeffs, rhs = row
+    total = sum(a * x[v] for v, a in coeffs)  # over scale * X
+    return total > rhs * X if rel == "<=" else total < rhs * X
 
 
 def _certify(lp: LinearProgram, sol: LPSolution):
@@ -283,16 +315,14 @@ def _certify(lp: LinearProgram, sol: LPSolution):
     their denominators (C and X), and each multiplier divided by its row's
     scale over the lcm Z of the quotients' denominators.
     """
-    nums, X = scaled(list(sol.assignment.values()))
-    x = dict(zip(sol.assignment, nums))
+    x, X = _integer_primal(sol.assignment)
     opt = sol.optimum
     for v in lp.nonneg:
         if x[v] < 0:
             raise SimplexError(f"certificate failure: {v!r} negative")
     rows = [_scaled_row(c) for c in lp.constraints]
-    for c, (_, coeffs, rhs) in zip(lp.constraints, rows):
-        total = sum(a * x[v] for v, a in coeffs)  # over scale * X
-        if (total > rhs * X) if c.rel == "<=" else (total < rhs * X):
+    for c, row in zip(lp.constraints, rows):
+        if _violated(c.rel, row, x, X):
             raise SimplexError("certificate failure: constraint violated")
     c_nums, C = scaled(list(lp.objective.values()))
     cx = sum(a * x[v] for v, a in zip(lp.objective, c_nums))  # over C * X

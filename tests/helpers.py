@@ -1,6 +1,7 @@
 """Helpers shared by the test modules."""
 
 import functools
+import math
 from fractions import Fraction
 
 from twopoint_auctions.core import (
@@ -162,3 +163,31 @@ def reference_bic_mechanism(spec):
             spec, 1 if case == 1 else 2, False, True
         )
     return Mechanism(spec.dist, LABEL_BIC, allocation, utility, den)
+
+
+def reference_pivot(tab, r, s):
+    """`simplex._Tableau.pivot` as first written: every row holding column
+    s is copied whole over the denominator dens[i] * den, the pivot row is
+    subtracted, and the row is divided by its gcd."""
+
+    def reduced(row, den):
+        g = math.gcd(den, *row.values())
+        return {j: x // g for j, x in row.items()}, den // g
+
+    rows, dens = tab.rows, tab.dens
+    piv = rows[r][s]
+    sign = 1 if piv > 0 else -1
+    rows[r], dens[r] = reduced({j: sign * x for j, x in rows[r].items()}, abs(piv))
+    row, den = rows[r], dens[r]
+    for i, other in enumerate(rows):
+        a = other.get(s)
+        if a is None or i == r:
+            continue
+        new = {j: x * den for j, x in other.items()}
+        for j, x in row.items():
+            y = new.get(j, 0) - a * x
+            if y:
+                new[j] = y
+            else:
+                del new[j]
+        rows[i], dens[i] = reduced(new, dens[i] * den)

@@ -387,9 +387,22 @@ class TestPivotSequence:
         "regime,optimum,pivots", [("dic", F(16305, 512), 1171), ("bic", F(2079, 64), 188)]
     )
     def test_continuous_cell(self, regime, optimum, pivots):
-        dist = discretize(ContinuousSpec(2, 10, 2, 2))
-        sol = solve_auction_lp(2, dist, regime, max_profiles=4 ** 4)
-        assert (sol.optimum, sol.pivots) == (optimum, pivots)
+        assert solve_continuous_cell(10, regime) == (optimum, pivots)
+
+    # a=40 carries the widest tableau entries of the continuous cells.
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "regime,optimum,pivots", [("dic", F(64305, 512), 1250), ("bic", F(8199, 64), 188)]
+    )
+    def test_widest_continuous_cell(self, regime, optimum, pivots):
+        assert solve_continuous_cell(40, regime) == (optimum, pivots)
+
+
+def solve_continuous_cell(a, regime):
+    """(optimum, pivots) of the grid_m=2 continuous cell at a, lam=2."""
+    dist = discretize(ContinuousSpec(2, a, 2, 2))
+    sol = solve_auction_lp(2, dist, regime, max_profiles=4 ** 4)
+    return sol.optimum, sol.pivots
 
 
 class TestGrid:

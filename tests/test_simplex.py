@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction as F
 
@@ -7,6 +8,9 @@ import pytest
 import scipy.optimize
 
 from twopoint_auctions import simplex
+from twopoint_auctions.continuous import ContinuousSpec, discretize
+from twopoint_auctions.core import AuctionSpec
+from twopoint_auctions.oracle import solve_auction_lp
 from twopoint_auctions.simplex import (
     Constraint,
     LinearProgram,
@@ -15,6 +19,8 @@ from twopoint_auctions.simplex import (
     make_constraint,
     solve,
 )
+
+from helpers import reference_pivot
 
 
 def two_variable_lp():
@@ -122,6 +128,25 @@ class TestLazyRows:
         assert dense.status == lazy.status == "optimal"
 
 
+    def test_row_met_with_equality_is_not_added(self):
+        # The relaxation's optimum (1, 1) meets both pool rows with
+        # equality, the first only after scaling by its lcm 3; neither may
+        # be added, so the solve is the relaxation's alone.
+        def lp(rows):
+            return LinearProgram(["x", "y"], {"x": F(1), "y": F(1)}, rows, {"x", "y"})
+
+        box = [make_constraint({"x": F(1)}, "<=", 1), make_constraint({"y": F(1)}, "<=", 1)]
+        lazy = [
+            make_constraint({"x": F(1, 3), "y": F(1, 3)}, "<=", F(2, 3), tag="lazy"),
+            make_constraint({"x": F(-1), "y": F(-1)}, ">=", F(-2), tag="lazy"),
+        ]
+        alone = solve(lp(box))
+        sol = solve(lp(lazy + box), lazy_tags=("lazy",))
+        assert (sol.optimum, sol.assignment) == (alone.optimum, alone.assignment)
+        assert sol.pivots == alone.pivots
+        assert sol.duals == (F(0), F(0)) + alone.duals
+
+
 class TestCertificate:
     def test_tampered_solution_rejected(self):
         from twopoint_auctions.simplex import LPSolution, _certify
@@ -171,6 +196,97 @@ class TestDuals:
         lp = LinearProgram(["x"], {"x": F(1)}, rows + [make_constraint({"x": F(1)}, "<=", 3)],
                            {"x"})
         assert solve(lp, lazy_tags=("lazy",)).duals == (F(0), F(0), F(1))
+
+
+def copy_tableau(tab):
+    copy = simplex._Tableau([dict(row) for row in tab.rows])
+    copy.dens = list(tab.dens)
+    return copy
+
+
+def random_tableau(rng, m, ncols):
+    """m constraint rows and an objective row of small sparse integers,
+    each over its own denominator, in reduced form."""
+    tab = simplex._Tableau([])
+    for _ in range(m + 1):
+        cols = rng.sample(range(ncols), rng.randint(1, ncols // 2))
+        row = {j: rng.choice((-4, -3, -2, -1, 1, 2, 3, 6)) for j in cols}
+        row[simplex.RHS] = rng.randint(-6, 6)
+        row = {j: x for j, x in row.items() if x}
+        den = rng.choice((1, 1, 2, 3, 4, 6))
+        g = math.gcd(den, *row.values())
+        tab.rows.append({j: x // g for j, x in row.items()})
+        tab.dens.append(den // g)
+    return tab
+
+
+class TestPivotKernel:
+    """`_Tableau.pivot` against `helpers.reference_pivot`, which copies
+    every row holding the entering column whole: the two must leave the
+    same rows and denominators after every pivot."""
+
+    def test_random_tableaus(self):
+        rng = random.Random(20261018)
+        seen = set()
+        for _ in range(60):
+            m, ncols = rng.randint(2, 8), rng.randint(3, 10)
+            tab = random_tableau(rng, m, ncols)
+            for _ in range(3 * m):
+                r = rng.randrange(m)
+                cols = [j for j in tab.rows[r] if j != simplex.RHS]
+                if not cols:
+                    continue
+                s = rng.choice(cols)
+                before, ref = copy_tableau(tab), copy_tableau(tab)
+                reference_pivot(ref, r, s)
+                tab.pivot(r, s)
+                assert tab.rows == ref.rows and tab.dens == ref.dens
+                seen.update(pivot_cases(before, tab, r, s))
+        assert seen == {"negative pivot", "den > 1", "rescaled", "in place",
+                        "cancelled", "filled in"}
+
+    @pytest.mark.parametrize("regime", ["dic", "bic"])
+    @pytest.mark.parametrize(
+        "n,dist",
+        [
+            (3, AuctionSpec(3, F(1, 4), 1, F(31, 30)).dist),
+            (3, AuctionSpec(3, F(3, 4), 1, F(23, 14)).dist),
+            (2, discretize(ContinuousSpec(2, 10, 2, 1))),
+        ],
+        ids=["n3-p1/4", "n3-p3/4", "continuous-a10-m1"],
+    )
+    def test_solver_tableaus(self, monkeypatch, n, dist, regime):
+        pivot = simplex._Tableau.pivot
+        calls = []
+
+        def checked(tab, r, s, holders=None):
+            ref = copy_tableau(tab)
+            reference_pivot(ref, r, s)
+            pivot(tab, r, s, holders)
+            assert tab.rows == ref.rows and tab.dens == ref.dens
+            calls.append((r, s))
+
+        monkeypatch.setattr(simplex._Tableau, "pivot", checked)
+        sol = solve_auction_lp(n, dist, regime)
+        assert len(calls) == sol.pivots > 0
+
+
+def pivot_cases(before, after, r, s):
+    """The kinds of row update a pivot on (r, s) made."""
+    if before.rows[r][s] < 0:
+        yield "negative pivot"
+    row, den = after.rows[r], after.dens[r]
+    for i, old in enumerate(before.rows):
+        if i == r or s not in old:
+            continue
+        if before.dens[i] > 1:
+            yield "den > 1"
+        yield "in place" if old[s] % den == 0 else "rescaled"
+        new = after.rows[i]
+        if any(j in old and j not in new for j in row if j != s):
+            yield "cancelled"
+        if any(j not in old for j in new):
+            yield "filled in"
 
 
 def random_lp(rng, nvars, nrows):
