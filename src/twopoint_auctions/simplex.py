@@ -7,9 +7,10 @@ stay narrow.  A pivot touches only the rows with a nonzero in the entering
 column, which the ratio test has already collected, and rewrites only the
 pivot row's support in each of them; it rescales a whole row only when the
 pivot row's denominator does not divide that row's multiplier, its entry
-in the entering column.  The solver pivots on the largest reduced cost and falls back
-to Bland's rule, the anti-cycling guarantee, once it stalls on degenerate
-pivots; an infeasible origin is handled by a phase one over artificials.
+in the entering column.  The solver pivots on the largest reduced cost and
+falls back to Bland's rule, the anti-cycling guarantee, once it stalls on
+degenerate pivots; an infeasible origin is handled by a phase one over
+artificials.
 
 Solutions are certified exactly before they are returned, against every
 constraint of the program, lazy rows included: the primal is substituted
@@ -258,7 +259,6 @@ def solve(lp: LinearProgram, lazy_tags: Sequence[str] = ()) -> LPSolution:
     lazy_tags = set(lazy_tags)
     active = [k for k, c in enumerate(lp.constraints) if c.tag not in lazy_tags]
     pool = [k for k, c in enumerate(lp.constraints) if c.tag in lazy_tags]
-    pool_rows = {k: _scaled_row(lp.constraints[k]) for k in pool}
     total_pivots = 0
     while True:
         sub = LinearProgram(
@@ -277,7 +277,8 @@ def solve(lp: LinearProgram, lazy_tags: Sequence[str] = ()) -> LPSolution:
             return LPSolution(sol.status, None, {}, total_pivots)
         x, X = _integer_primal(sol.assignment)
         violated = [
-            k for k in pool if _violated(lp.constraints[k].rel, pool_rows[k], x, X)
+            k for k in pool
+            if _violated(lp.constraints[k].rel, _scaled_row(lp.constraints[k]), x, X)
         ]
         if not violated:
             duals = [Fraction(0)] * len(lp.constraints)
