@@ -153,9 +153,10 @@ class _Tableau:
         when the caller has already scanned for them.
 
         Row i loses (a / dens[i]) * row r, a = row i's entry in column s.
-        With g0 = gcd(a, den) the difference is over dens[i] * (den // g0):
-        row i is rescaled by den // g0 only when that is not 1, and
-        otherwise changes in place on row r's support alone."""
+        With den the pivot row's new denominator and g0 = gcd(a, den), the
+        difference is over dens[i] * (den // g0): row i is rescaled by
+        den // g0 only when that is not 1, and otherwise changes in place
+        on row r's support alone."""
         rows, dens = self.rows, self.dens
         piv = rows[r].get(s, 0)
         if piv == 0:

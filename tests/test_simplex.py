@@ -127,11 +127,10 @@ class TestLazyRows:
         assert dense.optimum == lazy.optimum
         assert dense.status == lazy.status == "optimal"
 
-
     def test_row_met_with_equality_is_not_added(self):
         # The relaxation's optimum (1, 1) meets both pool rows with
-        # equality, the first only after scaling by its lcm 3; neither may
-        # be added, so the solve is the relaxation's alone.
+        # equality, the first over its scale 3; neither may be added, so
+        # the solve is the relaxation's alone.
         def lp(rows):
             return LinearProgram(["x", "y"], {"x": F(1), "y": F(1)}, rows, {"x", "y"})
 
