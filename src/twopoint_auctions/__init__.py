@@ -34,7 +34,6 @@ from .mechanisms import (
     Mechanism,
     build_bic_mechanism,
     build_dic_mechanism,
-    payments,
 )
 from .audit import (
     AuditReport,
@@ -53,7 +52,7 @@ from .oracle import (
     extract_mechanism,
     solve_auction_lp,
 )
-from .simplex import LinearProgram, LPSolution, make_constraint, solve
+from .simplex import LinearProgram, LPSolution, solve
 from .continuous import ContinuousSpec, corollary_probe, discretize, lp_over_grid
 
 __version__ = "0.1.0"

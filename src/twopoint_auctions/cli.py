@@ -12,6 +12,7 @@ of the closed forms: a defect in the program, not in the input).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -23,7 +24,6 @@ from . import audit as audit_mod
 from .core import (
     AuctionSpec,
     CapExceeded,
-    DEFAULT_PROFILE_CAP,
     InvalidSpec,
     check_profile_cap,
     decimal_str,
@@ -32,15 +32,9 @@ from .core import (
     rat_str,
     type_label,
 )
-from .continuous import ContinuousSpec, corollary_probe, lp_over_grid
+from .continuous import corollary_probe
 from .formulas import revenue_report, sweep_high_value
-from .mechanisms import (
-    LABEL_BIC,
-    LABEL_DIC,
-    build_bic_mechanism,
-    build_dic_mechanism,
-    mechanism_to_json,
-)
+from .mechanisms import build_bic_mechanism, build_dic_mechanism, mechanism_to_json
 from .oracle import (
     DEFAULT_LP_PROFILE_CAP,
     build_bic_lp,
@@ -67,16 +61,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _emit(text: str, out_path, end: str = "\n"):
-    """Write text and then `end` to out_path, or to stdout.  The ending is a
-    write of its own, so a large text is never copied to append it."""
+@contextlib.contextmanager
+def _output(out_path):
+    """The file out_path opened for writing, or stdout."""
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text)
-            fh.write(end)
+            yield fh
     else:
-        sys.stdout.write(text)
-        sys.stdout.write(end)
+        yield sys.stdout
+
+
+def _emit(text: str, out_path, end: str = "\n"):
+    """Write text and then `end` to out_path, or to stdout."""
+    with _output(out_path) as fh:
+        fh.write(text)
+        fh.write(end)
 
 
 def _spec_args(sub):
@@ -230,7 +229,9 @@ def cmd_mechanism(args) -> int:
             status = EXIT_AUDIT
 
     if args.format == "json":
-        _emit(mechanism_to_json(mech, checks), args.out)
+        with _output(args.out) as fh:
+            mechanism_to_json(mech, checks, fh)
+            fh.write("\n")
     else:
         header = [f"mechanism: {mech.label} at n={spec.n} p={rat_str(spec.p)} "
                   f"a={rat_str(spec.a)} b={rat_str(spec.b)}"]

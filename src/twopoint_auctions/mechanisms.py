@@ -22,14 +22,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as quote
-from typing import Mapping
+from typing import Mapping, TextIO
 
 from .core import (
     AuctionSpec,
     FiniteValueDistribution,
     HierarchyScheme,
-    Profile,
-    Type,
     buyer_types,
     opponent_positions,
     profile_table,
@@ -71,13 +69,6 @@ class InterimTable:
     utility: tuple  # per buyer: {type: numerator}
     allocation: tuple  # per buyer: {type: (item 1 numerator, item 2 numerator)}
 
-    def u(self, i: int, t: Type) -> Fraction:
-        return Fraction(self.utility[i][t], self.scale)
-
-    def q(self, i: int, t: Type) -> tuple[Fraction, Fraction]:
-        q1, q2 = self.allocation[i][t]
-        return Fraction(q1, self.scale), Fraction(q2, self.scale)
-
 
 @dataclass(frozen=True)
 class Mechanism:
@@ -93,43 +84,9 @@ class Mechanism:
     utility: Mapping  # profile -> tuple over buyers of utility numerators
     den: int
 
-    @classmethod
-    def from_rationals(
-        cls, dist: FiniteValueDistribution, label: str, allocation: Mapping,
-        utility: Mapping,
-    ) -> "Mechanism":
-        """The mechanism with the given tables of rationals, stored over the
-        lcm of their denominators."""
-        den = math.lcm(
-            *(q.denominator for shares in allocation.values() for q_i in shares for q in q_i),
-            *(u.denominator for us in utility.values() for u in us),
-        )
-        return cls(
-            dist,
-            label,
-            {t: tuple((_numerator(q1, den), _numerator(q2, den)) for q1, q2 in shares)
-             for t, shares in allocation.items()},
-            {t: tuple(_numerator(u, den) for u in us) for t, us in utility.items()},
-            den,
-        )
-
     @property
     def n(self) -> int:
         return len(next(iter(self.allocation)))
-
-    def q(self, i: int, profile: Profile) -> tuple[Fraction, Fraction]:
-        q1, q2 = self.allocation[profile][i]
-        return Fraction(q1, self.den), Fraction(q2, self.den)
-
-    def u(self, i: int, profile: Profile) -> Fraction:
-        return Fraction(self.utility[profile][i], self.den)
-
-    def payment(self, i: int, profile: Profile) -> Fraction:
-        vals, vden = scaled(self.dist.values)
-        row = payment_row(
-            vals, vden, self.allocation[profile], self.utility[profile], profile
-        )
-        return Fraction(row[i], self.den * vden)
 
     def profiles(self):
         return self.allocation.keys()
@@ -296,19 +253,6 @@ def build_bic_mechanism(spec: AuctionSpec) -> Mechanism:
     return _closed_form(spec, LABEL_BIC, 1 if case == 1 else 2, bundle=False, raise_bb=True)
 
 
-def payments(mech: Mechanism) -> dict:
-    """Derived payment table: profile -> tuple over buyers."""
-    vals, vden = scaled(mech.dist.values)
-    scale = mech.den * vden
-    return {
-        t: tuple(
-            Fraction(s, scale)
-            for s in payment_row(vals, vden, shares, mech.utility[t], t)
-        )
-        for t, shares in mech.allocation.items()
-    }
-
-
 # The indent-2 text of one profile row, two levels into the document.
 _ROW = (
     "    {\n"
@@ -330,15 +274,16 @@ def _nested(value) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n  ")
 
 
-def mechanism_to_json(mech: Mechanism, checks=None) -> str:
-    """Canonical JSON export of a two-point mechanism: profiles in table
-    (enumeration) order, types as letters, rationals as 'num/den' strings,
-    payments included, then `checks` when given.
+def mechanism_to_json(mech: Mechanism, checks, out: TextIO) -> None:
+    """Write the canonical JSON export of a two-point mechanism to `out`:
+    profiles in table (enumeration) order, types as letters, rationals as
+    'num/den' strings, payments included, then `checks` when given.
 
     The text is exactly `json.dumps(doc, indent=2)` of the document
     {"spec", "label", "profiles", "checks"}, written row by row from the
-    integer tables: each distinct numerator, allocation pair and type is
-    quoted once, and no per-row dict or list is built."""
+    integer tables, so no more than one row's text is held at a time: each
+    distinct numerator, allocation pair and type is quoted once, and no
+    per-row dict or list is built."""
     n, dist = mech.n, mech.dist
     (p, _), (a, b) = dist.probs, dist.values
     table = profile_table(n, dist)
@@ -353,17 +298,14 @@ def mechanism_to_json(mech: Mechanism, checks=None) -> str:
     pair_str = functools.cache(lambda q: _PAIR % (entry_str(q[0]), entry_str(q[1])))
     type_str = functools.cache(lambda t: quote(type_label(t)))
     join = _ITEM_SEP.join
-    parts = [
-        '{\n  "spec": ', _nested(AuctionSpec(n, p, a, b).to_json()),
-        ',\n  "label": ', quote(mech.label),
-        ',\n  "profiles": [\n',
-    ]
-    # The rows and their separators go straight into `parts`, so the one
-    # join below is the only copy of the text.
+    write = out.write
+    write('{\n  "spec": ' + _nested(AuctionSpec(n, p, a, b).to_json())
+          + ',\n  "label": ' + quote(mech.label) + ',\n  "profiles": [\n')
     sep = ""
     profiles, arows, urows = mech.rows()
     for profile, w, shares, utils in zip(profiles, table.weights, arows, urows):
-        parts += (sep, _ROW % (
+        write(sep)
+        write(_ROW % (
             join(map(type_str, profile)),
             prob_str(w),
             join(map(pair_str, shares)),
@@ -371,8 +313,7 @@ def mechanism_to_json(mech: Mechanism, checks=None) -> str:
             join(map(pay_str, payment_row(vals, vden, shares, utils, profile))),
         ))
         sep = ",\n"
-    parts.append("\n  ]")
+    write("\n  ]")
     if checks:
-        parts += [',\n  "checks": ', _nested(checks)]
-    parts.append("\n}")
-    return "".join(parts)
+        write(',\n  "checks": ' + _nested(checks))
+    write("\n}")

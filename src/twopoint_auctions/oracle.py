@@ -17,17 +17,20 @@ one variable per orbit, built directly; the full program is built only for
 explicit mechanism tables and audited as a mechanism: supply, the regime's
 participation and truthfulness audits, and its expected revenue.
 
-The builder works in integers: every row and the objective are summed and
-deduplicated over one scale per program, and a `Fraction` is made only for
-each coefficient that enters the `LinearProgram`, the solver's boundary.
+The program stays in integers from the builder to the mechanism audit:
+every row and the objective are summed and deduplicated over one scale per
+program and handed to the solver in lowest terms, and the solver's primal,
+integers over one denominator, becomes the mechanism's tables directly.
 The variables and their orbit columns depend only on n and the number of
 atoms, so one column map per (n, atoms) serves every build and expansion.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -109,6 +112,29 @@ def _columns(n: int, n_atoms: int) -> _Columns:
     return _Columns(tuple(full), orbit, tuple(index))
 
 
+@functools.lru_cache(maxsize=4)
+def _fixed_rows(n: int, n_atoms: int, symmetric: bool) -> tuple[tuple, tuple]:
+    """The supply rows and the participation rows, each family kept once per
+    distinct row in order of first appearance.
+
+    Neither depends on values or probabilities: in lowest terms a supply
+    row is its columns' multiplicities <= 1, a participation row u >= 0.
+    No row of another family equals one of them: only supply rows are <=
+    rows, and a truthfulness row has at least two entries."""
+    cols = _columns(n, n_atoms)
+    col = cols.orbit if symmetric else range(len(cols.full))
+    u0 = 2 * n * n_atoms ** (2 * n)
+    supply = {}
+    for k in range(0, u0, 2 * n):
+        for j in range(2):
+            coeffs = collections.Counter(col[k + 2 * i + j] for i in range(n))
+            supply.setdefault(tuple(sorted(coeffs.items())), coeffs)
+    return (
+        tuple(Constraint(tuple(c.items()), "<=", 1, 1, "supply") for c in supply.values()),
+        tuple(Constraint(((r, 1),), ">=", 0, 1, "ir") for r in dict.fromkeys(col[u0:])),
+    )
+
+
 def _build(
     n: int,
     dist: FiniteValueDistribution,
@@ -120,13 +146,13 @@ def _build(
 
     Every variable is read through a column map, the identity or
     `representative`, and each row is accumulated under the mapped columns;
-    identical rows are kept once, in order of first appearance.  Rows and
+    identical rows are kept once, in order of first appearance.  The supply
+    and participation rows come from `_fixed_rows`.  The other rows and
     the objective are accumulated in integers over one scale per program:
     L = lcm(value denominators) for the dominant-strategy rows, L times the
     profile weight scale W for the Bayesian rows and for the objective.  A
-    row is keyed by its integer coefficients, zero sums included, so rows
-    of different families that are equal as rationals meet; a `Fraction` is
-    made only for each coefficient of a row that is kept.
+    row is keyed by its integer coefficients, zero sums included; a row
+    that is kept is stored in lowest terms, without its zeros.
     """
     if regime not in ("dic", "bic"):
         raise ValueError("regime must be 'dic' or 'bic'")
@@ -158,21 +184,14 @@ def _build(
     scale = lcm_v if regime == "dic" else obj_scale
     rows = {}
 
-    def add(coeffs, rel, rhs, tag):
-        key = (tuple(sorted(coeffs.items())), rel, rhs)
+    def add(coeffs, tag):
+        """Keep the row coeffs >= 0 unless it is already kept."""
+        key = tuple(sorted(coeffs.items()))
         if key not in rows:
+            g = math.gcd(scale, *coeffs.values())
             rows[key] = Constraint(
-                tuple((names[r], Fraction(c, scale)) for r, c in coeffs.items() if c),
-                rel, Fraction(rhs), tag,
+                tuple((r, c // g) for r, c in coeffs.items() if c), ">=", 0, scale // g, tag
             )
-
-    for pos in range(n_profiles):
-        for j in range(2):
-            coeffs = {}
-            for i in range(n):
-                r = col[2 * (n * pos + i) + j]
-                coeffs[r] = coeffs.get(r, 0) + scale
-            add(coeffs, "<=", 1, "supply")
 
     # In the symmetric program every buyer's truthfulness and participation
     # rows repeat buyer 0's, and opponent profiles that reorder each other
@@ -199,10 +218,9 @@ def _build(
                 r = col[2 * (n * dev + i) + j]
                 coeffs[r] = coeffs.get(r, 0) - w * dv[j]
 
+    supply, participation = _fixed_rows(n, len(dist.values), symmetric)
+    fixed = supply + participation if regime == "dic" else supply
     if regime == "dic":
-        for pos in range(n_profiles):
-            for i in range(n):
-                add({col[u0 + n * pos + i]: scale}, ">=", 0, "ir")
         others = profile_table(n - 1, dist).profiles
         for i in buyers:
             positions, step = opponent_positions(n, n_types, i)
@@ -219,7 +237,7 @@ def _build(
                 for base in opponents:
                     coeffs = {}
                     truthfulness(coeffs, i, x, y, dv, base, step, 1)
-                    add(coeffs, ">=", 0, tag)
+                    add(coeffs, tag)
     else:
         # Interim rows: the opponent-weighted sums of the per-profile ones.
         # An opponent weight over W(n-1) is on the program scale times
@@ -234,22 +252,23 @@ def _build(
                 for base, w in zip(positions, weights):
                     r = col[u0 + n * (base + x * step) + i]
                     coeffs[r] = coeffs.get(r, 0) + w * lcm_v
-                add(coeffs, ">=", 0, "bir")
+                add(coeffs, "bir")
         for i in buyers:
             positions, step = opponent_positions(n, n_types, i)
             for x, y, dv in pairs:
                 coeffs = {}
                 for base, w in zip(positions, weights):
                     truthfulness(coeffs, i, x, y, dv, base, step, w)
-                add(coeffs, ">=", 0, "bic")
+                add(coeffs, "bic")
 
-    lp = LinearProgram(
+    g = math.gcd(obj_scale, *objective.values())
+    return LinearProgram(
         variables=list(names),
-        objective={names[r]: Fraction(c, obj_scale) for r, c in objective.items()},
-        constraints=list(rows.values()),
-        nonneg={names[r] for r in col[:u0]},
+        objective={r: c // g for r, c in objective.items() if c},
+        obj_scale=obj_scale // g,
+        constraints=[*fixed, *rows.values()],
+        nonneg=set(col[:u0]),
     )
-    return lp.validate()
 
 
 def build_auction_lp(
@@ -292,19 +311,17 @@ def solve_auction_lp(
 
     Large per-profile truthfulness families are generated lazily (one-step
     misreport rows stay seeded).  An auction LP is feasible and bounded, so
-    any other status raises.  The returned assignment covers the full
-    variable set; its mechanism has passed `certify_optimum`.
+    any other status raises.  The returned solution is the symmetric
+    program's; its mechanism (`extract_mechanism`) has passed
+    `certify_optimum`.
     """
     lp = _build(n, dist, regime, max_profiles, symmetric=True)
     lazy = ("dic",) if dic_row_count(lp) > LAZY_THRESHOLD else ()
     sol = solve(lp, lazy_tags=lazy)
     if sol.status != "optimal":
         raise RuntimeError(f"certificate failure: the auction LP is {sol.status}")
-    cols = _columns(n, len(dist.values))
-    values = [sol.assignment[v] for v in cols.reps]
-    assignment = dict(zip(cols.full, map(values.__getitem__, cols.orbit)))
-    certify_optimum(extract_mechanism(dist, assignment), regime, sol.optimum)
-    return LPSolution(sol.status, sol.optimum, assignment, sol.pivots)
+    certify_optimum(extract_mechanism(n, dist, sol), regime, sol.optimum)
+    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -313,18 +330,28 @@ def solve_auction_lp(
 
 
 def extract_mechanism(
-    dist: FiniteValueDistribution, assignment: dict, label: str = "custom"
+    n: int, dist: FiniteValueDistribution, sol: LPSolution, label: str = "custom"
 ) -> Mechanism:
-    """Turn an auction-LP assignment back into explicit mechanism tables,
-    keyed by the program's own profiles in its variable order."""
-    profiles = list(dict.fromkeys(v[-1] for v in assignment))
-    n = len(profiles[0])
-    allocation = {
-        t: tuple((assignment[("q", i, 0, t)], assignment[("q", i, 1, t)]) for i in range(n))
-        for t in profiles
-    }
-    utility = {t: tuple(assignment[("u", i, t)] for i in range(n)) for t in profiles}
-    return Mechanism.from_rationals(dist, label, allocation, utility)
+    """The explicit mechanism tables of a symmetric auction-LP solution.
+
+    Every variable of the full program takes its representative's value
+    (`_columns(n, atoms).orbit`).  The tables hold the primal's numerators
+    over den = X / gcd(X, numerators), the lcm of the values' reduced
+    denominators."""
+    cols = _columns(n, len(dist.values))
+    x, X = sol.primal, sol.primal_den
+    if len(x) != len(cols.reps):
+        raise ValueError("the solution is not of the symmetric auction program")
+    g = math.gcd(X, *x)
+    full = list(map([v // g for v in x].__getitem__, cols.orbit))
+    profiles = profile_table(n, dist).profiles
+    u0 = 2 * n * len(profiles)
+    pairs = list(zip(full[0:u0:2], full[1:u0:2]))
+    allocation, utility = {}, {}
+    for pos, t in enumerate(profiles):
+        allocation[t] = tuple(pairs[n * pos:n * pos + n])
+        utility[t] = tuple(full[u0 + n * pos:u0 + n * pos + n])
+    return Mechanism(dist, label, allocation, utility, X // g)
 
 
 def certify_optimum(mech: Mechanism, regime: str, optimum: Fraction) -> None:

@@ -1,5 +1,11 @@
 """Exact rational linear programming.
 
+A program is held in integers.  A constraint is its integer coefficients,
+keyed by column, and its right-hand side, all over one positive scale and in
+lowest terms; the objective is integers over one scale.  Variable names
+serve only the text export and diagnostics, and `LinearProgram.rows` gives
+the rational view of the program.
+
 A primal simplex over a sparse exact tableau.  Each row, the objective row
 included, is a dict of its nonzero integer entries over its own positive
 denominator, divided by their common gcd after every update, so the entries
@@ -17,10 +23,11 @@ constraint of the program, lazy rows included: the primal is substituted
 into every constraint and the objective, and the dual read off the final
 objective row must be sign-correct, dual-feasible and attain the same
 objective (Applegate, Cook, Dash & Espinoza, "Exact solutions to linear
-programming problems", Oper. Res. Lett. 2007).  The certificate compares
-integers: each row over its own lcm scale, the primal and the scaled
-duals each over one common denominator.  The program's data and the
-solution are Fractions at the API.
+programming problems", Oper. Res. Lett. 2007).  The solver returns the
+primal and the duals each as integer numerators over one denominator, and
+the certificate compares integers against the rows as given.  A `Fraction`
+is made only at the API edge: the optimum, the `assignment` and `duals`
+views, and the rational row view.
 """
 
 from __future__ import annotations
@@ -28,56 +35,63 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .core import decimal_str, rat_str, scaled
+from .core import decimal_str, rat_str
 
 
 @dataclass(frozen=True)
 class Constraint:
-    coeffs: tuple  # tuple of (variable name, Fraction) pairs
+    """sum(a * x[j] for j, a in coeffs) rel rhs, every number over `scale`.
+
+    Coefficients are (column index, int) pairs with no zeros and no column
+    twice.  The builders store a row in lowest terms,
+    gcd(scale, coefficients, rhs) = 1, so equal rows compare equal."""
+
+    coeffs: tuple
     rel: str  # "<=" or ">="
-    rhs: Fraction
+    rhs: int
+    scale: int = 1
     tag: str = ""
-
-    def __post_init__(self):
-        if self.rel not in ("<=", ">="):
-            raise ValueError(f"relation must be <= or >=, got {self.rel!r}")
-
-
-def make_constraint(coeffs: Mapping, rel: str, rhs, tag: str = "") -> Constraint:
-    items = tuple((v, Fraction(c)) for v, c in coeffs.items() if c != 0)
-    return Constraint(items, rel, Fraction(rhs), tag)
 
 
 @dataclass
 class LinearProgram:
-    """A maximization LP over named variables.
+    """A maximization LP in integers.
 
-    `nonneg` lists variables bounded below by zero; the rest are free.
-    Every variable referenced by the objective or a constraint must be
-    declared in `variables` (checked on validate()).
+    Column j is the variable `variables[j]`; the objective is
+    sum(c * x[j] for j, c in objective.items()) / obj_scale, zeros left
+    out.  `nonneg` holds the columns bounded below by zero; the rest are
+    free.
     """
 
     variables: list
     objective: dict
+    obj_scale: int
     constraints: list
     nonneg: set = field(default_factory=set)
 
     def validate(self):
-        declared = set(self.variables)
-        if len(declared) != len(self.variables):
+        """Raise ValueError unless every relation is <= or >=, every scale a
+        positive int, every right-hand side an int, and every coefficient a
+        nonzero int at a declared column, one per column and row."""
+        n = len(self.variables)
+        if len(set(self.variables)) != n:
             raise ValueError("duplicate variable declaration")
-        for v in self.objective:
-            if v not in declared:
-                raise ValueError(f"objective references undeclared variable {v!r}")
-        for c in self.constraints:
-            for v, _ in c.coeffs:
-                if v not in declared:
-                    raise ValueError(f"constraint references undeclared variable {v!r}")
-        for v in self.nonneg:
-            if v not in declared:
-                raise ValueError(f"nonneg references undeclared variable {v!r}")
+        rows = [("objective", self.objective.items(), "<=", 0, self.obj_scale)]
+        rows += [("constraint", c.coeffs, c.rel, c.rhs, c.scale) for c in self.constraints]
+        for what, terms, rel, rhs, scale in rows:
+            if rel not in ("<=", ">="):
+                raise ValueError(f"relation must be <= or >=, got {rel!r}")
+            if type(scale) is not int or scale <= 0 or type(rhs) is not int:
+                raise ValueError(f"{what} needs an int over a positive int scale, "
+                                 f"got {rhs!r} over {scale!r}")
+            cols = {j for j, a in terms if type(j) is int and 0 <= j < n and type(a) is int and a}
+            if len(cols) != len(terms):
+                raise ValueError(f"{what} coefficients must be nonzero ints at distinct "
+                                 f"declared columns, got {tuple(terms)!r}")
+        if not all(type(j) is int and 0 <= j < n for j in self.nonneg):
+            raise ValueError("nonneg lists an undeclared column")
         return self
 
     def n_constraints(self, tag=None) -> int:
@@ -85,42 +99,65 @@ class LinearProgram:
             return len(self.constraints)
         return sum(1 for c in self.constraints if c.tag == tag)
 
+    def objective_terms(self) -> list:
+        """The objective as (variable, Fraction) terms."""
+        names, scale = self.variables, self.obj_scale
+        return [(names[j], Fraction(c, scale)) for j, c in self.objective.items()]
+
+    def rows(self):
+        """The constraints as rationals: (terms, rel, rhs, tag), the terms
+        (variable, Fraction) pairs."""
+        names = self.variables
+        for c in self.constraints:
+            terms = tuple((names[j], Fraction(a, c.scale)) for j, a in c.coeffs)
+            yield terms, c.rel, Fraction(c.rhs, c.scale), c.tag
+
 
 @dataclass(frozen=True)
 class LPSolution:
+    """A solve's status and, at an optimum, its certified vectors.
+
+    The primal is x[j] = primal[j] / primal_den, one value per column; the
+    duals are dual[k] / dual_den, one per constraint of the program solved,
+    in its order, and empty when the solution carries no dual.  `assignment`
+    and `duals` are Fraction views of them, keyed by `variables`.
+    """
+
     status: str  # "optimal" | "infeasible" | "unbounded"
     optimum: Fraction | None
-    assignment: dict
     pivots: int = 0
-    #: One multiplier per constraint of the program solved, in its order;
-    #: empty when the solution carries no dual.
-    duals: tuple = ()
+    primal: tuple = ()
+    primal_den: int = 1
+    dual: tuple = ()
+    dual_den: int = 1
+    variables: Sequence = field(default=(), repr=False, compare=False)
+
+    @property
+    def assignment(self) -> dict:
+        return {v: Fraction(x, self.primal_den) for v, x in zip(self.variables, self.primal)}
+
+    @property
+    def duals(self) -> tuple:
+        return tuple(Fraction(y, self.dual_den) for y in self.dual)
 
 
 class SimplexError(RuntimeError):
     pass
 
 
-def _scaled_row(c: Constraint) -> tuple[int, list, int]:
-    """A row times its scale, the lcm of its denominators: (scale,
-    [(variable, integer coefficient)], integer right-hand side)."""
-    scale = math.lcm(c.rhs.denominator, *(coef.denominator for _, coef in c.coeffs))
-    coeffs = [(v, coef.numerator * (scale // coef.denominator)) for v, coef in c.coeffs]
-    return scale, coeffs, c.rhs.numerator * (scale // c.rhs.denominator)
-
-
-def _presolve_nonneg(lp: LinearProgram):
-    """Split off single-variable rows of the form c*x >= 0 (c > 0) or
-    c*x <= 0 (c < 0): they are exactly variable nonnegativity.  Returns the
+def _presolve_nonneg(lp: LinearProgram, active: Sequence[int]):
+    """Split off the active single-column rows of the form a*x >= 0 (a > 0)
+    or a*x <= 0 (a < 0): they are exactly column nonnegativity.  Returns the
     indices of the rows kept, those of the rows split off, and the
-    nonnegative variables."""
+    nonnegative columns."""
     nonneg = set(lp.nonneg)
     kept, split = [], []
-    for k, c in enumerate(lp.constraints):
+    for k in active:
+        c = lp.constraints[k]
         if len(c.coeffs) == 1 and c.rhs == 0:
-            (v, coef), = c.coeffs
-            if (c.rel == ">=" and coef > 0) or (c.rel == "<=" and coef < 0):
-                nonneg.add(v)
+            (j, a), = c.coeffs
+            if (c.rel == ">=" and a > 0) or (c.rel == "<=" and a < 0):
+                nonneg.add(j)
                 split.append(k)
                 continue
         kept.append(k)
@@ -182,9 +219,6 @@ class _Tableau:
                 else:
                     del other[j]
             rows[i], dens[i] = _reduced(other, dens[i] * mult)
-
-    def value(self, r: int, c: int) -> Fraction:
-        return Fraction(self.rows[r].get(c, 0), self.dens[r])
 
 
 def _reduced(row: dict, den: int):
@@ -258,34 +292,24 @@ def solve(lp: LinearProgram, lazy_tags: Sequence[str] = ()) -> LPSolution:
     its duals (zero on rows never added) prove it optimal."""
     lp.validate()
     lazy_tags = set(lazy_tags)
-    active = [k for k, c in enumerate(lp.constraints) if c.tag not in lazy_tags]
-    pool = [k for k, c in enumerate(lp.constraints) if c.tag in lazy_tags]
+    constraints = lp.constraints
+    active = [k for k, c in enumerate(constraints) if c.tag not in lazy_tags]
+    pool = [k for k, c in enumerate(constraints) if c.tag in lazy_tags]
     total_pivots = 0
     while True:
-        sub = LinearProgram(
-            variables=list(lp.variables),
-            objective=dict(lp.objective),
-            constraints=[lp.constraints[k] for k in active],
-            nonneg=set(lp.nonneg),
-        )
-        sol = _solve_once(sub)
-        total_pivots += sol.pivots
-        if sol.status == "unbounded" and pool:
+        status, pivots, x, X, y, Y = _solve_once(lp, active)
+        total_pivots += pivots
+        if status == "unbounded" and pool:
             # the withheld rows may bound the ray; fold them all in
             active, pool = active + pool, []
             continue
-        if sol.status != "optimal":
-            return LPSolution(sol.status, None, {}, total_pivots)
-        x, X = _integer_primal(sol.assignment)
-        violated = [
-            k for k in pool
-            if _violated(lp.constraints[k].rel, _scaled_row(lp.constraints[k]), x, X)
-        ]
+        if status != "optimal":
+            return LPSolution(status, None, total_pivots, variables=lp.variables)
+        violated = [k for k in pool if _violated(constraints[k], x, X)]
         if not violated:
-            duals = [Fraction(0)] * len(lp.constraints)
-            for k, y in zip(active, sol.duals):
-                duals[k] = y
-            sol = LPSolution(sol.status, sol.optimum, sol.assignment, total_pivots, tuple(duals))
+            cx = sum(c * x[j] for j, c in lp.objective.items())
+            sol = LPSolution("optimal", Fraction(cx, lp.obj_scale * X), total_pivots,
+                             tuple(x), X, tuple(y), Y, lp.variables)
             _certify(lp, sol)
             return sol
         added = set(violated)
@@ -293,108 +317,111 @@ def solve(lp: LinearProgram, lazy_tags: Sequence[str] = ()) -> LPSolution:
         active = active + violated
 
 
-def _integer_primal(assignment) -> tuple[dict, int]:
-    """The primal as integers over one denominator: ({variable: numerator}, X)."""
-    nums, X = scaled(list(assignment.values()))
-    return dict(zip(assignment, nums)), X
-
-
-def _violated(rel: str, row, x: dict, X: int) -> bool:
-    """Whether a `_scaled_row` fails at the integer primal x over X."""
-    _, coeffs, rhs = row
-    total = sum(a * x[v] for v, a in coeffs)  # over scale * X
-    return total > rhs * X if rel == "<=" else total < rhs * X
+def _violated(c: Constraint, x: Sequence[int], X: int) -> bool:
+    """Whether the row fails at the primal x / X."""
+    total = sum(a * x[j] for j, a in c.coeffs)  # over scale * X
+    rhs = c.rhs * X
+    return total > rhs if c.rel == "<=" else total < rhs
 
 
 def _certify(lp: LinearProgram, sol: LPSolution):
     """Check an optimum exactly against the whole program: the primal is
     feasible and attains the optimum, and the duals are sign-correct,
-    dual-feasible (Aᵀy = c on free variables, Aᵀy ≥ c on nonnegative ones)
+    dual-feasible (Aᵀy = c on free columns, Aᵀy ≥ c on nonnegative ones)
     and attain it too, b·y = c·x.
 
-    The checks compare integers: each row is taken times its own scale
-    (`_scaled_row`), the objective and the primal each over the lcm of
-    their denominators (C and X), and each multiplier divided by its row's
-    scale over the lcm Z of the quotients' denominators.
+    Only the program and the solution's vectors are read.  The checks
+    compare integers: row k over its scale s_k, the objective over
+    obj_scale, the primal over X, and the duals, taken over each row's
+    scale, over Y·S for S the lcm of the scales of the rows with a nonzero
+    dual.
     """
-    x, X = _integer_primal(sol.assignment)
+    x, X = sol.primal, sol.primal_den
+    y, Y = sol.dual, sol.dual_den
     opt = sol.optimum
-    for v in lp.nonneg:
-        if x[v] < 0:
-            raise SimplexError(f"certificate failure: {v!r} negative")
-    rows = [_scaled_row(c) for c in lp.constraints]
-    for c, row in zip(lp.constraints, rows):
-        if _violated(c.rel, row, x, X):
+    names, constraints = lp.variables, lp.constraints
+    if len(x) != len(names) or X <= 0:
+        raise SimplexError("certificate failure: no primal value for every variable")
+    for j in lp.nonneg:
+        if x[j] < 0:
+            raise SimplexError(f"certificate failure: {names[j]!r} negative")
+    for c in constraints:
+        if _violated(c, x, X):
             raise SimplexError("certificate failure: constraint violated")
-    c_nums, C = scaled(list(lp.objective.values()))
-    cx = sum(a * x[v] for v, a in zip(lp.objective, c_nums))  # over C * X
-    if cx * opt.denominator != opt.numerator * C * X:
+    cx = sum(c * x[j] for j, c in lp.objective.items())  # over obj_scale * X
+    if cx * opt.denominator != opt.numerator * lp.obj_scale * X:
         raise SimplexError("certificate failure: objective mismatch")
-    if len(sol.duals) != len(lp.constraints):
+    if len(y) != len(constraints) or Y <= 0:
         raise SimplexError("certificate failure: no dual for every constraint")
-    for c, y in zip(lp.constraints, sol.duals):
-        if (y < 0) if c.rel == "<=" else (y > 0):
+    for c, yk in zip(constraints, y):
+        if (yk < 0) if c.rel == "<=" else (yk > 0):
             raise SimplexError("certificate failure: dual of the wrong sign")
-    # y * coef = (y / scale) * (coef * scale), row by row
-    z, Z = scaled([Fraction(y, scale) for y, (scale, _, _) in zip(sol.duals, rows)])
-    aty = dict.fromkeys(lp.variables, 0)  # over Z
+    S = math.lcm(*(c.scale for c, yk in zip(constraints, y) if yk))
+    aty = [0] * len(names)  # over Y * S
     by = 0
-    for zk, (_, coeffs, rhs) in zip(z, rows):
-        if zk:
-            by += zk * rhs
-            for v, a in coeffs:
-                aty[v] += zk * a
-    for v in lp.variables:
-        cv = lp.objective.get(v, 0)
-        lhs, rhs = aty[v] * cv.denominator, cv.numerator * Z
-        if (lhs < rhs) if v in lp.nonneg else (lhs != rhs):
+    for c, yk in zip(constraints, y):
+        if yk:
+            z = yk * (S // c.scale)
+            by += z * c.rhs
+            for j, a in c.coeffs:
+                aty[j] += z * a
+    YS, obj_scale, objective = Y * S, lp.obj_scale, lp.objective
+    for j, v in enumerate(names):
+        lhs, rhs = aty[j] * obj_scale, objective.get(j, 0) * YS
+        if (lhs < rhs) if j in lp.nonneg else (lhs != rhs):
             raise SimplexError(f"certificate failure: dual infeasible at {v!r}")
-    if by * opt.denominator != opt.numerator * Z:
+    if by * opt.denominator != opt.numerator * YS:
         raise SimplexError("certificate failure: dual objective mismatch")
 
 
-def _solve_once(lp: LinearProgram) -> LPSolution:
-    kept, split, nonneg = _presolve_nonneg(lp)
+def _solve_once(lp: LinearProgram, active: Sequence[int]):
+    """Solve the program restricted to the rows `active`, in that order.
+
+    Returns (status, pivots, x, X, y, Y): at an optimum the primal as
+    integers x over X, one per column, and the duals as integers y over Y,
+    one per row of the program, zero on the rows not active; otherwise None
+    for each."""
+    kept, split, nonneg = _presolve_nonneg(lp, active)
+    constraints = lp.constraints
 
     # Column layout: one column per nonneg variable, two (x+ and x-) per
     # free variable, then slacks, then any phase-one artificials.
-    columns = []  # (variable, +1|-1)
-    col_of = {}
-    for v in lp.variables:
-        col_of[v] = len(columns)
-        columns.append((v, 1))
+    col_of = []
+    col_var = []  # structural column -> (variable, +1|-1)
+    for v in range(len(lp.variables)):
+        col_of.append(len(col_var))
+        col_var.append((v, 1))
         if v not in nonneg:
-            columns.append((v, -1))
-    nstruct = len(columns)
+            col_var.append((v, -1))
+    nstruct = len(col_var)
     m = len(kept)
     ncols = nstruct + m
 
-    # Integer data: every row is turned into a <= row and scaled by its own
-    # lcm of denominators (`scales` keeps the signed factor, for the duals);
-    # row scaling changes no variable values.
-    rows, scales, neg_rhs_rows = [], [], []
+    # Every row is turned into a <= row; `signs` keeps the sign, for the
+    # duals.
+    rows, signs, neg_rhs_rows = [], [], []
     for i, k in enumerate(kept):
-        c = lp.constraints[k]
-        scale, coeffs, rhs = _scaled_row(c)
+        c = constraints[k]
         sign = -1 if c.rel == ">=" else 1
         row = {}
-        for v, a in coeffs:
-            row[col_of[v]] = sign * a
-            if v not in nonneg:
-                row[col_of[v] + 1] = -sign * a
+        for j, a in c.coeffs:
+            col = col_of[j]
+            row[col] = sign * a
+            if j not in nonneg:
+                row[col + 1] = -sign * a
         row[nstruct + i] = 1  # slack
-        row[RHS] = sign * rhs
-        if row[RHS] < 0:
-            neg_rhs_rows.append(i)
-        rows.append({j: x for j, x in row.items() if x})
-        scales.append(sign * scale)
-    obj_scale = math.lcm(*(coef.denominator for coef in lp.objective.values()))
+        if c.rhs:
+            row[RHS] = sign * c.rhs
+            if row[RHS] < 0:
+                neg_rhs_rows.append(i)
+        rows.append(row)
+        signs.append(sign)
     obj = {}
-    for v, coef in lp.objective.items():
-        obj[col_of[v]] = int(coef * obj_scale)
-        if v not in nonneg:
-            obj[col_of[v] + 1] = -obj[col_of[v]]
-    rows.append({j: x for j, x in obj.items() if x})
+    for j, c in lp.objective.items():
+        obj[col_of[j]] = c
+        if j not in nonneg:
+            obj[col_of[j] + 1] = -c
+    rows.append(obj)
 
     basis = [nstruct + i for i in range(m)]
     tab = _Tableau(rows)
@@ -417,8 +444,8 @@ def _solve_once(lp: LinearProgram) -> LPSolution:
         pivots += p
         if status != "optimal":
             raise SimplexError("phase one cannot be unbounded")
-        if tab.value(m + 1, RHS) != 0:
-            return LPSolution("infeasible", None, {}, pivots)
+        if rows[m + 1].get(RHS, 0) != 0:
+            return "infeasible", pivots, None, None, None, None
         # Drive basic artificials out with degenerate pivots.  The slack
         # columns give every row a nonzero below `ncols`.
         for i in range(m):
@@ -437,36 +464,35 @@ def _solve_once(lp: LinearProgram) -> LPSolution:
     status, p = _simplex_loop(tab, basis, m, ncols)
     pivots += p
     if status == "unbounded":
-        return LPSolution("unbounded", None, {}, pivots)
+        return "unbounded", pivots, None, None, None, None
 
-    values = {}
-    for i, var_col in enumerate(basis):
-        if var_col < nstruct:
-            values[columns[var_col]] = tab.value(i, RHS)
-    assignment = {}
-    for v in lp.variables:
-        assignment[v] = values.get((v, 1), Fraction(0)) - values.get(
-            (v, -1), Fraction(0)
-        )
-    optimum = sum(coef * assignment[v] for v, coef in lp.objective.items())
+    # The primal over the lcm X of the denominators of the basic rows that
+    # hold a nonzero structural value.
+    dens = tab.dens
+    basic = [(i, col) for i, col in enumerate(basis) if col < nstruct and RHS in rows[i]]
+    X = math.lcm(*(dens[i] for i, _ in basic))
+    x = [0] * len(lp.variables)
+    for i, col in basic:
+        v, sgn = col_var[col]
+        x[v] += sgn * rows[i][RHS] * (X // dens[i])
 
-    # Duals from the final objective row: a slack's reduced cost is minus
-    # its row's multiplier; undo the row's signed scale and the objective's.
-    # A split-off sign row takes its variable's reduced cost over its own
-    # coefficient, which makes Aᵀy = c hold on a free variable that the
-    # presolve made nonnegative.
+    # Duals from the final objective row, over Y = dens[m] * obj_scale * L:
+    # a slack's reduced cost is minus its row's multiplier times the row's
+    # signed scale.  A split-off sign row a*x (over scale s) takes its
+    # column's reduced cost times s / a, which makes Aᵀy = c hold on a free
+    # variable that the presolve made nonnegative; L is the lcm of those
+    # |a|.
     reduced = rows[m]
-    d_obj = tab.dens[m] * obj_scale
-    duals = [Fraction(0)] * len(lp.constraints)
+    first_split = {constraints[k].coeffs[0][0]: k for k in reversed(split)}  # column -> row
+    L = math.lcm(*(abs(constraints[k].coeffs[0][1]) for k in first_split.values()))
+    Y = dens[m] * lp.obj_scale * L
+    y = [0] * len(constraints)
     for i, k in enumerate(kept):
-        duals[k] = Fraction(-reduced.get(nstruct + i, 0) * scales[i], d_obj)
-    seen = set()
-    for k in split:
-        (v, coef), = lp.constraints[k].coeffs
-        if v not in seen:
-            seen.add(v)
-            duals[k] = Fraction(reduced.get(col_of[v], 0), d_obj) / coef
-    return LPSolution("optimal", optimum, assignment, pivots, tuple(duals))
+        y[k] = -reduced.get(nstruct + i, 0) * signs[i] * constraints[k].scale * L
+    for j, k in first_split.items():
+        (_, a), = constraints[k].coeffs
+        y[k] = reduced.get(col_of[j], 0) * constraints[k].scale * (L // a)
+    return "optimal", pivots, x, X, y, Y
 
 
 # ---------------------------------------------------------------------------
@@ -489,19 +515,19 @@ def lp_to_text(lp: LinearProgram, title: str = "lp") -> str:
     """Human-readable LP text: decimal coefficients in the body, the exact
     fractions in comment lines, for cross-checks with external solvers."""
     out = [f"\\ {title}", "\\ exact coefficients appear in comments", "Maximize"]
-    terms = [(v, c) for v, c in lp.objective.items() if c != 0]
+    terms = [(v, c) for v, c in lp.objective_terms() if c != 0]
     out.append("\\ exact: " + " + ".join(_term_str(c, _name_str(v), True) for v, c in terms))
     out.append(" obj: " + " + ".join(_term_str(c, _name_str(v), False) for v, c in terms))
     out.append("Subject To")
-    for k, cons in enumerate(lp.constraints):
-        body = " + ".join(_term_str(c, _name_str(v), False) for v, c in cons.coeffs)
-        exact = " + ".join(_term_str(c, _name_str(v), True) for v, c in cons.coeffs)
-        out.append(f"\\ exact: {exact} {cons.rel} {rat_str(cons.rhs)}")
-        out.append(f" c{k}: {body} {cons.rel} {decimal_str(cons.rhs)}")
+    for k, (coeffs, rel, rhs, _) in enumerate(lp.rows()):
+        body = " + ".join(_term_str(c, _name_str(v), False) for v, c in coeffs)
+        exact = " + ".join(_term_str(c, _name_str(v), True) for v, c in coeffs)
+        out.append(f"\\ exact: {exact} {rel} {rat_str(rhs)}")
+        out.append(f" c{k}: {body} {rel} {decimal_str(rhs)}")
     out.append("Bounds")
-    for v in lp.variables:
+    for j, v in enumerate(lp.variables):
         name = _name_str(v)
-        if v in lp.nonneg:
+        if j in lp.nonneg:
             out.append(f" {name} >= 0")
         else:
             out.append(f" {name} free")

@@ -1,6 +1,7 @@
 """Helpers shared by the test modules."""
 
 import functools
+import io
 import math
 from fractions import Fraction
 
@@ -14,16 +15,20 @@ from twopoint_auctions.core import (
     scaled,
     type_label,
 )
+from twopoint_auctions import oracle
 from twopoint_auctions.formulas import indicator_flags
 from twopoint_auctions.mechanisms import (
     LABEL_BIC,
     LABEL_DIC,
     Mechanism,
     _common_den,
+    _numerator,
     case_hierarchies,
     interval_case,
+    mechanism_to_json,
     payment_row,
 )
+from twopoint_auctions.simplex import Constraint, LinearProgram
 
 AA, AB, BA, BB = (0, 0), (0, 1), (1, 0), (1, 1)
 
@@ -77,6 +82,127 @@ def mechanism_doc(mech, checks=None):
     if checks:
         doc["checks"] = checks
     return doc
+
+
+def render(mech, checks=None):
+    """`mechanism_to_json`'s text, written to a string."""
+    out = io.StringIO()
+    mechanism_to_json(mech, checks, out)
+    return out.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# Rational views of the integer tables and programs
+# ---------------------------------------------------------------------------
+
+
+def from_rationals(dist, label, allocation, utility):
+    """The mechanism with the given tables of rationals, stored over the
+    lcm of their denominators."""
+    den = math.lcm(
+        *(q.denominator for shares in allocation.values() for q_i in shares for q in q_i),
+        *(u.denominator for us in utility.values() for u in us),
+    )
+    return Mechanism(
+        dist,
+        label,
+        {t: tuple((_numerator(q1, den), _numerator(q2, den)) for q1, q2 in shares)
+         for t, shares in allocation.items()},
+        {t: tuple(_numerator(u, den) for u in us) for t, us in utility.items()},
+        den,
+    )
+
+
+def q_of(mech, i, profile):
+    """Buyer i's shares of the two items at the profile."""
+    q1, q2 = mech.allocation[profile][i]
+    return Fraction(q1, mech.den), Fraction(q2, mech.den)
+
+
+def u_of(mech, i, profile):
+    """Buyer i's utility at the profile."""
+    return Fraction(mech.utility[profile][i], mech.den)
+
+
+def payment_of(mech, i, profile):
+    """Buyer i's payment q_i.t_i - u_i at the profile."""
+    vals, vden = scaled(mech.dist.values)
+    row = payment_row(vals, vden, mech.allocation[profile], mech.utility[profile], profile)
+    return Fraction(row[i], mech.den * vden)
+
+
+def payments(mech):
+    """Derived payment table: profile -> tuple over buyers."""
+    vals, vden = scaled(mech.dist.values)
+    scale = mech.den * vden
+    return {
+        t: tuple(
+            Fraction(s, scale)
+            for s in payment_row(vals, vden, shares, mech.utility[t], t)
+        )
+        for t, shares in mech.allocation.items()
+    }
+
+
+def interim_u(table, i, t):
+    """Buyer i's interim utility at type t."""
+    return Fraction(table.utility[i][t], table.scale)
+
+
+def interim_q(table, i, t):
+    """Buyer i's interim shares of the two items at type t."""
+    q1, q2 = table.allocation[i][t]
+    return Fraction(q1, table.scale), Fraction(q2, table.scale)
+
+
+def make_constraint(index, coeffs, rel, rhs, tag=""):
+    """The integer row of sum(c * v for v, c in coeffs.items()) rel rhs, for
+    rational coefficients keyed by variable: columns from `index`
+    (variable -> column), zeros left out, over the lcm of the denominators."""
+    coeffs = {index[v]: Fraction(c) for v, c in coeffs.items() if c != 0}
+    rhs = Fraction(rhs)
+    scale = math.lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
+    return Constraint(
+        tuple((j, _numerator(c, scale)) for j, c in coeffs.items()),
+        rel, _numerator(rhs, scale), scale, tag,
+    )
+
+
+def make_lp(variables, objective, rows, nonneg=()):
+    """The integer program of a rational one: `objective` maps variables to
+    coefficients, each row is (coeffs, rel, rhs) or (coeffs, rel, rhs, tag)
+    and `nonneg` names variables."""
+    index = {v: j for j, v in enumerate(variables)}
+    objective = {index[v]: Fraction(c) for v, c in objective.items() if c != 0}
+    obj_scale = math.lcm(*(c.denominator for c in objective.values()))
+    return LinearProgram(
+        list(variables),
+        {j: _numerator(c, obj_scale) for j, c in objective.items()},
+        obj_scale,
+        [make_constraint(index, *row) for row in rows],
+        {index[v] for v in nonneg},
+    )
+
+
+def full_assignment(n, dist, sol):
+    """The full program's Fraction assignment of a symmetric solution:
+    every variable takes its representative's value."""
+    cols = oracle._columns(n, len(dist.values))
+    values = [sol.assignment[v] for v in cols.reps]
+    return dict(zip(cols.full, map(values.__getitem__, cols.orbit)))
+
+
+def extract_from_assignment(dist, assignment, label="custom"):
+    """The mechanism of a full Fraction assignment, through
+    `from_rationals`: the reference for `oracle.extract_mechanism`."""
+    profiles = list(dict.fromkeys(v[-1] for v in assignment))
+    n = len(profiles[0])
+    allocation = {
+        t: tuple((assignment[("q", i, 0, t)], assignment[("q", i, 1, t)]) for i in range(n))
+        for t in profiles
+    }
+    utility = {t: tuple(assignment[("u", i, t)] for i in range(n)) for t in profiles}
+    return from_rationals(dist, label, allocation, utility)
 
 
 def hierarchy_winners(scheme, profile):

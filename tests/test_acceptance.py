@@ -41,7 +41,7 @@ from twopoint_auctions.continuous import (
 )
 from twopoint_auctions.oracle import solve_auction_lp
 
-from helpers import enumerate_profiles
+from helpers import enumerate_profiles, interim_q, interim_u
 from test_core import AA, AB, BA, BB
 
 EXAMPLE = AuctionSpec(2, F(1, 2), 1, 2)
@@ -219,8 +219,8 @@ class TestCriterion9:
         types = (AA, AB, BA, BB)
         for spec in GRID:
             mech = build_bic_mechanism(spec)
-            q = {t: mech.interim.q(0, t) for t in types}
-            u = {t: mech.interim.u(0, t) for t in types}
+            q = {t: interim_q(mech.interim, 0, t) for t in types}
+            u = {t: interim_u(mech.interim, 0, t) for t in types}
             for t1 in types:
                 for t2 in types:
                     if t1[0] >= t2[0] and t1[1] >= t2[1]:

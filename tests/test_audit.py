@@ -30,7 +30,16 @@ from twopoint_auctions.audit import (
 )
 from twopoint_auctions.oracle import extract_mechanism, solve_auction_lp
 
-from helpers import enumerate_profiles, insert
+from helpers import (
+    enumerate_profiles,
+    from_rationals,
+    insert,
+    interim_q,
+    interim_u,
+    payment_of,
+    q_of,
+    u_of,
+)
 from test_core import AA, AB, BA, BB, TYPES
 from test_mechanisms import grid_specs, profiles_of, total_utility_mass
 
@@ -51,12 +60,12 @@ def zero_mechanism(spec):
 
 def with_utility(mech, profile, buyer, value):
     """The mechanism with one utility entry replaced by the rational value."""
-    utility = {t: tuple(mech.u(i, t) for i in range(mech.n)) for t in mech.profiles()}
-    allocation = {t: tuple(mech.q(i, t) for i in range(mech.n)) for t in mech.profiles()}
+    utility = {t: tuple(u_of(mech, i, t) for i in range(mech.n)) for t in mech.profiles()}
+    allocation = {t: tuple(q_of(mech, i, t) for i in range(mech.n)) for t in mech.profiles()}
     us = list(utility[profile])
     us[buyer] = value
     utility[profile] = tuple(us)
-    return Mechanism.from_rationals(mech.dist, "custom", allocation, utility)
+    return from_rationals(mech.dist, "custom", allocation, utility)
 
 
 def type_values(mech, t):
@@ -76,11 +85,11 @@ def transfer_equation_check(mech):
                 val_rep = type_values(mech, t_rep)
                 for others in others_space:
                     deviated = insert(others, i, t_rep)
-                    q1, q2 = mech.q(i, deviated)
-                    s = mech.payment(i, deviated)
+                    q1, q2 = q_of(mech, i, deviated)
+                    s = payment_of(mech, i, deviated)
                     misreport_u = val_true[0] * q1 + val_true[1] * q2 - s
                     expected = (
-                        mech.u(i, deviated)
+                        u_of(mech, i, deviated)
                         + (val_true[0] - val_rep[0]) * q1
                         + (val_true[1] - val_rep[1]) * q2
                     )
@@ -211,7 +220,7 @@ class TestBICandBIR:
         bad = mech
         for others in TYPES:
             profile = (BB, others)
-            bad = with_utility(bad, profile, 0, bad.u(0, profile) + 100)
+            bad = with_utility(bad, profile, 0, u_of(bad, 0, profile) + 100)
         rep = check_bic(bad)
         assert not rep.passed
         assert {(v.true_type, v.reported_type) for v in rep.violations} == {
@@ -224,7 +233,7 @@ class TestBICandBIR:
         # the audit consumes (q, u) only; shifting u changes the derived
         # payment, which expected_revenue must reflect
         mech = build_bic_mechanism(EXAMPLE)
-        shifted = with_utility(mech, (BB, AA), 0, mech.u(0, (BB, AA)) + 1)
+        shifted = with_utility(mech, (BB, AA), 0, u_of(mech, 0, (BB, AA)) + 1)
         assert expected_revenue(shifted) == expected_revenue(mech) - F(1, 16)
 
 
@@ -242,17 +251,17 @@ class TestTransferEquation:
                 for t_rep in TYPES:
                     vt = type_values(mech, t_true)
                     vr = type_values(mech, t_rep)
-                    q = mech.interim.q(i, t_rep)
+                    q = interim_q(mech.interim, i, t_rep)
                     misreport = sum(
                         F(1, 4)
                         * (
-                            vt[0] * mech.q(i, (t_rep, o) if i == 0 else (o, t_rep))[0]
-                            + vt[1] * mech.q(i, (t_rep, o) if i == 0 else (o, t_rep))[1]
-                            - mech.payment(i, (t_rep, o) if i == 0 else (o, t_rep))
+                            vt[0] * q_of(mech, i, (t_rep, o) if i == 0 else (o, t_rep))[0]
+                            + vt[1] * q_of(mech, i, (t_rep, o) if i == 0 else (o, t_rep))[1]
+                            - payment_of(mech, i, (t_rep, o) if i == 0 else (o, t_rep))
                         )
                         for o in TYPES
                     )
-                    expected = mech.interim.u(i, t_rep) + (
+                    expected = interim_u(mech.interim, i, t_rep) + (
                         (vt[0] - vr[0]) * q[0] + (vt[1] - vr[1]) * q[1]
                     )
                     assert misreport == expected
@@ -300,23 +309,23 @@ class TestInterimFacts:
         mech = build_bic_mechanism(spec)
         for t1, t2 in itertools.product(TYPES, repeat=2):
             if all(x >= y for x, y in zip(t1, t2)):
-                assert self._geq(mech.interim.q(0, t1), mech.interim.q(0, t2))
+                assert self._geq(interim_q(mech.interim, 0, t1), interim_q(mech.interim, 0, t2))
 
     @pytest.mark.parametrize("spec", grid_specs(), ids=str)
     def test_envelope_equalities(self, spec):
         mech = build_bic_mechanism(spec)
         d = spec.b - spec.a
-        u = {t: mech.interim.u(0, t) for t in TYPES}
-        q_aa = mech.interim.q(0, AA)
-        q_ab = mech.interim.q(0, AB)
+        u = {t: interim_u(mech.interim, 0, t) for t in TYPES}
+        q_aa = interim_q(mech.interim, 0, AA)
+        q_ab = interim_q(mech.interim, 0, AB)
         assert u[AB] - u[AA] == d * q_aa[1]
         assert u[BB] - u[AB] == d * q_ab[0]
 
     @pytest.mark.parametrize("spec", grid_specs(), ids=str)
     def test_cross_item_interim_comparisons(self, spec):
         mech = build_bic_mechanism(spec)
-        q_ab = mech.interim.q(0, AB)
-        q_ba = mech.interim.q(0, BA)
+        q_ab = interim_q(mech.interim, 0, AB)
+        q_ba = interim_q(mech.interim, 0, BA)
         assert q_ab[0] <= q_ab[1]
         assert q_ba[0] >= q_ba[1]
 
@@ -384,9 +393,9 @@ def ref_enumerate_profiles(n, dist):
 
 
 def ref_payment(mech, i, profile):
-    q1, q2 = mech.q(i, profile)
+    q1, q2 = q_of(mech, i, profile)
     x1, x2 = profile[i]
-    return q1 * mech.dist.values[x1] + q2 * mech.dist.values[x2] - mech.u(i, profile)
+    return q1 * mech.dist.values[x1] + q2 * mech.dist.values[x2] - u_of(mech, i, profile)
 
 
 def ref_expected_revenue(mech):
@@ -400,8 +409,8 @@ def ref_interim(mech, opponents, i, t_i):
     u = q1 = q2 = F(0)
     for others, w in opponents:
         profile = insert(others, i, t_i)
-        a1, a2 = mech.q(i, profile)
-        u += w * mech.u(i, profile)
+        a1, a2 = q_of(mech, i, profile)
+        u += w * u_of(mech, i, profile)
         q1 += w * a1
         q2 += w * a2
     return u, (q1, q2)
@@ -413,7 +422,7 @@ def ref_check_ir(mech):
     for profile, _ in ref_enumerate_profiles(mech.n, mech.dist):
         for i in range(mech.n):
             count += 1
-            u = mech.u(i, profile)
+            u = u_of(mech, i, profile)
             if u < 0:
                 others = profile[:i] + profile[i + 1 :]
                 violations.append(Violation(i, profile[i], None, others, u, F(0)))
@@ -437,9 +446,9 @@ def ref_check_dic(mech):
                     count += 1
                     truthful = insert(others, i, t_true)
                     deviated = insert(others, i, t_rep)
-                    q1, q2 = mech.q(i, deviated)
-                    lhs = mech.u(i, truthful)
-                    rhs = mech.u(i, deviated) + d1 * q1 + d2 * q2
+                    q1, q2 = q_of(mech, i, deviated)
+                    lhs = u_of(mech, i, truthful)
+                    rhs = u_of(mech, i, deviated) + d1 * q1 + d2 * q2
                     if lhs < rhs:
                         violations.append(Violation(i, t_true, t_rep, others, lhs, rhs))
     return AuditReport("DIC", not violations, tuple(violations), count)
@@ -492,12 +501,12 @@ def ref_qu_statistics(mech):
             prob = probs[profile]
             cheap = cheap_items(profile)
             for i in range(mech.n):
-                q1, q2 = mech.q(i, profile)
+                q1, q2 = q_of(mech, i, profile)
                 if cheap[0]:
                     q_mass += prob * q1
                 if cheap[1]:
                     q_mass += prob * q2
-                u_mass += prob * mech.u(i, profile)
+                u_mass += prob * u_of(mech, i, profile)
         stats[name] = (q_mass, u_mass)
     return stats
 
@@ -522,7 +531,7 @@ def random_mechanism(dist, n, seed):
         t: tuple(F(rng.randint(-2, 12), rng.choice((1, 2, 3, 5, 7))) for _ in range(n))
         for t in profiles
     }
-    return Mechanism.from_rationals(dist, "custom", allocation, utility)
+    return from_rationals(dist, "custom", allocation, utility)
 
 
 def differential_cases():
@@ -542,14 +551,14 @@ def differential_cases():
             cases.append((f"{build.__name__}-negative-{spec}", bad))
             top = (BB,) + (AA,) * (spec.n - 1)
             cases.append((f"{build.__name__}-lifted-{spec}",
-                          with_utility(bad, top, 0, mech.u(0, top) + F(7, 5))))
+                          with_utility(bad, top, 0, u_of(mech, 0, top) + F(7, 5))))
     for dist_name, dist in (("three-atoms", THREE_ATOMS), ("discretized", DISCRETIZED)):
         for n in (2, 3):
             cases.append((f"random-{dist_name}-n{n}", random_mechanism(dist, n, seed=n)))
         for regime in ("dic", "bic"):
             sol = solve_auction_lp(2, dist, regime, max_profiles=len(dist.values) ** 4)
             cases.append((f"optimum-{regime}-{dist_name}",
-                          extract_mechanism(dist, sol.assignment)))
+                          extract_mechanism(2, dist, sol)))
     return cases
 
 
@@ -572,7 +581,7 @@ class TestAgainstFractionReference:
         for i in range(mech.n):
             for t in buyer_types(mech.dist):
                 u, q = ref_interim(mech, opponents, i, t)
-                assert (mech.interim.u(i, t), mech.interim.q(i, t)) == (u, q)
+                assert (interim_u(mech.interim, i, t), interim_q(mech.interim, i, t)) == (u, q)
 
     def test_cases_cover_every_violation_kind(self):
         reports = [check(mech) for _, mech in DIFFERENTIAL_CASES

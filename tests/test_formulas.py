@@ -38,7 +38,8 @@ def posted_price_bundle_revenue(spec, price):
 def single_item_optimum(spec):
     """Independent single-item oracle: brute-force exact LP over all
     truthful one-item mechanisms for n buyers with the two-point marginal."""
-    from twopoint_auctions.simplex import LinearProgram, make_constraint, solve
+    from helpers import make_lp
+    from twopoint_auctions.simplex import solve
 
     n, values = spec.n, (spec.a, spec.b)
     probs = (spec.p, 1 - spec.p)
@@ -59,10 +60,8 @@ def single_item_optimum(spec):
         for i in range(n):
             objective[("q", i, t)] = w * values[t[i]]
             objective[("u", i, t)] = -w
-            constraints.append(make_constraint({("u", i, t): F(1)}, ">=", 0))
-        constraints.append(
-            make_constraint({("q", i, t): F(1) for i in range(n)}, "<=", 1)
-        )
+            constraints.append(({("u", i, t): F(1)}, ">=", 0))
+        constraints.append(({("q", i, t): F(1) for i in range(n)}, "<=", 1))
     for i in range(n):
         for others in itertools.product((0, 1), repeat=n - 1):
             for k_true in (0, 1):
@@ -71,7 +70,7 @@ def single_item_optimum(spec):
                 deviated = others[:i] + (k_rep,) + others[i:]
                 dv = values[k_true] - values[k_rep]
                 constraints.append(
-                    make_constraint(
+                    (
                         {
                             ("u", i, truthful): F(1),
                             ("u", i, deviated): F(-1),
@@ -81,7 +80,7 @@ def single_item_optimum(spec):
                         0,
                     )
                 )
-    lp = LinearProgram(
+    lp = make_lp(
         variables, objective, constraints, {("q", i, t) for t in profiles for i in range(n)}
     )
     return solve(lp).optimum

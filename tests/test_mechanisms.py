@@ -19,13 +19,11 @@ from twopoint_auctions.formulas import (
     revenue_dic,
 )
 from twopoint_auctions.mechanisms import (
-    Mechanism,
     build_bic_mechanism,
     build_dic_mechanism,
     case_hierarchies,
     interval_case,
     mechanism_to_json,
-    payments,
 )
 from twopoint_auctions.audit import (
     check_bic,
@@ -39,9 +37,15 @@ from twopoint_auctions.oracle import extract_mechanism, solve_auction_lp
 
 from helpers import (
     enumerate_profiles,
+    from_rationals,
     mechanism_doc,
+    payment_of,
+    payments,
+    q_of,
     reference_bic_mechanism,
     reference_dic_mechanism,
+    render,
+    u_of,
 )
 from test_core import AA, AB, BA, BB
 
@@ -56,7 +60,7 @@ def profiles_of(spec):
 def tables_equal(m1, m2):
     """Same allocation and utility tables (labels may differ)."""
     return m1.profiles() == m2.profiles() and all(
-        m1.q(i, t) == m2.q(i, t) and m1.u(i, t) == m2.u(i, t)
+        q_of(m1, i, t) == q_of(m2, i, t) and u_of(m1, i, t) == u_of(m2, i, t)
         for t in m1.profiles()
         for i in range(m1.n)
     )
@@ -64,7 +68,7 @@ def tables_equal(m1, m2):
 
 def total_utility_mass(mech):
     return sum(
-        prob * sum(mech.u(i, profile) for i in range(mech.n))
+        prob * sum(u_of(mech, i, profile) for i in range(mech.n))
         for profile, prob in enumerate_profiles(mech.n, mech.dist)
     )
 
@@ -74,7 +78,7 @@ def total_cheap_allocation_mass(mech):
     for profile, prob in enumerate_profiles(mech.n, mech.dist):
         cheap = cheap_items(profile)
         for i in range(mech.n):
-            q1, q2 = mech.q(i, profile)
+            q1, q2 = q_of(mech, i, profile)
             if cheap[0]:
                 total += prob * q1
             if cheap[1]:
@@ -122,46 +126,46 @@ class TestDicMechanism:
     def test_case3_bundle_sale(self):
         mech = build_dic_mechanism(EXAMPLE)
         # single active buyer: both items as a bundle at price a+b
-        assert mech.q(0, (BB, AA)) == (1, 1)
-        assert mech.u(0, (BB, AA)) == 1  # b - a, since beta=1, alpha=0
-        assert mech.payment(0, (BB, AA)) == 3
-        assert mech.q(0, (AB, AA)) == (1, 1)
-        assert mech.payment(0, (AB, AA)) == 3
-        assert mech.q(1, (AB, AA)) == (0, 0)
+        assert q_of(mech, 0, (BB, AA)) == (1, 1)
+        assert u_of(mech, 0, (BB, AA)) == 1  # b - a, since beta=1, alpha=0
+        assert payment_of(mech, 0, (BB, AA)) == 3
+        assert q_of(mech, 0, (AB, AA)) == (1, 1)
+        assert payment_of(mech, 0, (AB, AA)) == 3
+        assert q_of(mech, 1, (AB, AA)) == (0, 0)
         # the all-low profile sells nothing in the bundle case
-        assert mech.q(0, (AA, AA)) == (0, 0)
-        assert mech.payment(0, (AA, AA)) == 0
+        assert q_of(mech, 0, (AA, AA)) == (0, 0)
+        assert payment_of(mech, 0, (AA, AA)) == 0
 
     def test_case3_high_buyer_pays_full_bundle(self):
         # gamma = 0 at b=2, so a (b,b) buyer facing a 1-cheap opponent keeps
         # zero utility and pays 2b
         mech = build_dic_mechanism(EXAMPLE)
-        assert mech.q(0, (BB, AB)) == (1, 1)
-        assert mech.u(0, (BB, AB)) == 0
-        assert mech.payment(0, (BB, AB)) == 4
+        assert q_of(mech, 0, (BB, AB)) == (1, 1)
+        assert u_of(mech, 0, (BB, AB)) == 0
+        assert payment_of(mech, 0, (BB, AB)) == 4
 
     def test_case4_unique_top_buyer(self):
         spec = AuctionSpec(2, F(1, 2), 1, 5)  # b >= v3 = 3
         mech = build_dic_mechanism(spec)
         for others in (AA, AB, BA):
-            assert mech.q(0, (BB, others)) == (1, 1)
-            assert mech.u(0, (BB, others)) == 0
-            assert mech.payment(0, (BB, others)) == 10
+            assert q_of(mech, 0, (BB, others)) == (1, 1)
+            assert u_of(mech, 0, (BB, others)) == 0
+            assert payment_of(mech, 0, (BB, others)) == 10
 
     def test_case1_all_low_profile_splits_everything(self):
         spec = AuctionSpec(3, F(1, 2), 1, F(11, 10))  # b < v1 = 5/3
         mech = build_dic_mechanism(spec)
         t = (AA, AA, AA)
         for i in range(3):
-            assert mech.q(i, t) == (F(1, 3), F(1, 3))
-            assert mech.u(i, t) == 0
-            assert mech.payment(i, t) == F(2, 3)
+            assert q_of(mech, i, t) == (F(1, 3), F(1, 3))
+            assert u_of(mech, i, t) == 0
+            assert payment_of(mech, i, t) == F(2, 3)
 
     def test_case1_single_mid_buyer_utility(self):
         spec = AuctionSpec(2, F(1, 2), 1, F(3, 2))
         mech = build_dic_mechanism(spec)
-        assert mech.u(0, (BA, AA)) == F(1, 2) * F(1, 2)  # (b-a) * alpha/n
-        assert mech.q(0, (BA, AA)) == (1, 1)
+        assert u_of(mech, 0, (BA, AA)) == F(1, 2) * F(1, 2)  # (b-a) * alpha/n
+        assert q_of(mech, 0, (BA, AA)) == (1, 1)
 
 
 class TestBicMechanism:
@@ -169,14 +173,14 @@ class TestBicMechanism:
         mech = build_bic_mechanism(EXAMPLE)
         t = (AB, AB)
         for i in range(2):
-            assert mech.q(i, t) == (F(1, 2), F(1, 2))
-            assert mech.payment(i, t) == F(3, 2)  # (1+b)/2
+            assert q_of(mech, i, t) == (F(1, 2), F(1, 2))
+            assert payment_of(mech, i, t) == F(3, 2)  # (1+b)/2
 
     def test_situation_b_discounted_bundle(self):
         mech = build_bic_mechanism(EXAMPLE)
-        assert mech.q(0, (BB, AB)) == (1, 1)
-        assert mech.u(0, (BB, AB)) == F(1, 4)
-        assert mech.payment(0, (BB, AB)) == F(15, 4)  # 2b - (b-1)/4
+        assert q_of(mech, 0, (BB, AB)) == (1, 1)
+        assert u_of(mech, 0, (BB, AB)) == F(1, 4)
+        assert payment_of(mech, 0, (BB, AB)) == F(15, 4)  # 2b - (b-1)/4
 
     def test_above_v3_identical_to_dic(self):
         spec = AuctionSpec(2, F(1, 2), 1, 4)
@@ -192,7 +196,7 @@ class TestBicMechanism:
             for i in range(2):
                 if profile[i] == BB and profile[1 - i] in (AB, BA):
                     continue
-                assert md.u(i, profile) == mb.u(i, profile)
+                assert u_of(md, i, profile) == u_of(mb, i, profile)
 
 
 class TestPayments:
@@ -227,7 +231,7 @@ class TestStructuralInvariants:
             mech = builder(spec)
             for profile in profiles_of(spec):
                 for j in range(2):
-                    total = sum(mech.q(i, profile)[j] for i in range(spec.n))
+                    total = sum(q_of(mech, i, profile)[j] for i in range(spec.n))
                     assert 0 <= total <= 1
 
     @pytest.mark.parametrize("builder", [build_dic_mechanism, build_bic_mechanism])
@@ -312,7 +316,7 @@ class TestClassAccounting:
         for mech in (build_dic_mechanism(spec), build_bic_mechanism(spec)):
             for profile in profiles_of(spec):
                 if profile not in allowed:
-                    assert all(mech.u(i, profile) == 0 for i in range(spec.n))
+                    assert all(u_of(mech, i, profile) == 0 for i in range(spec.n))
 
     @pytest.mark.parametrize("spec", grid_specs(), ids=str)
     def test_cheap_mass_per_profile(self, spec):
@@ -329,7 +333,7 @@ class TestClassAccounting:
             cheap = cheap_items(profile)
             for mech, s2_flag in ((md, f.gamma), (mb, f.beta)):
                 mass = sum(
-                    mech.q(i, profile)[j]
+                    q_of(mech, i, profile)[j]
                     for i in range(spec.n)
                     for j in range(2)
                     if cheap[j]
@@ -388,15 +392,15 @@ class TestClassAccounting:
 class TestJsonExport:
     def test_export_shape_and_determinism(self):
         mech = build_bic_mechanism(EXAMPLE)
-        doc = json.loads(mechanism_to_json(mech))
+        doc = json.loads(render(mech))
         assert doc["label"] == "bic-optimal"
         assert len(doc["profiles"]) == 16
         assert doc["profiles"][0]["profile"] == ["aa", "aa"]
-        assert doc == json.loads(mechanism_to_json(build_bic_mechanism(EXAMPLE)))
+        assert doc == json.loads(render(build_bic_mechanism(EXAMPLE)))
 
     def test_export_payment_matches_tables(self):
         mech = build_bic_mechanism(EXAMPLE)
-        doc = json.loads(mechanism_to_json(mech))
+        doc = json.loads(render(mech))
         row = next(r for r in doc["profiles"] if r["profile"] == ["bb", "ab"])
         assert row["payment"][0] == "15/4"
         assert row["utility"][0] == "1/4"
@@ -417,7 +421,7 @@ def random_mechanism(seed):
     for t in profiles_of(spec):
         allocation[t] = tuple((entry(0) / 7, entry(0) / 7) for _ in range(n))
         utility[t] = tuple(entry(-7) for _ in range(n))
-    return Mechanism.from_rationals(spec.dist, "random\n\u00e9", allocation, utility)
+    return from_rationals(spec.dist, "random\n\u00e9", allocation, utility)
 
 
 @functools.cache
@@ -447,7 +451,7 @@ class TestJsonRenderer:
     @staticmethod
     def assert_renders(mech):
         for checks in check_variants():
-            assert mechanism_to_json(mech, checks) == json.dumps(
+            assert render(mech, checks) == json.dumps(
                 mechanism_doc(mech, checks), indent=2
             )
 
@@ -461,7 +465,19 @@ class TestJsonRenderer:
                                       AuctionSpec(3, F(1, 2), 1, F(7, 4))], ids=str)
     def test_lp_optima(self, spec, regime):
         sol = solve_auction_lp(spec.n, spec.dist, regime)
-        self.assert_renders(extract_mechanism(spec.dist, sol.assignment))
+        self.assert_renders(extract_mechanism(spec.n, spec.dist, sol))
+
+    def test_written_row_by_row(self):
+        # The text goes to the stream in parts, none longer than a row.
+        writes = []
+
+        class Recorder:
+            write = writes.append
+
+        mech = build_bic_mechanism(N4_SPECS[0])
+        mechanism_to_json(mech, check_variants()[2], Recorder())
+        assert "".join(writes) == render(mech, check_variants()[2])
+        assert len(writes) > len(mech.allocation) and max(map(len, writes)) < 1000
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_tables(self, seed):

@@ -10,7 +10,7 @@ from twopoint_auctions.core import (
     buyer_types,
 )
 from twopoint_auctions.formulas import breakpoints, price_b_revenue, revenue_bic, revenue_dic
-from twopoint_auctions.mechanisms import Mechanism, build_bic_mechanism, build_dic_mechanism
+from twopoint_auctions.mechanisms import build_bic_mechanism, build_dic_mechanism
 from twopoint_auctions.audit import (
     check_bic,
     check_bir,
@@ -33,9 +33,18 @@ from twopoint_auctions.oracle import (
     solve_auction_lp,
 )
 from twopoint_auctions.continuous import ContinuousSpec, discretize
-from twopoint_auctions.simplex import LinearProgram, make_constraint, solve
+from twopoint_auctions.simplex import solve
 
-from helpers import enumerate_profiles, insert
+from helpers import (
+    enumerate_profiles,
+    extract_from_assignment,
+    from_rationals,
+    full_assignment,
+    insert,
+    make_lp,
+    q_of,
+    u_of,
+)
 
 EXAMPLE = AuctionSpec(2, F(1, 2), 1, 2)
 THREE_ATOMS = FiniteValueDistribution((F(1), F(2), F(3)), (F(1, 3),) * 3)
@@ -72,23 +81,18 @@ def _reduce(lp):
     identical rows once, in order of first appearance."""
     variables = list(dict.fromkeys(representative(v) for v in lp.variables))
     objective = {}
-    for v, c in lp.objective.items():
+    for v, c in lp.objective_terms():
         r = representative(v)
         objective[r] = objective.get(r, F(0)) + c
-    constraints = []
-    row_keys = set()
-    for cons in lp.constraints:
+    rows = {}
+    for terms, rel, rhs, tag in lp.rows():
         coeffs = {}
-        for v, c in cons.coeffs:
+        for v, c in terms:
             r = representative(v)
             coeffs[r] = coeffs.get(r, F(0)) + c
-        key = (tuple(sorted(coeffs.items())), cons.rel, cons.rhs)
-        if key in row_keys:
-            continue
-        row_keys.add(key)
-        constraints.append(make_constraint(coeffs, cons.rel, cons.rhs, cons.tag))
-    nonneg = {representative(v) for v in lp.nonneg}
-    return LinearProgram(variables, objective, constraints, nonneg).validate()
+        rows.setdefault((tuple(sorted(coeffs.items())), rel, rhs), (coeffs, rel, rhs, tag))
+    nonneg = {representative(lp.variables[j]) for j in lp.nonneg}
+    return make_lp(variables, objective, rows.values(), nonneg).validate()
 
 
 SYMMETRY_PARAMS = [
@@ -112,7 +116,8 @@ class TestProgramShapes:
         assert dic_row_count(lp) == 2 * 12 * 4
         assert lp.n_constraints("ir") == 2 * 16
         assert lp.n_constraints("supply") == 2 * 16
-        assert set(q_vars) <= lp.nonneg and not (set(u_vars) & lp.nonneg)
+        nonneg = {lp.variables[j] for j in lp.nonneg}
+        assert set(q_vars) <= nonneg and not (set(u_vars) & nonneg)
 
     def test_bic_counts_at_n2(self):
         lp = build_bic_lp(EXAMPLE)
@@ -169,14 +174,14 @@ class TestOptima:
 class TestMechanismExtraction:
     def test_dic_solution_passes_dic_audit(self):
         sol = solve_auction_lp(EXAMPLE.n, EXAMPLE.dist, "dic")
-        mech = extract_mechanism(EXAMPLE.dist, sol.assignment, label="custom")
+        mech = extract_mechanism(EXAMPLE.n, EXAMPLE.dist, sol, label="custom")
         assert check_ir(mech).passed
         assert check_dic(mech).passed
         assert expected_revenue(mech) == sol.optimum
 
     def test_bic_solution_passes_bic_audit(self):
         sol = solve_auction_lp(EXAMPLE.n, EXAMPLE.dist, "bic")
-        mech = extract_mechanism(EXAMPLE.dist, sol.assignment, label="custom")
+        mech = extract_mechanism(EXAMPLE.n, EXAMPLE.dist, sol, label="custom")
         assert check_bir(mech).passed
         assert check_bic(mech).passed
         assert expected_revenue(mech) == sol.optimum
@@ -184,7 +189,7 @@ class TestMechanismExtraction:
     def test_symmetrized_solution_passes_audits(self):
         spec = AuctionSpec(3, F(1, 2), 1, 2)
         sol = solve_auction_lp(spec.n, spec.dist, "dic")
-        mech = extract_mechanism(spec.dist, sol.assignment)
+        mech = extract_mechanism(spec.n, spec.dist, sol)
         assert check_ir(mech).passed
         assert check_dic(mech).passed
         assert expected_revenue(mech) == sol.optimum
@@ -198,12 +203,12 @@ class TestMechanismExtraction:
         sol_d = solve_auction_lp(2, dist, "dic")
         sol_b = solve_auction_lp(2, dist, "bic")
         assert (sol_d.optimum, sol_b.optimum) == (F(109, 27), F(110, 27))
-        mech_d = extract_mechanism(dist, sol_d.assignment)
+        mech_d = extract_mechanism(2, dist, sol_d)
         assert mech_d.n == 2 and len(mech_d.profiles()) == 81
         assert check_ir(mech_d).passed
         assert check_dic(mech_d).passed
         assert expected_revenue(mech_d) == F(109, 27)
-        mech_b = extract_mechanism(dist, sol_b.assignment)
+        mech_b = extract_mechanism(2, dist, sol_b)
         assert check_bir(mech_b).passed
         assert check_bic(mech_b).passed
         assert expected_revenue(mech_b) == F(110, 27)
@@ -214,7 +219,7 @@ class TestSymmetryReduction:
     def test_constraint_set_is_group_invariant(self):
         lp = build_dic_lp(EXAMPLE)
         rows = {
-            (tuple(sorted(c.coeffs)), c.rel, c.rhs) for c in lp.constraints
+            (tuple(sorted(terms)), rel, rhs) for terms, rel, rhs, _ in lp.rows()
         }
         for perm, swap in _group(2):
             mapped = {
@@ -222,23 +227,23 @@ class TestSymmetryReduction:
                     tuple(
                         sorted(
                             (_apply_to_var(perm, swap, v), coef)
-                            for v, coef in c.coeffs
+                            for v, coef in terms
                         )
                     ),
-                    c.rel,
-                    c.rhs,
+                    rel,
+                    rhs,
                 )
-                for c in lp.constraints
+                for terms, rel, rhs, _ in lp.rows()
             }
             assert mapped == rows
 
     def test_objective_is_group_invariant(self):
-        lp = build_bic_lp(EXAMPLE)
+        objective = dict(build_bic_lp(EXAMPLE).objective_terms())
         for perm, swap in _group(2):
             mapped = {
-                _apply_to_var(perm, swap, v): c for v, c in lp.objective.items()
+                _apply_to_var(perm, swap, v): c for v, c in objective.items()
             }
-            assert mapped == lp.objective
+            assert mapped == objective
 
     @SYMMETRY_CASES
     def test_representatives_are_group_minima(self, n, dist):
@@ -260,6 +265,7 @@ class TestSymmetryReduction:
         sym = oracle._build(n, dist, regime, cap, symmetric=True)
         assert sym.variables == reduced.variables
         assert list(sym.objective.items()) == list(reduced.objective.items())
+        assert sym.obj_scale == reduced.obj_scale
         assert sym.constraints == reduced.constraints
         assert sym.nonneg == reduced.nonneg
 
@@ -311,12 +317,12 @@ class TestOptimumCertificate:
 
     def _mechanism(self, change):
         sol = solve_auction_lp(EXAMPLE.n, EXAMPLE.dist, "dic")
-        mech = extract_mechanism(EXAMPLE.dist, sol.assignment)
-        allocation = {t: tuple(mech.q(i, t) for i in range(mech.n)) for t in mech.profiles()}
-        utility = {t: tuple(mech.u(i, t) for i in range(mech.n)) for t in mech.profiles()}
+        mech = extract_mechanism(EXAMPLE.n, EXAMPLE.dist, sol)
+        allocation = {t: tuple(q_of(mech, i, t) for i in range(mech.n)) for t in mech.profiles()}
+        utility = {t: tuple(u_of(mech, i, t) for i in range(mech.n)) for t in mech.profiles()}
         t = next(iter(mech.profiles()))
         allocation[t] = change(allocation[t])
-        return Mechanism.from_rationals(mech.dist, mech.label, allocation, utility), sol.optimum
+        return from_rationals(mech.dist, mech.label, allocation, utility), sol.optimum
 
     def test_over_allocation_is_refused(self):
         mech, optimum = self._mechanism(lambda shares: ((F(1), F(0)),) * len(shares))
@@ -398,6 +404,33 @@ class TestPivotSequence:
         assert solve_continuous_cell(40, regime) == (optimum, pivots)
 
 
+EXTRACTION_CASES = [
+    pytest.param(n, AuctionSpec(n, p, a, b).dist, id=f"grid-{n}-{p}-{a}-{b}")
+    for n, p, a, b, *_ in PINNED_PIVOTS
+] + [pytest.param(2, discretize(ContinuousSpec(2, 10, 2, 1)), id="continuous-a10-m1")]
+
+
+class TestIntegerExtraction:
+    """`extract_mechanism` reads the symmetric primal's numerators through
+    the orbit map; it equals, field by field and den included, the
+    mechanism `from_rationals` makes of the full Fraction assignment."""
+
+    @pytest.mark.parametrize("regime", ["dic", "bic"])
+    @pytest.mark.parametrize("n,dist", EXTRACTION_CASES)
+    def test_equals_the_fraction_path(self, n, dist, regime):
+        sol = solve_auction_lp(n, dist, regime, max_profiles=len(dist.values) ** (2 * n))
+        mech = extract_mechanism(n, dist, sol, label="lp")
+        ref = extract_from_assignment(dist, full_assignment(n, dist, sol), label="lp")
+        assert (mech.dist, mech.label, mech.den) == (ref.dist, ref.label, ref.den)
+        assert list(mech.allocation.items()) == list(ref.allocation.items())
+        assert list(mech.utility.items()) == list(ref.utility.items())
+
+    def test_refuses_a_solution_of_another_program(self):
+        sol = solve_auction_lp(2, EXAMPLE.dist, "dic")
+        with pytest.raises(ValueError, match="symmetric auction program"):
+            extract_mechanism(3, EXAMPLE.dist, sol)
+
+
 def solve_continuous_cell(a, regime):
     """(optimum, pivots) of the grid_m=2 continuous cell at a, lam=2."""
     dist = discretize(ContinuousSpec(2, a, 2, 2))
@@ -475,9 +508,7 @@ def _ref_build(n, dist, regime, max_profiles, symmetric):
         for v, c in terms:
             r = col(v)
             coeffs[r] = coeffs[r] + c if r in coeffs else c
-        key = (tuple(sorted(coeffs.items())), rel, rhs)
-        if key not in rows:
-            rows[key] = make_constraint(coeffs, rel, rhs, tag)
+        rows.setdefault((tuple(sorted(coeffs.items())), rel, rhs), (coeffs, rel, rhs, tag))
 
     for t in profiles:
         for j in range(2):
@@ -510,11 +541,11 @@ def _ref_build(n, dist, regime, max_profiles, symmetric):
                      for v, c in _ref_truthfulness_terms(dist, i, t_true, t_rep, o)],
                     ">=", 0, "bic")
 
-    return LinearProgram(
-        variables=list(dict.fromkeys(map(col, q_vars + u_vars))),
-        objective=objective,
-        constraints=list(rows.values()),
-        nonneg={col(v) for v in q_vars},
+    return make_lp(
+        list(dict.fromkeys(map(col, q_vars + u_vars))),
+        objective,
+        rows.values(),
+        {col(v) for v in q_vars},
     ).validate()
 
 
@@ -542,12 +573,14 @@ class TestAgainstFractionBuilder:
         ref = _ref_build(n, dist, regime, cap, symmetric)
         assert lp.variables == ref.variables
         assert list(lp.objective.items()) == list(ref.objective.items())
-        assert all(type(c) is F for c in lp.objective.values())
+        assert lp.obj_scale == ref.obj_scale
+        assert lp.objective_terms() == ref.objective_terms()
         assert len(lp.constraints) == len(ref.constraints)
         for row, ref_row in zip(lp.constraints, ref.constraints):
             assert row.coeffs == ref_row.coeffs
-            assert all(type(c) is F for _, c in row.coeffs)
-            assert (row.rel, row.rhs, row.tag) == (ref_row.rel, ref_row.rhs, ref_row.tag)
+            assert (row.rel, row.rhs, row.scale, row.tag) == (
+                ref_row.rel, ref_row.rhs, ref_row.scale, ref_row.tag)
+        assert list(lp.rows()) == list(ref.rows())
         assert lp.nonneg == ref.nonneg
 
 

@@ -7,40 +7,38 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from twopoint_auctions import simplex
+from twopoint_auctions import oracle, simplex
 from twopoint_auctions.continuous import ContinuousSpec, discretize
 from twopoint_auctions.core import AuctionSpec
 from twopoint_auctions.oracle import solve_auction_lp
 from twopoint_auctions.simplex import (
     Constraint,
     LinearProgram,
+    LPSolution,
     SimplexError,
+    _certify,
     lp_to_text,
-    make_constraint,
     solve,
 )
 
-from helpers import reference_pivot
+from helpers import make_lp, reference_pivot
 
 
 def two_variable_lp():
-    return LinearProgram(
+    return make_lp(
         ["x", "y"],
-        {"x": F(2), "y": F(3)},
-        [
-            make_constraint({"x": F(1), "y": F(1)}, "<=", F(4)),
-            make_constraint({"x": F(1), "y": F(3)}, "<=", F(6)),
-        ],
+        {"x": 2, "y": 3},
+        [({"x": 1, "y": 1}, "<=", 4), ({"x": 1, "y": 3}, "<=", 6)],
         {"x", "y"},
     )
 
 
 def lp1d(c, rows, nonneg=True):
-    return LinearProgram(
+    return make_lp(
         ["x"],
-        {"x": F(c)},
-        [make_constraint({"x": F(a)}, rel, F(b)) for a, rel, b in rows],
-        {"x"} if nonneg else set(),
+        {"x": c},
+        [({"x": a}, rel, b) for a, rel, b in rows],
+        {"x"} if nonneg else (),
     )
 
 
@@ -81,13 +79,36 @@ class TestBasics:
         assert (sol.assignment["x"], sol.assignment["y"]) == (3, 1)
 
     def test_validation_rejects_undeclared(self):
-        lp = LinearProgram(["x"], {"y": F(1)}, [], set())
-        with pytest.raises(ValueError, match="undeclared"):
+        lp = LinearProgram(["x"], {1: 1}, 1, [], set())
+        with pytest.raises(ValueError, match="declared columns"):
             solve(lp)
 
     def test_relation_validation(self):
+        lp = LinearProgram(["x"], {0: 1}, 1, [Constraint(((0, 1),), "==", 0)])
+        with pytest.raises(ValueError, match="relation"):
+            solve(lp)
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            Constraint(((0, F(1)),), "<=", 1),
+            Constraint(((0, 1.0),), "<=", 1),
+            Constraint(((0, 0),), "<=", 1),
+            Constraint(((0, 1),), "<=", F(1)),
+            Constraint(((0, 1),), "<=", 1, scale=0),
+            Constraint(((0, 1),), "<=", 1, scale=-2),
+            Constraint(((1, 1),), "<=", 1),
+            Constraint(((-1, 1),), "<=", 1),
+            Constraint(((0, 1), (0, 2)), "<=", 1),
+            Constraint(((0, 1),), "<", 1),
+        ],
+        ids=["fraction-coefficient", "float-coefficient", "zero-coefficient",
+             "fraction-rhs", "zero-scale", "negative-scale", "column-past-end",
+             "negative-column", "column-twice", "bad-rel"],
+    )
+    def test_invalid_constraint_raises_value_error(self, row):
         with pytest.raises(ValueError):
-            Constraint((("x", F(1)),), "==", F(0))
+            solve(LinearProgram(["x"], {0: 1}, 1, [row], {0}))
 
 
 class TestRules:
@@ -96,13 +117,13 @@ class TestRules:
     @pytest.mark.parametrize("stall_limit", [0, simplex.STALL_LIMIT], ids=["bland", "auto"])
     def test_rules_agree(self, monkeypatch, stall_limit):
         monkeypatch.setattr(simplex, "STALL_LIMIT", stall_limit)
-        lp = LinearProgram(
+        lp = make_lp(
             ["x", "y", "z"],
-            {"x": F(10), "y": F(-57), "z": F(-9)},
+            {"x": 10, "y": -57, "z": -9},
             [
-                make_constraint({"x": F(1), "y": F(-11), "z": F(-5)}, "<=", 0),
-                make_constraint({"x": F(1), "y": F(-3), "z": F(-1)}, "<=", 0),
-                make_constraint({"x": F(1)}, "<=", 1),
+                ({"x": 1, "y": -11, "z": -5}, "<=", 0),
+                ({"x": 1, "y": -3, "z": -1}, "<=", 0),
+                ({"x": 1}, "<=", 1),
             ],
             {"x", "y", "z"},
         )
@@ -112,16 +133,8 @@ class TestRules:
 
 class TestLazyRows:
     def test_lazy_matches_dense(self):
-        rows = [
-            make_constraint({"x": F(1), "y": F(k)}, "<=", F(k * k + 1), tag="lazy")
-            for k in range(1, 20)
-        ]
-        lp = LinearProgram(
-            ["x", "y"],
-            {"x": F(1), "y": F(3)},
-            rows + [make_constraint({"y": F(1)}, "<=", 5)],
-            {"x", "y"},
-        )
+        rows = [({"x": 1, "y": k}, "<=", k * k + 1, "lazy") for k in range(1, 20)]
+        lp = make_lp(["x", "y"], {"x": 1, "y": 3}, rows + [({"y": 1}, "<=", 5)], {"x", "y"})
         dense = solve(lp)
         lazy = solve(lp, lazy_tags=("lazy",))
         assert dense.optimum == lazy.optimum
@@ -132,15 +145,16 @@ class TestLazyRows:
         # equality, the first over its scale 3; neither may be added, so
         # the solve is the relaxation's alone.
         def lp(rows):
-            return LinearProgram(["x", "y"], {"x": F(1), "y": F(1)}, rows, {"x", "y"})
+            return make_lp(["x", "y"], {"x": 1, "y": 1}, rows, {"x", "y"})
 
-        box = [make_constraint({"x": F(1)}, "<=", 1), make_constraint({"y": F(1)}, "<=", 1)]
+        box = [({"x": 1}, "<=", 1), ({"y": 1}, "<=", 1)]
         lazy = [
-            make_constraint({"x": F(1, 3), "y": F(1, 3)}, "<=", F(2, 3), tag="lazy"),
-            make_constraint({"x": F(-1), "y": F(-1)}, ">=", F(-2), tag="lazy"),
+            ({"x": F(1, 3), "y": F(1, 3)}, "<=", F(2, 3), "lazy"),
+            ({"x": -1, "y": -1}, ">=", -2, "lazy"),
         ]
         alone = solve(lp(box))
         sol = solve(lp(lazy + box), lazy_tags=("lazy",))
+        assert lp(lazy + box).constraints[0].scale == 3
         assert (sol.optimum, sol.assignment) == (alone.optimum, alone.assignment)
         assert sol.pivots == alone.pivots
         assert sol.duals == (F(0), F(0)) + alone.duals
@@ -148,28 +162,97 @@ class TestLazyRows:
 
 class TestCertificate:
     def test_tampered_solution_rejected(self):
-        from twopoint_auctions.simplex import LPSolution, _certify
-
         lp = lp1d(1, [(1, "<=", 1)])
         with pytest.raises(SimplexError):
-            _certify(lp, LPSolution("optimal", F(2), {"x": F(2)}))
+            _certify(lp, LPSolution("optimal", F(2), 0, (2,), 1, (1,), 1))
 
     def test_tampered_dual_rejected(self):
-        from twopoint_auctions.simplex import _certify
-
         lp = two_variable_lp()
         sol = solve(lp)
-        for duals in [(F(3), F(1, 2)), (F(3, 2), F(0)), (F(-3, 2), F(1, 2))]:
+        # (3, 1/2), (3/2, 0) and (-3/2, 1/2) over the denominator 2, and
+        # (0, 3/2), sign-correct with b·y = 9 but Aᵀy = (3/2, 9/2) short of c
+        # on x
+        for dual in [(6, 1), (3, 0), (-3, 1), (0, 3)]:
             with pytest.raises(SimplexError, match="certificate failure"):
-                _certify(lp, dataclasses.replace(sol, duals=duals))
+                _certify(lp, dataclasses.replace(sol, dual=dual, dual_den=2))
+
+    def test_infeasible_primal_at_the_optimum_rejected(self):
+        # (0, 3) attains 2x + 3y = 9 but breaks x + 3y <= 6.
+        lp = two_variable_lp()
+        sol = solve(lp)
+        with pytest.raises(SimplexError, match="constraint violated"):
+            _certify(lp, dataclasses.replace(sol, primal=(0, 3), primal_den=1))
+
+    def test_wrong_sign_dual_rejected(self):
+        # max x s.t. x <= 1, x <= 2: y = (3, -1) has Aᵀy = 2 >= 1 and b·y = 1,
+        # and only its second sign is wrong.
+        lp = lp1d(1, [(1, "<=", 1), (1, "<=", 2)])
+        sol = solve(lp)
+        with pytest.raises(SimplexError, match="wrong sign"):
+            _certify(lp, dataclasses.replace(sol, dual=(3, -1), dual_den=1))
 
     def test_missing_dual_rejected(self):
-        from twopoint_auctions.simplex import _certify
-
         lp = two_variable_lp()
         sol = solve(lp)
         with pytest.raises(SimplexError, match="no dual"):
-            _certify(lp, dataclasses.replace(sol, duals=()))
+            _certify(lp, dataclasses.replace(sol, dual=()))
+
+
+def _replaced(vector, k, value):
+    return vector[:k] + (value,) + vector[k + 1:]
+
+
+class TestIntegerCertificate:
+    """Every single tampering of a certified solution's integer vectors is
+    refused: each one changes c·x or b·y, breaks a dual's sign, or leaves a
+    row without its dual."""
+
+    @pytest.fixture(params=["two-variable", "auction-n2-dic"])
+    def solved(self, request):
+        if request.param == "two-variable":
+            lp = two_variable_lp()
+        else:
+            lp = oracle._build(2, AuctionSpec(2, F(1, 2), 1, 2).dist, "dic", 16, True)
+        sol = solve(lp)
+        _certify(lp, sol)
+        return lp, sol
+
+    def assert_refused(self, lp, sol, **changes):
+        with pytest.raises(SimplexError, match="certificate failure"):
+            _certify(lp, dataclasses.replace(sol, **changes))
+
+    def test_primal_numerator_plus_one(self, solved):
+        lp, sol = solved
+        for j in lp.objective:
+            self.assert_refused(lp, sol, primal=_replaced(sol.primal, j, sol.primal[j] + 1))
+
+    def test_primal_denominator_doubled(self, solved):
+        lp, sol = solved
+        self.assert_refused(lp, sol, primal_den=2 * sol.primal_den)
+
+    def test_dual_sign_flipped(self, solved):
+        lp, sol = solved
+        flipped = [k for k, y in enumerate(sol.dual) if y]
+        assert flipped
+        for k in flipped:
+            self.assert_refused(lp, sol, dual=_replaced(sol.dual, k, -sol.dual[k]))
+
+    def test_dual_numerator_off_by_one(self, solved):
+        lp, sol = solved
+        rows = [k for k, c in enumerate(lp.constraints) if c.rhs]
+        assert rows
+        for k in rows:
+            for d in (1, -1):
+                self.assert_refused(lp, sol, dual=_replaced(sol.dual, k, sol.dual[k] + d))
+
+    def test_dual_vector_one_short(self, solved):
+        lp, sol = solved
+        self.assert_refused(lp, sol, dual=sol.dual[:-1])
+
+    def test_optimum_off_by_one_over_x(self, solved):
+        lp, sol = solved
+        for d in (1, -1):
+            self.assert_refused(lp, sol, optimum=sol.optimum + F(d, sol.primal_den))
 
 
 class TestDuals:
@@ -191,9 +274,8 @@ class TestDuals:
         assert sol.optimum == 0 and sol.duals == (F(-1, 2), F(0))
 
     def test_rows_never_added_get_zero(self):
-        rows = [make_constraint({"x": F(1)}, "<=", F(k), tag="lazy") for k in (5, 7)]
-        lp = LinearProgram(["x"], {"x": F(1)}, rows + [make_constraint({"x": F(1)}, "<=", 3)],
-                           {"x"})
+        rows = [({"x": 1}, "<=", k, "lazy") for k in (5, 7)]
+        lp = make_lp(["x"], {"x": 1}, rows + [({"x": 1}, "<=", 3)], {"x"})
         assert solve(lp, lazy_tags=("lazy",)).duals == (F(0), F(0), F(1))
 
 
@@ -291,15 +373,13 @@ def pivot_cases(before, after, r, s):
 def random_lp(rng, nvars, nrows):
     variables = [f"x{i}" for i in range(nvars)]
     objective = {v: F(rng.randint(-5, 5)) for v in variables}
-    constraints = [
-        make_constraint({v: F(1) for v in variables}, "<=", F(nvars * 6))
-    ]
+    constraints = [({v: F(1) for v in variables}, "<=", F(nvars * 6))]
     for _ in range(nrows):
         coeffs = {v: F(rng.randint(-4, 4)) for v in variables}
         rel = rng.choice(["<=", ">="])
         rhs = F(rng.randint(-3 if rel == "<=" else -12, 12 if rel == "<=" else 3))
-        constraints.append(make_constraint(coeffs, rel, rhs))
-    return LinearProgram(variables, objective, constraints, set(variables))
+        constraints.append((coeffs, rel, rhs))
+    return make_lp(variables, objective, constraints, variables)
 
 
 class TestAgainstScipy:
@@ -310,14 +390,15 @@ class TestAgainstScipy:
             lp = random_lp(rng, rng.randint(2, 5), rng.randint(1, 6))
             sol = solve(lp)
             a_ub, b_ub = [], []
-            for c in lp.constraints:
-                coeffs = dict(c.coeffs)
+            for terms, rel, rhs, _ in lp.rows():
+                coeffs = dict(terms)
                 row = [float(coeffs.get(v, 0)) for v in lp.variables]
-                sgn = 1 if c.rel == "<=" else -1
+                sgn = 1 if rel == "<=" else -1
                 a_ub.append([sgn * x for x in row])
-                b_ub.append(sgn * float(c.rhs))
+                b_ub.append(sgn * float(rhs))
+            objective = dict(lp.objective_terms())
             ref = scipy.optimize.linprog(
-                [-float(lp.objective[v]) for v in lp.variables],
+                [-float(objective.get(v, 0)) for v in lp.variables],
                 A_ub=np.array(a_ub),
                 b_ub=np.array(b_ub),
                 bounds=(0, None),
@@ -336,12 +417,7 @@ class TestAgainstScipy:
 
 class TestExport:
     def test_text_export_contents(self):
-        lp = LinearProgram(
-            [("q", 0)],
-            {("q", 0): F(1, 16)},
-            [make_constraint({("q", 0): F(1)}, "<=", 1)],
-            {("q", 0)},
-        )
+        lp = make_lp([("q", 0)], {("q", 0): F(1, 16)}, [({("q", 0): 1}, "<=", 1)], {("q", 0)})
         text = lp_to_text(lp, "demo")
         assert text.startswith("\\ demo")
         assert "Maximize" in text and "Subject To" in text and "End" in text
