@@ -203,9 +203,9 @@ def _replaced(vector, k, value):
 
 
 class TestIntegerCertificate:
-    """Every single tampering of a certified solution's integer vectors is
-    refused: each one changes c·x or b·y, breaks a dual's sign, or leaves a
-    row without its dual."""
+    """Each tampering below of a certified solution's integer vectors is
+    refused: it changes c·x or b·y, breaks a dual's sign, or leaves a row
+    without its dual."""
 
     @pytest.fixture(params=["two-variable", "auction-n2-dic"])
     def solved(self, request):
