@@ -16,7 +16,10 @@ pivot row's denominator does not divide that row's multiplier, its entry
 in the entering column.  The solver pivots on the largest reduced cost and
 falls back to Bland's rule, the anti-cycling guarantee, once it stalls on
 degenerate pivots; an infeasible origin is handled by a phase one over
-artificials.
+artificials.  Lazy rows are added in warm-started rounds: the rows the
+optimum violates join the optimal tableau, each basic in its own slack, and
+dual simplex pivots under Bland's rule, which is finite, restore primal
+feasibility without leaving the optimal basis behind.
 
 Solutions are certified exactly before they are returned, against every
 constraint of the program, lazy rows included: the primal is substituted
@@ -185,25 +188,31 @@ class _Tableau:
         self.dens = [1] * len(rows)
 
     def pivot(self, r: int, s: int, holders: Sequence[int] | None = None):
-        """Make column s the unit column of row r: rescale row r and update
-        only the rows with a nonzero in column s, which `holders` lists
-        when the caller has already scanned for them.
-
-        Row i loses (a / dens[i]) * row r, a = row i's entry in column s.
-        With den the pivot row's new denominator and g0 = gcd(a, den), the
-        difference is over dens[i] * (den // g0): row i is rescaled by
-        den // g0 only when that is not 1, and otherwise changes in place
-        on row r's support alone."""
+        """Make column s the unit column of row r: rescale row r and clear
+        column s from the other rows holding it, which `holders` lists
+        when the caller has already scanned for them."""
         rows, dens = self.rows, self.dens
         piv = rows[r].get(s, 0)
         if piv == 0:
             raise SimplexError("zero pivot")
         row = rows[r] if piv > 0 else {j: -x for j, x in rows[r].items()}
-        row, den = _reduced(row, abs(piv))
-        rows[r], dens[r] = row, den
+        rows[r], dens[r] = _reduced(row, abs(piv))
         if holders is None:
             holders = [i for i, other in enumerate(rows) if s in other]
-        for i in holders:
+        self.clear(r, s, holders)
+
+    def clear(self, r: int, s: int, targets: Sequence[int]):
+        """Clear column s from each row of `targets` other than r with row
+        r, whose entry in column s is its denominator: a unit column.
+
+        Row i loses (a / dens[i]) * row r, a = row i's entry in column s.
+        With den row r's denominator and g0 = gcd(a, den), the difference
+        is over dens[i] * (den // g0): row i is rescaled by den // g0 only
+        when that is not 1, and otherwise changes in place on row r's
+        support alone."""
+        rows, dens = self.rows, self.dens
+        row, den = rows[r], dens[r]
+        for i in targets:
             if i == r:
                 continue
             other = rows[i]
@@ -289,32 +298,38 @@ def solve(lp: LinearProgram, lazy_tags: Sequence[str] = ()) -> LPSolution:
     """Exact simplex.  With `lazy_tags`, rows carrying those tags start out
     of the model and are added in rounds whenever the relaxation's optimum
     violates them; the returned solution satisfies every row exactly, and
-    its duals (zero on rows never added) prove it optimal."""
+    its duals (zero on rows never added) prove it optimal.
+
+    The lazy rounds are warm-started: the violated rows join the optimal
+    tableau and dual simplex pivots under Bland's rule restore primal
+    feasibility.  Only an unbounded relaxation, whose tableau is not dual
+    feasible, is solved again from the slack basis with every row."""
     lp.validate()
     lazy_tags = set(lazy_tags)
     constraints = lp.constraints
     active = [k for k, c in enumerate(constraints) if c.tag not in lazy_tags]
     pool = [k for k, c in enumerate(constraints) if c.tag in lazy_tags]
-    total_pivots = 0
-    while True:
-        status, pivots, x, X, y, Y = _solve_once(lp, active)
-        total_pivots += pivots
-        if status == "unbounded" and pool:
-            # the withheld rows may bound the ray; fold them all in
-            active, pool = active + pool, []
-            continue
-        if status != "optimal":
-            return LPSolution(status, None, total_pivots, variables=lp.variables)
+    state = _Solver(lp, active)
+    pivots = state.pivots
+    if state.status == "unbounded" and pool:
+        # the withheld rows may bound the ray; fold them all in
+        state = _Solver(lp, active + pool)
+        pivots += state.pivots
+        pool = []
+    while state.status == "optimal":
+        x, X = state.primal()
         violated = [k for k in pool if _violated(constraints[k], x, X)]
         if not violated:
+            y, Y = state.duals()
             cx = sum(c * x[j] for j, c in lp.objective.items())
-            sol = LPSolution("optimal", Fraction(cx, lp.obj_scale * X), total_pivots,
+            sol = LPSolution("optimal", Fraction(cx, lp.obj_scale * X), pivots,
                              tuple(x), X, tuple(y), Y, lp.variables)
             _certify(lp, sol)
             return sol
         added = set(violated)
         pool = [k for k in pool if k not in added]
-        active = active + violated
+        pivots += state.add_rows(violated)
+    return LPSolution(state.status, None, pivots, variables=lp.variables)
 
 
 def _violated(c: Constraint, x: Sequence[int], X: int) -> bool:
@@ -374,125 +389,221 @@ def _certify(lp: LinearProgram, sol: LPSolution):
         raise SimplexError("certificate failure: dual objective mismatch")
 
 
-def _solve_once(lp: LinearProgram, active: Sequence[int]):
-    """Solve the program restricted to the rows `active`, in that order.
+class _Solver:
+    """One solve's tableau, kept across lazy rounds.
 
-    Returns (status, pivots, x, X, y, Y): at an optimum the primal as
-    integers x over X, one per column, and the duals as integers y over Y,
-    one per row of the program, zero on the rows not active; otherwise None
-    for each."""
-    kept, split, nonneg = _presolve_nonneg(lp, active)
-    constraints = lp.constraints
+    Tableau row i holds the program row `kept[i]`, made a <= row by
+    `signs[i]`, with the slack column nstruct + i; the objective row comes
+    last.  The constructor solves the active rows from the slack basis,
+    with a phase one over artificials when the origin is infeasible, and
+    sets `status` and `pivots`.  At an optimum `primal` and `duals` read the
+    vectors off the tableau, and `add_rows` adds program rows."""
 
-    # Column layout: one column per nonneg variable, two (x+ and x-) per
-    # free variable, then slacks, then any phase-one artificials.
-    col_of = []
-    col_var = []  # structural column -> (variable, +1|-1)
-    for v in range(len(lp.variables)):
-        col_of.append(len(col_var))
-        col_var.append((v, 1))
-        if v not in nonneg:
-            col_var.append((v, -1))
-    nstruct = len(col_var)
-    m = len(kept)
-    ncols = nstruct + m
+    def __init__(self, lp: LinearProgram, active: Sequence[int]):
+        self.lp = lp
+        kept, self.split, self.nonneg = _presolve_nonneg(lp, active)
+        nonneg = self.nonneg
 
-    # Every row is turned into a <= row; `signs` keeps the sign, for the
-    # duals.
-    rows, signs, neg_rhs_rows = [], [], []
-    for i, k in enumerate(kept):
-        c = constraints[k]
-        sign = -1 if c.rel == ">=" else 1
-        row = {}
-        for j, a in c.coeffs:
-            col = col_of[j]
-            row[col] = sign * a
+        # Column layout: one column per nonneg variable, two (x+ and x-) per
+        # free variable, then slacks, then any phase-one artificials.
+        self.col_of = col_of = []
+        self.col_var = col_var = []  # structural column -> (variable, +1|-1)
+        for v in range(len(lp.variables)):
+            col_of.append(len(col_var))
+            col_var.append((v, 1))
+            if v not in nonneg:
+                col_var.append((v, -1))
+        self.nstruct = nstruct = len(col_var)
+        self.kept, self.signs = [], []
+        rows = self._rows(kept)
+        neg_rhs_rows = [i for i, row in enumerate(rows) if row.get(RHS, 0) < 0]
+        obj = {}
+        for j, c in lp.objective.items():
+            obj[col_of[j]] = c
             if j not in nonneg:
-                row[col + 1] = -sign * a
-        row[nstruct + i] = 1  # slack
-        if c.rhs:
-            row[RHS] = sign * c.rhs
-            if row[RHS] < 0:
-                neg_rhs_rows.append(i)
-        rows.append(row)
-        signs.append(sign)
-    obj = {}
-    for j, c in lp.objective.items():
-        obj[col_of[j]] = c
-        if j not in nonneg:
-            obj[col_of[j] + 1] = -c
-    rows.append(obj)
+                obj[col_of[j] + 1] = -c
+        rows.append(obj)
 
-    basis = [nstruct + i for i in range(m)]
-    tab = _Tableau(rows)
+        m = len(kept)
+        ncols = nstruct + m
+        self.basis = basis = [nstruct + i for i in range(m)]
+        self.tab = tab = _Tableau(rows)
+        self.pivots = 0
+
+        if neg_rhs_rows:
+            # Phase one: negate infeasible equality rows (slack coefficient
+            # becomes -1), give each an artificial unit column, and minimize
+            # the artificials' sum.
+            phase = {}
+            for k, i in enumerate(neg_rhs_rows):
+                rows[i] = {j: -x for j, x in rows[i].items()}
+                for j, x in rows[i].items():
+                    phase[j] = phase.get(j, 0) + x
+                rows[i][ncols + k] = 1
+                basis[i] = ncols + k
+            rows.append({j: x for j, x in phase.items() if x})
+            tab.dens.append(1)
+            status, p = _simplex_loop(tab, basis, m + 1, ncols)
+            self.pivots += p
+            if status != "optimal":
+                raise SimplexError("phase one cannot be unbounded")
+            if rows[m + 1].get(RHS, 0) != 0:
+                self.status = "infeasible"
+                return
+            # Drive basic artificials out with degenerate pivots.  The slack
+            # columns give every row a nonzero below `ncols`.
+            for i in range(m):
+                if basis[i] >= ncols:
+                    entry = min((j for j in rows[i] if 0 <= j < ncols), default=None)
+                    if entry is None:
+                        raise SimplexError("zero row after phase one")
+                    tab.pivot(i, entry)
+                    basis[i] = entry
+                    self.pivots += 1
+            rows.pop()
+            tab.dens.pop()
+            for i, row in enumerate(rows):
+                rows[i] = {j: x for j, x in row.items() if j < ncols}
+
+        self.status, p = _simplex_loop(tab, basis, m, ncols)
+        self.pivots += p
+
+    def _rows(self, ks: Sequence[int]) -> list:
+        """The program rows `ks` as <= rows in tableau columns, each with the
+        next slack column and its integer entries over the denominator 1;
+        appends them to `kept` and their signs to `signs`."""
+        constraints, col_of, nonneg = self.lp.constraints, self.col_of, self.nonneg
+        kept, signs = self.kept, self.signs
+        out = []
+        for k in ks:
+            c = constraints[k]
+            sign = -1 if c.rel == ">=" else 1
+            row = {}
+            for j, a in c.coeffs:
+                col = col_of[j]
+                row[col] = sign * a
+                if j not in nonneg:
+                    row[col + 1] = -sign * a
+            row[self.nstruct + len(kept)] = 1  # slack
+            if c.rhs:
+                row[RHS] = sign * c.rhs
+            kept.append(k)
+            signs.append(sign)
+            out.append(row)
+        return out
+
+    def add_rows(self, ks: Sequence[int]) -> int:
+        """Add the program rows `ks`, each violated at the optimal basis,
+        and restore primal feasibility with dual simplex pivots.  Returns the
+        pivots made and leaves `status` "optimal" or "infeasible".
+
+        A new row is made basic in its own slack: every basic column is
+        cleared from it with that column's row, which leaves the row's
+        value at the current vertex, negative, in its right-hand side.
+        The objective row does not change, so the basis stays dual
+        feasible."""
+        if self.status != "optimal":
+            raise SimplexError(f"rows added to a tableau that is {self.status}")
+        tab, basis = self.tab, self.basis
+        rows, dens = tab.rows, tab.dens
+        where = {col: i for i, col in enumerate(basis)}
+        for i, row in enumerate(self._rows(ks), len(basis)):
+            rows.insert(i, row)
+            dens.insert(i, 1)
+            for col in [j for j in rows[i] if j in where]:
+                r = where[col]
+                if rows[r].get(col) != dens[r]:
+                    raise SimplexError("basic column is not a unit column")
+                tab.clear(r, col, (i,))
+            row = rows[i]
+            if any(j in where for j in row):
+                raise SimplexError("a basic column is left in an added row")
+            if row.get(RHS, 0) >= 0:
+                raise SimplexError("an added row holds at the current vertex")
+            where[self.nstruct + i] = i
+            basis.append(self.nstruct + i)
+        ncols = self.nstruct + len(self.kept)
+        self.status, pivots = _dual_simplex(tab, basis, ncols)
+        if self.status == "optimal":
+            status, p = _simplex_loop(tab, basis, len(basis), ncols)
+            if status != "optimal":
+                raise SimplexError("dual simplex left a primal ray")
+            pivots += p
+        self.pivots += pivots
+        return pivots
+
+    def primal(self):
+        """The primal as integers x over X, one per column; X is the lcm of
+        the denominators of the basic rows that hold a nonzero structural
+        value."""
+        rows, dens = self.tab.rows, self.tab.dens
+        nstruct, col_var = self.nstruct, self.col_var
+        basic = [(i, col) for i, col in enumerate(self.basis)
+                 if col < nstruct and RHS in rows[i]]
+        X = math.lcm(*(dens[i] for i, _ in basic))
+        x = [0] * len(self.lp.variables)
+        for i, col in basic:
+            v, sgn = col_var[col]
+            x[v] += sgn * rows[i][RHS] * (X // dens[i])
+        return x, X
+
+    def duals(self):
+        """The duals as integers y over Y, one per row of the program, zero
+        on the rows the tableau does not hold.
+
+        They come from the final objective row, over Y = dens[m] *
+        obj_scale * L: a slack's reduced cost is minus its row's multiplier
+        times the row's signed scale.  A split-off sign row a*x (over scale
+        s) takes its column's reduced cost times s / a, which makes Aᵀy = c
+        hold on a free variable that the presolve made nonnegative; L is
+        the lcm of those |a|."""
+        lp, constraints = self.lp, self.lp.constraints
+        m = len(self.kept)
+        reduced = self.tab.rows[m]
+        first_split = {constraints[k].coeffs[0][0]: k for k in reversed(self.split)}
+        L = math.lcm(*(abs(constraints[k].coeffs[0][1]) for k in first_split.values()))
+        Y = self.tab.dens[m] * lp.obj_scale * L
+        y = [0] * len(constraints)
+        for i, (k, sign) in enumerate(zip(self.kept, self.signs)):
+            y[k] = -reduced.get(self.nstruct + i, 0) * sign * constraints[k].scale * L
+        for j, k in first_split.items():
+            (_, a), = constraints[k].coeffs
+            y[k] = reduced.get(self.col_of[j], 0) * constraints[k].scale * (L // a)
+        return y, Y
+
+
+def _dual_simplex(tab: _Tableau, basis: list, ncols: int):
+    """Dual simplex pivots, from a dual-feasible basis, until every
+    right-hand side is nonnegative.  Bland's rule: the leaving row is the
+    one with a negative right-hand side whose basic column is smallest, and
+    the entering column the one below `ncols` with the smallest ratio
+    obj[j] / a[j] over the row's negative entries, ties to the smallest
+    column.  Returns ("optimal", pivots), or ("infeasible", pivots) when
+    no column can enter."""
+    rows = tab.rows
+    m = len(basis)
     pivots = 0
-
-    if neg_rhs_rows:
-        # Phase one: negate infeasible equality rows (slack coefficient
-        # becomes -1), give each an artificial unit column, and minimize the
-        # artificials' sum.
-        phase = {}
-        for k, i in enumerate(neg_rhs_rows):
-            rows[i] = {j: -x for j, x in rows[i].items()}
-            for j, x in rows[i].items():
-                phase[j] = phase.get(j, 0) + x
-            rows[i][ncols + k] = 1
-            basis[i] = ncols + k
-        rows.append({j: x for j, x in phase.items() if x})
-        tab.dens.append(1)
-        status, p = _simplex_loop(tab, basis, m + 1, ncols)
-        pivots += p
-        if status != "optimal":
-            raise SimplexError("phase one cannot be unbounded")
-        if rows[m + 1].get(RHS, 0) != 0:
-            return "infeasible", pivots, None, None, None, None
-        # Drive basic artificials out with degenerate pivots.  The slack
-        # columns give every row a nonzero below `ncols`.
-        for i in range(m):
-            if basis[i] >= ncols:
-                entry = min((j for j in rows[i] if 0 <= j < ncols), default=None)
-                if entry is None:
-                    raise SimplexError("zero row after phase one")
-                tab.pivot(i, entry)
-                basis[i] = entry
-                pivots += 1
-        rows.pop()
-        tab.dens.pop()
-        for i, row in enumerate(rows):
-            rows[i] = {j: x for j, x in row.items() if j < ncols}
-
-    status, p = _simplex_loop(tab, basis, m, ncols)
-    pivots += p
-    if status == "unbounded":
-        return "unbounded", pivots, None, None, None, None
-
-    # The primal over the lcm X of the denominators of the basic rows that
-    # hold a nonzero structural value.
-    dens = tab.dens
-    basic = [(i, col) for i, col in enumerate(basis) if col < nstruct and RHS in rows[i]]
-    X = math.lcm(*(dens[i] for i, _ in basic))
-    x = [0] * len(lp.variables)
-    for i, col in basic:
-        v, sgn = col_var[col]
-        x[v] += sgn * rows[i][RHS] * (X // dens[i])
-
-    # Duals from the final objective row, over Y = dens[m] * obj_scale * L:
-    # a slack's reduced cost is minus its row's multiplier times the row's
-    # signed scale.  A split-off sign row a*x (over scale s) takes its
-    # column's reduced cost times s / a, which makes Aᵀy = c hold on a free
-    # variable that the presolve made nonnegative; L is the lcm of those
-    # |a|.
-    reduced = rows[m]
-    first_split = {constraints[k].coeffs[0][0]: k for k in reversed(split)}  # column -> row
-    L = math.lcm(*(abs(constraints[k].coeffs[0][1]) for k in first_split.values()))
-    Y = dens[m] * lp.obj_scale * L
-    y = [0] * len(constraints)
-    for i, k in enumerate(kept):
-        y[k] = -reduced.get(nstruct + i, 0) * signs[i] * constraints[k].scale * L
-    for j, k in first_split.items():
-        (_, a), = constraints[k].coeffs
-        y[k] = reduced.get(col_of[j], 0) * constraints[k].scale * (L // a)
-    return "optimal", pivots, x, X, y, Y
+    while True:
+        leaving = [(basis[i], i) for i in range(m) if rows[i].get(RHS, 0) < 0]
+        if not leaving:
+            return ("optimal", pivots)
+        r = min(leaving)[1]
+        # The objective row's entries share one denominator and so do row
+        # r's; with a, best_a < 0, o / a < best_o / best_a is
+        # o * best_a < best_o * a.
+        obj = rows[m]
+        s = best_o = best_a = None
+        for j, a in rows[r].items():
+            if a >= 0 or not 0 <= j < ncols:
+                continue
+            o = obj.get(j, 0)
+            if s is None or o * best_a < best_o * a or (o * best_a == best_o * a and j < s):
+                s, best_o, best_a = j, o, a
+        if s is None:
+            return ("infeasible", pivots)
+        tab.pivot(r, s, [i for i, row in enumerate(rows) if s in row])
+        basis[r] = s
+        pivots += 1
 
 
 # ---------------------------------------------------------------------------

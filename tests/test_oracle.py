@@ -388,17 +388,22 @@ class TestPivotSequence:
         sol = solve_auction_lp(n, AuctionSpec(n, p, a, b).dist, regime)
         assert (sol.optimum, sol.pivots) == (optimum, pivots)
 
+    # DIC: the relaxation's cold pivots plus the warm round's dual pivots,
+    # 595 + 33 at a=10 and 575 + 18 at a=20.
     @pytest.mark.slow
     @pytest.mark.parametrize(
-        "regime,optimum,pivots", [("dic", F(16305, 512), 1171), ("bic", F(2079, 64), 188)]
+        "a,regime,optimum,pivots",
+        [(10, "dic", F(16305, 512), 628), (10, "bic", F(2079, 64), 188),
+         (20, "dic", F(32305, 512), 593)],
     )
-    def test_continuous_cell(self, regime, optimum, pivots):
-        assert solve_continuous_cell(10, regime) == (optimum, pivots)
+    def test_continuous_cell(self, a, regime, optimum, pivots):
+        assert solve_continuous_cell(a, regime) == (optimum, pivots)
 
-    # a=40 carries the widest tableau entries of the continuous cells.
+    # a=40 carries the widest tableau entries of the continuous cells; DIC
+    # takes 573 cold pivots and 18 dual ones.
     @pytest.mark.slow
     @pytest.mark.parametrize(
-        "regime,optimum,pivots", [("dic", F(64305, 512), 1250), ("bic", F(8199, 64), 188)]
+        "regime,optimum,pivots", [("dic", F(64305, 512), 591), ("bic", F(8199, 64), 188)]
     )
     def test_widest_continuous_cell(self, regime, optimum, pivots):
         assert solve_continuous_cell(40, regime) == (optimum, pivots)

@@ -159,6 +159,112 @@ class TestLazyRows:
         assert sol.pivots == alone.pivots
         assert sol.duals == (F(0), F(0)) + alone.duals
 
+    def test_row_cutting_off_the_relaxation_optimum(self):
+        # The relaxation's optimum (3, 3) breaks x + y <= 4, which the warm
+        # round adds and repairs with dual pivots, to the vertex (3, 1).
+        def lp(rows):
+            return make_lp(["x", "y"], {"x": 2, "y": 1}, rows, {"x", "y"})
+
+        box = [({"x": 1}, "<=", 3), ({"y": 1}, "<=", 3)]
+        cut = [({"x": 1, "y": 1}, "<=", 4, "lazy")]
+        relaxation = solve(lp(box))
+        dense = solve(lp(box + cut))
+        lazy = solve(lp(box + cut), lazy_tags=("lazy",))
+        assert relaxation.optimum == 9 and dense.optimum == 7
+        assert_same_solution(lazy, dense)
+        assert lazy.duals == (F(1), F(0), F(1))
+        assert lazy.pivots > relaxation.pivots
+
+    def test_rows_making_the_program_infeasible(self):
+        # x + y >= 3 cannot hold in the unit box: the added row has no
+        # negative entry for the dual ratio test.
+        lp = make_lp(["x", "y"], {"x": 1, "y": 1},
+                     [({"x": 1}, "<=", 1), ({"y": 1}, "<=", 1),
+                      ({"x": 1, "y": 1}, ">=", 3, "lazy")], {"x", "y"})
+        for sol in (solve(lp), solve(lp, lazy_tags=("lazy",))):
+            assert (sol.status, sol.optimum, sol.primal, sol.dual) == ("infeasible", None, (), ())
+
+    def test_unbounded_relaxation_is_solved_with_every_row(self):
+        # Without its lazy rows y is unbounded; the solve starts again from
+        # the slack basis with every row, here in the program's own order.
+        lp = make_lp(["x", "y"], {"x": 1, "y": 2},
+                     [({"x": 1}, "<=", 2), ({"y": 1}, "<=", 3, "lazy"),
+                      ({"x": 1, "y": 1}, "<=", 4, "lazy")], {"x", "y"})
+        relaxation = solve(dataclasses.replace(lp, constraints=lp.constraints[:1]))
+        dense = solve(lp)
+        lazy = solve(lp, lazy_tags=("lazy",))
+        assert relaxation.status == "unbounded" and dense.optimum == 7
+        assert_same_solution(lazy, dense)
+        assert lazy.pivots == relaxation.pivots + dense.pivots
+
+    def test_continuous_dic_program(self):
+        lp = oracle._build(2, discretize(ContinuousSpec(2, 10, 2, 1)), "dic", 4 ** 4, True)
+        assert lp.n_constraints("dic") > 0
+        dense = solve(lp)
+        lazy = solve(lp, lazy_tags=("dic",))
+        _certify(lp, lazy)
+        assert_same_solution(lazy, dense)
+
+
+def assert_same_solution(sol, ref):
+    assert sol.status == ref.status == "optimal"
+    assert sol.optimum == ref.optimum
+    assert sol.assignment == ref.assignment
+    assert sol.duals == ref.duals
+
+
+def assert_unit_basis(tab, basis):
+    """Each basic column is its row's unit column (the entry is the row's
+    denominator) and zero in every other row, the objective row included."""
+    for i, col in enumerate(basis):
+        assert [row.get(col, 0) for row in tab.rows] == [
+            tab.dens[i] if k == i else 0 for k in range(len(tab.rows))
+        ]
+
+
+class TestAddRows:
+    """`_Solver.add_rows` refuses, with SimplexError, a tableau or a row
+    that breaks what the warm start relies on."""
+
+    def solver(self):
+        lp = make_lp(["x", "y"], {"x": 2, "y": 1},
+                     [({"x": 1}, "<=", 3), ({"y": 1}, "<=", 3),
+                      ({"x": 1, "y": 1}, "<=", 4), ({"x": 1, "y": 1}, "<=", 9)], {"x", "y"})
+        state = simplex._Solver(lp, [0, 1])
+        assert state.status == "optimal"
+        return state
+
+    def test_adds_the_row_and_repairs_the_basis(self):
+        state = self.solver()
+        assert state.add_rows([2]) > 0
+        assert state.status == "optimal" and state.kept == [0, 1, 2]
+        assert state.primal() == ([3, 1], 1)
+        assert_unit_basis(state.tab, state.basis)
+
+    def test_tableau_not_optimal(self):
+        state = self.solver()
+        state.status = "unbounded"
+        with pytest.raises(SimplexError, match="tableau that is unbounded"):
+            state.add_rows([2])
+
+    def test_basic_column_not_unit(self):
+        state = self.solver()
+        r = state.basis.index(0)
+        state.tab.rows[r][0] *= 2
+        with pytest.raises(SimplexError, match="not a unit column"):
+            state.add_rows([2])
+
+    def test_basic_column_left_in_the_row(self, monkeypatch):
+        state = self.solver()
+        monkeypatch.setattr(simplex._Tableau, "clear", lambda tab, r, s, targets: None)
+        with pytest.raises(SimplexError, match="basic column is left"):
+            state.add_rows([2])
+
+    def test_row_that_holds(self):
+        state = self.solver()
+        with pytest.raises(SimplexError, match="holds at the current vertex"):
+            state.add_rows([3])
+
 
 class TestCertificate:
     def test_tampered_solution_rejected(self):
@@ -326,19 +432,24 @@ class TestPivotKernel:
         assert seen == {"negative pivot", "den > 1", "rescaled", "in place",
                         "cancelled", "filled in"}
 
+    # The lazy case withholds every truthfulness row, so the relaxation's
+    # optimum breaks some and the warm rounds make dual pivots.
     @pytest.mark.parametrize("regime", ["dic", "bic"])
     @pytest.mark.parametrize(
-        "n,dist",
+        "n,dist,lazy",
         [
-            (3, AuctionSpec(3, F(1, 4), 1, F(31, 30)).dist),
-            (3, AuctionSpec(3, F(3, 4), 1, F(23, 14)).dist),
-            (2, discretize(ContinuousSpec(2, 10, 2, 1))),
+            (3, AuctionSpec(3, F(1, 4), 1, F(31, 30)).dist, ()),
+            (3, AuctionSpec(3, F(3, 4), 1, F(23, 14)).dist, ()),
+            (2, discretize(ContinuousSpec(2, 10, 2, 1)), ()),
+            (2, discretize(ContinuousSpec(2, 10, 2, 1)), ("dic", "dic_local", "bic")),
         ],
-        ids=["n3-p1/4", "n3-p3/4", "continuous-a10-m1"],
+        ids=["n3-p1/4", "n3-p3/4", "continuous-a10-m1", "continuous-a10-m1-lazy"],
     )
-    def test_solver_tableaus(self, monkeypatch, n, dist, regime):
+    def test_solver_tableaus(self, monkeypatch, n, dist, lazy, regime):
         pivot = simplex._Tableau.pivot
-        calls = []
+        dual_simplex = simplex._dual_simplex
+        add_rows = simplex._Solver.add_rows
+        calls, dual_pivots, warm_pivots = [], [], []
 
         def checked(tab, r, s, holders=None):
             ref = copy_tableau(tab)
@@ -347,8 +458,32 @@ class TestPivotKernel:
             assert tab.rows == ref.rows and tab.dens == ref.dens
             calls.append((r, s))
 
+        def checked_dual(tab, basis, ncols):
+            assert_unit_basis(tab, basis)
+            status, pivots = dual_simplex(tab, basis, ncols)
+            dual_pivots.append(pivots)
+            return status, pivots
+
+        def checked_add_rows(state, ks):
+            pivots = add_rows(state, ks)
+            assert_unit_basis(state.tab, state.basis)
+            warm_pivots.append(pivots)
+            return pivots
+
+        if lazy:
+            lp = oracle._build(n, dist, regime, 4 ** 4, True)
+            dense = solve(lp)
         monkeypatch.setattr(simplex._Tableau, "pivot", checked)
-        sol = solve_auction_lp(n, dist, regime)
+        monkeypatch.setattr(simplex, "_dual_simplex", checked_dual)
+        monkeypatch.setattr(simplex._Solver, "add_rows", checked_add_rows)
+        if lazy:
+            sol = solve(lp, lazy_tags=lazy)
+            assert sol.optimum == dense.optimum
+            # a dual-feasible basis needs no primal pivot after the dual phase
+            assert warm_pivots == dual_pivots and sum(dual_pivots) > 0
+        else:
+            sol = solve_auction_lp(n, dist, regime)
+            assert not dual_pivots
         assert len(calls) == sol.pivots > 0
 
 
