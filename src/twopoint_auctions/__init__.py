@@ -42,7 +42,6 @@ from .audit import (
     check_dic,
     check_ir,
     expected_revenue,
-    qu_statistics,
 )
 from .oracle import (
     build_bic_lp,

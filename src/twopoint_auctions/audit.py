@@ -1,11 +1,19 @@
 """Exhaustive, exact verification of participation and truthfulness.
 
-A mechanism is the pair (allocation, utility); payments are rederived here
-before any check, so inconsistent (q, u, s) triples cannot arise.  Every
-constraint is an exact comparison, made between integers: both sides are
-multiplied by the mechanism's denominator, the lcm of the value
-denominators and, for interim sums, the profile-weight scale.  Every
-violation is reported with its replay key (buyer, true type, reported type,
+A mechanism is a set of per-buyer integer columns (shares of each item and
+utility) over all profiles; payments are rederived here before any check,
+so inconsistent (q, u, s) triples cannot arise.  Every constraint is an
+exact comparison, made between integers: both sides are multiplied by the
+mechanism's denominator, the lcm of the value denominators and, for interim
+sums, the profile-weight scale.
+
+The audits run over whole columns: a buyer's entries at one of its types,
+in opponent-profile order, are gathered with `type_masks`, and each family
+of constraints (one buyer, one ordered type pair, every opponent profile)
+is tested at once.  Only a family that fails is walked entry by entry to
+report its violations, so every (buyer, profile, type pair) is still
+checked and the reports list violations in enumeration order.  Every
+violation carries its replay key (buyer, true type, reported type,
 opponent profile) and both sides of the failed inequality as Fractions.
 """
 
@@ -13,21 +21,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import add, ge
 from typing import Optional
 
 from .core import (
-    Profile,
     Type,
     buyer_types,
-    cheap_items,
-    classify_profile,
-    opponent_positions,
     profile_table,
     rat_str,
     scaled,
     type_label,
+    type_masks,
 )
-from .mechanisms import Mechanism, payment_row
+from .mechanisms import Mechanism
 
 
 @dataclass(frozen=True)
@@ -73,30 +80,34 @@ class AuditReport:
 
 
 def expected_revenue(mech: Mechanism) -> Fraction:
-    """Sum over profiles of Pr{t} * total derived payment at t."""
-    table = profile_table(mech.n, mech.dist)
+    """Sum over buyers and types t of pi(t) * (t.qbar_i(t) - ubar_i(t)),
+    from the interim table: the expectation, over every profile, of the
+    total derived payment."""
+    interim = mech.interim
+    types = buyer_types(mech.dist)
+    probs, pden = scaled(mech.dist.probs)
     vals, vden = scaled(mech.dist.values)
-    profiles, arows, urows = mech.rows()
-    total = sum(
-        w * sum(payment_row(vals, vden, shares, utils, t))
-        for t, w, shares, utils in zip(profiles, table.weights, arows, urows)
-    )
-    return Fraction(total, table.scale * mech.den * vden)
+    total = 0
+    for u_i, q_i in zip(interim.utility, interim.allocation):
+        for t in types:
+            q1, q2 = q_i[t]
+            total += probs[t[0]] * probs[t[1]] * (
+                q1 * vals[t[0]] + q2 * vals[t[1]] - u_i[t] * vden)
+    return Fraction(total, pden * pden * interim.scale * vden)
 
 
 def check_ir(mech: Mechanism) -> AuditReport:
     """u_i(t) >= 0 for every buyer and profile."""
-    profiles, _, urows = mech.rows()
+    profiles = mech.profiles()
     violations = []
-    for profile, us in zip(profiles, urows):
-        if min(us) >= 0:
-            continue
-        for i, u in enumerate(us):
-            if u < 0:
-                others = profile[:i] + profile[i + 1 :]
-                violations.append(
-                    Violation(i, profile[i], None, others, Fraction(u, mech.den), Fraction(0))
-                )
+    if any(min(u) < 0 for _, _, u in mech.columns):
+        for pos, profile in enumerate(profiles):
+            for i, (_, _, u) in enumerate(mech.columns):
+                if u[pos] < 0:
+                    others = profile[:i] + profile[i + 1 :]
+                    violations.append(Violation(
+                        i, profile[i], None, others, Fraction(u[pos], mech.den), Fraction(0)
+                    ))
     return AuditReport("IR", not violations, tuple(violations), len(profiles) * mech.n)
 
 
@@ -118,29 +129,35 @@ def _type_pairs(dist):
 def check_dic(mech: Mechanism) -> AuditReport:
     """u_i(t_i,t_-i) >= u_i(t'_i,t_-i) + (t_i - t'_i).q_i(t'_i,t_-i),
     over all buyers, ordered pairs of distinct types, and opponent profiles.
-    """
+
+    Both sides are taken times den * vden.  For each buyer, its columns are
+    gathered per own type in opponent order; each (true, reported) pair is
+    then one comparison of two lists over every opponent profile."""
     n = mech.n
     types, pairs, vden = _type_pairs(mech.dist)
     others_space = profile_table(n - 1, mech.dist).profiles
-    _, arows, urows = mech.rows()
     scale = mech.den * vden
     violations = []
-    for i in range(n):
-        # both sides times den * vden
-        u = [r[i] * vden for r in urows]
-        q1 = [r[i][0] for r in arows]
-        q2 = [r[i][1] for r in arows]
-        positions, step = opponent_positions(n, len(types), i)
+    for i, ((q1, q2, u), masks) in enumerate(zip(mech.columns, type_masks(n, len(types)))):
+        us = [list(map(vden.__mul__, compress(u, m))) for m in masks]
+        qs = [(list(compress(q1, m)), list(compress(q2, m))) for m in masks]
+        scaled_q = {}  # (reported type index, item, value difference) -> d * q
         for a, t_true, c, t_rep, d1, d2 in pairs:
-            lhs_at = [u[pos + a * step] for pos in positions]
-            for o, pos in enumerate(positions):
-                k = pos + c * step
-                lhs = lhs_at[o]
-                rhs = u[k] + d1 * q1[k] + d2 * q2[k]
-                if lhs < rhs:
+            rhs = us[c]
+            for j, d in enumerate((d1, d2)):
+                if d:
+                    dq = scaled_q.get((c, j, d))
+                    if dq is None:
+                        dq = scaled_q[c, j, d] = list(map(d.__mul__, qs[c][j]))
+                    rhs = list(map(add, rhs, dq))
+            lhs = us[a]
+            if all(map(ge, lhs, rhs)):
+                continue
+            for o, (left, right) in enumerate(zip(lhs, rhs)):
+                if left < right:
                     violations.append(Violation(
                         i, t_true, t_rep, others_space[o],
-                        Fraction(lhs, scale), Fraction(rhs, scale),
+                        Fraction(left, scale), Fraction(right, scale),
                     ))
     count = n * len(pairs) * len(others_space)
     return AuditReport("DIC", not violations, tuple(violations), count)
@@ -179,71 +196,3 @@ def check_bic(mech: Mechanism) -> AuditReport:
                     i, t_true, t_rep, "averaged", Fraction(lhs, scale), Fraction(rhs, scale)
                 ))
     return AuditReport("BIC", not violations, tuple(violations), mech.n * len(pairs))
-
-
-# ---------------------------------------------------------------------------
-# Class mass statistics
-# ---------------------------------------------------------------------------
-
-
-def _bump(profile: Profile, i: int, item: int) -> Profile:
-    """Raise buyer i's value for `item` to atom 1 (the high value b)."""
-    x1, x2 = profile[i]
-    t2 = (1, x2) if item == 0 else (x1, 1)
-    return profile[:i] + (t2,) + profile[i + 1 :]
-
-
-def class_sets(profiles) -> dict:
-    """The five profile families, among the given profiles, whose masses
-    drive the revenue accounting.
-
-    S0: the all-low profile.  S1/S2: one cheap item with one / several
-    active buyers.  S1': profiles with exactly one high value per item.
-    S2': S2 profiles with one entry of the cheap column raised to b.
-    """
-    s0, s1, s2 = set(), set(), set()
-    for profile in profiles:
-        label = classify_profile(profile).label
-        if label == "S0":
-            s0.add(profile)
-        elif label == "S1":
-            s1.add(profile)
-        elif label == "S2":
-            s2.add(profile)
-    (all_low,) = s0
-    n = len(all_low)
-    s1p = {_bump(_bump(all_low, i, 0), j, 1) for i in range(n) for j in range(n)}
-    s2p = set()
-    for profile in s2:
-        item = 0 if cheap_items(profile)[0] else 1
-        for i in range(n):
-            s2p.add(_bump(profile, i, item))
-    # The raised families are disjoint and contain no cheap items.
-    if s1p & s2p:
-        raise RuntimeError("the raised families S1' and S2' overlap")
-    if any(cheap_items(profile) != (False, False) for profile in s1p | s2p):
-        raise RuntimeError("a raised-family profile has a cheap item")
-    return {"S0": s0, "S1": s1, "S2": s2, "S1_prime": s1p, "S2_prime": s2p}
-
-
-def qu_statistics(mech: Mechanism) -> dict:
-    """Exact Q(S) (cheap-item allocation mass) and U(S) (utility mass) for
-    the five class families."""
-    table = profile_table(mech.n, mech.dist)
-    weight = dict(zip(table.profiles, table.weights))
-    sets = class_sets(mech.profiles())
-    scale = table.scale * mech.den
-    stats = {}
-    for name, profiles in sets.items():
-        q_mass = u_mass = 0
-        for profile in profiles:
-            w = weight[profile]
-            cheap = cheap_items(profile)
-            for (q1, q2), u in zip(mech.allocation[profile], mech.utility[profile]):
-                if cheap[0]:
-                    q_mass += w * q1
-                if cheap[1]:
-                    q_mass += w * q2
-                u_mass += w * u
-        stats[name] = (Fraction(q_mass, scale), Fraction(u_mass, scale))
-    return stats

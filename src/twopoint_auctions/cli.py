@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import os
@@ -360,7 +361,8 @@ def cmd_continuous(args) -> int:
 
 def _env_cap():
     """The --cap default: the environment's positive integer, or None when
-    the variable is unset."""
+    the variable is unset.  It is read on every call of `main`, whatever the
+    subcommand, so a bad value fails the same way everywhere."""
     raw = os.environ.get(CAP_ENV_VAR)
     if raw is None:
         return None
@@ -373,7 +375,10 @@ def _env_cap():
     return cap
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process; every `main` call
+    parses with it."""
     parser = _Parser(prog="twopoint-auctions")
     parser.add_argument(
         "--allow-decimal", action="store_true",
@@ -404,7 +409,7 @@ def build_parser() -> _Parser:
     p_cert.add_argument("--grid", action="store_true", help="run the built-in grid")
     p_cert.add_argument("--lp-export", help="path prefix for textual LP export")
     p_cert.add_argument(
-        "--cap", type=int, default=_env_cap(),
+        "--cap", type=int,
         help="profile-count cap override for the LP oracle",
     )
     p_cert.add_argument("--format", choices=("text", "json"), default="text")
@@ -436,7 +441,10 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     try:
+        cap = _env_cap()
         args = build_parser().parse_args(argv)
+        if args.command == "certify" and args.cap is None:
+            args.cap = cap
         if args.out:
             # An unwritable --out fails here, before any work starts.
             open(args.out, "a").close()

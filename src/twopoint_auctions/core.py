@@ -29,8 +29,8 @@ Rational = Fraction
 
 #: Default ceiling on the number of profiles handled exhaustively: n=8
 #: buyers of two-point types.  Memory grows about fourfold per buyer; a
-#: checked n=8 mechanism written as JSON takes about 2.2 s and peaks near
-#: 176 MB on a 2-vCPU VM, so n=10 would need several GB.
+#: checked n=8 mechanism written as JSON takes about 1.4 s and peaks near
+#: 49 MB on a 2-vCPU VM, so n=10 would need several hundred MB.
 DEFAULT_PROFILE_CAP = 4 ** 8
 
 
@@ -226,6 +226,24 @@ def opponent_positions(n: int, n_types: int, i: int) -> tuple[list[int], int]:
     """
     step = n_types ** (n - 1 - i)
     return [o // step * step * n_types + o % step for o in range(n_types ** (n - 1))], step
+
+
+@functools.lru_cache(maxsize=4)
+def type_masks(n: int, n_types: int) -> tuple:
+    """`masks[i][c]` marks, with one byte per profile position of n buyers,
+    the positions at which buyer i has type index c.  Those positions, in
+    increasing order, are `opponent_positions(n, n_types, i)` shifted by c
+    steps, so `itertools.compress(column, masks[i][c])` lists a column's
+    entries at buyer i's type c in `profile_table(n - 1)` opponent order."""
+    masks = []
+    for i in range(n):
+        step = n_types ** (n - 1 - i)
+        blocks = n_types ** i
+        masks.append(tuple(
+            (bytes(c * step) + b"\1" * step + bytes((n_types - 1 - c) * step)) * blocks
+            for c in range(n_types)
+        ))
+    return tuple(masks)
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,8 +1,12 @@
-"""Construction of the revenue-optimal mechanisms as explicit tables.
+"""Construction of the revenue-optimal mechanisms as integer columns.
 
-A mechanism is stored as the pair (allocation table, utility table) over all
-profiles of its finite type model, as integers over one common denominator;
-payments are always derived as s_i(t) = q_i(t).t_i - u_i(t).
+A mechanism is stored per buyer as three columns, the buyer's share of
+item 1, its share of item 2 and its utility, each a tuple over the profile
+positions of `profile_table` order, as integers over one common
+denominator.  Every consumer (the audits, the interim table, the export and
+the LP certificate) reads whole columns; `Mechanism.allocation` and
+`Mechanism.utility` are read-only per-profile views of them.  Payments are
+always derived as s_i(t) = q_i(t).t_i - u_i(t).
 
 The dominant-strategy-optimal mechanism allocates each item through a
 ranked hierarchy of buyer types, with the ranking tightening as b grows
@@ -17,23 +21,27 @@ exactly where it stops being dominant-strategy incentive compatible.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
+from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as quote
-from typing import Mapping, TextIO
+from operator import add, mul
+from typing import TextIO
 
 from .core import (
     AuctionSpec,
     FiniteValueDistribution,
     HierarchyScheme,
     buyer_types,
-    opponent_positions,
     profile_table,
     rat_str,
     scaled,
     type_label,
+    type_masks,
 )
 from .formulas import breakpoints, indicator_flags
 
@@ -49,15 +57,6 @@ def _numerator(x, den: int) -> int:
     return x.numerator * (den // x.denominator)
 
 
-def payment_row(vals, vden, shares, utils, profile) -> tuple[int, ...]:
-    """Every buyer's payment q_i.t_i - u_i over den * vden, from the share
-    and utility numerators over den and the values as integers over vden."""
-    return tuple(
-        q1 * vals[x1] + q2 * vals[x2] - u * vden
-        for (q1, q2), u, (x1, x2) in zip(shares, utils, profile)
-    )
-
-
 @dataclass(frozen=True)
 class InterimTable:
     """Each buyer's interim utility and allocation at each of its types,
@@ -70,61 +69,84 @@ class InterimTable:
     allocation: tuple  # per buyer: {type: (item 1 numerator, item 2 numerator)}
 
 
+class _ProfileView(Mapping):
+    """A read-only view of a mechanism's columns by profile: each profile
+    maps to `read(position)`, a tuple over the buyers."""
+
+    def __init__(self, mech: "Mechanism", read):
+        self._mech, self._read = mech, read
+
+    def __getitem__(self, profile):
+        return self._read(self._mech.position(profile))
+
+    def __iter__(self):
+        return iter(self._mech.profiles())
+
+    def __len__(self):
+        return len(self._mech.columns[0][0])
+
+
 @dataclass(frozen=True)
 class Mechanism:
-    """Full allocation and utility tables over all profiles of n buyers
-    whose values are drawn from `dist`, as integers over the one positive
-    denominator `den`: buyer i's share of item j at profile t is
-    allocation[t][i][j] / den and its utility utility[t][i] / den.
+    """Per-buyer integer columns over all profiles of n buyers whose values
+    are drawn from `dist`, over the one positive denominator `den`:
+    columns[i] = (q1, q2, u), and at the profile in position k of
+    `profile_table` order buyer i's share of item j is q_j[k] / den and its
+    utility u[k] / den.
     """
 
     dist: FiniteValueDistribution
     label: str
-    allocation: Mapping  # profile -> tuple over buyers of (q_item1, q_item2) numerators
-    utility: Mapping  # profile -> tuple over buyers of utility numerators
+    columns: tuple  # per buyer: (item-1 shares, item-2 shares, utilities)
     den: int
 
     @property
     def n(self) -> int:
-        return len(next(iter(self.allocation)))
+        return len(self.columns)
 
-    def profiles(self):
-        return self.allocation.keys()
+    def profiles(self) -> tuple:
+        """The profiles in column (`profile_table`) order."""
+        return profile_table(self.n, self.dist).profiles
 
-    def rows(self) -> tuple[tuple, list, list]:
-        """The profiles in `profile_table` order with their allocation and
-        utility rows."""
-        profiles = profile_table(self.n, self.dist).profiles
-        return (
-            profiles,
-            [self.allocation[t] for t in profiles],
-            [self.utility[t] for t in profiles],
-        )
+    def position(self, profile) -> int:
+        """The profile's position in the columns; KeyError when it is not a
+        profile of this mechanism."""
+        k = len(self.dist.values)
+        if len(profile) != self.n:
+            raise KeyError(profile)
+        pos = 0
+        for x1, x2 in profile:
+            if not (0 <= x1 < k and 0 <= x2 < k):
+                raise KeyError(profile)
+            pos = (pos * k + x1) * k + x2
+        return pos
+
+    @property
+    def allocation(self) -> Mapping:
+        """Profile -> tuple over buyers of (item 1, item 2) share numerators."""
+        return _ProfileView(self, lambda k: tuple((q1[k], q2[k]) for q1, q2, _ in self.columns))
+
+    @property
+    def utility(self) -> Mapping:
+        """Profile -> tuple over buyers of utility numerators."""
+        return _ProfileView(self, lambda k: tuple(u[k] for _, _, u in self.columns))
 
     @functools.cached_property
     def interim(self) -> InterimTable:
         """The interim table, built once per mechanism: each buyer's
         utility and allocation at each type, weighted by the probability of
-        every opponent profile."""
-        n, types = self.n, buyer_types(self.dist)
-        opponents = profile_table(n - 1, self.dist)
-        _, arows, urows = self.rows()
+        every opponent profile.  A buyer's entries at one type are gathered
+        from its columns with `type_masks`."""
+        types = buyer_types(self.dist)
+        opponents = profile_table(self.n - 1, self.dist)
+
+        def mean(column, mask):
+            return sum(map(mul, opponents.weights, itertools.compress(column, mask)))
+
         utility, allocation = [], []
-        for i in range(n):
-            positions, step = opponent_positions(n, len(types), i)
-            u_i, q_i = {}, {}
-            for c, t in enumerate(types):
-                u = q1 = q2 = 0
-                for pos, w in zip(positions, opponents.weights):
-                    k = pos + c * step
-                    a1, a2 = arows[k][i]
-                    u += w * urows[k][i]
-                    q1 += w * a1
-                    q2 += w * a2
-                u_i[t] = u
-                q_i[t] = (q1, q2)
-            utility.append(u_i)
-            allocation.append(q_i)
+        for (q1, q2, u), masks in zip(self.columns, type_masks(self.n, len(types))):
+            utility.append({t: mean(u, m) for t, m in zip(types, masks)})
+            allocation.append({t: (mean(q1, m), mean(q2, m)) for t, m in zip(types, masks)})
         return InterimTable(opponents.scale * self.den, tuple(utility), tuple(allocation))
 
 
@@ -159,15 +181,38 @@ def _common_den(spec: AuctionSpec) -> int:
     return 2 * math.lcm(*range(1, spec.n + 1)) * (spec.b - spec.a).denominator
 
 
+@functools.lru_cache(maxsize=4)
+def _class_index(n: int, n_types: int) -> tuple[tuple, tuple]:
+    """The type-count classes of n buyers' profiles, and where each buyer
+    meets them.
+
+    Returns the classes' counts (per type index), in order of first
+    appearance in `profile_table` order, and per buyer an array over the
+    profile positions of class * n_types + the buyer's own type index."""
+    grow = functools.cache(lambda key, c: key[:c] + (key[c] + 1,) + key[c + 1:])
+    counts = [(0,) * n_types]
+    for _ in range(n):
+        counts = [grow(key, c) for key in counts for c in range(n_types)]
+    index = {}
+    base = [index.setdefault(key, len(index)) * n_types for key in counts]
+    cells = []
+    for i in range(n):
+        step = n_types ** (n - 1 - i)
+        own = bytes(c for c in range(n_types) for _ in range(step)) * n_types ** i
+        cells.append(array("I", map(add, base, own)))
+    return tuple(index), tuple(cells)
+
+
 def _closed_form(
     spec: AuctionSpec, label: str, hierarchy_case: int, bundle: bool, raise_bb: bool
 ) -> Mechanism:
-    """The closed-form mechanism as tables over den.
+    """The closed-form mechanism as columns over den.
 
     The mechanism is symmetric, so a buyer's share pair and utility depend
     only on its own type and on how many opponents hold each type.  Both are
     computed once per class of profiles with the same type counts, C(n+3, 3)
-    classes for 4^n profiles, and every row of a class reuses them.
+    classes for 4^n profiles, and each buyer's columns are read from them
+    through `_class_index`.
 
     Allocation: each item goes to the buyers of the first type of its
     hierarchy (`case_hierarchies(hierarchy_case)`) that anyone holds, split
@@ -194,40 +239,32 @@ def _closed_form(
     ]
     h1, h2 = case_hierarchies(hierarchy_case)
     types = buyer_types(spec.dist)
-
-    @functools.cache
-    def entry(key: tuple) -> tuple[dict, dict]:
-        """Share pair and utility numerator of each type present at a
-        profile whose type counts are `key`."""
+    keys, cells = _class_index(n, len(types))
+    # Share pairs and utility numerators by class * 4 + own type index.
+    q1s, q2s, us = ([0] * (len(keys) * len(types)) for _ in range(3))
+    for k, key in enumerate(keys):
         count = dict(zip(types, key))
-        present = [t for t in types if count[t]]
-        if bundle and count[AA] >= n - 1:
-            shares = {t: (0, 0) if t == AA else (den, den) for t in present}
-        else:
-            winners = [next((t for t in h.levels if count[t]), None) for h in (h1, h2)]
-            shares = {
-                t: tuple(den // count[t] if t == w else 0 for w in winners)
-                for t in present
-            }
-        us = {}
-        for t in present:
+        winners = [next((t for t in h.levels if count[t]), None) for h in (h1, h2)]
+        for c, t in enumerate(types):
+            if not count[t]:
+                continue
+            x = k * len(types) + c
+            if bundle and count[AA] >= n - 1:
+                q1s[x] = q2s[x] = 0 if t == AA else den
+            else:
+                q1s[x], q2s[x] = (den // count[t] if t == w else 0 for w in winners)
             # The opponents' type counts; item 1 (2) is cheap for them when
             # none of them values it at b.
-            aa, ab, ba, bb = (c - (s == t) for s, c in zip(types, key))
+            aa, ab, ba, bb = (m - (s == t) for s, m in zip(types, key))
             if aa == n - 1:
-                us[t] = both_high if t == BB else 0 if t == AA else one_high
+                us[x] = both_high if t == BB else 0 if t == AA else one_high
             elif t == BB and (ba + bb == 0) != (ab + bb == 0):
-                us[t] = one_cheap[n - 1 - aa]
-            else:
-                us[t] = 0
-        return shares, us
-
-    allocation, utility = {}, {}
-    for profile in profile_table(n, spec.dist).profiles:
-        shares, us = entry(tuple(map(profile.count, types)))
-        allocation[profile] = tuple(map(shares.__getitem__, profile))
-        utility[profile] = tuple(map(us.__getitem__, profile))
-    return Mechanism(spec.dist, label, allocation, utility, den)
+                us[x] = one_cheap[n - 1 - aa]
+    columns = tuple(
+        tuple(tuple(map(table.__getitem__, cell)) for table in (q1s, q2s, us))
+        for cell in cells
+    )
+    return Mechanism(spec.dist, label, columns, den)
 
 
 def build_dic_mechanism(spec: AuctionSpec) -> Mechanism:
@@ -274,6 +311,13 @@ def _nested(value) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n  ")
 
 
+def _own_types(types: list, n: int, i: int):
+    """Buyer i's type at each profile position of n buyers, in order."""
+    step = len(types) ** (n - 1 - i)
+    block = [t for t in types for _ in range(step)]
+    return itertools.chain.from_iterable(itertools.repeat(block, len(types) ** i))
+
+
 def mechanism_to_json(mech: Mechanism, checks, out: TextIO) -> None:
     """Write the canonical JSON export of a two-point mechanism to `out`:
     profiles in table (enumeration) order, types as letters, rationals as
@@ -281,12 +325,13 @@ def mechanism_to_json(mech: Mechanism, checks, out: TextIO) -> None:
 
     The text is exactly `json.dumps(doc, indent=2)` of the document
     {"spec", "label", "profiles", "checks"}, written row by row from the
-    integer tables, so no more than one row's text is held at a time: each
-    distinct numerator, allocation pair and type is quoted once, and no
-    per-row dict or list is built."""
+    columns, so no more than one row's text is held at a time.  A buyer's
+    texts at a profile depend only on its cell (type, q1, q2, u): each
+    distinct cell is quoted, and its payment q.t - u computed, once."""
     n, dist = mech.n, mech.dist
     (p, _), (a, b) = dist.probs, dist.values
     table = profile_table(n, dist)
+    types = buyer_types(dist)
     vals, vden = scaled(dist.values)
 
     def formatter(den):
@@ -294,24 +339,26 @@ def mechanism_to_json(mech: Mechanism, checks, out: TextIO) -> None:
 
     prob_str = formatter(table.scale)
     entry_str = formatter(mech.den)
-    pay_str = formatter(mech.den * vden)
-    pair_str = functools.cache(lambda q: _PAIR % (entry_str(q[0]), entry_str(q[1])))
-    type_str = functools.cache(lambda t: quote(type_label(t)))
+    pay_den = mech.den * vden
+
+    @functools.cache
+    def cell(t, q1, q2, u):
+        """A buyer's type, share pair, utility and payment texts."""
+        payment = Fraction(q1 * vals[t[0]] + q2 * vals[t[1]] - u * vden, pay_den)
+        return (quote(type_label(t)), _PAIR % (entry_str(q1), entry_str(q2)),
+                entry_str(u), quote(rat_str(payment)))
+
     join = _ITEM_SEP.join
     write = out.write
     write('{\n  "spec": ' + _nested(AuctionSpec(n, p, a, b).to_json())
           + ',\n  "label": ' + quote(mech.label) + ',\n  "profiles": [\n')
+    buyers = [map(cell, _own_types(types, n, i), *columns)
+              for i, columns in enumerate(mech.columns)]
     sep = ""
-    profiles, arows, urows = mech.rows()
-    for profile, w, shares, utils in zip(profiles, table.weights, arows, urows):
+    for w, cells in zip(table.weights, zip(*buyers)):
+        profile, shares, utils, pays = zip(*cells)
         write(sep)
-        write(_ROW % (
-            join(map(type_str, profile)),
-            prob_str(w),
-            join(map(pair_str, shares)),
-            join(map(entry_str, utils)),
-            join(map(pay_str, payment_row(vals, vden, shares, utils, profile))),
-        ))
+        write(_ROW % (join(profile), prob_str(w), join(shares), join(utils), join(pays)))
         sep = ",\n"
     write("\n  ]")
     if checks:

@@ -332,26 +332,29 @@ def solve_auction_lp(
 def extract_mechanism(
     n: int, dist: FiniteValueDistribution, sol: LPSolution, label: str = "custom"
 ) -> Mechanism:
-    """The explicit mechanism tables of a symmetric auction-LP solution.
+    """The explicit mechanism columns of a symmetric auction-LP solution.
 
     Every variable of the full program takes its representative's value
-    (`_columns(n, atoms).orbit`).  The tables hold the primal's numerators
-    over den = X / gcd(X, numerators), the lcm of the values' reduced
-    denominators."""
+    (`_columns(n, atoms).orbit`); buyer i's columns are the slices of the
+    full program's q[i,1], q[i,2] and u[i] variables.  The columns hold
+    the primal's numerators over den = X / gcd(X, numerators), the lcm of
+    the values' reduced denominators."""
     cols = _columns(n, len(dist.values))
     x, X = sol.primal, sol.primal_den
     if len(x) != len(cols.reps):
         raise ValueError("the solution is not of the symmetric auction program")
     g = math.gcd(X, *x)
-    full = list(map([v // g for v in x].__getitem__, cols.orbit))
-    profiles = profile_table(n, dist).profiles
-    u0 = 2 * n * len(profiles)
-    pairs = list(zip(full[0:u0:2], full[1:u0:2]))
-    allocation, utility = {}, {}
-    for pos, t in enumerate(profiles):
-        allocation[t] = tuple(pairs[n * pos:n * pos + n])
-        utility[t] = tuple(full[u0 + n * pos:u0 + n * pos + n])
-    return Mechanism(dist, label, allocation, utility, X // g)
+    value = [v // g for v in x].__getitem__
+    u0 = 2 * n * len(dist.values) ** (2 * n)
+
+    def column(start, stop, stride):
+        return tuple(map(value, cols.orbit[start:stop:stride]))
+
+    columns = tuple(
+        (column(2 * i, u0, 2 * n), column(2 * i + 1, u0, 2 * n), column(u0 + i, None, n))
+        for i in range(n)
+    )
+    return Mechanism(dist, label, columns, X // g)
 
 
 def certify_optimum(mech: Mechanism, regime: str, optimum: Fraction) -> None:
@@ -359,15 +362,21 @@ def certify_optimum(mech: Mechanism, regime: str, optimum: Fraction) -> None:
 
     Every share is nonnegative and no item is given out more than once at
     any profile; the regime's audits (IR and DIC, or BIR and BIC) pass; and
-    the mechanism's expected revenue is the optimum.
+    the mechanism's expected revenue is the optimum.  The share checks run
+    over whole columns; only a failure walks the profiles, to name the
+    first one that fails.
     """
     den = mech.den
-    for t, shares in mech.allocation.items():
-        if any(q < 0 for q_i in shares for q in q_i):
-            raise RuntimeError(f"certificate failure: negative allocation at {t}")
-        for j in range(2):
-            if sum(q_i[j] for q_i in shares) > den:
-                raise RuntimeError(f"certificate failure: item {j + 1} over-allocated at {t}")
+    items = [[q[j] for q in mech.columns] for j in range(2)]
+    if any(min(col) < 0 for cols in items for col in cols) or any(
+        max(map(sum, zip(*cols))) > den for cols in items
+    ):
+        for t, shares in mech.allocation.items():
+            if any(q < 0 for q_i in shares for q in q_i):
+                raise RuntimeError(f"certificate failure: negative allocation at {t}")
+            for j in range(2):
+                if sum(q_i[j] for q_i in shares) > den:
+                    raise RuntimeError(f"certificate failure: item {j + 1} over-allocated at {t}")
     checks = (audit.check_ir, audit.check_dic) if regime == "dic" else (
         audit.check_bir, audit.check_bic)
     for check in checks:

@@ -10,6 +10,7 @@ from twopoint_auctions.core import (
     AuctionSpec,
     active_buyers,
     cheap_items,
+    classify_profile,
     profile_table,
     rat_str,
     scaled,
@@ -26,7 +27,6 @@ from twopoint_auctions.mechanisms import (
     case_hierarchies,
     interval_case,
     mechanism_to_json,
-    payment_row,
 )
 from twopoint_auctions.simplex import Constraint, LinearProgram
 
@@ -45,6 +45,15 @@ def enumerate_profiles(n, dist, cap=DEFAULT_PROFILE_CAP):
 def insert(others, i, t):
     """The profile in which buyer i has type t and the others keep their order."""
     return tuple(others[:i]) + (t,) + tuple(others[i:])
+
+
+def payment_row(vals, vden, shares, utils, profile):
+    """Every buyer's payment q_i.t_i - u_i over den * vden, from the share
+    and utility numerators over den and the values as integers over vden."""
+    return tuple(
+        q1 * vals[x1] + q2 * vals[x2] - u * vden
+        for (q1, q2), u, (x1, x2) in zip(shares, utils, profile)
+    )
 
 
 def mechanism_doc(mech, checks=None):
@@ -96,6 +105,24 @@ def render(mech, checks=None):
 # ---------------------------------------------------------------------------
 
 
+def from_tables(dist, label, allocation, utility, den):
+    """The mechanism with the given integer tables over den: `allocation`
+    maps each profile to its buyers' (q1, q2) numerators and `utility` to
+    their utility numerators.  Every profile of the type model must be a
+    key; the columns are read in `profile_table` order."""
+    profiles = profile_table(len(next(iter(allocation))), dist).profiles
+    if set(allocation) != set(profiles) or set(utility) != set(profiles):
+        raise ValueError("the tables do not cover the profiles exactly")
+    n = len(profiles[0])
+    columns = tuple(
+        (tuple(allocation[t][i][0] for t in profiles),
+         tuple(allocation[t][i][1] for t in profiles),
+         tuple(utility[t][i] for t in profiles))
+        for i in range(n)
+    )
+    return Mechanism(dist, label, columns, den)
+
+
 def from_rationals(dist, label, allocation, utility):
     """The mechanism with the given tables of rationals, stored over the
     lcm of their denominators."""
@@ -103,7 +130,7 @@ def from_rationals(dist, label, allocation, utility):
         *(q.denominator for shares in allocation.values() for q_i in shares for q in q_i),
         *(u.denominator for us in utility.values() for u in us),
     )
-    return Mechanism(
+    return from_tables(
         dist,
         label,
         {t: tuple((_numerator(q1, den), _numerator(q2, den)) for q1, q2 in shares)
@@ -276,7 +303,7 @@ def reference_dic_mechanism(spec):
     """`build_dic_mechanism`, built profile by profile."""
     case = interval_case(spec)
     allocation, utility, den = _reference_tables(spec, case, case == 3, False)
-    return Mechanism(spec.dist, LABEL_DIC, allocation, utility, den)
+    return from_tables(spec.dist, LABEL_DIC, allocation, utility, den)
 
 
 def reference_bic_mechanism(spec):
@@ -288,7 +315,7 @@ def reference_bic_mechanism(spec):
         allocation, utility, den = _reference_tables(
             spec, 1 if case == 1 else 2, False, True
         )
-    return Mechanism(spec.dist, LABEL_BIC, allocation, utility, den)
+    return from_tables(spec.dist, LABEL_BIC, allocation, utility, den)
 
 
 def reference_pivot(tab, r, s):
@@ -317,3 +344,71 @@ def reference_pivot(tab, r, s):
             else:
                 del new[j]
         rows[i], dens[i] = reduced(new, dens[i] * den)
+
+
+# ---------------------------------------------------------------------------
+# Class mass statistics
+# ---------------------------------------------------------------------------
+
+
+def _bump(profile, i, item):
+    """Raise buyer i's value for `item` to atom 1 (the high value b)."""
+    x1, x2 = profile[i]
+    t2 = (1, x2) if item == 0 else (x1, 1)
+    return profile[:i] + (t2,) + profile[i + 1 :]
+
+
+def class_sets(profiles):
+    """The five profile families, among the given profiles, whose masses
+    drive the revenue accounting.
+
+    S0: the all-low profile.  S1/S2: one cheap item with one / several
+    active buyers.  S1': profiles with exactly one high value per item.
+    S2': S2 profiles with one entry of the cheap column raised to b.
+    """
+    s0, s1, s2 = set(), set(), set()
+    for profile in profiles:
+        label = classify_profile(profile).label
+        if label == "S0":
+            s0.add(profile)
+        elif label == "S1":
+            s1.add(profile)
+        elif label == "S2":
+            s2.add(profile)
+    (all_low,) = s0
+    n = len(all_low)
+    s1p = {_bump(_bump(all_low, i, 0), j, 1) for i in range(n) for j in range(n)}
+    s2p = set()
+    for profile in s2:
+        item = 0 if cheap_items(profile)[0] else 1
+        for i in range(n):
+            s2p.add(_bump(profile, i, item))
+    # The raised families are disjoint and contain no cheap items.
+    if s1p & s2p:
+        raise RuntimeError("the raised families S1' and S2' overlap")
+    if any(cheap_items(profile) != (False, False) for profile in s1p | s2p):
+        raise RuntimeError("a raised-family profile has a cheap item")
+    return {"S0": s0, "S1": s1, "S2": s2, "S1_prime": s1p, "S2_prime": s2p}
+
+
+def qu_statistics(mech):
+    """Exact Q(S) (cheap-item allocation mass) and U(S) (utility mass) for
+    the five class families."""
+    table = profile_table(mech.n, mech.dist)
+    weight = dict(zip(table.profiles, table.weights))
+    sets = class_sets(mech.profiles())
+    scale = table.scale * mech.den
+    stats = {}
+    for name, profiles in sets.items():
+        q_mass = u_mass = 0
+        for profile in profiles:
+            w = weight[profile]
+            cheap = cheap_items(profile)
+            for (q1, q2), u in zip(mech.allocation[profile], mech.utility[profile]):
+                if cheap[0]:
+                    q_mass += w * q1
+                if cheap[1]:
+                    q_mass += w * q2
+                u_mass += w * u
+        stats[name] = (Fraction(q_mass, scale), Fraction(u_mass, scale))
+    return stats

@@ -31,7 +31,6 @@ from twopoint_auctions.audit import (
     check_dic,
     check_ir,
     expected_revenue,
-    qu_statistics,
 )
 from twopoint_auctions.oracle import certification_grid, certify_main_theorem
 from twopoint_auctions.continuous import (
@@ -41,7 +40,7 @@ from twopoint_auctions.continuous import (
 )
 from twopoint_auctions.oracle import solve_auction_lp
 
-from helpers import enumerate_profiles, interim_q, interim_u
+from helpers import enumerate_profiles, interim_q, interim_u, qu_statistics
 from test_core import AA, AB, BA, BB
 
 EXAMPLE = AuctionSpec(2, F(1, 2), 1, 2)

@@ -13,7 +13,6 @@ from twopoint_auctions.core import (
 )
 from twopoint_auctions.formulas import breakpoints, indicator_flags
 from twopoint_auctions.mechanisms import (
-    Mechanism,
     build_bic_mechanism,
     build_dic_mechanism,
 )
@@ -24,20 +23,21 @@ from twopoint_auctions.audit import (
     check_bir,
     check_dic,
     check_ir,
-    class_sets,
     expected_revenue,
-    qu_statistics,
 )
 from twopoint_auctions.oracle import extract_mechanism, solve_auction_lp
 
 from helpers import (
+    class_sets,
     enumerate_profiles,
     from_rationals,
+    from_tables,
     insert,
     interim_q,
     interim_u,
     payment_of,
     q_of,
+    qu_statistics,
     u_of,
 )
 from test_core import AA, AB, BA, BB, TYPES
@@ -49,12 +49,12 @@ EXAMPLE = AuctionSpec(2, F(1, 2), 1, 2)
 def zero_mechanism(spec):
     zero = (0, 0)
     profiles = profiles_of(spec)
-    return Mechanism(
-        dist=spec.dist,
-        label="custom",
-        allocation={t: tuple(zero for _ in range(spec.n)) for t in profiles},
-        utility={t: tuple(0 for _ in range(spec.n)) for t in profiles},
-        den=1,
+    return from_tables(
+        spec.dist,
+        "custom",
+        {t: tuple(zero for _ in range(spec.n)) for t in profiles},
+        {t: tuple(0 for _ in range(spec.n)) for t in profiles},
+        1,
     )
 
 

@@ -333,6 +333,24 @@ class TestFailClosed:
         assert calls == []
 
 
+    def test_cap_variable_is_read_on_every_call(self, capsys, monkeypatch):
+        # The parser is built once per process; the variable is not part of
+        # it, so setting, changing and clearing it between calls all count.
+        from twopoint_auctions import cli
+
+        assert cli.build_parser() is cli.build_parser()
+        monkeypatch.setenv("TWOPOINT_AUCTIONS_CAP", "abc")
+        code, _, err = run(capsys, "formulas", *EXAMPLE_ARGS)
+        assert code == 1 and "TWOPOINT_AUCTIONS_CAP must be an integer" in err
+        monkeypatch.setenv("TWOPOINT_AUCTIONS_CAP", "15")
+        code, _, err = run(capsys, "certify", *EXAMPLE_ARGS)
+        assert code == 4 and "exceeds the LP cap of 15" in err
+        code, _, _ = run(capsys, "certify", *EXAMPLE_ARGS, "--cap", "256")
+        assert code == 0
+        monkeypatch.delenv("TWOPOINT_AUCTIONS_CAP")
+        code, _, _ = run(capsys, "certify", *EXAMPLE_ARGS)
+        assert code == 0
+
     @pytest.mark.parametrize("n", ["9", "10"])
     def test_mechanism_over_the_table_cap_exits_four_unbuilt(self, capsys, monkeypatch, n):
         from twopoint_auctions import cli

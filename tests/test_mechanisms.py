@@ -31,17 +31,18 @@ from twopoint_auctions.audit import (
     check_dic,
     check_ir,
     expected_revenue,
-    qu_statistics,
 )
 from twopoint_auctions.oracle import extract_mechanism, solve_auction_lp
 
 from helpers import (
     enumerate_profiles,
     from_rationals,
+    from_tables,
     mechanism_doc,
     payment_of,
     payments,
     q_of,
+    qu_statistics,
     reference_bic_mechanism,
     reference_dic_mechanism,
     render,
@@ -303,7 +304,7 @@ def u_support_profiles(n):
     """Profiles where the built mechanisms may pay out utility: one active
     buyer against all-low, the single-high-per-item family, and the raised
     one-cheap family."""
-    from twopoint_auctions.audit import class_sets
+    from helpers import class_sets
 
     sets = class_sets(profiles_of(AuctionSpec(n, F(1, 2), 1, 2)))
     return sets["S1"] | sets["S1_prime"] | sets["S2_prime"]
@@ -485,3 +486,32 @@ class TestJsonRenderer:
         assert any(u < 0 for us in mech.utility.values() for u in us)
         assert any(q == 0 for qs in mech.allocation.values() for q_i in qs for q in q_i)
         self.assert_renders(mech)
+
+
+class TestColumns:
+    def test_profile_views_read_the_columns(self):
+        # `allocation` and `utility` look a profile up at its position in
+        # the columns; a tuple that is not a profile of the mechanism is
+        # not a key.
+        mech = build_bic_mechanism(EXAMPLE)
+        profiles = mech.profiles()
+        assert list(mech.allocation) == list(mech.utility) == list(profiles)
+        assert len(mech.allocation) == len(mech.utility) == 16
+        for k, t in enumerate(profiles):
+            assert mech.position(t) == k
+            assert mech.allocation[t] == tuple((q1[k], q2[k]) for q1, q2, _ in mech.columns)
+            assert mech.utility[t] == tuple(u[k] for _, _, u in mech.columns)
+        for bad in [(AA,), (AA, AA, AA), (AA, (0, 2)), ((-1, 0), AA)]:
+            assert bad not in mech.allocation and bad not in mech.utility
+
+    def test_equal_cells_at_different_types(self):
+        # Every buyer holds the cell (q1, q2, u) = (1/2, 0, 0) at every
+        # profile, so its payment, half its item-1 value, depends on its type
+        # alone: the export must key each cell's texts by the type too.
+        profiles = profiles_of(EXAMPLE)
+        mech = from_tables(EXAMPLE.dist, "custom", {t: ((1, 0), (1, 0)) for t in profiles},
+                           {t: (0, 0) for t in profiles}, 2)
+        text = render(mech)
+        assert text == json.dumps(mechanism_doc(mech), indent=2)
+        row = json.loads(text)["profiles"][profiles.index((AA, BA))]
+        assert row["payment"] == ["1/2", "1/1"]
