@@ -8,7 +8,7 @@ mechanism's denominator, the lcm of the value denominators and, for interim
 sums, the profile-weight scale.
 
 The audits run over whole columns: a buyer's entries at one of its types,
-in opponent-profile order, are gathered with `type_masks`, and each family
+in opponent-profile order, are read with `type_entries`, and each family
 of constraints (one buyer, one ordered type pair, every opponent profile)
 is tested at once.  Only a family that fails is walked entry by entry to
 report its violations, so every (buyer, profile, type pair) is still
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from operator import add, ge
 from typing import Optional
 
@@ -31,8 +30,8 @@ from .core import (
     profile_table,
     rat_str,
     scaled,
+    type_entries,
     type_label,
-    type_masks,
 )
 from .mechanisms import Mechanism
 
@@ -138,9 +137,12 @@ def check_dic(mech: Mechanism) -> AuditReport:
     others_space = profile_table(n - 1, mech.dist).profiles
     scale = mech.den * vden
     violations = []
-    for i, ((q1, q2, u), masks) in enumerate(zip(mech.columns, type_masks(n, len(types)))):
-        us = [list(map(vden.__mul__, compress(u, m))) for m in masks]
-        qs = [(list(compress(q1, m)), list(compress(q2, m))) for m in masks]
+    for i, (q1, q2, u) in enumerate(mech.columns):
+        def at(column, c):
+            return type_entries(column, n, len(types), i, c)
+
+        us = [list(map(vden.__mul__, at(u, c))) for c in range(len(types))]
+        qs = [(list(at(q1, c)), list(at(q2, c))) for c in range(len(types))]
         scaled_q = {}  # (reported type index, item, value difference) -> d * q
         for a, t_true, c, t_rep, d1, d2 in pairs:
             rhs = us[c]

@@ -29,8 +29,8 @@ Rational = Fraction
 
 #: Default ceiling on the number of profiles handled exhaustively: n=8
 #: buyers of two-point types.  Memory grows about fourfold per buyer; a
-#: checked n=8 mechanism written as JSON takes about 1.4 s and peaks near
-#: 49 MB on a 2-vCPU VM, so n=10 would need several hundred MB.
+#: checked n=8 mechanism written as JSON takes about 1.3 s and peaks near
+#: 48 MB on a 2-vCPU VM, so n=10 would need several hundred MB.
 DEFAULT_PROFILE_CAP = 4 ** 8
 
 
@@ -228,22 +228,22 @@ def opponent_positions(n: int, n_types: int, i: int) -> tuple[list[int], int]:
     return [o // step * step * n_types + o % step for o in range(n_types ** (n - 1))], step
 
 
-@functools.lru_cache(maxsize=4)
-def type_masks(n: int, n_types: int) -> tuple:
-    """`masks[i][c]` marks, with one byte per profile position of n buyers,
-    the positions at which buyer i has type index c.  Those positions, in
-    increasing order, are `opponent_positions(n, n_types, i)` shifted by c
-    steps, so `itertools.compress(column, masks[i][c])` lists a column's
-    entries at buyer i's type c in `profile_table(n - 1)` opponent order."""
-    masks = []
-    for i in range(n):
-        step = n_types ** (n - 1 - i)
-        blocks = n_types ** i
-        masks.append(tuple(
-            (bytes(c * step) + b"\1" * step + bytes((n_types - 1 - c) * step)) * blocks
-            for c in range(n_types)
-        ))
-    return tuple(masks)
+def type_entries(column: Sequence, n: int, n_types: int, i: int, c: int):
+    """Buyer i's entries of a column over the profiles of n buyers at its
+    type index c, in `profile_table(n - 1)` opponent order.
+
+    Those positions are the blocks of `step` consecutive positions that
+    start c steps into every run of n_types * step (see
+    `opponent_positions`).  They are read with whichever slices are fewer:
+    one per block, or, interleaved, one per offset within a block."""
+    step = n_types ** (n - 1 - i)
+    stride = n_types * step
+    start = c * step
+    if step <= n_types ** i:
+        return itertools.chain.from_iterable(
+            zip(*[column[start + r::stride] for r in range(step)]))
+    return itertools.chain.from_iterable(
+        [column[b:b + step] for b in range(start, len(column), stride)])
 
 
 @functools.lru_cache(maxsize=None)

@@ -40,8 +40,8 @@ from .core import (
     profile_table,
     rat_str,
     scaled,
+    type_entries,
     type_label,
-    type_masks,
 )
 from .formulas import breakpoints, indicator_flags
 
@@ -135,18 +135,18 @@ class Mechanism:
     def interim(self) -> InterimTable:
         """The interim table, built once per mechanism: each buyer's
         utility and allocation at each type, weighted by the probability of
-        every opponent profile.  A buyer's entries at one type are gathered
-        from its columns with `type_masks`."""
-        types = buyer_types(self.dist)
-        opponents = profile_table(self.n - 1, self.dist)
+        every opponent profile.  A buyer's entries at one type are read
+        from its columns with `type_entries`."""
+        n, types = self.n, buyer_types(self.dist)
+        opponents = profile_table(n - 1, self.dist)
 
-        def mean(column, mask):
-            return sum(map(mul, opponents.weights, itertools.compress(column, mask)))
+        def mean(column, i, c):
+            return sum(map(mul, opponents.weights, type_entries(column, n, len(types), i, c)))
 
         utility, allocation = [], []
-        for (q1, q2, u), masks in zip(self.columns, type_masks(self.n, len(types))):
-            utility.append({t: mean(u, m) for t, m in zip(types, masks)})
-            allocation.append({t: (mean(q1, m), mean(q2, m)) for t, m in zip(types, masks)})
+        for i, (q1, q2, u) in enumerate(self.columns):
+            utility.append({t: mean(u, i, c) for c, t in enumerate(types)})
+            allocation.append({t: (mean(q1, i, c), mean(q2, i, c)) for c, t in enumerate(types)})
         return InterimTable(opponents.scale * self.den, tuple(utility), tuple(allocation))
 
 

@@ -27,6 +27,7 @@ from twopoint_auctions.core import (
     rat_allow_decimal,
     rat_str,
     decimal_str,
+    type_entries,
     type_label,
 )
 
@@ -171,6 +172,20 @@ class TestEnumeration:
             for others, pos in zip(opponents, positions, strict=True):
                 for c, t in enumerate(types):
                     assert profiles[pos + c * step] == insert(others, i, t)
+
+    @pytest.mark.parametrize("atoms,n", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5),
+                                         (3, 1), (3, 2), (3, 3)])
+    def test_type_entries(self, atoms, n):
+        # Read with the profiles themselves as the column, buyer i's entries
+        # at type t are its opponents' profiles with t inserted, in order.
+        dist = FiniteValueDistribution(tuple(range(1, atoms + 1)), (F(1, atoms),) * atoms)
+        types = buyer_types(dist)
+        profiles = profile_table(n, dist).profiles
+        opponents = profile_table(n - 1, dist).profiles
+        for i in range(n):
+            for c, t in enumerate(types):
+                entries = list(type_entries(profiles, n, len(types), i, c))
+                assert entries == [insert(others, i, t) for others in opponents]
 
     def test_insert(self):
         assert insert((AB, BA), 1, BB) == (AB, BB, BA)
