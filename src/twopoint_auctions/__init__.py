@@ -13,7 +13,6 @@ from .core import (
     InvalidSpec,
     Rational,
     class_probabilities,
-    classify_profile,
     rat,
     rat_str,
 )

@@ -76,16 +76,6 @@ def lp_over_grid(cspec: ContinuousSpec, impl: str) -> Fraction:
     return solve_auction_lp(cspec.n, discretize(cspec), impl, max_profiles=n_profiles).optimum
 
 
-def collapsed_two_point_spec(cspec: ContinuousSpec) -> AuctionSpec:
-    """The grid_m=1 discretization is exactly a two-point instance."""
-    return AuctionSpec(
-        cspec.n,
-        Fraction(1, 2),
-        cspec.a + Fraction(1, 2),
-        cspec.lam * cspec.a + Fraction(1, 2),
-    )
-
-
 @dataclass(frozen=True)
 class ProbeRow:
     a: Fraction

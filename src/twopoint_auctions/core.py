@@ -196,18 +196,19 @@ def profile_table(
     n: int, dist: FiniteValueDistribution, cap: int = DEFAULT_PROFILE_CAP
 ) -> ProfileTable:
     """The profiles and their probabilities, over the scale
-    lcm(prob denominators)^(2n).  The tables of the last few (n, dist)
+    lcm(prob denominators)^(2n).  A table depends on the atoms' masses
+    alone, not on their values; the tables of the last few (n, masses)
     pairs are kept for the next caller."""
     check_profile_cap(n, dist, cap)
-    return _profile_table(n, dist)
+    return _profile_table(n, dist.probs)
 
 
 @functools.lru_cache(maxsize=4)
-def _profile_table(n: int, dist: FiniteValueDistribution) -> ProfileTable:
+def _profile_table(n: int, masses: tuple) -> ProfileTable:
     # A profile's weight is the product of its buyers' type weights, by
     # independence of all 2n draws.
-    types = buyer_types(dist)
-    probs, den = scaled(dist.probs)
+    types = list(itertools.product(range(len(masses)), repeat=2))
+    probs, den = scaled(masses)
     type_weights = [probs[x1] * probs[x2] for x1, x2 in types]
     weights = [1]
     for _ in range(n):
@@ -274,51 +275,6 @@ class HierarchyScheme:
         for d, t in enumerate(self.levels):
             if t in self.levels[:d]:
                 raise ValueError(f"type {t!r} appears in two levels")
-
-
-# ---------------------------------------------------------------------------
-# Profile classification
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProfileClass:
-    """Classification of a profile by its cheap items and active buyers.
-
-    label is one of "S0" (the all-low profile), "S1" (one cheap item, one
-    active buyer), "S2" (one cheap item, two or more active buyers), or
-    "other".  active_buyers lists the 0-based buyers whose type is not the
-    all-low (0,0).
-    """
-
-    label: str
-    cheap_items: tuple[bool, bool]
-    active_buyers: tuple[int, ...]
-
-
-def cheap_items(profile: Sequence[Type]) -> tuple[bool, bool]:
-    """Item j is cheap iff every buyer values it at the lowest atom."""
-    return (
-        all(t[0] == 0 for t in profile),
-        all(t[1] == 0 for t in profile),
-    )
-
-
-def active_buyers(profile: Sequence[Type]) -> tuple[int, ...]:
-    """Buyers whose type is not the all-low (0,0)."""
-    return tuple(i for i, t in enumerate(profile) if t != (0, 0))
-
-
-def classify_profile(profile: Sequence[Type]) -> ProfileClass:
-    cheap = cheap_items(profile)
-    active = active_buyers(profile)
-    if cheap[0] and cheap[1]:
-        label = "S0"
-    elif cheap[0] != cheap[1]:
-        label = "S1" if len(active) == 1 else "S2"
-    else:
-        label = "other"
-    return ProfileClass(label, cheap, active)
 
 
 def class_probabilities(spec: AuctionSpec) -> tuple[Fraction, Fraction, Fraction]:

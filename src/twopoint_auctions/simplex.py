@@ -15,11 +15,13 @@ pivot row's support in each of them; it rescales a whole row only when the
 pivot row's denominator does not divide that row's multiplier, its entry
 in the entering column.  The solver pivots on the largest reduced cost and
 falls back to Bland's rule, the anti-cycling guarantee, once it stalls on
-degenerate pivots; an infeasible origin is handled by a phase one over
-artificials.  Lazy rows are added in warm-started rounds: the rows the
-optimum violates join the optimal tableau, each basic in its own slack, and
-dual simplex pivots under Bland's rule, which is finite, restore primal
-feasibility without leaving the optimal basis behind.
+degenerate pivots.  One dual simplex under Bland's rule, which is finite,
+repairs every primal-infeasible basis.  An infeasible origin is repaired
+under the zero objective, for which every basis is dual feasible, before
+the real objective is priced in.  Lazy rows are added in warm-started
+rounds: the rows the optimum violates join the optimal tableau, each basic
+in its own slack, and dual simplex pivots restore primal feasibility
+without leaving the optimal basis behind.
 
 Solutions are certified exactly before they are returned, against every
 constraint of the program, lazy rows included: the primal is substituted
@@ -244,10 +246,10 @@ def _reduced(row: dict, den: int):
 STALL_LIMIT = 50_000
 
 
-def _simplex_loop(tab: _Tableau, basis: list, obj_row: int, ncols: int):
-    """Run pivots until the objective row has no positive reduced cost in
-    the columns below `ncols`.  Returns ("optimal", pivots) or
-    ("unbounded", pivots)."""
+def _simplex_loop(tab: _Tableau, basis: list):
+    """Primal simplex pivots, from a primal-feasible basis, until the
+    objective row, the row after the last basic row, has no positive
+    reduced cost.  Returns ("optimal", pivots) or ("unbounded", pivots)."""
     rows = tab.rows
     m = len(basis)
     pivots = 0
@@ -256,9 +258,7 @@ def _simplex_loop(tab: _Tableau, basis: list, obj_row: int, ncols: int):
     while True:
         # The objective row's entries share one denominator, so the largest
         # numerator is the largest reduced cost; ties go to the smallest column.
-        candidates = [
-            (-x, j) for j, x in rows[obj_row].items() if x > 0 and 0 <= j < ncols
-        ]
+        candidates = [(-x, j) for j, x in rows[m].items() if x > 0 and j != RHS]
         if not candidates:
             return ("optimal", pivots)
         if use_bland:
@@ -268,7 +268,7 @@ def _simplex_loop(tab: _Tableau, basis: list, obj_row: int, ncols: int):
         # Ratio test: smallest rhs/col over rows with positive column entry
         # (each row's denominator cancels); ties resolved toward the
         # smallest leaving basis index (Bland).  The rows holding column s,
-        # objective rows included, are the ones the pivot updates.
+        # the objective row included, are the ones the pivot updates.
         holders = [i for i, row in enumerate(rows) if s in row]
         r = None
         best_num = best_col = None
@@ -394,10 +394,13 @@ class _Solver:
 
     Tableau row i holds the program row `kept[i]`, made a <= row by
     `signs[i]`, with the slack column nstruct + i; the objective row comes
-    last.  The constructor solves the active rows from the slack basis,
-    with a phase one over artificials when the origin is infeasible, and
-    sets `status` and `pivots`.  At an optimum `primal` and `duals` read the
-    vectors off the tableau, and `add_rows` adds program rows."""
+    last.  The constructor solves the active rows from the slack basis and
+    sets `status` and `pivots`.  When the origin is infeasible, a row's
+    right-hand side negative, the dual simplex first runs under the zero
+    objective, for which every basis is dual feasible: it reaches a
+    feasible basis or proves the rows infeasible, and the real objective
+    row is then priced at that basis.  At an optimum `primal` and `duals`
+    read the vectors off the tableau, and `add_rows` adds program rows."""
 
     def __init__(self, lp: LinearProgram, active: Sequence[int]):
         self.lp = lp
@@ -405,7 +408,7 @@ class _Solver:
         nonneg = self.nonneg
 
         # Column layout: one column per nonneg variable, two (x+ and x-) per
-        # free variable, then slacks, then any phase-one artificials.
+        # free variable, then slacks.
         self.col_of = col_of = []
         self.col_var = col_var = []  # structural column -> (variable, +1|-1)
         for v in range(len(lp.variables)):
@@ -416,56 +419,23 @@ class _Solver:
         self.nstruct = nstruct = len(col_var)
         self.kept, self.signs = [], []
         rows = self._rows(kept)
-        neg_rhs_rows = [i for i, row in enumerate(rows) if row.get(RHS, 0) < 0]
         obj = {}
         for j, c in lp.objective.items():
             obj[col_of[j]] = c
             if j not in nonneg:
                 obj[col_of[j] + 1] = -c
-        rows.append(obj)
-
-        m = len(kept)
-        ncols = nstruct + m
-        self.basis = basis = [nstruct + i for i in range(m)]
+        self.basis = basis = [nstruct + i for i in range(len(kept))]
+        infeasible_origin = any(row.get(RHS, 0) < 0 for row in rows)
+        rows.append({} if infeasible_origin else obj)
         self.tab = tab = _Tableau(rows)
         self.pivots = 0
-
-        if neg_rhs_rows:
-            # Phase one: negate infeasible equality rows (slack coefficient
-            # becomes -1), give each an artificial unit column, and minimize
-            # the artificials' sum.
-            phase = {}
-            for k, i in enumerate(neg_rhs_rows):
-                rows[i] = {j: -x for j, x in rows[i].items()}
-                for j, x in rows[i].items():
-                    phase[j] = phase.get(j, 0) + x
-                rows[i][ncols + k] = 1
-                basis[i] = ncols + k
-            rows.append({j: x for j, x in phase.items() if x})
-            tab.dens.append(1)
-            status, p = _simplex_loop(tab, basis, m + 1, ncols)
-            self.pivots += p
-            if status != "optimal":
-                raise SimplexError("phase one cannot be unbounded")
-            if rows[m + 1].get(RHS, 0) != 0:
-                self.status = "infeasible"
+        if infeasible_origin:
+            self.status, self.pivots = _dual_simplex(tab, basis)
+            if self.status == "infeasible":
                 return
-            # Drive basic artificials out with degenerate pivots.  The slack
-            # columns give every row a nonzero below `ncols`.
-            for i in range(m):
-                if basis[i] >= ncols:
-                    entry = min((j for j in rows[i] if 0 <= j < ncols), default=None)
-                    if entry is None:
-                        raise SimplexError("zero row after phase one")
-                    tab.pivot(i, entry)
-                    basis[i] = entry
-                    self.pivots += 1
-            rows.pop()
-            tab.dens.pop()
-            for i, row in enumerate(rows):
-                rows[i] = {j: x for j, x in row.items() if j < ncols}
-
-        self.status, p = _simplex_loop(tab, basis, m, ncols)
+            rows[-1] = obj
+            self._price(len(basis), {col: i for i, col in enumerate(basis)})
+        self.status, p = _simplex_loop(tab, basis)
         self.pivots += p
 
     def _rows(self, ks: Sequence[int]) -> list:
@@ -492,16 +462,31 @@ class _Solver:
             out.append(row)
         return out
 
+    def _price(self, i: int, where: dict):
+        """Clear every basic column from row i with that column's row;
+        `where` maps each basic column to its row, which must hold the
+        column as a unit column."""
+        tab = self.tab
+        rows, dens = tab.rows, tab.dens
+        for col in [j for j in rows[i] if j in where]:
+            r = where[col]
+            if rows[r].get(col) != dens[r]:
+                raise SimplexError("basic column is not a unit column")
+            tab.clear(r, col, (i,))
+        if any(j in where for j in rows[i]):
+            raise SimplexError(f"a basic column is left in row {i}")
+
     def add_rows(self, ks: Sequence[int]) -> int:
         """Add the program rows `ks`, each violated at the optimal basis,
         and restore primal feasibility with dual simplex pivots.  Returns the
         pivots made and leaves `status` "optimal" or "infeasible".
 
-        A new row is made basic in its own slack: every basic column is
-        cleared from it with that column's row, which leaves the row's
-        value at the current vertex, negative, in its right-hand side.
-        The objective row does not change, so the basis stays dual
-        feasible."""
+        A new row is made basic in its own slack once it is priced: every
+        basic column is cleared from it with that column's row, which leaves
+        the row's value at the current vertex, negative, in its right-hand
+        side.  The objective row does not change, so the basis stays dual
+        feasible, and a dual simplex that ends primal feasible ends
+        optimal."""
         if self.status != "optimal":
             raise SimplexError(f"rows added to a tableau that is {self.status}")
         tab, basis = self.tab, self.basis
@@ -510,25 +495,12 @@ class _Solver:
         for i, row in enumerate(self._rows(ks), len(basis)):
             rows.insert(i, row)
             dens.insert(i, 1)
-            for col in [j for j in rows[i] if j in where]:
-                r = where[col]
-                if rows[r].get(col) != dens[r]:
-                    raise SimplexError("basic column is not a unit column")
-                tab.clear(r, col, (i,))
-            row = rows[i]
-            if any(j in where for j in row):
-                raise SimplexError("a basic column is left in an added row")
-            if row.get(RHS, 0) >= 0:
+            self._price(i, where)
+            if rows[i].get(RHS, 0) >= 0:
                 raise SimplexError("an added row holds at the current vertex")
             where[self.nstruct + i] = i
             basis.append(self.nstruct + i)
-        ncols = self.nstruct + len(self.kept)
-        self.status, pivots = _dual_simplex(tab, basis, ncols)
-        if self.status == "optimal":
-            status, p = _simplex_loop(tab, basis, len(basis), ncols)
-            if status != "optimal":
-                raise SimplexError("dual simplex left a primal ray")
-            pivots += p
+        self.status, pivots = _dual_simplex(tab, basis)
         self.pivots += pivots
         return pivots
 
@@ -572,14 +544,16 @@ class _Solver:
         return y, Y
 
 
-def _dual_simplex(tab: _Tableau, basis: list, ncols: int):
+def _dual_simplex(tab: _Tableau, basis: list):
     """Dual simplex pivots, from a dual-feasible basis, until every
     right-hand side is nonnegative.  Bland's rule: the leaving row is the
     one with a negative right-hand side whose basic column is smallest, and
-    the entering column the one below `ncols` with the smallest ratio
-    obj[j] / a[j] over the row's negative entries, ties to the smallest
-    column.  Returns ("optimal", pivots), or ("infeasible", pivots) when
-    no column can enter."""
+    the entering column the one with the smallest ratio obj[j] / a[j] over
+    the row's negative entries, ties to the smallest column; the objective
+    row is the row after the last basic row.  The rule is finite, and under
+    the zero objective it finds a feasible basis from any basis.  Returns
+    ("optimal", pivots) once every right-hand side is nonnegative, or
+    ("infeasible", pivots) when the leaving row has no negative entry."""
     rows = tab.rows
     m = len(basis)
     pivots = 0
@@ -594,14 +568,14 @@ def _dual_simplex(tab: _Tableau, basis: list, ncols: int):
         obj = rows[m]
         s = best_o = best_a = None
         for j, a in rows[r].items():
-            if a >= 0 or not 0 <= j < ncols:
+            if a >= 0 or j == RHS:
                 continue
             o = obj.get(j, 0)
             if s is None or o * best_a < best_o * a or (o * best_a == best_o * a and j < s):
                 s, best_o, best_a = j, o, a
         if s is None:
             return ("infeasible", pivots)
-        tab.pivot(r, s, [i for i, row in enumerate(rows) if s in row])
+        tab.pivot(r, s)
         basis[r] = s
         pivots += 1
 

@@ -5,12 +5,12 @@ import io
 import math
 from fractions import Fraction
 
+from dataclasses import dataclass
+from typing import Sequence
+
 from twopoint_auctions.core import (
     DEFAULT_PROFILE_CAP,
     AuctionSpec,
-    active_buyers,
-    cheap_items,
-    classify_profile,
     profile_table,
     rat_str,
     scaled,
@@ -31,6 +31,57 @@ from twopoint_auctions.mechanisms import (
 from twopoint_auctions.simplex import Constraint, LinearProgram
 
 AA, AB, BA, BB = (0, 0), (0, 1), (1, 0), (1, 1)
+
+
+@dataclass(frozen=True)
+class ProfileClass:
+    """Classification of a profile by its cheap items and active buyers.
+
+    label is one of "S0" (the all-low profile), "S1" (one cheap item, one
+    active buyer), "S2" (one cheap item, two or more active buyers), or
+    "other".  active_buyers lists the 0-based buyers whose type is not the
+    all-low (0,0).
+    """
+
+    label: str
+    cheap_items: tuple[bool, bool]
+    active_buyers: tuple[int, ...]
+
+
+def cheap_items(profile: Sequence) -> tuple[bool, bool]:
+    """Item j is cheap iff every buyer values it at the lowest atom."""
+    return (
+        all(t[0] == 0 for t in profile),
+        all(t[1] == 0 for t in profile),
+    )
+
+
+def active_buyers(profile: Sequence) -> tuple[int, ...]:
+    """Buyers whose type is not the all-low (0,0)."""
+    return tuple(i for i, t in enumerate(profile) if t != (0, 0))
+
+
+def classify_profile(profile: Sequence) -> ProfileClass:
+    cheap = cheap_items(profile)
+    active = active_buyers(profile)
+    if cheap[0] and cheap[1]:
+        label = "S0"
+    elif cheap[0] != cheap[1]:
+        label = "S1" if len(active) == 1 else "S2"
+    else:
+        label = "other"
+    return ProfileClass(label, cheap, active)
+
+
+def collapsed_two_point_spec(cspec) -> AuctionSpec:
+    """The grid_m=1 discretization of a `ContinuousSpec` is exactly a
+    two-point instance."""
+    return AuctionSpec(
+        cspec.n,
+        Fraction(1, 2),
+        cspec.a + Fraction(1, 2),
+        cspec.lam * cspec.a + Fraction(1, 2),
+    )
 
 
 def enumerate_profiles(n, dist, cap=DEFAULT_PROFILE_CAP):

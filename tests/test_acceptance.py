@@ -14,7 +14,7 @@ from fractions import Fraction as F
 import pytest
 
 from twopoint_auctions.cli import main as cli_main
-from twopoint_auctions.core import AuctionSpec, class_probabilities, classify_profile
+from twopoint_auctions.core import AuctionSpec, class_probabilities
 from twopoint_auctions.formulas import (
     breakpoints,
     grand_bundle_revenue,
@@ -33,14 +33,17 @@ from twopoint_auctions.audit import (
     expected_revenue,
 )
 from twopoint_auctions.oracle import certification_grid, certify_main_theorem
-from twopoint_auctions.continuous import (
-    ContinuousSpec,
-    collapsed_two_point_spec,
-    lp_over_grid,
-)
+from twopoint_auctions.continuous import ContinuousSpec, lp_over_grid
 from twopoint_auctions.oracle import solve_auction_lp
 
-from helpers import enumerate_profiles, interim_q, interim_u, qu_statistics
+from helpers import (
+    classify_profile,
+    collapsed_two_point_spec,
+    enumerate_profiles,
+    interim_q,
+    interim_u,
+    qu_statistics,
+)
 from test_core import AA, AB, BA, BB
 
 EXAMPLE = AuctionSpec(2, F(1, 2), 1, 2)

@@ -9,7 +9,6 @@ from twopoint_auctions.core import (
     AuctionSpec,
     FiniteValueDistribution,
     buyer_types,
-    cheap_items,
 )
 from twopoint_auctions.formulas import breakpoints, indicator_flags
 from twopoint_auctions.mechanisms import (
@@ -28,6 +27,7 @@ from twopoint_auctions.audit import (
 from twopoint_auctions.oracle import extract_mechanism, solve_auction_lp
 
 from helpers import (
+    cheap_items,
     class_sets,
     enumerate_profiles,
     from_rationals,

@@ -6,13 +6,14 @@ from twopoint_auctions.core import AuctionSpec, CapExceeded, InvalidSpec
 from twopoint_auctions.continuous import (
     DEFAULT_GRID_CAP,
     ContinuousSpec,
-    collapsed_two_point_spec,
     corollary_probe,
     discretize,
     lp_over_grid,
 )
 from twopoint_auctions.formulas import revenue_bic, revenue_dic
 from twopoint_auctions.oracle import solve_auction_lp
+
+from helpers import collapsed_two_point_spec
 
 
 class TestSpecValidation:

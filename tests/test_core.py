@@ -18,9 +18,7 @@ from twopoint_auctions.core import (
     HierarchyScheme,
     InvalidSpec,
     buyer_types,
-    cheap_items,
     class_probabilities,
-    classify_profile,
     opponent_positions,
     profile_table,
     rat,
@@ -31,7 +29,7 @@ from twopoint_auctions.core import (
     type_label,
 )
 
-from helpers import enumerate_profiles, hierarchy_winners, insert
+from helpers import classify_profile, enumerate_profiles, hierarchy_winners, insert
 
 # The two-point types, named by their letter rendering.
 AA, AB, BA, BB = (0, 0), (0, 1), (1, 0), (1, 1)
@@ -135,6 +133,15 @@ class TestEnumeration:
         assert table.scale == 6 ** 4
         assert table.weights[table.profiles.index(((0, 2), (1, 1)))] == 12
         assert sum(table.weights) == table.scale
+
+    def test_table_shared_by_equal_masses(self):
+        # The profiles depend on the number of atoms and the weights on the
+        # masses alone, so two marginals that differ only in their atoms
+        # share one cached table.
+        first = AuctionSpec(3, F(1, 3), 1, F(5, 4)).dist
+        second = AuctionSpec(3, F(1, 3), 2, 7).dist
+        assert first != second
+        assert profile_table(3, first) is profile_table(3, second)
 
     def test_order_is_lexicographic(self):
         spec = AuctionSpec(2, F(1, 2), 1, 2)

@@ -8,7 +8,6 @@ import pytest
 
 from twopoint_auctions.core import (
     AuctionSpec,
-    cheap_items,
     class_probabilities,
 )
 from twopoint_auctions.formulas import (
@@ -35,6 +34,8 @@ from twopoint_auctions.audit import (
 from twopoint_auctions.oracle import extract_mechanism, solve_auction_lp
 
 from helpers import (
+    cheap_items,
+    classify_profile,
     enumerate_profiles,
     from_rationals,
     from_tables,
@@ -327,8 +328,6 @@ class TestClassAccounting:
         f = indicator_flags(spec)
         md = build_dic_mechanism(spec)
         mb = build_bic_mechanism(spec)
-        from twopoint_auctions.core import classify_profile
-
         for profile in profiles_of(spec):
             label = classify_profile(profile).label
             cheap = cheap_items(profile)

@@ -458,9 +458,9 @@ class TestPivotKernel:
             assert tab.rows == ref.rows and tab.dens == ref.dens
             calls.append((r, s))
 
-        def checked_dual(tab, basis, ncols):
+        def checked_dual(tab, basis):
             assert_unit_basis(tab, basis)
-            status, pivots = dual_simplex(tab, basis, ncols)
+            status, pivots = dual_simplex(tab, basis)
             dual_pivots.append(pivots)
             return status, pivots
 
@@ -518,12 +518,20 @@ def random_lp(rng, nvars, nrows):
 
 
 class TestAgainstScipy:
+    """Random programs against HiGHS; many start at an infeasible origin,
+    which the dual simplex under the zero objective repairs or proves
+    infeasible."""
+
     def test_random_instances(self):
         rng = random.Random(20240811)
-        solved = 0
+        solved = infeasible = infeasible_origin = 0
         for _ in range(40):
             lp = random_lp(rng, rng.randint(2, 5), rng.randint(1, 6))
             sol = solve(lp)
+            state = simplex._Solver(lp, range(len(lp.constraints)))
+            assert (state.status, state.pivots) == (sol.status, sol.pivots)
+            if any(c.rhs < 0 if c.rel == "<=" else c.rhs > 0 for c in lp.constraints):
+                infeasible_origin += 1
             a_ub, b_ub = [], []
             for terms, rel, rhs, _ in lp.rows():
                 coeffs = dict(terms)
@@ -542,12 +550,15 @@ class TestAgainstScipy:
             if sol.status == "optimal":
                 assert ref.status == 0
                 assert abs(float(sol.optimum) + ref.fun) < 1e-7
+                assert_unit_basis(state.tab, state.basis)
                 solved += 1
             elif sol.status == "infeasible":
                 assert ref.status == 2
+                infeasible += 1
             else:
                 assert ref.status == 3
         assert solved >= 10
+        assert infeasible_origin >= 20 and infeasible >= 5
 
 
 class TestExport:
