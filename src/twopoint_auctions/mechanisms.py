@@ -304,11 +304,32 @@ _PAIR = "[\n          %s,\n          %s\n        ]"
 _ITEM_SEP = ",\n        "
 
 
-def _nested(value) -> str:
-    """The indent-2 text of a value one level into the document.  The
-    encoder escapes every newline inside a string, so each one it writes is
-    layout and takes the extra indent."""
-    return json.dumps(value, indent=2).replace("\n", "\n  ")
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _nested(value, indent: str = "  ") -> str:
+    """The text `json.dumps(value, indent=2)` gives a value whose line is
+    indented by `indent`.  A dict or list is its items' texts joined, and
+    only floats and empty containers go through the encoder: its indent-2
+    mode is the pure-Python one, several times slower on the violation
+    lists of a check suite."""
+    kind = type(value)
+    if kind is str:
+        return quote(value)
+    if kind is int:
+        return str(value)
+    if kind is bool or value is None:
+        return _LITERALS[value]
+    if kind is dict and value:
+        inner = indent + "  "
+        items = [inner + quote(k) + ": " + _nested(v, inner) for k, v in value.items()]
+    elif kind in (list, tuple) and value:
+        inner = indent + "  "
+        items = [inner + _nested(v, inner) for v in value]
+    else:
+        return json.dumps(value)
+    brackets = "{}" if kind is dict else "[]"
+    return brackets[0] + "\n" + ",\n".join(items) + "\n" + indent + brackets[1]
 
 
 def _own_types(types: list, n: int, i: int):

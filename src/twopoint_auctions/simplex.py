@@ -13,9 +13,14 @@ stay narrow.  A pivot touches only the rows with a nonzero in the entering
 column, which the ratio test has already collected, and rewrites only the
 pivot row's support in each of them; it rescales a whole row only when the
 pivot row's denominator does not divide that row's multiplier, its entry
-in the entering column.  The solver pivots on the largest reduced cost and
-falls back to Bland's rule, the anti-cycling guarantee, once it stalls on
-degenerate pivots.  One dual simplex under Bland's rule, which is finite,
+in the entering column.  The entering column is chosen by Devex pricing,
+the largest squared reduced cost over a reference weight that approximates
+the column's steepest-edge norm (Harris, "Pivot selection methods of the
+Devex LP code", Math. Prog. 1973); the weights are floats, updated on the
+pivot row's support, and only pick among the columns with a positive
+reduced cost, so the pivots themselves stay exact.  The solver falls back
+to Bland's rule, the anti-cycling guarantee, once it stalls on degenerate
+pivots.  One dual simplex under Bland's rule, which is finite,
 repairs every primal-infeasible basis.  An infeasible origin is repaired
 under the zero objective, for which every basis is dual feasible, before
 the real objective is priced in.  Lazy rows are added in warm-started
@@ -240,31 +245,55 @@ def _reduced(row: dict, den: int):
 
 
 #: Consecutive degenerate pivots tolerated before the pivot rule falls back
-#: to Bland for good.  Bland is the anti-cycling guarantee; the largest-
-#: coefficient rule is much faster on these programs, so the fallback is a
-#: safety net rather than the common path.
+#: to Bland for good.  Bland is the anti-cycling guarantee; Devex pricing is
+#: much faster on these programs, so the fallback is a safety net rather
+#: than the common path.
 STALL_LIMIT = 50_000
+
+#: log2 of the factor by which the entering column's Devex weight may exceed
+#: its steepest-edge weight before every weight is reset to 1.
+_DEVEX_RESET = math.log2(10)
 
 
 def _simplex_loop(tab: _Tableau, basis: list):
     """Primal simplex pivots, from a primal-feasible basis, until the
     objective row, the row after the last basic row, has no positive
-    reduced cost.  Returns ("optimal", pivots) or ("unbounded", pivots)."""
-    rows = tab.rows
+    reduced cost.  Returns ("optimal", pivots) or ("unbounded", pivots).
+
+    The entering column is chosen by Devex pricing (Forrest & Goldfarb,
+    "Steepest-edge simplex algorithms for linear programming", Math. Prog.
+    1992): it maximizes d_j² / w_j over the positive reduced costs d_j,
+    ties to the smallest column, with reference weights w_j that start at 1
+    and approximate the steepest-edge weight 1 + |B⁻¹a_j|².  After a pivot
+    on (r, s), with l the column that left and α_rj the new row r's entry
+    in column j, w_j = max(w_j, α_rj² w_s) on row r's support and w_l =
+    max(α_rl² w_s, 1); every weight is reset to 1 before a pivot whose w_s
+    exceeds 10 times 1 + |B⁻¹a_s|².  The weights are held as h_j =
+    log2(w_j) / 2, which no width of the entries overflows, and only pick
+    the entering column: that column always has a positive reduced cost,
+    and the ratio test and the pivot stay exact."""
+    rows, dens = tab.rows, tab.dens
     m = len(basis)
     pivots = 0
     use_bland = False
     stall = 0
+    log2 = math.log2
+    h = {}  # nonbasic column -> log2(w_j) / 2, absent for w_j = 1
     while True:
-        # The objective row's entries share one denominator, so the largest
-        # numerator is the largest reduced cost; ties go to the smallest column.
-        candidates = [(-x, j) for j, x in rows[m].items() if x > 0 and j != RHS]
-        if not candidates:
-            return ("optimal", pivots)
+        # The objective row's entries share one denominator, so the scores
+        # compare the numerators.
+        s = None
         if use_bland:
-            s = min(j for _, j in candidates)
+            s = min((j for j, x in rows[m].items() if x > 0 and j != RHS), default=None)
         else:
-            s = min(candidates)[1]
+            best = 0.0
+            for j, x in rows[m].items():
+                if x > 0 and j != RHS:
+                    score = log2(x) - h.get(j, 0.0)
+                    if s is None or score > best or (score == best and j < s):
+                        s, best = j, score
+        if s is None:
+            return ("optimal", pivots)
         # Ratio test: smallest rhs/col over rows with positive column entry
         # (each row's denominator cancels); ties resolved toward the
         # smallest leaving basis index (Bland).  The rows holding column s,
@@ -287,11 +316,33 @@ def _simplex_loop(tab: _Tableau, basis: list):
         if r is None:
             return ("unbounded", pivots)
         degenerate = best_num == 0
+        # The norm is at least 1, so only a weight above 10 needs it.
+        hs = h.pop(s, 0.0)
+        if 2 * hs > _DEVEX_RESET and 2 * hs > _DEVEX_RESET + _log2_norm(
+                [(rows[i][s], dens[i]) for i in holders if i < m]):
+            h.clear()
+            hs = 0.0
         tab.pivot(r, s, holders)
         basis[r] = s
         pivots += 1
         stall = stall + 1 if degenerate else 0
         use_bland = use_bland or stall > STALL_LIMIT
+        # Row r's support is the nonbasic columns, the one that left
+        # included, and its unit entry in column s.
+        c = hs - log2(dens[r])
+        for j, x in rows[r].items():
+            if j != s and j != RHS:
+                v = log2(abs(x)) + c
+                if v > h.get(j, 0.0):
+                    h[j] = v
+
+
+def _log2_norm(entries) -> float:
+    """log2(1 + sum((a / d)²)) over the (a, d) pairs, for entries of any
+    width."""
+    terms = [2 * (math.log2(abs(a)) - math.log2(d)) for a, d in entries]
+    top = max([0.0, *terms])
+    return top + math.log2(2.0 ** -top + sum(2.0 ** (t - top) for t in terms))
 
 
 def solve(lp: LinearProgram, lazy_tags: Sequence[str] = ()) -> LPSolution:

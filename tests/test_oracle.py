@@ -367,16 +367,16 @@ class TestCertification:
         assert lp_b >= lp_d > 0
 
 
-# (optimum, pivots) of the symmetric solve, pinned when the solver kept one
-# dense tableau over a shared denominator: a change of pivot rule, tie-break
-# or tableau arithmetic shows here first.
+# (optimum, pivots) of the symmetric solve under Devex pricing: a change of
+# pivot rule, tie-break, reference weights or tableau arithmetic shows here
+# first.
 PINNED_PIVOTS = [
     (2, F(1, 2), 1, 2, "dic", F(25, 8), 12),
     (2, F(1, 2), 1, 2, "bic", F(51, 16), 13),
     (2, F(1, 4), 0, 1, "dic", F(15, 8), 7),
     (2, F(2, 3), 1, F(14, 5), "dic", F(1352, 405), 14),
-    (3, F(1, 4), 1, F(31, 30), "dic", F(42243, 20480), 51),
-    (3, F(3, 4), 1, F(23, 14), "dic", F(74201, 28672), 116),
+    (3, F(1, 4), 1, F(31, 30), "dic", F(42243, 20480), 44),
+    (3, F(3, 4), 1, F(23, 14), "dic", F(74201, 28672), 105),
     (3, F(1, 2), 1, F(11, 4), "bic", F(1239, 256), 23),
     (3, F(1, 3), 0, 1, "bic", F(52, 27), 19),
 ]
@@ -389,24 +389,34 @@ class TestPivotSequence:
         assert (sol.optimum, sol.pivots) == (optimum, pivots)
 
     # DIC: the relaxation's cold pivots plus the warm round's dual pivots,
-    # 595 + 33 at a=10 and 575 + 18 at a=20.
+    # 324 + 24 at both a=10 and a=20.
     @pytest.mark.slow
     @pytest.mark.parametrize(
         "a,regime,optimum,pivots",
-        [(10, "dic", F(16305, 512), 628), (10, "bic", F(2079, 64), 188),
-         (20, "dic", F(32305, 512), 593)],
+        [(10, "dic", F(16305, 512), 348), (10, "bic", F(2079, 64), 180),
+         (20, "dic", F(32305, 512), 348)],
     )
     def test_continuous_cell(self, a, regime, optimum, pivots):
         assert solve_continuous_cell(a, regime) == (optimum, pivots)
 
     # a=40 carries the widest tableau entries of the continuous cells; DIC
-    # takes 573 cold pivots and 18 dual ones.
+    # takes 324 cold pivots and 24 dual ones.
     @pytest.mark.slow
     @pytest.mark.parametrize(
-        "regime,optimum,pivots", [("dic", F(64305, 512), 591), ("bic", F(8199, 64), 188)]
+        "regime,optimum,pivots", [("dic", F(64305, 512), 348), ("bic", F(8199, 64), 180)]
     )
     def test_widest_continuous_cell(self, regime, optimum, pivots):
         assert solve_continuous_cell(40, regime) == (optimum, pivots)
+
+    # 36 types per buyer: the largest DIC program the continuous lab solves.
+    @pytest.mark.slow
+    def test_grid_m3_dic_cell(self):
+        assert solve_continuous_cell(10, "dic", grid_m=3) == (F(3425, 108), 2699)
+
+    def test_pricing_state_does_not_leak_between_solves(self):
+        first = solve_continuous_cell(10, "dic")
+        solve_continuous_cell(10, "bic")
+        assert solve_continuous_cell(10, "dic") == first == (F(16305, 512), 348)
 
 
 EXTRACTION_CASES = [
@@ -436,10 +446,10 @@ class TestIntegerExtraction:
             extract_mechanism(3, EXAMPLE.dist, sol)
 
 
-def solve_continuous_cell(a, regime):
-    """(optimum, pivots) of the grid_m=2 continuous cell at a, lam=2."""
-    dist = discretize(ContinuousSpec(2, a, 2, 2))
-    sol = solve_auction_lp(2, dist, regime, max_profiles=4 ** 4)
+def solve_continuous_cell(a, regime, grid_m=2):
+    """(optimum, pivots) of the continuous cell at a, lam=2."""
+    dist = discretize(ContinuousSpec(2, a, 2, grid_m))
+    sol = solve_auction_lp(2, dist, regime, max_profiles=(2 * grid_m) ** 4)
     return sol.optimum, sol.pivots
 
 

@@ -78,6 +78,36 @@ class TestBasics:
         assert sol.optimum == 9  # at the vertex x=3, y=1
         assert (sol.assignment["x"], sol.assignment["y"]) == (3, 1)
 
+    def test_entries_wider_than_a_float(self):
+        # x = W u, y = v / W and every row times W: the coefficients reach
+        # W², the right-hand sides W and more, far past a float's range.
+        W = 2 ** 1100 + 1
+        narrow = make_lp(
+            ["x", "y", "z"],
+            {"x": 2, "y": 3, "z": 1},
+            [({"x": 1, "y": 1, "z": 1}, "<=", 4), ({"x": 1, "y": 3}, "<=", 6),
+             ({"x": -1, "z": 1}, "<=", 1)],
+            {"x", "y", "z"},
+        )
+        wide = make_lp(
+            ["u", "v", "w"],
+            {"u": 2 * W * W, "v": 3, "w": W},
+            [({"u": W * W, "v": 1, "w": W}, "<=", 4 * W), ({"u": W * W, "v": 3}, "<=", 6 * W),
+             ({"u": -W * W, "w": W}, "<=", W)],
+            {"u", "v", "w"},
+        )
+        small, sol = solve(narrow), solve(wide)
+        _certify(wide, sol)
+        assert sol.optimum == W * small.optimum
+        x, y, z = small.assignment.values()
+        assert list(sol.assignment.values()) == [x / W, y * W, z]
+
+    def test_devex_norm_of_wide_entries(self):
+        # log2(1 + (10**400)² + (10**-400)²), whose terms no float holds
+        norm = simplex._log2_norm([(10 ** 400, 1), (1, 10 ** 400)])
+        assert norm == pytest.approx(800 * math.log2(10))
+        assert simplex._log2_norm([]) == 0.0
+
     def test_validation_rejects_undeclared(self):
         lp = LinearProgram(["x"], {1: 1}, 1, [], set())
         with pytest.raises(ValueError, match="declared columns"):
