@@ -335,21 +335,18 @@ CONTINUOUS_HEADER = [
 def cmd_continuous(args) -> int:
     a_values = [_rat(args, x, "--a-list") for x in args.a_list.split(",")]
     lam = _rat(args, args.lam, "--lambda")
-    rows = corollary_probe(a_values, args.grid_m, lam=lam)
     impls = ("dic", "bic") if args.impl == "both" else (args.impl,)
+    rows = corollary_probe(a_values, args.grid_m, lam=lam, impls=impls)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CONTINUOUS_HEADER)
     for row in rows:
-        for impl in impls:
-            opt = row.lp_dic if impl == "dic" else row.lp_bic
-            ratio = row.ratio_dic if impl == "dic" else row.ratio_bic
-            band = row.within_band_dic if impl == "dic" else row.within_band_bic
-            writer.writerow(
-                [rat_str(row.a), row.grid_m, impl,
-                 str(opt.numerator), str(opt.denominator), decimal_str(opt),
-                 decimal_str(ratio), "" if band is None else int(band)]
-            )
+        opt = row.optimum
+        writer.writerow(
+            [rat_str(row.a), row.grid_m, row.impl,
+             str(opt.numerator), str(opt.denominator), decimal_str(opt),
+             decimal_str(row.ratio), "" if row.within_band is None else int(row.within_band)]
+        )
     _emit(buf.getvalue(), args.out, end="")
     return EXIT_OK
 

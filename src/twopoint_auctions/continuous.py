@@ -80,54 +80,37 @@ def lp_over_grid(cspec: ContinuousSpec, impl: str) -> Fraction:
 class ProbeRow:
     a: Fraction
     grid_m: int
-    lp_dic: Fraction
-    lp_bic: Fraction
-    ratio_dic: Fraction  # lp_dic / a
-    ratio_bic: Fraction
-    ref_dic: Fraction  # two-point reference r values of (2, 1/2, 1, lam)
-    ref_bic: Fraction
-    within_band_dic: bool | None  # indicative; evaluated only at lam=2
-    within_band_bic: bool | None
+    impl: str  # 'dic' or 'bic'
+    optimum: Fraction
+    ratio: Fraction  # optimum / a
+    ref: Fraction  # the two-point reference r value of (2, 1/2, 1, lam)
+    within_band: bool | None  # indicative; evaluated only at lam=2
 
 
 def corollary_probe(
     a_values: Sequence,
     grid_m: int,
     lam=Fraction(2),
+    impls: Sequence[str] = ("dic", "bic"),
 ) -> list[ProbeRow]:
-    """Discretized optima across a list of scales.
+    """Discretized optima across a list of scales, one row per scale and
+    regime in `impls`, and only those regimes' programs are solved.
 
-    ref columns carry the normalized two-point optima the scaled values
-    approach.  Band membership checks the discretized value against the
-    additive windows known for the true continuous optima at lam=2; the
-    discretized value only approximates those, so the flag is indicative.
+    ref carries the normalized two-point optimum the scaled value
+    approaches.  Band membership checks the discretized value against the
+    additive window known for the true continuous optimum at lam=2; the
+    discretized value only approximates that, so the flag is indicative.
     """
     lam = rat(lam)
     cspecs = [ContinuousSpec(2, rat(a), lam, grid_m) for a in a_values]
     reference = AuctionSpec(2, Fraction(1, 2), 1, lam)
-    ref_d = revenue_dic(reference)
-    ref_b = revenue_bic(reference)
+    revenue = {"dic": revenue_dic, "bic": revenue_bic}
+    slack = {"dic": BAND_SLACK_DIC, "bic": BAND_SLACK_BIC}
+    refs = {impl: revenue[impl](reference) for impl in impls}
     rows = []
     for cspec in cspecs:
-        lp_d = lp_over_grid(cspec, "dic")
-        lp_b = lp_over_grid(cspec, "bic")
-        if lam == 2:
-            band_d = ref_d * cspec.a <= lp_d < ref_d * cspec.a + BAND_SLACK_DIC
-            band_b = ref_b * cspec.a <= lp_b < ref_b * cspec.a + BAND_SLACK_BIC
-        else:
-            band_d = band_b = None
-        rows.append(
-            ProbeRow(
-                a=cspec.a,
-                grid_m=grid_m,
-                lp_dic=lp_d,
-                lp_bic=lp_b,
-                ratio_dic=lp_d / cspec.a,
-                ratio_bic=lp_b / cspec.a,
-                ref_dic=ref_d,
-                ref_bic=ref_b,
-                within_band_dic=band_d,
-                within_band_bic=band_b,
-            )
-        )
+        for impl in impls:
+            opt, ref = lp_over_grid(cspec, impl), refs[impl]
+            band = (ref * cspec.a <= opt < ref * cspec.a + slack[impl]) if lam == 2 else None
+            rows.append(ProbeRow(cspec.a, grid_m, impl, opt, opt / cspec.a, ref, band))
     return rows

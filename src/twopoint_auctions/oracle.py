@@ -17,6 +17,12 @@ one variable per orbit, built directly; the full program is built only for
 explicit mechanism tables and audited as a mechanism: supply, the regime's
 participation and truthfulness audits, and its expected revenue.
 
+Every program is solved by one rule, whatever its regime or size: the
+truthfulness rows of one-step misreports (one atom along one item, tagged
+'dic_local' or 'bic_local') are in the model from the start, and every
+other truthfulness row ('dic' or 'bic') is withheld and joins only when the
+optimum so far violates it.
+
 The program stays in integers from the builder to the mechanism audit:
 every row and the objective are summed and deduplicated over one scale per
 program and handed to the solver in lowest terms, and the solver's primal,
@@ -52,10 +58,6 @@ from .simplex import Constraint, LinearProgram, LPSolution, solve
 
 #: LP-oracle ceiling: exhaustive programs are kept desk-scale.
 DEFAULT_LP_PROFILE_CAP = 4 ** 4
-
-#: Programs with more per-profile truthfulness rows than this generate the
-#: non-local ones lazily.
-LAZY_THRESHOLD = 1500
 
 
 def _canonical(t, i, swap):
@@ -197,10 +199,13 @@ def _build(
     # rows repeat buyer 0's, and opponent profiles that reorder each other
     # give the same truthfulness row, first met at the sorted one.  Profile
     # positions come from `opponent_positions`: buyer i of type index x
-    # against opponents at base position p sits at p + x * step.
+    # against opponents at base position p sits at p + x * step.  A
+    # misreport by one atom along one item is flagged local: its rows tend
+    # to bind, so their '_local' tag keeps them in the model from the start.
     buyers = range(1) if symmetric else range(n)
     pairs = [
-        (x, y, [values[t[0]] - values[s[0]], values[t[1]] - values[s[1]]])
+        (x, y, [values[t[0]] - values[s[0]], values[t[1]] - values[s[1]]],
+         sorted((abs(t[0] - s[0]), abs(t[1] - s[1]))) == [0, 1])
         for x, t in enumerate(types) for y, s in enumerate(types) if y != x
     ]
 
@@ -226,14 +231,8 @@ def _build(
             positions, step = opponent_positions(n, n_types, i)
             opponents = [p for p, o in zip(positions, others)
                          if not symmetric or list(o) == sorted(o)]
-            for x, y, dv in pairs:
-                # One-step misreports along a single coordinate tend to be
-                # the binding rows; tag them so lazy solving can keep them
-                # in the model from the start.
-                adjacent = sorted(
-                    (abs(types[x][0] - types[y][0]), abs(types[x][1] - types[y][1]))
-                ) == [0, 1]
-                tag = "dic_local" if adjacent else "dic"
+            for x, y, dv, local in pairs:
+                tag = "dic_local" if local else "dic"
                 for base in opponents:
                     coeffs = {}
                     truthfulness(coeffs, i, x, y, dv, base, step, 1)
@@ -255,11 +254,11 @@ def _build(
                 add(coeffs, "bir")
         for i in buyers:
             positions, step = opponent_positions(n, n_types, i)
-            for x, y, dv in pairs:
+            for x, y, dv, local in pairs:
                 coeffs = {}
                 for base, w in zip(positions, weights):
                     truthfulness(coeffs, i, x, y, dv, base, step, w)
-                add(coeffs, "bic")
+                add(coeffs, "bic_local" if local else "bic")
 
     g = math.gcd(obj_scale, *objective.values())
     return LinearProgram(
@@ -283,7 +282,8 @@ def build_auction_lp(
     for every buyer i, item j, profile t.  Objective: expected payment
     sum_t Pr{t} sum_i (t_i . q_i(t) - u_i(t)).  Rows: per-item supply at
     every profile; then either per-profile participation ('ir') and
-    truthfulness ('dic') rows, or their interim counterparts ('bir', 'bic').
+    truthfulness ('dic', 'dic_local') rows, or their interim counterparts
+    ('bir', 'bic', 'bic_local').
     """
     return _build(n, dist, regime, max_profiles, symmetric=False)
 
@@ -296,10 +296,6 @@ def build_bic_lp(spec: AuctionSpec, max_profiles: int = DEFAULT_LP_PROFILE_CAP):
     return build_auction_lp(spec.n, spec.dist, "bic", max_profiles)
 
 
-def dic_row_count(lp: LinearProgram) -> int:
-    return lp.n_constraints("dic") + lp.n_constraints("dic_local")
-
-
 def solve_auction_lp(
     n: int,
     dist: FiniteValueDistribution,
@@ -309,15 +305,14 @@ def solve_auction_lp(
     """Solve the auction LP through its symmetric program and certify the
     optimum as a mechanism.
 
-    Large per-profile truthfulness families are generated lazily (one-step
-    misreport rows stay seeded).  An auction LP is feasible and bounded, so
-    any other status raises.  The returned solution is the symmetric
-    program's; its mechanism (`extract_mechanism`) has passed
-    `certify_optimum`.
+    The regime's non-local truthfulness rows are withheld and added in
+    warm rounds as the optimum violates them; the one-step rows stay
+    seeded.  An auction LP is feasible and bounded, so any other status
+    raises.  The returned solution is the symmetric program's; its
+    mechanism (`extract_mechanism`) has passed `certify_optimum`.
     """
     lp = _build(n, dist, regime, max_profiles, symmetric=True)
-    lazy = ("dic",) if dic_row_count(lp) > LAZY_THRESHOLD else ()
-    sol = solve(lp, lazy_tags=lazy)
+    sol = solve(lp, lazy_tags=(regime,))
     if sol.status != "optimal":
         raise RuntimeError(f"certificate failure: the auction LP is {sol.status}")
     certify_optimum(extract_mechanism(n, dist, sol), regime, sol.optimum)

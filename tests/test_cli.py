@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twopoint_auctions
+from twopoint_auctions import continuous
 from twopoint_auctions.cli import main
 
 EXAMPLE_ARGS = ["--n", "2", "--p", "1/2", "--a", "1", "--b", "2"]
@@ -261,6 +262,20 @@ class TestContinuous:
                            "--grid-m", "1", "--impl", "bic")
         rows = list(csv.DictReader(io.StringIO(out)))
         assert [r["impl"] for r in rows] == ["bic"]
+
+    def test_single_impl_solves_only_its_program(self, capsys, monkeypatch):
+        regimes = []
+        solve = continuous.solve_auction_lp
+
+        def recorded(n, dist, regime, max_profiles):
+            regimes.append(regime)
+            return solve(n, dist, regime, max_profiles)
+
+        monkeypatch.setattr(continuous, "solve_auction_lp", recorded)
+        code, out, _ = run(capsys, "continuous", "--a-list", "10,20",
+                           "--grid-m", "1", "--impl", "dic")
+        assert code == 0 and regimes == ["dic", "dic"]
+        assert [r["impl"] for r in csv.DictReader(io.StringIO(out))] == ["dic", "dic"]
 
     def test_cap(self, capsys):
         code, _, err = run(capsys, "continuous", "--a-list", "10", "--grid-m", "9")

@@ -87,21 +87,23 @@ class TestCap:
 class TestProbe:
     def test_single_atom_probe_rows(self):
         rows = corollary_probe([F(10), F(40)], grid_m=1)
-        assert [r.a for r in rows] == [10, 40]
-        for row in rows:
-            assert row.lp_bic > row.lp_dic
-            assert row.ratio_dic == row.lp_dic / row.a
-            assert row.ref_dic == F(25, 8) and row.ref_bic == F(51, 16)
-            assert row.within_band_dic and row.within_band_bic
+        assert [(r.a, r.impl) for r in rows] == [
+            (10, "dic"), (10, "bic"), (40, "dic"), (40, "bic")]
+        for dic, bic in zip(rows[::2], rows[1::2]):
+            assert bic.optimum > dic.optimum
+            assert dic.ratio == dic.optimum / dic.a
+            assert dic.ref == F(25, 8) and bic.ref == F(51, 16)
+            assert dic.within_band and bic.within_band
         # scaled distance to the reference shrinks with a
-        assert abs(rows[1].ratio_dic - F(25, 8)) <= abs(rows[0].ratio_dic - F(25, 8))
+        assert abs(rows[2].ratio - F(25, 8)) <= abs(rows[0].ratio - F(25, 8))
 
     def test_gap_ratio_trends_to_two_percent(self):
         rows = corollary_probe([F(10), F(80)], grid_m=1)
-        gaps = [(r.lp_bic - r.lp_dic) / r.lp_dic for r in rows]
+        gaps = [(bic.optimum - dic.optimum) / dic.optimum
+                for dic, bic in zip(rows[::2], rows[1::2])]
         assert abs(gaps[1] - F(1, 50)) < abs(gaps[0] - F(1, 50))
 
     def test_other_ratio_has_no_band(self):
-        rows = corollary_probe([F(10)], grid_m=1, lam=F(3))
-        assert rows[0].within_band_dic is None
-        assert rows[0].ref_dic == revenue_dic(AuctionSpec(2, F(1, 2), 1, 3))
+        rows = corollary_probe([F(10)], grid_m=1, lam=F(3), impls=("dic",))
+        assert [(r.impl, r.within_band) for r in rows] == [("dic", None)]
+        assert rows[0].ref == revenue_dic(AuctionSpec(2, F(1, 2), 1, 3))

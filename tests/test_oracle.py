@@ -26,7 +26,6 @@ from twopoint_auctions.oracle import (
     certification_grid,
     certify_main_theorem,
     certify_optimum,
-    dic_row_count,
     extract_mechanism,
     grid_b_values,
     representative,
@@ -113,7 +112,9 @@ class TestProgramShapes:
         u_vars = [v for v in lp.variables if v[0] == "u"]
         assert len(q_vars) == 2 * 2 * 16  # buyers x items x profiles
         assert len(u_vars) == 2 * 16
-        assert dic_row_count(lp) == 2 * 12 * 4
+        # 8 of a buyer's 12 misreports are one-step, per opponent type
+        assert lp.n_constraints("dic_local") == 2 * 8 * 4
+        assert lp.n_constraints("dic") == 2 * 4 * 4
         assert lp.n_constraints("ir") == 2 * 16
         assert lp.n_constraints("supply") == 2 * 16
         nonneg = {lp.variables[j] for j in lp.nonneg}
@@ -121,7 +122,8 @@ class TestProgramShapes:
 
     def test_bic_counts_at_n2(self):
         lp = build_bic_lp(EXAMPLE)
-        assert lp.n_constraints("bic") == 2 * 12
+        assert lp.n_constraints("bic_local") == 2 * 8
+        assert lp.n_constraints("bic") == 2 * 4
         assert lp.n_constraints("bir") == 2 * 4
         assert lp.n_constraints("supply") == 2 * 16
 
@@ -367,16 +369,16 @@ class TestCertification:
         assert lp_b >= lp_d > 0
 
 
-# (optimum, pivots) of the symmetric solve under Devex pricing: a change of
-# pivot rule, tie-break, reference weights or tableau arithmetic shows here
-# first.
+# (optimum, pivots) of the symmetric solve under Devex pricing, non-local
+# truthfulness rows withheld: a change of pivot rule, tie-break, reference
+# weights, seeded rows or tableau arithmetic shows here first.
 PINNED_PIVOTS = [
     (2, F(1, 2), 1, 2, "dic", F(25, 8), 12),
     (2, F(1, 2), 1, 2, "bic", F(51, 16), 13),
     (2, F(1, 4), 0, 1, "dic", F(15, 8), 7),
     (2, F(2, 3), 1, F(14, 5), "dic", F(1352, 405), 14),
     (3, F(1, 4), 1, F(31, 30), "dic", F(42243, 20480), 44),
-    (3, F(3, 4), 1, F(23, 14), "dic", F(74201, 28672), 105),
+    (3, F(3, 4), 1, F(23, 14), "dic", F(74201, 28672), 64),
     (3, F(1, 2), 1, F(11, 4), "bic", F(1239, 256), 23),
     (3, F(1, 3), 0, 1, "bic", F(52, 27), 19),
 ]
@@ -393,7 +395,7 @@ class TestPivotSequence:
     @pytest.mark.slow
     @pytest.mark.parametrize(
         "a,regime,optimum,pivots",
-        [(10, "dic", F(16305, 512), 348), (10, "bic", F(2079, 64), 180),
+        [(10, "dic", F(16305, 512), 348), (10, "bic", F(2079, 64), 167),
          (20, "dic", F(32305, 512), 348)],
     )
     def test_continuous_cell(self, a, regime, optimum, pivots):
@@ -403,15 +405,19 @@ class TestPivotSequence:
     # takes 324 cold pivots and 24 dual ones.
     @pytest.mark.slow
     @pytest.mark.parametrize(
-        "regime,optimum,pivots", [("dic", F(64305, 512), 348), ("bic", F(8199, 64), 180)]
+        "regime,optimum,pivots", [("dic", F(64305, 512), 348), ("bic", F(8199, 64), 167)]
     )
     def test_widest_continuous_cell(self, regime, optimum, pivots):
         assert solve_continuous_cell(40, regime) == (optimum, pivots)
 
-    # 36 types per buyer: the largest DIC program the continuous lab solves.
+    # 36 types per buyer: the largest programs the continuous lab solves.
     @pytest.mark.slow
     def test_grid_m3_dic_cell(self):
         assert solve_continuous_cell(10, "dic", grid_m=3) == (F(3425, 108), 2699)
+
+    @pytest.mark.slow
+    def test_grid_m3_bic_cell(self):
+        assert solve_continuous_cell(10, "bic", grid_m=3) == (F(13975, 432), 828)
 
     def test_pricing_state_does_not_leak_between_solves(self):
         first = solve_continuous_cell(10, "dic")
@@ -552,9 +558,12 @@ def _ref_build(n, dist, regime, max_profiles, symmetric):
                     ">=", 0, "bir")
         for i in buyers:
             for t_true, t_rep in pairs:
+                adjacent = sorted(
+                    (abs(t_true[0] - t_rep[0]), abs(t_true[1] - t_rep[1]))
+                ) == [0, 1]
                 add([(v, w * c) for o, w in others_space
                      for v, c in _ref_truthfulness_terms(dist, i, t_true, t_rep, o)],
-                    ">=", 0, "bic")
+                    ">=", 0, "bic_local" if adjacent else "bic")
 
     return make_lp(
         list(dict.fromkeys(map(col, q_vars + u_vars))),

@@ -10,7 +10,6 @@ import scipy.optimize
 from twopoint_auctions import oracle, simplex
 from twopoint_auctions.continuous import ContinuousSpec, discretize
 from twopoint_auctions.core import AuctionSpec
-from twopoint_auctions.oracle import solve_auction_lp
 from twopoint_auctions.simplex import (
     Constraint,
     LinearProgram,
@@ -462,8 +461,9 @@ class TestPivotKernel:
         assert seen == {"negative pivot", "den > 1", "rescaled", "in place",
                         "cancelled", "filled in"}
 
-    # The lazy case withholds every truthfulness row, so the relaxation's
-    # optimum breaks some and the warm rounds make dual pivots.
+    # The cold cases solve with every row in the model.  The lazy case
+    # withholds every truthfulness row, so the relaxation's optimum breaks
+    # some and the warm rounds make dual pivots.
     @pytest.mark.parametrize("regime", ["dic", "bic"])
     @pytest.mark.parametrize(
         "n,dist,lazy",
@@ -471,7 +471,8 @@ class TestPivotKernel:
             (3, AuctionSpec(3, F(1, 4), 1, F(31, 30)).dist, ()),
             (3, AuctionSpec(3, F(3, 4), 1, F(23, 14)).dist, ()),
             (2, discretize(ContinuousSpec(2, 10, 2, 1)), ()),
-            (2, discretize(ContinuousSpec(2, 10, 2, 1)), ("dic", "dic_local", "bic")),
+            (2, discretize(ContinuousSpec(2, 10, 2, 1)),
+             ("dic", "dic_local", "bic", "bic_local")),
         ],
         ids=["n3-p1/4", "n3-p3/4", "continuous-a10-m1", "continuous-a10-m1-lazy"],
     )
@@ -500,8 +501,8 @@ class TestPivotKernel:
             warm_pivots.append(pivots)
             return pivots
 
+        lp = oracle._build(n, dist, regime, 4 ** 4, True)
         if lazy:
-            lp = oracle._build(n, dist, regime, 4 ** 4, True)
             dense = solve(lp)
         monkeypatch.setattr(simplex._Tableau, "pivot", checked)
         monkeypatch.setattr(simplex, "_dual_simplex", checked_dual)
@@ -512,7 +513,7 @@ class TestPivotKernel:
             # a dual-feasible basis needs no primal pivot after the dual phase
             assert warm_pivots == dual_pivots and sum(dual_pivots) > 0
         else:
-            sol = solve_auction_lp(n, dist, regime)
+            sol = solve(lp)
             assert not dual_pivots
         assert len(calls) == sol.pivots > 0
 
