@@ -24,8 +24,7 @@ DEFAULT_GRID_CAP = 3
 
 #: Additive error windows above r*a for the true continuous optima at lam=2,
 #: valid for a >= 6: [r_D*a, r_D*a + 5/4) and [r_B*a, r_B*a + 3/2).
-BAND_SLACK_DIC = Fraction(5, 4)
-BAND_SLACK_BIC = Fraction(3, 2)
+BAND_SLACK = {"dic": Fraction(5, 4), "bic": Fraction(3, 2)}
 
 
 @dataclass(frozen=True)
@@ -105,12 +104,11 @@ def corollary_probe(
     cspecs = [ContinuousSpec(2, rat(a), lam, grid_m) for a in a_values]
     reference = AuctionSpec(2, Fraction(1, 2), 1, lam)
     revenue = {"dic": revenue_dic, "bic": revenue_bic}
-    slack = {"dic": BAND_SLACK_DIC, "bic": BAND_SLACK_BIC}
     refs = {impl: revenue[impl](reference) for impl in impls}
     rows = []
     for cspec in cspecs:
         for impl in impls:
             opt, ref = lp_over_grid(cspec, impl), refs[impl]
-            band = (ref * cspec.a <= opt < ref * cspec.a + slack[impl]) if lam == 2 else None
+            band = (ref * cspec.a <= opt < ref * cspec.a + BAND_SLACK[impl]) if lam == 2 else None
             rows.append(ProbeRow(cspec.a, grid_m, impl, opt, opt / cspec.a, ref, band))
     return rows
