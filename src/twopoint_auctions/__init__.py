@@ -11,7 +11,6 @@ from .core import (
     FiniteValueDistribution,
     HierarchyScheme,
     InvalidSpec,
-    Rational,
     class_probabilities,
     rat,
     rat_str,
@@ -43,8 +42,6 @@ from .audit import (
     expected_revenue,
 )
 from .oracle import (
-    build_bic_lp,
-    build_dic_lp,
     certification_grid,
     certify_main_theorem,
     extract_mechanism,

@@ -38,8 +38,7 @@ from .formulas import revenue_report, sweep_high_value
 from .mechanisms import build_bic_mechanism, build_dic_mechanism, mechanism_to_json
 from .oracle import (
     DEFAULT_LP_PROFILE_CAP,
-    build_bic_lp,
-    build_dic_lp,
+    build_auction_lp,
     certification_grid,
     certify_main_theorem,
 )
@@ -64,12 +63,18 @@ class _Parser(argparse.ArgumentParser):
 
 @contextlib.contextmanager
 def _output(out_path):
-    """The file out_path opened for writing, or stdout."""
-    if out_path:
-        with open(out_path, "w") as fh:
-            yield fh
-    else:
-        yield sys.stdout
+    """The file out_path opened for writing, or stdout.  A write that
+    fails raises an OSError that names the file, or '<stdout>'."""
+    try:
+        if out_path:
+            with open(out_path, "w") as fh:
+                yield fh
+        else:
+            yield sys.stdout
+            sys.stdout.flush()
+    except OSError as exc:
+        exc.filename = exc.filename or out_path or "<stdout>"
+        raise
 
 
 def _emit(text: str, out_path, end: str = "\n"):
@@ -271,10 +276,10 @@ def cmd_certify(args) -> int:
     reports = []
     for spec in specs:
         if args.lp_export:
-            _emit(lp_to_text(build_dic_lp(spec, cap), "dominant-strategy program"),
-                  args.lp_export + ".dic.lp", end="")
-            _emit(lp_to_text(build_bic_lp(spec, cap), "bayesian program"),
-                  args.lp_export + ".bic.lp", end="")
+            for regime, title in (("dic", "dominant-strategy program"),
+                                  ("bic", "bayesian program")):
+                _emit(lp_to_text(build_auction_lp(spec.n, spec.dist, regime, cap), title),
+                      f"{args.lp_export}.{regime}.lp", end="")
         reports.append(certify_main_theorem(spec, max_profiles=cap))
     if args.format == "json":
         _emit(json.dumps([r.to_json() for r in reports], indent=2), args.out)

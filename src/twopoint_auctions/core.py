@@ -20,12 +20,12 @@ import functools
 import itertools
 import math
 import sys
+from array import array
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from operator import add
 from typing import Sequence
-
-Rational = Fraction
 
 #: Default ceiling on the number of profiles handled exhaustively: n=8
 #: buyers of two-point types.  Memory grows about fourfold per buyer; a
@@ -245,6 +245,28 @@ def type_entries(column: Sequence, n: int, n_types: int, i: int, c: int):
             zip(*[column[start + r::stride] for r in range(step)]))
     return itertools.chain.from_iterable(
         [column[b:b + step] for b in range(start, len(column), stride)])
+
+
+@functools.lru_cache(maxsize=4)
+def class_cells(n: int, n_types: int) -> tuple[tuple, tuple]:
+    """The type-count classes of n buyers' profiles, and the cell at which
+    each buyer meets them: the one symmetry index of the package.
+
+    Returns the classes' counts (per type index), in order of first
+    appearance in `profile_table` order, and per buyer an array over the
+    profile positions of its cell, class * n_types + its own type index."""
+    grow = functools.cache(lambda key, c: key[:c] + (key[c] + 1,) + key[c + 1:])
+    counts = [(0,) * n_types]
+    for _ in range(n):
+        counts = [grow(key, c) for key in counts for c in range(n_types)]
+    index = {}
+    base = [index.setdefault(key, len(index)) * n_types for key in counts]
+    cells = []
+    for i in range(n):
+        step = n_types ** (n - 1 - i)
+        own = bytes(c for c in range(n_types) for _ in range(step)) * n_types ** i
+        cells.append(array("I", map(add, base, own)))
+    return tuple(index), tuple(cells)
 
 
 @functools.lru_cache(maxsize=None)

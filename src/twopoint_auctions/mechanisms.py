@@ -24,12 +24,11 @@ import functools
 import itertools
 import json
 import math
-from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as quote
-from operator import add, mul
+from operator import mul
 from typing import TextIO
 
 from .core import (
@@ -37,6 +36,7 @@ from .core import (
     FiniteValueDistribution,
     HierarchyScheme,
     buyer_types,
+    class_cells,
     profile_table,
     rat_str,
     scaled,
@@ -181,28 +181,6 @@ def _common_den(spec: AuctionSpec) -> int:
     return 2 * math.lcm(*range(1, spec.n + 1)) * (spec.b - spec.a).denominator
 
 
-@functools.lru_cache(maxsize=4)
-def _class_index(n: int, n_types: int) -> tuple[tuple, tuple]:
-    """The type-count classes of n buyers' profiles, and where each buyer
-    meets them.
-
-    Returns the classes' counts (per type index), in order of first
-    appearance in `profile_table` order, and per buyer an array over the
-    profile positions of class * n_types + the buyer's own type index."""
-    grow = functools.cache(lambda key, c: key[:c] + (key[c] + 1,) + key[c + 1:])
-    counts = [(0,) * n_types]
-    for _ in range(n):
-        counts = [grow(key, c) for key in counts for c in range(n_types)]
-    index = {}
-    base = [index.setdefault(key, len(index)) * n_types for key in counts]
-    cells = []
-    for i in range(n):
-        step = n_types ** (n - 1 - i)
-        own = bytes(c for c in range(n_types) for _ in range(step)) * n_types ** i
-        cells.append(array("I", map(add, base, own)))
-    return tuple(index), tuple(cells)
-
-
 def _closed_form(
     spec: AuctionSpec, label: str, hierarchy_case: int, bundle: bool, raise_bb: bool
 ) -> Mechanism:
@@ -210,9 +188,10 @@ def _closed_form(
 
     The mechanism is symmetric, so a buyer's share pair and utility depend
     only on its own type and on how many opponents hold each type.  Both are
-    computed once per class of profiles with the same type counts, C(n+3, 3)
-    classes for 4^n profiles, and each buyer's columns are read from them
-    through `_class_index`.
+    computed once per cell of `class_cells`, a class of profiles with the
+    same type counts (C(n+3, 3) classes for 4^n profiles) and an own type,
+    and each buyer's columns are read from them through its cell array.
+    The symmetric auction LP numbers its columns by the same cells.
 
     Allocation: each item goes to the buyers of the first type of its
     hierarchy (`case_hierarchies(hierarchy_case)`) that anyone holds, split
@@ -239,7 +218,7 @@ def _closed_form(
     ]
     h1, h2 = case_hierarchies(hierarchy_case)
     types = buyer_types(spec.dist)
-    keys, cells = _class_index(n, len(types))
+    keys, cells = class_cells(n, len(types))
     # Share pairs and utility numerators by class * 4 + own type index.
     q1s, q2s, us = ([0] * (len(keys) * len(types)) for _ in range(3))
     for k, key in enumerate(keys):

@@ -27,8 +27,10 @@ The program stays in integers from the builder to the mechanism audit:
 every row and the objective are summed and deduplicated over one scale per
 program and handed to the solver in lowest terms, and the solver's primal,
 integers over one denominator, becomes the mechanism's tables directly.
-The variables and their orbit columns depend only on n and the number of
-atoms, so one column map per (n, atoms) serves every build and expansion.
+The symmetric program's columns are the type-count cells of `class_cells`,
+the index the closed-form mechanisms are built on, joined under the item
+swap; they depend only on n and the number of atoms, so one orbit tuple
+per (n, atoms) serves every symmetric build and extraction.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .core import (
     CapExceeded,
     FiniteValueDistribution,
     buyer_types,
+    class_cells,
     opponent_positions,
     profile_table,
     rat_str,
@@ -60,58 +63,51 @@ from .simplex import Constraint, LinearProgram, LPSolution, solve
 DEFAULT_LP_PROFILE_CAP = 4 ** 4
 
 
-def _canonical(t, i, swap):
-    """Buyer i's type first and the others' sorted behind it, with the two
-    items swapped if asked."""
-    if swap:
-        t = tuple((x2, x1) for x1, x2 in t)
-    return (t[i],) + tuple(sorted(t[:i] + t[i + 1 :]))
-
-
-def representative(v):
-    """The least member of a variable's orbit under reorderings of the
-    buyers and the item swap.
-
-    The least image moves the variable's buyer to 0 and sorts the other
-    buyers' types; an allocation variable takes the swap that makes its item
-    0, a utility variable whichever swap gives the smaller profile.
-    """
-    if v[0] == "q":
-        _, i, j, t = v
-        return ("q", 0, 0, _canonical(t, i, j == 1))
-    _, i, t = v
-    return ("u", 0, min(_canonical(t, i, False), _canonical(t, i, True)))
-
-
-@dataclass(frozen=True)
-class _Columns:
-    """The full program's variables for n buyers over k atoms, and the
-    symmetric program's column of each.
-
-    `full` lists q[i,j,t] (profile, buyer, item order) and then u[i,t]
-    (profile, buyer order), so q[i,j] at profile position `pos` is entry
-    2(n pos + i) + j and u[i] is entry 2nP + n pos + i for P profiles.
-    `orbit[k]` is the index in `reps` of `full[k]`'s representative;
-    `reps` lists the representatives in order of first appearance.
-    """
-
-    full: tuple
-    orbit: tuple
-    reps: tuple
-
-
 @functools.lru_cache(maxsize=4)
-def _columns(n: int, n_atoms: int) -> _Columns:
-    # Types are index pairs, so the variables and their orbits depend only
-    # on n and the number of atoms; `representative` runs once per full
-    # variable per (n, atoms).
-    types = itertools.product(range(n_atoms), repeat=2)
-    profiles = list(itertools.product(types, repeat=n))
-    full = [("q", i, j, t) for t in profiles for i in range(n) for j in range(2)]
-    full += [("u", i, t) for t in profiles for i in range(n)]
-    index = {}
-    orbit = tuple(index.setdefault(representative(v), len(index)) for v in full)
-    return _Columns(tuple(full), orbit, tuple(index))
+def _columns(n: int, n_atoms: int) -> tuple[tuple, tuple]:
+    """Each full-program entry's column in the symmetric program, and each
+    column's name.
+
+    The full program lists q[i,j] (profile, buyer, item order), then u[i]
+    (profile, buyer order): at profile position `pos` of P, q[i,j] is entry
+    2(n pos + i) + j and u[i] is entry 2nP + n pos + i.  Its orbit is read
+    from buyer i's cell at `pos` (`class_cells`): q[i,0] takes the cell's,
+    q[i,1] the item-swapped cell's, u[i] the smaller of the two.  Orbits are
+    numbered in order of first appearance and named after their least
+    member: buyer 0's type first, the others' sorted, item 0 for an
+    allocation and the smaller profile of the two for a utility.
+    """
+    types = list(itertools.product(range(n_atoms), repeat=2))
+    n_types = len(types)
+    keys, cells = class_cells(n, n_types)
+    # The item swap sends type (x1, x2) to (x2, x1), and a cell to the cell
+    # of its class with the types swapped and of its own type swapped.
+    flip = [x2 * n_atoms + x1 for x1, x2 in types]
+    classes = {key: k for k, key in enumerate(keys)}
+    swap = [classes[tuple(key[s] for s in flip)] * n_types + flip[c]
+            for key in keys for c in range(n_types)]
+    m = len(swap)  # utility orbits are keyed after the allocation ones
+    u_key = [m + min(x, y) for x, y in enumerate(swap)]
+
+    def entries():
+        swapped = [map(swap.__getitem__, cell) for cell in cells]
+        q = zip(*[col for pair in zip(cells, swapped) for col in pair])
+        u = zip(*[map(u_key.__getitem__, cell) for cell in cells])
+        return itertools.chain.from_iterable(itertools.chain(q, u))
+
+    ids = {x: k for k, x in enumerate(dict.fromkeys(entries()))}
+
+    def profile(x):
+        key, c = keys[x // n_types], x % n_types
+        return (types[c],) + tuple(
+            t for s, t in enumerate(types) for _ in range(key[s] - (s == c)))
+
+    names = tuple(
+        ("q", 0, 0, profile(x)) if x < m
+        else ("u", 0, min(profile(x - m), profile(swap[x - m])))
+        for x in ids
+    )
+    return tuple(map(ids.__getitem__, entries())), names
 
 
 @functools.lru_cache(maxsize=4)
@@ -123,9 +119,8 @@ def _fixed_rows(n: int, n_atoms: int, symmetric: bool) -> tuple[tuple, tuple]:
     row is its columns' multiplicities <= 1, a participation row u >= 0.
     No row of another family equals one of them: only supply rows are <=
     rows, and a truthfulness row has at least two entries."""
-    cols = _columns(n, n_atoms)
-    col = cols.orbit if symmetric else range(len(cols.full))
     u0 = 2 * n * n_atoms ** (2 * n)
+    col = _columns(n, n_atoms)[0] if symmetric else range(3 * u0 // 2)
     supply = {}
     for k in range(0, u0, 2 * n):
         for j in range(2):
@@ -146,9 +141,11 @@ def _build(
 ) -> LinearProgram:
     """The revenue-maximization LP, full or buyer/item-symmetric.
 
-    Every variable is read through a column map, the identity or
-    `representative`, and each row is accumulated under the mapped columns;
-    identical rows are kept once, in order of first appearance.  The supply
+    Every variable is read through a column map, the identity or the
+    orbit tuple of `_columns` (the variable's class cell, joined under the
+    item swap), and each row is accumulated under the mapped columns;
+    identical rows are kept once, in order of first appearance.  Only the
+    full program names its variables one by one.  The supply
     and participation rows come from `_fixed_rows`.  The other rows and
     the objective are accumulated in integers over one scale per program:
     L = lcm(value denominators) for the dominant-strategy rows, L times the
@@ -167,10 +164,14 @@ def _build(
             f"exceeds the LP cap of {max_profiles}"
         )
     table = profile_table(n, dist, max_profiles)
-    cols = _columns(n, len(dist.values))
-    col, names = (cols.orbit, cols.reps) if symmetric else (range(len(cols.full)), cols.full)
-    values, lcm_v = scaled(dist.values)
     u0 = 2 * n * n_profiles  # entry of u[0] at profile 0
+    if symmetric:
+        col, names = _columns(n, len(dist.values))
+    else:
+        col = range(3 * n * n_profiles)
+        names = [("q", i, j, t) for t in table.profiles for i in range(n) for j in range(2)]
+        names += [("u", i, t) for t in table.profiles for i in range(n)]
+    values, lcm_v = scaled(dist.values)
 
     objective = {}
     for pos, (t, w) in enumerate(zip(table.profiles, table.weights)):
@@ -288,14 +289,6 @@ def build_auction_lp(
     return _build(n, dist, regime, max_profiles, symmetric=False)
 
 
-def build_dic_lp(spec: AuctionSpec, max_profiles: int = DEFAULT_LP_PROFILE_CAP):
-    return build_auction_lp(spec.n, spec.dist, "dic", max_profiles)
-
-
-def build_bic_lp(spec: AuctionSpec, max_profiles: int = DEFAULT_LP_PROFILE_CAP):
-    return build_auction_lp(spec.n, spec.dist, "bic", max_profiles)
-
-
 def solve_auction_lp(
     n: int,
     dist: FiniteValueDistribution,
@@ -329,21 +322,22 @@ def extract_mechanism(
 ) -> Mechanism:
     """The explicit mechanism columns of a symmetric auction-LP solution.
 
-    Every variable of the full program takes its representative's value
-    (`_columns(n, atoms).orbit`); buyer i's columns are the slices of the
-    full program's q[i,1], q[i,2] and u[i] variables.  The columns hold
+    Every variable of the full program takes its orbit's value, read
+    through the orbit tuple of `_columns` (the class cells of
+    `class_cells`); buyer i's columns are the slices of that tuple at the
+    full program's q[i,1], q[i,2] and u[i] entries.  The columns hold
     the primal's numerators over den = X / gcd(X, numerators), the lcm of
     the values' reduced denominators."""
-    cols = _columns(n, len(dist.values))
+    orbit, names = _columns(n, len(dist.values))
     x, X = sol.primal, sol.primal_den
-    if len(x) != len(cols.reps):
+    if len(x) != len(names):
         raise ValueError("the solution is not of the symmetric auction program")
     g = math.gcd(X, *x)
     value = [v // g for v in x].__getitem__
     u0 = 2 * n * len(dist.values) ** (2 * n)
 
     def column(start, stop, stride):
-        return tuple(map(value, cols.orbit[start:stop:stride]))
+        return tuple(map(value, orbit[start:stop:stride]))
 
     columns = tuple(
         (column(2 * i, u0, 2 * n), column(2 * i + 1, u0, 2 * n), column(u0 + i, None, n))

@@ -2,6 +2,7 @@
 
 import functools
 import io
+import itertools
 import math
 from fractions import Fraction
 
@@ -16,7 +17,6 @@ from twopoint_auctions.core import (
     scaled,
     type_label,
 )
-from twopoint_auctions import oracle
 from twopoint_auctions.formulas import indicator_flags
 from twopoint_auctions.mechanisms import (
     LABEL_BIC,
@@ -262,12 +262,55 @@ def make_lp(variables, objective, rows, nonneg=()):
     )
 
 
+def _canonical(t, i, swap):
+    """Buyer i's type first and the others' sorted behind it, with the two
+    items swapped if asked."""
+    if swap:
+        t = tuple((x2, x1) for x1, x2 in t)
+    return (t[i],) + tuple(sorted(t[:i] + t[i + 1 :]))
+
+
+def representative(v):
+    """The least member of a variable's orbit under reorderings of the
+    buyers and the item swap: the reference for the symmetric program's
+    column names.
+
+    The least image moves the variable's buyer to 0 and sorts the other
+    buyers' types; an allocation variable takes the swap that makes its item
+    0, a utility variable whichever swap gives the smaller profile.
+    """
+    if v[0] == "q":
+        _, i, j, t = v
+        return ("q", 0, 0, _canonical(t, i, j == 1))
+    _, i, t = v
+    return ("u", 0, min(_canonical(t, i, False), _canonical(t, i, True)))
+
+
+def full_variables(n, n_atoms):
+    """The full program's variables for n buyers over k atoms, in its
+    order: q[i,j,t] (profile, buyer, item order), then u[i,t] (profile,
+    buyer order)."""
+    types = itertools.product(range(n_atoms), repeat=2)
+    profiles = list(itertools.product(types, repeat=n))
+    return ([("q", i, j, t) for t in profiles for i in range(n) for j in range(2)]
+            + [("u", i, t) for t in profiles for i in range(n)])
+
+
+def reference_columns(n, n_atoms):
+    """The reference for `oracle._columns`: each full variable's orbit id,
+    the representatives numbered in order of first appearance, and the
+    representatives in that order."""
+    index = {}
+    orbit = tuple(index.setdefault(representative(v), len(index))
+                  for v in full_variables(n, n_atoms))
+    return orbit, tuple(index)
+
+
 def full_assignment(n, dist, sol):
     """The full program's Fraction assignment of a symmetric solution:
     every variable takes its representative's value."""
-    cols = oracle._columns(n, len(dist.values))
-    values = [sol.assignment[v] for v in cols.reps]
-    return dict(zip(cols.full, map(values.__getitem__, cols.orbit)))
+    assignment = sol.assignment
+    return {v: assignment[representative(v)] for v in full_variables(n, len(dist.values))}
 
 
 def extract_from_assignment(dist, assignment, label="custom"):

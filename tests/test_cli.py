@@ -347,6 +347,24 @@ class TestFailClosed:
         assert len(errors) == 1 and errors[0].startswith("error: cannot write ")
         assert calls == []
 
+    @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+    def test_failed_write_names_its_target(self, capsys, monkeypatch, tmp_path, to_file):
+        # The write itself fails, after the open: the OSError carries no
+        # file name, and the message names the --out path or <stdout>.
+        import errno
+        from twopoint_auctions import cli
+
+        def full_disk(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cli, "mechanism_to_json", full_disk)
+        out = tmp_path / "m.json"
+        code, _, err = run(capsys, "mechanism", *EXAMPLE_ARGS, "--impl", "dic",
+                           *(["--out", str(out)] if to_file else []))
+        target = out if to_file else "<stdout>"
+        assert code == 1
+        assert err == f"error: cannot write {target}: {os.strerror(errno.ENOSPC)}\n"
+
 
     def test_cap_variable_is_read_on_every_call(self, capsys, monkeypatch):
         # The parser is built once per process; the variable is not part of

@@ -21,14 +21,11 @@ from twopoint_auctions.audit import (
 from twopoint_auctions import oracle
 from twopoint_auctions.oracle import (
     build_auction_lp,
-    build_bic_lp,
-    build_dic_lp,
     certification_grid,
     certify_main_theorem,
     certify_optimum,
     extract_mechanism,
     grid_b_values,
-    representative,
     solve_auction_lp,
 )
 from twopoint_auctions.continuous import ContinuousSpec, discretize
@@ -42,6 +39,8 @@ from helpers import (
     insert,
     make_lp,
     q_of,
+    reference_columns,
+    representative,
     u_of,
 )
 
@@ -107,7 +106,7 @@ SYMMETRY_CASES = pytest.mark.parametrize("n,dist", SYMMETRY_PARAMS)
 
 class TestProgramShapes:
     def test_dic_counts_at_n2(self):
-        lp = build_dic_lp(EXAMPLE)
+        lp = build_auction_lp(EXAMPLE.n, EXAMPLE.dist, "dic")
         q_vars = [v for v in lp.variables if v[0] == "q"]
         u_vars = [v for v in lp.variables if v[0] == "u"]
         assert len(q_vars) == 2 * 2 * 16  # buyers x items x profiles
@@ -121,7 +120,7 @@ class TestProgramShapes:
         assert set(q_vars) <= nonneg and not (set(u_vars) & nonneg)
 
     def test_bic_counts_at_n2(self):
-        lp = build_bic_lp(EXAMPLE)
+        lp = build_auction_lp(EXAMPLE.n, EXAMPLE.dist, "bic")
         assert lp.n_constraints("bic_local") == 2 * 8
         assert lp.n_constraints("bic") == 2 * 4
         assert lp.n_constraints("bir") == 2 * 4
@@ -129,8 +128,8 @@ class TestProgramShapes:
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
-            build_dic_lp(AuctionSpec(5, F(1, 2), 1, 2))
-        build_dic_lp(AuctionSpec(5, F(1, 2), 1, 2), max_profiles=4 ** 5)
+            build_auction_lp(5, EXAMPLE.dist, "dic")
+        build_auction_lp(5, EXAMPLE.dist, "dic", max_profiles=4 ** 5)
 
 
 class TestOptima:
@@ -219,7 +218,7 @@ class TestMechanismExtraction:
 
 class TestSymmetryReduction:
     def test_constraint_set_is_group_invariant(self):
-        lp = build_dic_lp(EXAMPLE)
+        lp = build_auction_lp(EXAMPLE.n, EXAMPLE.dist, "dic")
         rows = {
             (tuple(sorted(terms)), rel, rhs) for terms, rel, rhs, _ in lp.rows()
         }
@@ -240,7 +239,7 @@ class TestSymmetryReduction:
             assert mapped == rows
 
     def test_objective_is_group_invariant(self):
-        objective = dict(build_bic_lp(EXAMPLE).objective_terms())
+        objective = dict(build_auction_lp(EXAMPLE.n, EXAMPLE.dist, "bic").objective_terms())
         for perm, swap in _group(2):
             mapped = {
                 _apply_to_var(perm, swap, v): c for v, c in objective.items()
@@ -291,12 +290,12 @@ class TestSymmetryReduction:
     @pytest.mark.slow
     def test_reduction_preserves_optimum_at_n3(self):
         spec = AuctionSpec(3, F(1, 2), 1, 2)
-        lp = build_dic_lp(spec)
+        lp = build_auction_lp(spec.n, spec.dist, "dic")
         assert solve_auction_lp(spec.n, spec.dist, "dic").optimum == solve(lp).optimum
 
     def test_reduction_shrinks_model(self):
         spec = AuctionSpec(3, F(1, 2), 1, 2)
-        lp = build_dic_lp(spec)
+        lp = build_auction_lp(spec.n, spec.dist, "dic")
         reduced = oracle._build(spec.n, spec.dist, "dic", 4 ** 3, symmetric=True)
         assert len(reduced.variables) < len(lp.variables) / 6
         assert len(reduced.constraints) < len(lp.constraints) / 6
@@ -609,22 +608,9 @@ class TestAgainstFractionBuilder:
 
 
 class TestColumnMap:
-    def test_representative_runs_once_per_full_variable(self, monkeypatch):
-        # The column map is built once per (n, atoms) and read by both
-        # builds and both expansions to the full assignment.
-        calls = []
-
-        def counted(v):
-            calls.append(v)
-            return representative(v)
-
-        monkeypatch.setattr(oracle, "representative", counted)
-        oracle._columns.cache_clear()
-        try:
-            for regime in ("dic", "bic"):
-                solve_auction_lp(EXAMPLE.n, EXAMPLE.dist, regime)
-        finally:
-            oracle._columns.cache_clear()
-        # two q variables and one u variable per buyer per profile
-        n_full = 3 * EXAMPLE.n * 4 ** EXAMPLE.n
-        assert 0 < len(calls) <= n_full
+    @pytest.mark.parametrize(
+        "n,n_atoms", [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (2, 4), (2, 6)])
+    def test_orbits_and_names_equal_the_representative_map(self, n, n_atoms):
+        # The orbit ids, their order of first appearance and the column
+        # names, against every full variable mapped through `representative`.
+        assert oracle._columns(n, n_atoms) == reference_columns(n, n_atoms)
