@@ -1,18 +1,21 @@
 """Exhaustive, exact verification of participation and truthfulness.
 
-A mechanism is a set of per-buyer integer columns (shares of each item and
-utility) over all profiles; payments are rederived here before any check,
+A mechanism is a set of integer tables over the type-count cells (shares
+of each item and utility); payments are rederived here before any check,
 so inconsistent (q, u, s) triples cannot arise.  Every constraint is an
 exact comparison, made between integers: both sides are multiplied by the
 mechanism's denominator, the lcm of the value denominators and, for interim
 sums, the profile-weight scale.
 
-The audits run over whole columns: a buyer's entries at one of its types,
-in opponent-profile order, are read with `type_entries`, and each family
-of constraints (one buyer, one ordered type pair, every opponent profile)
-is tested at once.  Only a family that fails is walked entry by entry to
-report its violations, so every (buyer, profile, type pair) is still
-checked and the reports list violations in enumeration order.  Every
+The audits run over the cells, and they are exact, not a sample.  A
+buyer's participation constraint at a profile reads one cell, so IR is
+checked once per cell.  Its truthfulness constraint for one ordered type
+pair against one opponent profile reads the cells it holds at its true and
+at its reported type against the opponents' class (`opponent_cells`), the
+same for every buyer and every opponent profile of that class, so DIC is
+checked once per (opponent class, type pair).  Only a check that fails is
+walked by buyer and profile to report its violations, so the reports list
+every violating (buyer, profile, type pair) in enumeration order.  Every
 violation carries its replay key (buyer, true type, reported type,
 opponent profile) and both sides of the failed inequality as Fractions.
 """
@@ -21,16 +24,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, ge
 from typing import Optional
 
 from .core import (
     Type,
     buyer_types,
+    opponent_cells,
     profile_table,
     rat_str,
     scaled,
-    type_entries,
     type_label,
 )
 from .mechanisms import Mechanism
@@ -96,16 +98,18 @@ def expected_revenue(mech: Mechanism) -> Fraction:
 
 
 def check_ir(mech: Mechanism) -> AuditReport:
-    """u_i(t) >= 0 for every buyer and profile."""
+    """u_i(t) >= 0 for every buyer and profile, checked once per cell."""
     profiles = mech.profiles()
     violations = []
-    if any(min(u) < 0 for _, _, u in mech.columns):
+    if min(mech.u) < 0:
+        cells = mech.cells()
         for pos, profile in enumerate(profiles):
-            for i, (_, _, u) in enumerate(mech.columns):
-                if u[pos] < 0:
+            for i, buyer_cells in enumerate(cells):
+                u = mech.u[buyer_cells[pos]]
+                if u < 0:
                     others = profile[:i] + profile[i + 1 :]
                     violations.append(Violation(
-                        i, profile[i], None, others, Fraction(u[pos], mech.den), Fraction(0)
+                        i, profile[i], None, others, Fraction(u, mech.den), Fraction(0)
                     ))
     return AuditReport("IR", not violations, tuple(violations), len(profiles) * mech.n)
 
@@ -129,38 +133,33 @@ def check_dic(mech: Mechanism) -> AuditReport:
     """u_i(t_i,t_-i) >= u_i(t'_i,t_-i) + (t_i - t'_i).q_i(t'_i,t_-i),
     over all buyers, ordered pairs of distinct types, and opponent profiles.
 
-    Both sides are taken times den * vden.  For each buyer, its columns are
-    gathered per own type in opponent order; each (true, reported) pair is
-    then one comparison of two lists over every opponent profile."""
-    n = mech.n
+    Both sides are taken times den * vden.  The two sides of one
+    constraint read the cells at the true and the reported type against
+    the opponents' class, so each (opponent class, type pair) is compared
+    once; the failures are then listed for every buyer and every opponent
+    profile of a failing class."""
+    n, q1, q2, u = mech.n, mech.q1, mech.q2, mech.u
     types, pairs, vden = _type_pairs(mech.dist)
+    at, classes = opponent_cells(n, len(types))
     others_space = profile_table(n - 1, mech.dist).profiles
     scale = mech.den * vden
-    violations = []
-    for i, (q1, q2, u) in enumerate(mech.columns):
-        def at(column, c):
-            return type_entries(column, n, len(types), i, c)
-
-        us = [list(map(vden.__mul__, at(u, c))) for c in range(len(types))]
-        qs = [(list(at(q1, c)), list(at(q2, c))) for c in range(len(types))]
-        scaled_q = {}  # (reported type index, item, value difference) -> d * q
-        for a, t_true, c, t_rep, d1, d2 in pairs:
-            rhs = us[c]
-            for j, d in enumerate((d1, d2)):
-                if d:
-                    dq = scaled_q.get((c, j, d))
-                    if dq is None:
-                        dq = scaled_q[c, j, d] = list(map(d.__mul__, qs[c][j]))
-                    rhs = list(map(add, rhs, dq))
-            lhs = us[a]
-            if all(map(ge, lhs, rhs)):
-                continue
-            for o, (left, right) in enumerate(zip(lhs, rhs)):
-                if left < right:
-                    violations.append(Violation(
-                        i, t_true, t_rep, others_space[o],
-                        Fraction(left, scale), Fraction(right, scale),
-                    ))
+    found = []  # per type pair: one buyer's failing (opponents, (lhs, rhs))
+    for a, _, c, _, d1, d2 in pairs:
+        failed = {}
+        for k, cells in enumerate(at):
+            x, y = cells[a], cells[c]
+            lhs = u[x] * vden
+            rhs = u[y] * vden + d1 * q1[y] + d2 * q2[y]
+            if lhs < rhs:
+                failed[k] = Fraction(lhs, scale), Fraction(rhs, scale)
+        found.append([(others_space[o], failed[k]) for o, k in enumerate(classes)
+                      if k in failed] if failed else ())
+    violations = [
+        Violation(i, t_true, t_rep, others, lhs, rhs)
+        for i in range(n)
+        for (_, t_true, _, t_rep, _, _), sides in zip(pairs, found)
+        for others, (lhs, rhs) in sides
+    ]
     count = n * len(pairs) * len(others_space)
     return AuditReport("DIC", not violations, tuple(violations), count)
 

@@ -469,5 +469,22 @@ def main(argv=None) -> int:
         return EXIT_CERTIFICATE
 
 
+def run() -> int:
+    """The process entry (`python -m twopoint_auctions` and the
+    `twopoint-auctions` script): `main`, after which a stdout that failed a
+    write is pointed at the null device.  A failed flush keeps its data in
+    the buffer, and the interpreter flushes it once more at exit, which
+    would print a second error and exit 120.  `main` itself leaves the
+    streams alone, since in-process callers may give it a stdout without a
+    file descriptor.  A closed stdout (`>&-`) is None and left alone."""
+    code = main()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

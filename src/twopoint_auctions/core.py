@@ -29,8 +29,8 @@ from typing import Sequence
 
 #: Default ceiling on the number of profiles handled exhaustively: n=8
 #: buyers of two-point types.  Memory grows about fourfold per buyer; a
-#: checked n=8 mechanism written as JSON takes about 1.3 s and peaks near
-#: 48 MB on a 2-vCPU VM, so n=10 would need several hundred MB.
+#: checked n=8 mechanism written as JSON takes about 0.3 s and peaks near
+#: 35 MB on a 2-vCPU VM, so n=10 would need several hundred MB.
 DEFAULT_PROFILE_CAP = 4 ** 8
 
 
@@ -229,22 +229,18 @@ def opponent_positions(n: int, n_types: int, i: int) -> tuple[list[int], int]:
     return [o // step * step * n_types + o % step for o in range(n_types ** (n - 1))], step
 
 
-def type_entries(column: Sequence, n: int, n_types: int, i: int, c: int):
-    """Buyer i's entries of a column over the profiles of n buyers at its
-    type index c, in `profile_table(n - 1)` opponent order.
-
-    Those positions are the blocks of `step` consecutive positions that
-    start c steps into every run of n_types * step (see
-    `opponent_positions`).  They are read with whichever slices are fewer:
-    one per block, or, interleaved, one per offset within a block."""
-    step = n_types ** (n - 1 - i)
-    stride = n_types * step
-    start = c * step
-    if step <= n_types ** i:
-        return itertools.chain.from_iterable(
-            zip(*[column[start + r::stride] for r in range(step)]))
-    return itertools.chain.from_iterable(
-        [column[b:b + step] for b in range(start, len(column), stride)])
+@functools.lru_cache(maxsize=4)
+def profile_classes(n: int, n_types: int) -> tuple[tuple, array]:
+    """The type-count classes of n buyers' profiles: the classes' counts
+    (per type index), in order of first appearance in `profile_table`
+    order, and the class of each profile position."""
+    grow = functools.cache(lambda key, c: key[:c] + (key[c] + 1,) + key[c + 1:])
+    counts = [(0,) * n_types]
+    for _ in range(n):
+        counts = [grow(key, c) for key in counts for c in range(n_types)]
+    index = {}
+    classes = array("I", [index.setdefault(key, len(index)) for key in counts])
+    return tuple(index), classes
 
 
 @functools.lru_cache(maxsize=4)
@@ -252,21 +248,38 @@ def class_cells(n: int, n_types: int) -> tuple[tuple, tuple]:
     """The type-count classes of n buyers' profiles, and the cell at which
     each buyer meets them: the one symmetry index of the package.
 
-    Returns the classes' counts (per type index), in order of first
-    appearance in `profile_table` order, and per buyer an array over the
-    profile positions of its cell, class * n_types + its own type index."""
-    grow = functools.cache(lambda key, c: key[:c] + (key[c] + 1,) + key[c + 1:])
-    counts = [(0,) * n_types]
-    for _ in range(n):
-        counts = [grow(key, c) for key in counts for c in range(n_types)]
-    index = {}
-    base = [index.setdefault(key, len(index)) * n_types for key in counts]
+    Returns the classes' counts as `profile_classes` does, and per buyer an
+    array over the profile positions of its cell, class * n_types + its own
+    type index."""
+    keys, classes = profile_classes(n, n_types)
+    base = [k * n_types for k in classes]
     cells = []
     for i in range(n):
         step = n_types ** (n - 1 - i)
         own = bytes(c for c in range(n_types) for _ in range(step)) * n_types ** i
         cells.append(array("I", map(add, base, own)))
-    return tuple(index), tuple(cells)
+    return keys, tuple(cells)
+
+
+@functools.lru_cache(maxsize=4)
+def opponent_cells(n: int, n_types: int) -> tuple[tuple, array]:
+    """Where a buyer among n meets its opponents' type-count classes.
+
+    Returns, per class of the other n - 1 buyers (`profile_classes(n - 1)`
+    order), the cell of `class_cells(n)` that a buyer of each type index
+    holds against it, and the class of each opponent profile in
+    `profile_table(n - 1)` order.  Every buyer holds that one cell against
+    every opponent profile of the class, so a table over the cells reads
+    the same for each of them."""
+    keys, _ = profile_classes(n, n_types)
+    index = {key: k for k, key in enumerate(keys)}
+    others, classes = profile_classes(n - 1, n_types)
+    at = tuple(
+        array("I", [index[key[:x] + (key[x] + 1,) + key[x + 1:]] * n_types + x
+                    for x in range(n_types)])
+        for key in others
+    )
+    return at, classes
 
 
 @functools.lru_cache(maxsize=None)

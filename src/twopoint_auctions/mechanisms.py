@@ -1,12 +1,14 @@
-"""Construction of the revenue-optimal mechanisms as integer columns.
+"""Construction of the revenue-optimal mechanisms as integer cell tables.
 
-A mechanism is stored per buyer as three columns, the buyer's share of
-item 1, its share of item 2 and its utility, each a tuple over the profile
-positions of `profile_table` order, as integers over one common
-denominator.  Every consumer (the audits, the interim table, the export and
-the LP certificate) reads whole columns; `Mechanism.allocation` and
-`Mechanism.utility` are read-only per-profile views of them.  Payments are
-always derived as s_i(t) = q_i(t).t_i - u_i(t).
+Every mechanism here is symmetric across buyers and items: a buyer's
+shares and utility depend only on its own type and on how many buyers hold
+each type.  A mechanism is therefore stored once per type-count cell
+(`class_cells`: the profile's class and the buyer's own type) as three
+tables, the share of item 1, the share of item 2 and the utility, integers
+over one common denominator.  Every consumer (the audits, the interim
+table, the export and the LP certificate) reads the cells;
+`Mechanism.allocation` and `Mechanism.utility` are read-only per-profile
+views of them.  Payments are always derived as s_i(t) = q_i(t).t_i - u_i(t).
 
 The dominant-strategy-optimal mechanism allocates each item through a
 ranked hierarchy of buyer types, with the ranking tightening as b grows
@@ -28,7 +30,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as quote
-from operator import mul
 from typing import TextIO
 
 from .core import (
@@ -37,10 +38,11 @@ from .core import (
     HierarchyScheme,
     buyer_types,
     class_cells,
+    opponent_cells,
+    profile_classes,
     profile_table,
     rat_str,
     scaled,
-    type_entries,
     type_label,
 )
 from .formulas import breakpoints, indicator_flags
@@ -70,47 +72,62 @@ class InterimTable:
 
 
 class _ProfileView(Mapping):
-    """A read-only view of a mechanism's columns by profile: each profile
-    maps to `read(position)`, a tuple over the buyers."""
+    """A read-only view of a mechanism's tables by profile: each profile
+    maps to a tuple over the buyers of `read(cell)`, read at each buyer's
+    cell (`class_cells`)."""
 
     def __init__(self, mech: "Mechanism", read):
         self._mech, self._read = mech, read
 
     def __getitem__(self, profile):
-        return self._read(self._mech.position(profile))
+        pos = self._mech.position(profile)
+        return tuple(self._read(cells[pos]) for cells in self._mech.cells())
 
     def __iter__(self):
         return iter(self._mech.profiles())
 
     def __len__(self):
-        return len(self._mech.columns[0][0])
+        return len(self._mech.dist.values) ** (2 * self._mech.n)
 
 
 @dataclass(frozen=True)
 class Mechanism:
-    """Per-buyer integer columns over all profiles of n buyers whose values
-    are drawn from `dist`, over the one positive denominator `den`:
-    columns[i] = (q1, q2, u), and at the profile in position k of
-    `profile_table` order buyer i's share of item j is q_j[k] / den and its
-    utility u[k] / den.
+    """A symmetric mechanism for n buyers whose values are drawn from
+    `dist`, as three integer tables over the type-count cells of
+    `class_cells` and the one positive denominator `den`: a buyer at cell x
+    gets the share q1[x] / den of item 1 and q2[x] / den of item 2, and has
+    utility u[x] / den.  Cells that no profile holds are 0.
     """
 
+    n: int
     dist: FiniteValueDistribution
     label: str
-    columns: tuple  # per buyer: (item-1 shares, item-2 shares, utilities)
     den: int
+    q1: tuple
+    q2: tuple
+    u: tuple
+
+    def __post_init__(self):
+        size = len(profile_classes(self.n, self.n_types)[0]) * self.n_types
+        if not len(self.q1) == len(self.q2) == len(self.u) == size:
+            raise ValueError(f"a mechanism of {self.n} buyers has {size} cells")
 
     @property
-    def n(self) -> int:
-        return len(self.columns)
+    def n_types(self) -> int:
+        """The number of buyer types: the atoms squared."""
+        return len(self.dist.values) ** 2
+
+    def cells(self) -> tuple:
+        """Each buyer's cell at each profile position (`class_cells`)."""
+        return class_cells(self.n, self.n_types)[1]
 
     def profiles(self) -> tuple:
-        """The profiles in column (`profile_table`) order."""
+        """The profiles in `profile_table` order."""
         return profile_table(self.n, self.dist).profiles
 
     def position(self, profile) -> int:
-        """The profile's position in the columns; KeyError when it is not a
-        profile of this mechanism."""
+        """The profile's position in `profile_table` order; KeyError when
+        it is not a profile of this mechanism."""
         k = len(self.dist.values)
         if len(profile) != self.n:
             raise KeyError(profile)
@@ -124,30 +141,35 @@ class Mechanism:
     @property
     def allocation(self) -> Mapping:
         """Profile -> tuple over buyers of (item 1, item 2) share numerators."""
-        return _ProfileView(self, lambda k: tuple((q1[k], q2[k]) for q1, q2, _ in self.columns))
+        return _ProfileView(self, lambda x: (self.q1[x], self.q2[x]))
 
     @property
     def utility(self) -> Mapping:
         """Profile -> tuple over buyers of utility numerators."""
-        return _ProfileView(self, lambda k: tuple(u[k] for _, _, u in self.columns))
+        return _ProfileView(self, self.u.__getitem__)
 
     @functools.cached_property
     def interim(self) -> InterimTable:
-        """The interim table, built once per mechanism: each buyer's
-        utility and allocation at each type, weighted by the probability of
-        every opponent profile.  A buyer's entries at one type are read
-        from its columns with `type_entries`."""
-        n, types = self.n, buyer_types(self.dist)
-        opponents = profile_table(n - 1, self.dist)
+        """The interim table, built once per mechanism: a buyer's utility
+        and allocation at each type, weighted by the probability of every
+        opponent profile.  Every buyer holds one cell against all opponent
+        profiles of one class (`opponent_cells`), so the sums run over the
+        classes, each weighted by its profiles' total weight, and every
+        buyer's entries are the same."""
+        types = buyer_types(self.dist)
+        opponents = profile_table(self.n - 1, self.dist)
+        at, classes = opponent_cells(self.n, len(types))
+        mass = [0] * len(at)
+        for k, w in zip(classes, opponents.weights):
+            mass[k] += w
 
-        def mean(column, i, c):
-            return sum(map(mul, opponents.weights, type_entries(column, n, len(types), i, c)))
+        def mean(table, x):
+            return sum(w * table[cells[x]] for w, cells in zip(mass, at))
 
-        utility, allocation = [], []
-        for i, (q1, q2, u) in enumerate(self.columns):
-            utility.append({t: mean(u, i, c) for c, t in enumerate(types)})
-            allocation.append({t: (mean(q1, i, c), mean(q2, i, c)) for c, t in enumerate(types)})
-        return InterimTable(opponents.scale * self.den, tuple(utility), tuple(allocation))
+        utility = {t: mean(self.u, x) for x, t in enumerate(types)}
+        allocation = {t: (mean(self.q1, x), mean(self.q2, x)) for x, t in enumerate(types)}
+        return InterimTable(opponents.scale * self.den, (utility,) * self.n,
+                            (allocation,) * self.n)
 
 
 def interval_case(spec: AuctionSpec) -> int:
@@ -184,13 +206,12 @@ def _common_den(spec: AuctionSpec) -> int:
 def _closed_form(
     spec: AuctionSpec, label: str, hierarchy_case: int, bundle: bool, raise_bb: bool
 ) -> Mechanism:
-    """The closed-form mechanism as columns over den.
+    """The closed-form mechanism as cell tables over den.
 
     The mechanism is symmetric, so a buyer's share pair and utility depend
     only on its own type and on how many opponents hold each type.  Both are
     computed once per cell of `class_cells`, a class of profiles with the
-    same type counts (C(n+3, 3) classes for 4^n profiles) and an own type,
-    and each buyer's columns are read from them through its cell array.
+    same type counts (C(n+3, 3) classes for 4^n profiles) and an own type.
     The symmetric auction LP numbers its columns by the same cells.
 
     Allocation: each item goes to the buyers of the first type of its
@@ -218,7 +239,7 @@ def _closed_form(
     ]
     h1, h2 = case_hierarchies(hierarchy_case)
     types = buyer_types(spec.dist)
-    keys, cells = class_cells(n, len(types))
+    keys, _ = profile_classes(n, len(types))
     # Share pairs and utility numerators by class * 4 + own type index.
     q1s, q2s, us = ([0] * (len(keys) * len(types)) for _ in range(3))
     for k, key in enumerate(keys):
@@ -239,11 +260,7 @@ def _closed_form(
                 us[x] = both_high if t == BB else 0 if t == AA else one_high
             elif t == BB and (ba + bb == 0) != (ab + bb == 0):
                 us[x] = one_cheap[n - 1 - aa]
-    columns = tuple(
-        tuple(tuple(map(table.__getitem__, cell)) for table in (q1s, q2s, us))
-        for cell in cells
-    )
-    return Mechanism(spec.dist, label, columns, den)
+    return Mechanism(n, spec.dist, label, den, tuple(q1s), tuple(q2s), tuple(us))
 
 
 def build_dic_mechanism(spec: AuctionSpec) -> Mechanism:
@@ -311,52 +328,44 @@ def _nested(value, indent: str = "  ") -> str:
     return brackets[0] + "\n" + ",\n".join(items) + "\n" + indent + brackets[1]
 
 
-def _own_types(types: list, n: int, i: int):
-    """Buyer i's type at each profile position of n buyers, in order."""
-    step = len(types) ** (n - 1 - i)
-    block = [t for t in types for _ in range(step)]
-    return itertools.chain.from_iterable(itertools.repeat(block, len(types) ** i))
-
-
 def mechanism_to_json(mech: Mechanism, checks, out: TextIO) -> None:
     """Write the canonical JSON export of a two-point mechanism to `out`:
     profiles in table (enumeration) order, types as letters, rationals as
     'num/den' strings, payments included, then `checks` when given.
 
     The text is exactly `json.dumps(doc, indent=2)` of the document
-    {"spec", "label", "profiles", "checks"}, written row by row from the
-    columns, so no more than one row's text is held at a time.  A buyer's
-    texts at a profile depend only on its cell (type, q1, q2, u): each
-    distinct cell is quoted, and its payment q.t - u computed, once."""
+    {"spec", "label", "profiles", "checks"}, written row by row, so no more
+    than one row's text is held at a time.  A buyer's texts at a profile
+    depend only on its cell: each cell's type, shares and utility are
+    quoted, and its payment q.t - u computed, once, and each buyer's cells
+    (`class_cells`) are read through that table."""
     n, dist = mech.n, mech.dist
     (p, _), (a, b) = dist.probs, dist.values
     table = profile_table(n, dist)
     types = buyer_types(dist)
     vals, vden = scaled(dist.values)
+    prob_str = functools.cache(lambda w: quote(rat_str(Fraction(w, table.scale))))
 
-    def formatter(den):
-        return functools.cache(lambda x: quote(rat_str(Fraction(x, den))))
+    def entry_str(x):
+        return quote(rat_str(Fraction(x, mech.den)))
 
-    prob_str = formatter(table.scale)
-    entry_str = formatter(mech.den)
-    pay_den = mech.den * vden
-
-    @functools.cache
-    def cell(t, q1, q2, u):
-        """A buyer's type, share pair, utility and payment texts."""
-        payment = Fraction(q1 * vals[t[0]] + q2 * vals[t[1]] - u * vden, pay_den)
-        return (quote(type_label(t)), _PAIR % (entry_str(q1), entry_str(q2)),
+    def texts(x, q1, q2, u):
+        """The texts of a buyer at cell x: type, share pair, utility and
+        payment."""
+        t1, t2 = types[x % len(types)]
+        payment = Fraction(q1 * vals[t1] + q2 * vals[t2] - u * vden, mech.den * vden)
+        return (quote(type_label((t1, t2))), _PAIR % (entry_str(q1), entry_str(q2)),
                 entry_str(u), quote(rat_str(payment)))
 
+    cell_texts = list(map(texts, itertools.count(), mech.q1, mech.q2, mech.u))
     join = _ITEM_SEP.join
     write = out.write
     write('{\n  "spec": ' + _nested(AuctionSpec(n, p, a, b).to_json())
           + ',\n  "label": ' + quote(mech.label) + ',\n  "profiles": [\n')
-    buyers = [map(cell, _own_types(types, n, i), *columns)
-              for i, columns in enumerate(mech.columns)]
+    buyers = [map(cell_texts.__getitem__, cells) for cells in mech.cells()]
     sep = ""
-    for w, cells in zip(table.weights, zip(*buyers)):
-        profile, shares, utils, pays = zip(*cells)
+    for w, row in zip(table.weights, zip(*buyers)):
+        profile, shares, utils, pays = zip(*row)
         write(sep)
         write(_ROW % (join(profile), prob_str(w), join(shares), join(utils), join(pays)))
         sep = ",\n"

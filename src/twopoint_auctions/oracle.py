@@ -13,8 +13,8 @@ every program here is invariant under the buyer/item symmetry group, and
 averaging any optimum over that group gives a symmetric one (Daskalakis &
 Weinberg, EC 2012).  The solver is therefore given the symmetric program,
 one variable per orbit, built directly; the full program is built only for
-`--lp-export` and as the tests' reference.  Every optimum is expanded into
-explicit mechanism tables and audited as a mechanism: supply, the regime's
+`--lp-export` and as the tests' reference.  Every optimum is read into a
+mechanism's cell tables and audited as a mechanism: supply, the regime's
 participation and truthfulness audits, and its expected revenue.
 
 Every program is solved by one rule, whatever its regime or size: the
@@ -51,6 +51,7 @@ from .core import (
     buyer_types,
     class_cells,
     opponent_positions,
+    profile_classes,
     profile_table,
     rat_str,
     scaled,
@@ -64,9 +65,10 @@ DEFAULT_LP_PROFILE_CAP = 4 ** 4
 
 
 @functools.lru_cache(maxsize=4)
-def _columns(n: int, n_atoms: int) -> tuple[tuple, tuple]:
-    """Each full-program entry's column in the symmetric program, and each
-    column's name.
+def _columns(n: int, n_atoms: int) -> tuple[tuple, tuple, tuple]:
+    """Each full-program entry's column in the symmetric program, each
+    column's name, and the columns of each cell's share of item 1, share
+    of item 2 and utility (None at a cell that no profile holds).
 
     The full program lists q[i,j] (profile, buyer, item order), then u[i]
     (profile, buyer order): at profile position `pos` of P, q[i,j] is entry
@@ -107,7 +109,8 @@ def _columns(n: int, n_atoms: int) -> tuple[tuple, tuple]:
         else ("u", 0, min(profile(x - m), profile(swap[x - m])))
         for x in ids
     )
-    return tuple(map(ids.__getitem__, entries())), names
+    per_cell = tuple(tuple(map(ids.get, xs)) for xs in (range(m), swap, u_key))
+    return tuple(map(ids.__getitem__, entries())), names, per_cell
 
 
 @functools.lru_cache(maxsize=4)
@@ -166,7 +169,7 @@ def _build(
     table = profile_table(n, dist, max_profiles)
     u0 = 2 * n * n_profiles  # entry of u[0] at profile 0
     if symmetric:
-        col, names = _columns(n, len(dist.values))
+        col, names, _ = _columns(n, len(dist.values))
     else:
         col = range(3 * n * n_profiles)
         names = [("q", i, j, t) for t in table.profiles for i in range(n) for j in range(2)]
@@ -320,30 +323,21 @@ def solve_auction_lp(
 def extract_mechanism(
     n: int, dist: FiniteValueDistribution, sol: LPSolution, label: str = "custom"
 ) -> Mechanism:
-    """The explicit mechanism columns of a symmetric auction-LP solution.
+    """The cell tables of a symmetric auction-LP solution.
 
-    Every variable of the full program takes its orbit's value, read
-    through the orbit tuple of `_columns` (the class cells of
-    `class_cells`); buyer i's columns are the slices of that tuple at the
-    full program's q[i,1], q[i,2] and u[i] entries.  The columns hold
-    the primal's numerators over den = X / gcd(X, numerators), the lcm of
-    the values' reduced denominators."""
-    orbit, names = _columns(n, len(dist.values))
+    Each cell takes the values of its orbits (`_columns`): its share of
+    item 1 from its own, its share of item 2 from the item-swapped cell's,
+    its utility from the smaller cell's of the two.  The tables hold the
+    primal's numerators over den = X / gcd(X, numerators), the lcm of the
+    values' reduced denominators."""
+    _, names, per_cell = _columns(n, len(dist.values))
     x, X = sol.primal, sol.primal_den
     if len(x) != len(names):
         raise ValueError("the solution is not of the symmetric auction program")
     g = math.gcd(X, *x)
-    value = [v // g for v in x].__getitem__
-    u0 = 2 * n * len(dist.values) ** (2 * n)
-
-    def column(start, stop, stride):
-        return tuple(map(value, orbit[start:stop:stride]))
-
-    columns = tuple(
-        (column(2 * i, u0, 2 * n), column(2 * i + 1, u0, 2 * n), column(u0 + i, None, n))
-        for i in range(n)
-    )
-    return Mechanism(dist, label, columns, X // g)
+    value = [v // g for v in x]
+    q1, q2, u = (tuple(0 if r is None else value[r] for r in orbits) for orbits in per_cell)
+    return Mechanism(n, dist, label, X // g, q1, q2, u)
 
 
 def certify_optimum(mech: Mechanism, regime: str, optimum: Fraction) -> None:
@@ -352,13 +346,17 @@ def certify_optimum(mech: Mechanism, regime: str, optimum: Fraction) -> None:
     Every share is nonnegative and no item is given out more than once at
     any profile; the regime's audits (IR and DIC, or BIR and BIC) pass; and
     the mechanism's expected revenue is the optimum.  The share checks run
-    over whole columns; only a failure walks the profiles, to name the
-    first one that fails.
+    per cell and, for supply, per class: the buyers at a profile of a class
+    hold its cells, count_c of them at type c, so the item's total is
+    sum_c count_c * q[class, c].  Only a failure walks the profiles, to
+    name the first one that fails.
     """
-    den = mech.den
-    items = [[q[j] for q in mech.columns] for j in range(2)]
-    if any(min(col) < 0 for cols in items for col in cols) or any(
-        max(map(sum, zip(*cols))) > den for cols in items
+    den, n_types = mech.den, mech.n_types
+    keys, _ = profile_classes(mech.n, n_types)
+    tables = (mech.q1, mech.q2)
+    if min(map(min, tables)) < 0 or any(
+        sum(m * q[k * n_types + c] for c, m in enumerate(key)) > den
+        for q in tables for k, key in enumerate(keys)
     ):
         for t, shares in mech.allocation.items():
             if any(q < 0 for q_i in shares for q in q_i):

@@ -12,6 +12,7 @@ from typing import Sequence
 from twopoint_auctions.core import (
     DEFAULT_PROFILE_CAP,
     AuctionSpec,
+    class_cells,
     profile_table,
     rat_str,
     scaled,
@@ -160,18 +161,43 @@ def from_tables(dist, label, allocation, utility, den):
     """The mechanism with the given integer tables over den: `allocation`
     maps each profile to its buyers' (q1, q2) numerators and `utility` to
     their utility numerators.  Every profile of the type model must be a
-    key; the columns are read in `profile_table` order."""
+    key, and the tables must be a function of the type-count cell: every
+    buyer that holds one cell (`class_cells`) at some profile holds the same
+    entries there.  ValueError otherwise."""
     profiles = profile_table(len(next(iter(allocation))), dist).profiles
     if set(allocation) != set(profiles) or set(utility) != set(profiles):
         raise ValueError("the tables do not cover the profiles exactly")
-    n = len(profiles[0])
-    columns = tuple(
-        (tuple(allocation[t][i][0] for t in profiles),
-         tuple(allocation[t][i][1] for t in profiles),
-         tuple(utility[t][i] for t in profiles))
-        for i in range(n)
-    )
-    return Mechanism(dist, label, columns, den)
+    n, n_types = len(profiles[0]), len(dist.values) ** 2
+    keys, cells = class_cells(n, n_types)
+    entries = {}
+    for pos, t in enumerate(profiles):
+        for i, (shares, u) in enumerate(zip(allocation[t], utility[t])):
+            if entries.setdefault(cells[i][pos], (*shares, u)) != (*shares, u):
+                raise ValueError(f"the tables differ within the cell of buyer {i} at {t}")
+    tables = [[0] * (len(keys) * n_types) for _ in range(3)]
+    for x, row in entries.items():
+        for table, value in zip(tables, row):
+            table[x] = value
+    return Mechanism(n, dist, label, den, *map(tuple, tables))
+
+
+def cell_tables(n, dist, draw):
+    """Allocation and utility tables by profile that are a function of the
+    type-count cell: `draw()` gives a cell's (share pair, utility) when the
+    cell is first met, in profile and then buyer order."""
+    _, cells = class_cells(n, len(dist.values) ** 2)
+    drawn = {}
+    allocation, utility = {}, {}
+    for pos, t in enumerate(profile_table(n, dist).profiles):
+        row = []
+        for buyer_cells in cells:
+            x = buyer_cells[pos]
+            if x not in drawn:
+                drawn[x] = draw()
+            row.append(drawn[x])
+        allocation[t] = tuple(shares for shares, _ in row)
+        utility[t] = tuple(u for _, u in row)
+    return allocation, utility
 
 
 def from_rationals(dist, label, allocation, utility):

@@ -27,6 +27,7 @@ from twopoint_auctions.audit import (
 from twopoint_auctions.oracle import extract_mechanism, solve_auction_lp
 
 from helpers import (
+    cell_tables,
     cheap_items,
     class_sets,
     enumerate_profiles,
@@ -58,14 +59,25 @@ def zero_mechanism(spec):
     )
 
 
+def with_cell(mech, profile, buyer, shares=None, utility=None):
+    """The mechanism with the share pair or the utility at one entry's cell
+    replaced by rationals: every buyer that holds the cell of `buyer` at
+    `profile`, at any profile, takes them."""
+    cells = mech.cells()
+    planted = cells[buyer][mech.position(profile)]
+    allocation, utilities = {}, {}
+    for pos, t in enumerate(mech.profiles()):
+        at = [cells[i][pos] == planted for i in range(mech.n)]
+        allocation[t] = tuple(shares if here and shares is not None else q_of(mech, i, t)
+                              for i, here in enumerate(at))
+        utilities[t] = tuple(utility if here and utility is not None else u_of(mech, i, t)
+                             for i, here in enumerate(at))
+    return from_rationals(mech.dist, "custom", allocation, utilities)
+
+
 def with_utility(mech, profile, buyer, value):
-    """The mechanism with one utility entry replaced by the rational value."""
-    utility = {t: tuple(u_of(mech, i, t) for i in range(mech.n)) for t in mech.profiles()}
-    allocation = {t: tuple(q_of(mech, i, t) for i in range(mech.n)) for t in mech.profiles()}
-    us = list(utility[profile])
-    us[buyer] = value
-    utility[profile] = tuple(us)
-    return from_rationals(mech.dist, "custom", allocation, utility)
+    """The mechanism with the utility at one entry's cell replaced."""
+    return with_cell(mech, profile, buyer, utility=value)
 
 
 def type_values(mech, t):
@@ -132,12 +144,16 @@ class TestIR:
         assert check_ir(build_bic_mechanism(spec)).passed
 
     def test_planted_defect(self):
+        # The planted cell is buyer 0's at (ab, ba) and buyer 1's at (ba, ab).
         bad = with_utility(build_dic_mechanism(EXAMPLE), (AB, BA), 0, F(-1))
         report = check_ir(bad)
         assert not report.passed
-        assert len(report.violations) == 1
+        assert len(report.violations) == 2
         v = report.violations[0]
         assert (v.buyer, v.true_type, v.others) == (0, AB, (BA,))
+        assert (v.lhs, v.rhs) == (F(-1), F(0))
+        v = report.violations[1]
+        assert (v.buyer, v.true_type, v.others) == (1, AB, (BA,))
         assert (v.lhs, v.rhs) == (F(-1), F(0))
 
     def test_constraint_count(self):
@@ -231,10 +247,11 @@ class TestBICandBIR:
 
     def test_payments_are_rederived_from_tables(self):
         # the audit consumes (q, u) only; shifting u changes the derived
-        # payment, which expected_revenue must reflect
+        # payment, which expected_revenue must reflect: the shifted cell is
+        # buyer 0's at (bb, aa) and buyer 1's at (aa, bb), 1/16 each
         mech = build_bic_mechanism(EXAMPLE)
         shifted = with_utility(mech, (BB, AA), 0, u_of(mech, 0, (BB, AA)) + 1)
-        assert expected_revenue(shifted) == expected_revenue(mech) - F(1, 16)
+        assert expected_revenue(shifted) == expected_revenue(mech) - 2 * F(1, 16)
 
 
 class TestTransferEquation:
@@ -518,19 +535,16 @@ DISCRETIZED = discretize(ContinuousSpec(2, 10, 2, 1))
 
 
 def random_mechanism(dist, n, seed):
-    """Shares and utilities drawn from small rationals, some negative and
-    some over-allocating: many violations of every kind, in a fixed order."""
+    """Cell tables drawn from small rationals, some negative and some
+    over-allocating: many violations of every kind, in a fixed order."""
     rng = random.Random(seed)
     shares = [F(0), F(1, 3), F(1, 2), F(2, 3), F(1)]
-    profiles = [t for t, _ in enumerate_profiles(n, dist)]
-    allocation = {
-        t: tuple((rng.choice(shares), rng.choice(shares)) for _ in range(n))
-        for t in profiles
-    }
-    utility = {
-        t: tuple(F(rng.randint(-2, 12), rng.choice((1, 2, 3, 5, 7))) for _ in range(n))
-        for t in profiles
-    }
+
+    def draw():
+        return ((rng.choice(shares), rng.choice(shares)),
+                F(rng.randint(-2, 12), rng.choice((1, 2, 3, 5, 7))))
+
+    allocation, utility = cell_tables(n, dist, draw)
     return from_rationals(dist, "custom", allocation, utility)
 
 
@@ -542,16 +556,23 @@ def differential_cases():
         AuctionSpec(3, F(2, 3), F(1, 2), F(7, 3)),
         AuctionSpec(3, F(1, 2), 1, F(7, 4)),
         AuctionSpec(3, F(1, 4), 0, 2),
+        AuctionSpec(4, F(1, 2), 1, F(7, 4)),
+        AuctionSpec(5, F(2, 3), 1, F(5, 2)),
     ):
         for build in (build_dic_mechanism, build_bic_mechanism):
             mech = build(spec)
             cases.append((f"{build.__name__}-{spec}", mech))
-            # planted defects: a negative utility, and a lifted (b,b) row
+            if spec.n > 4:
+                continue
+            # planted cell defects: a negative utility, a lifted (b,b) row,
+            # and an over-allocated cell with a negative share
             bad = with_utility(mech, (AB,) * spec.n, 0, F(-1, 3))
             cases.append((f"{build.__name__}-negative-{spec}", bad))
             top = (BB,) + (AA,) * (spec.n - 1)
             cases.append((f"{build.__name__}-lifted-{spec}",
                           with_utility(bad, top, 0, u_of(mech, 0, top) + F(7, 5))))
+            cases.append((f"{build.__name__}-misallocated-{spec}",
+                          with_cell(mech, (AA,) * spec.n, 0, shares=(F(1), F(-1, 2)))))
     for dist_name, dist in (("three-atoms", THREE_ATOMS), ("discretized", DISCRETIZED)):
         for n in (2, 3):
             cases.append((f"random-{dist_name}-n{n}", random_mechanism(dist, n, seed=n)))
@@ -559,6 +580,10 @@ def differential_cases():
             sol = solve_auction_lp(2, dist, regime, max_profiles=len(dist.values) ** 4)
             cases.append((f"optimum-{regime}-{dist_name}",
                           extract_mechanism(2, dist, sol)))
+    for regime in ("dic", "bic"):
+        spec = AuctionSpec(3, F(1, 2), 1, F(7, 4))
+        sol = solve_auction_lp(3, spec.dist, regime)
+        cases.append((f"optimum-{regime}-{spec}", extract_mechanism(3, spec.dist, sol)))
     return cases
 
 

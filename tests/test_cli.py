@@ -366,6 +366,26 @@ class TestFailClosed:
         assert err == f"error: cannot write {target}: {os.strerror(errno.ENOSPC)}\n"
 
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ["formulas", *EXAMPLE_ARGS],
+        ["mechanism", *EXAMPLE_ARGS, "--impl", "dic", "--format", "text"],
+    ], ids=["formulas", "mechanism-text"])
+    def test_full_stdout_exits_one_with_one_line(self, argv):
+        # With stdout buffered, the failed flush keeps its data, and the
+        # interpreter's own flush at exit must not fail a second time.
+        src = os.path.dirname(os.path.dirname(twopoint_auctions.__file__))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "twopoint_auctions", *argv],
+                env={**env, "PYTHONPATH": src}, stdout=full, stderr=subprocess.PIPE,
+                text=True, timeout=120,
+            )
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot write <stdout>: ")
+
     def test_cap_variable_is_read_on_every_call(self, capsys, monkeypatch):
         # The parser is built once per process; the variable is not part of
         # it, so setting, changing and clearing it between calls all count.
@@ -575,6 +595,10 @@ GOLDEN = {
     "lp-export-bic": (0, "5ca0ace267785bf53ca7d08b4c7d0c47aab66e373d03ab551d1f42e1bdd7da9f"),
 }
 
+# sha256 of `mechanism --n 6 --p 1/2 --a 1 --b 11/6 --impl bic --check
+# --format json`
+LARGE_EXPORT_SHA256 = "b9a5223bce32c686f758d534427c3e5c9429f43e87e0a00ea1cb6c135ee5ef5a"
+
 
 class TestByteGoldens:
     """Every byte of these outputs is pinned: the type encoding behind them
@@ -584,6 +608,14 @@ class TestByteGoldens:
     def test_stdout(self, capsys, name):
         code, out, _ = run(capsys, *GOLDEN_ARGV[name])
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[name]
+
+    def test_large_export(self, capsys):
+        # About 3 MB with 372 DIC_informational violations: pins the order
+        # in which the audits list the violations of whole opponent classes.
+        code, out, _ = run(capsys, "mechanism", "--n", "6", "--p", "1/2", "--a", "1",
+                           "--b", "11/6", "--impl", "bic", "--check", "--format", "json")
+        assert out.count('"reported_type": "') == 372
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, LARGE_EXPORT_SHA256)
 
     def test_mechanism_out_file(self, capsys, tmp_path):
         path = tmp_path / "mech.json"

@@ -18,14 +18,16 @@ from twopoint_auctions.core import (
     HierarchyScheme,
     InvalidSpec,
     buyer_types,
+    class_cells,
     class_probabilities,
+    opponent_cells,
     opponent_positions,
+    profile_classes,
     profile_table,
     rat,
     rat_allow_decimal,
     rat_str,
     decimal_str,
-    type_entries,
     type_label,
 )
 
@@ -182,17 +184,23 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("atoms,n", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5),
                                          (3, 1), (3, 2), (3, 3)])
-    def test_type_entries(self, atoms, n):
-        # Read with the profiles themselves as the column, buyer i's entries
-        # at type t are its opponents' profiles with t inserted, in order.
+    def test_opponent_cells(self, atoms, n):
+        # Buyer i of type t against the opponents o holds, at the profile
+        # with t inserted, the cell `opponent_cells` gives o's class at t;
+        # and that class counts o's types.
         dist = FiniteValueDistribution(tuple(range(1, atoms + 1)), (F(1, atoms),) * atoms)
         types = buyer_types(dist)
-        profiles = profile_table(n, dist).profiles
+        position = {t: pos for pos, t in enumerate(profile_table(n, dist).profiles)}
         opponents = profile_table(n - 1, dist).profiles
-        for i in range(n):
-            for c, t in enumerate(types):
-                entries = list(type_entries(profiles, n, len(types), i, c))
-                assert entries == [insert(others, i, t) for others in opponents]
+        _, cells = class_cells(n, len(types))
+        keys, _ = profile_classes(n - 1, len(types))
+        at, classes = opponent_cells(n, len(types))
+        assert len(at) == len(keys) and len(classes) == len(opponents)
+        for others, k in zip(opponents, classes, strict=True):
+            assert keys[k] == tuple(others.count(t) for t in types)
+            for i in range(n):
+                for c, t in enumerate(types):
+                    assert cells[i][position[insert(others, i, t)]] == at[k][c]
 
     def test_insert(self):
         assert insert((AB, BA), 1, BB) == (AB, BB, BA)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import json
@@ -8,6 +9,7 @@ import pytest
 
 from twopoint_auctions.core import (
     AuctionSpec,
+    class_cells,
     class_probabilities,
 )
 from twopoint_auctions.formulas import (
@@ -34,6 +36,7 @@ from twopoint_auctions.audit import (
 from twopoint_auctions.oracle import extract_mechanism, solve_auction_lp
 
 from helpers import (
+    cell_tables,
     cheap_items,
     classify_profile,
     enumerate_profiles,
@@ -49,7 +52,7 @@ from helpers import (
     render,
     u_of,
 )
-from test_core import AA, AB, BA, BB
+from test_core import AA, AB, BA, BB, TYPES
 
 EXAMPLE = AuctionSpec(2, F(1, 2), 1, 2)
 EXAMPLE_LOW = AuctionSpec(2, F(1, 2), 1, F(3, 2))
@@ -407,8 +410,8 @@ class TestJsonExport:
 
 
 def random_mechanism(seed):
-    """A mechanism with seeded random tables: shares in [0,1] with zeros,
-    utilities of either sign, on a random two-point spec."""
+    """A mechanism with seeded random cell tables: shares in [0,1] with
+    zeros, utilities of either sign, on a random two-point spec."""
     rng = random.Random(seed)
     n = rng.choice((2, 3))
     spec = AuctionSpec(n, F(rng.randint(1, 5), 6), F(rng.randint(0, 3), rng.randint(1, 4)),
@@ -417,10 +420,8 @@ def random_mechanism(seed):
     def entry(lo):
         return rng.choice((F(0), F(rng.randint(lo, 7), rng.randint(1, 9))))
 
-    allocation, utility = {}, {}
-    for t in profiles_of(spec):
-        allocation[t] = tuple((entry(0) / 7, entry(0) / 7) for _ in range(n))
-        utility[t] = tuple(entry(-7) for _ in range(n))
+    allocation, utility = cell_tables(
+        n, spec.dist, lambda: ((entry(0) / 7, entry(0) / 7), entry(-7)))
     return from_rationals(spec.dist, "random\n\u00e9", allocation, utility)
 
 
@@ -487,21 +488,43 @@ class TestJsonRenderer:
         self.assert_renders(mech)
 
 
-class TestColumns:
-    def test_profile_views_read_the_columns(self):
-        # `allocation` and `utility` look a profile up at its position in
-        # the columns; a tuple that is not a profile of the mechanism is
-        # not a key.
+class TestCells:
+    def test_profile_views_read_the_cells(self):
+        # `allocation` and `utility` read each buyer at its cell of the
+        # profile; a tuple that is not a profile of the mechanism is not a
+        # key.
         mech = build_bic_mechanism(EXAMPLE)
         profiles = mech.profiles()
+        _, cells = class_cells(mech.n, len(TYPES))
         assert list(mech.allocation) == list(mech.utility) == list(profiles)
         assert len(mech.allocation) == len(mech.utility) == 16
         for k, t in enumerate(profiles):
             assert mech.position(t) == k
-            assert mech.allocation[t] == tuple((q1[k], q2[k]) for q1, q2, _ in mech.columns)
-            assert mech.utility[t] == tuple(u[k] for _, _, u in mech.columns)
+            assert mech.allocation[t] == tuple((mech.q1[c[k]], mech.q2[c[k]]) for c in cells)
+            assert mech.utility[t] == tuple(mech.u[c[k]] for c in cells)
         for bad in [(AA,), (AA, AA, AA), (AA, (0, 2)), ((-1, 0), AA)]:
             assert bad not in mech.allocation and bad not in mech.utility
+
+    def test_tables_must_cover_the_cells(self):
+        mech = build_bic_mechanism(EXAMPLE)
+        with pytest.raises(ValueError, match="cells"):
+            dataclasses.replace(mech, u=mech.u[:-1])
+
+    def test_tables_must_be_a_function_of_the_cell(self):
+        # Buyer 0 at (ab, ba) and buyer 1 at (ba, ab) hold one cell; tables
+        # that tell them apart are not a symmetric mechanism.
+        profiles = profiles_of(EXAMPLE)
+        allocation = {t: ((0, 0), (0, 0)) for t in profiles}
+        utility = {t: (0, 0) for t in profiles}
+        from_tables(EXAMPLE.dist, "custom", allocation, utility, 1)
+        utility[AB, BA] = (1, 0)
+        with pytest.raises(ValueError, match=r"differ within the cell of buyer 1 at \(\(1, 0\), \(0, 1\)\)"):
+            from_tables(EXAMPLE.dist, "custom", allocation, utility, 1)
+        utility[BA, AB] = (0, 1)
+        assert from_tables(EXAMPLE.dist, "custom", allocation, utility, 1).utility[BA, AB] == (0, 1)
+        allocation[BB, BB] = ((1, 0), (0, 1))
+        with pytest.raises(ValueError, match="differ within the cell"):
+            from_tables(EXAMPLE.dist, "custom", allocation, utility, 1)
 
     def test_equal_cells_at_different_types(self):
         # Every buyer holds the cell (q1, q2, u) = (1/2, 0, 0) at every

@@ -8,6 +8,7 @@ from twopoint_auctions.core import (
     CapExceeded,
     FiniteValueDistribution,
     buyer_types,
+    class_cells,
 )
 from twopoint_auctions.formulas import breakpoints, price_b_revenue, revenue_bic, revenue_dic
 from twopoint_auctions.mechanisms import build_bic_mechanism, build_dic_mechanism
@@ -317,22 +318,28 @@ class TestOptimumCertificate:
             certify_main_theorem(EXAMPLE)
 
     def _mechanism(self, change):
+        # The example's DIC optimum with `change` applied to the share pair
+        # of the cell every buyer holds at the all-low profile.
         sol = solve_auction_lp(EXAMPLE.n, EXAMPLE.dist, "dic")
         mech = extract_mechanism(EXAMPLE.n, EXAMPLE.dist, sol)
-        allocation = {t: tuple(q_of(mech, i, t) for i in range(mech.n)) for t in mech.profiles()}
+        cells = mech.cells()
+        planted = cells[0][0]
+        allocation = {
+            t: tuple(change(q_of(mech, i, t)) if cells[i][pos] == planted else q_of(mech, i, t)
+                     for i in range(mech.n))
+            for pos, t in enumerate(mech.profiles())
+        }
         utility = {t: tuple(u_of(mech, i, t) for i in range(mech.n)) for t in mech.profiles()}
-        t = next(iter(mech.profiles()))
-        allocation[t] = change(allocation[t])
         return from_rationals(mech.dist, mech.label, allocation, utility), sol.optimum
 
     def test_over_allocation_is_refused(self):
-        mech, optimum = self._mechanism(lambda shares: ((F(1), F(0)),) * len(shares))
-        with pytest.raises(RuntimeError, match="certificate failure: item 1 over-allocated"):
+        mech, optimum = self._mechanism(lambda shares: (F(1), F(0)))
+        with pytest.raises(RuntimeError, match=r"certificate failure: item 1 over-allocated at \(\(0, 0\), \(0, 0\)\)"):
             certify_optimum(mech, "dic", optimum)
 
     def test_negative_share_is_refused(self):
-        mech, optimum = self._mechanism(lambda shares: ((F(-1, 2), F(0)),) + shares[1:])
-        with pytest.raises(RuntimeError, match="certificate failure: negative allocation"):
+        mech, optimum = self._mechanism(lambda shares: (F(-1, 2), F(0)))
+        with pytest.raises(RuntimeError, match=r"certificate failure: negative allocation at \(\(0, 0\), \(0, 0\)\)"):
             certify_optimum(mech, "dic", optimum)
 
     def test_revenue_must_equal_the_optimum(self):
@@ -613,4 +620,23 @@ class TestColumnMap:
     def test_orbits_and_names_equal_the_representative_map(self, n, n_atoms):
         # The orbit ids, their order of first appearance and the column
         # names, against every full variable mapped through `representative`.
-        assert oracle._columns(n, n_atoms) == reference_columns(n, n_atoms)
+        assert oracle._columns(n, n_atoms)[:2] == reference_columns(n, n_atoms)
+
+    @pytest.mark.parametrize(
+        "n,n_atoms", [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (2, 4), (2, 6)])
+    def test_per_cell_orbits_read_the_full_entries(self, n, n_atoms):
+        # Buyer i's q[i,1], q[i,2] and u[i] entries at every profile take
+        # the orbits of its cell there; a cell that no profile holds has none.
+        orbit, _, (q1, q2, u) = oracle._columns(n, n_atoms)
+        _, cells = class_cells(n, n_atoms ** 2)
+        u0 = 2 * n * n_atoms ** (2 * n)
+        held = set()
+        for pos in range(n_atoms ** (2 * n)):
+            for i, buyer_cells in enumerate(cells):
+                x = buyer_cells[pos]
+                held.add(x)
+                assert (q1[x], q2[x], u[x]) == (
+                    orbit[2 * (n * pos + i)], orbit[2 * (n * pos + i) + 1],
+                    orbit[u0 + n * pos + i])
+        assert {x for x, r in enumerate(u) if r is not None} == held
+        assert q1.count(None) == q2.count(None) == u.count(None) == len(u) - len(held)
