@@ -17,11 +17,27 @@ one variable per orbit, built directly; the full program is built only for
 mechanism's cell tables and audited as a mechanism: supply, the regime's
 participation and truthfulness audits, and its expected revenue.
 
+The Bayesian program rests on a second averaging argument.  Buyer i's
+utilities u_i(x, o), at type x against opponents o, enter its participation
+and truthfulness rows only through the interim utility U_i(x) =
+sum_o w_o u_i(x, o) / W(n-1) (Border, Econometrica 1991), the supply rows
+not at all, and the objective through Pr(x) w_o u_i(x, o), so again
+through U_i(x).  Replacing each u_i(x, .) by its average U_i(x) therefore
+keeps every row and the objective's value: a feasible solution stays
+feasible with the same objective.  So the symmetric Bayesian program has
+one utility column per type orbit (a type and its item swap) in place of
+one per cell; its participation rows are single-column rows U >= 0, which
+the solver's presolve turns into bounds, and every cell of the extracted
+mechanism takes its type's utility.  The dominant-strategy program, whose
+rows read each u_i(x, o) on its own, keeps one utility column per cell.
+
 Every program is solved by one rule, whatever its regime or size: the
 truthfulness rows of one-step misreports (one atom along one item, tagged
 'dic_local' or 'bic_local') are in the model from the start, and every
-other truthfulness row ('dic' or 'bic') is withheld and joins only when the
-optimum so far violates it.
+other truthfulness candidate ('dic' or 'bic') is only evaluated.  At each
+optimum the separator reads it at the primal from its column indices, and
+builds it as a row only when the primal violates it.  The full build
+turns every candidate into a row.
 
 The program stays in integers from the builder to the mechanism audit:
 every row and the objective are summed and deduplicated over one scale per
@@ -36,12 +52,12 @@ per (n, atoms) serves every symmetric build and extraction.
 from __future__ import annotations
 
 import collections
+import dataclasses
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import audit
 from .core import (
@@ -64,8 +80,8 @@ from .simplex import Constraint, LinearProgram, LPSolution, solve
 DEFAULT_LP_PROFILE_CAP = 4 ** 4
 
 
-@functools.lru_cache(maxsize=4)
-def _columns(n: int, n_atoms: int) -> tuple[tuple, tuple, tuple]:
+@functools.lru_cache(maxsize=8)
+def _columns(n: int, n_atoms: int, interim: bool = False) -> tuple[tuple, tuple, tuple]:
     """Each full-program entry's column in the symmetric program, each
     column's name, and the columns of each cell's share of item 1, share
     of item 2 and utility (None at a cell that no profile holds).
@@ -77,7 +93,10 @@ def _columns(n: int, n_atoms: int) -> tuple[tuple, tuple, tuple]:
     q[i,1] the item-swapped cell's, u[i] the smaller of the two.  Orbits are
     numbered in order of first appearance and named after their least
     member: buyer 0's type first, the others' sorted, item 0 for an
-    allocation and the smaller profile of the two for a utility.
+    allocation and the smaller profile of the two for a utility.  With
+    `interim`, a utility takes instead the column of its buyer's type
+    orbit, the type and its item swap, named ("U", 0, the smaller type):
+    the Bayesian program's interim utility (see the module docstring).
     """
     types = list(itertools.product(range(n_atoms), repeat=2))
     n_types = len(types)
@@ -89,7 +108,10 @@ def _columns(n: int, n_atoms: int) -> tuple[tuple, tuple, tuple]:
     swap = [classes[tuple(key[s] for s in flip)] * n_types + flip[c]
             for key in keys for c in range(n_types)]
     m = len(swap)  # utility orbits are keyed after the allocation ones
-    u_key = [m + min(x, y) for x, y in enumerate(swap)]
+    if interim:
+        u_key = [m + min(c, flip[c]) for _ in keys for c in range(n_types)]
+    else:
+        u_key = [m + min(x, y) for x, y in enumerate(swap)]
 
     def entries():
         swapped = [map(swap.__getitem__, cell) for cell in cells]
@@ -106,11 +128,15 @@ def _columns(n: int, n_atoms: int) -> tuple[tuple, tuple, tuple]:
 
     names = tuple(
         ("q", 0, 0, profile(x)) if x < m
+        else ("U", 0, types[x - m]) if interim
         else ("u", 0, min(profile(x - m), profile(swap[x - m])))
         for x in ids
     )
-    per_cell = tuple(tuple(map(ids.get, xs)) for xs in (range(m), swap, u_key))
-    return tuple(map(ids.__getitem__, entries())), names, per_cell
+    # A cell is held iff its swapped cell is, so its utility has a column
+    # iff its share of item 1 has one.
+    q1, q2 = (tuple(map(ids.get, xs)) for xs in (range(m), swap))
+    u = tuple(None if r is None else ids[x] for r, x in zip(q1, u_key))
+    return tuple(map(ids.__getitem__, entries())), names, (q1, q2, u)
 
 
 @functools.lru_cache(maxsize=4)
@@ -135,6 +161,216 @@ def _fixed_rows(n: int, n_atoms: int, symmetric: bool) -> tuple[tuple, tuple]:
     )
 
 
+class _Candidates(NamedTuple):
+    """A program's truthfulness candidates, read through its column map.
+
+    `pairs` lists the misreports (x, y), type index x reporting y, and
+    `local` flags those by one atom along one item.  `cells[i][x][p]` is
+    the (u, q1, q2) columns of buyer i at type index x against the opponent
+    profile at `opponent_positions` index p.  A dominant-strategy candidate
+    is (pair, u_true, u_dev, q1_dev, q2_dev), one buyer's row against one
+    opponent profile; a Bayesian one is (pair, buyer), the buyer's row
+    summed over every opponent profile.  `all` is every candidate in row
+    order, and `seeded` and `withheld` its local and other ones."""
+
+    pairs: tuple
+    local: tuple
+    cells: tuple
+    all: tuple
+    seeded: tuple
+    withheld: tuple
+
+
+@functools.lru_cache(maxsize=8)
+def _candidates(n: int, n_atoms: int, regime: str, symmetric: bool) -> _Candidates:
+    """The truthfulness candidates of the full or the symmetric program.
+
+    The symmetric program's are buyer 0's alone and, in the dominant-
+    strategy program, those against sorted opponent profiles alone: every
+    other buyer's rows repeat buyer 0's, and opponent profiles that reorder
+    each other give the same row.  Its columns come from `_columns`, the
+    interim ones in the Bayesian program.  A one-step misreport is seeded:
+    its rows tend to bind."""
+    types = list(itertools.product(range(n_atoms), repeat=2))
+    n_types = len(types)
+    pairs = tuple((x, y) for x in range(n_types) for y in range(n_types) if y != x)
+    local = tuple(sorted(abs(a - b) for a, b in zip(types[x], types[y])) == [0, 1]
+                  for x, y in pairs)
+    u0 = 2 * n * n_types ** n
+    col = _columns(n, n_atoms, regime == "bic")[0] if symmetric else range(3 * u0 // 2)
+    cells, out = [], []
+    for i in range(1) if symmetric else range(n):
+        positions, step = opponent_positions(n, n_types, i)
+        at = tuple(
+            tuple((col[u0 + n * pos + i], col[2 * (n * pos + i)], col[2 * (n * pos + i) + 1])
+                  for pos in (base + x * step for base in positions))
+            for x in range(n_types)
+        )
+        cells.append(at)
+        if regime == "bic":
+            out += [(k, i) for k in range(len(pairs))]
+            continue
+        opponents = range(len(positions))
+        if symmetric:
+            others = itertools.product(range(n_types), repeat=n - 1)
+            opponents = [p for p, o in zip(opponents, others) if list(o) == sorted(o)]
+        for k, (x, y) in enumerate(pairs):
+            out += [(k, at[x][p][0]) + at[y][p] for p in opponents]
+    return _Candidates(
+        pairs, local, tuple(cells), tuple(out),
+        tuple(c for c in out if local[c[0]]),
+        tuple(c for c in out if not local[c[0]]),
+    )
+
+
+class _Program:
+    """An auction program under construction: its columns, objective and
+    fixed rows, and the rows of the truthfulness candidates added so far,
+    each distinct row kept once in order of first appearance.
+
+    The objective and the rows are accumulated in integers over one scale
+    per program: L = lcm(value denominators) for the dominant-strategy
+    rows, L times the profile weight scale W for the Bayesian rows and for
+    the objective.  A row is keyed by its integer coefficients, zero sums
+    included; a row that is kept is stored in lowest terms, without its
+    zeros.  The supply and participation rows come from `_fixed_rows`."""
+
+    def __init__(self, n, dist, regime, max_profiles, symmetric):
+        if regime not in ("dic", "bic"):
+            raise ValueError("regime must be 'dic' or 'bic'")
+        types = buyer_types(dist)
+        n_types = len(types)
+        n_profiles = n_types ** n
+        if n_profiles > max_profiles:
+            raise CapExceeded(
+                f"instance too large for exhaustive mode: {n_profiles} profiles "
+                f"exceeds the LP cap of {max_profiles}"
+            )
+        table = profile_table(n, dist, max_profiles)
+        u0 = 2 * n * n_profiles  # entry of u[0] at profile 0
+        n_atoms = len(dist.values)
+        if symmetric:
+            col, names, _ = _columns(n, n_atoms, regime == "bic")
+        else:
+            col = range(3 * n * n_profiles)
+            names = [("q", i, j, t) for t in table.profiles for i in range(n) for j in range(2)]
+            names += [("u", i, t) for t in table.profiles for i in range(n)]
+        values, lcm_v = scaled(dist.values)
+        self.lcm_v = lcm_v
+
+        objective = {}
+        for pos, (t, w) in enumerate(zip(table.profiles, table.weights)):
+            for i in range(n):
+                k = 2 * (n * pos + i)
+                for j in range(2):
+                    r = col[k + j]
+                    objective[r] = objective.get(r, 0) + w * values[t[i][j]]
+                r = col[u0 + n * pos + i]
+                objective[r] = objective.get(r, 0) - w * lcm_v
+        obj_scale = lcm_v * table.scale
+
+        self.regime = regime
+        self.scale = lcm_v if regime == "dic" else obj_scale
+        self.truth = truth = _candidates(n, n_atoms, regime, symmetric)
+        self.dv = [tuple(values[a] - values[b] for a, b in zip(types[x], types[y]))
+                   for x, y in truth.pairs]
+        self.rows = {}
+        supply, participation = _fixed_rows(n, n_atoms, symmetric)
+        if regime == "dic":
+            fixed = supply + participation
+        else:
+            fixed = supply
+            # Interim rows: the opponent-weighted sums of the per-profile
+            # ones.  An opponent weight over W(n-1) is on the program scale
+            # times g = W(n) / W(n-1).
+            others = profile_table(n - 1, dist)
+            g = table.scale // others.scale
+            self.weights = [w * g for w in others.weights]
+            for at in truth.cells:
+                for x in range(n_types):
+                    coeffs = {}
+                    for (r, _, _), w in zip(at[x], self.weights):
+                        coeffs[r] = coeffs.get(r, 0) + w * lcm_v
+                    self._keep(coeffs, "bir")
+        g = math.gcd(obj_scale, *objective.values())
+        self.lp = LinearProgram(
+            variables=list(names),
+            objective={r: c // g for r, c in objective.items() if c},
+            obj_scale=obj_scale // g,
+            constraints=list(fixed),
+            nonneg=set(col[:u0]),
+        )
+
+    def _keep(self, coeffs: dict, tag: str):
+        """Keep the row coeffs >= 0 and return it, or None if it is kept
+        already."""
+        key = tuple(sorted(coeffs.items()))
+        if key in self.rows:
+            return None
+        g = math.gcd(self.scale, *coeffs.values())
+        row = self.rows[key] = Constraint(
+            tuple((r, c // g) for r, c in coeffs.items() if c), ">=", 0, self.scale // g, tag)
+        return row
+
+    def add(self, candidate):
+        """Keep a candidate's row, over the program scale: w times
+        u(x) - u(y) - (x - y).q(y) >= 0 for type x misreporting y, w = 1
+        against one opponent profile, or summed over them with their
+        weights.  Returns the row, or None if it is kept already."""
+        k = candidate[0]
+        dv, lcm_v = self.dv[k], self.lcm_v
+        coeffs = {}
+        if self.regime == "dic":
+            _, true, dev, *shares = candidate
+            terms = [(true, 1, dev, shares)]
+        else:
+            x, y = self.truth.pairs[k]
+            at = self.truth.cells[candidate[1]]
+            terms = [(t[0], w, d[0], d[1:]) for t, d, w in zip(at[x], at[y], self.weights)]
+        for true, w, dev, shares in terms:
+            coeffs[true] = coeffs.get(true, 0) + w * lcm_v
+            coeffs[dev] = coeffs.get(dev, 0) - w * lcm_v
+            for r, d in zip(shares, dv):
+                if d:
+                    coeffs[r] = coeffs.get(r, 0) - w * d
+        tag = self.regime + "_local" if self.truth.local[k] else self.regime
+        return self._keep(coeffs, tag)
+
+    def model(self) -> LinearProgram:
+        """The program with the rows kept so far."""
+        return dataclasses.replace(self.lp, constraints=[*self.lp.constraints, *self.rows.values()])
+
+    def separate(self, x: Sequence[int], X: int) -> list:
+        """The rows of the withheld candidates that the primal x / X
+        violates, in row order, each built once and only if it is not in
+        the model yet.
+
+        A dominant-strategy candidate is read from its four columns,
+        L (u_true - u_dev) - dv . q_dev.  A Bayesian one, of buyer 0 as in
+        the symmetric program, from per-type interim sums of the primal:
+        with weights w_p over the opponent profiles, U(x) = sum_p w_p
+        u(x, p) and Q_j(y) = sum_p w_p q_j(y, p), its row is L (U(x) -
+        U(y)) - dv . Q(y) over the weight scale."""
+        truth, dv, lcm_v = self.truth, self.dv, self.lcm_v
+        if self.regime == "dic":
+            violated = [
+                c for c in truth.withheld
+                if lcm_v * (x[c[1]] - x[c[2]]) < dv[c[0]][0] * x[c[3]] + dv[c[0]][1] * x[c[4]]
+            ]
+        else:
+            weights = self.weights
+            sums = [[sum(w * x[c[j]] for c, w in zip(at, weights)) for j in range(3)]
+                    for at in truth.cells[0]]
+            pairs = truth.pairs
+            violated = []
+            for c in truth.withheld:
+                k = c[0]
+                (u, _, _), (v, q1, q2) = sums[pairs[k][0]], sums[pairs[k][1]]
+                if lcm_v * (u - v) < dv[k][0] * q1 + dv[k][1] * q2:
+                    violated.append(c)
+        return [row for row in map(self.add, violated) if row is not None]
+
+
 def _build(
     n: int,
     dist: FiniteValueDistribution,
@@ -142,136 +378,32 @@ def _build(
     max_profiles: int,
     symmetric: bool,
 ) -> LinearProgram:
-    """The revenue-maximization LP, full or buyer/item-symmetric.
+    """The revenue-maximization LP, full or buyer/item-symmetric, with
+    every truthfulness candidate built as a row.
 
     Every variable is read through a column map, the identity or the
     orbit tuple of `_columns` (the variable's class cell, joined under the
-    item swap), and each row is accumulated under the mapped columns;
-    identical rows are kept once, in order of first appearance.  Only the
-    full program names its variables one by one.  The supply
-    and participation rows come from `_fixed_rows`.  The other rows and
-    the objective are accumulated in integers over one scale per program:
-    L = lcm(value denominators) for the dominant-strategy rows, L times the
-    profile weight scale W for the Bayesian rows and for the objective.  A
-    row is keyed by its integer coefficients, zero sums included; a row
-    that is kept is stored in lowest terms, without its zeros.
+    item swap; its type orbit for a Bayesian utility), and each row is
+    accumulated under the mapped columns; identical rows are kept once, in
+    order of first appearance (`_Program`).  Only the full program names
+    its variables one by one.
     """
-    if regime not in ("dic", "bic"):
-        raise ValueError("regime must be 'dic' or 'bic'")
-    types = buyer_types(dist)
-    n_types = len(types)
-    n_profiles = n_types ** n
-    if n_profiles > max_profiles:
-        raise CapExceeded(
-            f"instance too large for exhaustive mode: {n_profiles} profiles "
-            f"exceeds the LP cap of {max_profiles}"
-        )
-    table = profile_table(n, dist, max_profiles)
-    u0 = 2 * n * n_profiles  # entry of u[0] at profile 0
-    if symmetric:
-        col, names, _ = _columns(n, len(dist.values))
-    else:
-        col = range(3 * n * n_profiles)
-        names = [("q", i, j, t) for t in table.profiles for i in range(n) for j in range(2)]
-        names += [("u", i, t) for t in table.profiles for i in range(n)]
-    values, lcm_v = scaled(dist.values)
+    program = _Program(n, dist, regime, max_profiles, symmetric)
+    for candidate in program.truth.all:
+        program.add(candidate)
+    return program.model()
 
-    objective = {}
-    for pos, (t, w) in enumerate(zip(table.profiles, table.weights)):
-        for i in range(n):
-            k = 2 * (n * pos + i)
-            for j in range(2):
-                r = col[k + j]
-                objective[r] = objective.get(r, 0) + w * values[t[i][j]]
-            r = col[u0 + n * pos + i]
-            objective[r] = objective.get(r, 0) - w * lcm_v
-    obj_scale = lcm_v * table.scale
 
-    scale = lcm_v if regime == "dic" else obj_scale
-    rows = {}
-
-    def add(coeffs, tag):
-        """Keep the row coeffs >= 0 unless it is already kept."""
-        key = tuple(sorted(coeffs.items()))
-        if key not in rows:
-            g = math.gcd(scale, *coeffs.values())
-            rows[key] = Constraint(
-                tuple((r, c // g) for r, c in coeffs.items() if c), ">=", 0, scale // g, tag
-            )
-
-    # In the symmetric program every buyer's truthfulness and participation
-    # rows repeat buyer 0's, and opponent profiles that reorder each other
-    # give the same truthfulness row, first met at the sorted one.  Profile
-    # positions come from `opponent_positions`: buyer i of type index x
-    # against opponents at base position p sits at p + x * step.  A
-    # misreport by one atom along one item is flagged local: its rows tend
-    # to bind, so their '_local' tag keeps them in the model from the start.
-    buyers = range(1) if symmetric else range(n)
-    pairs = [
-        (x, y, [values[t[0]] - values[s[0]], values[t[1]] - values[s[1]]],
-         sorted((abs(t[0] - s[0]), abs(t[1] - s[1]))) == [0, 1])
-        for x, t in enumerate(types) for y, s in enumerate(types) if y != x
-    ]
-
-    def truthfulness(coeffs, i, x, y, dv, base, step, w):
-        """Add w times buyer i's truthfulness row (type x misreporting y
-        against the opponents at `base`), over the program scale:
-        u_i(x) - u_i(y) - (x - y).q_i(y) >= 0."""
-        true, dev = base + x * step, base + y * step
-        r = col[u0 + n * true + i]
-        coeffs[r] = coeffs.get(r, 0) + w * lcm_v
-        r = col[u0 + n * dev + i]
-        coeffs[r] = coeffs.get(r, 0) - w * lcm_v
-        for j in range(2):
-            if dv[j]:
-                r = col[2 * (n * dev + i) + j]
-                coeffs[r] = coeffs.get(r, 0) - w * dv[j]
-
-    supply, participation = _fixed_rows(n, len(dist.values), symmetric)
-    fixed = supply + participation if regime == "dic" else supply
-    if regime == "dic":
-        others = profile_table(n - 1, dist).profiles
-        for i in buyers:
-            positions, step = opponent_positions(n, n_types, i)
-            opponents = [p for p, o in zip(positions, others)
-                         if not symmetric or list(o) == sorted(o)]
-            for x, y, dv, local in pairs:
-                tag = "dic_local" if local else "dic"
-                for base in opponents:
-                    coeffs = {}
-                    truthfulness(coeffs, i, x, y, dv, base, step, 1)
-                    add(coeffs, tag)
-    else:
-        # Interim rows: the opponent-weighted sums of the per-profile ones.
-        # An opponent weight over W(n-1) is on the program scale times
-        # g = W(n) / W(n-1).
-        others = profile_table(n - 1, dist)
-        g = table.scale // others.scale
-        weights = [w * g for w in others.weights]
-        for i in buyers:
-            positions, step = opponent_positions(n, n_types, i)
-            for x in range(n_types):
-                coeffs = {}
-                for base, w in zip(positions, weights):
-                    r = col[u0 + n * (base + x * step) + i]
-                    coeffs[r] = coeffs.get(r, 0) + w * lcm_v
-                add(coeffs, "bir")
-        for i in buyers:
-            positions, step = opponent_positions(n, n_types, i)
-            for x, y, dv, local in pairs:
-                coeffs = {}
-                for base, w in zip(positions, weights):
-                    truthfulness(coeffs, i, x, y, dv, base, step, w)
-                add(coeffs, "bic_local" if local else "bic")
-
-    g = math.gcd(obj_scale, *objective.values())
-    return LinearProgram(
-        variables=list(names),
-        objective={r: c // g for r, c in objective.items() if c},
-        obj_scale=obj_scale // g,
-        constraints=[*fixed, *rows.values()],
-        nonneg=set(col[:u0]),
-    )
+def _seeded_program(
+    n: int, dist: FiniteValueDistribution, regime: str, max_profiles: int
+) -> tuple[LinearProgram, Callable[[Sequence[int], int], list]]:
+    """The symmetric program with its one-step truthfulness rows alone, and
+    the separator of its other truthfulness candidates (`solve`'s
+    `separate`)."""
+    program = _Program(n, dist, regime, max_profiles, True)
+    for candidate in program.truth.seeded:
+        program.add(candidate)
+    return program.model(), program.separate
 
 
 def build_auction_lp(
@@ -301,14 +433,16 @@ def solve_auction_lp(
     """Solve the auction LP through its symmetric program and certify the
     optimum as a mechanism.
 
-    The regime's non-local truthfulness rows are withheld and added in
-    warm rounds as the optimum violates them; the one-step rows stay
-    seeded.  An auction LP is feasible and bounded, so any other status
-    raises.  The returned solution is the symmetric program's; its
-    mechanism (`extract_mechanism`) has passed `certify_optimum`.
+    The program holds the regime's one-step truthfulness rows; the other
+    ones join in warm rounds, built by the separator as the optimum
+    violates them.  An auction LP is feasible and bounded, so any other
+    status raises.  The returned solution is the symmetric program's, its
+    separated rows included; its mechanism (`extract_mechanism`) has
+    passed `certify_optimum`, which audits it over every truthfulness
+    constraint and so refuses the optimum of an incomplete separator.
     """
-    lp = _build(n, dist, regime, max_profiles, symmetric=True)
-    sol = solve(lp, lazy_tags=(regime,))
+    lp, separate = _seeded_program(n, dist, regime, max_profiles)
+    sol = solve(lp, separate)
     if sol.status != "optimal":
         raise RuntimeError(f"certificate failure: the auction LP is {sol.status}")
     certify_optimum(extract_mechanism(n, dist, sol), regime, sol.optimum)
@@ -327,12 +461,16 @@ def extract_mechanism(
 
     Each cell takes the values of its orbits (`_columns`): its share of
     item 1 from its own, its share of item 2 from the item-swapped cell's,
-    its utility from the smaller cell's of the two.  The tables hold the
-    primal's numerators over den = X / gcd(X, numerators), the lcm of the
-    values' reduced denominators."""
-    _, names, per_cell = _columns(n, len(dist.values))
+    its utility from the smaller cell's of the two, or, from a Bayesian
+    program, its type's interim utility.  The tables hold the primal's
+    numerators over den = X / gcd(X, numerators), the lcm of the values'
+    reduced denominators."""
     x, X = sol.primal, sol.primal_den
-    if len(x) != len(names):
+    for interim in (False, True):
+        _, names, per_cell = _columns(n, len(dist.values), interim)
+        if len(x) == len(names) and tuple(sol.variables) == names:
+            break
+    else:
         raise ValueError("the solution is not of the symmetric auction program")
     g = math.gcd(X, *x)
     value = [v // g for v in x]
@@ -381,7 +519,7 @@ def certify_optimum(mech: Mechanism, regime: str, optimum: Fraction) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class CertificationReport:
     spec: AuctionSpec
     lp_dic: Fraction

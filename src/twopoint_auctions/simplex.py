@@ -23,17 +23,18 @@ to Bland's rule, the anti-cycling guarantee, once it stalls on degenerate
 pivots.  One dual simplex under Bland's rule, which is finite,
 repairs every primal-infeasible basis.  An infeasible origin is repaired
 under the zero objective, for which every basis is dual feasible, before
-the real objective is priced in.  Lazy rows are added in warm-started
-rounds: the rows the optimum violates join the optimal tableau, each basic
-in its own slack, and dual simplex pivots restore primal feasibility
-without leaving the optimal basis behind.
+the real objective is priced in.  Rows can also join in warm-started
+rounds, from a separation callback that is given each optimum and returns
+the rows it violates: they join the optimal tableau, each basic in its own
+slack, and dual simplex pivots restore primal feasibility without leaving
+the optimal basis behind.
 
 Solutions are certified exactly before they are returned, against every
-constraint of the program, lazy rows included: the primal is substituted
-into every constraint and the objective, and the dual read off the final
-objective row must be sign-correct, dual-feasible and attain the same
-objective (Applegate, Cook, Dash & Espinoza, "Exact solutions to linear
-programming problems", Oper. Res. Lett. 2007).  The solver returns the
+constraint of the program and every row added to it: the primal is
+substituted into every constraint and the objective, and the dual read off
+the final objective row must be sign-correct, dual-feasible and attain the
+same objective (Applegate, Cook, Dash & Espinoza, "Exact solutions to
+linear programming problems", Oper. Res. Lett. 2007).  The solver returns the
 primal and the duals each as integer numerators over one denominator, and
 the certificate compares integers against the rows as given.  A `Fraction`
 is made only at the API edge: the optimum, the `assignment` and `duals`
@@ -42,10 +43,11 @@ views, and the rational row view.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import decimal_str, rat_str
 
@@ -104,11 +106,6 @@ class LinearProgram:
             raise ValueError("nonneg lists an undeclared column")
         return self
 
-    def n_constraints(self, tag=None) -> int:
-        if tag is None:
-            return len(self.constraints)
-        return sum(1 for c in self.constraints if c.tag == tag)
-
     def objective_terms(self) -> list:
         """The objective as (variable, Fraction) terms."""
         names, scale = self.variables, self.obj_scale
@@ -129,8 +126,10 @@ class LPSolution:
 
     The primal is x[j] = primal[j] / primal_den, one value per column; the
     duals are dual[k] / dual_den, one per constraint of the program solved,
-    in its order, and empty when the solution carries no dual.  `assignment`
-    and `duals` are Fraction views of them, keyed by `variables`.
+    in its order, then one per row of `added`, the rows that joined the
+    solve in its rounds; they are empty when the solution carries no dual.
+    `assignment` and `duals` are Fraction views of them, keyed by
+    `variables`.
     """
 
     status: str  # "optimal" | "infeasible" | "unbounded"
@@ -141,6 +140,7 @@ class LPSolution:
     dual: tuple = ()
     dual_den: int = 1
     variables: Sequence = field(default=(), repr=False, compare=False)
+    added: tuple = field(default=(), repr=False)
 
     @property
     def assignment(self) -> dict:
@@ -155,15 +155,14 @@ class SimplexError(RuntimeError):
     pass
 
 
-def _presolve_nonneg(lp: LinearProgram, active: Sequence[int]):
-    """Split off the active single-column rows of the form a*x >= 0 (a > 0)
-    or a*x <= 0 (a < 0): they are exactly column nonnegativity.  Returns the
+def _presolve_nonneg(lp: LinearProgram):
+    """Split off the single-column rows of the form a*x >= 0 (a > 0) or
+    a*x <= 0 (a < 0): they are exactly column nonnegativity.  Returns the
     indices of the rows kept, those of the rows split off, and the
     nonnegative columns."""
     nonneg = set(lp.nonneg)
     kept, split = [], []
-    for k in active:
-        c = lp.constraints[k]
+    for k, c in enumerate(lp.constraints):
         if len(c.coeffs) == 1 and c.rhs == 0:
             (j, a), = c.coeffs
             if (c.rel == ">=" and a > 0) or (c.rel == "<=" and a < 0):
@@ -345,42 +344,36 @@ def _log2_norm(entries) -> float:
     return top + math.log2(2.0 ** -top + sum(2.0 ** (t - top) for t in terms))
 
 
-def solve(lp: LinearProgram, lazy_tags: Sequence[str] = ()) -> LPSolution:
-    """Exact simplex.  With `lazy_tags`, rows carrying those tags start out
-    of the model and are added in rounds whenever the relaxation's optimum
-    violates them; the returned solution satisfies every row exactly, and
-    its duals (zero on rows never added) prove it optimal.
+def solve(
+    lp: LinearProgram, separate: Callable[[list, int], Sequence[Constraint]] | None = None
+) -> LPSolution:
+    """Exact simplex.  With `separate`, rows join in rounds: at each optimum,
+    separate(x, X) returns the rows that the primal x / X violates, in a
+    fixed order, and the solve ends at the first optimum for which it
+    returns none.  The returned solution carries the rows added in `added`
+    and is certified against the program's rows and those; its duals prove
+    it optimal over both.
 
-    The lazy rounds are warm-started: the violated rows join the optimal
-    tableau and dual simplex pivots under Bland's rule restore primal
-    feasibility.  Only an unbounded relaxation, whose tableau is not dual
-    feasible, is solved again from the slack basis with every row."""
+    The rounds are warm-started: the violated rows join the optimal tableau
+    and dual simplex pivots under Bland's rule restore primal feasibility.
+    An unbounded or infeasible status ends the solve without a further
+    call of `separate`."""
     lp.validate()
-    lazy_tags = set(lazy_tags)
-    constraints = lp.constraints
-    active = [k for k, c in enumerate(constraints) if c.tag not in lazy_tags]
-    pool = [k for k, c in enumerate(constraints) if c.tag in lazy_tags]
-    state = _Solver(lp, active)
-    pivots = state.pivots
-    if state.status == "unbounded" and pool:
-        # the withheld rows may bound the ray; fold them all in
-        state = _Solver(lp, active + pool)
-        pivots += state.pivots
-        pool = []
+    state = _Solver(lp)
     while state.status == "optimal":
         x, X = state.primal()
-        violated = [k for k in pool if _violated(constraints[k], x, X)]
-        if not violated:
+        rows = list(separate(x, X)) if separate else []
+        if not rows:
             y, Y = state.duals()
             cx = sum(c * x[j] for j, c in lp.objective.items())
-            sol = LPSolution("optimal", Fraction(cx, lp.obj_scale * X), pivots,
-                             tuple(x), X, tuple(y), Y, lp.variables)
+            sol = LPSolution("optimal", Fraction(cx, lp.obj_scale * X), state.pivots,
+                             tuple(x), X, tuple(y), Y, lp.variables,
+                             tuple(state.lp.constraints[len(lp.constraints):]))
             _certify(lp, sol)
             return sol
-        added = set(violated)
-        pool = [k for k in pool if k not in added]
-        pivots += state.add_rows(violated)
-    return LPSolution(state.status, None, pivots, variables=lp.variables)
+        dataclasses.replace(lp, constraints=rows).validate()
+        state.add_rows(rows)
+    return LPSolution(state.status, None, state.pivots, variables=lp.variables)
 
 
 def _violated(c: Constraint, x: Sequence[int], X: int) -> bool:
@@ -391,7 +384,8 @@ def _violated(c: Constraint, x: Sequence[int], X: int) -> bool:
 
 
 def _certify(lp: LinearProgram, sol: LPSolution):
-    """Check an optimum exactly against the whole program: the primal is
+    """Check an optimum exactly against the whole program, its rows and the
+    solution's added rows: the primal is
     feasible and attains the optimum, and the duals are sign-correct,
     dual-feasible (Aᵀy = c on free columns, Aᵀy ≥ c on nonnegative ones)
     and attain it too, b·y = c·x.
@@ -405,7 +399,7 @@ def _certify(lp: LinearProgram, sol: LPSolution):
     x, X = sol.primal, sol.primal_den
     y, Y = sol.dual, sol.dual_den
     opt = sol.optimum
-    names, constraints = lp.variables, lp.constraints
+    names, constraints = lp.variables, [*lp.constraints, *sol.added]
     if len(x) != len(names) or X <= 0:
         raise SimplexError("certificate failure: no primal value for every variable")
     for j in lp.nonneg:
@@ -441,21 +435,22 @@ def _certify(lp: LinearProgram, sol: LPSolution):
 
 
 class _Solver:
-    """One solve's tableau, kept across lazy rounds.
+    """One solve's tableau, kept across its rounds.
 
-    Tableau row i holds the program row `kept[i]`, made a <= row by
-    `signs[i]`, with the slack column nstruct + i; the objective row comes
-    last.  The constructor solves the active rows from the slack basis and
-    sets `status` and `pivots`.  When the origin is infeasible, a row's
-    right-hand side negative, the dual simplex first runs under the zero
-    objective, for which every basis is dual feasible: it reaches a
-    feasible basis or proves the rows infeasible, and the real objective
-    row is then priced at that basis.  At an optimum `primal` and `duals`
-    read the vectors off the tableau, and `add_rows` adds program rows."""
+    Tableau row i holds the row `kept[i]` of `lp`, the solver's copy of the
+    program, made a <= row by `signs[i]`, with the slack column nstruct + i;
+    the objective row comes last.  The constructor solves the program from
+    the slack basis and sets `status` and `pivots`.  When the origin is
+    infeasible, a row's right-hand side negative, the dual simplex first
+    runs under the zero objective, for which every basis is dual feasible:
+    it reaches a feasible basis or proves the rows infeasible, and the real
+    objective row is then priced at that basis.  At an optimum `primal` and
+    `duals` read the vectors off the tableau, and `add_rows` adds rows to
+    the program."""
 
-    def __init__(self, lp: LinearProgram, active: Sequence[int]):
-        self.lp = lp
-        kept, self.split, self.nonneg = _presolve_nonneg(lp, active)
+    def __init__(self, lp: LinearProgram):
+        self.lp = lp = dataclasses.replace(lp, constraints=list(lp.constraints))
+        kept, self.split, self.nonneg = _presolve_nonneg(lp)
         nonneg = self.nonneg
 
         # Column layout: one column per nonneg variable, two (x+ and x-) per
@@ -527,10 +522,11 @@ class _Solver:
         if any(j in where for j in rows[i]):
             raise SimplexError(f"a basic column is left in row {i}")
 
-    def add_rows(self, ks: Sequence[int]) -> int:
-        """Add the program rows `ks`, each violated at the optimal basis,
-        and restore primal feasibility with dual simplex pivots.  Returns the
-        pivots made and leaves `status` "optimal" or "infeasible".
+    def add_rows(self, new: Sequence[Constraint]) -> int:
+        """Add the rows `new` to the program, each violated at the optimal
+        basis, and restore primal feasibility with dual simplex pivots.
+        Returns the pivots made and leaves `status` "optimal" or
+        "infeasible".
 
         A new row is made basic in its own slack once it is priced: every
         basic column is cleared from it with that column's row, which leaves
@@ -543,7 +539,9 @@ class _Solver:
         tab, basis = self.tab, self.basis
         rows, dens = tab.rows, tab.dens
         where = {col: i for i, col in enumerate(basis)}
-        for i, row in enumerate(self._rows(ks), len(basis)):
+        k = len(self.lp.constraints)
+        self.lp.constraints += new
+        for i, row in enumerate(self._rows(range(k, len(self.lp.constraints))), len(basis)):
             rows.insert(i, row)
             dens.insert(i, 1)
             self._price(i, where)

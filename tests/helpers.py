@@ -29,7 +29,7 @@ from twopoint_auctions.mechanisms import (
     interval_case,
     mechanism_to_json,
 )
-from twopoint_auctions.simplex import Constraint, LinearProgram
+from twopoint_auctions.simplex import Constraint, LinearProgram, _violated
 
 AA, AB, BA, BB = (0, 0), (0, 1), (1, 0), (1, 1)
 
@@ -288,6 +288,27 @@ def make_lp(variables, objective, rows, nonneg=()):
     )
 
 
+def n_constraints(lp, tag=None):
+    """The number of the program's rows, or of those tagged `tag`."""
+    return sum(1 for c in lp.constraints if tag is None or c.tag == tag)
+
+
+def tag_pool(lp, tags):
+    """The program without its rows tagged `tags`, and a separator for
+    `simplex.solve` over those rows: at each primal, the withheld rows it
+    violates, in program order, each returned once."""
+    pool = [c for c in lp.constraints if c.tag in tags]
+    kept = LinearProgram(lp.variables, lp.objective, lp.obj_scale,
+                         [c for c in lp.constraints if c.tag not in tags], lp.nonneg)
+
+    def separate(x, X):
+        violated = [c for c in pool if _violated(c, x, X)]
+        pool[:] = [c for c in pool if not _violated(c, x, X)]
+        return violated
+
+    return kept, separate
+
+
 def _canonical(t, i, swap):
     """Buyer i's type first and the others' sorted behind it, with the two
     items swapped if asked."""
@@ -312,6 +333,17 @@ def representative(v):
     return ("u", 0, min(_canonical(t, i, False), _canonical(t, i, True)))
 
 
+def interim_representative(v):
+    """The column of a variable in the symmetric Bayesian program: an
+    allocation's orbit representative, and for a utility, full or of a
+    cell orbit, the type orbit of its buyer's type, ("U", 0, the smaller of
+    the type and its item swap)."""
+    if v[0] == "q":
+        return representative(v)
+    _, i, t = v
+    return ("U", 0, min(t[i], t[i][::-1]))
+
+
 def full_variables(n, n_atoms):
     """The full program's variables for n buyers over k atoms, in its
     order: q[i,j,t] (profile, buyer, item order), then u[i,t] (profile,
@@ -334,9 +366,11 @@ def reference_columns(n, n_atoms):
 
 def full_assignment(n, dist, sol):
     """The full program's Fraction assignment of a symmetric solution:
-    every variable takes its representative's value."""
+    every variable takes its representative's value, a utility its type's
+    interim value if the solution is of the Bayesian program."""
     assignment = sol.assignment
-    return {v: assignment[representative(v)] for v in full_variables(n, len(dist.values))}
+    rep = interim_representative if sol.variables[-1][0] == "U" else representative
+    return {v: assignment[rep(v)] for v in full_variables(n, len(dist.values))}
 
 
 def extract_from_assignment(dist, assignment, label="custom"):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twopoint_auctions
-from twopoint_auctions import continuous
+from twopoint_auctions import continuous, formulas
 from twopoint_auctions.cli import main
 
 EXAMPLE_ARGS = ["--n", "2", "--p", "1/2", "--a", "1", "--b", "2"]
@@ -232,6 +232,23 @@ class TestSweep:
         assert code == 1
         assert "b range" in err
 
+    def test_step_count_over_the_cap(self, capsys, monkeypatch):
+        # Refused before the first grid point is made.
+        made = []
+        monkeypatch.setattr(formulas, "AuctionSpec", lambda *args: made.append(args))
+        code, out, err = run(capsys, "sweep", "--n", "2", "--p", "1/2", "--a", "1",
+                             "--b-min", "2", "--b-max", "3", "--steps", "100000000")
+        assert (code, out, made) == (4, "", [])
+        assert err.splitlines() == [
+            "error: sweep of 100000000 steps exceeds the cap of 10000 steps"]
+
+    def test_step_count_at_the_cap(self, capsys, monkeypatch):
+        # The cap itself is allowed; a lower cap keeps the run short.
+        monkeypatch.setattr(formulas, "MAX_SWEEP_STEPS", 5)
+        argv = ["sweep", "--n", "2", "--p", "1/2", "--a", "1", "--b-min", "2", "--b-max", "3"]
+        assert run(capsys, *argv, "--steps", "5")[0] == 0
+        assert run(capsys, *argv, "--steps", "6")[0] == 4
+
     def test_byte_determinism(self, capsys):
         args = ("sweep", "--n", "2", "--p", "1/3", "--a", "1",
                 "--b-min", "3/2", "--b-max", "3", "--steps", "7")
@@ -427,18 +444,19 @@ class TestFailClosed:
 
 class TestCertificateFailure:
     def test_exit_five_with_one_error_line(self, capsys, monkeypatch):
-        # A builder that drops the truthfulness rows yields a mechanism the
-        # DIC audit refuses: a defect in the program, reported as such.
+        # A builder that drops the seeded truthfulness rows and the
+        # separator yields a mechanism the DIC audit refuses: a defect in
+        # the program, reported as such.
         from twopoint_auctions import oracle
 
-        build = oracle._build
+        build = oracle._seeded_program
 
         def without_dic_rows(*args, **kwargs):
-            lp = build(*args, **kwargs)
+            lp, _ = build(*args, **kwargs)
             lp.constraints = [c for c in lp.constraints if not c.tag.startswith("dic")]
-            return lp
+            return lp, None
 
-        monkeypatch.setattr(oracle, "_build", without_dic_rows)
+        monkeypatch.setattr(oracle, "_seeded_program", without_dic_rows)
         code, out, err = run(capsys, "certify", *EXAMPLE_ARGS)
         errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert code == 5

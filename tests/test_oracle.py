@@ -30,7 +30,7 @@ from twopoint_auctions.oracle import (
     solve_auction_lp,
 )
 from twopoint_auctions.continuous import ContinuousSpec, discretize
-from twopoint_auctions.simplex import solve
+from twopoint_auctions.simplex import _violated, solve
 
 from helpers import (
     enumerate_profiles,
@@ -38,7 +38,9 @@ from helpers import (
     from_rationals,
     full_assignment,
     insert,
+    interim_representative,
     make_lp,
+    n_constraints,
     q_of,
     reference_columns,
     representative,
@@ -74,23 +76,26 @@ def _group(n):
     ]
 
 
-def _reduce(lp):
-    """Reference reduction of a full program: map every variable to its
-    representative, sum the objective and each row under the map, and keep
-    identical rows once, in order of first appearance."""
-    variables = list(dict.fromkeys(representative(v) for v in lp.variables))
+def _reduce(lp, rep=representative):
+    """Reference reduction of a program: map every variable through `rep`,
+    its orbit representative by default, sum the objective and each row
+    under the map, and keep identical rows once, in order of first
+    appearance.  With `interim_representative`, applied to the symmetric
+    program, it averages the utilities per type orbit: every utility of a
+    type orbit becomes one column, its coefficients summed."""
+    variables = list(dict.fromkeys(rep(v) for v in lp.variables))
     objective = {}
     for v, c in lp.objective_terms():
-        r = representative(v)
+        r = rep(v)
         objective[r] = objective.get(r, F(0)) + c
     rows = {}
     for terms, rel, rhs, tag in lp.rows():
         coeffs = {}
         for v, c in terms:
-            r = representative(v)
+            r = rep(v)
             coeffs[r] = coeffs.get(r, F(0)) + c
         rows.setdefault((tuple(sorted(coeffs.items())), rel, rhs), (coeffs, rel, rhs, tag))
-    nonneg = {representative(lp.variables[j]) for j in lp.nonneg}
+    nonneg = {rep(lp.variables[j]) for j in lp.nonneg}
     return make_lp(variables, objective, rows.values(), nonneg).validate()
 
 
@@ -113,19 +118,19 @@ class TestProgramShapes:
         assert len(q_vars) == 2 * 2 * 16  # buyers x items x profiles
         assert len(u_vars) == 2 * 16
         # 8 of a buyer's 12 misreports are one-step, per opponent type
-        assert lp.n_constraints("dic_local") == 2 * 8 * 4
-        assert lp.n_constraints("dic") == 2 * 4 * 4
-        assert lp.n_constraints("ir") == 2 * 16
-        assert lp.n_constraints("supply") == 2 * 16
+        assert n_constraints(lp, "dic_local") == 2 * 8 * 4
+        assert n_constraints(lp, "dic") == 2 * 4 * 4
+        assert n_constraints(lp, "ir") == 2 * 16
+        assert n_constraints(lp, "supply") == 2 * 16
         nonneg = {lp.variables[j] for j in lp.nonneg}
         assert set(q_vars) <= nonneg and not (set(u_vars) & nonneg)
 
     def test_bic_counts_at_n2(self):
         lp = build_auction_lp(EXAMPLE.n, EXAMPLE.dist, "bic")
-        assert lp.n_constraints("bic_local") == 2 * 8
-        assert lp.n_constraints("bic") == 2 * 4
-        assert lp.n_constraints("bir") == 2 * 4
-        assert lp.n_constraints("supply") == 2 * 16
+        assert n_constraints(lp, "bic_local") == 2 * 8
+        assert n_constraints(lp, "bic") == 2 * 4
+        assert n_constraints(lp, "bir") == 2 * 4
+        assert n_constraints(lp, "supply") == 2 * 16
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
@@ -261,9 +266,13 @@ class TestSymmetryReduction:
     @SYMMETRY_CASES
     @pytest.mark.parametrize("regime", ["dic", "bic"])
     def test_symmetric_program_is_the_reduced_full_program(self, n, dist, regime):
+        # The Bayesian one is the reduced program with its utilities
+        # averaged per type orbit.
         cap = len(dist.values) ** (2 * n)
         full = build_auction_lp(n, dist, regime, cap)
         reduced = _reduce(full)
+        if regime == "bic":
+            reduced = _reduce(reduced, interim_representative)
         sym = oracle._build(n, dist, regime, cap, symmetric=True)
         assert sym.variables == reduced.variables
         assert list(sym.objective.items()) == list(reduced.objective.items())
@@ -302,20 +311,68 @@ class TestSymmetryReduction:
         assert len(reduced.constraints) < len(lp.constraints) / 6
 
 
+# The 180-spec grid and the a=10 grid_m=1 and grid_m=2 cells.
+INTERIM_CASES = [(s.n, s.dist) for s in certification_grid()] + [
+    (2, discretize(ContinuousSpec(2, 10, 2, m))) for m in (1, 2)]
+
+
+class TestInterimProgram:
+    """The symmetric Bayesian program, one utility column per type orbit,
+    keeps the optimum of the per-cell program, and the solve path's
+    separated optima break no row of the full symmetric program."""
+
+    @pytest.mark.slow
+    def test_optimum_equals_the_per_cell_program(self):
+        for n, dist in INTERIM_CASES:
+            cap = len(dist.values) ** (2 * n)
+            per_cell = solve(_ref_build(n, dist, "bic", cap, symmetric=True))
+            assert solve_auction_lp(n, dist, "bic", cap).optimum == per_cell.optimum, (n, dist)
+
+    @pytest.mark.parametrize("regime", ["dic", "bic"])
+    def test_separated_optimum_satisfies_every_row(self, regime):
+        for n, dist in INTERIM_CASES:
+            cap = len(dist.values) ** (2 * n)
+            sol = solve_auction_lp(n, dist, regime, cap)
+            full = oracle._build(n, dist, regime, cap, symmetric=True)
+            assert len(sol.primal) == len(full.variables)
+            violated = [c for c in full.constraints if _violated(c, sol.primal, sol.primal_den)]
+            assert not violated, (n, dist)
+
+
 class TestOptimumCertificate:
     def test_program_without_truthfulness_rows_is_refused(self, monkeypatch):
-        # A program built without the truthfulness rows has a larger optimum;
-        # the audits catch it before any comparison with the closed form.
-        build = oracle._build
+        # A program solved without its truthfulness rows, seeded or
+        # separated, has a larger optimum; the audits catch it before any
+        # comparison with the closed form.
+        build = oracle._seeded_program
 
         def without_dic_rows(*args, **kwargs):
-            lp = build(*args, **kwargs)
+            lp, _ = build(*args, **kwargs)
             lp.constraints = [c for c in lp.constraints if not c.tag.startswith("dic")]
-            return lp
+            return lp, None
 
-        monkeypatch.setattr(oracle, "_build", without_dic_rows)
+        monkeypatch.setattr(oracle, "_seeded_program", without_dic_rows)
         with pytest.raises(RuntimeError, match="certificate failure: DIC"):
             certify_main_theorem(EXAMPLE)
+
+    def test_separator_that_finds_nothing_is_refused(self, monkeypatch):
+        # The a=10 grid_m=2 DIC cell needs 28 separated rows; solved with
+        # its seeded rows alone, its optimum is certified as an LP but its
+        # mechanism fails the DIC audit.
+        dist = discretize(ContinuousSpec(2, 10, 2, 2))
+        sol = solve_auction_lp(2, dist, "dic", max_profiles=4 ** 4)
+        assert len(sol.added) == 28 and {c.tag for c in sol.added} == {"dic"}
+        build = oracle._seeded_program
+        calls = []
+
+        def blind(*args, **kwargs):
+            lp, _ = build(*args, **kwargs)
+            return lp, lambda x, X: calls.append(X) or []
+
+        monkeypatch.setattr(oracle, "_seeded_program", blind)
+        with pytest.raises(RuntimeError, match="certificate failure: DIC fails"):
+            solve_continuous_cell(10, "dic")
+        assert len(calls) == 1
 
     def _mechanism(self, change):
         # The example's DIC optimum with `change` applied to the share pair
@@ -376,17 +433,17 @@ class TestCertification:
 
 
 # (optimum, pivots) of the symmetric solve under Devex pricing, non-local
-# truthfulness rows withheld: a change of pivot rule, tie-break, reference
-# weights, seeded rows or tableau arithmetic shows here first.
+# truthfulness rows separated: a change of pivot rule, tie-break, reference
+# weights, seeded rows, columns or tableau arithmetic shows here first.
 PINNED_PIVOTS = [
     (2, F(1, 2), 1, 2, "dic", F(25, 8), 12),
-    (2, F(1, 2), 1, 2, "bic", F(51, 16), 13),
+    (2, F(1, 2), 1, 2, "bic", F(51, 16), 11),
     (2, F(1, 4), 0, 1, "dic", F(15, 8), 7),
     (2, F(2, 3), 1, F(14, 5), "dic", F(1352, 405), 14),
     (3, F(1, 4), 1, F(31, 30), "dic", F(42243, 20480), 44),
     (3, F(3, 4), 1, F(23, 14), "dic", F(74201, 28672), 64),
-    (3, F(1, 2), 1, F(11, 4), "bic", F(1239, 256), 23),
-    (3, F(1, 3), 0, 1, "bic", F(52, 27), 19),
+    (3, F(1, 2), 1, F(11, 4), "bic", F(1239, 256), 22),
+    (3, F(1, 3), 0, 1, "bic", F(52, 27), 16),
 ]
 
 
@@ -401,7 +458,7 @@ class TestPivotSequence:
     @pytest.mark.slow
     @pytest.mark.parametrize(
         "a,regime,optimum,pivots",
-        [(10, "dic", F(16305, 512), 348), (10, "bic", F(2079, 64), 167),
+        [(10, "dic", F(16305, 512), 348), (10, "bic", F(2079, 64), 158),
          (20, "dic", F(32305, 512), 348)],
     )
     def test_continuous_cell(self, a, regime, optimum, pivots):
@@ -411,7 +468,7 @@ class TestPivotSequence:
     # takes 324 cold pivots and 24 dual ones.
     @pytest.mark.slow
     @pytest.mark.parametrize(
-        "regime,optimum,pivots", [("dic", F(64305, 512), 348), ("bic", F(8199, 64), 167)]
+        "regime,optimum,pivots", [("dic", F(64305, 512), 348), ("bic", F(8199, 64), 158)]
     )
     def test_widest_continuous_cell(self, regime, optimum, pivots):
         assert solve_continuous_cell(40, regime) == (optimum, pivots)
@@ -423,7 +480,7 @@ class TestPivotSequence:
 
     @pytest.mark.slow
     def test_grid_m3_bic_cell(self):
-        assert solve_continuous_cell(10, "bic", grid_m=3) == (F(13975, 432), 828)
+        assert solve_continuous_cell(10, "bic", grid_m=3) == (F(13975, 432), 783)
 
     def test_pricing_state_does_not_leak_between_solves(self):
         first = solve_continuous_cell(10, "dic")
@@ -601,6 +658,8 @@ class TestAgainstFractionBuilder:
         cap = len(dist.values) ** (2 * n)
         lp = oracle._build(n, dist, regime, cap, symmetric)
         ref = _ref_build(n, dist, regime, cap, symmetric)
+        if symmetric and regime == "bic":
+            ref = _reduce(ref, interim_representative)
         assert lp.variables == ref.variables
         assert list(lp.objective.items()) == list(ref.objective.items())
         assert lp.obj_scale == ref.obj_scale

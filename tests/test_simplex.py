@@ -20,7 +20,7 @@ from twopoint_auctions.simplex import (
     solve,
 )
 
-from helpers import make_lp, reference_pivot
+from helpers import make_lp, n_constraints, reference_pivot, tag_pool
 
 
 def two_variable_lp():
@@ -161,11 +161,17 @@ class TestRules:
 
 
 class TestLazyRows:
+    """Rows joining in rounds through `solve`'s separator, here
+    `helpers.tag_pool`: the rows of some tags are withheld, and each round
+    adds those the optimum violates."""
+
     def test_lazy_matches_dense(self):
+        # x <= 20 bounds the relaxation, which an unbounded status would end.
         rows = [({"x": 1, "y": k}, "<=", k * k + 1, "lazy") for k in range(1, 20)]
-        lp = make_lp(["x", "y"], {"x": 1, "y": 3}, rows + [({"y": 1}, "<=", 5)], {"x", "y"})
+        box = [({"y": 1}, "<=", 5), ({"x": 1}, "<=", 20)]
+        lp = make_lp(["x", "y"], {"x": 1, "y": 3}, rows + box, {"x", "y"})
         dense = solve(lp)
-        lazy = solve(lp, lazy_tags=("lazy",))
+        lazy = solve(*tag_pool(lp, ("lazy",)))
         assert dense.optimum == lazy.optimum
         assert dense.status == lazy.status == "optimal"
 
@@ -182,11 +188,11 @@ class TestLazyRows:
             ({"x": -1, "y": -1}, ">=", -2, "lazy"),
         ]
         alone = solve(lp(box))
-        sol = solve(lp(lazy + box), lazy_tags=("lazy",))
+        sol = solve(*tag_pool(lp(lazy + box), ("lazy",)))
         assert lp(lazy + box).constraints[0].scale == 3
         assert (sol.optimum, sol.assignment) == (alone.optimum, alone.assignment)
         assert sol.pivots == alone.pivots
-        assert sol.duals == (F(0), F(0)) + alone.duals
+        assert sol.added == () and sol.duals == alone.duals
 
     def test_row_cutting_off_the_relaxation_optimum(self):
         # The relaxation's optimum (3, 3) breaks x + y <= 4, which the warm
@@ -198,9 +204,10 @@ class TestLazyRows:
         cut = [({"x": 1, "y": 1}, "<=", 4, "lazy")]
         relaxation = solve(lp(box))
         dense = solve(lp(box + cut))
-        lazy = solve(lp(box + cut), lazy_tags=("lazy",))
+        lazy = solve(*tag_pool(lp(box + cut), ("lazy",)))
         assert relaxation.optimum == 9 and dense.optimum == 7
         assert_same_solution(lazy, dense)
+        assert lazy.added == tuple(lp(box + cut).constraints[2:])
         assert lazy.duals == (F(1), F(0), F(1))
         assert lazy.pivots > relaxation.pivots
 
@@ -210,29 +217,32 @@ class TestLazyRows:
         lp = make_lp(["x", "y"], {"x": 1, "y": 1},
                      [({"x": 1}, "<=", 1), ({"y": 1}, "<=", 1),
                       ({"x": 1, "y": 1}, ">=", 3, "lazy")], {"x", "y"})
-        for sol in (solve(lp), solve(lp, lazy_tags=("lazy",))):
+        for sol in (solve(lp), solve(*tag_pool(lp, ("lazy",)))):
             assert (sol.status, sol.optimum, sol.primal, sol.dual) == ("infeasible", None, (), ())
 
-    def test_unbounded_relaxation_is_solved_with_every_row(self):
-        # Without its lazy rows y is unbounded; the solve starts again from
-        # the slack basis with every row, here in the program's own order.
+    def test_unbounded_relaxation_is_returned_without_separation(self):
+        # Without its withheld rows y is unbounded: the solve returns that
+        # status and never calls the separator, though the rows would bound
+        # the program.
         lp = make_lp(["x", "y"], {"x": 1, "y": 2},
                      [({"x": 1}, "<=", 2), ({"y": 1}, "<=", 3, "lazy"),
                       ({"x": 1, "y": 1}, "<=", 4, "lazy")], {"x", "y"})
-        relaxation = solve(dataclasses.replace(lp, constraints=lp.constraints[:1]))
-        dense = solve(lp)
-        lazy = solve(lp, lazy_tags=("lazy",))
-        assert relaxation.status == "unbounded" and dense.optimum == 7
-        assert_same_solution(lazy, dense)
-        assert lazy.pivots == relaxation.pivots + dense.pivots
+        relaxation, separate = tag_pool(lp, ("lazy",))
+        calls = []
+        sol = solve(relaxation, lambda x, X: calls.append(X) or separate(x, X))
+        assert (sol.status, sol.optimum, sol.pivots) == ("unbounded", None, solve(relaxation).pivots)
+        assert calls == [] and solve(lp).optimum == 7
 
     def test_continuous_dic_program(self):
         lp = oracle._build(2, discretize(ContinuousSpec(2, 10, 2, 1)), "dic", 4 ** 4, True)
-        assert lp.n_constraints("dic") > 0
+        assert n_constraints(lp, "dic") > 0
         dense = solve(lp)
-        lazy = solve(lp, lazy_tags=("dic",))
-        _certify(lp, lazy)
-        assert_same_solution(lazy, dense)
+        relaxation, separate = tag_pool(lp, ("dic",))
+        lazy = solve(relaxation, separate)
+        _certify(relaxation, lazy)
+        assert (lazy.status, lazy.optimum, lazy.assignment) == (
+            dense.status, dense.optimum, dense.assignment)
+        assert duals_by_row(relaxation, lazy) == duals_by_row(lp, dense)
 
 
 def assert_same_solution(sol, ref):
@@ -240,6 +250,13 @@ def assert_same_solution(sol, ref):
     assert sol.optimum == ref.optimum
     assert sol.assignment == ref.assignment
     assert sol.duals == ref.duals
+
+
+def duals_by_row(lp, sol):
+    """The solution's nonzero duals, each with its row, the added rows
+    included."""
+    rows = [*lp.constraints, *sol.added]
+    return sorted((repr(c), y) for c, y in zip(rows, sol.duals) if y)
 
 
 def assert_unit_basis(tab, basis):
@@ -255,18 +272,22 @@ class TestAddRows:
     """`_Solver.add_rows` refuses, with SimplexError, a tableau or a row
     that breaks what the warm start relies on."""
 
+    # The box's optimum (3, 3) breaks CUT and meets LOOSE.
+    CUT, LOOSE = make_lp(["x", "y"], {}, [({"x": 1, "y": 1}, "<=", 4),
+                                          ({"x": 1, "y": 1}, "<=", 9)]).constraints
+
     def solver(self):
         lp = make_lp(["x", "y"], {"x": 2, "y": 1},
-                     [({"x": 1}, "<=", 3), ({"y": 1}, "<=", 3),
-                      ({"x": 1, "y": 1}, "<=", 4), ({"x": 1, "y": 1}, "<=", 9)], {"x", "y"})
-        state = simplex._Solver(lp, [0, 1])
+                     [({"x": 1}, "<=", 3), ({"y": 1}, "<=", 3)], {"x", "y"})
+        state = simplex._Solver(lp)
         assert state.status == "optimal"
         return state
 
     def test_adds_the_row_and_repairs_the_basis(self):
         state = self.solver()
-        assert state.add_rows([2]) > 0
+        assert state.add_rows([self.CUT]) > 0
         assert state.status == "optimal" and state.kept == [0, 1, 2]
+        assert state.lp.constraints[2] == self.CUT
         assert state.primal() == ([3, 1], 1)
         assert_unit_basis(state.tab, state.basis)
 
@@ -274,25 +295,25 @@ class TestAddRows:
         state = self.solver()
         state.status = "unbounded"
         with pytest.raises(SimplexError, match="tableau that is unbounded"):
-            state.add_rows([2])
+            state.add_rows([self.CUT])
 
     def test_basic_column_not_unit(self):
         state = self.solver()
         r = state.basis.index(0)
         state.tab.rows[r][0] *= 2
         with pytest.raises(SimplexError, match="not a unit column"):
-            state.add_rows([2])
+            state.add_rows([self.CUT])
 
     def test_basic_column_left_in_the_row(self, monkeypatch):
         state = self.solver()
         monkeypatch.setattr(simplex._Tableau, "clear", lambda tab, r, s, targets: None)
         with pytest.raises(SimplexError, match="basic column is left"):
-            state.add_rows([2])
+            state.add_rows([self.CUT])
 
     def test_row_that_holds(self):
         state = self.solver()
         with pytest.raises(SimplexError, match="holds at the current vertex"):
-            state.add_rows([3])
+            state.add_rows([self.LOOSE])
 
 
 class TestCertificate:
@@ -408,10 +429,14 @@ class TestDuals:
         sol = solve(lp1d(-1, [(2, ">=", 0), (1, "<=", 3)], nonneg=False))
         assert sol.optimum == 0 and sol.duals == (F(-1, 2), F(0))
 
-    def test_rows_never_added_get_zero(self):
+    def test_added_rows_take_their_duals_after_the_program_rows(self):
+        # The relaxation's optimum x = 9 breaks both withheld rows; x <= 5
+        # binds at the final optimum and x <= 7 is slack.
         rows = [({"x": 1}, "<=", k, "lazy") for k in (5, 7)]
-        lp = make_lp(["x"], {"x": 1}, rows + [({"x": 1}, "<=", 3)], {"x"})
-        assert solve(lp, lazy_tags=("lazy",)).duals == (F(0), F(0), F(1))
+        lp = make_lp(["x"], {"x": 1}, rows + [({"x": 1}, "<=", 9)], {"x"})
+        sol = solve(*tag_pool(lp, ("lazy",)))
+        assert sol.added == tuple(lp.constraints[:2])
+        assert sol.optimum == 5 and sol.duals == (F(0), F(1), F(0))
 
 
 def copy_tableau(tab):
@@ -495,8 +520,8 @@ class TestPivotKernel:
             dual_pivots.append(pivots)
             return status, pivots
 
-        def checked_add_rows(state, ks):
-            pivots = add_rows(state, ks)
+        def checked_add_rows(state, new):
+            pivots = add_rows(state, new)
             assert_unit_basis(state.tab, state.basis)
             warm_pivots.append(pivots)
             return pivots
@@ -508,7 +533,7 @@ class TestPivotKernel:
         monkeypatch.setattr(simplex, "_dual_simplex", checked_dual)
         monkeypatch.setattr(simplex._Solver, "add_rows", checked_add_rows)
         if lazy:
-            sol = solve(lp, lazy_tags=lazy)
+            sol = solve(*tag_pool(lp, lazy))
             assert sol.optimum == dense.optimum
             # a dual-feasible basis needs no primal pivot after the dual phase
             assert warm_pivots == dual_pivots and sum(dual_pivots) > 0
@@ -559,7 +584,7 @@ class TestAgainstScipy:
         for _ in range(40):
             lp = random_lp(rng, rng.randint(2, 5), rng.randint(1, 6))
             sol = solve(lp)
-            state = simplex._Solver(lp, range(len(lp.constraints)))
+            state = simplex._Solver(lp)
             assert (state.status, state.pivots) == (sol.status, sol.pivots)
             if any(c.rhs < 0 if c.rel == "<=" else c.rhs > 0 for c in lp.constraints):
                 infeasible_origin += 1
