@@ -264,6 +264,9 @@ def _certify_line(report) -> str:
 def cmd_certify(args) -> int:
     if args.cap is not None and args.cap <= 0:
         raise ValueError(f"--cap must be a positive integer, got {args.cap}")
+    if args.grid and args.lp_export:
+        raise ValueError(
+            "--lp-export writes the programs of one spec; it cannot be used with --grid")
     cap = args.cap or DEFAULT_LP_PROFILE_CAP
     if args.grid:
         specs = certification_grid()
@@ -409,7 +412,11 @@ def build_parser() -> _Parser:
     p_cert.add_argument("--a")
     p_cert.add_argument("--b")
     p_cert.add_argument("--grid", action="store_true", help="run the built-in grid")
-    p_cert.add_argument("--lp-export", help="path prefix for textual LP export")
+    p_cert.add_argument(
+        "--lp-export",
+        help="path prefix: write the spec's certified programs as PREFIX.dic.lp and "
+             "PREFIX.bic.lp (not with --grid)",
+    )
     p_cert.add_argument(
         "--cap", type=int,
         help="profile-count cap override for the LP oracle",

@@ -218,17 +218,6 @@ def _profile_table(n: int, masses: tuple) -> ProfileTable:
     )
 
 
-def opponent_positions(n: int, n_types: int, i: int) -> tuple[list[int], int]:
-    """Where buyer i's opponents sit in a profile table of n buyers.
-
-    Returns, for each opponent profile in `profile_table(n - 1)` order,
-    the position of the profile in which buyer i has type index 0, and the
-    step by which each further type index of buyer i moves that position.
-    """
-    step = n_types ** (n - 1 - i)
-    return [o // step * step * n_types + o % step for o in range(n_types ** (n - 1))], step
-
-
 @functools.lru_cache(maxsize=4)
 def profile_classes(n: int, n_types: int) -> tuple[tuple, array]:
     """The type-count classes of n buyers' profiles: the classes' counts

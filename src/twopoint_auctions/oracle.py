@@ -6,16 +6,16 @@ per-profile truthfulness constraints (dominant-strategy program) or the
 interim ones (Bayesian program), and reports the exact optimum.  Agreement
 with the formula module is then an exact rational equality test.
 
-Builders work over any finite per-item value distribution shared by all
-buyers and both items; the two-point family is the special case with two
-atoms.  Because the distribution is exchangeable across buyers and items,
+The programs work over any finite per-item value distribution shared by
+all buyers and both items; the two-point family is the special case with
+two atoms.  Because the distribution is exchangeable across buyers and items,
 every program here is invariant under the buyer/item symmetry group, and
 averaging any optimum over that group gives a symmetric one (Daskalakis &
-Weinberg, EC 2012).  The solver is therefore given the symmetric program,
-one variable per orbit, built directly; the full program is built only for
-`--lp-export` and as the tests' reference.  Every optimum is read into a
-mechanism's cell tables and audited as a mechanism: supply, the regime's
-participation and truthfulness audits, and its expected revenue.
+Weinberg, EC 2012).  So the package builds only the symmetric program, one
+variable per orbit, directly; the full per-profile program is not built.
+Every optimum is read into a mechanism's cell tables and audited as a
+mechanism: supply, the regime's participation and truthfulness audits, and
+its expected revenue.
 
 The Bayesian program rests on a second averaging argument.  Buyer i's
 utilities u_i(x, o), at type x against opponents o, enter its participation
@@ -36,8 +36,9 @@ truthfulness rows of one-step misreports (one atom along one item, tagged
 'dic_local' or 'bic_local') are in the model from the start, and every
 other truthfulness candidate ('dic' or 'bic') is only evaluated.  At each
 optimum the separator reads it at the primal from its column indices, and
-builds it as a row only when the primal violates it.  The full build
-turns every candidate into a row.
+builds it as a row only when the primal violates it.  `build_auction_lp`
+(and `certify --lp-export`) turns every candidate into a row: the program
+whose optimum is certified.
 
 The program stays in integers from the builder to the mechanism audit:
 every row and the objective are summed and deduplicated over one scale per
@@ -45,8 +46,8 @@ program and handed to the solver in lowest terms, and the solver's primal,
 integers over one denominator, becomes the mechanism's tables directly.
 The symmetric program's columns are the type-count cells of `class_cells`,
 the index the closed-form mechanisms are built on, joined under the item
-swap; they depend only on n and the number of atoms, so one orbit tuple
-per (n, atoms) serves every symmetric build and extraction.
+swap; they depend only on n, the number of atoms and the regime, so one
+orbit tuple per (n, atoms, regime) serves every build and extraction.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ from .core import (
     FiniteValueDistribution,
     buyer_types,
     class_cells,
-    opponent_positions,
     profile_classes,
     profile_table,
     rat_str,
@@ -81,12 +81,12 @@ DEFAULT_LP_PROFILE_CAP = 4 ** 4
 
 
 @functools.lru_cache(maxsize=8)
-def _columns(n: int, n_atoms: int, interim: bool = False) -> tuple[tuple, tuple, tuple]:
-    """Each full-program entry's column in the symmetric program, each
+def _columns(n: int, n_atoms: int, interim: bool) -> tuple[tuple, tuple, tuple]:
+    """Each per-profile entry's column in the symmetric program, each
     column's name, and the columns of each cell's share of item 1, share
     of item 2 and utility (None at a cell that no profile holds).
 
-    The full program lists q[i,j] (profile, buyer, item order), then u[i]
+    The entries list q[i,j] (profile, buyer, item order), then u[i]
     (profile, buyer order): at profile position `pos` of P, q[i,j] is entry
     2(n pos + i) + j and u[i] is entry 2nP + n pos + i.  Its orbit is read
     from buyer i's cell at `pos` (`class_cells`): q[i,0] takes the cell's,
@@ -96,7 +96,8 @@ def _columns(n: int, n_atoms: int, interim: bool = False) -> tuple[tuple, tuple,
     allocation and the smaller profile of the two for a utility.  With
     `interim`, a utility takes instead the column of its buyer's type
     orbit, the type and its item swap, named ("U", 0, the smaller type):
-    the Bayesian program's interim utility (see the module docstring).
+    the Bayesian program's interim utility (see the module docstring).  The
+    allocation columns come first and do not depend on `interim`.
     """
     types = list(itertools.product(range(n_atoms), repeat=2))
     n_types = len(types)
@@ -140,38 +141,40 @@ def _columns(n: int, n_atoms: int, interim: bool = False) -> tuple[tuple, tuple,
 
 
 @functools.lru_cache(maxsize=4)
-def _fixed_rows(n: int, n_atoms: int, symmetric: bool) -> tuple[tuple, tuple]:
-    """The supply rows and the participation rows, each family kept once per
-    distinct row in order of first appearance.
+def _fixed_rows(n: int, n_atoms: int, regime: str) -> tuple:
+    """The supply rows and, in the dominant-strategy program, the
+    participation rows, each family kept once per distinct row in order of
+    first appearance.
 
     Neither depends on values or probabilities: in lowest terms a supply
     row is its columns' multiplicities <= 1, a participation row u >= 0.
     No row of another family equals one of them: only supply rows are <=
     rows, and a truthfulness row has at least two entries."""
     u0 = 2 * n * n_atoms ** (2 * n)
-    col = _columns(n, n_atoms)[0] if symmetric else range(3 * u0 // 2)
+    col = _columns(n, n_atoms, regime == "bic")[0]
     supply = {}
     for k in range(0, u0, 2 * n):
         for j in range(2):
             coeffs = collections.Counter(col[k + 2 * i + j] for i in range(n))
             supply.setdefault(tuple(sorted(coeffs.items())), coeffs)
-    return (
-        tuple(Constraint(tuple(c.items()), "<=", 1, 1, "supply") for c in supply.values()),
-        tuple(Constraint(((r, 1),), ">=", 0, 1, "ir") for r in dict.fromkeys(col[u0:])),
-    )
+    rows = tuple(Constraint(tuple(c.items()), "<=", 1, 1, "supply") for c in supply.values())
+    if regime == "bic":
+        return rows
+    return rows + tuple(
+        Constraint(((r, 1),), ">=", 0, 1, "ir") for r in dict.fromkeys(col[u0:]))
 
 
 class _Candidates(NamedTuple):
     """A program's truthfulness candidates, read through its column map.
 
     `pairs` lists the misreports (x, y), type index x reporting y, and
-    `local` flags those by one atom along one item.  `cells[i][x][p]` is
-    the (u, q1, q2) columns of buyer i at type index x against the opponent
-    profile at `opponent_positions` index p.  A dominant-strategy candidate
-    is (pair, u_true, u_dev, q1_dev, q2_dev), one buyer's row against one
-    opponent profile; a Bayesian one is (pair, buyer), the buyer's row
-    summed over every opponent profile.  `all` is every candidate in row
-    order, and `seeded` and `withheld` its local and other ones."""
+    `local` flags those by one atom along one item.  `cells[x][p]` is the
+    (u, q1, q2) columns of buyer 0 at type index x against the opponent
+    profile at position p of `profile_table(n - 1)`.  A dominant-strategy
+    candidate is (pair, u_true, u_dev, q1_dev, q2_dev), buyer 0's row
+    against one opponent profile; a Bayesian one is (pair,), the row summed
+    over every opponent profile.  `all` is every candidate in row order,
+    and `seeded` and `withheld` its local and other ones."""
 
     pairs: tuple
     local: tuple
@@ -182,42 +185,36 @@ class _Candidates(NamedTuple):
 
 
 @functools.lru_cache(maxsize=8)
-def _candidates(n: int, n_atoms: int, regime: str, symmetric: bool) -> _Candidates:
-    """The truthfulness candidates of the full or the symmetric program.
-
-    The symmetric program's are buyer 0's alone and, in the dominant-
-    strategy program, those against sorted opponent profiles alone: every
-    other buyer's rows repeat buyer 0's, and opponent profiles that reorder
-    each other give the same row.  Its columns come from `_columns`, the
-    interim ones in the Bayesian program.  A one-step misreport is seeded:
-    its rows tend to bind."""
+def _candidates(n: int, n_atoms: int, regime: str) -> _Candidates:
+    """The program's truthfulness candidates: buyer 0's alone and, in the
+    dominant-strategy program, those against sorted opponent profiles
+    alone, since every other buyer's rows repeat buyer 0's and opponent
+    profiles that reorder each other give the same row.  Their columns
+    come from `_columns`, the interim ones in the Bayesian program.  A
+    one-step misreport is seeded: its rows tend to bind."""
     types = list(itertools.product(range(n_atoms), repeat=2))
     n_types = len(types)
     pairs = tuple((x, y) for x in range(n_types) for y in range(n_types) if y != x)
     local = tuple(sorted(abs(a - b) for a, b in zip(types[x], types[y])) == [0, 1]
                   for x, y in pairs)
     u0 = 2 * n * n_types ** n
-    col = _columns(n, n_atoms, regime == "bic")[0] if symmetric else range(3 * u0 // 2)
-    cells, out = [], []
-    for i in range(1) if symmetric else range(n):
-        positions, step = opponent_positions(n, n_types, i)
-        at = tuple(
-            tuple((col[u0 + n * pos + i], col[2 * (n * pos + i)], col[2 * (n * pos + i) + 1])
-                  for pos in (base + x * step for base in positions))
-            for x in range(n_types)
-        )
-        cells.append(at)
-        if regime == "bic":
-            out += [(k, i) for k in range(len(pairs))]
-            continue
-        opponents = range(len(positions))
-        if symmetric:
-            others = itertools.product(range(n_types), repeat=n - 1)
-            opponents = [p for p, o in zip(opponents, others) if list(o) == sorted(o)]
-        for k, (x, y) in enumerate(pairs):
-            out += [(k, at[x][p][0]) + at[y][p] for p in opponents]
+    col = _columns(n, n_atoms, regime == "bic")[0]
+    # Buyer 0's type index is the leading digit of a profile position.
+    step = n_types ** (n - 1)
+    cells = tuple(
+        tuple((col[u0 + n * pos], col[2 * n * pos], col[2 * n * pos + 1])
+              for pos in range(x * step, (x + 1) * step))
+        for x in range(n_types)
+    )
+    if regime == "bic":
+        out = [(k,) for k in range(len(pairs))]
+    else:
+        others = itertools.product(range(n_types), repeat=n - 1)
+        opponents = [p for p, o in enumerate(others) if list(o) == sorted(o)]
+        out = [(k, cells[x][p][0]) + cells[y][p]
+               for k, (x, y) in enumerate(pairs) for p in opponents]
     return _Candidates(
-        pairs, local, tuple(cells), tuple(out),
+        pairs, local, cells, tuple(out),
         tuple(c for c in out if local[c[0]]),
         tuple(c for c in out if not local[c[0]]),
     )
@@ -233,9 +230,10 @@ class _Program:
     rows, L times the profile weight scale W for the Bayesian rows and for
     the objective.  A row is keyed by its integer coefficients, zero sums
     included; a row that is kept is stored in lowest terms, without its
-    zeros.  The supply and participation rows come from `_fixed_rows`."""
+    zeros.  The supply rows, and the participation rows of the dominant-
+    strategy program, come from `_fixed_rows`."""
 
-    def __init__(self, n, dist, regime, max_profiles, symmetric):
+    def __init__(self, n, dist, regime, max_profiles):
         if regime not in ("dic", "bic"):
             raise ValueError("regime must be 'dic' or 'bic'")
         types = buyer_types(dist)
@@ -249,12 +247,7 @@ class _Program:
         table = profile_table(n, dist, max_profiles)
         u0 = 2 * n * n_profiles  # entry of u[0] at profile 0
         n_atoms = len(dist.values)
-        if symmetric:
-            col, names, _ = _columns(n, n_atoms, regime == "bic")
-        else:
-            col = range(3 * n * n_profiles)
-            names = [("q", i, j, t) for t in table.profiles for i in range(n) for j in range(2)]
-            names += [("u", i, t) for t in table.profiles for i in range(n)]
+        col, names, _ = _columns(n, n_atoms, regime == "bic")
         values, lcm_v = scaled(dist.values)
         self.lcm_v = lcm_v
 
@@ -271,15 +264,11 @@ class _Program:
 
         self.regime = regime
         self.scale = lcm_v if regime == "dic" else obj_scale
-        self.truth = truth = _candidates(n, n_atoms, regime, symmetric)
+        self.truth = truth = _candidates(n, n_atoms, regime)
         self.dv = [tuple(values[a] - values[b] for a, b in zip(types[x], types[y]))
                    for x, y in truth.pairs]
         self.rows = {}
-        supply, participation = _fixed_rows(n, n_atoms, symmetric)
-        if regime == "dic":
-            fixed = supply + participation
-        else:
-            fixed = supply
+        if regime == "bic":
             # Interim rows: the opponent-weighted sums of the per-profile
             # ones.  An opponent weight over W(n-1) is on the program scale
             # times g = W(n) / W(n-1).
@@ -287,17 +276,16 @@ class _Program:
             g = table.scale // others.scale
             self.weights = [w * g for w in others.weights]
             for at in truth.cells:
-                for x in range(n_types):
-                    coeffs = {}
-                    for (r, _, _), w in zip(at[x], self.weights):
-                        coeffs[r] = coeffs.get(r, 0) + w * lcm_v
-                    self._keep(coeffs, "bir")
+                coeffs = {}
+                for (r, _, _), w in zip(at, self.weights):
+                    coeffs[r] = coeffs.get(r, 0) + w * lcm_v
+                self._keep(coeffs, "bir")
         g = math.gcd(obj_scale, *objective.values())
         self.lp = LinearProgram(
             variables=list(names),
             objective={r: c // g for r, c in objective.items() if c},
             obj_scale=obj_scale // g,
-            constraints=list(fixed),
+            constraints=list(_fixed_rows(n, n_atoms, regime)),
             nonneg=set(col[:u0]),
         )
 
@@ -325,7 +313,7 @@ class _Program:
             terms = [(true, 1, dev, shares)]
         else:
             x, y = self.truth.pairs[k]
-            at = self.truth.cells[candidate[1]]
+            at = self.truth.cells
             terms = [(t[0], w, d[0], d[1:]) for t, d, w in zip(at[x], at[y], self.weights)]
         for true, w, dev, shares in terms:
             coeffs[true] = coeffs.get(true, 0) + w * lcm_v
@@ -360,7 +348,7 @@ class _Program:
         else:
             weights = self.weights
             sums = [[sum(w * x[c[j]] for c, w in zip(at, weights)) for j in range(3)]
-                    for at in truth.cells[0]]
+                    for at in truth.cells]
             pairs = truth.pairs
             violated = []
             for c in truth.withheld:
@@ -371,36 +359,13 @@ class _Program:
         return [row for row in map(self.add, violated) if row is not None]
 
 
-def _build(
-    n: int,
-    dist: FiniteValueDistribution,
-    regime: str,
-    max_profiles: int,
-    symmetric: bool,
-) -> LinearProgram:
-    """The revenue-maximization LP, full or buyer/item-symmetric, with
-    every truthfulness candidate built as a row.
-
-    Every variable is read through a column map, the identity or the
-    orbit tuple of `_columns` (the variable's class cell, joined under the
-    item swap; its type orbit for a Bayesian utility), and each row is
-    accumulated under the mapped columns; identical rows are kept once, in
-    order of first appearance (`_Program`).  Only the full program names
-    its variables one by one.
-    """
-    program = _Program(n, dist, regime, max_profiles, symmetric)
-    for candidate in program.truth.all:
-        program.add(candidate)
-    return program.model()
-
-
 def _seeded_program(
     n: int, dist: FiniteValueDistribution, regime: str, max_profiles: int
 ) -> tuple[LinearProgram, Callable[[Sequence[int], int], list]]:
     """The symmetric program with its one-step truthfulness rows alone, and
     the separator of its other truthfulness candidates (`solve`'s
     `separate`)."""
-    program = _Program(n, dist, regime, max_profiles, True)
+    program = _Program(n, dist, regime, max_profiles)
     for candidate in program.truth.seeded:
         program.add(candidate)
     return program.model(), program.separate
@@ -412,16 +377,24 @@ def build_auction_lp(
     regime: str,
     max_profiles: int = DEFAULT_LP_PROFILE_CAP,
 ) -> LinearProgram:
-    """The revenue-maximization LP over full (q, u) tables.
+    """The buyer/item-symmetric revenue-maximization LP with every
+    truthfulness candidate built as a row: the program whose optimum
+    `solve_auction_lp` certifies, which it solves from the one-step rows
+    and a subset of the others.
 
-    Variables: q[i,j,t] (allocation, nonnegative) and u[i,t] (utility, free)
-    for every buyer i, item j, profile t.  Objective: expected payment
-    sum_t Pr{t} sum_i (t_i . q_i(t) - u_i(t)).  Rows: per-item supply at
-    every profile; then either per-profile participation ('ir') and
-    truthfulness ('dic', 'dic_local') rows, or their interim counterparts
-    ('bir', 'bic', 'bic_local').
+    Variables: one per orbit of the full program's q[i,j,t] (allocation,
+    nonnegative) and u[i,t] (utility, free), for buyer i, item j and
+    profile t (`_columns`); the Bayesian program has one utility per type
+    orbit instead.  Objective: expected payment sum_t Pr{t} sum_i (t_i .
+    q_i(t) - u_i(t)).  Rows, each distinct one kept once in order of first
+    appearance: per-item supply, then either participation ('ir') and
+    truthfulness ('dic_local', 'dic') rows against each opponent profile,
+    or their interim counterparts ('bir', 'bic_local', 'bic').
     """
-    return _build(n, dist, regime, max_profiles, symmetric=False)
+    program = _Program(n, dist, regime, max_profiles)
+    for candidate in program.truth.all:
+        program.add(candidate)
+    return program.model()
 
 
 def solve_auction_lp(
@@ -466,11 +439,9 @@ def extract_mechanism(
     numerators over den = X / gcd(X, numerators), the lcm of the values'
     reduced denominators."""
     x, X = sol.primal, sol.primal_den
-    for interim in (False, True):
-        _, names, per_cell = _columns(n, len(dist.values), interim)
-        if len(x) == len(names) and tuple(sol.variables) == names:
-            break
-    else:
+    interim = sol.variables[-1][0] == "U"
+    _, names, per_cell = _columns(n, len(dist.values), interim)
+    if len(x) != len(names) or tuple(sol.variables) != names:
         raise ValueError("the solution is not of the symmetric auction program")
     g = math.gcd(X, *x)
     value = [v // g for v in x]

@@ -15,6 +15,9 @@ from hypothesis import strategies as st
 import twopoint_auctions
 from twopoint_auctions import continuous, formulas
 from twopoint_auctions.cli import main
+from twopoint_auctions.simplex import solve
+
+from helpers import make_lp
 
 EXAMPLE_ARGS = ["--n", "2", "--p", "1/2", "--a", "1", "--b", "2"]
 
@@ -23,6 +26,21 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def read_lp_text(text):
+    """The exact program of `simplex.lp_to_text` output, read from its
+    comment lines (objective, then one per row) and its bounds."""
+    lines = text.splitlines()
+    exact = [line.removeprefix("\\ exact: ") for line in lines if line.startswith("\\ exact: ")]
+
+    def terms(body):
+        return {name: F(c) for c, name in (term.split(" ") for term in body.split(" + "))}
+
+    rows = [(terms(body), rel, F(rhs)) for body, rel, rhs in (r.rsplit(" ", 2) for r in exact[1:])]
+    bounds = [line.split() for line in lines[lines.index("Bounds") + 1:lines.index("End")]]
+    variables = [b[0] for b in bounds]
+    return make_lp(variables, terms(exact[0]), rows, [b[0] for b in bounds if b[1:] == [">=", "0"]])
 
 
 class TestFormulas:
@@ -149,6 +167,30 @@ class TestCertify:
         dic_text = (tmp_path / "example.dic.lp").read_text()
         assert "Maximize" in dic_text and "exact" in dic_text
         assert (tmp_path / "example.bic.lp").exists()
+
+    def test_exported_programs_have_the_certified_optima(self, capsys, tmp_path):
+        # Each exported program, read back from its exact comment lines and
+        # solved cold with every row in place, has the optimum that the
+        # certify line reports.
+        prefix = str(tmp_path / "flagship")
+        code, out, _ = run(capsys, "certify", *EXAMPLE_ARGS, "--lp-export", prefix)
+        assert code == 0
+        fields = dict(f.split("=") for f in out.split() if f.startswith("lp_"))
+        assert fields == {"lp_D": "25/8", "lp_B": "51/16"}
+        for regime, name in (("dic", "lp_D"), ("bic", "lp_B")):
+            with open(f"{prefix}.{regime}.lp") as fh:
+                lp = read_lp_text(fh.read())
+            assert solve(lp).optimum == F(fields[name])
+
+    def test_grid_with_lp_export_is_refused(self, capsys, tmp_path, monkeypatch):
+        from twopoint_auctions import cli
+
+        monkeypatch.setattr(cli, "certification_grid", lambda: pytest.fail("grid built"))
+        code, out, err = run(capsys, "certify", "--grid", "--lp-export", str(tmp_path / "grid"))
+        assert (code, out) == (1, "")
+        assert err == ("error: --lp-export writes the programs of one spec; "
+                       "it cannot be used with --grid\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "certify", *EXAMPLE_ARGS, "--format", "json")
@@ -609,8 +651,8 @@ GOLDEN = {
     "mechanism-dic-n5-b5_2-json": (0, "82e6e1b8ea820b3e852ab5c0000bd0cf3bebd03113c7f547a6d2e4571a872db9"),
     "mechanism-bic-n5-p2_3-b11_10-json": (0, "3c0fc86144835393f10a073ccd26ba51ce389b0dcb66c436b74d76185262981a"),
     "mechanism-out-file": (0, "604dff48975b37137f442015fc04d45d1a5eac005ba96dd446b8bd228c373a8f"),
-    "lp-export-dic": (0, "f1554b2653b9b71ac22e97f3c523306a55e76e9aa96f48189ed8672e5713b318"),
-    "lp-export-bic": (0, "5ca0ace267785bf53ca7d08b4c7d0c47aab66e373d03ab551d1f42e1bdd7da9f"),
+    "lp-export-dic": (0, "ad1686ccb14325ec53707a818c56878128e9649cf931ca857ec68ccc0531c671"),
+    "lp-export-bic": (0, "81cdea24f8c3d350e1a03fb3568625717932d38245b6f95e2f35181cd7089c1f"),
 }
 
 # sha256 of `mechanism --n 6 --p 1/2 --a 1 --b 11/6 --impl bic --check

@@ -21,7 +21,6 @@ from twopoint_auctions.core import (
     class_cells,
     class_probabilities,
     opponent_cells,
-    opponent_positions,
     profile_classes,
     profile_table,
     rat,
@@ -169,18 +168,6 @@ class TestEnumeration:
             profile_table(4, spec.dist, cap=100)
         with pytest.raises(CapExceeded):
             profile_table(11, spec.dist)
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_opponent_positions(self, n):
-        dist = FiniteValueDistribution((1, 2, 3), (F(1, 2), F(1, 3), F(1, 6)))
-        types = buyer_types(dist)
-        profiles = profile_table(n, dist).profiles
-        opponents = profile_table(n - 1, dist).profiles
-        for i in range(n):
-            positions, step = opponent_positions(n, len(types), i)
-            for others, pos in zip(opponents, positions, strict=True):
-                for c, t in enumerate(types):
-                    assert profiles[pos + c * step] == insert(others, i, t)
 
     @pytest.mark.parametrize("atoms,n", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5),
                                          (3, 1), (3, 2), (3, 3)])

@@ -110,9 +110,14 @@ SYMMETRY_PARAMS = [
 SYMMETRY_CASES = pytest.mark.parametrize("n,dist", SYMMETRY_PARAMS)
 
 
+def _full_program(n, dist, regime):
+    """The full per-profile program, from the reference builder."""
+    return _ref_build(n, dist, regime, len(dist.values) ** (2 * n), symmetric=False)
+
+
 class TestProgramShapes:
     def test_dic_counts_at_n2(self):
-        lp = build_auction_lp(EXAMPLE.n, EXAMPLE.dist, "dic")
+        lp = _full_program(EXAMPLE.n, EXAMPLE.dist, "dic")
         q_vars = [v for v in lp.variables if v[0] == "q"]
         u_vars = [v for v in lp.variables if v[0] == "u"]
         assert len(q_vars) == 2 * 2 * 16  # buyers x items x profiles
@@ -126,7 +131,7 @@ class TestProgramShapes:
         assert set(q_vars) <= nonneg and not (set(u_vars) & nonneg)
 
     def test_bic_counts_at_n2(self):
-        lp = build_auction_lp(EXAMPLE.n, EXAMPLE.dist, "bic")
+        lp = _full_program(EXAMPLE.n, EXAMPLE.dist, "bic")
         assert n_constraints(lp, "bic_local") == 2 * 8
         assert n_constraints(lp, "bic") == 2 * 4
         assert n_constraints(lp, "bir") == 2 * 4
@@ -224,7 +229,7 @@ class TestMechanismExtraction:
 
 class TestSymmetryReduction:
     def test_constraint_set_is_group_invariant(self):
-        lp = build_auction_lp(EXAMPLE.n, EXAMPLE.dist, "dic")
+        lp = _full_program(EXAMPLE.n, EXAMPLE.dist, "dic")
         rows = {
             (tuple(sorted(terms)), rel, rhs) for terms, rel, rhs, _ in lp.rows()
         }
@@ -245,7 +250,7 @@ class TestSymmetryReduction:
             assert mapped == rows
 
     def test_objective_is_group_invariant(self):
-        objective = dict(build_auction_lp(EXAMPLE.n, EXAMPLE.dist, "bic").objective_terms())
+        objective = dict(_full_program(EXAMPLE.n, EXAMPLE.dist, "bic").objective_terms())
         for perm, swap in _group(2):
             mapped = {
                 _apply_to_var(perm, swap, v): c for v, c in objective.items()
@@ -256,7 +261,7 @@ class TestSymmetryReduction:
     def test_representatives_are_group_minima(self, n, dist):
         # Both regimes declare the same variables; the Bayesian one builds
         # faster.
-        lp = build_auction_lp(n, dist, "bic")
+        lp = _full_program(n, dist, "bic")
         group = _group(n)
         for v in lp.variables:
             assert representative(v) == min(
@@ -267,18 +272,19 @@ class TestSymmetryReduction:
     @pytest.mark.parametrize("regime", ["dic", "bic"])
     def test_symmetric_program_is_the_reduced_full_program(self, n, dist, regime):
         # The Bayesian one is the reduced program with its utilities
-        # averaged per type orbit.
+        # averaged per type orbit.  Solved cold, with every row in place,
+        # it has the optimum the solve path certifies.
         cap = len(dist.values) ** (2 * n)
-        full = build_auction_lp(n, dist, regime, cap)
-        reduced = _reduce(full)
+        reduced = _reduce(_full_program(n, dist, regime))
         if regime == "bic":
             reduced = _reduce(reduced, interim_representative)
-        sym = oracle._build(n, dist, regime, cap, symmetric=True)
+        sym = build_auction_lp(n, dist, regime, cap)
         assert sym.variables == reduced.variables
         assert list(sym.objective.items()) == list(reduced.objective.items())
         assert sym.obj_scale == reduced.obj_scale
         assert sym.constraints == reduced.constraints
         assert sym.nonneg == reduced.nonneg
+        assert solve(sym).optimum == solve_auction_lp(n, dist, regime, cap).optimum
 
     @pytest.mark.parametrize(
         "spec",
@@ -294,19 +300,19 @@ class TestSymmetryReduction:
     )
     def test_reduction_preserves_optimum_exactly(self, spec):
         for regime in ("dic", "bic"):
-            lp = build_auction_lp(spec.n, spec.dist, regime)
+            lp = _full_program(spec.n, spec.dist, regime)
             assert solve_auction_lp(spec.n, spec.dist, regime).optimum == solve(lp).optimum
 
     @pytest.mark.slow
     def test_reduction_preserves_optimum_at_n3(self):
         spec = AuctionSpec(3, F(1, 2), 1, 2)
-        lp = build_auction_lp(spec.n, spec.dist, "dic")
+        lp = _full_program(spec.n, spec.dist, "dic")
         assert solve_auction_lp(spec.n, spec.dist, "dic").optimum == solve(lp).optimum
 
     def test_reduction_shrinks_model(self):
         spec = AuctionSpec(3, F(1, 2), 1, 2)
-        lp = build_auction_lp(spec.n, spec.dist, "dic")
-        reduced = oracle._build(spec.n, spec.dist, "dic", 4 ** 3, symmetric=True)
+        lp = _full_program(spec.n, spec.dist, "dic")
+        reduced = build_auction_lp(spec.n, spec.dist, "dic")
         assert len(reduced.variables) < len(lp.variables) / 6
         assert len(reduced.constraints) < len(lp.constraints) / 6
 
@@ -333,7 +339,7 @@ class TestInterimProgram:
         for n, dist in INTERIM_CASES:
             cap = len(dist.values) ** (2 * n)
             sol = solve_auction_lp(n, dist, regime, cap)
-            full = oracle._build(n, dist, regime, cap, symmetric=True)
+            full = build_auction_lp(n, dist, regime, cap)
             assert len(sol.primal) == len(full.variables)
             violated = [c for c in full.constraints if _violated(c, sol.primal, sol.primal_den)]
             assert not violated, (n, dist)
@@ -543,7 +549,7 @@ class TestGrid:
 
 
 # ---------------------------------------------------------------------------
-# The integer builder against the Fraction one it replaced
+# The integer builder against a Fraction reference builder
 # ---------------------------------------------------------------------------
 
 
@@ -565,9 +571,11 @@ def _ref_truthfulness_terms(dist, i, t_true, t_rep, others):
 
 
 def _ref_build(n, dist, regime, max_profiles, symmetric):
-    """Reference builder: every coefficient summed as a Fraction, every
-    variable mapped through `representative` on the spot, and rows keyed by
-    their Fraction coefficients, zero sums included."""
+    """Reference builder of the full per-profile program or, with
+    `symmetric`, of the symmetric one: every coefficient summed as a
+    Fraction, every variable mapped through `representative` on the spot if
+    symmetric, and rows keyed by their Fraction coefficients, zero sums
+    included."""
     types = buyer_types(dist)
     weighted = enumerate_profiles(n, dist, max_profiles)
     profiles = [t for t, _ in weighted]
@@ -652,13 +660,12 @@ BUILDER_CASES = SYMMETRY_PARAMS + [
 
 class TestAgainstFractionBuilder:
     @pytest.mark.parametrize("n,dist", BUILDER_CASES)
-    @pytest.mark.parametrize("regime", ["dic", "bic"])
-    @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "full"])
-    def test_identical_program(self, n, dist, regime, symmetric):
+    @pytest.mark.parametrize("regime", ["dic", "bic"], ids=["symmetric-dic", "symmetric-bic"])
+    def test_identical_program(self, n, dist, regime):
         cap = len(dist.values) ** (2 * n)
-        lp = oracle._build(n, dist, regime, cap, symmetric)
-        ref = _ref_build(n, dist, regime, cap, symmetric)
-        if symmetric and regime == "bic":
+        lp = build_auction_lp(n, dist, regime, cap)
+        ref = _ref_build(n, dist, regime, cap, symmetric=True)
+        if regime == "bic":
             ref = _reduce(ref, interim_representative)
         assert lp.variables == ref.variables
         assert list(lp.objective.items()) == list(ref.objective.items())
@@ -679,14 +686,14 @@ class TestColumnMap:
     def test_orbits_and_names_equal_the_representative_map(self, n, n_atoms):
         # The orbit ids, their order of first appearance and the column
         # names, against every full variable mapped through `representative`.
-        assert oracle._columns(n, n_atoms)[:2] == reference_columns(n, n_atoms)
+        assert oracle._columns(n, n_atoms, False)[:2] == reference_columns(n, n_atoms)
 
     @pytest.mark.parametrize(
         "n,n_atoms", [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (2, 4), (2, 6)])
     def test_per_cell_orbits_read_the_full_entries(self, n, n_atoms):
         # Buyer i's q[i,1], q[i,2] and u[i] entries at every profile take
         # the orbits of its cell there; a cell that no profile holds has none.
-        orbit, _, (q1, q2, u) = oracle._columns(n, n_atoms)
+        orbit, _, (q1, q2, u) = oracle._columns(n, n_atoms, False)
         _, cells = class_cells(n, n_atoms ** 2)
         u0 = 2 * n * n_atoms ** (2 * n)
         held = set()
@@ -699,3 +706,13 @@ class TestColumnMap:
                     orbit[u0 + n * pos + i])
         assert {x for x, r in enumerate(u) if r is not None} == held
         assert q1.count(None) == q2.count(None) == u.count(None) == len(u) - len(held)
+
+    @pytest.mark.parametrize("regime", ["dic", "bic"])
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_one_map_per_cold_solve(self, n, regime):
+        # The builder, its fixed rows, its candidates and the extraction
+        # all read the one map of the regime's program.
+        for cached in (oracle._columns, oracle._fixed_rows, oracle._candidates):
+            cached.cache_clear()
+        solve_auction_lp(n, EXAMPLE.dist, regime, max_profiles=4 ** n)
+        assert oracle._columns.cache_info().misses == 1
