@@ -660,11 +660,17 @@ BUILDER_CASES = SYMMETRY_PARAMS + [
 
 class TestAgainstFractionBuilder:
     @pytest.mark.parametrize("n,dist", BUILDER_CASES)
-    @pytest.mark.parametrize("regime", ["dic", "bic"], ids=["symmetric-dic", "symmetric-bic"])
-    def test_identical_program(self, n, dist, regime):
+    @pytest.mark.parametrize("regime", ["dic", "bic"])
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "full"])
+    def test_identical_program(self, n, dist, regime, symmetric):
+        # The built program against the symmetric reference, or against the
+        # full per-profile reference with each orbit's variables reduced to
+        # one column.
         cap = len(dist.values) ** (2 * n)
         lp = build_auction_lp(n, dist, regime, cap)
-        ref = _ref_build(n, dist, regime, cap, symmetric=True)
+        ref = _ref_build(n, dist, regime, cap, symmetric)
+        if not symmetric:
+            ref = _reduce(ref)
         if regime == "bic":
             ref = _reduce(ref, interim_representative)
         assert lp.variables == ref.variables
