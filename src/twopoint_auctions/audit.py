@@ -13,9 +13,10 @@ checked once per cell.  Its truthfulness constraint for one ordered type
 pair against one opponent profile reads the cells it holds at its true and
 at its reported type against the opponents' class (`opponent_cells`), the
 same for every buyer and every opponent profile of that class, so DIC is
-checked once per (opponent class, type pair).  Only a check that fails is
-walked by buyer and profile to report its violations, so the reports list
-every violating (buyer, profile, type pair) in enumeration order.  Every
+checked once per (opponent class, type pair), and each audit counts its
+constraints by arithmetic.  Only a check that fails is walked by buyer and
+profile to report its violations, so the reports list every violating
+(buyer, profile, type pair) in enumeration order.  Every
 violation carries its replay key (buyer, true type, reported type,
 opponent profile) and both sides of the failed inequality as Fractions.
 """
@@ -30,6 +31,7 @@ from .core import (
     Type,
     buyer_types,
     opponent_cells,
+    profile_classes,
     profile_table,
     rat_str,
     scaled,
@@ -99,11 +101,10 @@ def expected_revenue(mech: Mechanism) -> Fraction:
 
 def check_ir(mech: Mechanism) -> AuditReport:
     """u_i(t) >= 0 for every buyer and profile, checked once per cell."""
-    profiles = mech.profiles()
     violations = []
     if min(mech.u) < 0:
         cells = mech.cells()
-        for pos, profile in enumerate(profiles):
+        for pos, profile in enumerate(mech.profiles()):
             for i, buyer_cells in enumerate(cells):
                 u = mech.u[buyer_cells[pos]]
                 if u < 0:
@@ -111,7 +112,7 @@ def check_ir(mech: Mechanism) -> AuditReport:
                     violations.append(Violation(
                         i, profile[i], None, others, Fraction(u, mech.den), Fraction(0)
                     ))
-    return AuditReport("IR", not violations, tuple(violations), len(profiles) * mech.n)
+    return AuditReport("IR", not violations, tuple(violations), mech.n_types ** mech.n * mech.n)
 
 
 def _type_pairs(dist):
@@ -137,13 +138,13 @@ def check_dic(mech: Mechanism) -> AuditReport:
     constraint read the cells at the true and the reported type against
     the opponents' class, so each (opponent class, type pair) is compared
     once; the failures are then listed for every buyer and every opponent
-    profile of a failing class."""
+    profile of a failing class, the profile's class read from its type
+    counts."""
     n, q1, q2, u = mech.n, mech.q1, mech.q2, mech.u
     types, pairs, vden = _type_pairs(mech.dist)
-    at, classes = opponent_cells(n, len(types))
-    others_space = profile_table(n - 1, mech.dist).profiles
+    at = opponent_cells(n, len(types))
     scale = mech.den * vden
-    found = []  # per type pair: one buyer's failing (opponents, (lhs, rhs))
+    found = []  # per type pair: its failing opponent classes' (lhs, rhs)
     for a, _, c, _, d1, d2 in pairs:
         failed = {}
         for k, cells in enumerate(at):
@@ -152,15 +153,17 @@ def check_dic(mech: Mechanism) -> AuditReport:
             rhs = u[y] * vden + d1 * q1[y] + d2 * q2[y]
             if lhs < rhs:
                 failed[k] = Fraction(lhs, scale), Fraction(rhs, scale)
-        found.append([(others_space[o], failed[k]) for o, k in enumerate(classes)
-                      if k in failed] if failed else ())
+        found.append(failed)
+    index = {key: k for k, key in enumerate(profile_classes(n - 1, len(types)))}
+    others_space = [(o, index[tuple(map(o.count, types))])
+                    for o in profile_table(n - 1, mech.dist).profiles] if any(found) else ()
     violations = [
-        Violation(i, t_true, t_rep, others, lhs, rhs)
+        Violation(i, t_true, t_rep, others, *failed[k])
         for i in range(n)
-        for (_, t_true, _, t_rep, _, _), sides in zip(pairs, found)
-        for others, (lhs, rhs) in sides
+        for (_, t_true, _, t_rep, _, _), failed in zip(pairs, found)
+        for others, k in others_space if k in failed
     ]
-    count = n * len(pairs) * len(others_space)
+    count = n * len(pairs) * len(types) ** (n - 1)
     return AuditReport("DIC", not violations, tuple(violations), count)
 
 

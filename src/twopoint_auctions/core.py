@@ -3,9 +3,10 @@
 Every number in the computational path is exact: values, probabilities,
 allocations, utilities and revenues are rationals, never floats; floats
 appear only in rendered output.  Rationals cross the API and the output as
-fractions.Fraction.  Loops that visit every profile work in integers over
-one stated denominator instead (`scaled`, `profile_table`) and build a
-Fraction only for a value that leaves them.
+fractions.Fraction.  Sums over the profiles run over their type-count
+classes (`profile_classes`, `class_weights`) in integers over one stated
+denominator and build a Fraction only for a value that leaves them; only
+readers by profile walk `profile_table`.
 
 Every buyer-item value is drawn from one finite marginal, a
 `FiniteValueDistribution`.  A buyer type is the index pair (x1, x2) into its
@@ -219,17 +220,26 @@ def _profile_table(n: int, masses: tuple) -> ProfileTable:
 
 
 @functools.lru_cache(maxsize=4)
-def profile_classes(n: int, n_types: int) -> tuple[tuple, array]:
-    """The type-count classes of n buyers' profiles: the classes' counts
-    (per type index), in order of first appearance in `profile_table`
-    order, and the class of each profile position."""
-    grow = functools.cache(lambda key, c: key[:c] + (key[c] + 1,) + key[c + 1:])
-    counts = [(0,) * n_types]
-    for _ in range(n):
-        counts = [grow(key, c) for key in counts for c in range(n_types)]
-    index = {}
-    classes = array("I", [index.setdefault(key, len(index)) for key in counts])
-    return tuple(index), classes
+def profile_classes(n: int, n_types: int) -> tuple:
+    """The type-count classes of n buyers' profiles: each class's counts
+    per type index, in order of first appearance in `profile_table` order,
+    which is the lexicographic order of their sorted profiles."""
+    return tuple(tuple(s.count(c) for c in range(n_types))
+                 for s in itertools.combinations_with_replacement(range(n_types), n))
+
+
+@functools.lru_cache(maxsize=4)
+def class_weights(n: int, masses: tuple) -> tuple[tuple, int]:
+    """Each type-count class's probability (`profile_classes` order): its
+    n! / prod m_c! profiles, each of weight prod w_c^m_c for type counts
+    m_c and type weights w_c, over the scale of `profile_table`."""
+    probs, den = scaled(masses)
+    type_weights = [a * b for a in probs for b in probs]
+    return tuple(
+        math.factorial(n) // math.prod(map(math.factorial, key))
+        * math.prod(map(pow, type_weights, key))
+        for key in profile_classes(n, len(type_weights))
+    ), den ** (2 * n)
 
 
 @functools.lru_cache(maxsize=4)
@@ -239,36 +249,29 @@ def class_cells(n: int, n_types: int) -> tuple[tuple, tuple]:
 
     Returns the classes' counts as `profile_classes` does, and per buyer an
     array over the profile positions of its cell, class * n_types + its own
-    type index."""
-    keys, classes = profile_classes(n, n_types)
-    base = [k * n_types for k in classes]
-    cells = []
-    for i in range(n):
-        step = n_types ** (n - 1 - i)
-        own = bytes(c for c in range(n_types) for _ in range(step)) * n_types ** i
-        cells.append(array("I", map(add, base, own)))
-    return keys, tuple(cells)
+    type index.  Only the readers by profile need these arrays: the export,
+    the per-profile views and the failure listings."""
+    sorted_profiles = itertools.combinations_with_replacement(range(n_types), n)
+    index = {s: k * n_types for k, s in enumerate(sorted_profiles)}
+    profiles = list(itertools.product(range(n_types), repeat=n))
+    base = [index[tuple(sorted(t))] for t in profiles]
+    cells = tuple(array("I", map(add, base, own)) for own in zip(*profiles))
+    return profile_classes(n, n_types), cells
 
 
 @functools.lru_cache(maxsize=4)
-def opponent_cells(n: int, n_types: int) -> tuple[tuple, array]:
-    """Where a buyer among n meets its opponents' type-count classes.
-
-    Returns, per class of the other n - 1 buyers (`profile_classes(n - 1)`
-    order), the cell of `class_cells(n)` that a buyer of each type index
-    holds against it, and the class of each opponent profile in
-    `profile_table(n - 1)` order.  Every buyer holds that one cell against
-    every opponent profile of the class, so a table over the cells reads
-    the same for each of them."""
-    keys, _ = profile_classes(n, n_types)
-    index = {key: k for k, key in enumerate(keys)}
-    others, classes = profile_classes(n - 1, n_types)
-    at = tuple(
+def opponent_cells(n: int, n_types: int) -> tuple:
+    """Where a buyer among n meets its opponents' type-count classes: per
+    class of the other n - 1 buyers (`profile_classes(n - 1)` order), the
+    cell of `class_cells(n)` that a buyer of each type index holds against
+    it.  Every buyer holds that one cell against every opponent profile of
+    the class, so a table over the cells reads the same for each of them."""
+    index = {key: k for k, key in enumerate(profile_classes(n, n_types))}
+    return tuple(
         array("I", [index[key[:x] + (key[x] + 1,) + key[x + 1:]] * n_types + x
                     for x in range(n_types)])
-        for key in others
+        for key in profile_classes(n - 1, n_types)
     )
-    return at, classes
 
 
 @functools.lru_cache(maxsize=None)

@@ -38,6 +38,7 @@ from .core import (
     HierarchyScheme,
     buyer_types,
     class_cells,
+    class_weights,
     opponent_cells,
     profile_classes,
     profile_table,
@@ -108,7 +109,7 @@ class Mechanism:
     u: tuple
 
     def __post_init__(self):
-        size = len(profile_classes(self.n, self.n_types)[0]) * self.n_types
+        size = len(profile_classes(self.n, self.n_types)) * self.n_types
         if not len(self.q1) == len(self.q2) == len(self.u) == size:
             raise ValueError(f"a mechanism of {self.n} buyers has {size} cells")
 
@@ -154,21 +155,18 @@ class Mechanism:
         and allocation at each type, weighted by the probability of every
         opponent profile.  Every buyer holds one cell against all opponent
         profiles of one class (`opponent_cells`), so the sums run over the
-        classes, each weighted by its profiles' total weight, and every
-        buyer's entries are the same."""
+        classes, each weighted by its profiles' total weight
+        (`class_weights`), and every buyer's entries are the same."""
         types = buyer_types(self.dist)
-        opponents = profile_table(self.n - 1, self.dist)
-        at, classes = opponent_cells(self.n, len(types))
-        mass = [0] * len(at)
-        for k, w in zip(classes, opponents.weights):
-            mass[k] += w
+        mass, scale = class_weights(self.n - 1, self.dist.probs)
+        at = opponent_cells(self.n, len(types))
 
         def mean(table, x):
             return sum(w * table[cells[x]] for w, cells in zip(mass, at))
 
         utility = {t: mean(self.u, x) for x, t in enumerate(types)}
         allocation = {t: (mean(self.q1, x), mean(self.q2, x)) for x, t in enumerate(types)}
-        return InterimTable(opponents.scale * self.den, (utility,) * self.n,
+        return InterimTable(scale * self.den, (utility,) * self.n,
                             (allocation,) * self.n)
 
 
@@ -239,7 +237,7 @@ def _closed_form(
     ]
     h1, h2 = case_hierarchies(hierarchy_case)
     types = buyer_types(spec.dist)
-    keys, _ = profile_classes(n, len(types))
+    keys = profile_classes(n, len(types))
     # Share pairs and utility numerators by class * 4 + own type index.
     q1s, q2s, us = ([0] * (len(keys) * len(types)) for _ in range(3))
     for k, key in enumerate(keys):

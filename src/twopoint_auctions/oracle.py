@@ -47,12 +47,14 @@ integers over one denominator, becomes the mechanism's tables directly.
 The symmetric program's columns are the type-count cells of `class_cells`,
 the index the closed-form mechanisms are built on, joined under the item
 swap; they depend only on n, the number of atoms and the regime, so one
-orbit tuple per (n, atoms, regime) serves every build and extraction.
+column map per (n, atoms, regime) serves every build and extraction.  The
+objective and every row are summed over the classes and the opponents'
+classes (`opponent_cells`), weighted by their probabilities
+(`class_weights`), never over the profiles.
 """
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import functools
 import itertools
@@ -66,9 +68,9 @@ from .core import (
     CapExceeded,
     FiniteValueDistribution,
     buyer_types,
-    class_cells,
+    class_weights,
+    opponent_cells,
     profile_classes,
-    profile_table,
     rat_str,
     scaled,
 )
@@ -80,28 +82,36 @@ from .simplex import Constraint, LinearProgram, LPSolution, solve
 DEFAULT_LP_PROFILE_CAP = 4 ** 4
 
 
-@functools.lru_cache(maxsize=8)
-def _columns(n: int, n_atoms: int, interim: bool) -> tuple[tuple, tuple, tuple]:
-    """Each per-profile entry's column in the symmetric program, each
-    column's name, and the columns of each cell's share of item 1, share
-    of item 2 and utility (None at a cell that no profile holds).
+def _held(n: int, n_types: int) -> list:
+    """Per class of n buyers (`profile_classes` order), the cells that its
+    buyers hold, in type order, each with the number of buyers holding it."""
+    return [[(k * n_types + c, m) for c, m in enumerate(key) if m]
+            for k, key in enumerate(profile_classes(n, n_types))]
 
-    The entries list q[i,j] (profile, buyer, item order), then u[i]
-    (profile, buyer order): at profile position `pos` of P, q[i,j] is entry
-    2(n pos + i) + j and u[i] is entry 2nP + n pos + i.  Its orbit is read
-    from buyer i's cell at `pos` (`class_cells`): q[i,0] takes the cell's,
-    q[i,1] the item-swapped cell's, u[i] the smaller of the two.  Orbits are
-    numbered in order of first appearance and named after their least
-    member: buyer 0's type first, the others' sorted, item 0 for an
-    allocation and the smaller profile of the two for a utility.  With
-    `interim`, a utility takes instead the column of its buyer's type
-    orbit, the type and its item swap, named ("U", 0, the smaller type):
-    the Bayesian program's interim utility (see the module docstring).  The
-    allocation columns come first and do not depend on `interim`.
+
+@functools.lru_cache(maxsize=8)
+def _columns(n: int, n_atoms: int, interim: bool) -> tuple[tuple, tuple]:
+    """Each column's name in the symmetric program, and the columns of each
+    cell's share of item 1, share of item 2 and utility (None at a cell
+    that no profile holds).
+
+    A cell's share of item 1 is its own allocation orbit, its share of
+    item 2 the item-swapped cell's, its utility the smaller cell's of the
+    two or, with `interim`, its type orbit's (the type and its item swap):
+    the Bayesian program's interim utility (see the module docstring).
+    The orbits are numbered in order of first appearance over the held
+    cells in class order, first each cell's allocation and its swapped
+    cell's, then each cell's utility: the order of the full program's
+    variables, since each class's cells first appear together, in type
+    order, at its sorted profile.  Each is named after its least member:
+    buyer 0's type first, the others' sorted, item 0 for an allocation and
+    the smaller profile of the two for a utility, or ("U", 0, the smaller
+    type).  The allocation columns come first and do not depend on
+    `interim`.
     """
     types = list(itertools.product(range(n_atoms), repeat=2))
     n_types = len(types)
-    keys, cells = class_cells(n, n_types)
+    keys = profile_classes(n, n_types)
     # The item swap sends type (x1, x2) to (x2, x1), and a cell to the cell
     # of its class with the types swapped and of its own type swapped.
     flip = [x2 * n_atoms + x1 for x1, x2 in types]
@@ -113,14 +123,9 @@ def _columns(n: int, n_atoms: int, interim: bool) -> tuple[tuple, tuple, tuple]:
         u_key = [m + min(c, flip[c]) for _ in keys for c in range(n_types)]
     else:
         u_key = [m + min(x, y) for x, y in enumerate(swap)]
-
-    def entries():
-        swapped = [map(swap.__getitem__, cell) for cell in cells]
-        q = zip(*[col for pair in zip(cells, swapped) for col in pair])
-        u = zip(*[map(u_key.__getitem__, cell) for cell in cells])
-        return itertools.chain.from_iterable(itertools.chain(q, u))
-
-    ids = {x: k for k, x in enumerate(dict.fromkeys(entries()))}
+    held = [x for cells in _held(n, n_types) for x, _ in cells]
+    first = [y for x in held for y in (x, swap[x])] + [u_key[x] for x in held]
+    ids = {x: r for r, x in enumerate(dict.fromkeys(first))}
 
     def profile(x):
         key, c = keys[x // n_types], x % n_types
@@ -137,7 +142,7 @@ def _columns(n: int, n_atoms: int, interim: bool) -> tuple[tuple, tuple, tuple]:
     # iff its share of item 1 has one.
     q1, q2 = (tuple(map(ids.get, xs)) for xs in (range(m), swap))
     u = tuple(None if r is None else ids[x] for r, x in zip(q1, u_key))
-    return tuple(map(ids.__getitem__, entries())), names, (q1, q2, u)
+    return names, (q1, q2, u)
 
 
 @functools.lru_cache(maxsize=4)
@@ -147,34 +152,36 @@ def _fixed_rows(n: int, n_atoms: int, regime: str) -> tuple:
     first appearance.
 
     Neither depends on values or probabilities: in lowest terms a supply
-    row is its columns' multiplicities <= 1, a participation row u >= 0.
-    No row of another family equals one of them: only supply rows are <=
-    rows, and a truthfulness row has at least two entries."""
-    u0 = 2 * n * n_atoms ** (2 * n)
-    col = _columns(n, n_atoms, regime == "bic")[0]
+    row, one per class and item, is its columns' multiplicities <= 1, the
+    count of buyers at each cell; a participation row, one per utility
+    column, is u >= 0.  No row of another family equals one of them: only
+    supply rows are <= rows, and a truthfulness row has at least two
+    entries."""
+    _, (q1, q2, u) = _columns(n, n_atoms, regime == "bic")
     supply = {}
-    for k in range(0, u0, 2 * n):
-        for j in range(2):
-            coeffs = collections.Counter(col[k + 2 * i + j] for i in range(n))
+    # The cells of one class lie in distinct orbits of each item.
+    for cells in _held(n, n_atoms ** 2):
+        for q in (q1, q2):
+            coeffs = {q[x]: m for x, m in cells}
             supply.setdefault(tuple(sorted(coeffs.items())), coeffs)
     rows = tuple(Constraint(tuple(c.items()), "<=", 1, 1, "supply") for c in supply.values())
     if regime == "bic":
         return rows
     return rows + tuple(
-        Constraint(((r, 1),), ">=", 0, 1, "ir") for r in dict.fromkeys(col[u0:]))
+        Constraint(((r, 1),), ">=", 0, 1, "ir") for r in dict.fromkeys(u) if r is not None)
 
 
 class _Candidates(NamedTuple):
     """A program's truthfulness candidates, read through its column map.
 
     `pairs` lists the misreports (x, y), type index x reporting y, and
-    `local` flags those by one atom along one item.  `cells[x][p]` is the
-    (u, q1, q2) columns of buyer 0 at type index x against the opponent
-    profile at position p of `profile_table(n - 1)`.  A dominant-strategy
-    candidate is (pair, u_true, u_dev, q1_dev, q2_dev), buyer 0's row
-    against one opponent profile; a Bayesian one is (pair,), the row summed
-    over every opponent profile.  `all` is every candidate in row order,
-    and `seeded` and `withheld` its local and other ones."""
+    `local` flags those by one atom along one item.  `cells[x][k]` is the
+    (u, q1, q2) columns of a buyer at type index x against the opponent
+    class k (`opponent_cells`).  A dominant-strategy candidate is (pair,
+    u_true, u_dev, q1_dev, q2_dev), a buyer's row against the opponent
+    profiles of one class; a Bayesian one is (pair,), the row summed over
+    the opponent classes.  `all` is every candidate in row order, and
+    `seeded` and `withheld` its local and other ones."""
 
     pairs: tuple
     local: tuple
@@ -186,33 +193,25 @@ class _Candidates(NamedTuple):
 
 @functools.lru_cache(maxsize=8)
 def _candidates(n: int, n_atoms: int, regime: str) -> _Candidates:
-    """The program's truthfulness candidates: buyer 0's alone and, in the
-    dominant-strategy program, those against sorted opponent profiles
-    alone, since every other buyer's rows repeat buyer 0's and opponent
-    profiles that reorder each other give the same row.  Their columns
-    come from `_columns`, the interim ones in the Bayesian program.  A
-    one-step misreport is seeded: its rows tend to bind."""
+    """The program's truthfulness candidates: one buyer's alone and, in the
+    dominant-strategy program, one per opponent class, since every buyer's
+    rows repeat each other and opponent profiles of one class give the
+    same row.  Their columns come from `_columns`, the interim ones in the
+    Bayesian program.  A one-step misreport is seeded: its rows tend to
+    bind."""
     types = list(itertools.product(range(n_atoms), repeat=2))
     n_types = len(types)
     pairs = tuple((x, y) for x in range(n_types) for y in range(n_types) if y != x)
     local = tuple(sorted(abs(a - b) for a, b in zip(types[x], types[y])) == [0, 1]
                   for x, y in pairs)
-    u0 = 2 * n * n_types ** n
-    col = _columns(n, n_atoms, regime == "bic")[0]
-    # Buyer 0's type index is the leading digit of a profile position.
-    step = n_types ** (n - 1)
-    cells = tuple(
-        tuple((col[u0 + n * pos], col[2 * n * pos], col[2 * n * pos + 1])
-              for pos in range(x * step, (x + 1) * step))
-        for x in range(n_types)
-    )
+    _, (q1, q2, u) = _columns(n, n_atoms, regime == "bic")
+    at = opponent_cells(n, n_types)
+    cells = tuple(tuple((u[c[x]], q1[c[x]], q2[c[x]]) for c in at) for x in range(n_types))
     if regime == "bic":
         out = [(k,) for k in range(len(pairs))]
     else:
-        others = itertools.product(range(n_types), repeat=n - 1)
-        opponents = [p for p, o in enumerate(others) if list(o) == sorted(o)]
-        out = [(k, cells[x][p][0]) + cells[y][p]
-               for k, (x, y) in enumerate(pairs) for p in opponents]
+        out = [(k, cells[x][o][0]) + cells[y][o]
+               for k, (x, y) in enumerate(pairs) for o in range(len(at))]
     return _Candidates(
         pairs, local, cells, tuple(out),
         tuple(c for c in out if local[c[0]]),
@@ -244,23 +243,21 @@ class _Program:
                 f"instance too large for exhaustive mode: {n_profiles} profiles "
                 f"exceeds the LP cap of {max_profiles}"
             )
-        table = profile_table(n, dist, max_profiles)
-        u0 = 2 * n * n_profiles  # entry of u[0] at profile 0
         n_atoms = len(dist.values)
-        col, names, _ = _columns(n, n_atoms, regime == "bic")
+        names, (q1, q2, u) = _columns(n, n_atoms, regime == "bic")
         values, lcm_v = scaled(dist.values)
         self.lcm_v = lcm_v
 
+        # A buyer at cell x of a class of weight w pays its shares' values
+        # less its utility, and count(x) buyers of the class hold x.
+        weights, scale = class_weights(n, dist.probs)
         objective = {}
-        for pos, (t, w) in enumerate(zip(table.profiles, table.weights)):
-            for i in range(n):
-                k = 2 * (n * pos + i)
-                for j in range(2):
-                    r = col[k + j]
-                    objective[r] = objective.get(r, 0) + w * values[t[i][j]]
-                r = col[u0 + n * pos + i]
-                objective[r] = objective.get(r, 0) - w * lcm_v
-        obj_scale = lcm_v * table.scale
+        for k, cells in enumerate(_held(n, n_types)):
+            for x, m in cells:
+                t = types[x % n_types]
+                for r, v in ((q1[x], values[t[0]]), (q2[x], values[t[1]]), (u[x], -lcm_v)):
+                    objective[r] = objective.get(r, 0) + m * weights[k] * v
+        obj_scale = lcm_v * scale
 
         self.regime = regime
         self.scale = lcm_v if regime == "dic" else obj_scale
@@ -270,11 +267,11 @@ class _Program:
         self.rows = {}
         if regime == "bic":
             # Interim rows: the opponent-weighted sums of the per-profile
-            # ones.  An opponent weight over W(n-1) is on the program scale
-            # times g = W(n) / W(n-1).
-            others = profile_table(n - 1, dist)
-            g = table.scale // others.scale
-            self.weights = [w * g for w in others.weights]
+            # ones.  An opponent class weight over W(n-1) is on the program
+            # scale times g = W(n) / W(n-1).
+            others, others_scale = class_weights(n - 1, dist.probs)
+            g = scale // others_scale
+            self.weights = [w * g for w in others]
             for at in truth.cells:
                 coeffs = {}
                 for (r, _, _), w in zip(at, self.weights):
@@ -286,7 +283,7 @@ class _Program:
             objective={r: c // g for r, c in objective.items() if c},
             obj_scale=obj_scale // g,
             constraints=list(_fixed_rows(n, n_atoms, regime)),
-            nonneg=set(col[:u0]),
+            nonneg={r for r in q1 if r is not None},
         )
 
     def _keep(self, coeffs: dict, tag: str):
@@ -303,8 +300,8 @@ class _Program:
     def add(self, candidate):
         """Keep a candidate's row, over the program scale: w times
         u(x) - u(y) - (x - y).q(y) >= 0 for type x misreporting y, w = 1
-        against one opponent profile, or summed over them with their
-        weights.  Returns the row, or None if it is kept already."""
+        against the opponent profiles of one class, or summed over the
+        classes with their weights.  Returns the row, or None if it is kept already."""
         k = candidate[0]
         dv, lcm_v = self.dv[k], self.lcm_v
         coeffs = {}
@@ -336,8 +333,8 @@ class _Program:
         A dominant-strategy candidate is read from its four columns,
         L (u_true - u_dev) - dv . q_dev.  A Bayesian one, of buyer 0 as in
         the symmetric program, from per-type interim sums of the primal:
-        with weights w_p over the opponent profiles, U(x) = sum_p w_p
-        u(x, p) and Q_j(y) = sum_p w_p q_j(y, p), its row is L (U(x) -
+        with weights w_k over the opponent classes, U(x) = sum_k w_k
+        u(x, k) and Q_j(y) = sum_k w_k q_j(y, k), its row is L (U(x) -
         U(y)) - dv . Q(y) over the weight scale."""
         truth, dv, lcm_v = self.truth, self.dv, self.lcm_v
         if self.regime == "dic":
@@ -440,7 +437,7 @@ def extract_mechanism(
     reduced denominators."""
     x, X = sol.primal, sol.primal_den
     interim = sol.variables[-1][0] == "U"
-    _, names, per_cell = _columns(n, len(dist.values), interim)
+    names, per_cell = _columns(n, len(dist.values), interim)
     if len(x) != len(names) or tuple(sol.variables) != names:
         raise ValueError("the solution is not of the symmetric auction program")
     g = math.gcd(X, *x)
@@ -460,12 +457,10 @@ def certify_optimum(mech: Mechanism, regime: str, optimum: Fraction) -> None:
     sum_c count_c * q[class, c].  Only a failure walks the profiles, to
     name the first one that fails.
     """
-    den, n_types = mech.den, mech.n_types
-    keys, _ = profile_classes(mech.n, n_types)
-    tables = (mech.q1, mech.q2)
+    den, tables = mech.den, (mech.q1, mech.q2)
     if min(map(min, tables)) < 0 or any(
-        sum(m * q[k * n_types + c] for c, m in enumerate(key)) > den
-        for q in tables for k, key in enumerate(keys)
+        sum(m * q[x] for x, m in cells) > den
+        for q in tables for cells in _held(mech.n, mech.n_types)
     ):
         for t, shares in mech.allocation.items():
             if any(q < 0 for q_i in shares for q in q_i):

@@ -160,6 +160,41 @@ class TestCertify:
         assert code == 4
         assert "too large for exhaustive mode" in err
 
+    @pytest.mark.slow
+    def test_raised_cap_is_honoured_end_to_end(self, capsys):
+        # 4^9 profiles exceed the mechanism table cap, but nothing on the
+        # certify path builds a table: --cap alone admits the spec.
+        code, out, err = run(capsys, "certify", "--n", "9", "--p", "1/2", "--a", "1",
+                             "--b", "2", "--cap", str(4 ** 9))
+        assert (code, err) == (0, "")
+        assert "lp_D=1046537/262144 r_D=1046537/262144 ok" in out
+        assert "lp_B=1047039/262144 r_B=1047039/262144 ok" in out
+
+    def test_pass_path_walks_no_profile(self, capsys, monkeypatch):
+        # Solving and certifying both programs, and a text-mode mechanism
+        # check that passes, work over the type-count classes: none of them
+        # builds the profile table or the per-position cell arrays.
+        from twopoint_auctions import audit, core, mechanisms, oracle
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a walk over the profiles on the pass path")
+
+        for module in (core, audit, mechanisms):
+            monkeypatch.setattr(module, "profile_table", refuse)
+        for module in (core, mechanisms):
+            monkeypatch.setattr(module, "class_cells", refuse)
+        for cached in (oracle._columns, oracle._fixed_rows, oracle._candidates,
+                       core.profile_classes, core.class_weights, core.opponent_cells):
+            cached.cache_clear()
+        dist = core.AuctionSpec(3, F(1, 2), 1, 2).dist
+        for regime in ("dic", "bic"):
+            oracle.solve_auction_lp(3, dist, regime, max_profiles=4 ** 3)
+        for impl, b in (("dic", "2"), ("bic", "4")):
+            code, out, _ = run(capsys, "mechanism", "--n", "3", "--p", "1/2", "--a", "1",
+                               "--b", b, "--impl", impl, "--check", "--format", "text")
+            assert code == 0
+            assert "FAILED" not in out and "violated" not in out
+
     def test_lp_export(self, capsys, tmp_path):
         prefix = str(tmp_path / "example")
         code, _, _ = run(capsys, "certify", *EXAMPLE_ARGS, "--lp-export", prefix)

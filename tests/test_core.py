@@ -20,6 +20,7 @@ from twopoint_auctions.core import (
     buyer_types,
     class_cells,
     class_probabilities,
+    class_weights,
     opponent_cells,
     profile_classes,
     profile_table,
@@ -173,21 +174,44 @@ class TestEnumeration:
                                          (3, 1), (3, 2), (3, 3)])
     def test_opponent_cells(self, atoms, n):
         # Buyer i of type t against the opponents o holds, at the profile
-        # with t inserted, the cell `opponent_cells` gives o's class at t;
-        # and that class counts o's types.
+        # with t inserted, the cell `opponent_cells` gives at t for the
+        # class that counts o's types.
         dist = FiniteValueDistribution(tuple(range(1, atoms + 1)), (F(1, atoms),) * atoms)
         types = buyer_types(dist)
         position = {t: pos for pos, t in enumerate(profile_table(n, dist).profiles)}
-        opponents = profile_table(n - 1, dist).profiles
         _, cells = class_cells(n, len(types))
-        keys, _ = profile_classes(n - 1, len(types))
-        at, classes = opponent_cells(n, len(types))
-        assert len(at) == len(keys) and len(classes) == len(opponents)
-        for others, k in zip(opponents, classes, strict=True):
-            assert keys[k] == tuple(others.count(t) for t in types)
+        keys = profile_classes(n - 1, len(types))
+        at = opponent_cells(n, len(types))
+        assert len(at) == len(keys)
+        for others in profile_table(n - 1, dist).profiles:
+            k = keys.index(tuple(others.count(t) for t in types))
             for i in range(n):
                 for c, t in enumerate(types):
                     assert cells[i][position[insert(others, i, t)]] == at[k][c]
+
+    @pytest.mark.parametrize("atoms,n", [(2, n) for n in range(6)] + [(3, n) for n in range(4)])
+    def test_classes_in_order_of_first_appearance(self, atoms, n):
+        # The classes' counts, in order of first appearance along the
+        # profile table, n = 0 and n = 1 included.
+        dist = FiniteValueDistribution(tuple(range(1, atoms + 1)), (F(1, atoms),) * atoms)
+        types = buyer_types(dist)
+        walk = dict.fromkeys(tuple(t.count(x) for x in types)
+                             for t in profile_table(n, dist).profiles)
+        assert profile_classes(n, len(types)) == tuple(walk)
+
+    @pytest.mark.parametrize("atoms,n", [(a, n) for a in (2, 3) for n in range(7)])
+    def test_class_weights_sum_the_profile_weights(self, atoms, n):
+        # Each class weight is its profiles' total weight over the table's
+        # scale.
+        masses = {2: (F(1, 3), F(2, 3)), 3: (F(1, 2), F(1, 3), F(1, 6))}[atoms]
+        dist = FiniteValueDistribution(tuple(range(1, atoms + 1)), masses)
+        types = buyer_types(dist)
+        table = profile_table(n, dist, cap=len(types) ** n)
+        index = {key: k for k, key in enumerate(profile_classes(n, len(types)))}
+        mass = [0] * len(index)
+        for t, w in zip(table.profiles, table.weights):
+            mass[index[tuple(t.count(x) for x in types)]] += w
+        assert class_weights(n, masses) == (tuple(mass), table.scale)
 
     def test_insert(self):
         assert insert((AB, BA), 1, BB) == (AB, BB, BA)

@@ -689,17 +689,14 @@ class TestAgainstFractionBuilder:
 class TestColumnMap:
     @pytest.mark.parametrize(
         "n,n_atoms", [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (2, 4), (2, 6)])
-    def test_orbits_and_names_equal_the_representative_map(self, n, n_atoms):
-        # The orbit ids, their order of first appearance and the column
-        # names, against every full variable mapped through `representative`.
-        assert oracle._columns(n, n_atoms, False)[:2] == reference_columns(n, n_atoms)
-
-    @pytest.mark.parametrize(
-        "n,n_atoms", [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (2, 4), (2, 6)])
-    def test_per_cell_orbits_read_the_full_entries(self, n, n_atoms):
-        # Buyer i's q[i,1], q[i,2] and u[i] entries at every profile take
-        # the orbits of its cell there; a cell that no profile holds has none.
-        orbit, _, (q1, q2, u) = oracle._columns(n, n_atoms, False)
+    def test_per_cell_orbits_and_names_equal_the_representative_map(self, n, n_atoms):
+        # Buyer i's q[i,1], q[i,2] and u[i] variables at every profile take
+        # the orbits of its cell there, numbered and named as the
+        # representatives in order of first appearance; a cell that no
+        # profile holds has none.
+        orbit, ref_names = reference_columns(n, n_atoms)
+        names, (q1, q2, u) = oracle._columns(n, n_atoms, False)
+        assert names == ref_names
         _, cells = class_cells(n, n_atoms ** 2)
         u0 = 2 * n * n_atoms ** (2 * n)
         held = set()
