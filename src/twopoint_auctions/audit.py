@@ -13,10 +13,13 @@ checked once per cell.  Its truthfulness constraint for one ordered type
 pair against one opponent profile reads the cells it holds at its true and
 at its reported type against the opponents' class (`opponent_cells`), the
 same for every buyer and every opponent profile of that class, so DIC is
-checked once per (opponent class, type pair), and each audit counts its
-constraints by arithmetic.  Only a check that fails is walked by buyer and
-profile to report its violations, so the reports list every violating
-(buyer, profile, type pair) in enumeration order.  Every
+checked once per (opponent class, type pair).  Every buyer shares one
+interim table, so BIR is checked once per type and BIC once per type
+pair.  Each audit counts its constraints by arithmetic, and
+`violation_count` counts a failing audit's violations the same way.  Only
+a check that fails is walked by buyer and profile to report its
+violations, so the reports list every violating (buyer, profile, type
+pair) in enumeration order.  Every
 violation carries its replay key (buyer, true type, reported type,
 opponent profile) and both sides of the failed inequality as Fractions.
 """
@@ -30,6 +33,7 @@ from typing import Optional
 from .core import (
     Type,
     buyer_types,
+    class_sizes,
     opponent_cells,
     profile_classes,
     profile_table,
@@ -83,20 +87,17 @@ class AuditReport:
 
 
 def expected_revenue(mech: Mechanism) -> Fraction:
-    """Sum over buyers and types t of pi(t) * (t.qbar_i(t) - ubar_i(t)),
-    from the interim table: the expectation, over every profile, of the
-    total derived payment."""
+    """n times the sum over types t of pi(t) * (t.qbar(t) - ubar(t)), from
+    the interim table that every buyer shares: the expectation, over every
+    profile, of the total derived payment."""
     interim = mech.interim
-    types = buyer_types(mech.dist)
     probs, pden = scaled(mech.dist.probs)
     vals, vden = scaled(mech.dist.values)
     total = 0
-    for u_i, q_i in zip(interim.utility, interim.allocation):
-        for t in types:
-            q1, q2 = q_i[t]
-            total += probs[t[0]] * probs[t[1]] * (
-                q1 * vals[t[0]] + q2 * vals[t[1]] - u_i[t] * vden)
-    return Fraction(total, pden * pden * interim.scale * vden)
+    for (x1, x2), (q1, q2) in interim.allocation.items():
+        total += probs[x1] * probs[x2] * (
+            q1 * vals[x1] + q2 * vals[x2] - interim.utility[x1, x2] * vden)
+    return Fraction(mech.n * total, pden * pden * interim.scale * vden)
 
 
 def check_ir(mech: Mechanism) -> AuditReport:
@@ -130,21 +131,19 @@ def _type_pairs(dist):
     return types, pairs, vden
 
 
-def check_dic(mech: Mechanism) -> AuditReport:
-    """u_i(t_i,t_-i) >= u_i(t'_i,t_-i) + (t_i - t'_i).q_i(t'_i,t_-i),
-    over all buyers, ordered pairs of distinct types, and opponent profiles.
+def _dic_failures(mech: Mechanism) -> list:
+    """Per type pair (`_type_pairs` order), its failing opponent classes
+    (`opponent_cells` order), each with the two sides as Fractions.
 
     Both sides are taken times den * vden.  The two sides of one
     constraint read the cells at the true and the reported type against
     the opponents' class, so each (opponent class, type pair) is compared
-    once; the failures are then listed for every buyer and every opponent
-    profile of a failing class, the profile's class read from its type
-    counts."""
-    n, q1, q2, u = mech.n, mech.q1, mech.q2, mech.u
+    once."""
+    q1, q2, u = mech.q1, mech.q2, mech.u
     types, pairs, vden = _type_pairs(mech.dist)
-    at = opponent_cells(n, len(types))
+    at = opponent_cells(mech.n, len(types))
     scale = mech.den * vden
-    found = []  # per type pair: its failing opponent classes' (lhs, rhs)
+    found = []
     for a, _, c, _, d1, d2 in pairs:
         failed = {}
         for k, cells in enumerate(at):
@@ -154,6 +153,20 @@ def check_dic(mech: Mechanism) -> AuditReport:
             if lhs < rhs:
                 failed[k] = Fraction(lhs, scale), Fraction(rhs, scale)
         found.append(failed)
+    return found
+
+
+def check_dic(mech: Mechanism) -> AuditReport:
+    """u_i(t_i,t_-i) >= u_i(t'_i,t_-i) + (t_i - t'_i).q_i(t'_i,t_-i),
+    over all buyers, ordered pairs of distinct types, and opponent profiles.
+
+    Each (opponent class, type pair) is compared once (`_dic_failures`);
+    the failures are then listed for every buyer and every opponent
+    profile of a failing class, the profile's class read from its type
+    counts."""
+    n = mech.n
+    types, pairs, _ = _type_pairs(mech.dist)
+    found = _dic_failures(mech)
     index = {key: k for k, key in enumerate(profile_classes(n - 1, len(types)))}
     others_space = [(o, index[tuple(map(o.count, types))])
                     for o in profile_table(n - 1, mech.dist).profiles] if any(found) else ()
@@ -168,35 +181,49 @@ def check_dic(mech: Mechanism) -> AuditReport:
 
 
 def check_bir(mech: Mechanism) -> AuditReport:
-    """Interim utility of truthful participation is nonnegative."""
+    """Interim utility of truthful participation is nonnegative, checked
+    once per type and listed for every buyer."""
     interim = mech.interim
-    violations = []
-    for i, u_i in enumerate(interim.utility):
-        for t_i, u in u_i.items():
-            if u < 0:
-                violations.append(Violation(
-                    i, t_i, None, "averaged", Fraction(u, interim.scale), Fraction(0)
-                ))
-    count = mech.n * len(buyer_types(mech.dist))
-    return AuditReport("BIR", not violations, tuple(violations), count)
+    failed = [(t, Fraction(u, interim.scale)) for t, u in interim.utility.items() if u < 0]
+    violations = tuple(Violation(i, t, None, "averaged", u, Fraction(0))
+                       for i in range(mech.n) for t, u in failed)
+    return AuditReport("BIR", not violations, violations, mech.n * mech.n_types)
 
 
 def check_bic(mech: Mechanism) -> AuditReport:
     """ubar_i(t_i) - ubar_i(t'_i) >= (t_i - t'_i).qbar_i(t'_i) over all
-    buyers and ordered pairs of distinct types."""
+    buyers and ordered pairs of distinct types, checked once per pair and
+    listed for every buyer."""
     interim = mech.interim
+    u, q = interim.utility, interim.allocation
     _, pairs, vden = _type_pairs(mech.dist)
     scale = interim.scale * vden
-    violations = []
-    for i in range(mech.n):
-        u_i, q_i = interim.utility[i], interim.allocation[i]
-        for _, t_true, _, t_rep, d1, d2 in pairs:
-            # both sides times the interim scale and vden
-            lhs = u_i[t_true] * vden
-            q1, q2 = q_i[t_rep]
-            rhs = u_i[t_rep] * vden + d1 * q1 + d2 * q2
-            if lhs < rhs:
-                violations.append(Violation(
-                    i, t_true, t_rep, "averaged", Fraction(lhs, scale), Fraction(rhs, scale)
-                ))
-    return AuditReport("BIC", not violations, tuple(violations), mech.n * len(pairs))
+    failed = []
+    for _, t_true, _, t_rep, d1, d2 in pairs:
+        # both sides times the interim scale and vden
+        lhs = u[t_true] * vden
+        q1, q2 = q[t_rep]
+        rhs = u[t_rep] * vden + d1 * q1 + d2 * q2
+        if lhs < rhs:
+            failed.append((t_true, t_rep, Fraction(lhs, scale), Fraction(rhs, scale)))
+    violations = tuple(Violation(i, t_true, t_rep, "averaged", lhs, rhs)
+                       for i in range(mech.n) for t_true, t_rep, lhs, rhs in failed)
+    return AuditReport("BIC", not violations, violations, mech.n * len(pairs))
+
+
+def violation_count(mech: Mechanism, condition: str) -> int:
+    """The number of violations that the audit of `condition` (IR, DIC,
+    BIR or BIC) lists, read from its failing cells or opponent classes
+    without the walk over the profiles: a failing DIC (opponent class,
+    type pair) fails once per buyer and opponent profile of the class.
+    The interim audits read no profile, so their lists are counted."""
+    n, n_types = mech.n, mech.n_types
+    if condition == "IR":
+        # A cell fails for the buyers holding it at each profile of its class.
+        keys, sizes = profile_classes(n, n_types), class_sizes(n, n_types)
+        return sum(keys[x // n_types][x % n_types] * sizes[x // n_types]
+                   for x, u in enumerate(mech.u) if u < 0)
+    if condition == "DIC":
+        sizes = class_sizes(n - 1, n_types)
+        return n * sum(sizes[k] for failed in _dic_failures(mech) for k in failed)
+    return len((check_bir if condition == "BIR" else check_bic)(mech).violations)

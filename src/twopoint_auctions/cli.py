@@ -36,12 +36,7 @@ from .core import (
 from .continuous import corollary_probe
 from .formulas import revenue_report, sweep_high_value
 from .mechanisms import build_bic_mechanism, build_dic_mechanism, mechanism_to_json
-from .oracle import (
-    DEFAULT_LP_PROFILE_CAP,
-    build_auction_lp,
-    certification_grid,
-    certify_main_theorem,
-)
+from .oracle import build_auction_lp, certification_grid, certify_main_theorem
 from .simplex import lp_to_text
 
 EXIT_OK = 0
@@ -50,8 +45,6 @@ EXIT_AUDIT = 2
 EXIT_MISMATCH = 3
 EXIT_CAP = 4
 EXIT_CERTIFICATE = 5
-
-CAP_ENV_VAR = "TWOPOINT_AUCTIONS_CAP"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -262,12 +255,9 @@ def _certify_line(report) -> str:
 
 
 def cmd_certify(args) -> int:
-    if args.cap is not None and args.cap <= 0:
-        raise ValueError(f"--cap must be a positive integer, got {args.cap}")
     if args.grid and args.lp_export:
         raise ValueError(
             "--lp-export writes the programs of one spec; it cannot be used with --grid")
-    cap = args.cap or DEFAULT_LP_PROFILE_CAP
     if args.grid:
         specs = certification_grid()
     else:
@@ -281,9 +271,9 @@ def cmd_certify(args) -> int:
         if args.lp_export:
             for regime, title in (("dic", "dominant-strategy program"),
                                   ("bic", "bayesian program")):
-                _emit(lp_to_text(build_auction_lp(spec.n, spec.dist, regime, cap), title),
+                _emit(lp_to_text(build_auction_lp(spec.n, spec.dist, regime), title),
                       f"{args.lp_export}.{regime}.lp", end="")
-        reports.append(certify_main_theorem(spec, max_profiles=cap))
+        reports.append(certify_main_theorem(spec))
     if args.format == "json":
         _emit(json.dumps([r.to_json() for r in reports], indent=2), args.out)
     else:
@@ -364,22 +354,6 @@ def cmd_continuous(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _env_cap():
-    """The --cap default: the environment's positive integer, or None when
-    the variable is unset.  It is read on every call of `main`, whatever the
-    subcommand, so a bad value fails the same way everywhere."""
-    raw = os.environ.get(CAP_ENV_VAR)
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
-    if cap <= 0:
-        raise ValueError(f"--cap must be a positive integer, got {cap} from {CAP_ENV_VAR}")
-    return cap
-
-
 @functools.cache
 def build_parser() -> _Parser:
     """The argument parser, built once per process; every `main` call
@@ -417,10 +391,6 @@ def build_parser() -> _Parser:
         help="path prefix: write the spec's certified programs as PREFIX.dic.lp and "
              "PREFIX.bic.lp (not with --grid)",
     )
-    p_cert.add_argument(
-        "--cap", type=int,
-        help="profile-count cap override for the LP oracle",
-    )
     p_cert.add_argument("--format", choices=("text", "json"), default="text")
     p_cert.add_argument("--out")
     p_cert.set_defaults(func=cmd_certify)
@@ -450,10 +420,7 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     try:
-        cap = _env_cap()
         args = build_parser().parse_args(argv)
-        if args.command == "certify" and args.cap is None:
-            args.cap = cap
         if args.out:
             # An unwritable --out fails here, before any work starts.
             open(args.out, "a").close()

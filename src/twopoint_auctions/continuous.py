@@ -7,6 +7,9 @@ computable; scaling by 1/a it approaches the two-point optimum of the
 normalized instance (2, 1/2, 1, lam) as a grows.  Everything here is an
 exploration harness, not a proof: band membership of the discretized optima
 against the known additive-error windows is reported as indicative only.
+The oracle's cell cap (`oracle.CELL_CAP`) bounds grid_m: grid_m <= 3 is
+solved, and grid_m = 4, whose 64 types give 133,120 type-count cells, is
+refused before any solve.
 """
 
 from __future__ import annotations
@@ -15,12 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import AuctionSpec, CapExceeded, FiniteValueDistribution, InvalidSpec, rat
+from .core import AuctionSpec, FiniteValueDistribution, InvalidSpec, rat
 from .formulas import revenue_bic, revenue_dic
 from .oracle import solve_auction_lp
-
-#: Per-interval grid ceiling; the LP grows with the 4th power of 2*grid_m.
-DEFAULT_GRID_CAP = 3
 
 #: Additive error windows above r*a for the true continuous optima at lam=2,
 #: valid for a >= 6: [r_D*a, r_D*a + 5/4) and [r_B*a, r_B*a + 3/2).
@@ -66,13 +66,7 @@ def discretize(cspec: ContinuousSpec) -> FiniteValueDistribution:
 
 def lp_over_grid(cspec: ContinuousSpec, impl: str) -> Fraction:
     """Exact LP optimum of the discretized instance, impl in {'dic','bic'}."""
-    if cspec.grid_m > DEFAULT_GRID_CAP:
-        raise CapExceeded(
-            f"instance too large for exhaustive mode: grid_m={cspec.grid_m} "
-            f"exceeds the cap of {DEFAULT_GRID_CAP}"
-        )
-    n_profiles = (2 * cspec.grid_m) ** (2 * cspec.n)
-    return solve_auction_lp(cspec.n, discretize(cspec), impl, max_profiles=n_profiles).optimum
+    return solve_auction_lp(cspec.n, discretize(cspec), impl).optimum
 
 
 @dataclass(frozen=True)

@@ -229,17 +229,23 @@ def profile_classes(n: int, n_types: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=4)
+def class_sizes(n: int, n_types: int) -> tuple:
+    """Each type-count class's number of profiles (`profile_classes`
+    order): n! / prod m_c! for type counts m_c."""
+    return tuple(math.factorial(n) // math.prod(map(math.factorial, key))
+                 for key in profile_classes(n, n_types))
+
+
+@functools.lru_cache(maxsize=4)
 def class_weights(n: int, masses: tuple) -> tuple[tuple, int]:
     """Each type-count class's probability (`profile_classes` order): its
-    n! / prod m_c! profiles, each of weight prod w_c^m_c for type counts
+    `class_sizes` profiles, each of weight prod w_c^m_c for type counts
     m_c and type weights w_c, over the scale of `profile_table`."""
     probs, den = scaled(masses)
     type_weights = [a * b for a in probs for b in probs]
-    return tuple(
-        math.factorial(n) // math.prod(map(math.factorial, key))
-        * math.prod(map(pow, type_weights, key))
-        for key in profile_classes(n, len(type_weights))
-    ), den ** (2 * n)
+    sizes, keys = class_sizes(n, len(type_weights)), profile_classes(n, len(type_weights))
+    return tuple(size * math.prod(map(pow, type_weights, key))
+                 for size, key in zip(sizes, keys)), den ** (2 * n)
 
 
 @functools.lru_cache(maxsize=4)

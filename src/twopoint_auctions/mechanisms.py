@@ -62,14 +62,15 @@ def _numerator(x, den: int) -> int:
 
 @dataclass(frozen=True)
 class InterimTable:
-    """Each buyer's interim utility and allocation at each of its types,
+    """A buyer's interim utility and allocation at each of its types,
     averaged over the opponents' profiles, as integers over `scale`:
-    ubar_i(t) = utility[i][t] / scale, qbar_ij(t) = allocation[i][t][j] / scale.
+    ubar_i(t) = utility[t] / scale, qbar_ij(t) = allocation[t][j] / scale.
+    The mechanism is symmetric, so every buyer has this one table.
     """
 
     scale: int
-    utility: tuple  # per buyer: {type: numerator}
-    allocation: tuple  # per buyer: {type: (item 1 numerator, item 2 numerator)}
+    utility: dict  # {type: numerator}
+    allocation: dict  # {type: (item 1 numerator, item 2 numerator)}
 
 
 class _ProfileView(Mapping):
@@ -156,7 +157,7 @@ class Mechanism:
         opponent profile.  Every buyer holds one cell against all opponent
         profiles of one class (`opponent_cells`), so the sums run over the
         classes, each weighted by its profiles' total weight
-        (`class_weights`), and every buyer's entries are the same."""
+        (`class_weights`), and every buyer's table is the same."""
         types = buyer_types(self.dist)
         mass, scale = class_weights(self.n - 1, self.dist.probs)
         at = opponent_cells(self.n, len(types))
@@ -166,8 +167,7 @@ class Mechanism:
 
         utility = {t: mean(self.u, x) for x, t in enumerate(types)}
         allocation = {t: (mean(self.q1, x), mean(self.q2, x)) for x, t in enumerate(types)}
-        return InterimTable(scale * self.den, (utility,) * self.n,
-                            (allocation,) * self.n)
+        return InterimTable(scale * self.den, utility, allocation)
 
 
 def interval_case(spec: AuctionSpec) -> int:

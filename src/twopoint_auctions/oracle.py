@@ -50,7 +50,10 @@ swap; they depend only on n, the number of atoms and the regime, so one
 column map per (n, atoms, regime) serves every build and extraction.  The
 objective and every row are summed over the classes and the opponents'
 classes (`opponent_cells`), weighted by their probabilities
-(`class_weights`), never over the profiles.
+(`class_weights`), never over the profiles.  So a program's size is
+capped in the unit its build walks, the type-count cells: C(n + T - 1,
+T - 1) classes of T types, times T.  An instance of more than `CELL_CAP`
+cells is refused before any of it is built.
 """
 
 from __future__ import annotations
@@ -78,8 +81,11 @@ from .formulas import revenue_bic, revenue_dic
 from .mechanisms import Mechanism
 from .simplex import Constraint, LinearProgram, LPSolution, solve
 
-#: LP-oracle ceiling: exhaustive programs are kept desk-scale.
-DEFAULT_LP_PROFILE_CAP = 4 ** 4
+#: Ceiling on an auction program's type-count cells: it admits every
+#: two-atom n <= 34 (31,080 cells at n = 34) and the continuous grid_m <= 3
+#: (23,976), and refuses n >= 35 and grid_m = 4 (133,120 cells, whose DIC
+#: program ran past 900 s).
+CELL_CAP = 2 ** 15
 
 
 def _held(n: int, n_types: int) -> list:
@@ -230,18 +236,19 @@ class _Program:
     the objective.  A row is keyed by its integer coefficients, zero sums
     included; a row that is kept is stored in lowest terms, without its
     zeros.  The supply rows, and the participation rows of the dominant-
-    strategy program, come from `_fixed_rows`."""
+    strategy program, come from `_fixed_rows`.  An instance of more than
+    `CELL_CAP` type-count cells is refused before any of them is built."""
 
-    def __init__(self, n, dist, regime, max_profiles):
+    def __init__(self, n, dist, regime):
         if regime not in ("dic", "bic"):
             raise ValueError("regime must be 'dic' or 'bic'")
         types = buyer_types(dist)
         n_types = len(types)
-        n_profiles = n_types ** n
-        if n_profiles > max_profiles:
+        cells = math.comb(n + n_types - 1, n_types - 1) * n_types
+        if cells > CELL_CAP:
             raise CapExceeded(
-                f"instance too large for exhaustive mode: {n_profiles} profiles "
-                f"exceeds the LP cap of {max_profiles}"
+                f"instance too large for exhaustive mode: {n} buyers of {n_types} types "
+                f"give {cells} type-count cells, over the cap of {CELL_CAP}"
             )
         n_atoms = len(dist.values)
         names, (q1, q2, u) = _columns(n, n_atoms, regime == "bic")
@@ -357,23 +364,18 @@ class _Program:
 
 
 def _seeded_program(
-    n: int, dist: FiniteValueDistribution, regime: str, max_profiles: int
+    n: int, dist: FiniteValueDistribution, regime: str
 ) -> tuple[LinearProgram, Callable[[Sequence[int], int], list]]:
     """The symmetric program with its one-step truthfulness rows alone, and
     the separator of its other truthfulness candidates (`solve`'s
     `separate`)."""
-    program = _Program(n, dist, regime, max_profiles)
+    program = _Program(n, dist, regime)
     for candidate in program.truth.seeded:
         program.add(candidate)
     return program.model(), program.separate
 
 
-def build_auction_lp(
-    n: int,
-    dist: FiniteValueDistribution,
-    regime: str,
-    max_profiles: int = DEFAULT_LP_PROFILE_CAP,
-) -> LinearProgram:
+def build_auction_lp(n: int, dist: FiniteValueDistribution, regime: str) -> LinearProgram:
     """The buyer/item-symmetric revenue-maximization LP with every
     truthfulness candidate built as a row: the program whose optimum
     `solve_auction_lp` certifies, which it solves from the one-step rows
@@ -388,18 +390,13 @@ def build_auction_lp(
     truthfulness ('dic_local', 'dic') rows against each opponent profile,
     or their interim counterparts ('bir', 'bic_local', 'bic').
     """
-    program = _Program(n, dist, regime, max_profiles)
+    program = _Program(n, dist, regime)
     for candidate in program.truth.all:
         program.add(candidate)
     return program.model()
 
 
-def solve_auction_lp(
-    n: int,
-    dist: FiniteValueDistribution,
-    regime: str,
-    max_profiles: int = DEFAULT_LP_PROFILE_CAP,
-) -> LPSolution:
+def solve_auction_lp(n: int, dist: FiniteValueDistribution, regime: str) -> LPSolution:
     """Solve the auction LP through its symmetric program and certify the
     optimum as a mechanism.
 
@@ -411,7 +408,7 @@ def solve_auction_lp(
     passed `certify_optimum`, which audits it over every truthfulness
     constraint and so refuses the optimum of an incomplete separator.
     """
-    lp, separate = _seeded_program(n, dist, regime, max_profiles)
+    lp, separate = _seeded_program(n, dist, regime)
     sol = solve(lp, separate)
     if sol.status != "optimal":
         raise RuntimeError(f"certificate failure: the auction LP is {sol.status}")
@@ -451,32 +448,31 @@ def certify_optimum(mech: Mechanism, regime: str, optimum: Fraction) -> None:
 
     Every share is nonnegative and no item is given out more than once at
     any profile; the regime's audits (IR and DIC, or BIR and BIC) pass; and
-    the mechanism's expected revenue is the optimum.  The share checks run
-    per cell and, for supply, per class: the buyers at a profile of a class
+    the mechanism's expected revenue is the optimum.  No profile is read.
+    The share checks run per class: the buyers at a profile of a class
     hold its cells, count_c of them at type c, so the item's total is
-    sum_c count_c * q[class, c].  Only a failure walks the profiles, to
-    name the first one that fails.
+    sum_c count_c * q[class, c].  A share failure names the sorted profile
+    of the first failing class, the first failing profile in
+    `profile_table` order; an audit failure counts its violations
+    (`audit.violation_count`).
     """
     den, tables = mech.den, (mech.q1, mech.q2)
-    if min(map(min, tables)) < 0 or any(
-        sum(m * q[x] for x, m in cells) > den
-        for q in tables for cells in _held(mech.n, mech.n_types)
-    ):
-        for t, shares in mech.allocation.items():
-            if any(q < 0 for q_i in shares for q in q_i):
-                raise RuntimeError(f"certificate failure: negative allocation at {t}")
-            for j in range(2):
-                if sum(q_i[j] for q_i in shares) > den:
-                    raise RuntimeError(f"certificate failure: item {j + 1} over-allocated at {t}")
-    checks = (audit.check_ir, audit.check_dic) if regime == "dic" else (
-        audit.check_bir, audit.check_bic)
-    for check in checks:
-        report = check(mech)
-        if not report.passed:
+    types = buyer_types(mech.dist)
+    keys = profile_classes(mech.n, mech.n_types)
+    for key, cells in zip(keys, _held(mech.n, mech.n_types)):
+        if any(q[x] < 0 for q in tables for x, _ in cells):
+            fault = "negative allocation"
+        else:
+            fault = next((f"item {j + 1} over-allocated" for j, q in enumerate(tables)
+                          if sum(m * q[x] for x, m in cells) > den), None)
+        if fault:
+            profile = tuple(t for t, m in zip(types, key) for _ in range(m))
+            raise RuntimeError(f"certificate failure: {fault} at {profile}")
+    for condition in ("IR", "DIC") if regime == "dic" else ("BIR", "BIC"):
+        count = audit.violation_count(mech, condition)
+        if count:
             raise RuntimeError(
-                f"certificate failure: {report.condition} fails "
-                f"({len(report.violations)} violations)"
-            )
+                f"certificate failure: {condition} fails ({count} violations)")
     revenue = audit.expected_revenue(mech)
     if revenue != optimum:
         raise RuntimeError(
@@ -511,12 +507,10 @@ class CertificationReport:
         }
 
 
-def certify_main_theorem(
-    spec: AuctionSpec, max_profiles: int = DEFAULT_LP_PROFILE_CAP
-) -> CertificationReport:
+def certify_main_theorem(spec: AuctionSpec) -> CertificationReport:
     """Exact equality test between the LP optima and the closed forms."""
-    sol_d = solve_auction_lp(spec.n, spec.dist, "dic", max_profiles)
-    sol_b = solve_auction_lp(spec.n, spec.dist, "bic", max_profiles)
+    sol_d = solve_auction_lp(spec.n, spec.dist, "dic")
+    sol_b = solve_auction_lp(spec.n, spec.dist, "bic")
     r_d = revenue_dic(spec)
     r_b = revenue_bic(spec)
     return CertificationReport(

@@ -249,13 +249,14 @@ def payments(mech):
 
 
 def interim_u(table, i, t):
-    """Buyer i's interim utility at type t."""
-    return Fraction(table.utility[i][t], table.scale)
+    """Buyer i's interim utility at type t: every buyer reads the one
+    table."""
+    return Fraction(table.utility[t], table.scale)
 
 
 def interim_q(table, i, t):
     """Buyer i's interim shares of the two items at type t."""
-    q1, q2 = table.allocation[i][t]
+    q1, q2 = table.allocation[t]
     return Fraction(q1, table.scale), Fraction(q2, table.scale)
 
 

@@ -155,17 +155,26 @@ class TestCertify:
         assert "certified 1/1 specs" in out
 
     def test_cap_error(self, capsys):
-        code, _, err = run(capsys, "certify", "--n", "5", "--p", "1/2",
-                           "--a", "1", "--b", "2")
-        assert code == 4
-        assert "too large for exhaustive mode" in err
+        # n = 35 has 33,744 type-count cells, over the cap of 2^15: refused
+        # with one line before any class is enumerated.
+        from twopoint_auctions import core, oracle
+
+        for cached in (oracle._columns, core.profile_classes):
+            cached.cache_clear()
+        code, out, err = run(capsys, "certify", "--n", "35", "--p", "1/2",
+                             "--a", "1", "--b", "2")
+        assert (code, out) == (4, "")
+        assert err == ("error: instance too large for exhaustive mode: 35 buyers of 4 types "
+                       "give 33744 type-count cells, over the cap of 32768\n")
+        assert oracle._columns.cache_info().misses == 0
+        assert core.profile_classes.cache_info().misses == 0
 
     @pytest.mark.slow
-    def test_raised_cap_is_honoured_end_to_end(self, capsys):
+    def test_n9_is_certified_end_to_end(self, capsys):
         # 4^9 profiles exceed the mechanism table cap, but nothing on the
-        # certify path builds a table: --cap alone admits the spec.
+        # certify path builds a table: its 880 cells are under the cell cap.
         code, out, err = run(capsys, "certify", "--n", "9", "--p", "1/2", "--a", "1",
-                             "--b", "2", "--cap", str(4 ** 9))
+                             "--b", "2")
         assert (code, err) == (0, "")
         assert "lp_D=1046537/262144 r_D=1046537/262144 ok" in out
         assert "lp_B=1047039/262144 r_B=1047039/262144 ok" in out
@@ -188,7 +197,7 @@ class TestCertify:
             cached.cache_clear()
         dist = core.AuctionSpec(3, F(1, 2), 1, 2).dist
         for regime in ("dic", "bic"):
-            oracle.solve_auction_lp(3, dist, regime, max_profiles=4 ** 3)
+            oracle.solve_auction_lp(3, dist, regime)
         for impl, b in (("dic", "2"), ("bic", "4")):
             code, out, _ = run(capsys, "mechanism", "--n", "3", "--p", "1/2", "--a", "1",
                                "--b", b, "--impl", impl, "--check", "--format", "text")
@@ -245,7 +254,7 @@ class TestCertify:
     def test_mismatch_exit_code(self, capsys, monkeypatch):
         from twopoint_auctions import cli, oracle
 
-        def broken(spec, max_profiles=None):
+        def broken(spec):
             rep = oracle.certify_main_theorem(spec)
             return oracle.CertificationReport(
                 spec=rep.spec, lp_dic=rep.lp_dic, r_dic=rep.r_dic + 1,
@@ -361,9 +370,9 @@ class TestContinuous:
         regimes = []
         solve = continuous.solve_auction_lp
 
-        def recorded(n, dist, regime, max_profiles):
+        def recorded(n, dist, regime):
             regimes.append(regime)
-            return solve(n, dist, regime, max_profiles)
+            return solve(n, dist, regime)
 
         monkeypatch.setattr(continuous, "solve_auction_lp", recorded)
         code, out, _ = run(capsys, "continuous", "--a-list", "10,20",
@@ -384,20 +393,13 @@ class TestFailClosed:
     @pytest.mark.parametrize(
         "env,argv,named",
         [
-            pytest.param({"TWOPOINT_AUCTIONS_CAP": "abc"}, ["formulas", *EXAMPLE_ARGS],
-                         "TWOPOINT_AUCTIONS_CAP", id="cap-env-not-integer"),
+            pytest.param({}, ["certify", *EXAMPLE_ARGS, "--cap", "256"],
+                         "unrecognized arguments: --cap 256", id="cap-flag-removed"),
             pytest.param({}, ["formulas", "--n", "2", "--p", "1/2", "--a", "1", "--b", "1/0"],
                          "--b", id="zero-denominator"),
             pytest.param({}, ["formulas", *EXAMPLE_ARGS, "--out", "{missing}/out.txt"],
                          "out.txt", id="unwritable-out"),
             pytest.param({}, ["certify", "--p", "1/2"], "--n", id="incomplete-certify-spec"),
-            pytest.param({}, ["certify", *EXAMPLE_ARGS, "--cap", "0"],
-                         "--cap must be a positive integer, got 0", id="cap-zero"),
-            pytest.param({}, ["certify", *EXAMPLE_ARGS, "--cap", "-1"],
-                         "--cap must be a positive integer, got -1", id="cap-negative"),
-            pytest.param({"TWOPOINT_AUCTIONS_CAP": "-3"}, ["certify", *EXAMPLE_ARGS],
-                         "--cap must be a positive integer, got -3 from TWOPOINT_AUCTIONS_CAP",
-                         id="cap-env-negative"),
             pytest.param({}, ["formulas", "--n", "2", "--p", "x", "--a", "1", "--b", "2"],
                          "--p", id="non-rational-literal"),
             pytest.param({}, ["continuous", "--a-list", ""], "--a-list", id="empty-a-list"),
@@ -480,23 +482,19 @@ class TestFailClosed:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: cannot write <stdout>: ")
 
-    def test_cap_variable_is_read_on_every_call(self, capsys, monkeypatch):
-        # The parser is built once per process; the variable is not part of
-        # it, so setting, changing and clearing it between calls all count.
+    def test_cap_variable_is_ignored(self, capsys, monkeypatch):
+        # The parser is built once per process, and the environment sets no
+        # cap: TWOPOINT_AUCTIONS_CAP, bad or small, changes nothing.
         from twopoint_auctions import cli
 
         assert cli.build_parser() is cli.build_parser()
-        monkeypatch.setenv("TWOPOINT_AUCTIONS_CAP", "abc")
-        code, _, err = run(capsys, "formulas", *EXAMPLE_ARGS)
-        assert code == 1 and "TWOPOINT_AUCTIONS_CAP must be an integer" in err
-        monkeypatch.setenv("TWOPOINT_AUCTIONS_CAP", "15")
-        code, _, err = run(capsys, "certify", *EXAMPLE_ARGS)
-        assert code == 4 and "exceeds the LP cap of 15" in err
-        code, _, _ = run(capsys, "certify", *EXAMPLE_ARGS, "--cap", "256")
-        assert code == 0
-        monkeypatch.delenv("TWOPOINT_AUCTIONS_CAP")
-        code, _, _ = run(capsys, "certify", *EXAMPLE_ARGS)
-        assert code == 0
+        monkeypatch.delenv("TWOPOINT_AUCTIONS_CAP", raising=False)
+        certified = run(capsys, "certify", *EXAMPLE_ARGS)
+        assert certified[0] == 0
+        for value in ("abc", "-3", "15"):
+            monkeypatch.setenv("TWOPOINT_AUCTIONS_CAP", value)
+            assert run(capsys, "formulas", *EXAMPLE_ARGS)[0] == 0
+            assert run(capsys, "certify", *EXAMPLE_ARGS) == certified
 
     @pytest.mark.parametrize("n", ["9", "10"])
     def test_mechanism_over_the_table_cap_exits_four_unbuilt(self, capsys, monkeypatch, n):
@@ -558,8 +556,7 @@ FUZZ_FLAGS = {
     "mechanism": {"--n": N, "--p": P, "--a": A, "--b": B,
                   "--impl": (["dic", "bic"], ["x", OMIT]),
                   "--check": ([True, False], [True]), "--format": FORMAT},
-    "certify": {"--n": N, "--p": P, "--a": A, "--b": B,
-                "--cap": (["256", OMIT], ["16", "1", "0", "-1", "x"]), "--format": FORMAT},
+    "certify": {"--n": N, "--p": P, "--a": A, "--b": B, "--format": FORMAT},
     "sweep": {"--n": N, "--p": P, "--a": A, "--b-min": (["3/2"], BAD),
               "--b-max": (["4"], BAD), "--steps": (["2", "5", OMIT], ["1", "0", "-1", "x"])},
     "continuous": {"--a-list": (["10", "10,20"], ["10,,20", *BAD]),

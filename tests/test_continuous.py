@@ -4,7 +4,6 @@ import pytest
 
 from twopoint_auctions.core import AuctionSpec, CapExceeded, InvalidSpec
 from twopoint_auctions.continuous import (
-    DEFAULT_GRID_CAP,
     ContinuousSpec,
     corollary_probe,
     discretize,
@@ -79,9 +78,15 @@ class TestCollapseConsistency:
 
 
 class TestCap:
-    def test_grid_cap(self):
-        with pytest.raises(CapExceeded):
-            lp_over_grid(ContinuousSpec(2, 10, 2, DEFAULT_GRID_CAP + 1), "dic")
+    def test_grid_cap(self, monkeypatch):
+        # grid_m = 4 has 64 types and 133,120 type-count cells, over the
+        # oracle's cell cap: refused before any program is solved.
+        from twopoint_auctions import oracle
+
+        monkeypatch.setattr(oracle, "solve", lambda *args: pytest.fail("solved"))
+        for impl in ("dic", "bic"):
+            with pytest.raises(CapExceeded, match="133120 type-count cells"):
+                lp_over_grid(ContinuousSpec(2, 10, 2, 4), impl)
 
 
 class TestProbe:

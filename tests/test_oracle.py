@@ -1,4 +1,8 @@
+import dataclasses
 import itertools
+import math
+import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -112,7 +116,7 @@ SYMMETRY_CASES = pytest.mark.parametrize("n,dist", SYMMETRY_PARAMS)
 
 def _full_program(n, dist, regime):
     """The full per-profile program, from the reference builder."""
-    return _ref_build(n, dist, regime, len(dist.values) ** (2 * n), symmetric=False)
+    return _ref_build(n, dist, regime, symmetric=False)
 
 
 class TestProgramShapes:
@@ -137,10 +141,26 @@ class TestProgramShapes:
         assert n_constraints(lp, "bir") == 2 * 4
         assert n_constraints(lp, "supply") == 2 * 16
 
-    def test_cap(self):
-        with pytest.raises(CapExceeded):
-            build_auction_lp(5, EXAMPLE.dist, "dic")
-        build_auction_lp(5, EXAMPLE.dist, "dic", max_profiles=4 ** 5)
+    @pytest.mark.parametrize("n,n_atoms,admitted", [
+        (34, 2, True), (35, 2, False), (2, 6, True), (2, 8, False)])
+    def test_cap_counts_type_count_cells(self, monkeypatch, n, n_atoms, admitted):
+        # The cap is 2^15 type-count cells, checked before the column map
+        # is built: two-atom n = 34 has 31,080 cells and n = 35 33,744; the
+        # continuous grid_m = 3 (6 atoms) has 23,976 and grid_m = 4 133,120.
+        def past_the_cap(*args):
+            raise LookupError("past the cap")
+
+        monkeypatch.setattr(oracle, "_columns", past_the_cap)
+        dist = FiniteValueDistribution(tuple(map(F, range(n_atoms))), (F(1, n_atoms),) * n_atoms)
+        with pytest.raises(LookupError if admitted else CapExceeded):
+            build_auction_lp(n, dist, "dic")
+
+    @pytest.mark.parametrize("n,n_atoms", [(2, 2), (5, 2), (3, 3), (2, 6)])
+    def test_cap_unit_is_the_table_length(self, n, n_atoms):
+        # The checked count C(n + T - 1, T - 1) * T is the length of the
+        # column map's per-cell arrays, and so of every mechanism table.
+        cells = math.comb(n + n_atoms ** 2 - 1, n_atoms ** 2 - 1) * n_atoms ** 2
+        assert all(len(per_cell) == cells for per_cell in oracle._columns(n, n_atoms, False)[1])
 
 
 class TestOptima:
@@ -274,17 +294,16 @@ class TestSymmetryReduction:
         # The Bayesian one is the reduced program with its utilities
         # averaged per type orbit.  Solved cold, with every row in place,
         # it has the optimum the solve path certifies.
-        cap = len(dist.values) ** (2 * n)
         reduced = _reduce(_full_program(n, dist, regime))
         if regime == "bic":
             reduced = _reduce(reduced, interim_representative)
-        sym = build_auction_lp(n, dist, regime, cap)
+        sym = build_auction_lp(n, dist, regime)
         assert sym.variables == reduced.variables
         assert list(sym.objective.items()) == list(reduced.objective.items())
         assert sym.obj_scale == reduced.obj_scale
         assert sym.constraints == reduced.constraints
         assert sym.nonneg == reduced.nonneg
-        assert solve(sym).optimum == solve_auction_lp(n, dist, regime, cap).optimum
+        assert solve(sym).optimum == solve_auction_lp(n, dist, regime).optimum
 
     @pytest.mark.parametrize(
         "spec",
@@ -330,16 +349,14 @@ class TestInterimProgram:
     @pytest.mark.slow
     def test_optimum_equals_the_per_cell_program(self):
         for n, dist in INTERIM_CASES:
-            cap = len(dist.values) ** (2 * n)
-            per_cell = solve(_ref_build(n, dist, "bic", cap, symmetric=True))
-            assert solve_auction_lp(n, dist, "bic", cap).optimum == per_cell.optimum, (n, dist)
+            per_cell = solve(_ref_build(n, dist, "bic", symmetric=True))
+            assert solve_auction_lp(n, dist, "bic").optimum == per_cell.optimum, (n, dist)
 
     @pytest.mark.parametrize("regime", ["dic", "bic"])
     def test_separated_optimum_satisfies_every_row(self, regime):
         for n, dist in INTERIM_CASES:
-            cap = len(dist.values) ** (2 * n)
-            sol = solve_auction_lp(n, dist, regime, cap)
-            full = build_auction_lp(n, dist, regime, cap)
+            sol = solve_auction_lp(n, dist, regime)
+            full = build_auction_lp(n, dist, regime)
             assert len(sol.primal) == len(full.variables)
             violated = [c for c in full.constraints if _violated(c, sol.primal, sol.primal_den)]
             assert not violated, (n, dist)
@@ -366,7 +383,7 @@ class TestOptimumCertificate:
         # its seeded rows alone, its optimum is certified as an LP but its
         # mechanism fails the DIC audit.
         dist = discretize(ContinuousSpec(2, 10, 2, 2))
-        sol = solve_auction_lp(2, dist, "dic", max_profiles=4 ** 4)
+        sol = solve_auction_lp(2, dist, "dic")
         assert len(sol.added) == 28 and {c.tag for c in sol.added} == {"dic"}
         build = oracle._seeded_program
         calls = []
@@ -411,6 +428,73 @@ class TestOptimumCertificate:
             certify_optimum(mech, "dic", optimum + 1)
 
 
+def _walked_share_failure(mech):
+    """The first share failure met walking the profiles, as
+    `certify_optimum` names it."""
+    for t, shares in mech.allocation.items():
+        if any(q < 0 for q_i in shares for q in q_i):
+            return f"negative allocation at {t}"
+        for j in range(2):
+            if sum(q_i[j] for q_i in shares) > mech.den:
+                return f"item {j + 1} over-allocated at {t}"
+    return None
+
+
+class TestCertificateFailureWithoutProfiles:
+    """`certify_optimum` reads no profile: past the profile table's cap a
+    failing mechanism is a certificate failure, and below it the failure
+    reads as the walk over the profiles would name and count it."""
+
+    @staticmethod
+    def _certify(mech, spec):
+        with pytest.raises(RuntimeError) as info:
+            certify_optimum(mech, "dic", revenue_dic(spec))
+        return str(info.value)
+
+    @pytest.mark.parametrize("n", [9, 12])
+    def test_failures_past_the_profile_cap(self, n):
+        spec = AuctionSpec(n, F(1, 2), 1, 2)
+        mech = build_dic_mechanism(spec)
+        lowered = dataclasses.replace(mech, u=tuple(u - mech.den for u in mech.u))
+        assert re.fullmatch(r"certificate failure: IR fails \(\d+ violations\)",
+                            self._certify(lowered, spec))
+        negative = dataclasses.replace(mech, q1=mech.q1[:-1] + (-1,))
+        assert self._certify(negative, spec) == (
+            f"certificate failure: negative allocation at {((1, 1),) * n}")
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_named_profile_is_the_walks(self, n):
+        # Two planted share faults: the message names the first profile, in
+        # profile-table order, that the walk finds failing.
+        spec = AuctionSpec(n, F(1, 2), 1, 2)
+        mech = build_dic_mechanism(spec)
+        rng = random.Random(n)
+        held = sorted({x for cells in mech.cells() for x in cells})
+        for _ in range(20):
+            tables = [list(mech.q1), list(mech.q2)]
+            for x in rng.sample(held, 2):
+                tables[rng.randrange(2)][x] = rng.choice([-1, mech.den + 1])
+            bad = dataclasses.replace(mech, q1=tuple(tables[0]), q2=tuple(tables[1]))
+            assert self._certify(bad, spec) == (
+                f"certificate failure: {_walked_share_failure(bad)}")
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_counted_violations_are_the_walks(self, n):
+        # Lowered utilities fail IR; a lifted utility at every cell of one
+        # type fails DIC for the types that may report it.
+        spec = AuctionSpec(n, F(1, 2), 1, 2)
+        mech = build_dic_mechanism(spec)
+        lowered = dataclasses.replace(mech, u=tuple(u - mech.den for u in mech.u))
+        lifted = dataclasses.replace(mech, u=tuple(
+            u + (x % 4 == 1) * mech.den for x, u in enumerate(mech.u)))
+        for bad, check in ((lowered, check_ir), (lifted, check_dic)):
+            report = check(bad)
+            assert not report.passed
+            assert self._certify(bad, spec) == (
+                f"certificate failure: {report.condition} fails "
+                f"({len(report.violations)} violations)")
+
+
 class TestCertification:
     def test_example_report(self):
         report = certify_main_theorem(EXAMPLE)
@@ -430,6 +514,19 @@ class TestCertification:
         report = certify_main_theorem(AuctionSpec(4, F(1, 2), 1, 2))
         assert report.all_equal
         assert report.lp_dic == F(241, 64) and report.lp_bic == F(975, 256)
+
+    @pytest.mark.slow
+    def test_breakpoint_grid_n4_to_n10(self):
+        # Five p values, b in {1, 2, 3} at a = 0 and b at the breakpoints
+        # v1, v2, v3 at a = 1: 210 specs, all under the cell cap.
+        specs = []
+        for n in range(4, 11):
+            for p in (F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4)):
+                v = breakpoints(AuctionSpec(n, p, 1, 2))
+                specs += [AuctionSpec(n, p, 0, b) for b in (1, 2, 3)]
+                specs += [AuctionSpec(n, p, 1, b) for b in (v.v1, v.v2, v.v3)]
+        assert len(specs) == 210
+        assert [s for s in specs if not certify_main_theorem(s).all_equal] == []
 
     def test_single_buyer_lp_solves(self):
         dist = EXAMPLE.dist
@@ -508,7 +605,7 @@ class TestIntegerExtraction:
     @pytest.mark.parametrize("regime", ["dic", "bic"])
     @pytest.mark.parametrize("n,dist", EXTRACTION_CASES)
     def test_equals_the_fraction_path(self, n, dist, regime):
-        sol = solve_auction_lp(n, dist, regime, max_profiles=len(dist.values) ** (2 * n))
+        sol = solve_auction_lp(n, dist, regime)
         mech = extract_mechanism(n, dist, sol, label="lp")
         ref = extract_from_assignment(dist, full_assignment(n, dist, sol), label="lp")
         assert (mech.dist, mech.label, mech.den) == (ref.dist, ref.label, ref.den)
@@ -524,7 +621,7 @@ class TestIntegerExtraction:
 def solve_continuous_cell(a, regime, grid_m=2):
     """(optimum, pivots) of the continuous cell at a, lam=2."""
     dist = discretize(ContinuousSpec(2, a, 2, grid_m))
-    sol = solve_auction_lp(2, dist, regime, max_profiles=(2 * grid_m) ** 4)
+    sol = solve_auction_lp(2, dist, regime)
     return sol.optimum, sol.pivots
 
 
@@ -570,14 +667,14 @@ def _ref_truthfulness_terms(dist, i, t_true, t_rep, others):
     return terms
 
 
-def _ref_build(n, dist, regime, max_profiles, symmetric):
+def _ref_build(n, dist, regime, symmetric):
     """Reference builder of the full per-profile program or, with
     `symmetric`, of the symmetric one: every coefficient summed as a
     Fraction, every variable mapped through `representative` on the spot if
     symmetric, and rows keyed by their Fraction coefficients, zero sums
     included."""
     types = buyer_types(dist)
-    weighted = enumerate_profiles(n, dist, max_profiles)
+    weighted = enumerate_profiles(n, dist)
     profiles = [t for t, _ in weighted]
     q_vars, u_vars = _ref_full_variables(n, profiles)
     col = ({v: representative(v) for v in q_vars + u_vars}.__getitem__
@@ -666,9 +763,8 @@ class TestAgainstFractionBuilder:
         # The built program against the symmetric reference, or against the
         # full per-profile reference with each orbit's variables reduced to
         # one column.
-        cap = len(dist.values) ** (2 * n)
-        lp = build_auction_lp(n, dist, regime, cap)
-        ref = _ref_build(n, dist, regime, cap, symmetric)
+        lp = build_auction_lp(n, dist, regime)
+        ref = _ref_build(n, dist, regime, symmetric)
         if not symmetric:
             ref = _reduce(ref)
         if regime == "bic":
@@ -717,5 +813,5 @@ class TestColumnMap:
         # all read the one map of the regime's program.
         for cached in (oracle._columns, oracle._fixed_rows, oracle._candidates):
             cached.cache_clear()
-        solve_auction_lp(n, EXAMPLE.dist, regime, max_profiles=4 ** n)
+        solve_auction_lp(n, EXAMPLE.dist, regime)
         assert oracle._columns.cache_info().misses == 1

@@ -234,7 +234,7 @@ class TestLazyRows:
         assert calls == [] and solve(lp).optimum == 7
 
     def test_continuous_dic_program(self):
-        lp = oracle.build_auction_lp(2, discretize(ContinuousSpec(2, 10, 2, 1)), "dic", 4 ** 4)
+        lp = oracle.build_auction_lp(2, discretize(ContinuousSpec(2, 10, 2, 1)), "dic")
         assert n_constraints(lp, "dic") > 0
         dense = solve(lp)
         relaxation, separate = tag_pool(lp, ("dic",))
@@ -368,7 +368,7 @@ class TestIntegerCertificate:
         if request.param == "two-variable":
             lp = two_variable_lp()
         else:
-            lp = oracle.build_auction_lp(2, AuctionSpec(2, F(1, 2), 1, 2).dist, "dic", 16)
+            lp = oracle.build_auction_lp(2, AuctionSpec(2, F(1, 2), 1, 2).dist, "dic")
         sol = solve(lp)
         _certify(lp, sol)
         return lp, sol
@@ -526,7 +526,7 @@ class TestPivotKernel:
             warm_pivots.append(pivots)
             return pivots
 
-        lp = oracle.build_auction_lp(n, dist, regime, 4 ** 4)
+        lp = oracle.build_auction_lp(n, dist, regime)
         if lazy:
             dense = solve(lp)
         monkeypatch.setattr(simplex._Tableau, "pivot", checked)
