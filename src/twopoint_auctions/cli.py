@@ -105,7 +105,7 @@ def _parse_spec(args) -> AuctionSpec:
 
 
 def _frac_cells(x: Fraction):
-    return [str(x.numerator), str(x.denominator), decimal_str(x)]
+    return [*rat_str(x).split("/"), decimal_str(x)]
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +342,7 @@ def cmd_continuous(args) -> int:
         opt = row.optimum
         writer.writerow(
             [rat_str(row.a), row.grid_m, row.impl,
-             str(opt.numerator), str(opt.denominator), decimal_str(opt),
+             *rat_str(opt).split("/"), decimal_str(opt),
              decimal_str(row.ratio), "" if row.within_band is None else int(row.within_band)]
         )
     _emit(buf.getvalue(), args.out, end="")

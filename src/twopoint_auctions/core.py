@@ -77,8 +77,14 @@ def rat_allow_decimal(x) -> Fraction:
 
 
 def rat_str(x: Fraction) -> str:
-    """Canonical 'num/den' rendering (always carries the denominator)."""
-    return f"{x.numerator}/{x.denominator}"
+    """Canonical 'num/den' rendering (always carries the denominator).  A
+    part with more digits than Python converts to a string
+    (`sys.get_int_max_str_digits()`) raises CapExceeded."""
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        raise CapExceeded(f"a result has more than {sys.get_int_max_str_digits()} digits, "
+                          "past Python's integer string limit") from None
 
 
 def decimal_str(x: Fraction, digits: int = 12) -> str:

@@ -11,6 +11,8 @@ to selling each item separately at price b.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,6 +21,23 @@ from .core import AuctionSpec, CapExceeded, InvalidSpec, class_probabilities, ra
 #: Ceiling on a sweep's grid points: 10,000 steps print about 1 MB of CSV
 #: in about 1.3 s on a 2-vCPU VM, and the work grows linearly beyond.
 MAX_SWEEP_STEPS = 10_000
+
+
+def check_digit_limit(spec: AuctionSpec) -> None:
+    """Raise CapExceeded, before any revenue is computed, when SREV, which
+    every report and sweep row prints, is sure to have a denominator of
+    more digits than Python prints (`sys.get_int_max_str_digits()`).
+
+    With p = N/D, b = B/E and b - a = c/e in lowest terms, SREV is
+    2 (1 - p^n) b or 2 (b - p^(n-1) (b - a)), of denominator at least
+    D^n / 2B or D^(n-1) / 2cE: so at least D^(n-1) / 2BEc, a number of
+    more than (n-1) log10 D - log10(2BEc) digits."""
+    limit, b = sys.get_int_max_str_digits(), spec.b
+    digits = (spec.n - 1) * math.log10(spec.p.denominator) - math.log10(
+        2 * b.numerator * b.denominator * (b - spec.a).numerator)
+    if limit and digits > limit + 1:  # a digit spared for the float logarithms
+        raise CapExceeded(f"the revenues at n={spec.n} have more than {limit} digits, "
+                          "past Python's integer string limit")
 
 
 def _pos(x: Fraction) -> Fraction:
@@ -130,6 +149,7 @@ class RevenueReport:
 
 
 def revenue_report(spec: AuctionSpec) -> RevenueReport:
+    check_digit_limit(spec)
     report = RevenueReport(
         spec=spec,
         r_dic=revenue_dic(spec),
@@ -160,7 +180,8 @@ def sweep_high_value(n, p, a, b_lo, b_hi, steps: int) -> list[SweepRow]:
     [b_lo, b_hi], plus rows at any breakpoint above a (flagged), sorted by b.
 
     steps is the number of grid points (>= 2, both endpoints included);
-    more than MAX_SWEEP_STEPS raises CapExceeded before any work.
+    more than MAX_SWEEP_STEPS raises CapExceeded before any work, as does
+    `check_digit_limit` at b_hi.
     """
     p, a, b_lo, b_hi = rat(p), rat(a), rat(b_lo), rat(b_hi)
     if steps < 2:
@@ -169,8 +190,10 @@ def sweep_high_value(n, p, a, b_lo, b_hi, steps: int) -> list[SweepRow]:
         raise CapExceeded(f"sweep of {steps} steps exceeds the cap of {MAX_SWEEP_STEPS} steps")
     if not (a < b_lo < b_hi):
         raise ValueError("b range must satisfy a < b_lo < b_hi")
+    top = AuctionSpec(n, p, a, b_hi)
+    check_digit_limit(top)
     bs = {b_lo + Fraction(k, steps - 1) * (b_hi - b_lo) for k in range(steps)}
-    v = breakpoints(AuctionSpec(n, p, a, b_hi))
+    v = breakpoints(top)
     marks = {x for x in (v.v1, v.v2, v.v3) if x > a}
     rows = []
     for b in sorted(bs | marks):

@@ -15,7 +15,8 @@ Weinberg, EC 2012).  So the package builds only the symmetric program, one
 variable per orbit, directly; the full per-profile program is not built.
 Every optimum is read into a mechanism's cell tables and audited as a
 mechanism: supply, the regime's participation and truthfulness audits, and
-its expected revenue.
+its expected revenue.  Participation, u >= 0 or interim U >= 0, is the
+utility columns' lower bound: the solver takes every column nonnegative.
 
 The Bayesian program rests on a second averaging argument.  Buyer i's
 utilities u_i(x, o), at type x against opponents o, enter its participation
@@ -26,10 +27,10 @@ through U_i(x).  Replacing each u_i(x, .) by its average U_i(x) therefore
 keeps every row and the objective's value: a feasible solution stays
 feasible with the same objective.  So the symmetric Bayesian program has
 one utility column per type orbit (a type and its item swap) in place of
-one per cell; its participation rows are single-column rows U >= 0, which
-the solver's presolve turns into bounds, and every cell of the extracted
-mechanism takes its type's utility.  The dominant-strategy program, whose
-rows read each u_i(x, o) on its own, keeps one utility column per cell.
+one per cell, bounded below by zero as the interim participation U >= 0
+asks, and every cell of the extracted mechanism takes its type's utility.
+The dominant-strategy program, whose rows read each u_i(x, o) on its own,
+keeps one utility column per cell.
 
 Every program is solved by one rule, whatever its regime or size: the
 truthfulness rows of one-step misreports (one atom along one item, tagged
@@ -153,28 +154,22 @@ def _columns(n: int, n_atoms: int, interim: bool) -> tuple[tuple, tuple]:
 
 @functools.lru_cache(maxsize=4)
 def _fixed_rows(n: int, n_atoms: int, regime: str) -> tuple:
-    """The supply rows and, in the dominant-strategy program, the
-    participation rows, each family kept once per distinct row in order of
-    first appearance.
+    """The supply rows, each distinct row kept once in order of first
+    appearance: the program's rows that depend on neither values nor
+    probabilities.
 
-    Neither depends on values or probabilities: in lowest terms a supply
-    row, one per class and item, is its columns' multiplicities <= 1, the
-    count of buyers at each cell; a participation row, one per utility
-    column, is u >= 0.  No row of another family equals one of them: only
-    supply rows are <= rows, and a truthfulness row has at least two
-    entries."""
-    _, (q1, q2, u) = _columns(n, n_atoms, regime == "bic")
+    In lowest terms a supply row, one per class and item, is its columns'
+    multiplicities <= 1, the count of buyers at each cell.  No
+    truthfulness row equals one: only supply rows are <= rows.  The
+    regime picks the column map that the program's other rows read."""
+    _, (q1, q2, _) = _columns(n, n_atoms, regime == "bic")
     supply = {}
     # The cells of one class lie in distinct orbits of each item.
     for cells in _held(n, n_atoms ** 2):
         for q in (q1, q2):
             coeffs = {q[x]: m for x, m in cells}
             supply.setdefault(tuple(sorted(coeffs.items())), coeffs)
-    rows = tuple(Constraint(tuple(c.items()), "<=", 1, 1, "supply") for c in supply.values())
-    if regime == "bic":
-        return rows
-    return rows + tuple(
-        Constraint(((r, 1),), ">=", 0, 1, "ir") for r in dict.fromkeys(u) if r is not None)
+    return tuple(Constraint(tuple(c.items()), "<=", 1, 1, "supply") for c in supply.values())
 
 
 class _Candidates(NamedTuple):
@@ -235,9 +230,8 @@ class _Program:
     rows, L times the profile weight scale W for the Bayesian rows and for
     the objective.  A row is keyed by its integer coefficients, zero sums
     included; a row that is kept is stored in lowest terms, without its
-    zeros.  The supply rows, and the participation rows of the dominant-
-    strategy program, come from `_fixed_rows`.  An instance of more than
-    `CELL_CAP` type-count cells is refused before any of them is built."""
+    zeros.  The supply rows come from `_fixed_rows`.  An instance of more
+    than `CELL_CAP` type-count cells is refused before any of them is built."""
 
     def __init__(self, n, dist, regime):
         if regime not in ("dic", "bic"):
@@ -279,18 +273,12 @@ class _Program:
             others, others_scale = class_weights(n - 1, dist.probs)
             g = scale // others_scale
             self.weights = [w * g for w in others]
-            for at in truth.cells:
-                coeffs = {}
-                for (r, _, _), w in zip(at, self.weights):
-                    coeffs[r] = coeffs.get(r, 0) + w * lcm_v
-                self._keep(coeffs, "bir")
         g = math.gcd(obj_scale, *objective.values())
         self.lp = LinearProgram(
             variables=list(names),
             objective={r: c // g for r, c in objective.items() if c},
             obj_scale=obj_scale // g,
             constraints=list(_fixed_rows(n, n_atoms, regime)),
-            nonneg={r for r in q1 if r is not None},
         )
 
     def _keep(self, coeffs: dict, tag: str):
@@ -381,14 +369,15 @@ def build_auction_lp(n: int, dist: FiniteValueDistribution, regime: str) -> Line
     `solve_auction_lp` certifies, which it solves from the one-step rows
     and a subset of the others.
 
-    Variables: one per orbit of the full program's q[i,j,t] (allocation,
-    nonnegative) and u[i,t] (utility, free), for buyer i, item j and
-    profile t (`_columns`); the Bayesian program has one utility per type
-    orbit instead.  Objective: expected payment sum_t Pr{t} sum_i (t_i .
-    q_i(t) - u_i(t)).  Rows, each distinct one kept once in order of first
-    appearance: per-item supply, then either participation ('ir') and
-    truthfulness ('dic_local', 'dic') rows against each opponent profile,
-    or their interim counterparts ('bir', 'bic_local', 'bic').
+    Variables, each nonnegative: one per orbit of the full program's
+    q[i,j,t] (allocation) and u[i,t] (utility, whose bound u >= 0 is
+    participation), for buyer i, item j and profile t (`_columns`); the
+    Bayesian program has one interim utility U >= 0 per type orbit
+    instead.  Objective: expected payment sum_t Pr{t} sum_i (t_i . q_i(t) -
+    u_i(t)).  Rows, each distinct one kept once in order of first
+    appearance: per-item supply ('supply'), then truthfulness rows against
+    each opponent profile ('dic_local', 'dic') or their interim
+    counterparts ('bic_local', 'bic').
     """
     program = _Program(n, dist, regime)
     for candidate in program.truth.all:

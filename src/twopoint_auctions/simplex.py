@@ -1,10 +1,11 @@
 """Exact rational linear programming.
 
-A program is held in integers.  A constraint is its integer coefficients,
-keyed by column, and its right-hand side, all over one positive scale and in
-lowest terms; the objective is integers over one scale.  Variable names
-serve only the text export and diagnostics, and `LinearProgram.rows` gives
-the rational view of the program.
+A program is a maximization over nonnegative columns, held in integers.
+A constraint is its integer coefficients, keyed by column, and its
+right-hand side, all over one positive scale and in lowest terms; the
+objective is integers over one scale.  Variable names serve only the text
+export and diagnostics, and `LinearProgram.rows` gives the rational view
+of the program.
 
 A primal simplex over a sparse exact tableau.  Each row, the objective row
 included, is a dict of its nonzero integer entries over its own positive
@@ -69,19 +70,17 @@ class Constraint:
 
 @dataclass
 class LinearProgram:
-    """A maximization LP in integers.
+    """A maximization LP in integers over nonnegative columns.
 
-    Column j is the variable `variables[j]`; the objective is
-    sum(c * x[j] for j, c in objective.items()) / obj_scale, zeros left
-    out.  `nonneg` holds the columns bounded below by zero; the rest are
-    free.
+    Column j is the variable `variables[j]`, bounded below by zero; the
+    objective is sum(c * x[j] for j, c in objective.items()) / obj_scale,
+    zeros left out.
     """
 
     variables: list
     objective: dict
     obj_scale: int
     constraints: list
-    nonneg: set = field(default_factory=set)
 
     def validate(self):
         """Raise ValueError unless every relation is <= or >=, every scale a
@@ -102,8 +101,6 @@ class LinearProgram:
             if len(cols) != len(terms):
                 raise ValueError(f"{what} coefficients must be nonzero ints at distinct "
                                  f"declared columns, got {tuple(terms)!r}")
-        if not all(type(j) is int and 0 <= j < n for j in self.nonneg):
-            raise ValueError("nonneg lists an undeclared column")
         return self
 
     def objective_terms(self) -> list:
@@ -153,24 +150,6 @@ class LPSolution:
 
 class SimplexError(RuntimeError):
     pass
-
-
-def _presolve_nonneg(lp: LinearProgram):
-    """Split off the single-column rows of the form a*x >= 0 (a > 0) or
-    a*x <= 0 (a < 0): they are exactly column nonnegativity.  Returns the
-    indices of the rows kept, those of the rows split off, and the
-    nonnegative columns."""
-    nonneg = set(lp.nonneg)
-    kept, split = [], []
-    for k, c in enumerate(lp.constraints):
-        if len(c.coeffs) == 1 and c.rhs == 0:
-            (j, a), = c.coeffs
-            if (c.rel == ">=" and a > 0) or (c.rel == "<=" and a < 0):
-                nonneg.add(j)
-                split.append(k)
-                continue
-        kept.append(k)
-    return kept, split, nonneg
 
 
 #: Key of the right-hand side in a tableau row; every other key is a column.
@@ -385,10 +364,9 @@ def _violated(c: Constraint, x: Sequence[int], X: int) -> bool:
 
 def _certify(lp: LinearProgram, sol: LPSolution):
     """Check an optimum exactly against the whole program, its rows and the
-    solution's added rows: the primal is
-    feasible and attains the optimum, and the duals are sign-correct,
-    dual-feasible (Aᵀy = c on free columns, Aᵀy ≥ c on nonnegative ones)
-    and attain it too, b·y = c·x.
+    solution's added rows: the primal is nonnegative, feasible and attains
+    the optimum, and the duals are sign-correct, dual-feasible (Aᵀy ≥ c,
+    every column being nonnegative) and attain it too, b·y = c·x.
 
     Only the program and the solution's vectors are read.  The checks
     compare integers: row k over its scale s_k, the objective over
@@ -402,9 +380,9 @@ def _certify(lp: LinearProgram, sol: LPSolution):
     names, constraints = lp.variables, [*lp.constraints, *sol.added]
     if len(x) != len(names) or X <= 0:
         raise SimplexError("certificate failure: no primal value for every variable")
-    for j in lp.nonneg:
-        if x[j] < 0:
-            raise SimplexError(f"certificate failure: {names[j]!r} negative")
+    for v, xj in zip(names, x):
+        if xj < 0:
+            raise SimplexError(f"certificate failure: {v!r} negative")
     for c in constraints:
         if _violated(c, x, X):
             raise SimplexError("certificate failure: constraint violated")
@@ -427,8 +405,7 @@ def _certify(lp: LinearProgram, sol: LPSolution):
                 aty[j] += z * a
     YS, obj_scale, objective = Y * S, lp.obj_scale, lp.objective
     for j, v in enumerate(names):
-        lhs, rhs = aty[j] * obj_scale, objective.get(j, 0) * YS
-        if (lhs < rhs) if j in lp.nonneg else (lhs != rhs):
+        if aty[j] * obj_scale < objective.get(j, 0) * YS:
             raise SimplexError(f"certificate failure: dual infeasible at {v!r}")
     if by * opt.denominator != opt.numerator * YS:
         raise SimplexError("certificate failure: dual objective mismatch")
@@ -437,40 +414,24 @@ def _certify(lp: LinearProgram, sol: LPSolution):
 class _Solver:
     """One solve's tableau, kept across its rounds.
 
-    Tableau row i holds the row `kept[i]` of `lp`, the solver's copy of the
-    program, made a <= row by `signs[i]`, with the slack column nstruct + i;
-    the objective row comes last.  The constructor solves the program from
-    the slack basis and sets `status` and `pivots`.  When the origin is
-    infeasible, a row's right-hand side negative, the dual simplex first
-    runs under the zero objective, for which every basis is dual feasible:
-    it reaches a feasible basis or proves the rows infeasible, and the real
-    objective row is then priced at that basis.  At an optimum `primal` and
-    `duals` read the vectors off the tableau, and `add_rows` adds rows to
-    the program."""
+    Tableau row i holds row i of `lp`, the solver's copy of the program,
+    made a <= row by `signs[i]`, with the slack column nvars + i; column
+    j < nvars is variable j, and the objective row comes last.  The
+    constructor solves the program from the slack basis and sets `status`
+    and `pivots`.  When the origin is infeasible, a row's right-hand side
+    negative, the dual simplex first runs under the zero objective, for
+    which every basis is dual feasible: it reaches a feasible basis or
+    proves the rows infeasible, and the real objective row is then priced
+    at that basis.  At an optimum `primal` and `duals` read the vectors off
+    the tableau, and `add_rows` adds rows to the program."""
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp = dataclasses.replace(lp, constraints=list(lp.constraints))
-        kept, self.split, self.nonneg = _presolve_nonneg(lp)
-        nonneg = self.nonneg
-
-        # Column layout: one column per nonneg variable, two (x+ and x-) per
-        # free variable, then slacks.
-        self.col_of = col_of = []
-        self.col_var = col_var = []  # structural column -> (variable, +1|-1)
-        for v in range(len(lp.variables)):
-            col_of.append(len(col_var))
-            col_var.append((v, 1))
-            if v not in nonneg:
-                col_var.append((v, -1))
-        self.nstruct = nstruct = len(col_var)
-        self.kept, self.signs = [], []
-        rows = self._rows(kept)
-        obj = {}
-        for j, c in lp.objective.items():
-            obj[col_of[j]] = c
-            if j not in nonneg:
-                obj[col_of[j] + 1] = -c
-        self.basis = basis = [nstruct + i for i in range(len(kept))]
+        self.nvars = nvars = len(lp.variables)
+        self.signs = []
+        rows = self._rows(lp.constraints)
+        obj = dict(lp.objective)
+        self.basis = basis = [nvars + i for i in range(len(rows))]
         infeasible_origin = any(row.get(RHS, 0) < 0 for row in rows)
         rows.append({} if infeasible_origin else obj)
         self.tab = tab = _Tableau(rows)
@@ -484,26 +445,17 @@ class _Solver:
         self.status, p = _simplex_loop(tab, basis)
         self.pivots += p
 
-    def _rows(self, ks: Sequence[int]) -> list:
-        """The program rows `ks` as <= rows in tableau columns, each with the
-        next slack column and its integer entries over the denominator 1;
-        appends them to `kept` and their signs to `signs`."""
-        constraints, col_of, nonneg = self.lp.constraints, self.col_of, self.nonneg
-        kept, signs = self.kept, self.signs
-        out = []
-        for k in ks:
-            c = constraints[k]
+    def _rows(self, constraints: Sequence[Constraint]) -> list:
+        """The rows `constraints` as <= rows, each with the next slack column
+        and its integer entries over the denominator 1; appends their signs
+        to `signs`."""
+        signs, out = self.signs, []
+        for c in constraints:
             sign = -1 if c.rel == ">=" else 1
-            row = {}
-            for j, a in c.coeffs:
-                col = col_of[j]
-                row[col] = sign * a
-                if j not in nonneg:
-                    row[col + 1] = -sign * a
-            row[self.nstruct + len(kept)] = 1  # slack
+            row = {j: sign * a for j, a in c.coeffs}
+            row[self.nvars + len(signs)] = 1  # slack
             if c.rhs:
                 row[RHS] = sign * c.rhs
-            kept.append(k)
             signs.append(sign)
             out.append(row)
         return out
@@ -539,16 +491,15 @@ class _Solver:
         tab, basis = self.tab, self.basis
         rows, dens = tab.rows, tab.dens
         where = {col: i for i, col in enumerate(basis)}
-        k = len(self.lp.constraints)
         self.lp.constraints += new
-        for i, row in enumerate(self._rows(range(k, len(self.lp.constraints))), len(basis)):
+        for i, row in enumerate(self._rows(new), len(basis)):
             rows.insert(i, row)
             dens.insert(i, 1)
             self._price(i, where)
             if rows[i].get(RHS, 0) >= 0:
                 raise SimplexError("an added row holds at the current vertex")
-            where[self.nstruct + i] = i
-            basis.append(self.nstruct + i)
+            where[self.nvars + i] = i
+            basis.append(self.nvars + i)
         self.status, pivots = _dual_simplex(tab, basis)
         self.pivots += pivots
         return pivots
@@ -557,40 +508,26 @@ class _Solver:
         """The primal as integers x over X, one per column; X is the lcm of
         the denominators of the basic rows that hold a nonzero structural
         value."""
-        rows, dens = self.tab.rows, self.tab.dens
-        nstruct, col_var = self.nstruct, self.col_var
+        rows, dens, nvars = self.tab.rows, self.tab.dens, self.nvars
         basic = [(i, col) for i, col in enumerate(self.basis)
-                 if col < nstruct and RHS in rows[i]]
+                 if col < nvars and RHS in rows[i]]
         X = math.lcm(*(dens[i] for i, _ in basic))
-        x = [0] * len(self.lp.variables)
+        x = [0] * nvars
         for i, col in basic:
-            v, sgn = col_var[col]
-            x[v] += sgn * rows[i][RHS] * (X // dens[i])
+            x[col] = rows[i][RHS] * (X // dens[i])
         return x, X
 
     def duals(self):
-        """The duals as integers y over Y, one per row of the program, zero
-        on the rows the tableau does not hold.
+        """The duals as integers y over Y, one per row of the program.
 
         They come from the final objective row, over Y = dens[m] *
-        obj_scale * L: a slack's reduced cost is minus its row's multiplier
-        times the row's signed scale.  A split-off sign row a*x (over scale
-        s) takes its column's reduced cost times s / a, which makes Aᵀy = c
-        hold on a free variable that the presolve made nonnegative; L is
-        the lcm of those |a|."""
-        lp, constraints = self.lp, self.lp.constraints
-        m = len(self.kept)
+        obj_scale: a slack's reduced cost is minus its row's multiplier
+        times the row's signed scale."""
+        m = len(self.signs)
         reduced = self.tab.rows[m]
-        first_split = {constraints[k].coeffs[0][0]: k for k in reversed(self.split)}
-        L = math.lcm(*(abs(constraints[k].coeffs[0][1]) for k in first_split.values()))
-        Y = self.tab.dens[m] * lp.obj_scale * L
-        y = [0] * len(constraints)
-        for i, (k, sign) in enumerate(zip(self.kept, self.signs)):
-            y[k] = -reduced.get(self.nstruct + i, 0) * sign * constraints[k].scale * L
-        for j, k in first_split.items():
-            (_, a), = constraints[k].coeffs
-            y[k] = reduced.get(self.col_of[j], 0) * constraints[k].scale * (L // a)
-        return y, Y
+        y = [-reduced.get(self.nvars + i, 0) * sign * c.scale
+             for i, (c, sign) in enumerate(zip(self.lp.constraints, self.signs))]
+        return y, self.tab.dens[m] * self.lp.obj_scale
 
 
 def _dual_simplex(tab: _Tableau, basis: list):
@@ -659,11 +596,6 @@ def lp_to_text(lp: LinearProgram, title: str = "lp") -> str:
         out.append(f"\\ exact: {exact} {rel} {rat_str(rhs)}")
         out.append(f" c{k}: {body} {rel} {decimal_str(rhs)}")
     out.append("Bounds")
-    for j, v in enumerate(lp.variables):
-        name = _name_str(v)
-        if j in lp.nonneg:
-            out.append(f" {name} >= 0")
-        else:
-            out.append(f" {name} free")
+    out.extend(f" {_name_str(v)} >= 0" for v in lp.variables)
     out.append("End")
     return "\n".join(out) + "\n"

@@ -273,10 +273,10 @@ def make_constraint(index, coeffs, rel, rhs, tag=""):
     )
 
 
-def make_lp(variables, objective, rows, nonneg=()):
+def make_lp(variables, objective, rows):
     """The integer program of a rational one: `objective` maps variables to
-    coefficients, each row is (coeffs, rel, rhs) or (coeffs, rel, rhs, tag)
-    and `nonneg` names variables."""
+    coefficients and each row is (coeffs, rel, rhs) or (coeffs, rel, rhs,
+    tag); every variable is nonnegative."""
     index = {v: j for j, v in enumerate(variables)}
     objective = {index[v]: Fraction(c) for v, c in objective.items() if c != 0}
     obj_scale = math.lcm(*(c.denominator for c in objective.values()))
@@ -285,7 +285,6 @@ def make_lp(variables, objective, rows, nonneg=()):
         {j: _numerator(c, obj_scale) for j, c in objective.items()},
         obj_scale,
         [make_constraint(index, *row) for row in rows],
-        {index[v] for v in nonneg},
     )
 
 
@@ -300,7 +299,7 @@ def tag_pool(lp, tags):
     violates, in program order, each returned once."""
     pool = [c for c in lp.constraints if c.tag in tags]
     kept = LinearProgram(lp.variables, lp.objective, lp.obj_scale,
-                         [c for c in lp.constraints if c.tag not in tags], lp.nonneg)
+                         [c for c in lp.constraints if c.tag not in tags])
 
     def separate(x, X):
         violated = [c for c in pool if _violated(c, x, X)]

@@ -30,7 +30,8 @@ def run(capsys, *argv):
 
 def read_lp_text(text):
     """The exact program of `simplex.lp_to_text` output, read from its
-    comment lines (objective, then one per row) and its bounds."""
+    comment lines (objective, then one per row) and its variables, each
+    bounded below by zero."""
     lines = text.splitlines()
     exact = [line.removeprefix("\\ exact: ") for line in lines if line.startswith("\\ exact: ")]
 
@@ -39,8 +40,8 @@ def read_lp_text(text):
 
     rows = [(terms(body), rel, F(rhs)) for body, rel, rhs in (r.rsplit(" ", 2) for r in exact[1:])]
     bounds = [line.split() for line in lines[lines.index("Bounds") + 1:lines.index("End")]]
-    variables = [b[0] for b in bounds]
-    return make_lp(variables, terms(exact[0]), rows, [b[0] for b in bounds if b[1:] == [">=", "0"]])
+    assert all(b[1:] == [">=", "0"] for b in bounds)
+    return make_lp([b[0] for b in bounds], terms(exact[0]), rows)
 
 
 class TestFormulas:
@@ -341,6 +342,54 @@ class TestSweep:
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Python's default integer string limit, restored afterwards."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.usefixtures("default_digit_limit")
+class TestDigitLimit:
+    """Output past Python's integer string limit exits 4 with one error
+    line, refused before any revenue is computed when SREV is sure to pass
+    it."""
+
+    RENDERED = "error: a result has more than 4300 digits, past Python's integer string limit\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_formulas_past_the_limit(self, capsys, fmt):
+        # r_D's p^(2n) = 3^9200 has 4,390 digits.
+        code, out, err = run(capsys, "formulas", "--n", "4600", "--p", "1/3", "--a", "1",
+                             "--b", "2", "--format", fmt)
+        assert (code, out, err) == (4, "", self.RENDERED)
+
+    def test_sweep_past_the_limit(self, capsys):
+        code, out, err = run(capsys, "sweep", "--n", "5000", "--p", "1/3", "--a", "1",
+                             "--b-min", "2", "--b-max", "3", "--steps", "3")
+        assert (code, out, err) == (4, "", self.RENDERED)
+
+    @pytest.mark.parametrize("command", [
+        ["formulas", "--b", "2"], ["sweep", "--b-min", "2", "--b-max", "3", "--steps", "3"]])
+    def test_refused_before_the_formulas_run(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(formulas, "revenue_dic", lambda spec: pytest.fail("computed"))
+        code, out, err = run(capsys, command[0], "--n", "10000000", "--p", "1/3", "--a", "1",
+                             *command[1:])
+        assert (code, out) == (4, "")
+        assert err == ("error: the revenues at n=10000000 have more than 4300 digits, "
+                       "past Python's integer string limit\n")
+
+    @pytest.mark.parametrize("n,p", [(4000, "1/3"), (4600, "1/2")])
+    def test_largest_printable_instances_print(self, capsys, n, p):
+        code, out, _ = run(capsys, "formulas", "--n", str(n), "--p", p, "--a", "1", "--b", "2",
+                           "--format", "json")
+        assert code == 0
+        assert F(json.loads(out)["r_D"]) == formulas.revenue_dic(
+            twopoint_auctions.AuctionSpec(n, F(p), 1, 2))
 
 
 class TestContinuous:
@@ -683,8 +732,8 @@ GOLDEN = {
     "mechanism-dic-n5-b5_2-json": (0, "82e6e1b8ea820b3e852ab5c0000bd0cf3bebd03113c7f547a6d2e4571a872db9"),
     "mechanism-bic-n5-p2_3-b11_10-json": (0, "3c0fc86144835393f10a073ccd26ba51ce389b0dcb66c436b74d76185262981a"),
     "mechanism-out-file": (0, "604dff48975b37137f442015fc04d45d1a5eac005ba96dd446b8bd228c373a8f"),
-    "lp-export-dic": (0, "ad1686ccb14325ec53707a818c56878128e9649cf931ca857ec68ccc0531c671"),
-    "lp-export-bic": (0, "81cdea24f8c3d350e1a03fb3568625717932d38245b6f95e2f35181cd7089c1f"),
+    "lp-export-dic": (0, "2768d6fc42c2876ed940a6592f4dd3cf27d0b3da3722dd1e64c9e6e398b1f9eb"),
+    "lp-export-bic": (0, "e43abfa57c17117b14a658f6c0fac947672af80a81b472d4f96b2e1ccc77a8ea"),
 }
 
 # sha256 of `mechanism --n 6 --p 1/2 --a 1 --b 11/6 --impl bic --check

@@ -1,13 +1,16 @@
 import itertools
+import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twopoint_auctions.core import AuctionSpec, class_probabilities
+from twopoint_auctions.core import AuctionSpec, CapExceeded, class_probabilities
 from twopoint_auctions.formulas import (
     breakpoints,
+    check_digit_limit,
     grand_bundle_revenue,
     indicator_flags,
     price_b_revenue,
@@ -80,10 +83,7 @@ def single_item_optimum(spec):
                         0,
                     )
                 )
-    lp = make_lp(
-        variables, objective, constraints, {("q", i, t) for t in profiles for i in range(n)}
-    )
-    return solve(lp).optimum
+    return solve(make_lp(variables, objective, constraints)).optimum
 
 
 class TestBreakpoints:
@@ -326,3 +326,25 @@ class TestInvariantErrors:
         )
         with pytest.raises(RuntimeError, match="revenue ordering"):
             revenue_report(EXAMPLE)
+
+
+class TestDigitLimit:
+    @pytest.mark.parametrize("limit", [20, 60])
+    def test_refusal_is_sure(self, monkeypatch, limit):
+        # Whenever the check refuses, SREV's denominator has more than
+        # `limit` digits, so printing it would fail; instances well below
+        # the bound pass.
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit)
+        rng = random.Random(limit)
+        refused = passed = 0
+        for _ in range(300):
+            a = F(rng.randint(0, 6), rng.randint(1, 5))
+            spec = AuctionSpec(rng.randint(2, 4 * limit), F(rng.randint(1, 11), 12),
+                               a, a + F(rng.randint(1, 9), rng.randint(1, 5)))
+            try:
+                check_digit_limit(spec)
+                passed += 1
+            except CapExceeded:
+                refused += 1
+                assert separate_revenue(spec).denominator >= 10 ** limit, spec
+        assert refused > 30 and passed > 30

@@ -99,8 +99,26 @@ def _reduce(lp, rep=representative):
             r = rep(v)
             coeffs[r] = coeffs.get(r, F(0)) + c
         rows.setdefault((tuple(sorted(coeffs.items())), rel, rhs), (coeffs, rel, rhs, tag))
-    nonneg = {rep(lp.variables[j]) for j in lp.nonneg}
-    return make_lp(variables, objective, rows.values(), nonneg).validate()
+    return make_lp(variables, objective, rows.values()).validate()
+
+
+def _fold_participation(lp):
+    """The reference program with its participation rows ('ir', 'bir')
+    folded into the columns' nonnegativity, as the builder states them.
+    Each folded row must be a single-column row >= 0, with rhs 0 and a
+    positive coefficient, on a utility column, and every utility column
+    must have exactly one."""
+    folded = []
+    for c in lp.constraints:
+        if c.tag in ("ir", "bir"):
+            assert (len(c.coeffs), c.rel, c.rhs) == (1, ">=", 0), c
+            (j, a), = c.coeffs
+            assert a > 0 and lp.variables[j][0] in ("u", "U"), c
+            folded.append(j)
+    utilities = [j for j, v in enumerate(lp.variables) if v[0] in ("u", "U")]
+    assert sorted(folded) == utilities
+    return dataclasses.replace(
+        lp, constraints=[c for c in lp.constraints if c.tag not in ("ir", "bir")])
 
 
 SYMMETRY_PARAMS = [
@@ -131,8 +149,6 @@ class TestProgramShapes:
         assert n_constraints(lp, "dic") == 2 * 4 * 4
         assert n_constraints(lp, "ir") == 2 * 16
         assert n_constraints(lp, "supply") == 2 * 16
-        nonneg = {lp.variables[j] for j in lp.nonneg}
-        assert set(q_vars) <= nonneg and not (set(u_vars) & nonneg)
 
     def test_bic_counts_at_n2(self):
         lp = _full_program(EXAMPLE.n, EXAMPLE.dist, "bic")
@@ -297,12 +313,12 @@ class TestSymmetryReduction:
         reduced = _reduce(_full_program(n, dist, regime))
         if regime == "bic":
             reduced = _reduce(reduced, interim_representative)
+        reduced = _fold_participation(reduced)
         sym = build_auction_lp(n, dist, regime)
         assert sym.variables == reduced.variables
         assert list(sym.objective.items()) == list(reduced.objective.items())
         assert sym.obj_scale == reduced.obj_scale
         assert sym.constraints == reduced.constraints
-        assert sym.nonneg == reduced.nonneg
         assert solve(sym).optimum == solve_auction_lp(n, dist, regime).optimum
 
     @pytest.mark.parametrize(
@@ -672,7 +688,9 @@ def _ref_build(n, dist, regime, symmetric):
     `symmetric`, of the symmetric one: every coefficient summed as a
     Fraction, every variable mapped through `representative` on the spot if
     symmetric, and rows keyed by their Fraction coefficients, zero sums
-    included."""
+    included.  Participation is a row, as the paper states it: u >= 0 per
+    utility ('ir') or its interim sum >= 0 per type ('bir');
+    `_fold_participation` reads those rows as the builder's bounds."""
     types = buyer_types(dist)
     weighted = enumerate_profiles(n, dist)
     profiles = [t for t, _ in weighted]
@@ -734,11 +752,7 @@ def _ref_build(n, dist, regime, symmetric):
                     ">=", 0, "bic_local" if adjacent else "bic")
 
     return make_lp(
-        list(dict.fromkeys(map(col, q_vars + u_vars))),
-        objective,
-        rows.values(),
-        {col(v) for v in q_vars},
-    ).validate()
+        list(dict.fromkeys(map(col, q_vars + u_vars))), objective, rows.values()).validate()
 
 
 # Equally spaced atoms: opposite one-step misreports on the two items cancel
@@ -769,6 +783,7 @@ class TestAgainstFractionBuilder:
             ref = _reduce(ref)
         if regime == "bic":
             ref = _reduce(ref, interim_representative)
+        ref = _fold_participation(ref)
         assert lp.variables == ref.variables
         assert list(lp.objective.items()) == list(ref.objective.items())
         assert lp.obj_scale == ref.obj_scale
@@ -779,7 +794,6 @@ class TestAgainstFractionBuilder:
             assert (row.rel, row.rhs, row.scale, row.tag) == (
                 ref_row.rel, ref_row.rhs, ref_row.scale, ref_row.tag)
         assert list(lp.rows()) == list(ref.rows())
-        assert lp.nonneg == ref.nonneg
 
 
 class TestColumnMap:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -28,17 +29,11 @@ def two_variable_lp():
         ["x", "y"],
         {"x": 2, "y": 3},
         [({"x": 1, "y": 1}, "<=", 4), ({"x": 1, "y": 3}, "<=", 6)],
-        {"x", "y"},
     )
 
 
-def lp1d(c, rows, nonneg=True):
-    return make_lp(
-        ["x"],
-        {"x": c},
-        [({"x": a}, rel, b) for a, rel, b in rows],
-        {"x"} if nonneg else (),
-    )
+def lp1d(c, rows):
+    return make_lp(["x"], {"x": c}, [({"x": a}, rel, b) for a, rel, b in rows])
 
 
 class TestBasics:
@@ -67,11 +62,6 @@ class TestBasics:
         assert sol.status == "optimal"
         assert sol.optimum == -5
 
-    def test_free_variable(self):
-        sol = solve(lp1d(-1, [(1, ">=", F(-7, 3))], nonneg=False))
-        assert sol.optimum == F(7, 3)
-        assert sol.assignment["x"] == F(-7, 3)
-
     def test_two_variables_exact(self):
         sol = solve(two_variable_lp())
         assert sol.optimum == 9  # at the vertex x=3, y=1
@@ -86,14 +76,12 @@ class TestBasics:
             {"x": 2, "y": 3, "z": 1},
             [({"x": 1, "y": 1, "z": 1}, "<=", 4), ({"x": 1, "y": 3}, "<=", 6),
              ({"x": -1, "z": 1}, "<=", 1)],
-            {"x", "y", "z"},
         )
         wide = make_lp(
             ["u", "v", "w"],
             {"u": 2 * W * W, "v": 3, "w": W},
             [({"u": W * W, "v": 1, "w": W}, "<=", 4 * W), ({"u": W * W, "v": 3}, "<=", 6 * W),
              ({"u": -W * W, "w": W}, "<=", W)],
-            {"u", "v", "w"},
         )
         small, sol = solve(narrow), solve(wide)
         _certify(wide, sol)
@@ -108,7 +96,7 @@ class TestBasics:
         assert simplex._log2_norm([]) == 0.0
 
     def test_validation_rejects_undeclared(self):
-        lp = LinearProgram(["x"], {1: 1}, 1, [], set())
+        lp = LinearProgram(["x"], {1: 1}, 1, [])
         with pytest.raises(ValueError, match="declared columns"):
             solve(lp)
 
@@ -137,7 +125,7 @@ class TestBasics:
     )
     def test_invalid_constraint_raises_value_error(self, row):
         with pytest.raises(ValueError):
-            solve(LinearProgram(["x"], {0: 1}, 1, [row], {0}))
+            solve(LinearProgram(["x"], {0: 1}, 1, [row]))
 
 
 class TestRules:
@@ -154,7 +142,6 @@ class TestRules:
                 ({"x": 1, "y": -3, "z": -1}, "<=", 0),
                 ({"x": 1}, "<=", 1),
             ],
-            {"x", "y", "z"},
         )
         # a classic cycling-prone instance; both rules must terminate at 1
         assert solve(lp).optimum == 1
@@ -169,7 +156,7 @@ class TestLazyRows:
         # x <= 20 bounds the relaxation, which an unbounded status would end.
         rows = [({"x": 1, "y": k}, "<=", k * k + 1, "lazy") for k in range(1, 20)]
         box = [({"y": 1}, "<=", 5), ({"x": 1}, "<=", 20)]
-        lp = make_lp(["x", "y"], {"x": 1, "y": 3}, rows + box, {"x", "y"})
+        lp = make_lp(["x", "y"], {"x": 1, "y": 3}, rows + box)
         dense = solve(lp)
         lazy = solve(*tag_pool(lp, ("lazy",)))
         assert dense.optimum == lazy.optimum
@@ -180,7 +167,7 @@ class TestLazyRows:
         # equality, the first over its scale 3; neither may be added, so
         # the solve is the relaxation's alone.
         def lp(rows):
-            return make_lp(["x", "y"], {"x": 1, "y": 1}, rows, {"x", "y"})
+            return make_lp(["x", "y"], {"x": 1, "y": 1}, rows)
 
         box = [({"x": 1}, "<=", 1), ({"y": 1}, "<=", 1)]
         lazy = [
@@ -198,7 +185,7 @@ class TestLazyRows:
         # The relaxation's optimum (3, 3) breaks x + y <= 4, which the warm
         # round adds and repairs with dual pivots, to the vertex (3, 1).
         def lp(rows):
-            return make_lp(["x", "y"], {"x": 2, "y": 1}, rows, {"x", "y"})
+            return make_lp(["x", "y"], {"x": 2, "y": 1}, rows)
 
         box = [({"x": 1}, "<=", 3), ({"y": 1}, "<=", 3)]
         cut = [({"x": 1, "y": 1}, "<=", 4, "lazy")]
@@ -216,7 +203,7 @@ class TestLazyRows:
         # negative entry for the dual ratio test.
         lp = make_lp(["x", "y"], {"x": 1, "y": 1},
                      [({"x": 1}, "<=", 1), ({"y": 1}, "<=", 1),
-                      ({"x": 1, "y": 1}, ">=", 3, "lazy")], {"x", "y"})
+                      ({"x": 1, "y": 1}, ">=", 3, "lazy")])
         for sol in (solve(lp), solve(*tag_pool(lp, ("lazy",)))):
             assert (sol.status, sol.optimum, sol.primal, sol.dual) == ("infeasible", None, (), ())
 
@@ -226,7 +213,7 @@ class TestLazyRows:
         # the program.
         lp = make_lp(["x", "y"], {"x": 1, "y": 2},
                      [({"x": 1}, "<=", 2), ({"y": 1}, "<=", 3, "lazy"),
-                      ({"x": 1, "y": 1}, "<=", 4, "lazy")], {"x", "y"})
+                      ({"x": 1, "y": 1}, "<=", 4, "lazy")])
         relaxation, separate = tag_pool(lp, ("lazy",))
         calls = []
         sol = solve(relaxation, lambda x, X: calls.append(X) or separate(x, X))
@@ -278,7 +265,7 @@ class TestAddRows:
 
     def solver(self):
         lp = make_lp(["x", "y"], {"x": 2, "y": 1},
-                     [({"x": 1}, "<=", 3), ({"y": 1}, "<=", 3)], {"x", "y"})
+                     [({"x": 1}, "<=", 3), ({"y": 1}, "<=", 3)])
         state = simplex._Solver(lp)
         assert state.status == "optimal"
         return state
@@ -286,7 +273,7 @@ class TestAddRows:
     def test_adds_the_row_and_repairs_the_basis(self):
         state = self.solver()
         assert state.add_rows([self.CUT]) > 0
-        assert state.status == "optimal" and state.kept == [0, 1, 2]
+        assert state.status == "optimal"
         assert state.lp.constraints[2] == self.CUT
         assert state.primal() == ([3, 1], 1)
         assert_unit_basis(state.tab, state.basis)
@@ -358,17 +345,21 @@ def _replaced(vector, k, value):
     return vector[:k] + (value,) + vector[k + 1:]
 
 
+def flagship_program(regime):
+    return oracle.build_auction_lp(2, AuctionSpec(2, F(1, 2), 1, 2).dist, regime)
+
+
 class TestIntegerCertificate:
     """Each tampering below of a certified solution's integer vectors is
     refused: it changes c·x or b·y, breaks a dual's sign, or leaves a row
     without its dual."""
 
-    @pytest.fixture(params=["two-variable", "auction-n2-dic"])
+    @pytest.fixture(params=["two-variable", "auction-n2-dic", "auction-n2-bic"])
     def solved(self, request):
         if request.param == "two-variable":
             lp = two_variable_lp()
         else:
-            lp = oracle.build_auction_lp(2, AuctionSpec(2, F(1, 2), 1, 2).dist, "dic")
+            lp = flagship_program(request.param.removeprefix("auction-n2-"))
         sol = solve(lp)
         _certify(lp, sol)
         return lp, sol
@@ -401,6 +392,20 @@ class TestIntegerCertificate:
             for d in (1, -1):
                 self.assert_refused(lp, sol, dual=_replaced(sol.dual, k, sol.dual[k] + d))
 
+    @pytest.mark.parametrize("regime", ["dic", "bic"])
+    def test_negative_utility_refused_by_its_bound(self, regime):
+        # Participation is the utility columns' lower bound, with no row of
+        # its own: a utility of -1 is refused as negative before any row is
+        # read.
+        lp = flagship_program(regime)
+        sol = solve(lp)
+        utilities = [j for j, v in enumerate(lp.variables) if v[0] in ("u", "U")]
+        assert utilities
+        for j in utilities:
+            with pytest.raises(SimplexError, match=re.escape(
+                    f"certificate failure: {lp.variables[j]!r} negative")):
+                _certify(lp, dataclasses.replace(sol, primal=_replaced(sol.primal, j, -1)))
+
     def test_dual_vector_one_short(self, solved):
         lp, sol = solved
         self.assert_refused(lp, sol, dual=sol.dual[:-1])
@@ -419,21 +424,11 @@ class TestDuals:
     def test_lower_bound_row_has_nonpositive_dual(self):
         assert solve(lp1d(-1, [(1, ">=", 5)])).duals == (F(-1),)
 
-    def test_free_variable(self):
-        sol = solve(lp1d(-1, [(1, ">=", F(-7, 3)), (1, "<=", 4)], nonneg=False))
-        assert sol.duals == (F(-1), F(0))
-
-    def test_split_off_sign_row_carries_the_reduced_cost(self):
-        # 2x >= 0 makes the free x nonnegative inside the solver; its dual
-        # -1/2 restores A'y = c for the free variable.
-        sol = solve(lp1d(-1, [(2, ">=", 0), (1, "<=", 3)], nonneg=False))
-        assert sol.optimum == 0 and sol.duals == (F(-1, 2), F(0))
-
     def test_added_rows_take_their_duals_after_the_program_rows(self):
         # The relaxation's optimum x = 9 breaks both withheld rows; x <= 5
         # binds at the final optimum and x <= 7 is slack.
         rows = [({"x": 1}, "<=", k, "lazy") for k in (5, 7)]
-        lp = make_lp(["x"], {"x": 1}, rows + [({"x": 1}, "<=", 9)], {"x"})
+        lp = make_lp(["x"], {"x": 1}, rows + [({"x": 1}, "<=", 9)])
         sol = solve(*tag_pool(lp, ("lazy",)))
         assert sol.added == tuple(lp.constraints[:2])
         assert sol.optimum == 5 and sol.duals == (F(0), F(1), F(0))
@@ -570,7 +565,7 @@ def random_lp(rng, nvars, nrows):
         rel = rng.choice(["<=", ">="])
         rhs = F(rng.randint(-3 if rel == "<=" else -12, 12 if rel == "<=" else 3))
         constraints.append((coeffs, rel, rhs))
-    return make_lp(variables, objective, constraints, variables)
+    return make_lp(variables, objective, constraints)
 
 
 class TestAgainstScipy:
@@ -619,7 +614,7 @@ class TestAgainstScipy:
 
 class TestExport:
     def test_text_export_contents(self):
-        lp = make_lp([("q", 0)], {("q", 0): F(1, 16)}, [({("q", 0): 1}, "<=", 1)], {("q", 0)})
+        lp = make_lp([("q", 0)], {("q", 0): F(1, 16)}, [({("q", 0): 1}, "<=", 1)])
         text = lp_to_text(lp, "demo")
         assert text.startswith("\\ demo")
         assert "Maximize" in text and "Subject To" in text and "End" in text
