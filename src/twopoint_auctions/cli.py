@@ -258,6 +258,9 @@ def cmd_certify(args) -> int:
     if args.grid and args.lp_export:
         raise ValueError(
             "--lp-export writes the programs of one spec; it cannot be used with --grid")
+    given = " ".join(f"--{k}" for k in ("n", "p", "a", "b") if getattr(args, k) is not None)
+    if args.grid and given:
+        raise ValueError(f"--grid certifies the built-in specs; it cannot be used with {given}")
     if args.grid:
         specs = certification_grid()
     else:

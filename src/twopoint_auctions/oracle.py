@@ -96,6 +96,28 @@ def _held(n: int, n_types: int) -> list:
             for k, key in enumerate(profile_classes(n, n_types))]
 
 
+@functools.lru_cache(maxsize=4)
+def _allocation_columns(n: int, n_atoms: int) -> tuple:
+    """The allocation part of `_columns`, which both regimes share: each
+    cell's item-swapped cell, the held cells in class order, the allocation
+    orbits in column order, each as its first cell, and each cell's columns
+    of its shares of item 1 and item 2."""
+    types = list(itertools.product(range(n_atoms), repeat=2))
+    n_types = len(types)
+    keys = profile_classes(n, n_types)
+    # The item swap sends type (x1, x2) to (x2, x1), and a cell to the cell
+    # of its class with the types swapped and of its own type swapped.
+    flip = [x2 * n_atoms + x1 for x1, x2 in types]
+    classes = {key: k for k, key in enumerate(keys)}
+    swap = tuple(classes[tuple(key[s] for s in flip)] * n_types + flip[c]
+                 for key in keys for c in range(n_types))
+    held = tuple(x for cells in _held(n, n_types) for x, _ in cells)
+    orbits = tuple(dict.fromkeys(y for x in held for y in (x, swap[x])))
+    ids = {x: r for r, x in enumerate(orbits)}
+    q1, q2 = (tuple(map(ids.get, xs)) for xs in (range(len(swap)), swap))
+    return swap, held, orbits, q1, q2
+
+
 @functools.lru_cache(maxsize=8)
 def _columns(n: int, n_atoms: int, interim: bool) -> tuple[tuple, tuple]:
     """Each column's name in the symmetric program, and the columns of each
@@ -114,55 +136,44 @@ def _columns(n: int, n_atoms: int, interim: bool) -> tuple[tuple, tuple]:
     buyer 0's type first, the others' sorted, item 0 for an allocation and
     the smaller profile of the two for a utility, or ("U", 0, the smaller
     type).  The allocation columns come first and do not depend on
-    `interim`.
+    `interim`: they are `_allocation_columns`'s.
     """
+    swap, held, q_orbits, q1, q2 = _allocation_columns(n, n_atoms)
     types = list(itertools.product(range(n_atoms), repeat=2))
     n_types = len(types)
     keys = profile_classes(n, n_types)
-    # The item swap sends type (x1, x2) to (x2, x1), and a cell to the cell
-    # of its class with the types swapped and of its own type swapped.
-    flip = [x2 * n_atoms + x1 for x1, x2 in types]
-    classes = {key: k for k, key in enumerate(keys)}
-    swap = [classes[tuple(key[s] for s in flip)] * n_types + flip[c]
-            for key in keys for c in range(n_types)]
-    m = len(swap)  # utility orbits are keyed after the allocation ones
     if interim:
-        u_key = [m + min(c, flip[c]) for _ in keys for c in range(n_types)]
+        u_key = [min(x % n_types, y % n_types) for x, y in enumerate(swap)]
     else:
-        u_key = [m + min(x, y) for x, y in enumerate(swap)]
-    held = [x for cells in _held(n, n_types) for x, _ in cells]
-    first = [y for x in held for y in (x, swap[x])] + [u_key[x] for x in held]
-    ids = {x: r for r, x in enumerate(dict.fromkeys(first))}
+        u_key = [min(x, y) for x, y in enumerate(swap)]
+    u_orbits = tuple(dict.fromkeys(u_key[x] for x in held))
+    ids = {x: len(q_orbits) + r for r, x in enumerate(u_orbits)}
 
     def profile(x):
         key, c = keys[x // n_types], x % n_types
         return (types[c],) + tuple(
             t for s, t in enumerate(types) for _ in range(key[s] - (s == c)))
 
-    names = tuple(
-        ("q", 0, 0, profile(x)) if x < m
-        else ("U", 0, types[x - m]) if interim
-        else ("u", 0, min(profile(x - m), profile(swap[x - m])))
-        for x in ids
-    )
+    names = tuple(("q", 0, 0, profile(x)) for x in q_orbits) + tuple(
+        ("U", 0, types[x]) if interim else ("u", 0, min(profile(x), profile(swap[x])))
+        for x in u_orbits)
     # A cell is held iff its swapped cell is, so its utility has a column
     # iff its share of item 1 has one.
-    q1, q2 = (tuple(map(ids.get, xs)) for xs in (range(m), swap))
     u = tuple(None if r is None else ids[x] for r, x in zip(q1, u_key))
     return names, (q1, q2, u)
 
 
 @functools.lru_cache(maxsize=4)
-def _fixed_rows(n: int, n_atoms: int, regime: str) -> tuple:
+def _fixed_rows(n: int, n_atoms: int) -> tuple:
     """The supply rows, each distinct row kept once in order of first
     appearance: the program's rows that depend on neither values nor
-    probabilities.
+    probabilities, nor on the regime.
 
     In lowest terms a supply row, one per class and item, is its columns'
     multiplicities <= 1, the count of buyers at each cell.  No
-    truthfulness row equals one: only supply rows are <= rows.  The
-    regime picks the column map that the program's other rows read."""
-    _, (q1, q2, _) = _columns(n, n_atoms, regime == "bic")
+    truthfulness row equals one: only supply rows are <= rows.  They read
+    only the allocation columns, which both regimes share."""
+    *_, q1, q2 = _allocation_columns(n, n_atoms)
     supply = {}
     # The cells of one class lie in distinct orbits of each item.
     for cells in _held(n, n_atoms ** 2):
@@ -278,7 +289,7 @@ class _Program:
             variables=list(names),
             objective={r: c // g for r, c in objective.items() if c},
             obj_scale=obj_scale // g,
-            constraints=list(_fixed_rows(n, n_atoms, regime)),
+            constraints=list(_fixed_rows(n, n_atoms)),
         )
 
     def _keep(self, coeffs: dict, tag: str):
@@ -391,16 +402,16 @@ def solve_auction_lp(n: int, dist: FiniteValueDistribution, regime: str) -> LPSo
 
     The program holds the regime's one-step truthfulness rows; the other
     ones join in warm rounds, built by the separator as the optimum
-    violates them.  An auction LP is feasible and bounded, so any other
-    status raises.  The returned solution is the symmetric program's, its
-    separated rows included; its mechanism (`extract_mechanism`) has
-    passed `certify_optimum`, which audits it over every truthfulness
-    constraint and so refuses the optimum of an incomplete separator.
+    violates them.  Every row holds at the origin, the null mechanism,
+    every allocation column sits in a supply row and every utility column
+    lowers the objective, so `solve` ends at a certified optimum.  The
+    returned solution is the symmetric program's, its separated rows
+    included; its mechanism (`extract_mechanism`) has passed
+    `certify_optimum`, which audits it over every truthfulness constraint
+    and so refuses the optimum of an incomplete separator.
     """
     lp, separate = _seeded_program(n, dist, regime)
     sol = solve(lp, separate)
-    if sol.status != "optimal":
-        raise RuntimeError(f"certificate failure: the auction LP is {sol.status}")
     certify_optimum(extract_mechanism(n, dist, sol), regime, sol.optimum)
     return sol
 

