@@ -44,8 +44,10 @@ from .audit import (
 from .oracle import (
     certification_grid,
     certify_main_theorem,
+    certify_specs,
     extract_mechanism,
     solve_auction_lp,
+    solve_auction_lps,
 )
 from .simplex import LinearProgram, LPSolution, solve
 from .continuous import ContinuousSpec, corollary_probe, discretize, lp_over_grid

@@ -6,7 +6,8 @@ unless --allow-decimal is given (they are then parsed exactly).  Exit codes:
 0 success, 1 usage, 2 audit failure, 3 oracle mismatch, 4 cap exceeded,
 5 certificate failure (an exact internal check failed, such as an LP
 optimum's primal/dual certificate, its mechanism's audits or an invariant
-of the closed forms: a defect in the program, not in the input).
+of the closed forms: a defect in the program, not in the input), 6 a
+worker process that solved some of the programs ended without its results.
 """
 
 from __future__ import annotations
@@ -36,7 +37,13 @@ from .core import (
 from .continuous import corollary_probe
 from .formulas import revenue_report, sweep_high_value
 from .mechanisms import build_bic_mechanism, build_dic_mechanism, mechanism_to_json
-from .oracle import build_auction_lp, certification_grid, certify_main_theorem
+from .oracle import (
+    WorkerLost,
+    build_auction_lp,
+    certification_grid,
+    certify_main_theorem,
+    certify_specs,
+)
 from .simplex import lp_to_text
 
 EXIT_OK = 0
@@ -45,6 +52,7 @@ EXIT_AUDIT = 2
 EXIT_MISMATCH = 3
 EXIT_CAP = 4
 EXIT_CERTIFICATE = 5
+EXIT_WORKER_LOST = 6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -262,21 +270,19 @@ def cmd_certify(args) -> int:
     if args.grid and given:
         raise ValueError(f"--grid certifies the built-in specs; it cannot be used with {given}")
     if args.grid:
-        specs = certification_grid()
+        reports = certify_specs(certification_grid())
     else:
         missing = [f"--{name}" for name in ("n", "p", "a", "b")
                    if getattr(args, name) is None]
         if missing:
             raise ValueError(f"certify needs --grid or a full spec; missing {' '.join(missing)}")
-        specs = [_parse_spec(args)]
-    reports = []
-    for spec in specs:
+        spec = _parse_spec(args)
         if args.lp_export:
             for regime, title in (("dic", "dominant-strategy program"),
                                   ("bic", "bayesian program")):
                 _emit(lp_to_text(build_auction_lp(spec.n, spec.dist, regime), title),
                       f"{args.lp_export}.{regime}.lp", end="")
-        reports.append(certify_main_theorem(spec))
+        reports = [certify_main_theorem(spec)]
     if args.format == "json":
         _emit(json.dumps([r.to_json() for r in reports], indent=2), args.out)
     else:
@@ -440,6 +446,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
+    except WorkerLost as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_WORKER_LOST
     except RuntimeError as exc:  # simplex.SimplexError included
         detail = str(exc).removeprefix("certificate failure: ")
         print(f"error: certificate failure: {detail}", file=sys.stderr)

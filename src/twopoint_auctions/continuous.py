@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .core import AuctionSpec, FiniteValueDistribution, InvalidSpec, rat
 from .formulas import revenue_bic, revenue_dic
-from .oracle import solve_auction_lp
+from .oracle import solve_auction_lp, solve_auction_lps
 
 #: Additive error windows above r*a for the true continuous optima at lam=2,
 #: valid for a >= 6: [r_D*a, r_D*a + 5/4) and [r_B*a, r_B*a + 3/2).
@@ -87,7 +87,8 @@ def corollary_probe(
     impls: Sequence[str] = ("dic", "bic"),
 ) -> list[ProbeRow]:
     """Discretized optima across a list of scales, one row per scale and
-    regime in `impls`, and only those regimes' programs are solved.
+    regime in `impls`, and only those regimes' programs are solved, as one
+    batch (`oracle.solve_auction_lps`).
 
     ref carries the normalized two-point optimum the scaled value
     approaches.  Band membership checks the discretized value against the
@@ -99,10 +100,11 @@ def corollary_probe(
     reference = AuctionSpec(2, Fraction(1, 2), 1, lam)
     revenue = {"dic": revenue_dic, "bic": revenue_bic}
     refs = {impl: revenue[impl](reference) for impl in impls}
+    jobs = [(cspec, impl) for cspec in cspecs for impl in impls]
+    sols = solve_auction_lps([(cspec.n, discretize(cspec), impl) for cspec, impl in jobs])
     rows = []
-    for cspec in cspecs:
-        for impl in impls:
-            opt, ref = lp_over_grid(cspec, impl), refs[impl]
-            band = (ref * cspec.a <= opt < ref * cspec.a + BAND_SLACK[impl]) if lam == 2 else None
-            rows.append(ProbeRow(cspec.a, grid_m, impl, opt, opt / cspec.a, ref, band))
+    for (cspec, impl), sol in zip(jobs, sols):
+        opt, ref = sol.optimum, refs[impl]
+        band = (ref * cspec.a <= opt < ref * cspec.a + BAND_SLACK[impl]) if lam == 2 else None
+        rows.append(ProbeRow(cspec.a, grid_m, impl, opt, opt / cspec.a, ref, band))
     return rows

@@ -88,6 +88,11 @@ from .simplex import Constraint, LinearProgram, LPSolution, solve
 #: program ran past 900 s).
 CELL_CAP = 2 ** 15
 
+#: The fewest type-count cells, summed over a batch's jobs, for which
+#: `solve_auction_lps` forks: below it a fork and the pickled results cost
+#: more than the solves they overlap.
+PARALLEL_CELLS = 2 ** 9
+
 
 def _held(n: int, n_types: int) -> list:
     """Per class of n buyers (`profile_classes` order), the cells that its
@@ -231,6 +236,22 @@ def _candidates(n: int, n_atoms: int, regime: str) -> _Candidates:
     )
 
 
+def _job_cells(n: int, dist: FiniteValueDistribution, regime: str) -> int:
+    """The type-count cells of the regime's program of n buyers over dist;
+    a bad regime raises ValueError and more than `CELL_CAP` cells
+    CapExceeded."""
+    if regime not in ("dic", "bic"):
+        raise ValueError("regime must be 'dic' or 'bic'")
+    n_types = len(buyer_types(dist))
+    cells = math.comb(n + n_types - 1, n_types - 1) * n_types
+    if cells > CELL_CAP:
+        raise CapExceeded(
+            f"instance too large for exhaustive mode: {n} buyers of {n_types} types "
+            f"give {cells} type-count cells, over the cap of {CELL_CAP}"
+        )
+    return cells
+
+
 class _Program:
     """An auction program under construction: its columns, objective and
     fixed rows, and the rows of the truthfulness candidates added so far,
@@ -245,16 +266,9 @@ class _Program:
     than `CELL_CAP` type-count cells is refused before any of them is built."""
 
     def __init__(self, n, dist, regime):
-        if regime not in ("dic", "bic"):
-            raise ValueError("regime must be 'dic' or 'bic'")
+        _job_cells(n, dist, regime)
         types = buyer_types(dist)
         n_types = len(types)
-        cells = math.comb(n + n_types - 1, n_types - 1) * n_types
-        if cells > CELL_CAP:
-            raise CapExceeded(
-                f"instance too large for exhaustive mode: {n} buyers of {n_types} types "
-                f"give {cells} type-count cells, over the cap of {CELL_CAP}"
-            )
         n_atoms = len(dist.values)
         names, (q1, q2, u) = _columns(n, n_atoms, regime == "bic")
         values, lcm_v = scaled(dist.values)
@@ -416,6 +430,111 @@ def solve_auction_lp(n: int, dist: FiniteValueDistribution, regime: str) -> LPSo
     return sol
 
 
+class WorkerLost(RuntimeError):
+    """A worker process of `solve_auction_lps` ended without its results."""
+
+
+def solve_auction_lps(jobs: Sequence[tuple]) -> list[LPSolution]:
+    """`solve_auction_lp` over independent jobs (n, dist, regime): their
+    solutions in job order, and the sequential run's failure, the first
+    failing job's exception, if one fails.
+
+    Every job's regime and cell cap are checked before any solve.  A batch
+    of fewer than `PARALLEL_CELLS` type-count cells in all is solved in
+    process, and so is any batch when the process may run on one CPU only,
+    cannot fork, or runs other threads.  Otherwise the jobs are split into
+    contiguous runs of about equal cells, one per CPU: the parent solves
+    the first run and forked children the others, each sending its
+    solutions, or its run's first failure, back pickled over a pipe.  A
+    failure is raised after every child has been reaped, and a child that
+    ends without its results raises `WorkerLost`.
+    """
+    cells = [_job_cells(*job) for job in jobs]
+    total = sum(cells)
+    workers = _workers(len(jobs)) if total >= PARALLEL_CELLS else 1
+    if workers == 1:
+        return [solve_auction_lp(*job) for job in jobs]
+    # Job k joins the run in which its middle cell falls.
+    runs, before = [[] for _ in range(workers)], 0
+    for k, c in enumerate(cells):
+        runs[(2 * before + c) * workers // (2 * total)].append(k)
+        before += c
+    return _solve_forked(jobs, [run for run in runs if run])
+
+
+def _workers(n_jobs: int) -> int:
+    """The processes that may solve n_jobs jobs side by side: one per CPU
+    that the process may run on, and one only without `os.fork` or beside
+    another thread."""
+    import os
+    import threading
+
+    if n_jobs < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return min(n_jobs, len(os.sched_getaffinity(0)))
+    return min(n_jobs, os.cpu_count() or 1)
+
+
+def _solve_forked(jobs: Sequence[tuple], runs: list) -> list[LPSolution]:
+    """The solutions of `runs`, runs of job indices: the first solved here,
+    each other one in a forked child.  A child leaves only through
+    `os._exit`, so it runs no exit handler and flushes none of the parent's
+    buffers, and sends (solutions, None) or (solutions before the failure,
+    exception).  On any exception here, the children still running are
+    killed; all are reaped before this returns or raises."""
+    import os
+    import pickle
+    import signal
+
+    children = []
+    try:
+        for run in runs[1:]:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(r)
+                    out, failure = [], None
+                    try:
+                        for k in run:
+                            out.append(solve_auction_lp(*jobs[k]))
+                    except Exception as exc:
+                        failure = exc
+                    with open(w, "wb") as fh:
+                        pickle.dump((out, failure), fh)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            children.append([pid, r, run])
+        solutions = {k: solve_auction_lp(*jobs[k]) for k in runs[0]}
+        for child in children:
+            pid, r, run = child
+            with open(r, "rb") as fh:
+                child[1] = None
+                data = fh.read()
+            status = os.waitpid(pid, 0)[1]
+            child[0] = None
+            code = os.waitstatus_to_exitcode(status)
+            if code or not data:
+                how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                raise WorkerLost(f"a worker process ended without its results ({how})")
+            out, failure = pickle.loads(data)
+            if failure is not None:
+                raise failure
+            solutions.update(zip(run, out))
+        return [solutions[k] for k in range(len(jobs))]
+    finally:
+        for pid, r, _ in children:
+            if r is not None:
+                os.close(r)
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 # ---------------------------------------------------------------------------
 # Mechanism extraction and certification
 # ---------------------------------------------------------------------------
@@ -507,21 +626,30 @@ class CertificationReport:
         }
 
 
+def certify_specs(specs: Sequence[AuctionSpec]) -> list[CertificationReport]:
+    """`certify_main_theorem` over specs, whose 2 * len(specs) programs are
+    solved as one batch (`solve_auction_lps`), each spec's DIC program
+    before its BIC one."""
+    sols = solve_auction_lps([(s.n, s.dist, regime) for s in specs for regime in ("dic", "bic")])
+    reports = []
+    for spec, sol_d, sol_b in zip(specs, sols[::2], sols[1::2]):
+        r_d = revenue_dic(spec)
+        r_b = revenue_bic(spec)
+        reports.append(CertificationReport(
+            spec=spec,
+            lp_dic=sol_d.optimum,
+            r_dic=r_d,
+            equal_dic=sol_d.optimum == r_d,
+            lp_bic=sol_b.optimum,
+            r_bic=r_b,
+            equal_bic=sol_b.optimum == r_b,
+        ))
+    return reports
+
+
 def certify_main_theorem(spec: AuctionSpec) -> CertificationReport:
     """Exact equality test between the LP optima and the closed forms."""
-    sol_d = solve_auction_lp(spec.n, spec.dist, "dic")
-    sol_b = solve_auction_lp(spec.n, spec.dist, "bic")
-    r_d = revenue_dic(spec)
-    r_b = revenue_bic(spec)
-    return CertificationReport(
-        spec=spec,
-        lp_dic=sol_d.optimum,
-        r_dic=r_d,
-        equal_dic=sol_d.optimum == r_d,
-        lp_bic=sol_b.optimum,
-        r_bic=r_b,
-        equal_bic=sol_b.optimum == r_b,
-    )
+    return certify_specs([spec])[0]
 
 
 # ---------------------------------------------------------------------------

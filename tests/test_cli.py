@@ -433,14 +433,17 @@ class TestContinuous:
         assert [r["impl"] for r in rows] == ["bic"]
 
     def test_single_impl_solves_only_its_program(self, capsys, monkeypatch):
+        # The cells are one batch; it is small, so it is solved in process.
+        from twopoint_auctions import oracle
+
         regimes = []
-        solve = continuous.solve_auction_lp
+        solve = oracle.solve_auction_lp
 
         def recorded(n, dist, regime):
             regimes.append(regime)
             return solve(n, dist, regime)
 
-        monkeypatch.setattr(continuous, "solve_auction_lp", recorded)
+        monkeypatch.setattr(oracle, "solve_auction_lp", recorded)
         code, out, _ = run(capsys, "continuous", "--a-list", "10,20",
                            "--grid-m", "1", "--impl", "dic")
         assert code == 0 and regimes == ["dic", "dic"]

@@ -452,7 +452,7 @@ def copy_tableau(tab):
 def random_tableau(rng, m, ncols):
     """m constraint rows and an objective row of small sparse integers,
     each over its own denominator, in reduced form."""
-    tab = simplex._Tableau([])
+    rows, dens = [], []
     for _ in range(m + 1):
         cols = rng.sample(range(ncols), rng.randint(1, ncols // 2))
         row = {j: rng.choice((-4, -3, -2, -1, 1, 2, 3, 6)) for j in cols}
@@ -460,8 +460,10 @@ def random_tableau(rng, m, ncols):
         row = {j: x for j, x in row.items() if x}
         den = rng.choice((1, 1, 2, 3, 4, 6))
         g = math.gcd(den, *row.values())
-        tab.rows.append({j: x // g for j, x in row.items()})
-        tab.dens.append(den // g)
+        rows.append({j: x // g for j, x in row.items()})
+        dens.append(den // g)
+    tab = simplex._Tableau(rows)
+    tab.dens = dens
     return tab
 
 
