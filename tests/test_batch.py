@@ -84,13 +84,17 @@ def failing(*failures, exit_in_child=None):
 
 
 class TestSameResults:
-    def test_continuous_cell(self, monkeypatch, forks):
+    def test_continuous_cell(self, monkeypatch, forks, capsys):
         dist = discretize(ContinuousSpec(2, 10, 2, 2))
         jobs = [(2, dist, "dic"), (2, dist, "bic")]
         alone, spread = both_ways(monkeypatch, forks, lambda: oracle.solve_auction_lps(jobs))
         assert spread == alone
         assert [s.variables for s in spread] == [s.variables for s in alone]
         assert [s.pivots for s in alone] == [348, 158]
+        forks.clear()
+        argv = ["continuous", "--a-list", "10", "--grid-m", "2", "--impl", "both"]
+        alone, spread = both_ways(monkeypatch, forks, lambda: run_cli(capsys, argv))
+        assert spread == alone and alone[0] == 0
 
     def test_certify_n12(self, monkeypatch, forks, capsys):
         alone, spread = both_ways(monkeypatch, forks, lambda: run_cli(capsys, N12))
