@@ -50,6 +50,6 @@ from .oracle import (
     solve_auction_lps,
 )
 from .simplex import LinearProgram, LPSolution, solve
-from .continuous import ContinuousSpec, corollary_probe, discretize, lp_over_grid
+from .continuous import ContinuousSpec, corollary_probe, discretize
 
 __version__ = "0.1.0"

@@ -104,10 +104,10 @@ def check_ir(mech: Mechanism) -> AuditReport:
     """u_i(t) >= 0 for every buyer and profile, checked once per cell."""
     violations = []
     if min(mech.u) < 0:
-        cells = mech.cells()
-        for pos, profile in enumerate(mech.profiles()):
-            for i, buyer_cells in enumerate(cells):
-                u = mech.u[buyer_cells[pos]]
+        table = profile_table(mech.n, mech.dist)
+        for profile, *cells in zip(table.profiles, *table.cells):
+            for i, x in enumerate(cells):
+                u = mech.u[x]
                 if u < 0:
                     others = profile[:i] + profile[i + 1 :]
                     violations.append(Violation(

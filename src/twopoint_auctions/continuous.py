@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .core import AuctionSpec, FiniteValueDistribution, InvalidSpec, rat
 from .formulas import revenue_bic, revenue_dic
-from .oracle import solve_auction_lp, solve_auction_lps
+from .oracle import solve_auction_lps
 
 #: Additive error windows above r*a for the true continuous optima at lam=2,
 #: valid for a >= 6: [r_D*a, r_D*a + 5/4) and [r_B*a, r_B*a + 3/2).
@@ -62,11 +62,6 @@ def discretize(cspec: ContinuousSpec) -> FiniteValueDistribution:
             atoms.append(left + Fraction(2 * s + 1, 2 * m))
     w = Fraction(1, 2 * m)
     return FiniteValueDistribution(tuple(atoms), tuple(w for _ in atoms))
-
-
-def lp_over_grid(cspec: ContinuousSpec, impl: str) -> Fraction:
-    """Exact LP optimum of the discretized instance, impl in {'dic','bic'}."""
-    return solve_auction_lp(cspec.n, discretize(cspec), impl).optimum
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ appear only in rendered output.  Rationals cross the API and the output as
 fractions.Fraction.  Sums over the profiles run over their type-count
 classes (`profile_classes`, `class_weights`) in integers over one stated
 denominator and build a Fraction only for a value that leaves them; only
-readers by profile walk `profile_table`.
+readers by profile walk `profile_table`, the one capped per-profile
+structure, whose `cells` give each buyer's type-count cell at each profile.
 
 Every buyer-item value is drawn from one finite marginal, a
 `FiniteValueDistribution`.  A buyer type is the index pair (x1, x2) into its
@@ -28,7 +29,7 @@ from fractions import Fraction
 from operator import add
 from typing import Sequence
 
-#: Default ceiling on the number of profiles handled exhaustively: n=8
+#: Ceiling on the number of profiles handled exhaustively: n=8
 #: buyers of two-point types.  Memory grows about fourfold per buyer; a
 #: checked n=8 mechanism written as JSON takes about 0.3 s and peaks near
 #: 35 MB on a 2-vCPU VM, so n=10 would need several hundred MB.
@@ -173,8 +174,11 @@ def scaled(xs: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
 @dataclass(frozen=True)
 class ProfileTable:
     """Every profile of n buyers in lexicographic order, buyer 0 varying
-    slowest and each buyer's types in `buyer_types` order, and its
-    probability as the integer `weights[k]` over `scale`.
+    slowest and each buyer's types in `buyer_types` order, its
+    probability as the integer `weights[k]` over `scale`, and per buyer an
+    array over the profiles of the type-count cell the buyer holds there:
+    class * T + its own type index, for T types and the profile's class in
+    `profile_classes` order.
 
     A profile's position, written in base T = k^2 for k atoms, lists its
     buyers' type indices (x1 * k + x2), buyer 0 most significant, so buyer
@@ -184,29 +188,28 @@ class ProfileTable:
     profiles: tuple
     weights: tuple
     scale: int
+    cells: tuple
 
 
-def check_profile_cap(
-    n: int, dist: FiniteValueDistribution, cap: int = DEFAULT_PROFILE_CAP
-) -> None:
-    """Refuse, with CapExceeded, n buyers whose profiles outnumber the cap."""
+def check_profile_cap(n: int, dist: FiniteValueDistribution) -> None:
+    """Refuse, with CapExceeded, n buyers whose profiles outnumber
+    `DEFAULT_PROFILE_CAP`."""
     n_types = len(dist.values) ** 2
     count = n_types ** n
-    if count > cap:
+    if count > DEFAULT_PROFILE_CAP:
         raise CapExceeded(
             f"instance too large for exhaustive mode: {n_types}^{n} = {count} "
-            f"profiles exceeds the cap of {cap}"
+            f"profiles exceeds the cap of {DEFAULT_PROFILE_CAP}"
         )
 
 
-def profile_table(
-    n: int, dist: FiniteValueDistribution, cap: int = DEFAULT_PROFILE_CAP
-) -> ProfileTable:
-    """The profiles and their probabilities, over the scale
-    lcm(prob denominators)^(2n).  A table depends on the atoms' masses
-    alone, not on their values; the tables of the last few (n, masses)
-    pairs are kept for the next caller."""
-    check_profile_cap(n, dist, cap)
+def profile_table(n: int, dist: FiniteValueDistribution) -> ProfileTable:
+    """The profiles, their probabilities over the scale
+    lcm(prob denominators)^(2n), and each buyer's cells, after the cap
+    check.  A table depends on the atoms' masses alone, not on their
+    values; the tables of the last few (n, masses) pairs are kept for the
+    next caller."""
+    check_profile_cap(n, dist)
     return _profile_table(n, dist.probs)
 
 
@@ -220,9 +223,14 @@ def _profile_table(n: int, masses: tuple) -> ProfileTable:
     weights = [1]
     for _ in range(n):
         weights = [w * v for w in weights for v in type_weights]
-    return ProfileTable(
-        tuple(itertools.product(types, repeat=n)), tuple(weights), den ** (2 * n)
-    )
+    # A sorted profile of type indices names its class.
+    index = {s: k * len(types) for k, s in enumerate(
+        itertools.combinations_with_replacement(range(len(types)), n))}
+    positions = list(itertools.product(range(len(types)), repeat=n))
+    base = [index[tuple(sorted(t))] for t in positions]
+    cells = tuple(array("I", map(add, base, own)) for own in zip(*positions))
+    return ProfileTable(tuple(itertools.product(types, repeat=n)), tuple(weights),
+                        den ** (2 * n), cells)
 
 
 @functools.lru_cache(maxsize=4)
@@ -255,29 +263,13 @@ def class_weights(n: int, masses: tuple) -> tuple[tuple, int]:
 
 
 @functools.lru_cache(maxsize=4)
-def class_cells(n: int, n_types: int) -> tuple[tuple, tuple]:
-    """The type-count classes of n buyers' profiles, and the cell at which
-    each buyer meets them: the one symmetry index of the package.
-
-    Returns the classes' counts as `profile_classes` does, and per buyer an
-    array over the profile positions of its cell, class * n_types + its own
-    type index.  Only the readers by profile need these arrays: the export,
-    the per-profile views and the failure listings."""
-    sorted_profiles = itertools.combinations_with_replacement(range(n_types), n)
-    index = {s: k * n_types for k, s in enumerate(sorted_profiles)}
-    profiles = list(itertools.product(range(n_types), repeat=n))
-    base = [index[tuple(sorted(t))] for t in profiles]
-    cells = tuple(array("I", map(add, base, own)) for own in zip(*profiles))
-    return profile_classes(n, n_types), cells
-
-
-@functools.lru_cache(maxsize=4)
 def opponent_cells(n: int, n_types: int) -> tuple:
     """Where a buyer among n meets its opponents' type-count classes: per
     class of the other n - 1 buyers (`profile_classes(n - 1)` order), the
-    cell of `class_cells(n)` that a buyer of each type index holds against
-    it.  Every buyer holds that one cell against every opponent profile of
-    the class, so a table over the cells reads the same for each of them."""
+    type-count cell of n buyers (`ProfileTable.cells`) that a buyer of each
+    type index holds against it.  Every buyer holds that one cell against
+    every opponent profile of the class, so a table over the cells reads
+    the same for each of them."""
     index = {key: k for k, key in enumerate(profile_classes(n, n_types))}
     return tuple(
         array("I", [index[key[:x] + (key[x] + 1,) + key[x + 1:]] * n_types + x

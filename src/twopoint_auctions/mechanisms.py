@@ -3,12 +3,12 @@
 Every mechanism here is symmetric across buyers and items: a buyer's
 shares and utility depend only on its own type and on how many buyers hold
 each type.  A mechanism is therefore stored once per type-count cell
-(`class_cells`: the profile's class and the buyer's own type) as three
-tables, the share of item 1, the share of item 2 and the utility, integers
-over one common denominator.  Every consumer (the audits, the interim
-table, the export and the LP certificate) reads the cells;
-`Mechanism.allocation` and `Mechanism.utility` are read-only per-profile
-views of them.  Payments are always derived as s_i(t) = q_i(t).t_i - u_i(t).
+(the profile's class and the buyer's own type) as three tables, the share
+of item 1, the share of item 2 and the utility, integers over one common
+denominator.  Every consumer (the audits, the interim table, the export
+and the LP certificate) reads the cells; a reader by profile finds each
+buyer's cell in `ProfileTable.cells`.  Payments are always derived as
+s_i(t) = q_i(t).t_i - u_i(t).
 
 The dominant-strategy-optimal mechanism allocates each item through a
 ranked hierarchy of buyer types, with the ranking tightening as b grows
@@ -26,7 +26,6 @@ import functools
 import itertools
 import json
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as quote
@@ -37,7 +36,6 @@ from .core import (
     FiniteValueDistribution,
     HierarchyScheme,
     buyer_types,
-    class_cells,
     class_weights,
     opponent_cells,
     profile_classes,
@@ -73,32 +71,13 @@ class InterimTable:
     allocation: dict  # {type: (item 1 numerator, item 2 numerator)}
 
 
-class _ProfileView(Mapping):
-    """A read-only view of a mechanism's tables by profile: each profile
-    maps to a tuple over the buyers of `read(cell)`, read at each buyer's
-    cell (`class_cells`)."""
-
-    def __init__(self, mech: "Mechanism", read):
-        self._mech, self._read = mech, read
-
-    def __getitem__(self, profile):
-        pos = self._mech.position(profile)
-        return tuple(self._read(cells[pos]) for cells in self._mech.cells())
-
-    def __iter__(self):
-        return iter(self._mech.profiles())
-
-    def __len__(self):
-        return len(self._mech.dist.values) ** (2 * self._mech.n)
-
-
 @dataclass(frozen=True)
 class Mechanism:
     """A symmetric mechanism for n buyers whose values are drawn from
     `dist`, as three integer tables over the type-count cells of
-    `class_cells` and the one positive denominator `den`: a buyer at cell x
-    gets the share q1[x] / den of item 1 and q2[x] / den of item 2, and has
-    utility u[x] / den.  Cells that no profile holds are 0.
+    `ProfileTable.cells` and the one positive denominator `den`: a buyer at
+    cell x gets the share q1[x] / den of item 1 and q2[x] / den of item 2,
+    and has utility u[x] / den.  Cells that no profile holds are 0.
     """
 
     n: int
@@ -118,37 +97,6 @@ class Mechanism:
     def n_types(self) -> int:
         """The number of buyer types: the atoms squared."""
         return len(self.dist.values) ** 2
-
-    def cells(self) -> tuple:
-        """Each buyer's cell at each profile position (`class_cells`)."""
-        return class_cells(self.n, self.n_types)[1]
-
-    def profiles(self) -> tuple:
-        """The profiles in `profile_table` order."""
-        return profile_table(self.n, self.dist).profiles
-
-    def position(self, profile) -> int:
-        """The profile's position in `profile_table` order; KeyError when
-        it is not a profile of this mechanism."""
-        k = len(self.dist.values)
-        if len(profile) != self.n:
-            raise KeyError(profile)
-        pos = 0
-        for x1, x2 in profile:
-            if not (0 <= x1 < k and 0 <= x2 < k):
-                raise KeyError(profile)
-            pos = (pos * k + x1) * k + x2
-        return pos
-
-    @property
-    def allocation(self) -> Mapping:
-        """Profile -> tuple over buyers of (item 1, item 2) share numerators."""
-        return _ProfileView(self, lambda x: (self.q1[x], self.q2[x]))
-
-    @property
-    def utility(self) -> Mapping:
-        """Profile -> tuple over buyers of utility numerators."""
-        return _ProfileView(self, self.u.__getitem__)
 
     @functools.cached_property
     def interim(self) -> InterimTable:
@@ -208,7 +156,7 @@ def _closed_form(
 
     The mechanism is symmetric, so a buyer's share pair and utility depend
     only on its own type and on how many opponents hold each type.  Both are
-    computed once per cell of `class_cells`, a class of profiles with the
+    computed once per type-count cell, a class of profiles with the
     same type counts (C(n+3, 3) classes for 4^n profiles) and an own type.
     The symmetric auction LP numbers its columns by the same cells.
 
@@ -336,7 +284,8 @@ def mechanism_to_json(mech: Mechanism, checks, out: TextIO) -> None:
     than one row's text is held at a time.  A buyer's texts at a profile
     depend only on its cell: each cell's type, shares and utility are
     quoted, and its payment q.t - u computed, once, and each buyer's cells
-    (`class_cells`) are read through that table."""
+    (`ProfileTable.cells`) are read through that table.  The profile cap
+    refuses an instance before anything is written."""
     n, dist = mech.n, mech.dist
     (p, _), (a, b) = dist.probs, dist.values
     table = profile_table(n, dist)
@@ -360,7 +309,7 @@ def mechanism_to_json(mech: Mechanism, checks, out: TextIO) -> None:
     write = out.write
     write('{\n  "spec": ' + _nested(AuctionSpec(n, p, a, b).to_json())
           + ',\n  "label": ' + quote(mech.label) + ',\n  "profiles": [\n')
-    buyers = [map(cell_texts.__getitem__, cells) for cells in mech.cells()]
+    buyers = [map(cell_texts.__getitem__, cells) for cells in table.cells]
     sep = ""
     for w, row in zip(table.weights, zip(*buyers)):
         profile, shares, utils, pays = zip(*row)

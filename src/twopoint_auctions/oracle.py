@@ -45,9 +45,9 @@ The program stays in integers from the builder to the mechanism audit:
 every row and the objective are summed and deduplicated over one scale per
 program and handed to the solver in lowest terms, and the solver's primal,
 integers over one denominator, becomes the mechanism's tables directly.
-The symmetric program's columns are the type-count cells of `class_cells`,
-the index the closed-form mechanisms are built on, joined under the item
-swap; they depend only on n, the number of atoms and the regime, so one
+The symmetric program's columns are the type-count cells (class and own
+type), the index the closed-form mechanisms are built on, joined under the
+item swap; they depend only on n, the number of atoms and the regime, so one
 column map per (n, atoms, regime) serves every build and extraction.  The
 objective and every row are summed over the classes and the opponents'
 classes (`opponent_cells`), weighted by their probabilities

@@ -10,9 +10,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from twopoint_auctions.core import (
-    DEFAULT_PROFILE_CAP,
     AuctionSpec,
-    class_cells,
+    _profile_table,
+    buyer_types,
+    profile_classes,
     profile_table,
     rat_str,
     scaled,
@@ -85,13 +86,42 @@ def collapsed_two_point_spec(cspec) -> AuctionSpec:
     )
 
 
-def enumerate_profiles(n, dist, cap=DEFAULT_PROFILE_CAP):
+def enumerate_profiles(n, dist):
     """All (k^2)^n profiles in `profile_table` order (lexicographic, buyer 0
-    slowest), each with its exact probability as a Fraction."""
-    table = profile_table(n, dist, cap)
+    slowest), each with its exact probability as a Fraction, past the
+    profile cap too."""
+    table = _profile_table(n, dist.probs)
     return [
         (t, Fraction(w, table.scale)) for t, w in zip(table.profiles, table.weights)
     ]
+
+
+@functools.cache
+def _class_index(n, n_types):
+    return {key: k for k, key in enumerate(profile_classes(n, n_types))}
+
+
+def cells_at(dist, profile):
+    """Each buyer's type-count cell at the profile, read from the profile's
+    own type counts: class * T + the buyer's type index, for T types and
+    the classes in `profile_classes` order.  The reference for
+    `ProfileTable.cells`."""
+    k = len(dist.values)
+    own = [x1 * k + x2 for x1, x2 in profile]
+    key = tuple(map(own.count, range(k * k)))
+    base = _class_index(len(profile), k * k)[key] * k * k
+    return tuple(base + x for x in own)
+
+
+def shares_at(mech, profile):
+    """Each buyer's (item 1, item 2) share numerators over `mech.den` at
+    the profile, read at its cell (`cells_at`)."""
+    return tuple((mech.q1[x], mech.q2[x]) for x in cells_at(mech.dist, profile))
+
+
+def utils_at(mech, profile):
+    """Each buyer's utility numerator over `mech.den` at the profile."""
+    return tuple(mech.u[x] for x in cells_at(mech.dist, profile))
 
 
 def insert(others, i, t):
@@ -115,7 +145,6 @@ def mechanism_doc(mech, checks=None):
     n, dist = mech.n, mech.dist
     (p, _), (a, b) = dist.probs, dist.values
     table = profile_table(n, dist)
-    weight = dict(zip(table.profiles, table.weights))
     vals, vden = scaled(dist.values)
 
     # Each distinct numerator is reduced and printed once.
@@ -126,12 +155,12 @@ def mechanism_doc(mech, checks=None):
     entry_str = formatter(mech.den)
     pay_str = formatter(mech.den * vden)
     rows = []
-    for profile, shares in mech.allocation.items():
-        utils = mech.utility[profile]
+    for profile, w in zip(table.profiles, table.weights):
+        shares, utils = shares_at(mech, profile), utils_at(mech, profile)
         rows.append(
             {
                 "profile": [type_label(t) for t in profile],
-                "probability": prob_str(weight[profile]),
+                "probability": prob_str(w),
                 "allocation": [[entry_str(q1), entry_str(q2)] for q1, q2 in shares],
                 "utility": [entry_str(u) for u in utils],
                 "payment": [
@@ -162,19 +191,18 @@ def from_tables(dist, label, allocation, utility, den):
     maps each profile to its buyers' (q1, q2) numerators and `utility` to
     their utility numerators.  Every profile of the type model must be a
     key, and the tables must be a function of the type-count cell: every
-    buyer that holds one cell (`class_cells`) at some profile holds the same
+    buyer that holds one cell (`cells_at`) at some profile holds the same
     entries there.  ValueError otherwise."""
-    profiles = profile_table(len(next(iter(allocation))), dist).profiles
+    n, n_types = len(next(iter(allocation))), len(dist.values) ** 2
+    profiles = list(itertools.product(buyer_types(dist), repeat=n))
     if set(allocation) != set(profiles) or set(utility) != set(profiles):
         raise ValueError("the tables do not cover the profiles exactly")
-    n, n_types = len(profiles[0]), len(dist.values) ** 2
-    keys, cells = class_cells(n, n_types)
     entries = {}
-    for pos, t in enumerate(profiles):
-        for i, (shares, u) in enumerate(zip(allocation[t], utility[t])):
-            if entries.setdefault(cells[i][pos], (*shares, u)) != (*shares, u):
+    for t in profiles:
+        for i, (x, shares, u) in enumerate(zip(cells_at(dist, t), allocation[t], utility[t])):
+            if entries.setdefault(x, (*shares, u)) != (*shares, u):
                 raise ValueError(f"the tables differ within the cell of buyer {i} at {t}")
-    tables = [[0] * (len(keys) * n_types) for _ in range(3)]
+    tables = [[0] * (len(profile_classes(n, n_types)) * n_types) for _ in range(3)]
     for x, row in entries.items():
         for table, value in zip(tables, row):
             table[x] = value
@@ -185,13 +213,11 @@ def cell_tables(n, dist, draw):
     """Allocation and utility tables by profile that are a function of the
     type-count cell: `draw()` gives a cell's (share pair, utility) when the
     cell is first met, in profile and then buyer order."""
-    _, cells = class_cells(n, len(dist.values) ** 2)
     drawn = {}
     allocation, utility = {}, {}
-    for pos, t in enumerate(profile_table(n, dist).profiles):
+    for t in itertools.product(buyer_types(dist), repeat=n):
         row = []
-        for buyer_cells in cells:
-            x = buyer_cells[pos]
+        for x in cells_at(dist, t):
             if x not in drawn:
                 drawn[x] = draw()
             row.append(drawn[x])
@@ -219,19 +245,19 @@ def from_rationals(dist, label, allocation, utility):
 
 def q_of(mech, i, profile):
     """Buyer i's shares of the two items at the profile."""
-    q1, q2 = mech.allocation[profile][i]
+    q1, q2 = shares_at(mech, profile)[i]
     return Fraction(q1, mech.den), Fraction(q2, mech.den)
 
 
 def u_of(mech, i, profile):
     """Buyer i's utility at the profile."""
-    return Fraction(mech.utility[profile][i], mech.den)
+    return Fraction(utils_at(mech, profile)[i], mech.den)
 
 
 def payment_of(mech, i, profile):
     """Buyer i's payment q_i.t_i - u_i at the profile."""
     vals, vden = scaled(mech.dist.values)
-    row = payment_row(vals, vden, mech.allocation[profile], mech.utility[profile], profile)
+    row = payment_row(vals, vden, shares_at(mech, profile), utils_at(mech, profile), profile)
     return Fraction(row[i], mech.den * vden)
 
 
@@ -242,9 +268,9 @@ def payments(mech):
     return {
         t: tuple(
             Fraction(s, scale)
-            for s in payment_row(vals, vden, shares, mech.utility[t], t)
+            for s in payment_row(vals, vden, shares_at(mech, t), utils_at(mech, t), t)
         )
-        for t, shares in mech.allocation.items()
+        for t in itertools.product(buyer_types(mech.dist), repeat=mech.n)
     }
 
 
@@ -550,7 +576,7 @@ def qu_statistics(mech):
     the five class families."""
     table = profile_table(mech.n, mech.dist)
     weight = dict(zip(table.profiles, table.weights))
-    sets = class_sets(mech.profiles())
+    sets = class_sets(table.profiles)
     scale = table.scale * mech.den
     stats = {}
     for name, profiles in sets.items():
@@ -558,7 +584,7 @@ def qu_statistics(mech):
         for profile in profiles:
             w = weight[profile]
             cheap = cheap_items(profile)
-            for (q1, q2), u in zip(mech.allocation[profile], mech.utility[profile]):
+            for (q1, q2), u in zip(shares_at(mech, profile), utils_at(mech, profile)):
                 if cheap[0]:
                     q_mass += w * q1
                 if cheap[1]:

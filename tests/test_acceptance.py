@@ -33,7 +33,7 @@ from twopoint_auctions.audit import (
     expected_revenue,
 )
 from twopoint_auctions.oracle import certification_grid, certify_main_theorem
-from twopoint_auctions.continuous import ContinuousSpec, lp_over_grid
+from twopoint_auctions.continuous import ContinuousSpec, discretize
 from twopoint_auctions.oracle import solve_auction_lp
 
 from helpers import (
@@ -196,8 +196,8 @@ class TestCriterion8:
         for grid_m in (1, 2):
             for a in (F(10), F(20), F(40)):
                 cspec = ContinuousSpec(2, a, 2, grid_m)
-                lp_d = lp_over_grid(cspec, "dic")
-                lp_b = lp_over_grid(cspec, "bic")
+                lp_d = solve_auction_lp(2, discretize(cspec), "dic").optimum
+                lp_b = solve_auction_lp(2, discretize(cspec), "bic").optimum
                 assert lp_b > lp_d
                 values[(grid_m, a)] = (lp_d, lp_b)
         # collapse consistency at grid_m=1 against the two-point oracle

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -7,13 +8,17 @@ import pytest
 from twopoint_auctions.continuous import ContinuousSpec, discretize
 from twopoint_auctions.core import (
     AuctionSpec,
+    CapExceeded,
     FiniteValueDistribution,
     buyer_types,
+    profile_classes,
 )
 from twopoint_auctions.formulas import breakpoints, indicator_flags
 from twopoint_auctions.mechanisms import (
+    Mechanism,
     build_bic_mechanism,
     build_dic_mechanism,
+    mechanism_to_json,
 )
 from twopoint_auctions.audit import (
     AuditReport,
@@ -29,6 +34,7 @@ from twopoint_auctions.oracle import extract_mechanism, solve_auction_lp
 
 from helpers import (
     cell_tables,
+    cells_at,
     cheap_items,
     class_sets,
     enumerate_profiles,
@@ -64,11 +70,10 @@ def with_cell(mech, profile, buyer, shares=None, utility=None):
     """The mechanism with the share pair or the utility at one entry's cell
     replaced by rationals: every buyer that holds the cell of `buyer` at
     `profile`, at any profile, takes them."""
-    cells = mech.cells()
-    planted = cells[buyer][mech.position(profile)]
+    planted = cells_at(mech.dist, profile)[buyer]
     allocation, utilities = {}, {}
-    for pos, t in enumerate(mech.profiles()):
-        at = [cells[i][pos] == planted for i in range(mech.n)]
+    for t in profiles_of(mech):
+        at = [x == planted for x in cells_at(mech.dist, t)]
         allocation[t] = tuple(shares if here and shares is not None else q_of(mech, i, t)
                               for i, here in enumerate(at))
         utilities[t] = tuple(utility if here and utility is not None else u_of(mech, i, t)
@@ -160,6 +165,40 @@ class TestIR:
     def test_constraint_count(self):
         report = check_ir(build_dic_mechanism(EXAMPLE))
         assert report.n_constraints == 2 * 16
+
+
+class TestProfileCapBeforeWork:
+    """Past the profile cap, the readers by profile refuse a mechanism
+    before they build anything per profile."""
+
+    @staticmethod
+    def _negative_at_n9():
+        # 4^9 profiles; the cell every buyer holds at the all-low profile
+        # has utility -1.
+        size = len(profile_classes(9, 4)) * 4
+        zeros = (0,) * size
+        return Mechanism(9, EXAMPLE.dist, "custom", 1, zeros, zeros, (-1,) + zeros[1:])
+
+    def test_ir_listing_is_refused_before_any_table(self):
+        mech = self._negative_at_n9()
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded, match=r"4\^9 = 262144 profiles"):
+                check_ir(mech)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_export_is_refused_before_any_write(self):
+        writes = []
+
+        class Recorder:
+            write = writes.append
+
+        with pytest.raises(CapExceeded, match=r"4\^9 = 262144 profiles"):
+            mechanism_to_json(self._negative_at_n9(), None, Recorder())
+        assert writes == []
 
 
 class TestDIC:
@@ -513,7 +552,7 @@ def ref_check_bic(mech):
 def ref_qu_statistics(mech):
     probs = dict(ref_enumerate_profiles(mech.n, mech.dist))
     stats = {}
-    for name, profiles in class_sets(mech.profiles()).items():
+    for name, profiles in class_sets(profiles_of(mech)).items():
         q_mass = u_mass = F(0)
         for profile in profiles:
             prob = probs[profile]

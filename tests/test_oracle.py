@@ -12,7 +12,6 @@ from twopoint_auctions.core import (
     CapExceeded,
     FiniteValueDistribution,
     buyer_types,
-    class_cells,
 )
 from twopoint_auctions.formulas import breakpoints, price_b_revenue, revenue_bic, revenue_dic
 from twopoint_auctions.mechanisms import build_bic_mechanism, build_dic_mechanism
@@ -37,6 +36,7 @@ from twopoint_auctions.continuous import ContinuousSpec, discretize
 from twopoint_auctions.simplex import _violated, solve
 
 from helpers import (
+    cells_at,
     enumerate_profiles,
     extract_from_assignment,
     from_rationals,
@@ -48,6 +48,7 @@ from helpers import (
     q_of,
     reference_columns,
     representative,
+    shares_at,
     u_of,
 )
 
@@ -251,7 +252,7 @@ class TestMechanismExtraction:
         sol_b = solve_auction_lp(2, dist, "bic")
         assert (sol_d.optimum, sol_b.optimum) == (F(109, 27), F(110, 27))
         mech_d = extract_mechanism(2, dist, sol_d)
-        assert mech_d.n == 2 and len(mech_d.profiles()) == 81
+        assert mech_d.n == 2 and mech_d.n_types ** mech_d.n == 81
         assert check_ir(mech_d).passed
         assert check_dic(mech_d).passed
         assert expected_revenue(mech_d) == F(109, 27)
@@ -417,14 +418,14 @@ class TestOptimumCertificate:
         # of the cell every buyer holds at the all-low profile.
         sol = solve_auction_lp(EXAMPLE.n, EXAMPLE.dist, "dic")
         mech = extract_mechanism(EXAMPLE.n, EXAMPLE.dist, sol)
-        cells = mech.cells()
-        planted = cells[0][0]
+        profiles = [t for t, _ in enumerate_profiles(mech.n, mech.dist)]
+        planted = cells_at(mech.dist, profiles[0])[0]
         allocation = {
-            t: tuple(change(q_of(mech, i, t)) if cells[i][pos] == planted else q_of(mech, i, t)
-                     for i in range(mech.n))
-            for pos, t in enumerate(mech.profiles())
+            t: tuple(change(q_of(mech, i, t)) if x == planted else q_of(mech, i, t)
+                     for i, x in enumerate(cells_at(mech.dist, t)))
+            for t in profiles
         }
-        utility = {t: tuple(u_of(mech, i, t) for i in range(mech.n)) for t in mech.profiles()}
+        utility = {t: tuple(u_of(mech, i, t) for i in range(mech.n)) for t in profiles}
         return from_rationals(mech.dist, mech.label, allocation, utility), sol.optimum
 
     def test_over_allocation_is_refused(self):
@@ -446,7 +447,8 @@ class TestOptimumCertificate:
 def _walked_share_failure(mech):
     """The first share failure met walking the profiles, as
     `certify_optimum` names it."""
-    for t, shares in mech.allocation.items():
+    for t, _ in enumerate_profiles(mech.n, mech.dist):
+        shares = shares_at(mech, t)
         if any(q < 0 for q_i in shares for q in q_i):
             return f"negative allocation at {t}"
         for j in range(2):
@@ -484,7 +486,8 @@ class TestCertificateFailureWithoutProfiles:
         spec = AuctionSpec(n, F(1, 2), 1, 2)
         mech = build_dic_mechanism(spec)
         rng = random.Random(n)
-        held = sorted({x for cells in mech.cells() for x in cells})
+        held = sorted({x for t, _ in enumerate_profiles(n, spec.dist)
+                       for x in cells_at(spec.dist, t)})
         for _ in range(20):
             tables = [list(mech.q1), list(mech.q2)]
             for x in rng.sample(held, 2):
@@ -624,8 +627,7 @@ class TestIntegerExtraction:
         mech = extract_mechanism(n, dist, sol, label="lp")
         ref = extract_from_assignment(dist, full_assignment(n, dist, sol), label="lp")
         assert (mech.dist, mech.label, mech.den) == (ref.dist, ref.label, ref.den)
-        assert list(mech.allocation.items()) == list(ref.allocation.items())
-        assert list(mech.utility.items()) == list(ref.utility.items())
+        assert (mech.q1, mech.q2, mech.u) == (ref.q1, ref.q2, ref.u)
 
     def test_refuses_a_solution_of_another_program(self):
         sol = solve_auction_lp(2, EXAMPLE.dist, "dic")
@@ -806,12 +808,11 @@ class TestColumnMap:
         orbit, ref_names = reference_columns(n, n_atoms)
         names, (q1, q2, u) = oracle._columns(n, n_atoms, False)
         assert names == ref_names
-        _, cells = class_cells(n, n_atoms ** 2)
+        dist = FiniteValueDistribution(tuple(range(1, n_atoms + 1)), (F(1, n_atoms),) * n_atoms)
         u0 = 2 * n * n_atoms ** (2 * n)
         held = set()
-        for pos in range(n_atoms ** (2 * n)):
-            for i, buyer_cells in enumerate(cells):
-                x = buyer_cells[pos]
+        for pos, (t, _) in enumerate(enumerate_profiles(n, dist)):
+            for i, x in enumerate(cells_at(dist, t)):
                 held.add(x)
                 assert (q1[x], q2[x], u[x]) == (
                     orbit[2 * (n * pos + i)], orbit[2 * (n * pos + i) + 1],
