@@ -162,14 +162,17 @@ def check_dic(mech: Mechanism) -> AuditReport:
 
     Each (opponent class, type pair) is compared once (`_dic_failures`);
     the failures are then listed for every buyer and every opponent
-    profile of a failing class, the profile's class read from its type
-    counts."""
+    profile of a failing class, the profile's class read from the cell
+    that its first buyer holds in the n - 1 buyers' table.  With one
+    buyer the only opponent profile is the empty one, class 0."""
     n = mech.n
     types, pairs, _ = _type_pairs(mech.dist)
     found = _dic_failures(mech)
-    index = {key: k for k, key in enumerate(profile_classes(n - 1, len(types)))}
-    others_space = [(o, index[tuple(map(o.count, types))])
-                    for o in profile_table(n - 1, mech.dist).profiles] if any(found) else ()
+    others_space = ()
+    if any(found):
+        table, n_types = profile_table(n - 1, mech.dist), len(types)
+        classes = [x // n_types for x in table.cells[0]] if n > 1 else [0]
+        others_space = list(zip(table.profiles, classes))
     violations = [
         Violation(i, t_true, t_rep, others, *failed[k])
         for i in range(n)

@@ -11,17 +11,24 @@ A primal simplex over a sparse exact tableau.  Each row, the objective row
 included, is a dict of its nonzero integer entries over its own positive
 denominator, divided by their common gcd after every update, so the entries
 stay narrow.  A pivot touches only the rows with a nonzero in the entering
-column, which the ratio test has already collected, and rewrites only the
-pivot row's support in each of them; it rescales a whole row only when the
-pivot row's denominator does not divide that row's multiplier, its entry
-in the entering column.  The entering column is chosen by Devex pricing,
-the largest squared reduced cost over a reference weight that approximates
-the column's steepest-edge norm (Harris, "Pivot selection methods of the
-Devex LP code", Math. Prog. 1973); the weights are floats, updated on the
-pivot row's support, and only pick among the columns with a positive
-reduced cost, so the pivots themselves stay exact.  The solver falls back
-to Bland's rule, the anti-cycling guarantee, once it stalls on degenerate
-pivots.  The origin is feasible, so the solve starts at the slack basis.
+column, which a column index lists without a scan of every row, and
+rewrites only the pivot row's support in each of them; it rescales a whole
+row only when the pivot row's denominator does not divide that row's
+multiplier, its entry in the entering column.  The index holds every
+constraint row holding each column, and may hold rows that have since lost
+it: it grows only on the rows that a pivot can fill in, and drops the stale
+rows when it is read.  The entering column is chosen by Devex pricing, the
+largest squared reduced cost over a reference weight that approximates the
+column's steepest-edge norm (Harris, "Pivot selection methods of the Devex
+LP code", Math. Prog. 1973); the weights are floats, updated on the pivot
+row's support, and only pick among the columns with a positive reduced
+cost, so the pivots themselves stay exact.  The scores are kept in a heap
+and recomputed only where a pivot changed them, on the pivot row's support,
+or all of them when the objective row's denominator changes or the weights
+reset; each is computed from the same numbers as a scan of the whole
+objective row, so the pick is the scan's.  The solver falls back to Bland's
+rule, the anti-cycling guarantee, once it stalls on degenerate pivots.  The
+origin is feasible, so the solve starts at the slack basis.
 Rows can also join in warm-started rounds, from a separation callback that
 is given each optimum and returns the rows it violates: they join the
 optimal tableau, each basic in its own slack, and dual simplex pivots under
@@ -43,6 +50,7 @@ views, and the rational row view.
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -163,20 +171,78 @@ class _Tableau:
     Row i is a dict {column: int} of its nonzero entries, the right-hand
     side under `RHS`, over its own positive denominator `dens[i]`; each
     update divides a row by the gcd of its entries and denominator, so a
-    row's form is unique.  A pivot changes a row holding the entering
-    column in place, on the pivot row's support alone, and copies the whole
-    row only to rescale it, when the pivot row's denominator does not
-    divide the row's entry in that column.
+    row's form is unique.  The last row is the objective row, and the rows
+    before it are the constraint rows.  A pivot changes a row holding the
+    entering column in place, on the pivot row's support alone, and copies
+    the whole row only to rescale it, when the pivot row's denominator does
+    not divide the row's entry in that column.
+
+    The column index finds the constraint rows holding a column without
+    scanning every row: the rows of `cols[j]` and of the parts in
+    `gained[j]` hold every constraint row holding column j.  They may also
+    hold rows that have since lost the column, and a row more than once.
+    `cols[j]` is a sorted list of rows, set when the tableau is made and
+    each time `holders` reads the column.  A row gains a column only in a
+    pivot on (r, s), which adds column s's holders to `gained[j]` as one
+    part for each column j of row r, or when it joins the tableau.  The
+    objective row is left out of the index: rows join just before that
+    row, which shifts no indexed row.
     """
 
     def __init__(self, rows):
         self.rows = rows
         self.dens = [1] * len(rows)
+        self.cols = cols = {}
+        for i in range(len(rows) - 1):
+            for j in rows[i]:
+                if j in cols:
+                    cols[j].append(i)
+                else:
+                    cols[j] = [i]
+        cols.pop(RHS, None)
+        self.gained = {}
+
+    def insert(self, row: dict, where: dict) -> int:
+        """Add `row`, over the denominator 1, as the last constraint row,
+        just before the objective row, and price it: clear every basic
+        column from it with that column's row.  `where` maps each basic
+        column to its row, which must hold the column as a unit column.
+        Returns the new row's index."""
+        rows, dens = self.rows, self.dens
+        i = len(rows) - 1
+        rows.insert(i, row)
+        dens.insert(i, 1)
+        for col in [j for j in row if j in where]:
+            r = where[col]
+            if rows[r].get(col) != dens[r]:
+                raise SimplexError("basic column is not a unit column")
+            self.clear(r, col, (i,))
+        if any(j in where for j in rows[i]):
+            raise SimplexError(f"a basic column is left in row {i}")
+        cols = self.cols
+        for j in rows[i]:
+            if j != RHS:
+                cols.setdefault(j, []).append(i)
+        return i
+
+    def holders(self, s: int) -> list:
+        """The constraint rows holding column s, in row order; they become
+        the column's index, and the caller must not change the list."""
+        rows, listed = self.rows, self.cols.get(s, ())
+        parts = self.gained.pop(s, None)
+        if parts is None:
+            live = [i for i in listed if s in rows[i]]
+        else:
+            parts.append(listed)
+            live = sorted({i for part in parts for i in part if s in rows[i]})
+        self.cols[s] = live
+        return live
 
     def pivot(self, r: int, s: int, holders: Sequence[int] | None = None):
-        """Make column s the unit column of row r: rescale row r and clear
-        column s from the other rows holding it, which `holders` lists
-        when the caller has already scanned for them."""
+        """Make column s the unit column of constraint row r: rescale row r
+        and clear column s from the other rows holding it, the objective row
+        included.  `holders` lists the constraint rows holding column s, in
+        row order, when the caller has already read them with `holders`."""
         rows, dens = self.rows, self.dens
         piv = rows[r].get(s, 0)
         if piv == 0:
@@ -184,8 +250,17 @@ class _Tableau:
         row = rows[r] if piv > 0 else {j: -x for j, x in rows[r].items()}
         rows[r], dens[r] = _reduced(row, abs(piv))
         if holders is None:
-            holders = [i for i, other in enumerate(rows) if s in other]
-        self.clear(r, s, holders)
+            holders = self.holders(s)
+        last = len(rows) - 1
+        self.clear(r, s, [*holders, last] if s in rows[last] else holders)
+        # A row that gained a column held column s and gained one of row r's.
+        gained = self.gained
+        for j in rows[r]:
+            if j in gained:
+                gained[j].append(holders)
+            else:
+                gained[j] = [holders]
+        gained.pop(RHS, None)
 
     def clear(self, r: int, s: int, targets: Sequence[int]):
         """Clear column s from each row of `targets` other than r with row
@@ -251,14 +326,27 @@ def _simplex_loop(tab: _Tableau, basis: list):
     exceeds 10 times 1 + |B⁻¹a_s|².  The weights are held as h_j =
     log2(w_j) / 2, which no width of the entries overflows, and only pick
     the entering column: that column always has a positive reduced cost,
-    and the ratio test and the pivot stay exact."""
+    and the ratio test and the pivot stay exact.
+
+    The scores log2(d_j) - h_j, d_j the objective row's numerator, are kept
+    in a heap of (-score, j), with `score` holding each positive reduced
+    cost's current entry, so the pick, the heap's least valid entry, is the
+    largest score and then the smallest column.  While the objective row's
+    denominator stays put, a pivot on row r changes the objective row and
+    h only on row r's support, so only those scores are recomputed, each
+    from the same d_j and h_j as a scan of the whole row would use: the
+    pick is the scan's.  When the denominator changes every numerator
+    changes, and when the weights reset every h_j does, and the heap is
+    rebuilt from the whole row.  The ratio test reads the rows holding the
+    entering column from the tableau's column index, in row order."""
     rows, dens = tab.rows, tab.dens
     m = len(basis)
     pivots = 0
     use_bland = False
     stall = 0
-    log2 = math.log2
+    log2, heappush = math.log2, heapq.heappush
     h = {}  # nonbasic column -> log2(w_j) / 2, absent for w_j = 1
+    score = heap = None  # column -> -score, and the (-score, column) heap
     while True:
         # The objective row's entries share one denominator, so the scores
         # compare the numerators.
@@ -266,24 +354,29 @@ def _simplex_loop(tab: _Tableau, basis: list):
         if use_bland:
             s = min((j for j, x in rows[m].items() if x > 0 and j != RHS), default=None)
         else:
-            best = 0.0
-            for j, x in rows[m].items():
-                if x > 0 and j != RHS:
-                    score = log2(x) - h.get(j, 0.0)
-                    if s is None or score > best or (score == best and j < s):
-                        s, best = j, score
+            if score is None:
+                score = {j: h.get(j, 0.0) - log2(x)
+                         for j, x in rows[m].items() if x > 0 and j != RHS}
+                heap = list(zip(score.values(), score))
+                heapq.heapify(heap)
+            while heap:
+                v, j = heap[0]
+                if score.get(j) == v:
+                    s = j
+                    break
+                heapq.heappop(heap)
         if s is None:
             return pivots
         # Ratio test: smallest rhs/col over rows with positive column entry
         # (each row's denominator cancels); ties resolved toward the
-        # smallest leaving basis index (Bland).  The rows holding column s,
-        # the objective row included, are the ones the pivot updates.
-        holders = [i for i, row in enumerate(rows) if s in row]
+        # smallest leaving basis index (Bland).  The constraint rows holding
+        # column s and the objective row are the ones the pivot updates.
+        holders = tab.holders(s)
         r = None
         best_num = best_col = None
         for i in holders:
             col = rows[i][s]
-            if col <= 0 or i >= m:
+            if col <= 0:
                 continue
             num = rows[i].get(RHS, 0)
             if r is None:
@@ -298,23 +391,41 @@ def _simplex_loop(tab: _Tableau, basis: list):
         degenerate = best_num == 0
         # The norm is at least 1, so only a weight above 10 needs it.
         hs = h.pop(s, 0.0)
+        obj_den = dens[m]
         if 2 * hs > _DEVEX_RESET and 2 * hs > _DEVEX_RESET + _log2_norm(
-                [(rows[i][s], dens[i]) for i in holders if i < m]):
+                [(rows[i][s], dens[i]) for i in holders]):
             h.clear()
             hs = 0.0
+            score = None
         tab.pivot(r, s, holders)
         basis[r] = s
         pivots += 1
         stall = stall + 1 if degenerate else 0
         use_bland = use_bland or stall > STALL_LIMIT
+        if use_bland or dens[m] != obj_den:
+            score = None
         # Row r's support is the nonbasic columns, the one that left
         # included, and its unit entry in column s.
         c = hs - log2(dens[r])
+        obj = rows[m]
         for j, x in rows[r].items():
             if j != s and j != RHS:
                 v = log2(abs(x)) + c
-                if v > h.get(j, 0.0):
-                    h[j] = v
+                hj = h.get(j, 0.0)
+                if v > hj:
+                    h[j] = hj = v
+                if score is not None:
+                    d = obj.get(j, 0)
+                    if d > 0:
+                        score[j] = v = hj - log2(d)
+                        heappush(heap, (v, j))
+                    else:
+                        score.pop(j, None)
+        if score is not None:
+            del score[s]
+            if len(heap) > 2 * len(score):
+                heap = list(zip(score.values(), score))
+                heapq.heapify(heap)
 
 
 def _log2_norm(entries) -> float:
@@ -447,20 +558,6 @@ class _Solver:
             out.append(row)
         return out
 
-    def _price(self, i: int, where: dict):
-        """Clear every basic column from row i with that column's row;
-        `where` maps each basic column to its row, which must hold the
-        column as a unit column."""
-        tab = self.tab
-        rows, dens = tab.rows, tab.dens
-        for col in [j for j in rows[i] if j in where]:
-            r = where[col]
-            if rows[r].get(col) != dens[r]:
-                raise SimplexError("basic column is not a unit column")
-            tab.clear(r, col, (i,))
-        if any(j in where for j in rows[i]):
-            raise SimplexError(f"a basic column is left in row {i}")
-
     def add_rows(self, new: Sequence[Constraint]) -> int:
         """Add the rows `new`, each violated at the optimal basis and each
         holding at the origin, to the program, and restore primal
@@ -474,13 +571,11 @@ class _Solver:
         feasible, and a dual simplex that ends primal feasible ends
         optimal."""
         tab, basis = self.tab, self.basis
-        rows, dens = tab.rows, tab.dens
+        rows = tab.rows
         where = {col: i for i, col in enumerate(basis)}
         self.lp.constraints += new
-        for i, row in enumerate(self._rows(new), len(basis)):
-            rows.insert(i, row)
-            dens.insert(i, 1)
-            self._price(i, where)
+        for row in self._rows(new):
+            i = tab.insert(row, where)
             if rows[i].get(RHS, 0) >= 0:
                 raise SimplexError("an added row holds at the current vertex")
             where[self.nvars + i] = i

@@ -526,6 +526,63 @@ def reference_pivot(tab, r, s):
         rows[i], dens[i] = reduced(new, dens[i] * den)
 
 
+def reference_simplex_loop(tab, basis, stall_limit):
+    """`simplex._simplex_loop` as first written, on `reference_pivot`: the
+    Devex pick scans the whole objective row at every pivot, and the ratio
+    test scans every row for the entering column.  Returns the pivots
+    made, each as (leaving row, entering column), how often the weights
+    were reset and the objective row's denominator changed, and whether
+    the pick fell back to Bland's rule."""
+    from twopoint_auctions.simplex import RHS, _DEVEX_RESET, _log2_norm
+
+    rows, dens = tab.rows, tab.dens
+    m = len(basis)
+    made, resets, den_changes = [], 0, 0
+    use_bland, stall, h = False, 0, {}
+    while True:
+        s = None
+        if use_bland:
+            s = min((j for j, x in rows[m].items() if x > 0 and j != RHS), default=None)
+        else:
+            best = 0.0
+            for j, x in rows[m].items():
+                if x > 0 and j != RHS:
+                    score = math.log2(x) - h.get(j, 0.0)
+                    if s is None or score > best or (score == best and j < s):
+                        s, best = j, score
+        if s is None:
+            return made, resets, den_changes, use_bland
+        holders = [i for i, row in enumerate(rows) if s in row]
+        r = best_num = best_col = None
+        for i in holders:
+            col = rows[i][s]
+            if col <= 0 or i >= m:
+                continue
+            num = rows[i].get(RHS, 0)
+            if r is None or num * best_col < best_num * col or (
+                    num * best_col == best_num * col and basis[i] < basis[r]):
+                r, best_num, best_col = i, num, col
+        hs = h.pop(s, 0.0)
+        if 2 * hs > _DEVEX_RESET and 2 * hs > _DEVEX_RESET + _log2_norm(
+                [(rows[i][s], dens[i]) for i in holders if i < m]):
+            h.clear()
+            hs = 0.0
+            resets += 1
+        obj_den = dens[m]
+        reference_pivot(tab, r, s)
+        den_changes += dens[m] != obj_den
+        basis[r] = s
+        made.append((r, s))
+        stall = stall + 1 if best_num == 0 else 0
+        use_bland = use_bland or stall > stall_limit
+        c = hs - math.log2(dens[r])
+        for j, x in rows[r].items():
+            if j != s and j != RHS:
+                v = math.log2(abs(x)) + c
+                if v > h.get(j, 0.0):
+                    h[j] = v
+
+
 # ---------------------------------------------------------------------------
 # Class mass statistics
 # ---------------------------------------------------------------------------

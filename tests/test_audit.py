@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import tracemalloc
@@ -237,6 +238,27 @@ class TestDIC:
         # u_0((b,b),others) = (b-a)/4 against rhs (b-a)*q^1 = (b-a)/2
         assert v.lhs == (spec.b - spec.a) / 4
         assert v.rhs == (spec.b - spec.a) / 2
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_listing_matches_the_per_profile_reference(self, n):
+        """The listing reads each opponent profile's class from the n - 1
+        buyers' cells (none at n = 1): every buyer, type pair and opponent
+        profile, in order, against `ref_check_dic`, on a random mechanism
+        that fails at many profiles and on a passing one: the null
+        mechanism at n = 1, and from n = 2 the Bayesian-optimal mechanism
+        (failing) and the dominant-strategy one (passing)."""
+        spec = AuctionSpec(max(n, 2), F(1, 2), 1, F(5, 4))
+        if n == 1:
+            zero = cell_tables(1, spec.dist, lambda: ((F(0), F(0)), F(0)))
+            mechs = [random_mechanism(spec.dist, 1, seed=1),
+                     from_rationals(spec.dist, "custom", *zero)]
+        else:
+            # At n = 6 the reference takes about 1.5 s a mechanism.
+            mechs = [random_mechanism(spec.dist, n, seed=n)] if n < 6 else []
+            mechs += [build_bic_mechanism(spec), build_dic_mechanism(spec)]
+        reports = [check_dic(mech) for mech in mechs]
+        assert reports == [ref_check_dic(mech) for mech in mechs]
+        assert [r.passed for r in reports] == [False] * (len(mechs) - 1) + [True]
 
     def test_violation_order_is_deterministic(self):
         r1 = check_dic(build_bic_mechanism(EXAMPLE))
@@ -490,6 +512,8 @@ def ref_check_dic(mech):
     n, values = mech.n, mech.dist.values
     types = buyer_types(mech.dist)
     others_space = [others for others, _ in ref_enumerate_profiles(n - 1, mech.dist)]
+    # Buyer i's utility and shares at each profile, read once per profile.
+    at = functools.cache(lambda i, profile: (u_of(mech, i, profile), q_of(mech, i, profile)))
     violations = []
     count = 0
     for i in range(n):
@@ -501,11 +525,9 @@ def ref_check_dic(mech):
                 d2 = values[t_true[1]] - values[t_rep[1]]
                 for others in others_space:
                     count += 1
-                    truthful = insert(others, i, t_true)
-                    deviated = insert(others, i, t_rep)
-                    q1, q2 = q_of(mech, i, deviated)
-                    lhs = u_of(mech, i, truthful)
-                    rhs = u_of(mech, i, deviated) + d1 * q1 + d2 * q2
+                    lhs = at(i, insert(others, i, t_true))[0]
+                    u, (q1, q2) = at(i, insert(others, i, t_rep))
+                    rhs = u + d1 * q1 + d2 * q2
                     if lhs < rhs:
                         violations.append(Violation(i, t_true, t_rep, others, lhs, rhs))
     return AuditReport("DIC", not violations, tuple(violations), count)

@@ -21,7 +21,7 @@ from twopoint_auctions.simplex import (
     solve,
 )
 
-from helpers import make_lp, n_constraints, reference_pivot, tag_pool
+from helpers import make_lp, n_constraints, reference_pivot, reference_simplex_loop, tag_pool
 
 
 def two_variable_lp():
@@ -467,10 +467,40 @@ def random_tableau(rng, m, ncols):
     return tab
 
 
+def assert_index(tab):
+    """The column index lists only constraint rows, and the rows it lists
+    that still hold a column are exactly the constraint rows holding it."""
+    rows, m = tab.rows, len(tab.rows) - 1
+    columns = {j for row in rows for j in row if j != simplex.RHS}
+    for j in columns | tab.cols.keys() | tab.gained.keys():
+        listed = {*tab.cols.get(j, ()), *(i for part in tab.gained.get(j, ()) for i in part)}
+        assert listed <= set(range(m))
+        assert {i for i in listed if j in rows[i]} == {i for i in range(m) if j in rows[i]}
+
+
+# The cold cases solve with every row in the model.  The lazy case
+# withholds every truthfulness row, so the relaxation's optimum breaks some
+# and the warm rounds make dual pivots.  n3-p3/4's DIC program resets the
+# Devex weights once, and every case changes the objective row's
+# denominator.
+SOLVER_CASES = pytest.mark.parametrize(
+    "n,dist,lazy",
+    [
+        (3, AuctionSpec(3, F(1, 4), 1, F(31, 30)).dist, ()),
+        (3, AuctionSpec(3, F(3, 4), 1, F(23, 14)).dist, ()),
+        (2, discretize(ContinuousSpec(2, 10, 2, 1)), ()),
+        (2, discretize(ContinuousSpec(2, 10, 2, 1)),
+         ("dic", "dic_local", "bic", "bic_local")),
+    ],
+    ids=["n3-p1/4", "n3-p3/4", "continuous-a10-m1", "continuous-a10-m1-lazy"],
+)
+
+
 class TestPivotKernel:
     """`_Tableau.pivot` against `helpers.reference_pivot`, which copies
     every row holding the entering column whole: the two must leave the
-    same rows and denominators after every pivot."""
+    same rows and denominators after every pivot, and the column index
+    must list the rows holding each column."""
 
     def test_random_tableaus(self):
         rng = random.Random(20261018)
@@ -488,25 +518,13 @@ class TestPivotKernel:
                 reference_pivot(ref, r, s)
                 tab.pivot(r, s)
                 assert tab.rows == ref.rows and tab.dens == ref.dens
+                assert_index(tab)
                 seen.update(pivot_cases(before, tab, r, s))
         assert seen == {"negative pivot", "den > 1", "rescaled", "in place",
                         "cancelled", "filled in"}
 
-    # The cold cases solve with every row in the model.  The lazy case
-    # withholds every truthfulness row, so the relaxation's optimum breaks
-    # some and the warm rounds make dual pivots.
     @pytest.mark.parametrize("regime", ["dic", "bic"])
-    @pytest.mark.parametrize(
-        "n,dist,lazy",
-        [
-            (3, AuctionSpec(3, F(1, 4), 1, F(31, 30)).dist, ()),
-            (3, AuctionSpec(3, F(3, 4), 1, F(23, 14)).dist, ()),
-            (2, discretize(ContinuousSpec(2, 10, 2, 1)), ()),
-            (2, discretize(ContinuousSpec(2, 10, 2, 1)),
-             ("dic", "dic_local", "bic", "bic_local")),
-        ],
-        ids=["n3-p1/4", "n3-p3/4", "continuous-a10-m1", "continuous-a10-m1-lazy"],
-    )
+    @SOLVER_CASES
     def test_solver_tableaus(self, monkeypatch, n, dist, lazy, regime):
         pivot = simplex._Tableau.pivot
         dual_simplex = simplex._dual_simplex
@@ -518,6 +536,7 @@ class TestPivotKernel:
             reference_pivot(ref, r, s)
             pivot(tab, r, s, holders)
             assert tab.rows == ref.rows and tab.dens == ref.dens
+            assert_index(tab)
             calls.append((r, s))
 
         def checked_dual(tab, basis):
@@ -529,6 +548,7 @@ class TestPivotKernel:
         def checked_add_rows(state, new):
             pivots = add_rows(state, new)
             assert_unit_basis(state.tab, state.basis)
+            assert_index(state.tab)
             warm_pivots.append(pivots)
             return pivots
 
@@ -547,6 +567,46 @@ class TestPivotKernel:
             sol = solve(lp)
             assert not dual_pivots
         assert len(calls) == sol.pivots > 0
+
+
+class TestIncrementalPricing:
+    """`_simplex_loop` keeps the Devex scores in a heap and reads the
+    entering column's rows from the index; `helpers.reference_simplex_loop`
+    rescans the objective row and every row at each pivot.  From each
+    solver tableau both must enter the same column and leave the same row
+    at every pivot."""
+
+    @pytest.mark.parametrize("stall_limit", [simplex.STALL_LIMIT, 0], ids=["devex", "bland"])
+    @pytest.mark.parametrize("regime", ["dic", "bic"])
+    @SOLVER_CASES
+    def test_same_pivots_as_the_full_scan(self, monkeypatch, request, n, dist, lazy, regime,
+                                          stall_limit):
+        monkeypatch.setattr(simplex, "STALL_LIMIT", stall_limit)
+        loop, pivot = simplex._simplex_loop, simplex._Tableau.pivot
+        made, replays = [], []
+
+        def recorded(tab, r, s, holders=None):
+            made.append((r, s))
+            pivot(tab, r, s, holders)
+
+        def replayed(tab, basis):
+            ref, ref_basis = copy_tableau(tab), list(basis)
+            replays.append(reference_simplex_loop(ref, ref_basis, stall_limit))
+            del made[:]
+            pivots = loop(tab, basis)
+            assert made == replays[-1][0] and pivots == len(made)
+            assert (tab.rows, tab.dens, basis) == (ref.rows, ref.dens, ref_basis)
+            return pivots
+
+        monkeypatch.setattr(simplex._Tableau, "pivot", recorded)
+        monkeypatch.setattr(simplex, "_simplex_loop", replayed)
+        lp = oracle.build_auction_lp(n, dist, regime)
+        solve(*tag_pool(lp, lazy)) if lazy else solve(lp)
+        (made_ref, resets, den_changes, bland), = replays
+        assert made_ref and den_changes > 0
+        # The lazy case's relaxation makes no degenerate pivot.
+        assert bland == (stall_limit == 0 and not lazy)
+        assert (resets > 0) == (request.node.callspec.id == "n3-p3/4-dic-devex")
 
 
 def pivot_cases(before, after, r, s):
