@@ -26,6 +26,7 @@ opponent profile) and both sides of the failed inequality as Fractions.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -162,25 +163,30 @@ def check_dic(mech: Mechanism) -> AuditReport:
 
     Each (opponent class, type pair) is compared once (`_dic_failures`);
     the failures are then listed for every buyer and every opponent
-    profile of a failing class, the profile's class read from the cell
-    that its first buyer holds in the n - 1 buyers' table.  With one
-    buyer the only opponent profile is the empty one, class 0."""
+    profile of a failing class.  The opponent profiles' positions are
+    indexed by class once, each profile's class read from the cell that
+    its first buyer holds in the n - 1 buyers' table, and a type pair
+    lists the positions of its failing classes merged in profile order.
+    With one buyer the only opponent profile is the empty one, class 0."""
     n = mech.n
     types, pairs, _ = _type_pairs(mech.dist)
     found = _dic_failures(mech)
-    others_space = ()
+    listed = []
     if any(found):
         table, n_types = profile_table(n - 1, mech.dist), len(types)
         classes = [x // n_types for x in table.cells[0]] if n > 1 else [0]
-        others_space = list(zip(table.profiles, classes))
-    violations = [
-        Violation(i, t_true, t_rep, others, *failed[k])
-        for i in range(n)
-        for (_, t_true, _, t_rep, _, _), failed in zip(pairs, found)
-        for others, k in others_space if k in failed
-    ]
+        positions = {}
+        for pos, k in enumerate(classes):
+            positions.setdefault(k, []).append(pos)
+        listed = [
+            (t_true, t_rep, table.profiles[pos], failed[classes[pos]])
+            for (_, t_true, _, t_rep, _, _), failed in zip(pairs, found)
+            for pos in sorted(itertools.chain.from_iterable(map(positions.get, failed)))
+        ]
+    violations = tuple(Violation(i, t_true, t_rep, others, *sides)
+                       for i in range(n) for t_true, t_rep, others, sides in listed)
     count = n * len(pairs) * len(types) ** (n - 1)
-    return AuditReport("DIC", not violations, tuple(violations), count)
+    return AuditReport("DIC", not violations, violations, count)
 
 
 def check_bir(mech: Mechanism) -> AuditReport:

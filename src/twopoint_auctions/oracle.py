@@ -33,11 +33,13 @@ The dominant-strategy program, whose rows read each u_i(x, o) on its own,
 keeps one utility column per cell.
 
 Every program is solved by one rule, whatever its regime or size: the
-truthfulness rows of one-step misreports (one atom along one item, tagged
-'dic_local' or 'bic_local') are in the model from the start, and every
-other truthfulness candidate ('dic' or 'bic') is only evaluated.  At each
-optimum the separator reads it at the primal from its column indices, and
-builds it as a row only when the primal violates it.  `build_auction_lp`
+seeded truthfulness rows are in the model from the start, and every other
+truthfulness candidate is only evaluated.  The seeded rows are those of
+the one-step misreports (one atom along one item, tagged 'dic_local' or
+'bic_local'), and with two atoms only the downward ones, whose reported
+type is lower (`_candidates`).  At each optimum the separator reads a
+withheld candidate at the primal from its column indices, and builds it
+as a row only when the primal violates it.  `build_auction_lp`
 (and `certify --lp-export`) turns every candidate into a row: the program
 whose optimum is certified.
 
@@ -94,11 +96,12 @@ CELL_CAP = 2 ** 15
 PARALLEL_CELLS = 2 ** 9
 
 
-def _held(n: int, n_types: int) -> list:
+@functools.lru_cache(maxsize=4)
+def _held(n: int, n_types: int) -> tuple:
     """Per class of n buyers (`profile_classes` order), the cells that its
     buyers hold, in type order, each with the number of buyers holding it."""
-    return [[(k * n_types + c, m) for c, m in enumerate(key) if m]
-            for k, key in enumerate(profile_classes(n, n_types))]
+    return tuple(tuple((k * n_types + c, m) for c, m in enumerate(key) if m)
+                 for k, key in enumerate(profile_classes(n, n_types)))
 
 
 @functools.lru_cache(maxsize=4)
@@ -197,8 +200,9 @@ class _Candidates(NamedTuple):
     class k (`opponent_cells`).  A dominant-strategy candidate is (pair,
     u_true, u_dev, q1_dev, q2_dev), a buyer's row against the opponent
     profiles of one class; a Bayesian one is (pair,), the row summed over
-    the opponent classes.  `all` is every candidate in row order, and
-    `seeded` and `withheld` its local and other ones."""
+    the opponent classes.  `all` is every candidate in row order, `seeded`
+    those of the seeded misreports (`_candidates`) and `withheld` the
+    others, each in row order."""
 
     pairs: tuple
     local: tuple
@@ -214,13 +218,21 @@ def _candidates(n: int, n_atoms: int, regime: str) -> _Candidates:
     dominant-strategy program, one per opponent class, since every buyer's
     rows repeat each other and opponent profiles of one class give the
     same row.  Their columns come from `_columns`, the interim ones in the
-    Bayesian program.  A one-step misreport is seeded: its rows tend to
-    bind."""
+    Bayesian program.
+
+    The seeded misreports are the one-step ones, and with two atoms only
+    the downward ones, whose reported type is lower: the downward rows pin
+    the optimum down (Myerson, Math. Oper. Res. 1981), and the upward
+    one-step rows of a two-atom program almost never bind.  With more
+    atoms the upward one-step rows keep most other candidates from being
+    separated, so they are seeded too."""
     types = list(itertools.product(range(n_atoms), repeat=2))
     n_types = len(types)
     pairs = tuple((x, y) for x in range(n_types) for y in range(n_types) if y != x)
     local = tuple(sorted(abs(a - b) for a, b in zip(types[x], types[y])) == [0, 1]
                   for x, y in pairs)
+    seed = tuple(one_step and (n_atoms > 2 or sum(types[y]) < sum(types[x]))
+                 for one_step, (x, y) in zip(local, pairs))
     _, (q1, q2, u) = _columns(n, n_atoms, regime == "bic")
     at = opponent_cells(n, n_types)
     cells = tuple(tuple((u[c[x]], q1[c[x]], q2[c[x]]) for c in at) for x in range(n_types))
@@ -231,8 +243,8 @@ def _candidates(n: int, n_atoms: int, regime: str) -> _Candidates:
                for k, (x, y) in enumerate(pairs) for o in range(len(at))]
     return _Candidates(
         pairs, local, cells, tuple(out),
-        tuple(c for c in out if local[c[0]]),
-        tuple(c for c in out if not local[c[0]]),
+        tuple(c for c in out if seed[c[0]]),
+        tuple(c for c in out if not seed[c[0]]),
     )
 
 
@@ -379,9 +391,9 @@ class _Program:
 def _seeded_program(
     n: int, dist: FiniteValueDistribution, regime: str
 ) -> tuple[LinearProgram, Callable[[Sequence[int], int], list]]:
-    """The symmetric program with its one-step truthfulness rows alone, and
-    the separator of its other truthfulness candidates (`solve`'s
-    `separate`)."""
+    """The symmetric program with its seeded truthfulness rows alone
+    (`_candidates`), and the separator of its other truthfulness
+    candidates (`solve`'s `separate`)."""
     program = _Program(n, dist, regime)
     for candidate in program.truth.seeded:
         program.add(candidate)
@@ -391,8 +403,8 @@ def _seeded_program(
 def build_auction_lp(n: int, dist: FiniteValueDistribution, regime: str) -> LinearProgram:
     """The buyer/item-symmetric revenue-maximization LP with every
     truthfulness candidate built as a row: the program whose optimum
-    `solve_auction_lp` certifies, which it solves from the one-step rows
-    and a subset of the others.
+    `solve_auction_lp` certifies, which it solves from the seeded rows
+    (`_candidates`) and a subset of the others.
 
     Variables, each nonnegative: one per orbit of the full program's
     q[i,j,t] (allocation) and u[i,t] (utility, whose bound u >= 0 is
@@ -414,15 +426,17 @@ def solve_auction_lp(n: int, dist: FiniteValueDistribution, regime: str) -> LPSo
     """Solve the auction LP through its symmetric program and certify the
     optimum as a mechanism.
 
-    The program holds the regime's one-step truthfulness rows; the other
-    ones join in warm rounds, built by the separator as the optimum
-    violates them.  Every row holds at the origin, the null mechanism,
-    every allocation column sits in a supply row and every utility column
-    lowers the objective, so `solve` ends at a certified optimum.  The
-    returned solution is the symmetric program's, its separated rows
-    included; its mechanism (`extract_mechanism`) has passed
-    `certify_optimum`, which audits it over every truthfulness constraint
-    and so refuses the optimum of an incomplete separator.
+    The program holds the regime's seeded truthfulness rows, those of the
+    one-step misreports, only the downward ones with two atoms
+    (`_candidates`); the other ones join in warm rounds, built by the
+    separator as the optimum violates them.  Every row holds at the
+    origin, the null mechanism, every allocation column sits in a supply
+    row and every utility column lowers the objective, so `solve` ends at
+    a certified optimum.  The returned solution is the symmetric
+    program's, its separated rows included; its mechanism
+    (`extract_mechanism`) has passed `certify_optimum`, which audits it
+    over every truthfulness constraint and so refuses the optimum of an
+    incomplete separator.
     """
     lp, separate = _seeded_program(n, dist, regime)
     sol = solve(lp, separate)

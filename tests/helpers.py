@@ -9,6 +9,7 @@ from fractions import Fraction
 from dataclasses import dataclass
 from typing import Sequence
 
+from twopoint_auctions.audit import AuditReport, Violation, _dic_failures, _type_pairs
 from twopoint_auctions.core import (
     AuctionSpec,
     _profile_table,
@@ -111,6 +112,27 @@ def cells_at(dist, profile):
     key = tuple(map(own.count, range(k * k)))
     base = _class_index(len(profile), k * k)[key] * k * k
     return tuple(base + x for x in own)
+
+
+def walk_check_dic(mech):
+    """The DIC audit's report by a walk over every (buyer, type pair,
+    opponent profile) in that order: a triple is listed when its opponent
+    profile's class, read from the profile's own type counts (`cells_at`),
+    fails for the pair in `audit._dic_failures`.  The reference for
+    `audit.check_dic`, which lists the failing classes' profiles only."""
+    n, n_types = mech.n, mech.n_types
+    _, pairs, _ = _type_pairs(mech.dist)
+    found = _dic_failures(mech)
+    others_space = [(others, cells_at(mech.dist, others)[0] // n_types if others else 0)
+                    for others, _ in enumerate_profiles(n - 1, mech.dist)]
+    violations = tuple(
+        Violation(i, t_true, t_rep, others, *failed[k])
+        for i in range(n)
+        for (_, t_true, _, t_rep, _, _), failed in zip(pairs, found)
+        for others, k in others_space if k in failed
+    )
+    count = n * len(pairs) * len(others_space)
+    return AuditReport("DIC", not violations, violations, count)
 
 
 def shares_at(mech, profile):

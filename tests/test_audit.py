@@ -48,6 +48,7 @@ from helpers import (
     q_of,
     qu_statistics,
     u_of,
+    walk_check_dic,
 )
 from test_core import AA, AB, BA, BB, TYPES
 from test_mechanisms import grid_specs, profiles_of, total_utility_mass
@@ -259,6 +260,24 @@ class TestDIC:
         reports = [check_dic(mech) for mech in mechs]
         assert reports == [ref_check_dic(mech) for mech in mechs]
         assert [r.passed for r in reports] == [False] * (len(mechs) - 1) + [True]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_listing_matches_the_walk(self, n):
+        """Listing the failing classes' opponent profiles gives the walk's
+        report over every (buyer, type pair, opponent profile),
+        `walk_check_dic`: on two random mechanisms, and from n = 2 on the
+        Bayesian-optimal mechanisms inside the three intervals of b below
+        v3 (all failing, as in the mechanism audit benchmark) and a
+        passing dominant-strategy one."""
+        dist = AuctionSpec(2, F(1, 2), 1, F(5, 4)).dist
+        mechs = [random_mechanism(dist, n, seed=seed) for seed in (n, n + 10)]
+        if n > 1:
+            mechs += [build_bic_mechanism(AuctionSpec(n, F(1, 2), 1, b))
+                      for b in (F(4, 3), F(11, 6), F(5, 2))]
+            mechs.append(build_dic_mechanism(AuctionSpec(n, F(1, 2), 1, F(5, 2))))
+        reports = [check_dic(mech) for mech in mechs]
+        assert reports == [walk_check_dic(mech) for mech in mechs]
+        assert [r.passed for r in reports] == [False] * (len(mechs) - (n > 1)) + [True] * (n > 1)
 
     def test_violation_order_is_deterministic(self):
         r1 = check_dic(build_bic_mechanism(EXAMPLE))

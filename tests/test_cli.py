@@ -759,6 +759,11 @@ GOLDEN = {
 LARGE_EXPORT_SHA256 = "b9a5223bce32c686f758d534427c3e5c9429f43e87e0a00ea1cb6c135ee5ef5a"
 
 
+# sha256 of `certify --grid --format json`: the optima and closed forms of
+# the 180 grid specs.
+GRID_SHA256 = "f6cc79eb74c6f00314d696e0c2ef7e76f3d06bb72484dd6083c594bfd35aaa1a"
+
+
 class TestByteGoldens:
     """Every byte of these outputs is pinned: the type encoding behind them
     may change, what the CLI prints may not."""
@@ -775,6 +780,10 @@ class TestByteGoldens:
                            "--b", "11/6", "--impl", "bic", "--check", "--format", "json")
         assert out.count('"reported_type": "') == 372
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, LARGE_EXPORT_SHA256)
+
+    def test_grid(self, capsys):
+        code, out, _ = run(capsys, "certify", "--grid", "--format", "json")
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, GRID_SHA256)
 
     def test_mechanism_out_file(self, capsys, tmp_path):
         path = tmp_path / "mech.json"

@@ -180,6 +180,58 @@ class TestProgramShapes:
         assert all(len(per_cell) == cells for per_cell in oracle._columns(n, n_atoms, False)[1])
 
 
+# A two-atom type's one-step misreports: one item reported an atom lower,
+# and their reverses.
+DOWNWARD = {((0, 1), (0, 0)), ((1, 0), (0, 0)), ((1, 1), (0, 1)), ((1, 1), (1, 0))}
+UPWARD = {(y, x) for x, y in DOWNWARD}
+
+
+def _one_step(n_atoms):
+    """The one-step misreports (x, y) of `n_atoms` atoms, as type pairs:
+    y is x with one item's atom one higher or lower."""
+    types = list(itertools.product(range(n_atoms), repeat=2))
+    return {(x, y) for x in types for y in types
+            if sum(abs(a - b) for a, b in zip(x, y)) == 1}
+
+
+class TestSeededRows:
+    """The candidates a program is solved from: with two atoms the downward
+    one-step misreports alone, with more atoms every one-step misreport.
+    The rest are withheld and separated; `local` and the row tags still
+    flag every one-step misreport."""
+
+    @pytest.mark.parametrize("n_atoms", [2, 3, 6])
+    @pytest.mark.parametrize("regime", ["dic", "bic"])
+    def test_seeded_candidates(self, n_atoms, regime):
+        n = 3 if n_atoms < 6 else 2
+        truth = oracle._candidates(n, n_atoms, regime)
+        types = list(itertools.product(range(n_atoms), repeat=2))
+        pairs = [(types[x], types[y]) for x, y in truth.pairs]
+        one_step = _one_step(n_atoms)
+        if n_atoms == 2:
+            assert one_step == DOWNWARD | UPWARD
+        seeded = DOWNWARD if n_atoms == 2 else one_step
+        assert truth.local == tuple(pair in one_step for pair in pairs)
+        assert truth.seeded == tuple(c for c in truth.all if pairs[c[0]] in seeded)
+        assert truth.withheld == tuple(c for c in truth.all if pairs[c[0]] not in seeded)
+
+    @pytest.mark.parametrize("regime", ["dic", "bic"])
+    def test_export_keeps_the_local_tags(self, regime):
+        # Every one-step row, upward ones included, is tagged local.
+        lp = build_auction_lp(EXAMPLE.n, EXAMPLE.dist, regime)
+        seeded, _ = oracle._seeded_program(EXAMPLE.n, EXAMPLE.dist, regime)
+        local = f"{regime}_local"
+        assert n_constraints(lp, local) > n_constraints(seeded, local) > 0
+        assert n_constraints(seeded, regime) == 0
+
+    # Pivots and separated rows summed over the 180 grid specs.
+    @pytest.mark.parametrize("regime,pivots,separated", [("dic", 3518, 99), ("bic", 2839, 0)])
+    def test_grid_totals(self, regime, pivots, separated):
+        sols = [solve_auction_lp(s.n, s.dist, regime) for s in certification_grid()]
+        assert (sum(sol.pivots for sol in sols), sum(len(sol.added) for sol in sols)) == (
+            pivots, separated)
+
+
 class TestOptima:
     def test_example_dic(self):
         sol = solve_auction_lp(EXAMPLE.n, EXAMPLE.dist, "dic")
@@ -553,16 +605,18 @@ class TestCertification:
         assert lp_b >= lp_d > 0
 
 
-# (optimum, pivots) of the symmetric solve under Devex pricing, non-local
-# truthfulness rows separated: a change of pivot rule, tie-break, reference
-# weights, seeded rows, columns or tableau arithmetic shows here first.
+# (optimum, pivots) of the symmetric solve under Devex pricing, from the
+# downward one-step truthfulness rows, the other rows separated: a change of
+# pivot rule, tie-break, reference weights, seeded rows, columns or tableau
+# arithmetic shows here first.  The two n = 3 DIC solves separate rows, two
+# at b = 31/30 and one at b = 23/14.
 PINNED_PIVOTS = [
     (2, F(1, 2), 1, 2, "dic", F(25, 8), 12),
     (2, F(1, 2), 1, 2, "bic", F(51, 16), 11),
     (2, F(1, 4), 0, 1, "dic", F(15, 8), 7),
     (2, F(2, 3), 1, F(14, 5), "dic", F(1352, 405), 14),
-    (3, F(1, 4), 1, F(31, 30), "dic", F(42243, 20480), 44),
-    (3, F(3, 4), 1, F(23, 14), "dic", F(74201, 28672), 64),
+    (3, F(1, 4), 1, F(31, 30), "dic", F(42243, 20480), 38),
+    (3, F(3, 4), 1, F(23, 14), "dic", F(74201, 28672), 39),
     (3, F(1, 2), 1, F(11, 4), "bic", F(1239, 256), 22),
     (3, F(1, 3), 0, 1, "bic", F(52, 27), 16),
 ]
