@@ -9,7 +9,6 @@ from .core import (
     AuctionSpec,
     CapExceeded,
     FiniteValueDistribution,
-    HierarchyScheme,
     InvalidSpec,
     class_probabilities,
     rat,

@@ -15,8 +15,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import functools
-import io
 import json
 import os
 import sys
@@ -116,53 +116,49 @@ def _frac_cells(x: Fraction):
     return [*rat_str(x).split("/"), decimal_str(x)]
 
 
+def _emit_csv(header, rows, out_path):
+    """Write the CSV table of header and rows to out_path, or to stdout."""
+    with _output(out_path) as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+
+
 # ---------------------------------------------------------------------------
 # formulas
 # ---------------------------------------------------------------------------
 
 
+#: The revenues of a formulas report, in order: (JSON key, text label, field).
+FORMULAS_REVENUES = (
+    ("r_D", "r_D", "r_dic"),
+    ("r_B", "r_B", "r_bic"),
+    ("srev", "SREV", "srev"),
+    ("s_b", "s_b", "s_b"),
+    ("grand_bundle", "grand bundle", "bundle_rev"),
+)
+
+
 def cmd_formulas(args) -> int:
     spec = _parse_spec(args)
     rep = revenue_report(spec)
+    revenues = [(key, label, getattr(rep, field)) for key, label, field in FORMULAS_REVENUES]
+    flags = dataclasses.asdict(rep.flags)
+    points = dataclasses.asdict(rep.breakpoints)
     if args.format == "json":
-        doc = {
+        text = json.dumps({
             "spec": spec.to_json(),
-            "r_D": rat_str(rep.r_dic),
-            "r_B": rat_str(rep.r_bic),
-            "srev": rat_str(rep.srev),
-            "s_b": rat_str(rep.s_b),
-            "grand_bundle": rat_str(rep.bundle_rev),
-            "flags": {
-                "alpha": rep.flags.alpha,
-                "beta": rep.flags.beta,
-                "gamma": rep.flags.gamma,
-            },
-            "breakpoints": {
-                "v1": rat_str(rep.breakpoints.v1),
-                "v2": rat_str(rep.breakpoints.v2),
-                "v3": rat_str(rep.breakpoints.v3),
-            },
-        }
-        _emit(json.dumps(doc, indent=2), args.out)
-        return EXIT_OK
-    lines = [
-        f"spec: n={spec.n} p={rat_str(spec.p)} a={rat_str(spec.a)} b={rat_str(spec.b)}",
-        f"r_D          = {rat_str(rep.r_dic)} ({decimal_str(rep.r_dic)})",
-        f"r_B          = {rat_str(rep.r_bic)} ({decimal_str(rep.r_bic)})",
-        f"SREV         = {rat_str(rep.srev)} ({decimal_str(rep.srev)})",
-        f"s_b          = {rat_str(rep.s_b)} ({decimal_str(rep.s_b)})",
-        f"grand bundle = {rat_str(rep.bundle_rev)} ({decimal_str(rep.bundle_rev)})",
-        f"flags: alpha={rep.flags.alpha} beta={rep.flags.beta} gamma={rep.flags.gamma}",
-        "breakpoints: v1={} ({}) v2={} ({}) v3={} ({})".format(
-            rat_str(rep.breakpoints.v1),
-            decimal_str(rep.breakpoints.v1),
-            rat_str(rep.breakpoints.v2),
-            decimal_str(rep.breakpoints.v2),
-            rat_str(rep.breakpoints.v3),
-            decimal_str(rep.breakpoints.v3),
-        ),
-    ]
-    _emit("\n".join(lines), args.out)
+            **{key: rat_str(x) for key, _, x in revenues},
+            "flags": flags,
+            "breakpoints": {name: rat_str(v) for name, v in points.items()},
+        }, indent=2)
+    else:
+        text = "\n".join([
+            f"spec: n={spec.n} p={rat_str(spec.p)} a={rat_str(spec.a)} b={rat_str(spec.b)}",
+            *(f"{label:<12} = {rat_str(x)} ({decimal_str(x)})" for _, label, x in revenues),
+            "flags: " + " ".join(f"{name}={v}" for name, v in flags.items()),
+            "breakpoints: " + " ".join(f"{name}={rat_str(v)} ({decimal_str(v)})"
+                                       for name, v in points.items()),
+        ])
+    _emit(text, args.out)
     return EXIT_OK
 
 
@@ -183,36 +179,29 @@ def _witness_line(report) -> str:
 
 def cmd_mechanism(args) -> int:
     spec = _parse_spec(args)
-    builder = build_dic_mechanism if args.impl == "dic" else build_bic_mechanism
     check_profile_cap(spec.n, spec.dist)
-    mech = builder(spec)
+    mech = (build_dic_mechanism if args.impl == "dic" else build_bic_mechanism)(spec)
 
-    status = EXIT_OK
     checks = {}
     lines = []
+    passed = []
     if args.check:
         rep_formulas = revenue_report(spec)
-        target = rep_formulas.r_dic if args.impl == "dic" else rep_formulas.r_bic
-        target_name = "r_D" if args.impl == "dic" else "r_B"
-        ir = audit_mod.check_ir(mech)
-        checks["IR"] = ir.to_json()
-        lines.append(f"IR: {'ok' if ir.passed else 'FAILED'}")
-        suite_ok = ir.passed
         if args.impl == "dic":
-            dic = audit_mod.check_dic(mech)
-            checks["DIC"] = dic.to_json()
-            lines.append(f"DIC: {'ok' if dic.passed else 'FAILED'}")
-            suite_ok = suite_ok and dic.passed
+            target_name, target = "r_D", rep_formulas.r_dic
+            audits = (("IR", audit_mod.check_ir), ("DIC", audit_mod.check_dic))
         else:
-            bic = audit_mod.check_bic(mech)
-            bir = audit_mod.check_bir(mech)
-            checks["BIC"] = bic.to_json()
-            checks["BIR"] = bir.to_json()
-            lines.append(f"BIC: {'ok' if bic.passed else 'FAILED'}")
-            lines.append(f"BIR: {'ok' if bir.passed else 'FAILED'}")
-            suite_ok = suite_ok and bic.passed and bir.passed
+            target_name, target = "r_B", rep_formulas.r_bic
+            audits = (("IR", audit_mod.check_ir), ("BIC", audit_mod.check_bic),
+                      ("BIR", audit_mod.check_bir))
+        for name, check in audits:
+            report = check(mech)
+            checks[name] = report.to_json()
+            lines.append(f"{name}: {'ok' if report.passed else 'FAILED'}")
+            passed.append(report.passed)
         revenue = audit_mod.expected_revenue(mech)
         rev_ok = revenue == target
+        passed.append(rev_ok)
         checks["revenue"] = {
             "expected_revenue": rat_str(revenue),
             target_name: rat_str(target),
@@ -222,28 +211,21 @@ def cmd_mechanism(args) -> int:
             f"revenue {rat_str(revenue)} == {target_name} {rat_str(target)}: "
             f"{'ok' if rev_ok else 'FAILED'}"
         )
-        suite_ok = suite_ok and rev_ok
         if args.impl == "bic":
             dic = audit_mod.check_dic(mech)
             checks["DIC_informational"] = dic.to_json()
-            if dic.passed:
-                lines.append("DIC (informational): ok")
-            else:
-                lines.append(
-                    "DIC (informational): violated at " + _witness_line(dic)
-                )
-        if not suite_ok:
-            status = EXIT_AUDIT
+            lines.append("DIC (informational): "
+                         + ("ok" if dic.passed else "violated at " + _witness_line(dic)))
 
     if args.format == "json":
         with _output(args.out) as fh:
             mechanism_to_json(mech, checks, fh)
             fh.write("\n")
     else:
-        header = [f"mechanism: {mech.label} at n={spec.n} p={rat_str(spec.p)} "
-                  f"a={rat_str(spec.a)} b={rat_str(spec.b)}"]
-        _emit("\n".join(header + lines), args.out)
-    return status
+        header = (f"mechanism: {mech.label} at n={spec.n} p={rat_str(spec.p)} "
+                  f"a={rat_str(spec.a)} b={rat_str(spec.b)}")
+        _emit("\n".join([header, *lines]), args.out)
+    return EXIT_OK if all(passed) else EXIT_AUDIT
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +254,9 @@ def cmd_certify(args) -> int:
     if args.grid:
         reports = certify_specs(certification_grid())
     else:
-        missing = [f"--{name}" for name in ("n", "p", "a", "b")
-                   if getattr(args, name) is None]
+        missing = " ".join(f"--{k}" for k in ("n", "p", "a", "b") if getattr(args, k) is None)
         if missing:
-            raise ValueError(f"certify needs --grid or a full spec; missing {' '.join(missing)}")
+            raise ValueError(f"certify needs --grid or a full spec; missing {missing}")
         spec = _parse_spec(args)
         if args.lp_export:
             for regime, title in (("dic", "dominant-strategy program"),
@@ -284,12 +265,11 @@ def cmd_certify(args) -> int:
                       f"{args.lp_export}.{regime}.lp", end="")
         reports = [certify_main_theorem(spec)]
     if args.format == "json":
-        _emit(json.dumps([r.to_json() for r in reports], indent=2), args.out)
+        text = json.dumps([r.to_json() for r in reports], indent=2)
     else:
-        lines = [_certify_line(r) for r in reports]
         ok = sum(1 for r in reports if r.all_equal)
-        lines.append(f"certified {ok}/{len(reports)} specs")
-        _emit("\n".join(lines), args.out)
+        text = "\n".join([*map(_certify_line, reports), f"certified {ok}/{len(reports)} specs"])
+    _emit(text, args.out)
     return EXIT_OK if all(r.all_equal for r in reports) else EXIT_MISMATCH
 
 
@@ -312,19 +292,12 @@ def cmd_sweep(args) -> int:
         _rat(args, args.b_min, "--b-min"), _rat(args, args.b_max, "--b-max"),
         args.steps,
     )
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SWEEP_HEADER)
-    for row in rows:
-        writer.writerow(
-            _frac_cells(row.b)
-            + _frac_cells(row.r_dic)
-            + _frac_cells(row.r_bic)
-            + _frac_cells(row.srev)
-            + [row.flags.alpha, row.flags.beta, row.flags.gamma,
-               int(row.is_breakpoint)]
-        )
-    _emit(buf.getvalue(), args.out, end="")
+    _emit_csv(SWEEP_HEADER, [
+        _frac_cells(row.b) + _frac_cells(row.r_dic) + _frac_cells(row.r_bic)
+        + _frac_cells(row.srev)
+        + [row.flags.alpha, row.flags.beta, row.flags.gamma, int(row.is_breakpoint)]
+        for row in rows
+    ], args.out)
     return EXIT_OK
 
 
@@ -344,17 +317,11 @@ def cmd_continuous(args) -> int:
     lam = _rat(args, args.lam, "--lambda")
     impls = ("dic", "bic") if args.impl == "both" else (args.impl,)
     rows = corollary_probe(a_values, args.grid_m, lam=lam, impls=impls)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CONTINUOUS_HEADER)
-    for row in rows:
-        opt = row.optimum
-        writer.writerow(
-            [rat_str(row.a), row.grid_m, row.impl,
-             *rat_str(opt).split("/"), decimal_str(opt),
-             decimal_str(row.ratio), "" if row.within_band is None else int(row.within_band)]
-        )
-    _emit(buf.getvalue(), args.out, end="")
+    _emit_csv(CONTINUOUS_HEADER, [
+        [rat_str(row.a), row.grid_m, row.impl, *_frac_cells(row.optimum),
+         decimal_str(row.ratio), "" if row.within_band is None else int(row.within_band)]
+        for row in rows
+    ], args.out)
     return EXIT_OK
 
 

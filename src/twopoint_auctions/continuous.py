@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .core import AuctionSpec, FiniteValueDistribution, InvalidSpec, rat
 from .formulas import revenue_bic, revenue_dic
-from .oracle import solve_auction_lps
+from .oracle import check_cell_cap, solve_auction_lps
 
 #: Additive error windows above r*a for the true continuous optima at lam=2,
 #: valid for a >= 6: [r_D*a, r_D*a + 5/4) and [r_B*a, r_B*a + 3/2).
@@ -82,7 +82,8 @@ def corollary_probe(
     impls: Sequence[str] = ("dic", "bic"),
 ) -> list[ProbeRow]:
     """Discretized optima across a list of scales, one row per scale and
-    regime in `impls`, and only those regimes' programs are solved, as one
+    regime in `impls`.  Every program's cell cap is checked before any scale
+    is discretized, and only those regimes' programs are solved, as one
     batch (`oracle.solve_auction_lps`).
 
     ref carries the normalized two-point optimum the scaled value
@@ -96,6 +97,8 @@ def corollary_probe(
     revenue = {"dic": revenue_dic, "bic": revenue_bic}
     refs = {impl: revenue[impl](reference) for impl in impls}
     jobs = [(cspec, impl) for cspec in cspecs for impl in impls]
+    for cspec, impl in jobs:
+        check_cell_cap(cspec.n, 2 * grid_m, impl)
     sols = solve_auction_lps([(cspec.n, discretize(cspec), impl) for cspec, impl in jobs])
     rows = []
     for (cspec, impl), sol in zip(jobs, sols):

@@ -18,6 +18,7 @@ types, buyer 0 first.  The two-point family is the case of two atoms, a
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -88,10 +89,10 @@ def rat_str(x: Fraction) -> str:
                           "past Python's integer string limit") from None
 
 
-def decimal_str(x: Fraction, digits: int = 12) -> str:
-    """Decimal rendering to `digits` significant digits, for display only."""
+def decimal_str(x: Fraction) -> str:
+    """Decimal rendering to 12 significant digits, for display only."""
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = 12
         d = Decimal(x.numerator) / Decimal(x.denominator)
     return str(d)
 
@@ -193,12 +194,17 @@ class ProfileTable:
 
 def check_profile_cap(n: int, dist: FiniteValueDistribution) -> None:
     """Refuse, with CapExceeded, n buyers whose profiles outnumber
-    `DEFAULT_PROFILE_CAP`."""
+    `DEFAULT_PROFILE_CAP`.  Two or more types to the cap's bit length
+    exceed it, so no larger power is tested; the message leaves out a
+    count of more than 2^16 buyers or too long to print."""
     n_types = len(dist.values) ** 2
-    count = n_types ** n
-    if count > DEFAULT_PROFILE_CAP:
+    if n_types ** min(n, DEFAULT_PROFILE_CAP.bit_length()) > DEFAULT_PROFILE_CAP:
+        count = f"{n_types}^{n}"
+        if n <= 2 ** 16:
+            with contextlib.suppress(ValueError):
+                count += f" = {n_types ** n}"
         raise CapExceeded(
-            f"instance too large for exhaustive mode: {n_types}^{n} = {count} "
+            f"instance too large for exhaustive mode: {count} "
             f"profiles exceeds the cap of {DEFAULT_PROFILE_CAP}"
         )
 
@@ -284,28 +290,6 @@ def type_label(t: Type, pretty: bool = False) -> str:
     letter, so two-point types read 'aa'..'bb', or '(a,b)' when pretty."""
     letters = [chr(ord("a") + x) for x in t]
     return "(" + ",".join(letters) + ")" if pretty else "".join(letters)
-
-
-# ---------------------------------------------------------------------------
-# Hierarchy allocation schemes
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HierarchyScheme:
-    """A ranking of buyer types; an item goes to the buyers of the
-    highest-ranked type present, split equally.
-
-    `levels` lists one type per rank, highest priority first.  Types absent
-    from the ranking have infinite rank and never receive the item.
-    """
-
-    levels: tuple
-
-    def __post_init__(self):
-        for d, t in enumerate(self.levels):
-            if t in self.levels[:d]:
-                raise ValueError(f"type {t!r} appears in two levels")
 
 
 def class_probabilities(spec: AuctionSpec) -> tuple[Fraction, Fraction, Fraction]:

@@ -34,7 +34,6 @@ from typing import TextIO
 from .core import (
     AuctionSpec,
     FiniteValueDistribution,
-    HierarchyScheme,
     buyer_types,
     class_weights,
     opponent_cells,
@@ -130,16 +129,16 @@ def interval_case(spec: AuctionSpec) -> int:
     return 4
 
 
-def case_hierarchies(case: int) -> tuple[HierarchyScheme, HierarchyScheme]:
-    """Per-item ranking schemes for each interval of b.
+def case_hierarchies(case: int) -> tuple[tuple, tuple]:
+    """Per-item rankings of buyer types for each interval of b, highest
+    rank first.  The first ranked type that a profile holds wins the item,
+    and its buyers split it equally; unranked types never get it.
 
     Item 1 prefers (b,b), then (b,a), then (for low b) (a,b) and (a,a);
     item 2 is the mirror image.  Higher intervals truncate the ranking.
     """
     depth = {1: 4, 2: 3, 3: 2, 4: 2}[case]
-    h1 = HierarchyScheme((BB, BA, AB, AA)[:depth])
-    h2 = HierarchyScheme((BB, AB, BA, AA)[:depth])
-    return h1, h2
+    return (BB, BA, AB, AA)[:depth], (BB, AB, BA, AA)[:depth]
 
 
 def _common_den(spec: AuctionSpec) -> int:
@@ -190,7 +189,7 @@ def _closed_form(
     q1s, q2s, us = ([0] * (len(keys) * len(types)) for _ in range(3))
     for k, key in enumerate(keys):
         count = dict(zip(types, key))
-        winners = [next((t for t in h.levels if count[t]), None) for h in (h1, h2)]
+        winners = [next((t for t in h if count[t]), None) for h in (h1, h2)]
         for c, t in enumerate(types):
             if not count[t]:
                 continue

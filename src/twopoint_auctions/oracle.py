@@ -61,10 +61,12 @@ cells is refused before any of it is built.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import itertools
 import math
+import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
@@ -248,18 +250,21 @@ def _candidates(n: int, n_atoms: int, regime: str) -> _Candidates:
     )
 
 
-def _job_cells(n: int, dist: FiniteValueDistribution, regime: str) -> int:
-    """The type-count cells of the regime's program of n buyers over dist;
-    a bad regime raises ValueError and more than `CELL_CAP` cells
-    CapExceeded."""
+def check_cell_cap(n: int, n_atoms: int, regime: str) -> int:
+    """The type-count cells of the regime's program of n buyers over
+    n_atoms atoms; a bad regime raises ValueError and more than `CELL_CAP`
+    cells CapExceeded, whose message gives only a bound when a number in it
+    is too long to print."""
     if regime not in ("dic", "bic"):
         raise ValueError("regime must be 'dic' or 'bic'")
-    n_types = len(buyer_types(dist))
+    n_types = n_atoms ** 2
     cells = math.comb(n + n_types - 1, n_types - 1) * n_types
     if cells > CELL_CAP:
+        count = f"at least 10^{sys.get_int_max_str_digits()} type-count cells"
+        with contextlib.suppress(ValueError):
+            count = f"{n} buyers of {n_types} types give {cells} type-count cells"
         raise CapExceeded(
-            f"instance too large for exhaustive mode: {n} buyers of {n_types} types "
-            f"give {cells} type-count cells, over the cap of {CELL_CAP}"
+            f"instance too large for exhaustive mode: {count}, over the cap of {CELL_CAP}"
         )
     return cells
 
@@ -278,7 +283,7 @@ class _Program:
     than `CELL_CAP` type-count cells is refused before any of them is built."""
 
     def __init__(self, n, dist, regime):
-        _job_cells(n, dist, regime)
+        check_cell_cap(n, len(dist.values), regime)
         types = buyer_types(dist)
         n_types = len(types)
         n_atoms = len(dist.values)
@@ -463,7 +468,7 @@ def solve_auction_lps(jobs: Sequence[tuple]) -> list[LPSolution]:
     failure is raised after every child has been reaped, and a child that
     ends without its results raises `WorkerLost`.
     """
-    cells = [_job_cells(*job) for job in jobs]
+    cells = [check_cell_cap(n, len(dist.values), regime) for n, dist, regime in jobs]
     total = sum(cells)
     workers = _workers(len(jobs)) if total >= PARALLEL_CELLS else 1
     if workers == 1:
@@ -554,10 +559,8 @@ def _solve_forked(jobs: Sequence[tuple], runs: list) -> list[LPSolution]:
 # ---------------------------------------------------------------------------
 
 
-def extract_mechanism(
-    n: int, dist: FiniteValueDistribution, sol: LPSolution, label: str = "custom"
-) -> Mechanism:
-    """The cell tables of a symmetric auction-LP solution.
+def extract_mechanism(n: int, dist: FiniteValueDistribution, sol: LPSolution) -> Mechanism:
+    """The cell tables of a symmetric auction-LP solution, labelled "custom".
 
     Each cell takes the values of its orbits (`_columns`): its share of
     item 1 from its own, its share of item 2 from the item-swapped cell's,
@@ -573,7 +576,7 @@ def extract_mechanism(
     g = math.gcd(X, *x)
     value = [v // g for v in x]
     q1, q2, u = (tuple(0 if r is None else value[r] for r in orbits) for orbits in per_cell)
-    return Mechanism(n, dist, label, X // g, q1, q2, u)
+    return Mechanism(n, dist, "custom", X // g, q1, q2, u)
 
 
 def certify_optimum(mech: Mechanism, regime: str, optimum: Fraction) -> None:
@@ -692,16 +695,10 @@ def grid_b_values(n: int, p: Fraction, a: Fraction) -> list:
     return sorted(x for x in out if x > a)
 
 
-def certification_grid(
-    ns: Sequence[int] = (2, 3),
-    ps: Sequence = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4)),
-    a_values: Sequence = (Fraction(0), Fraction(1)),
-) -> list:
+def certification_grid() -> list:
     """The built-in grid of specs used for end-to-end certification."""
-    specs = []
-    for n in ns:
-        for p in ps:
-            for a in a_values:
-                for b in grid_b_values(n, p, a):
-                    specs.append(AuctionSpec(n, p, a, b))
-    return specs
+    return [AuctionSpec(n, p, a, b)
+            for n in (2, 3)
+            for p in map(Fraction, ("1/4", "1/3", "1/2", "2/3", "3/4"))
+            for a in (Fraction(0), Fraction(1))
+            for b in grid_b_values(n, p, a)]

@@ -43,8 +43,7 @@ same objective (Applegate, Cook, Dash & Espinoza, "Exact solutions to
 linear programming problems", Oper. Res. Lett. 2007).  The solver returns the
 primal and the duals each as integer numerators over one denominator, and
 the certificate compares integers against the rows as given.  A `Fraction`
-is made only at the API edge: the optimum, the `assignment` and `duals`
-views, and the rational row view.
+is made only at the API edge: the optimum and the rational row view.
 """
 
 from __future__ import annotations
@@ -135,8 +134,7 @@ class LPSolution:
     The primal is x[j] = primal[j] / primal_den, one value per column; the
     duals are dual[k] / dual_den, one per constraint of the program solved,
     in its order, then one per row of `added`, the rows that joined the
-    solve in its rounds.  `assignment` and `duals` are Fraction views of
-    them, keyed by `variables`.
+    solve in its rounds.  Column j is named `variables[j]`.
     """
 
     optimum: Fraction
@@ -147,14 +145,6 @@ class LPSolution:
     dual_den: int
     variables: Sequence = field(default=(), repr=False, compare=False)
     added: tuple = field(default=(), repr=False)
-
-    @property
-    def assignment(self) -> dict:
-        return {v: Fraction(x, self.primal_den) for v, x in zip(self.variables, self.primal)}
-
-    @property
-    def duals(self) -> tuple:
-        return tuple(Fraction(y, self.dual_den) for y in self.dual)
 
 
 class SimplexError(RuntimeError):

@@ -412,13 +412,23 @@ def reference_columns(n, n_atoms):
     return orbit, tuple(index)
 
 
+def assignment(sol):
+    """The solution's primal as Fractions keyed by variable name."""
+    return {v: Fraction(x, sol.primal_den) for v, x in zip(sol.variables, sol.primal)}
+
+
+def duals(sol):
+    """The solution's duals as Fractions, in row order."""
+    return tuple(Fraction(y, sol.dual_den) for y in sol.dual)
+
+
 def full_assignment(n, dist, sol):
     """The full program's Fraction assignment of a symmetric solution:
     every variable takes its representative's value, a utility its type's
     interim value if the solution is of the Bayesian program."""
-    assignment = sol.assignment
+    values = assignment(sol)
     rep = interim_representative if sol.variables[-1][0] == "U" else representative
-    return {v: assignment[rep(v)] for v in full_variables(n, len(dist.values))}
+    return {v: values[rep(v)] for v in full_variables(n, len(dist.values))}
 
 
 def extract_from_assignment(dist, assignment, label="custom"):
@@ -435,9 +445,9 @@ def extract_from_assignment(dist, assignment, label="custom"):
 
 
 def hierarchy_winners(scheme, profile):
-    """The buyers of minimum rank in the scheme, who split the item
-    equally; none when no buyer's type is ranked."""
-    ranks = [scheme.levels.index(t) if t in scheme.levels else None for t in profile]
+    """The buyers of minimum rank in the ranking of types, who split the
+    item equally; none when no buyer's type is ranked."""
+    ranks = [scheme.index(t) if t in scheme else None for t in profile]
     finite = [r for r in ranks if r is not None]
     if not finite:
         return []

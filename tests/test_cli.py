@@ -583,6 +583,68 @@ class TestFailClosed:
         assert errors[0].startswith("error: instance too large for exhaustive mode")
         assert calls == []
 
+    @pytest.mark.parametrize("argv,line", [
+        (["mechanism", "--n", "9", "--p", "1/2", "--a", "1", "--b", "5/4", "--impl", "bic",
+          "--check", "--format", "text"],
+         "4^9 = 262144 profiles exceeds the cap of 65536"),
+        (["certify", "--n", "35", "--p", "1/2", "--a", "1", "--b", "2"],
+         "35 buyers of 4 types give 33744 type-count cells, over the cap of 32768"),
+        (["continuous", "--a-list", "10", "--grid-m", "4", "--impl", "bic"],
+         "2 buyers of 64 types give 133120 type-count cells, over the cap of 32768"),
+    ], ids=["mechanism-n9", "certify-n35", "continuous-m4"])
+    def test_cap_lines(self, capsys, argv, line):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (4, "", f"error: instance too large for exhaustive mode: {line}\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_mechanism_count_past_the_digit_limit(self, capsys, fmt):
+        # 4^1000000 has 602,060 digits: the message names the power alone.
+        code, out, err = run(capsys, "mechanism", "--n", "1000000", "--p", "1/2", "--a", "1",
+                             "--b", "5/4", "--impl", "bic", "--check", "--format", fmt)
+        assert (code, out) == (4, "")
+        assert err == ("error: instance too large for exhaustive mode: 4^1000000 profiles "
+                       "exceeds the cap of 65536\n")
+
+    def test_mechanism_count_never_computed(self):
+        # 4^(10^20) could not be computed at all: a subprocess bounds the wait.
+        src = os.path.dirname(os.path.dirname(twopoint_auctions.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "twopoint_auctions", "mechanism", "--n", "1" + "0" * 20,
+             "--p", "1/2", "--a", "1", "--b", "5/4", "--impl", "bic", "--check",
+             "--format", "text"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=20,
+        )
+        assert (proc.returncode, proc.stdout) == (4, "")
+        assert proc.stderr == ("error: instance too large for exhaustive mode: "
+                               f"4^1{'0' * 20} profiles exceeds the cap of 65536\n")
+
+    @pytest.mark.parametrize("argv", [
+        # a 1,501-digit n gives a cell count of over 4,300 digits
+        ["certify", "--n", "1" + "0" * 1500, "--p", "1/2", "--a", "1", "--b", "2"],
+        # a 2,201-digit grid_m gives a type count of over 4,300 digits
+        ["continuous", "--a-list", "10", "--grid-m", "1" + "0" * 2200, "--impl", "bic"],
+    ], ids=["certify-n", "continuous-grid-m"])
+    def test_cells_past_the_digit_limit(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (4, "")
+        assert err == (f"error: instance too large for exhaustive mode: at least "
+                       f"10^{sys.get_int_max_str_digits()} type-count cells, "
+                       "over the cap of 32768\n")
+
+    def test_continuous_refused_before_discretizing(self, capsys, monkeypatch):
+        # 2 * 10^6 atoms give 4 * 10^12 types; the cap refuses them before
+        # one atom is made or one type listed.
+        def discretize(cspec):
+            raise RuntimeError("discretized")
+
+        monkeypatch.setattr(continuous, "discretize", discretize)
+        code, out, err = run(capsys, "continuous", "--a-list", "10", "--grid-m", "1000000",
+                             "--impl", "bic")
+        assert (code, out) == (4, "")
+        assert err == ("error: instance too large for exhaustive mode: 2 buyers of "
+                       "4000000000000 types give 32000000000008000000000000000000000000 "
+                       "type-count cells, over the cap of 32768\n")
+
 
 class TestCertificateFailure:
     def test_exit_five_with_one_error_line(self, capsys, monkeypatch):
@@ -698,6 +760,8 @@ GOLDEN_ARGV = {
         "mechanism", "--n", "5", "--p", "1/2", "--a", "1", "--b", "5/2",
         "--impl", "dic", "--check", "--format", "json",
     ],
+    # every column of the continuous CSV, both regimes at two scales
+    "continuous": ["continuous", "--a-list", "10,20", "--grid-m", "1", "--impl", "both"],
     # the case-1 widest hierarchy and the BIC raise (b < v1 = 13/5)
     "mechanism-bic-n5-p2_3-b11_10-json": [
         "mechanism", "--n", "5", "--p", "2/3", "--a", "1", "--b", "11/10",
@@ -750,6 +814,7 @@ GOLDEN = {
     "mechanism-dic-n5-b5_2-json": (0, "82e6e1b8ea820b3e852ab5c0000bd0cf3bebd03113c7f547a6d2e4571a872db9"),
     "mechanism-bic-n5-p2_3-b11_10-json": (0, "3c0fc86144835393f10a073ccd26ba51ce389b0dcb66c436b74d76185262981a"),
     "mechanism-out-file": (0, "604dff48975b37137f442015fc04d45d1a5eac005ba96dd446b8bd228c373a8f"),
+    "continuous": (0, "97be9d84d89b298d77dd2d65441f842437151685d0dfedcb6a574f1caa939621"),
     "lp-export-dic": (0, "2768d6fc42c2876ed940a6592f4dd3cf27d0b3da3722dd1e64c9e6e398b1f9eb"),
     "lp-export-bic": (0, "e43abfa57c17117b14a658f6c0fac947672af80a81b472d4f96b2e1ccc77a8ea"),
 }

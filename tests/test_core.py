@@ -16,7 +16,6 @@ from twopoint_auctions.core import (
     AuctionSpec,
     CapExceeded,
     FiniteValueDistribution,
-    HierarchyScheme,
     InvalidSpec,
     buyer_types,
     check_profile_cap,
@@ -231,21 +230,14 @@ class TestTypeLabel:
 
 class TestHierarchy:
     def test_unique_minimum_gets_all(self):
-        h = HierarchyScheme((BB, BA, AB, AA))
-        assert hierarchy_winners(h, (BA, BB)) == [1]
+        assert hierarchy_winners((BB, BA, AB, AA), (BA, BB)) == [1]
 
     def test_tie_splits_uniformly(self):
         # every tied buyer wins, and the builders split the item among them
-        h = HierarchyScheme((BB, AB, BA, AA))
-        assert hierarchy_winners(h, (AB, AB)) == [0, 1]
+        assert hierarchy_winners((BB, AB, BA, AA), (AB, AB)) == [0, 1]
 
     def test_unlisted_types_get_nothing(self):
-        h = HierarchyScheme((BB, BA))
-        assert hierarchy_winners(h, (AB, AB)) == []
-
-    def test_duplicate_type_rejected(self):
-        with pytest.raises(ValueError, match="two levels"):
-            HierarchyScheme((BB, BB))
+        assert hierarchy_winners((BB, BA), (AB, AB)) == []
 
     @given(
         st.lists(st.permutations(TYPES), min_size=1, max_size=1),
@@ -254,8 +246,8 @@ class TestHierarchy:
     @settings(max_examples=50, deadline=None)
     def test_supply_invariant(self, order, profile):
         # a full ranking always has winners: exactly the least-rank buyers
-        h = HierarchyScheme(tuple(order[0]))
-        ranks = [h.levels.index(t) for t in profile]
+        h = tuple(order[0])
+        ranks = [h.index(t) for t in profile]
         best = min(ranks)
         assert hierarchy_winners(h, tuple(profile)) == [
             i for i, r in enumerate(ranks) if r == best

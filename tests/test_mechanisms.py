@@ -125,7 +125,7 @@ class TestIntervalCase:
         assert interval_case(AuctionSpec(2, F(1, 2), 0, 5)) == 4
 
     def test_hierarchy_depths(self):
-        assert [len(case_hierarchies(c)[0].levels) for c in (1, 2, 3, 4)] == [4, 3, 2, 2]
+        assert [len(case_hierarchies(c)[0]) for c in (1, 2, 3, 4)] == [4, 3, 2, 2]
 
 
 class TestDicMechanism:

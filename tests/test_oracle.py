@@ -28,6 +28,7 @@ from twopoint_auctions.oracle import (
     certification_grid,
     certify_main_theorem,
     certify_optimum,
+    certify_specs,
     extract_mechanism,
     grid_b_values,
     solve_auction_lp,
@@ -274,14 +275,14 @@ class TestOptima:
 class TestMechanismExtraction:
     def test_dic_solution_passes_dic_audit(self):
         sol = solve_auction_lp(EXAMPLE.n, EXAMPLE.dist, "dic")
-        mech = extract_mechanism(EXAMPLE.n, EXAMPLE.dist, sol, label="custom")
+        mech = extract_mechanism(EXAMPLE.n, EXAMPLE.dist, sol)
         assert check_ir(mech).passed
         assert check_dic(mech).passed
         assert expected_revenue(mech) == sol.optimum
 
     def test_bic_solution_passes_bic_audit(self):
         sol = solve_auction_lp(EXAMPLE.n, EXAMPLE.dist, "bic")
-        mech = extract_mechanism(EXAMPLE.n, EXAMPLE.dist, sol, label="custom")
+        mech = extract_mechanism(EXAMPLE.n, EXAMPLE.dist, sol)
         assert check_bir(mech).passed
         assert check_bic(mech).passed
         assert expected_revenue(mech) == sol.optimum
@@ -588,7 +589,8 @@ class TestCertification:
     @pytest.mark.slow
     def test_breakpoint_grid_n4_to_n10(self):
         # Five p values, b in {1, 2, 3} at a = 0 and b at the breakpoints
-        # v1, v2, v3 at a = 1: 210 specs, all under the cell cap.
+        # v1, v2, v3 at a = 1: 210 specs, all under the cell cap, certified
+        # as one batch.
         specs = []
         for n in range(4, 11):
             for p in (F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4)):
@@ -596,7 +598,9 @@ class TestCertification:
                 specs += [AuctionSpec(n, p, 0, b) for b in (1, 2, 3)]
                 specs += [AuctionSpec(n, p, 1, b) for b in (v.v1, v.v2, v.v3)]
         assert len(specs) == 210
-        assert [s for s in specs if not certify_main_theorem(s).all_equal] == []
+        reports = certify_specs(specs)
+        assert [r.spec for r in reports] == specs
+        assert [r.spec for r in reports if not r.all_equal] == []
 
     def test_single_buyer_lp_solves(self):
         dist = EXAMPLE.dist
@@ -678,8 +682,8 @@ class TestIntegerExtraction:
     @pytest.mark.parametrize("n,dist", EXTRACTION_CASES)
     def test_equals_the_fraction_path(self, n, dist, regime):
         sol = solve_auction_lp(n, dist, regime)
-        mech = extract_mechanism(n, dist, sol, label="lp")
-        ref = extract_from_assignment(dist, full_assignment(n, dist, sol), label="lp")
+        mech = extract_mechanism(n, dist, sol)
+        ref = extract_from_assignment(dist, full_assignment(n, dist, sol))
         assert (mech.dist, mech.label, mech.den) == (ref.dist, ref.label, ref.den)
         assert (mech.q1, mech.q2, mech.u) == (ref.q1, ref.q2, ref.u)
 
