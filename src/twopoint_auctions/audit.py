@@ -41,6 +41,8 @@ from .core import (
     rat_str,
     scaled,
     type_label,
+    type_pairs,
+    value_differences,
 )
 from .mechanisms import Mechanism
 
@@ -118,17 +120,13 @@ def check_ir(mech: Mechanism) -> AuditReport:
 
 
 def _type_pairs(dist):
-    """Ordered pairs of distinct types with their type indices and the
-    value differences t_true - t_rep as integers over `vden`."""
+    """Ordered pairs of distinct types (`type_pairs` order) with their type
+    indices and the value differences t_true - t_rep as integers over
+    `vden` (`value_differences`)."""
     types = buyer_types(dist)
-    vals, vden = scaled(dist.values)
-    pairs = [
-        (a, t_true, c, t_rep,
-         vals[t_true[0]] - vals[t_rep[0]], vals[t_true[1]] - vals[t_rep[1]])
-        for a, t_true in enumerate(types)
-        for c, t_rep in enumerate(types)
-        if c != a
-    ]
+    diffs, vden = value_differences(dist)
+    pairs = [(x, types[x], y, types[y], *d)
+             for (x, y), d in zip(type_pairs(len(dist.values)), diffs)]
     return types, pairs, vden
 
 

@@ -159,10 +159,33 @@ Type = tuple  # (x1, x2): atom indices of the values for items 1 and 2
 Profile = tuple  # tuple of n types, buyer 0 first
 
 
+@functools.lru_cache(maxsize=None)
+def atom_types(n_atoms: int) -> tuple[Type, ...]:
+    """Every type of n_atoms atoms in lexicographic order, the order of the
+    type indices; for two atoms (a,a) < (a,b) < (b,a) < (b,b)."""
+    return tuple(itertools.product(range(n_atoms), repeat=2))
+
+
 def buyer_types(dist: FiniteValueDistribution) -> list[Type]:
-    """Every type in lexicographic order; for two atoms
-    (a,a) < (a,b) < (b,a) < (b,b)."""
-    return list(itertools.product(range(len(dist.values)), repeat=2))
+    """The distribution's types (`atom_types`)."""
+    return list(atom_types(len(dist.values)))
+
+
+@functools.lru_cache(maxsize=None)
+def type_pairs(n_atoms: int) -> tuple:
+    """Every misreport (x, y), type index x reporting y != x, x-major: the
+    order of the truthfulness rows and audits."""
+    return tuple(itertools.permutations(range(n_atoms ** 2), 2))
+
+
+def value_differences(dist: FiniteValueDistribution) -> tuple[list, int]:
+    """Per misreport (x, y) (`type_pairs` order), the value differences
+    t_x - t_y of both items as integers over vden, the lcm of the value
+    denominators; and vden."""
+    vals, vden = scaled(dist.values)
+    types = atom_types(len(vals))
+    return [(vals[types[x][0]] - vals[types[y][0]], vals[types[x][1]] - vals[types[y][1]])
+            for x, y in type_pairs(len(vals))], vden
 
 
 def scaled(xs: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
@@ -223,7 +246,7 @@ def profile_table(n: int, dist: FiniteValueDistribution) -> ProfileTable:
 def _profile_table(n: int, masses: tuple) -> ProfileTable:
     # A profile's weight is the product of its buyers' type weights, by
     # independence of all 2n draws.
-    types = list(itertools.product(range(len(masses)), repeat=2))
+    types = atom_types(len(masses))
     probs, den = scaled(masses)
     type_weights = [probs[x1] * probs[x2] for x1, x2 in types]
     weights = [1]

@@ -31,11 +31,14 @@ def check_digit_limit(spec: AuctionSpec) -> None:
     With p = N/D, b = B/E and b - a = c/e in lowest terms, SREV is
     2 (1 - p^n) b or 2 (b - p^(n-1) (b - a)), of denominator at least
     D^n / 2B or D^(n-1) / 2cE: so at least D^(n-1) / 2BEc, a number of
-    more than (n-1) log10 D - log10(2BEc) digits."""
+    more than (n-1) log10 D - log10(2BEc) digits.  Since D >= 2, an n - 1
+    past bitlen(2BEc) + 4 limit + 8 gives more than 2^(4 limit + 8) >
+    10^(limit + 2) without a logarithm, which takes n as a float."""
     limit, b = sys.get_int_max_str_digits(), spec.b
-    digits = (spec.n - 1) * math.log10(spec.p.denominator) - math.log10(
-        2 * b.numerator * b.denominator * (b - spec.a).numerator)
-    if limit and digits > limit + 1:  # a digit spared for the float logarithms
+    lower = 2 * b.numerator * b.denominator * (b - spec.a).numerator
+    if limit and (spec.n - 1 > lower.bit_length() + 4 * limit + 8
+                  # a digit spared for the float logarithms
+                  or (spec.n - 1) * math.log10(spec.p.denominator) - math.log10(lower) > limit + 1):
         raise CapExceeded(f"the revenues at n={spec.n} have more than {limit} digits, "
                           "past Python's integer string limit")
 

@@ -32,16 +32,17 @@ asks, and every cell of the extracted mechanism takes its type's utility.
 The dominant-strategy program, whose rows read each u_i(x, o) on its own,
 keeps one utility column per cell.
 
-Every program is solved by one rule, whatever its regime or size: the
-seeded truthfulness rows are in the model from the start, and every other
-truthfulness candidate is only evaluated.  The seeded rows are those of
-the one-step misreports (one atom along one item, tagged 'dic_local' or
-'bic_local'), and with two atoms only the downward ones, whose reported
-type is lower (`_candidates`).  At each optimum the separator reads a
-withheld candidate at the primal from its column indices, and builds it
-as a row only when the primal violates it.  `build_auction_lp`
-(and `certify --lp-export`) turns every candidate into a row: the program
-whose optimum is certified.
+Both regimes share one truthfulness candidate, the index pair (k, o) of
+a misreport k and an opponent class o: a buyer's dominant-strategy row
+against that class's opponent profiles.  The Bayesian row (k, None) sums
+those rows over the classes by weight.  Every program is solved by one
+rule: the rows of the seeded misreports, the one-step ones (tagged
+'dic_local' or 'bic_local'), with two atoms only the downward ones
+(`_candidates`), are in the model from the start.  At each optimum the
+separator reads every other candidate at the primal, folded over the
+classes by weight for a Bayesian one, and builds it as a row only when
+the primal violates it.  `build_auction_lp` (and `certify --lp-export`)
+turns every candidate into a row: the program whose optimum is certified.
 
 The program stays in integers from the builder to the mechanism audit:
 every row and the objective are summed and deduplicated over one scale per
@@ -68,21 +69,24 @@ import itertools
 import math
 import sys
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import audit
 from .core import (
     AuctionSpec,
     CapExceeded,
     FiniteValueDistribution,
+    atom_types,
     buyer_types,
     class_weights,
     opponent_cells,
     profile_classes,
     rat_str,
     scaled,
+    type_pairs,
+    value_differences,
 )
-from .formulas import revenue_bic, revenue_dic
+from .formulas import breakpoints, revenue_bic, revenue_dic
 from .mechanisms import Mechanism
 from .simplex import Constraint, LinearProgram, LPSolution, solve
 
@@ -112,7 +116,7 @@ def _allocation_columns(n: int, n_atoms: int) -> tuple:
     cell's item-swapped cell, the held cells in class order, the allocation
     orbits in column order, each as its first cell, and each cell's columns
     of its shares of item 1 and item 2."""
-    types = list(itertools.product(range(n_atoms), repeat=2))
+    types = atom_types(n_atoms)
     n_types = len(types)
     keys = profile_classes(n, n_types)
     # The item swap sends type (x1, x2) to (x2, x1), and a cell to the cell
@@ -149,7 +153,7 @@ def _columns(n: int, n_atoms: int, interim: bool) -> tuple[tuple, tuple]:
     `interim`: they are `_allocation_columns`'s.
     """
     swap, held, q_orbits, q1, q2 = _allocation_columns(n, n_atoms)
-    types = list(itertools.product(range(n_atoms), repeat=2))
+    types = atom_types(n_atoms)
     n_types = len(types)
     keys = profile_classes(n, n_types)
     if interim:
@@ -196,31 +200,25 @@ def _fixed_rows(n: int, n_atoms: int) -> tuple:
 class _Candidates(NamedTuple):
     """A program's truthfulness candidates, read through its column map.
 
-    `pairs` lists the misreports (x, y), type index x reporting y, and
-    `local` flags those by one atom along one item.  `cells[x][k]` is the
-    (u, q1, q2) columns of a buyer at type index x against the opponent
-    class k (`opponent_cells`).  A dominant-strategy candidate is (pair,
-    u_true, u_dev, q1_dev, q2_dev), a buyer's row against the opponent
-    profiles of one class; a Bayesian one is (pair,), the row summed over
-    the opponent classes.  `all` is every candidate in row order, `seeded`
-    those of the seeded misreports (`_candidates`) and `withheld` the
-    others, each in row order."""
+    A candidate is an index pair (k, o): the misreport `pairs[k]`, type
+    index x reporting y, against the opponent class o (`opponent_cells`
+    order), or (k, None), the Bayesian row, summed over the classes by
+    weight.  `cells[x][o]` is the (u, q1, q2) columns of a buyer at type x
+    against class o; `local` flags the one-step misreports (one atom along
+    one item) and `seeded` those whose rows are seeded (`_candidates`)."""
 
     pairs: tuple
     local: tuple
-    cells: tuple
-    all: tuple
     seeded: tuple
-    withheld: tuple
+    cells: tuple
 
 
 @functools.lru_cache(maxsize=8)
 def _candidates(n: int, n_atoms: int, regime: str) -> _Candidates:
-    """The program's truthfulness candidates: one buyer's alone and, in the
-    dominant-strategy program, one per opponent class, since every buyer's
-    rows repeat each other and opponent profiles of one class give the
-    same row.  Their columns come from `_columns`, the interim ones in the
-    Bayesian program.
+    """The program's truthfulness candidates: one buyer's alone, since
+    every buyer's rows repeat each other, and one per opponent class, since
+    opponent profiles of one class give the same row.  Their columns come
+    from `_columns`, the interim ones in the Bayesian program.
 
     The seeded misreports are the one-step ones, and with two atoms only
     the downward ones, whose reported type is lower: the downward rows pin
@@ -228,26 +226,15 @@ def _candidates(n: int, n_atoms: int, regime: str) -> _Candidates:
     one-step rows of a two-atom program almost never bind.  With more
     atoms the upward one-step rows keep most other candidates from being
     separated, so they are seeded too."""
-    types = list(itertools.product(range(n_atoms), repeat=2))
-    n_types = len(types)
-    pairs = tuple((x, y) for x in range(n_types) for y in range(n_types) if y != x)
+    types, pairs = atom_types(n_atoms), type_pairs(n_atoms)
     local = tuple(sorted(abs(a - b) for a, b in zip(types[x], types[y])) == [0, 1]
                   for x, y in pairs)
-    seed = tuple(one_step and (n_atoms > 2 or sum(types[y]) < sum(types[x]))
-                 for one_step, (x, y) in zip(local, pairs))
+    seeded = tuple(one_step and (n_atoms > 2 or sum(types[y]) < sum(types[x]))
+                   for one_step, (x, y) in zip(local, pairs))
     _, (q1, q2, u) = _columns(n, n_atoms, regime == "bic")
-    at = opponent_cells(n, n_types)
-    cells = tuple(tuple((u[c[x]], q1[c[x]], q2[c[x]]) for c in at) for x in range(n_types))
-    if regime == "bic":
-        out = [(k,) for k in range(len(pairs))]
-    else:
-        out = [(k, cells[x][o][0]) + cells[y][o]
-               for k, (x, y) in enumerate(pairs) for o in range(len(at))]
-    return _Candidates(
-        pairs, local, cells, tuple(out),
-        tuple(c for c in out if seed[c[0]]),
-        tuple(c for c in out if not seed[c[0]]),
-    )
+    at = opponent_cells(n, len(types))
+    cells = tuple(tuple((u[c[x]], q1[c[x]], q2[c[x]]) for c in at) for x in range(len(types)))
+    return _Candidates(pairs, local, seeded, cells)
 
 
 def check_cell_cap(n: int, n_atoms: int, regime: str) -> int:
@@ -279,17 +266,18 @@ class _Program:
     rows, L times the profile weight scale W for the Bayesian rows and for
     the objective.  A row is keyed by its integer coefficients, zero sums
     included; a row that is kept is stored in lowest terms, without its
-    zeros.  The supply rows come from `_fixed_rows`.  An instance of more
-    than `CELL_CAP` type-count cells is refused before any of them is built."""
+    zeros.  The supply rows come from `_fixed_rows`.  A candidate's class
+    is one of `classes`: each opponent class, or None alone for the
+    Bayesian rows (`_Candidates`).  An instance of more than `CELL_CAP`
+    type-count cells is refused before any of it is built."""
 
     def __init__(self, n, dist, regime):
-        check_cell_cap(n, len(dist.values), regime)
-        types = buyer_types(dist)
-        n_types = len(types)
         n_atoms = len(dist.values)
+        check_cell_cap(n, n_atoms, regime)
+        types = atom_types(n_atoms)
+        n_types = len(types)
         names, (q1, q2, u) = _columns(n, n_atoms, regime == "bic")
         values, lcm_v = scaled(dist.values)
-        self.lcm_v = lcm_v
 
         # A buyer at cell x of a class of weight w pays its shares' values
         # less its utility, and count(x) buyers of the class hold x.
@@ -303,11 +291,10 @@ class _Program:
         obj_scale = lcm_v * scale
 
         self.regime = regime
-        self.scale = lcm_v if regime == "dic" else obj_scale
         self.truth = truth = _candidates(n, n_atoms, regime)
-        self.dv = [tuple(values[a] - values[b] for a, b in zip(types[x], types[y]))
-                   for x, y in truth.pairs]
+        self.dv, self.lcm_v = value_differences(dist)
         self.rows = {}
+        self.weights, self.scale, self.classes = None, lcm_v, range(len(truth.cells[0]))
         if regime == "bic":
             # Interim rows: the opponent-weighted sums of the per-profile
             # ones.  An opponent class weight over W(n-1) is on the program
@@ -315,6 +302,7 @@ class _Program:
             others, others_scale = class_weights(n - 1, dist.probs)
             g = scale // others_scale
             self.weights = [w * g for w in others]
+            self.scale, self.classes = obj_scale, (None,)
         g = math.gcd(obj_scale, *objective.values())
         self.lp = LinearProgram(
             variables=list(names),
@@ -323,74 +311,62 @@ class _Program:
             constraints=list(_fixed_rows(n, n_atoms)),
         )
 
-    def _keep(self, coeffs: dict, tag: str):
-        """Keep the row coeffs >= 0 and return it, or None if it is kept
-        already."""
-        key = tuple(sorted(coeffs.items()))
-        if key in self.rows:
-            return None
-        g = math.gcd(self.scale, *coeffs.values())
-        row = self.rows[key] = Constraint(
-            tuple((r, c // g) for r, c in coeffs.items() if c), ">=", 0, self.scale // g, tag)
-        return row
-
-    def add(self, candidate):
-        """Keep a candidate's row, over the program scale: w times
-        u(x) - u(y) - (x - y).q(y) >= 0 for type x misreporting y, w = 1
-        against the opponent profiles of one class, or summed over the
-        classes with their weights.  Returns the row, or None if it is kept already."""
-        k = candidate[0]
-        dv, lcm_v = self.dv[k], self.lcm_v
+    def add(self, k: int, o):
+        """Keep the row of the candidate (k, o) over the program scale, w
+        times u(x) - u(y) - (x - y).q(y) >= 0 for type x misreporting y:
+        w = 1 at the opponent class o, or summed over the classes with
+        their weights if o is None.  Returns the row, or None if kept."""
+        (x, y), dv, lcm_v, at = self.truth.pairs[k], self.dv[k], self.lcm_v, self.truth.cells
+        terms = zip(at[x], at[y], self.weights) if o is None else [(at[x][o], at[y][o], 1)]
         coeffs = {}
-        if self.regime == "dic":
-            _, true, dev, *shares = candidate
-            terms = [(true, 1, dev, shares)]
-        else:
-            x, y = self.truth.pairs[k]
-            at = self.truth.cells
-            terms = [(t[0], w, d[0], d[1:]) for t, d, w in zip(at[x], at[y], self.weights)]
-        for true, w, dev, shares in terms:
+        for (true, _, _), (dev, *shares), w in terms:
             coeffs[true] = coeffs.get(true, 0) + w * lcm_v
             coeffs[dev] = coeffs.get(dev, 0) - w * lcm_v
             for r, d in zip(shares, dv):
                 if d:
                     coeffs[r] = coeffs.get(r, 0) - w * d
+        key = tuple(sorted(coeffs.items()))
+        if key in self.rows:
+            return None
+        g = math.gcd(self.scale, *coeffs.values())
         tag = self.regime + "_local" if self.truth.local[k] else self.regime
-        return self._keep(coeffs, tag)
+        row = self.rows[key] = Constraint(
+            tuple((r, c // g) for r, c in coeffs.items() if c), ">=", 0, self.scale // g, tag)
+        return row
+
+    def add_pairs(self, ks: Iterable[int]) -> None:
+        """Keep the rows of the misreports ks against every class, in row
+        order."""
+        for k in ks:
+            for o in self.classes:
+                self.add(k, o)
 
     def model(self) -> LinearProgram:
         """The program with the rows kept so far."""
         return dataclasses.replace(self.lp, constraints=[*self.lp.constraints, *self.rows.values()])
 
     def separate(self, x: Sequence[int], X: int) -> list:
-        """The rows of the withheld candidates that the primal x / X
+        """The rows of the unseeded candidates that the primal x / X
         violates, in row order, each built once and only if it is not in
-        the model yet.
-
-        A dominant-strategy candidate is read from its four columns,
-        L (u_true - u_dev) - dv . q_dev.  A Bayesian one, of buyer 0 as in
-        the symmetric program, from per-type interim sums of the primal:
-        with weights w_k over the opponent classes, U(x) = sum_k w_k
-        u(x, k) and Q_j(y) = sum_k w_k q_j(y, k), its row is L (U(x) -
-        U(y)) - dv . Q(y) over the weight scale."""
-        truth, dv, lcm_v = self.truth, self.dv, self.lcm_v
-        if self.regime == "dic":
-            violated = [
-                c for c in truth.withheld
-                if lcm_v * (x[c[1]] - x[c[2]]) < dv[c[0]][0] * x[c[3]] + dv[c[0]][1] * x[c[4]]
-            ]
-        else:
-            weights = self.weights
-            sums = [[sum(w * x[c[j]] for c, w in zip(at, weights)) for j in range(3)]
-                    for at in truth.cells]
-            pairs = truth.pairs
-            violated = []
-            for c in truth.withheld:
-                k = c[0]
-                (u, _, _), (v, q1, q2) = sums[pairs[k][0]], sums[pairs[k][1]]
-                if lcm_v * (u - v) < dv[k][0] * q1 + dv[k][1] * q2:
-                    violated.append(c)
-        return [row for row in map(self.add, violated) if row is not None]
+        the model yet.  A candidate (k, o), type x misreporting y, is read
+        at its columns, L (u(x, o) - u(y, o)) - dv . q(y, o); a Bayesian
+        one, (k, None), at each type's columns folded over the classes by
+        weight, U(x) = sum_o w_o u(x, o) and Q_j(y) = sum_o w_o q_j(y, o),
+        over the weight scale."""
+        truth, lcm_v, at = self.truth, self.lcm_v, self.truth.cells
+        if self.weights:
+            # U, Q_1 and Q_2 of type t at 3t, 3t + 1 and 3t + 2.
+            x = [sum(w * x[c[j]] for c, w in zip(cells, self.weights))
+                 for cells in at for j in range(3)]
+            at = [[(3 * t, 3 * t + 1, 3 * t + 2)] for t in range(len(at))]
+        violated = []
+        for k, ((t, s), (d1, d2)) in enumerate(zip(truth.pairs, self.dv)):
+            if truth.seeded[k]:
+                continue
+            for o, (u, _, _), (v, q1, q2) in zip(self.classes, at[t], at[s]):
+                if lcm_v * (x[u] - x[v]) < d1 * x[q1] + d2 * x[q2]:
+                    violated.append((k, o))
+        return [row for row in itertools.starmap(self.add, violated) if row is not None]
 
 
 def _seeded_program(
@@ -400,8 +376,7 @@ def _seeded_program(
     (`_candidates`), and the separator of its other truthfulness
     candidates (`solve`'s `separate`)."""
     program = _Program(n, dist, regime)
-    for candidate in program.truth.seeded:
-        program.add(candidate)
+    program.add_pairs(itertools.compress(itertools.count(), program.truth.seeded))
     return program.model(), program.separate
 
 
@@ -422,8 +397,7 @@ def build_auction_lp(n: int, dist: FiniteValueDistribution, regime: str) -> Line
     counterparts ('bic_local', 'bic').
     """
     program = _Program(n, dist, regime)
-    for candidate in program.truth.all:
-        program.add(candidate)
+    program.add_pairs(range(len(program.truth.pairs)))
     return program.model()
 
 
@@ -682,10 +656,7 @@ def grid_b_values(n: int, p: Fraction, a: Fraction) -> list:
     """
     if a == 0:
         return [Fraction(1), Fraction(2), Fraction(3)]
-    probe = AuctionSpec(n, p, a, a + 1)
-    from .formulas import breakpoints
-
-    v = breakpoints(probe)
+    v = breakpoints(AuctionSpec(n, p, a, a + 1))
     out = set()
     edges = [a, v.v1, v.v2, v.v3, v.v3 + (v.v3 - a)]
     for lo, hi in zip(edges, edges[1:]):

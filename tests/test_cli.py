@@ -398,6 +398,17 @@ class TestDigitLimit:
         assert err == ("error: the revenues at n=10000000 have more than 4300 digits, "
                        "past Python's integer string limit\n")
 
+    @pytest.mark.parametrize("command", [
+        ["formulas", "--b", "2"], ["sweep", "--b-min", "2", "--b-max", "3", "--steps", "3"]])
+    def test_n_too_large_for_a_float(self, capsys, command):
+        # A 401-digit n is past the largest float: it is refused without one.
+        n = "1" + "0" * 400
+        code, out, err = run(capsys, command[0], "--n", n, "--p", "1/3", "--a", "1",
+                             *command[1:])
+        assert (code, out) == (4, "")
+        assert err == (f"error: the revenues at n={n} have more than 4300 digits, "
+                       "past Python's integer string limit\n")
+
     @pytest.mark.parametrize("n,p", [(4000, "1/3"), (4600, "1/2")])
     def test_largest_printable_instances_print(self, capsys, n, p):
         code, out, _ = run(capsys, "formulas", "--n", str(n), "--p", p, "--a", "1", "--b", "2",

@@ -213,8 +213,7 @@ class TestSeededRows:
             assert one_step == DOWNWARD | UPWARD
         seeded = DOWNWARD if n_atoms == 2 else one_step
         assert truth.local == tuple(pair in one_step for pair in pairs)
-        assert truth.seeded == tuple(c for c in truth.all if pairs[c[0]] in seeded)
-        assert truth.withheld == tuple(c for c in truth.all if pairs[c[0]] not in seeded)
+        assert truth.seeded == tuple(pair in seeded for pair in pairs)
 
     @pytest.mark.parametrize("regime", ["dic", "bic"])
     def test_export_keeps_the_local_tags(self, regime):
@@ -429,6 +428,54 @@ class TestInterimProgram:
             assert len(sol.primal) == len(full.variables)
             violated = [c for c in full.constraints if _violated(c, sol.primal, sol.primal_den)]
             assert not violated, (n, dist)
+
+
+class TestSeparatorReference:
+    """The separator against the exported program: at a primal it returns
+    exactly the rows of `build_auction_lp` outside the seeded model that
+    the primal violates, in export order."""
+
+    @staticmethod
+    def _withheld(n, dist, regime):
+        """The exported rows that the seeded model lacks, in export order."""
+        seeded = set(oracle._seeded_program(n, dist, regime)[0].constraints)
+        return [c for c in build_auction_lp(n, dist, regime).constraints if c not in seeded]
+
+    @pytest.mark.parametrize("regime", ["dic", "bic"])
+    def test_every_round_of_the_solves(self, regime):
+        separated = 0
+        for n, dist in INTERIM_CASES:
+            withheld = self._withheld(n, dist, regime)
+            lp, separate = oracle._seeded_program(n, dist, regime)
+            answers = []
+
+            def checked(x, X):
+                rows = separate(x, X)
+                assert rows == [c for c in withheld if _violated(c, x, X)], (n, dist, answers)
+                answers.append(len(rows))
+                return rows
+
+            sol = solve(lp, checked)
+            assert answers[-1] == 0 and sum(answers) == len(sol.added)
+            separated += len(sol.added)
+        if regime == "dic":  # so some answers are not empty
+            assert separated > 0
+
+    @pytest.mark.parametrize("regime", ["dic", "bic"])
+    def test_random_primals_of_three_atoms(self, regime):
+        withheld = self._withheld(2, THREE_ATOMS, regime)
+        rng = random.Random(31)
+        answers = []
+        for _ in range(30):
+            # A fresh separator each time: its model holds the seeded rows only.
+            lp, separate = oracle._seeded_program(2, THREE_ATOMS, regime)
+            density = rng.choice((0, 0.01, 0.1, 0.5))
+            x = [rng.randint(1, 9) if rng.random() < density else 0 for _ in lp.variables]
+            X = rng.randint(1, 6)
+            rows = separate(x, X)
+            assert rows == [c for c in withheld if _violated(c, x, X)]
+            answers.append(len(rows))
+        assert 0 in answers and max(answers) > 1
 
 
 class TestOptimumCertificate:
